@@ -7,7 +7,14 @@
 //! GFLOPS versus the portable scalar reference path
 //! (`gflops_vs_scalar`): every shape is measured once more under
 //! `MEDSPLIT_ISA=scalar` semantics at one thread, and each row reports
-//! its throughput relative to that baseline.
+//! its throughput relative to that baseline. `speedup_t2_vs_t1` puts the
+//! two-thread pool against one thread on every GEMM, conv and serving
+//! row: below 1.0 the pool costs more than it gives on that shape.
+//!
+//! The `dispatch` rows time the pool hand-off alone — an empty-body
+//! two-task `parallel_for` — back to back (`hot`: the worker is still
+//! spinning) and after a 5 ms sleep (`after_5ms_sleep`: the worker has
+//! parked), at one and two threads, in `dispatch_us`.
 //!
 //! A small-batch *serving sweep* (`dense_serve` / `conv_serve` rows at
 //! batch 1/2/4/8) drives the plan-cache path — layers in `Mode::Eval`
@@ -20,9 +27,9 @@
 //!
 //! A *half-width storage sweep* (`gemm_f16` rows) drives the same
 //! planned GEMM with binary16 weight panels (`MEDSPLIT_WEIGHT_PREC=f16`
-//! semantics) against the f32-storage plan; `speedup_vs_seed` there is
-//! the f32-storage/f16-storage time ratio, and the f16 logits fold into
-//! the plan digest so the cross-ISA gate covers both storage precisions.
+//! semantics) against the f32-storage plan; `speedup_vs_f32_plan` is the
+//! f32-storage/f16-storage time ratio, and the f16 logits fold into the
+//! plan digest so the cross-ISA gate covers both storage precisions.
 //!
 //! Outputs:
 //!   - `bench_results/kernel_bench.csv` (or `$MEDSPLIT_RESULTS_DIR`),
@@ -60,8 +67,8 @@ use medsplit_tensor::{
 };
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
-                          speedup_vs_seed,gflops_vs_scalar,scratch_allocs_per_step,\
-                          repacks_per_step";
+                          speedup_t2_vs_t1,speedup_vs_seed,speedup_vs_f32_plan,gflops_vs_scalar,\
+                          scratch_allocs_per_step,repacks_per_step,dispatch_us";
 
 /// What a `kernel_bench` invocation measured, for the lab runner.
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +111,8 @@ fn seed_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     c
 }
 
+/// One result row; a metric that does not apply to the row's kernel is
+/// `NaN` (an empty CSV field, JSON `null`).
 struct Row {
     kernel: &'static str,
     shape: String,
@@ -112,10 +121,88 @@ struct Row {
     best_ms: f64,
     gflops: f64,
     speedup_vs_1t: f64,
+    /// One-thread time over two-thread time for the row's shape.
+    speedup_t2_vs_t1: f64,
     speedup_vs_seed: f64,
+    speedup_vs_f32_plan: f64,
     gflops_vs_scalar: f64,
     scratch_allocs_per_step: f64,
     repacks_per_step: f64,
+    dispatch_us: f64,
+}
+
+impl Row {
+    /// A row with every metric unset.
+    fn blank(kernel: &'static str, shape: String, threads: usize, reps: usize) -> Self {
+        Row {
+            kernel,
+            shape,
+            threads,
+            reps,
+            best_ms: f64::NAN,
+            gflops: f64::NAN,
+            speedup_vs_1t: f64::NAN,
+            speedup_t2_vs_t1: f64::NAN,
+            speedup_vs_seed: f64::NAN,
+            speedup_vs_f32_plan: f64::NAN,
+            gflops_vs_scalar: f64::NAN,
+            scratch_allocs_per_step: f64::NAN,
+            repacks_per_step: f64::NAN,
+            dispatch_us: f64::NAN,
+        }
+    }
+}
+
+/// Sets `speedup_t2_vs_t1` on the rows of one shape's thread sweep, when
+/// the sweep covered both one and two threads.
+fn fill_t2_vs_t1(sweep: &mut [Row]) {
+    let ms = |t: usize| sweep.iter().find(|r| r.threads == t).map(|r| r.best_ms);
+    if let (Some(t1), Some(t2)) = (ms(1), ms(2)) {
+        for r in sweep {
+            r.speedup_t2_vs_t1 = t1 / t2;
+        }
+    }
+}
+
+/// Pool hand-off latency: an empty-body two-task `parallel_for` is all
+/// dispatch and no work. `hot` is the mean over back-to-back calls (the
+/// worker is still inside its spin budget); `after_5ms_sleep` is the
+/// median of single calls each made after a 5 ms sleep (the worker has
+/// parked and the dispatcher must wake it). At one thread both are the
+/// inline path, the floor to compare against.
+fn bench_dispatch(cold_samples: usize, rows: &mut Vec<Row>) {
+    const HOT_CALLS: usize = 20_000;
+    let dispatch = || {
+        pool::parallel_for(2, |t| {
+            std::hint::black_box(t);
+        });
+    };
+    for threads in [1, 2] {
+        pool::set_num_threads(threads);
+        pool::warmup(|| {});
+        let t = Instant::now();
+        (0..HOT_CALLS).for_each(|_| dispatch());
+        let hot_us = t.elapsed().as_secs_f64() * 1e6 / HOT_CALLS as f64;
+        let mut cold: Vec<f64> = (0..cold_samples)
+            .map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                let t = Instant::now();
+                dispatch();
+                t.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        cold.sort_by(f64::total_cmp);
+        for (shape, reps, us) in [
+            ("hot", HOT_CALLS, hot_us),
+            ("after_5ms_sleep", cold_samples, cold[cold.len() / 2]),
+        ] {
+            rows.push(Row {
+                dispatch_us: us,
+                ..Row::blank("dispatch", shape.into(), threads, reps)
+            });
+        }
+    }
+    pool::set_num_threads(1);
 }
 
 /// Times `body` for `reps` repetitions and returns the best wall time in
@@ -139,6 +226,15 @@ fn time_best(reps: usize, body: impl Fn() + Sync) -> (f64, f64, f64) {
     let allocs = scratch::stats().allocations - allocs_before;
     let packs = plan::stats().packs - packs_before;
     (best, allocs as f64 / reps as f64, packs as f64 / reps as f64)
+}
+
+/// Best wall time of `body` with the pool at two threads, for the
+/// `speedup_t2_vs_t1` column of rows measured at one thread.
+fn at_two_threads(reps: usize, body: impl Fn() + Sync) -> f64 {
+    pool::set_num_threads(2);
+    let (best_s, _, _) = time_best(reps, body);
+    pool::set_num_threads(1);
+    best_s
 }
 
 /// Measures `body` once under the portable scalar ISA at one thread and
@@ -169,6 +265,7 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
     let scalar_gflops = flops / scalar_s / 1e9;
 
     let mut one_thread_s = f64::NAN;
+    let sweep_start = rows.len();
     for &t in threads {
         pool::set_num_threads(t);
         let (best_s, allocs, repacks) = time_best(reps, || {
@@ -178,10 +275,6 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
             one_thread_s = best_s;
         }
         rows.push(Row {
-            kernel: "gemm",
-            shape: format!("{m}x{k}x{n}"),
-            threads: t,
-            reps,
             best_ms: best_s * 1e3,
             gflops: flops / best_s / 1e9,
             speedup_vs_1t: one_thread_s / best_s,
@@ -189,20 +282,21 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
             gflops_vs_scalar: (flops / best_s / 1e9) / scalar_gflops,
             scratch_allocs_per_step: allocs,
             repacks_per_step: repacks,
+            ..Row::blank("gemm", format!("{m}x{k}x{n}"), t, reps)
         });
     }
+    fill_t2_vs_t1(&mut rows[sweep_start..]);
     pool::set_num_threads(1);
 }
 
 /// f16-storage vs f32-storage planned GEMM: the same weight driven
 /// through two `GemmPlan`s that differ only in panel storage precision.
-/// For `gemm_f16` rows the `speedup_vs_seed` column reports f32-storage
-/// plan time over f16-storage plan time (the full-precision plan is the
-/// "seed" the half-width panels replace). Asserts the f16 plan never
-/// repacks after warmup, that its logits are bit-identical to the
-/// unplanned GEMM against the f16-narrowed weight (the single narrowing
-/// happens at pack time; every kernel widens exactly), and folds the
-/// f16 logits into the cross-ISA plan digest.
+/// `speedup_vs_f32_plan` reports f32-storage plan time over f16-storage
+/// plan time. Asserts the f16 plan never repacks after warmup, that its
+/// logits are bit-identical to the unplanned GEMM against the
+/// f16-narrowed weight (the single narrowing happens at pack time; every
+/// kernel widens exactly), and folds the f16 logits into the cross-ISA
+/// plan digest.
 fn bench_gemm_f16(m: usize, k: usize, n: usize, reps: usize, rows: &mut Vec<Row>, digest: &mut u64) {
     pool::set_num_threads(1);
     let mut rng = rng_from_seed(41);
@@ -239,17 +333,13 @@ fn bench_gemm_f16(m: usize, k: usize, n: usize, reps: usize, rows: &mut Vec<Row>
         "f16-storage plan repacked panels after warmup at {m}x{k}x{n}"
     );
     rows.push(Row {
-        kernel: "gemm_f16",
-        shape: format!("{m}x{k}x{n}"),
-        threads: 1,
-        reps,
         best_ms: best_s * 1e3,
         gflops: flops / best_s / 1e9,
         speedup_vs_1t: 1.0,
-        speedup_vs_seed: f32_s / best_s,
-        gflops_vs_scalar: f64::NAN,
+        speedup_vs_f32_plan: f32_s / best_s,
         scratch_allocs_per_step: allocs,
         repacks_per_step: repacks,
+        ..Row::blank("gemm_f16", format!("{m}x{k}x{n}"), 1, reps)
     });
 }
 
@@ -281,6 +371,7 @@ fn bench_conv(
     let scalar_gflops = flops / scalar_s / 1e9;
 
     let mut one_thread_s = f64::NAN;
+    let sweep_start = rows.len();
     for &t in threads {
         pool::set_num_threads(t);
         let (best_s, allocs, repacks) = time_best(reps, || {
@@ -289,22 +380,24 @@ fn bench_conv(
         if t == 1 {
             one_thread_s = best_s;
         }
+        // No `speedup_vs_seed`: conv was always im2col+GEMM; the seed
+        // comparison is carried by the gemm rows.
         rows.push(Row {
-            kernel: label,
-            shape: format!("{n}x{c}x{hw}x{hw}->k{kernel}s{stride}p{padding}o{o}"),
-            threads: t,
-            reps,
             best_ms: best_s * 1e3,
             gflops: flops / best_s / 1e9,
             speedup_vs_1t: one_thread_s / best_s,
-            // No seed-kernel counterpart: conv was always im2col+GEMM;
-            // the seed comparison is carried by the gemm rows.
-            speedup_vs_seed: f64::NAN,
             gflops_vs_scalar: (flops / best_s / 1e9) / scalar_gflops,
             scratch_allocs_per_step: allocs,
             repacks_per_step: repacks,
+            ..Row::blank(
+                label,
+                format!("{n}x{c}x{hw}x{hw}->k{kernel}s{stride}p{padding}o{o}"),
+                t,
+                reps,
+            )
         });
     }
+    fill_t2_vs_t1(&mut rows[sweep_start..]);
     pool::set_num_threads(1);
 }
 
@@ -359,18 +452,19 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
                 repacks, 0.0,
                 "dense serve repacked panels after warmup at b{batch}x{inf}->{outf}"
             );
+            let two_thread_s = at_two_threads(reps, || {
+                let mut l = layer.lock().expect("dense lock");
+                std::hint::black_box(l.forward(&x, Mode::Eval).expect("planned dense"));
+            });
             rows.push(Row {
-                kernel: "dense_serve",
-                shape: format!("b{batch}x{inf}->{outf}"),
-                threads: 1,
-                reps,
                 best_ms: best_s * 1e3,
                 gflops: flops / best_s / 1e9,
                 speedup_vs_1t: 1.0,
+                speedup_t2_vs_t1: best_s / two_thread_s,
                 speedup_vs_seed: direct_s / best_s,
-                gflops_vs_scalar: f64::NAN,
                 scratch_allocs_per_step: allocs,
                 repacks_per_step: repacks,
+                ..Row::blank("dense_serve", format!("b{batch}x{inf}->{outf}"), 1, reps)
             });
         }
     }
@@ -409,18 +503,24 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
             repacks, 0.0,
             "conv serve repacked panels after warmup at b{batch}x{c}x{hw}x{hw}"
         );
+        let two_thread_s = at_two_threads(reps, || {
+            let mut l = layer.lock().expect("conv lock");
+            std::hint::black_box(l.forward(&x, Mode::Eval).expect("planned conv"));
+        });
         rows.push(Row {
-            kernel: "conv_serve",
-            shape: format!("b{batch}x{c}x{hw}x{hw}->k3s1p1o{o}"),
-            threads: 1,
-            reps,
             best_ms: best_s * 1e3,
             gflops: flops / best_s / 1e9,
             speedup_vs_1t: 1.0,
+            speedup_t2_vs_t1: best_s / two_thread_s,
             speedup_vs_seed: direct_s / best_s,
-            gflops_vs_scalar: f64::NAN,
             scratch_allocs_per_step: allocs,
             repacks_per_step: repacks,
+            ..Row::blank(
+                "conv_serve",
+                format!("b{batch}x{c}x{hw}x{hw}->k3s1p1o{o}"),
+                1,
+                reps,
+            )
         });
     }
     digest
@@ -465,38 +565,38 @@ fn assert_training_repack_bound() {
     );
 }
 
-/// `NaN` metrics (no baseline for this row kind) render as an empty CSV
-/// field / JSON `null`.
-fn opt_metric(v: f64, csv: bool) -> String {
-    if v.is_nan() {
-        if csv {
-            String::new()
-        } else {
-            "null".into()
-        }
-    } else if csv {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.3}")
+/// `NaN` metrics (not applicable to this row kind) render as an empty
+/// CSV field / JSON `null`; others with `csv_digits` decimals in the CSV
+/// and one more in the JSON.
+fn opt_metric(v: f64, csv: bool, csv_digits: usize) -> String {
+    match (v.is_nan(), csv) {
+        (true, true) => String::new(),
+        (true, false) => "null".into(),
+        (false, true) => format!("{v:.csv_digits$}"),
+        (false, false) => format!("{v:.0$}", csv_digits + 1),
     }
 }
 
 fn to_report(rows: &[Row]) -> ReportWriter {
     let mut report = ReportWriter::csv(CSV_HEADER);
     for r in rows {
+        let m = |v, digits| opt_metric(v, true, digits);
         report.line(&format!(
-            "{},{},{},{},{:.3},{:.2},{:.2},{},{},{:.2},{:.2}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.kernel,
             r.shape,
             r.threads,
             r.reps,
-            r.best_ms,
-            r.gflops,
-            r.speedup_vs_1t,
-            opt_metric(r.speedup_vs_seed, true),
-            opt_metric(r.gflops_vs_scalar, true),
-            r.scratch_allocs_per_step,
-            r.repacks_per_step
+            m(r.best_ms, 3),
+            m(r.gflops, 2),
+            m(r.speedup_vs_1t, 2),
+            m(r.speedup_t2_vs_t1, 2),
+            m(r.speedup_vs_seed, 2),
+            m(r.speedup_vs_f32_plan, 2),
+            m(r.gflops_vs_scalar, 2),
+            m(r.scratch_allocs_per_step, 2),
+            m(r.repacks_per_step, 2),
+            m(r.dispatch_us, 2)
         ));
     }
     report
@@ -506,22 +606,26 @@ fn to_json(rows: &[Row], isa: &str) -> String {
     let mut results = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
+        let m = |v, digits| opt_metric(v, false, digits);
         let _ = writeln!(
             results,
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"best_ms\": {:.4}, \
-             \"gflops\": {:.3}, \"speedup_vs_1t\": {:.3}, \"speedup_vs_seed\": {}, \
-             \"gflops_vs_scalar\": {}, \"scratch_allocs_per_step\": {:.2}, \
-             \"repacks_per_step\": {:.2}}}{}",
+            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"best_ms\": {}, \
+             \"gflops\": {}, \"speedup_vs_1t\": {}, \"speedup_t2_vs_t1\": {}, \
+             \"speedup_vs_seed\": {}, \"speedup_vs_f32_plan\": {}, \"gflops_vs_scalar\": {}, \
+             \"scratch_allocs_per_step\": {}, \"repacks_per_step\": {}, \"dispatch_us\": {}}}{}",
             r.kernel,
             r.shape,
             r.threads,
-            r.best_ms,
-            r.gflops,
-            r.speedup_vs_1t,
-            opt_metric(r.speedup_vs_seed, false),
-            opt_metric(r.gflops_vs_scalar, false),
-            r.scratch_allocs_per_step,
-            r.repacks_per_step,
+            m(r.best_ms, 3),
+            m(r.gflops, 2),
+            m(r.speedup_vs_1t, 2),
+            m(r.speedup_t2_vs_t1, 2),
+            m(r.speedup_vs_seed, 2),
+            m(r.speedup_vs_f32_plan, 2),
+            m(r.gflops_vs_scalar, 2),
+            m(r.scratch_allocs_per_step, 1),
+            m(r.repacks_per_step, 1),
+            m(r.dispatch_us, 2),
             comma
         );
     }
@@ -633,6 +737,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         .unwrap_or(if smoke { 1 } else { 5 });
 
     let mut rows = Vec::new();
+    bench_dispatch(if smoke { 3 } else { 51 }, &mut rows);
     if smoke {
         bench_gemm(48, 33, 17, &threads, reps, &mut rows);
         bench_conv("conv2d", 2, 3, 8, 4, 3, 1, 1, &threads, reps, &mut rows);
@@ -690,32 +795,37 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             "best ms",
             "GFLOP/s",
             "vs 1t",
+            "2t/1t",
             "vs seed",
+            "vs f32 plan",
             "vs scalar",
             "allocs/step",
             "repacks/step",
+            "dispatch us",
         ],
     );
     for r in &rows {
+        let cell = |v: f64, digits: usize, unit: &str| {
+            if v.is_nan() {
+                "-".into()
+            } else {
+                format!("{v:.digits$}{unit}")
+            }
+        };
         table.row(vec![
             r.kernel.to_string(),
             r.shape.clone(),
             r.threads.to_string(),
-            format!("{:.3}", r.best_ms),
-            format!("{:.2}", r.gflops),
-            format!("{:.2}x", r.speedup_vs_1t),
-            if r.speedup_vs_seed.is_nan() {
-                "-".into()
-            } else {
-                format!("{:.2}x", r.speedup_vs_seed)
-            },
-            if r.gflops_vs_scalar.is_nan() {
-                "-".into()
-            } else {
-                format!("{:.2}x", r.gflops_vs_scalar)
-            },
-            format!("{:.2}", r.scratch_allocs_per_step),
-            format!("{:.2}", r.repacks_per_step),
+            cell(r.best_ms, 3, ""),
+            cell(r.gflops, 2, ""),
+            cell(r.speedup_vs_1t, 2, "x"),
+            cell(r.speedup_t2_vs_t1, 2, "x"),
+            cell(r.speedup_vs_seed, 2, "x"),
+            cell(r.speedup_vs_f32_plan, 2, "x"),
+            cell(r.gflops_vs_scalar, 2, "x"),
+            cell(r.scratch_allocs_per_step, 2, ""),
+            cell(r.repacks_per_step, 2, ""),
+            cell(r.dispatch_us, 2, ""),
         ]);
     }
     println!("{table}");

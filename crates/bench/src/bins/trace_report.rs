@@ -6,7 +6,9 @@
 //!   - a per-round protocol-phase breakdown whose shares sum to ~100% of
 //!     each round's wall time (the unattributed remainder is `other`),
 //!   - a per-kernel attribution (gemm/conv time, resolved to rounds via
-//!     span parent links),
+//!     span parent links), and next to it how the worker pool treated
+//!     those kernels: fanned out, run inline because small or because the
+//!     pool was busy, and how many dispatches paid a worker wake-up,
 //!   - the metric counters (per-`MessageKind` logical `net.bytes.*` and
 //!     on-wire `net.wire_bytes.*` traffic — the pair shows each codec's
 //!     compression directly — plus pool, serve, and the `plan.*`
@@ -144,6 +146,34 @@ fn kernel_table(spans: &[SpanRecord], total_round_s: f64) -> TextTable {
     table
 }
 
+/// How the worker pool treated the parallel ranges of the run: did it
+/// help (`pool.jobs`), why not when it did not (`pool.inline_*`), and
+/// how often a dispatch paid for waking a parked worker. Counters the
+/// run never touched print as 0.
+fn pool_table(trace: &Trace) -> TextTable {
+    let mut table = TextTable::new("worker pool dispatch", &["counter", "value", "meaning"]);
+    for (name, meaning) in [
+        ("pool.jobs", "ranges fanned out over the pool"),
+        ("pool.tasks", "tasks in those ranges"),
+        (
+            "pool.inline_small",
+            "ranges run inline: work below the shape gate",
+        ),
+        (
+            "pool.inline_busy",
+            "ranges run inline: another thread's job held the pool",
+        ),
+        ("pool.wakeups", "dispatches that had to wake a parked worker"),
+    ] {
+        table.row(vec![
+            name.into(),
+            trace.counter_total(name).to_string(),
+            meaning.into(),
+        ]);
+    }
+    table
+}
+
 fn print_report(trace: &Trace) -> String {
     println!("{}", aggregate_table(&trace.spans));
 
@@ -183,6 +213,7 @@ fn print_report(trace: &Trace) -> String {
     }
     println!("{phase_table}");
     println!("{}", kernel_table(&trace.spans, total_round_s));
+    println!("{}", pool_table(trace));
 
     let mut counters = TextTable::new("counters", &["name", "value"]);
     for m in &trace.metrics {

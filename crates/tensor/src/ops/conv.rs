@@ -198,7 +198,7 @@ pub fn im2col(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
     let ncols = oh * ow;
     let mut out = Tensor::zeros([n, rows, ncols]);
     let src = input.as_slice();
-    pool::parallel_chunks_mut(out.as_mut_slice(), rows * ncols, |i, dst| {
+    pool::parallel_chunks_mut_sized(out.as_mut_slice(), rows * ncols, n * rows * ncols, |i, dst| {
         im2col_single(
             &src[i * c * h * w..(i + 1) * c * h * w],
             c,
@@ -254,7 +254,7 @@ pub fn conv2d_forward(
     let mut out = Tensor::zeros([n, o, oh, ow]);
     let src = input.as_slice();
     let bias = bias.map(Tensor::as_slice);
-    pool::parallel_chunks_mut(out.as_mut_slice(), o * ncols, |i, dst| {
+    pool::parallel_chunks_mut_sized(out.as_mut_slice(), o * ncols, n * o * rows * ncols, |i, dst| {
         scratch::with_f32(rows * ncols, |cols| {
             im2col_single(
                 &src[i * c * h * w..(i + 1) * c * h * w],
@@ -376,7 +376,7 @@ pub fn conv2d_forward_planned(input: &Tensor, plan: &mut ConvPlan, bias: Option<
     let mut out = Tensor::zeros([n, o, geo.oh, geo.ow]);
     let src = input.as_slice();
     let bias = bias.map(Tensor::as_slice);
-    pool::parallel_chunks_mut(out.as_mut_slice(), o * ncols, |i, dst| {
+    pool::parallel_chunks_mut_sized(out.as_mut_slice(), o * ncols, n * o * rows * ncols, |i, dst| {
         let img = &src[i * c * h * w..(i + 1) * c * h * w];
         scratch::with_f32(nt * rows * NR, |bpack| {
             for (jt, tile) in bpack.chunks_exact_mut(rows * NR).enumerate() {
@@ -450,7 +450,9 @@ pub fn conv2d_backward(
     let nchunks = n.div_ceil(BWD_CHUNK);
     let mut partials = vec![0.0f32; nchunks * pstride];
     let gi = pool::RawSliceMut::new(grad_input.as_mut_slice());
-    pool::parallel_chunks_mut(&mut partials, pstride, |chunk_idx, partial| {
+    // Two GEMMs (dW and dX) of `o·rows·ncols` multiply-accumulates per image.
+    let macs = 2 * n * o * rows * ncols;
+    pool::parallel_chunks_mut_sized(&mut partials, pstride, macs, |chunk_idx, partial| {
         let (gw_part, gb_part) = partial.split_at_mut(o * rows);
         let lo = chunk_idx * BWD_CHUNK;
         let hi = (lo + BWD_CHUNK).min(n);
@@ -552,7 +554,9 @@ pub fn conv2d_backward_planned(
     let nchunks = n.div_ceil(BWD_CHUNK);
     let mut partials = vec![0.0f32; nchunks * pstride];
     let gi = pool::RawSliceMut::new(grad_input.as_mut_slice());
-    pool::parallel_chunks_mut(&mut partials, pstride, |chunk_idx, partial| {
+    // Two GEMMs (dW and dX) of `o·rows·ncols` multiply-accumulates per image.
+    let macs = 2 * n * o * rows * ncols;
+    pool::parallel_chunks_mut_sized(&mut partials, pstride, macs, |chunk_idx, partial| {
         let (gw_part, gb_part) = partial.split_at_mut(o * rows);
         let lo = chunk_idx * BWD_CHUNK;
         let hi = (lo + BWD_CHUNK).min(n);

@@ -4,8 +4,8 @@
 //! `axpy`, `scale_inplace`), the ReLU-family activations, and the
 //! `par_map`/`par_zip_map` combinators run across the worker pool for
 //! large tensors, in fixed-size chunks so results do not depend on the
-//! thread count. Small tensors stay on the sequential path — below
-//! [`PAR_MIN`] elements the dispatch overhead exceeds the work.
+//! thread count. Small tensors stay on the calling thread: the element
+//! count is the work estimate the pool gates on ([`crate::pool`]).
 //!
 //! The same-shape binary ops, accumulators, and activations bottom out
 //! in the ISA-dispatched kernels of [`crate::simd`]: vectorised on
@@ -23,8 +23,15 @@ use crate::tensor::Tensor;
 /// Elements per parallel chunk; fixed (never thread-derived) so chunk
 /// boundaries — and therefore results — are deterministic.
 const PAR_CHUNK: usize = 32 * 1024;
-/// Minimum element count before an elementwise op goes parallel.
-const PAR_MIN: usize = PAR_CHUNK;
+
+/// Runs `body(offset, chunk)` over `dst` in [`PAR_CHUNK`]-element pieces:
+/// across the pool when the element count clears the pool's work gate,
+/// in order on the caller otherwise (a tensor of at most one chunk is a
+/// single call on the whole slice).
+fn par_chunks(dst: &mut [f32], body: impl Fn(usize, &mut [f32]) + Sync) {
+    let len = dst.len();
+    pool::parallel_chunks_mut_sized(dst, PAR_CHUNK, len, |ci, chunk| body(ci * PAR_CHUNK, chunk));
+}
 
 /// Same-shape binary op through the ISA-dispatched kernel, chunked over
 /// the pool for large tensors.
@@ -32,19 +39,14 @@ fn simd_binary(a: &Tensor, b: &Tensor, op: simd::BinOp) -> Result<Tensor> {
     debug_assert_eq!(a.shape(), b.shape());
     let (da, db) = (a.as_slice(), b.as_slice());
     let mut data = vec![0.0f32; da.len()];
-    if da.len() >= PAR_MIN {
-        pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-            let off = ci * PAR_CHUNK;
-            simd::binary(
-                op,
-                &da[off..off + chunk.len()],
-                &db[off..off + chunk.len()],
-                chunk,
-            );
-        });
-    } else {
-        simd::binary(op, da, db, &mut data);
-    }
+    par_chunks(&mut data, |off, chunk| {
+        simd::binary(
+            op,
+            &da[off..off + chunk.len()],
+            &db[off..off + chunk.len()],
+            chunk,
+        );
+    });
     Tensor::from_vec(data, a.shape().clone())
 }
 
@@ -180,14 +182,9 @@ impl Tensor {
         }
         let src = other.as_slice();
         let dst = self.as_mut_slice();
-        if dst.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(dst, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                simd::add_assign(chunk, &src[off..off + chunk.len()]);
-            });
-        } else {
-            simd::add_assign(dst, src);
-        }
+        par_chunks(dst, |off, chunk| {
+            simd::add_assign(chunk, &src[off..off + chunk.len()]);
+        });
         Ok(())
     }
 
@@ -207,27 +204,18 @@ impl Tensor {
         }
         let src = other.as_slice();
         let dst = self.as_mut_slice();
-        if dst.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(dst, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                simd::axpy(alpha, chunk, &src[off..off + chunk.len()]);
-            });
-        } else {
-            simd::axpy(alpha, dst, src);
-        }
+        par_chunks(dst, |off, chunk| {
+            simd::axpy(alpha, chunk, &src[off..off + chunk.len()]);
+        });
         Ok(())
     }
 
     /// In-place scaling.
     pub fn scale_inplace(&mut self, s: f32) {
         let dst = self.as_mut_slice();
-        if dst.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(dst, PAR_CHUNK, |_, chunk| {
-                simd::scale(chunk, s);
-            });
-        } else {
-            simd::scale(dst, s);
-        }
+        par_chunks(dst, |_, chunk| {
+            simd::scale(chunk, s);
+        });
     }
 
     /// Elementwise ReLU: `max(x, 0)` computed as a compare-and-select so
@@ -236,14 +224,9 @@ impl Tensor {
     pub fn relu(&self) -> Tensor {
         let src = self.as_slice();
         let mut data = vec![0.0f32; src.len()];
-        if data.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                simd::relu(&src[off..off + chunk.len()], chunk);
-            });
-        } else {
-            simd::relu(src, &mut data);
-        }
+        par_chunks(&mut data, |off, chunk| {
+            simd::relu(&src[off..off + chunk.len()], chunk);
+        });
         Tensor::from_vec(data, self.shape().clone()).expect("relu preserves length")
     }
 
@@ -263,14 +246,9 @@ impl Tensor {
         }
         let (y, g) = (self.as_slice(), grad.as_slice());
         let mut data = vec![0.0f32; y.len()];
-        if data.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                simd::relu_grad(&y[off..off + chunk.len()], &g[off..off + chunk.len()], chunk);
-            });
-        } else {
-            simd::relu_grad(y, g, &mut data);
-        }
+        par_chunks(&mut data, |off, chunk| {
+            simd::relu_grad(&y[off..off + chunk.len()], &g[off..off + chunk.len()], chunk);
+        });
         Tensor::from_vec(data, self.shape().clone())
     }
 
@@ -279,14 +257,9 @@ impl Tensor {
     pub fn leaky_relu(&self, alpha: f32) -> Tensor {
         let src = self.as_slice();
         let mut data = vec![0.0f32; src.len()];
-        if data.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                simd::leaky_relu(alpha, &src[off..off + chunk.len()], chunk);
-            });
-        } else {
-            simd::leaky_relu(alpha, src, &mut data);
-        }
+        par_chunks(&mut data, |off, chunk| {
+            simd::leaky_relu(alpha, &src[off..off + chunk.len()], chunk);
+        });
         Tensor::from_vec(data, self.shape().clone()).expect("leaky_relu preserves length")
     }
 
@@ -306,19 +279,14 @@ impl Tensor {
         }
         let (x, g) = (self.as_slice(), grad.as_slice());
         let mut data = vec![0.0f32; x.len()];
-        if data.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                simd::leaky_relu_grad(
-                    alpha,
-                    &x[off..off + chunk.len()],
-                    &g[off..off + chunk.len()],
-                    chunk,
-                );
-            });
-        } else {
-            simd::leaky_relu_grad(alpha, x, g, &mut data);
-        }
+        par_chunks(&mut data, |off, chunk| {
+            simd::leaky_relu_grad(
+                alpha,
+                &x[off..off + chunk.len()],
+                &g[off..off + chunk.len()],
+                chunk,
+            );
+        });
         Tensor::from_vec(data, self.shape().clone())
     }
 
@@ -328,18 +296,11 @@ impl Tensor {
     pub fn par_map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let src = self.as_slice();
         let mut data = vec![0.0f32; src.len()];
-        if data.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = f(src[off + i]);
-                }
-            });
-        } else {
-            for (v, &x) in data.iter_mut().zip(src) {
-                *v = f(x);
+        par_chunks(&mut data, |off, chunk| {
+            for (i, v) in chunk.iter_mut().enumerate() {
+                *v = f(src[off + i]);
             }
-        }
+        });
         Tensor::from_vec(data, self.shape().clone()).expect("par_map preserves length")
     }
 
@@ -359,18 +320,11 @@ impl Tensor {
         }
         let (da, db) = (self.as_slice(), other.as_slice());
         let mut data = vec![0.0f32; da.len()];
-        if data.len() >= PAR_MIN {
-            pool::parallel_chunks_mut(&mut data, PAR_CHUNK, |ci, chunk| {
-                let off = ci * PAR_CHUNK;
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = f(da[off + i], db[off + i]);
-                }
-            });
-        } else {
-            for ((v, &x), &y) in data.iter_mut().zip(da).zip(db) {
-                *v = f(x, y);
+        par_chunks(&mut data, |off, chunk| {
+            for (i, v) in chunk.iter_mut().enumerate() {
+                *v = f(da[off + i], db[off + i]);
             }
-        }
+        });
         Tensor::from_vec(data, self.shape().clone())
     }
 

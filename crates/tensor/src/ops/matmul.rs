@@ -188,7 +188,7 @@ pub(crate) fn gemm_compute_packed_b(
     let kernel = microkernel::tile_kernel();
     let nt = n.div_ceil(NR);
     debug_assert_eq!(bpack.len(), nt * k * NR);
-    pool::parallel_chunks_mut(c, row_block * n, |pi, panel| {
+    pool::parallel_chunks_mut_sized(c, row_block * n, m * k * n, |pi, panel| {
         let i0 = pi * row_block;
         let rows = panel.len() / n;
         if !accumulate {
@@ -303,7 +303,7 @@ pub(crate) fn gemm_compute_packed_b_f16(
     let kernel = microkernel::tile_kernel_f16();
     let nt = n.div_ceil(NR);
     debug_assert_eq!(bpack.len(), nt * k * NR);
-    pool::parallel_chunks_mut(c, row_block * n, |pi, panel| {
+    pool::parallel_chunks_mut_sized(c, row_block * n, m * k * n, |pi, panel| {
         let i0 = pi * row_block;
         let rows = panel.len() / n;
         if !accumulate {
@@ -359,7 +359,7 @@ pub(crate) fn gemm_prepacked_a(
     }
     let nt = n.div_ceil(NR);
     scratch::with_f32(nt * k * NR, |bpack| {
-        pool::parallel_chunks_mut(bpack, k * NR, |jt, tile| {
+        pool::parallel_chunks_mut_sized(bpack, k * NR, k * n, |jt, tile| {
             let j0 = jt * NR;
             microkernel::pack_b_tile(b, brs, bcs, j0, NR.min(n - j0), k, tile);
         });
@@ -404,7 +404,7 @@ fn gemm_strided(
         // zero-padded past column `n`; every `kb*NR` offset is 64-byte
         // aligned (NR floats = one cache line), which the AVX2 kernel's
         // aligned B loads rely on.
-        pool::parallel_chunks_mut(bpack, k * NR, |jt, tile| {
+        pool::parallel_chunks_mut_sized(bpack, k * NR, k * n, |jt, tile| {
             let j0 = jt * NR;
             microkernel::pack_b_tile(b, brs, bcs, j0, NR.min(n - j0), k, tile);
         });

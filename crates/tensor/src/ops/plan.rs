@@ -450,7 +450,7 @@ fn pack_b_panels(src: &[f32], rs: usize, cs: usize, k: usize, n: usize, prec: We
         WeightPrecision::F32 => {
             let mut buf = AlignedVec::new(len);
             if k > 0 {
-                pool::parallel_chunks_mut(buf.as_mut_slice(), k * NR, |jt, tile| {
+                pool::parallel_chunks_mut_sized(buf.as_mut_slice(), k * NR, len, |jt, tile| {
                     let j0 = jt * NR;
                     microkernel::pack_b_tile(src, rs, cs, j0, NR.min(n - j0), k, tile);
                 });
@@ -460,7 +460,7 @@ fn pack_b_panels(src: &[f32], rs: usize, cs: usize, k: usize, n: usize, prec: We
         WeightPrecision::F16 => {
             let mut buf = AlignedVec::new(len);
             if k > 0 {
-                pool::parallel_chunks_mut(buf.as_mut_slice(), k * NR, |jt, tile| {
+                pool::parallel_chunks_mut_sized(buf.as_mut_slice(), k * NR, len, |jt, tile| {
                     let j0 = jt * NR;
                     microkernel::pack_b_tile_f16(src, rs, cs, j0, NR.min(n - j0), k, tile);
                 });
@@ -480,7 +480,7 @@ fn pack_a_panels(src: &[f32], rs: usize, cs: usize, m: usize, k: usize, prec: We
         WeightPrecision::F32 => {
             let mut buf = AlignedVec::new(len);
             if k > 0 {
-                pool::parallel_chunks_mut(buf.as_mut_slice(), k * MR, |ib, panel| {
+                pool::parallel_chunks_mut_sized(buf.as_mut_slice(), k * MR, len, |ib, panel| {
                     let i0 = ib * MR;
                     microkernel::pack_a_panel(src, rs, cs, i0, MR.min(m - i0), k, panel);
                 });
@@ -490,7 +490,7 @@ fn pack_a_panels(src: &[f32], rs: usize, cs: usize, m: usize, k: usize, prec: We
         WeightPrecision::F16 => {
             let mut buf = AlignedVec::new(len);
             if k > 0 {
-                pool::parallel_chunks_mut(buf.as_mut_slice(), k * MR, |ib, panel| {
+                pool::parallel_chunks_mut_sized(buf.as_mut_slice(), k * MR, len, |ib, panel| {
                     let i0 = ib * MR;
                     microkernel::pack_a_panel_f16(src, rs, cs, i0, MR.min(m - i0), k, panel);
                 });

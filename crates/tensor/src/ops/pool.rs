@@ -53,7 +53,7 @@ pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutp
     let plane = oh * ow;
     let dst = pool::RawSliceMut::new(output.as_mut_slice());
     let arg = pool::RawSliceMut::new(&mut argmax);
-    pool::parallel_for(n * c, |p| {
+    pool::parallel_for_sized(n * c, input.numel(), |p| {
         let base = p * h * w;
         // SAFETY: plane `p` owns exactly `[p * plane, (p + 1) * plane)`
         // of both outputs.
@@ -127,7 +127,7 @@ pub fn avgpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
     let mut output = Tensor::zeros([n, c, oh, ow]);
     let src = input.as_slice();
     let pad = spec.padding as isize;
-    pool::parallel_chunks_mut(output.as_mut_slice(), oh * ow, |p, dst| {
+    pool::parallel_chunks_mut_sized(output.as_mut_slice(), oh * ow, input.numel(), |p, dst| {
         let base = p * h * w;
         let mut oidx = 0usize;
         for oy in 0..oh {
@@ -184,7 +184,7 @@ pub fn avgpool2d_backward(grad_out: &Tensor, input_shape: &crate::Shape, spec: C
     let mut grad_in = Tensor::zeros(input_shape.clone());
     let g = grad_out.as_slice();
     let pad = spec.padding as isize;
-    pool::parallel_chunks_mut(grad_in.as_mut_slice(), h * w, |p, gi| {
+    pool::parallel_chunks_mut_sized(grad_in.as_mut_slice(), h * w, n * c * h * w, |p, gi| {
         let mut oidx = p * oh * ow;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -219,7 +219,7 @@ pub fn global_avgpool(input: &Tensor) -> Result<Tensor> {
     let area = (h * w) as f32;
     let mut out = Tensor::zeros([n, c]);
     let src = input.as_slice();
-    pool::parallel_chunks_mut(out.as_mut_slice(), c, |i, dst| {
+    pool::parallel_chunks_mut_sized(out.as_mut_slice(), c, input.numel(), |i, dst| {
         for (ch, d) in dst.iter_mut().enumerate() {
             let base = (i * c + ch) * h * w;
             *d = src[base..base + h * w].iter().sum::<f32>() / area;
@@ -254,7 +254,7 @@ pub fn global_avgpool_backward(grad_out: &Tensor, input_shape: &crate::Shape) ->
     let area = (h * w) as f32;
     let mut grad_in = Tensor::zeros(input_shape.clone());
     let g = grad_out.as_slice();
-    pool::parallel_chunks_mut(grad_in.as_mut_slice(), h * w, |p, gi| {
+    pool::parallel_chunks_mut_sized(grad_in.as_mut_slice(), h * w, n * c * h * w, |p, gi| {
         let gv = g[p] / area;
         for v in gi.iter_mut() {
             *v = gv;

@@ -3,49 +3,113 @@
 //! All parallel tensor kernels (GEMM row-panels, conv/pool batch axes,
 //! large elementwise ops) funnel through [`parallel_for`], which fans a
 //! task range out over a process-wide pool of persistent worker threads.
-//! Design points:
+//! The rule the dispatch is built around: turning the pool on must never
+//! be slower than leaving it off, so the caller never waits for a thread
+//! that is not holding one of its tasks.
 //!
 //! - **Sizing.** The pool size is `MEDSPLIT_THREADS` if set (clamped to
 //!   `1..=64`), otherwise [`std::thread::available_parallelism`]. It can
 //!   be changed at runtime with [`set_num_threads`] (the benchmark
 //!   harness sweeps it); workers are spawned lazily, so a process that
 //!   never runs with more than one thread never spawns any.
-//! - **Deterministic fallback.** With one thread, [`parallel_for`] runs
-//!   every task inline on the caller with no pool machinery at all. More
-//!   importantly, task *decomposition* is chosen by the kernels from
-//!   shapes alone (fixed panel/chunk sizes), never from the thread
-//!   count, and tasks write disjoint output regions — so results are
-//!   bit-identical across any `MEDSPLIT_THREADS` value.
-//! - **No nesting.** A task that itself calls [`parallel_for`] (e.g. a
-//!   per-image conv task invoking a GEMM) runs the inner range inline,
-//!   which avoids both deadlock and oversubscription while still
-//!   parallelising whichever level is outermost.
-//! - **Work distribution.** Tasks are claimed from a shared atomic
-//!   counter, so an uneven panel costs no idle time; the caller
-//!   participates instead of blocking. Jobs reach workers over the
-//!   vendored `crossbeam` MPMC channel.
+//! - **Deterministic decomposition.** Task *decomposition* is chosen by
+//!   the kernels from shapes alone (fixed panel/chunk sizes), never from
+//!   the thread count, and tasks write disjoint output regions — so
+//!   results are bit-identical across any `MEDSPLIT_THREADS` value.
+//!   Everything below decides only *who executes* a task.
+//! - **Job slot and epoch.** The pool holds one job at a time in a
+//!   static slot: the task closure plus one atomic *claim word* packing
+//!   `next` (first unclaimed task), `total`, and the number of helper
+//!   slots left. The dispatcher fills the slot, bumps an epoch counter
+//!   and claims tasks itself. Idle workers poll the epoch for a bounded
+//!   spin ([`SPIN_ROUNDS`], yielding every [`YIELD_EVERY`] rounds) and
+//!   then park on a condvar, so back-to-back kernels inside one
+//!   forward/backward pass find a hot worker while an idle process stops
+//!   using CPU. The dispatcher pays a condvar wake only when fewer
+//!   workers are awake than the job admits; `parked` and `epoch` are
+//!   `SeqCst`, so either the dispatcher sees the parked worker or the
+//!   worker sees the new epoch before it sleeps.
+//! - **Completion by task count.** Every participant adds the number of
+//!   tasks it ran to `completed`; the dispatcher returns when that
+//!   reaches `total`. It never waits for a worker that claimed nothing,
+//!   so a helper still asleep costs the caller nothing.
+//! - **Helper slots.** A worker joins a job by one compare-and-swap on
+//!   the claim word that takes a helper slot *and* its first task
+//!   together. A job starts with `num_threads() - 1` slots, so the
+//!   logical size is honoured even when more workers were spawned
+//!   earlier; a worker that gets no slot keeps its idle count and parks.
+//! - **Busy pool ⇒ inline.** The slot is owned through `try_lock`: a
+//!   second thread dispatching at the same time (the serving runtime's
+//!   node threads, parallel tests) runs its range inline rather than
+//!   queueing behind another thread's kernel. A task that itself calls
+//!   [`parallel_for`] runs the inner range inline too, which avoids
+//!   deadlock and oversubscription while still parallelising whichever
+//!   level is outermost.
+//! - **Shape gating.** Kernels pass a work estimate computed from shapes
+//!   alone (multiply-accumulates for GEMM/conv, elements for packing,
+//!   pooling and elementwise ops). Below [`MIN_PAR_WORK`] the range runs
+//!   inline: a hot hand-off costs a few cache-line transfers (about 1 µs
+//!   on the 2-vCPU reference host, 11–14 µs when a parked worker must be
+//!   woken — `kernel_bench`'s `dispatch` rows). With the gate off, two
+//!   threads only break even with one on a GEMM of 2¹⁸ MACs (≈ 14 µs of
+//!   single-thread work, and slower whenever the worker had parked); at
+//!   2¹⁹ every kernel family is at least 1.2× faster, so that is the gate.
 //!
-//! Safety: the dispatched closure reference is lifetime-erased to cross
-//! the channel, which is sound because [`parallel_for`] never returns
-//! (or unwinds) before every helper has finished the job — enforced by a
-//! drop guard around the completion latch.
+//! Safety: the task closure reference is lifetime-erased to sit in the
+//! static slot. A thread dereferences it only while it holds a claimed
+//! task index `< total` that it has not yet added to `completed`, and
+//! the dispatcher neither returns nor unwinds (drop guard) before
+//! `completed == total` — so every dereference happens while the
+//! dispatcher's frame, and the closure in it, is alive. A worker that
+//! wakes late finds `next >= total` (or the next job, whose dispatcher is
+//! equally pinned) and never touches the stale reference. `next`, `total`
+//! and the slots share one atomic word precisely so that no claim can mix
+//! fields of two jobs.
 
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Barrier, Condvar, Mutex, MutexGuard, TryLockError};
 
 /// Hard cap on the pool size; far above any host this targets.
 const MAX_THREADS: usize = 64;
+
+/// Work estimate (multiply-accumulates, or elements touched) below which
+/// a kernel's range runs inline on the caller. One constant for every
+/// kernel; see the module docs for how it was chosen.
+const MIN_PAR_WORK: usize = 1 << 19;
+
+/// Epoch polls an idle worker makes before it parks.
+const SPIN_ROUNDS: u32 = 1 << 12;
+
+/// Every this many polls a waiting thread yields its time slice instead
+/// of pausing, so a spinner never starves a runnable thread.
+const YIELD_EVERY: u32 = 64;
+
+/// Claim word layout: `[helper slots : 8 | total : 28 | next : 28]`.
+const IDX_BITS: u32 = 28;
+const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
+const SLOT_ONE: u64 = 1 << (2 * IDX_BITS);
+/// Largest dispatchable range: each participant overshoots `next` by one
+/// when it finds the range exhausted, and `next` must not carry into
+/// `total`.
+const MAX_TASKS: usize = IDX_MASK as usize - MAX_THREADS;
+
+fn next_of(claim: u64) -> usize {
+    (claim & IDX_MASK) as usize
+}
+
+fn total_of(claim: u64) -> usize {
+    ((claim >> IDX_BITS) & IDX_MASK) as usize
+}
 
 /// Configured thread count; 0 means "not yet resolved".
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set on pool workers so nested `parallel_for` calls run inline.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Set on pool workers, and on a dispatcher while its job is in the
+    /// slot, so nested `parallel_for` calls run inline.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
 fn default_threads() -> usize {
@@ -80,86 +144,214 @@ pub fn num_threads() -> usize {
 /// Overrides the target thread count (clamped to `1..=64`).
 ///
 /// Takes effect on the next [`parallel_for`] call; existing workers are
-/// kept (idle workers cost nothing), new ones are spawned on demand.
+/// kept (they park within the spin budget), new ones are spawned on
+/// demand.
 pub fn set_num_threads(n: usize) {
     CONFIGURED.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
 }
 
-/// Shared state of one dispatched job.
-struct JobState {
-    /// Next unclaimed task index.
-    next: AtomicUsize,
-    /// One past the last task index.
-    total: usize,
-    /// Helpers that have not yet finished the job.
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
-}
-
-struct Job {
-    /// Lifetime-erased reference to the task closure; sound because the
-    /// dispatching `parallel_for` is latched until every helper finished
-    /// (see module docs).
-    task: &'static (dyn Fn(usize) + Sync),
-    state: Arc<JobState>,
-}
+type Task<'a> = dyn Fn(usize) + Sync + 'a;
 
 struct Pool {
-    tx: Sender<Job>,
-    rx: Receiver<Job>,
-    spawned: Mutex<usize>,
+    /// Owned by the one dispatcher whose job is in the slot; also
+    /// serialises worker spawning.
+    slot: Mutex<()>,
+    /// The current job's closure. Written by the slot owner before it
+    /// publishes `claim`; read only by a thread holding a claimed task.
+    task: UnsafeCell<Option<&'static Task<'static>>>,
+    /// `next`/`total`/helper slots of the current job. The owner's
+    /// `Release` store publishes `task`; claims are `AcqRel`.
+    claim: AtomicU64,
+    /// Tasks finished in the current job: `Release` adds by participants,
+    /// `Acquire` loads by the owner (which makes task writes visible).
+    completed: AtomicUsize,
+    panicked: AtomicBool,
+    /// Bumped once per published job; what idle workers watch.
+    epoch: AtomicUsize,
+    /// Workers currently blocked (or about to block) on `wake`.
+    parked: AtomicUsize,
+    park: Mutex<()>,
+    wake: Condvar,
+    /// Workers spawned so far; written only under `slot`.
+    spawned: AtomicUsize,
 }
 
-static POOL: OnceLock<Pool> = OnceLock::new();
+// SAFETY: `task` is the only non-`Sync` field. It is written only by the
+// thread holding `slot`, while no thread holds an unfinished claim, and
+// read only by threads holding one; the `claim`/`completed` orderings
+// above order those accesses. The stored reference is `Sync` itself.
+unsafe impl Sync for Pool {}
 
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let (tx, rx) = unbounded();
-        Pool {
-            tx,
-            rx,
-            spawned: Mutex::new(0),
-        }
-    })
-}
+static POOL: Pool = Pool {
+    slot: Mutex::new(()),
+    task: UnsafeCell::new(None),
+    claim: AtomicU64::new(0),
+    completed: AtomicUsize::new(0),
+    panicked: AtomicBool::new(false),
+    epoch: AtomicUsize::new(0),
+    parked: AtomicUsize::new(0),
+    park: Mutex::new(()),
+    wake: Condvar::new(),
+    spawned: AtomicUsize::new(0),
+};
 
-fn ensure_workers(p: &'static Pool, want: usize) {
-    let mut spawned = p.spawned.lock().unwrap();
-    while *spawned < want {
-        let rx = p.rx.clone();
-        let id = *spawned;
+/// Spawns workers up to `want`. Caller holds `POOL.slot`.
+fn ensure_workers(want: usize) {
+    let mut spawned = POOL.spawned.load(Ordering::Relaxed);
+    while spawned < want {
         std::thread::Builder::new()
-            .name(format!("medsplit-worker-{id}"))
-            .spawn(move || worker_main(&rx))
+            .name(format!("medsplit-worker-{spawned}"))
+            .spawn(worker_main)
             .expect("failed to spawn pool worker");
-        *spawned += 1;
+        spawned += 1;
+        POOL.spawned.store(spawned, Ordering::Relaxed);
     }
 }
 
-fn worker_main(rx: &Receiver<Job>) {
-    IN_WORKER.with(|f| f.set(true));
-    while let Ok(job) = rx.recv() {
-        run_tasks(job.task, &job.state);
-        let mut rem = job.state.remaining.lock().unwrap();
-        *rem -= 1;
-        if *rem == 0 {
-            job.state.done.notify_all();
-        }
-    }
-}
-
-/// Claims and runs tasks until the shared counter is exhausted.
-fn run_tasks(task: &(dyn Fn(usize) + Sync), state: &JobState) {
+fn worker_main() {
+    IN_JOB.with(|f| f.set(true));
+    let p = &POOL;
+    let mut seen = 0;
+    let mut idle = 0u32;
     loop {
-        let t = state.next.fetch_add(1, Ordering::Relaxed);
-        if t >= state.total {
-            return;
+        let epoch = p.epoch.load(Ordering::SeqCst);
+        if epoch != seen {
+            seen = epoch;
+            // Only a worker that got a helper slot earns a fresh spin
+            // budget; surplus workers run theirs down and park.
+            if run_tasks(true) {
+                idle = 0;
+            }
+            continue;
         }
-        if catch_unwind(AssertUnwindSafe(|| task(t))).is_err() {
-            state.panicked.store(true, Ordering::Relaxed);
+        idle += 1;
+        if idle < SPIN_ROUNDS {
+            pause(idle);
+            continue;
+        }
+        let mut guard = p.park.lock().expect("pool park lock poisoned");
+        p.parked.fetch_add(1, Ordering::SeqCst);
+        while p.epoch.load(Ordering::SeqCst) == seen {
+            guard = p.wake.wait(guard).expect("pool park lock poisoned");
+        }
+        p.parked.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
+        idle = 0;
+    }
+}
+
+/// One round of a bounded wait: a CPU pause, or every [`YIELD_EVERY`]th
+/// round a yield to the scheduler.
+fn pause(round: u32) {
+    if round.is_multiple_of(YIELD_EVERY) {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+}
+
+/// Claims and runs tasks of the current job until the range is
+/// exhausted. A helper's first claim also takes one of the job's helper
+/// slots; returns whether the thread was admitted.
+fn run_tasks(helper: bool) -> bool {
+    let p = &POOL;
+    let first = if helper {
+        p.claim.fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+            (c >= SLOT_ONE && next_of(c) < total_of(c)).then(|| c + 1 - SLOT_ONE)
+        })
+    } else {
+        Ok(p.claim.fetch_add(1, Ordering::AcqRel))
+    };
+    let Ok(mut claim) = first else {
+        return false;
+    };
+    let mut done = 0;
+    while next_of(claim) < total_of(claim) {
+        // SAFETY: this thread holds task `next_of(claim)` of the job in
+        // the slot and has not reported it, so the job cannot complete
+        // and its dispatcher cannot have returned: the reference is live
+        // (module docs). The `Acquire` claim synchronises with the
+        // dispatcher's `Release` store, which follows the write of `task`.
+        let task = unsafe { (*p.task.get()).expect("claimed a task of an empty slot") };
+        if catch_unwind(AssertUnwindSafe(|| task(next_of(claim)))).is_err() {
+            p.panicked.store(true, Ordering::Relaxed);
+        }
+        done += 1;
+        claim = p.claim.fetch_add(1, Ordering::AcqRel);
+    }
+    if done > 0 {
+        p.completed.fetch_add(done, Ordering::Release);
+    }
+    true
+}
+
+/// Publishes `task` as a job of `total` tasks admitting `helpers`
+/// workers (which must exist), runs `caller_part` on this thread, and
+/// returns once every task has completed — also when `caller_part`
+/// unwinds. Returns whether any task panicked. `_slot` proves the caller
+/// owns the job slot.
+fn run_job(
+    _slot: &MutexGuard<'_, ()>,
+    task: &Task<'_>,
+    total: usize,
+    helpers: usize,
+    caller_part: impl FnOnce(),
+) -> bool {
+    let p = &POOL;
+    // The claim word's fields must not overflow into each other.
+    assert!(total <= MAX_TASKS && helpers < MAX_THREADS);
+    // SAFETY: erases the borrow's lifetime; `Pinned` below keeps this
+    // frame alive until every claimed task has completed, and no thread
+    // dereferences the slot without a claimed task (module docs). No
+    // other thread accesses `task` now: the previous job completed and
+    // this thread owns the slot.
+    unsafe { *p.task.get() = Some(std::mem::transmute::<&Task<'_>, &'static Task<'static>>(task)) };
+    p.completed.store(0, Ordering::Relaxed);
+    p.panicked.store(false, Ordering::Relaxed);
+    p.claim.store(
+        (helpers as u64 * SLOT_ONE) | ((total as u64) << IDX_BITS),
+        Ordering::Release,
+    );
+
+    /// Holds the dispatcher until the job completed — including during
+    /// unwinding, which is what makes the lifetime erasure above sound.
+    /// In place before anything after publication can panic.
+    struct Pinned {
+        total: usize,
+        was_in_job: bool,
+    }
+    impl Drop for Pinned {
+        fn drop(&mut self) {
+            let mut round = 0u32;
+            while POOL.completed.load(Ordering::Acquire) != self.total {
+                round = round.wrapping_add(1);
+                pause(round);
+            }
+            IN_JOB.with(|f| f.set(self.was_in_job));
         }
     }
+    let pinned = Pinned {
+        total,
+        was_in_job: IN_JOB.with(|f| f.replace(true)),
+    };
+
+    p.epoch.fetch_add(1, Ordering::SeqCst);
+    let parked = p.parked.load(Ordering::SeqCst);
+    // Workers not parked will see the new epoch on their own; wake only
+    // as many parked ones as the job still has slots for.
+    let asleep_needed = helpers.saturating_sub(p.spawned.load(Ordering::Relaxed) - parked);
+    if asleep_needed > 0 {
+        medsplit_telemetry::counter_add("pool.wakeups", 1);
+        let _guard = p.park.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if asleep_needed >= parked {
+            p.wake.notify_all();
+        } else {
+            (0..asleep_needed).for_each(|_| p.wake.notify_one());
+        }
+    }
+    caller_part();
+    drop(pinned);
+    p.panicked.load(Ordering::Relaxed)
 }
 
 /// Runs `body(0), body(1), …, body(tasks - 1)` across the pool.
@@ -167,70 +359,47 @@ fn run_tasks(task: &(dyn Fn(usize) + Sync), state: &JobState) {
 /// Tasks may run in any order and on any thread, so the body must only
 /// write state it owns (disjoint output regions); the call returns after
 /// every task has finished, with all task writes visible to the caller.
-/// With a target of one thread — or when called from inside another
-/// `parallel_for` task — the range runs inline on the current thread in
-/// ascending order.
+/// With a target of one thread, when another thread's job occupies the
+/// pool, or when called from inside another `parallel_for` task, the
+/// range runs inline on the current thread in ascending order.
 ///
 /// # Panics
 ///
 /// Propagates a panic if any task panicked (the original payload is
 /// replaced by a generic message on the multi-threaded path).
 pub fn parallel_for<F: Fn(usize) + Sync>(tasks: usize, body: F) {
-    if tasks == 0 {
-        return;
-    }
+    parallel_for_sized(tasks, usize::MAX, body);
+}
+
+/// [`parallel_for`] with a shape-derived work estimate: below
+/// [`MIN_PAR_WORK`] the range runs inline.
+pub(crate) fn parallel_for_sized<F: Fn(usize) + Sync>(tasks: usize, work: usize, body: F) {
+    let inline = || (0..tasks).for_each(&body);
     let threads = num_threads().min(tasks);
-    if threads <= 1 || IN_WORKER.with(Cell::get) {
-        for t in 0..tasks {
-            body(t);
-        }
-        return;
+    if threads <= 1 || tasks > MAX_TASKS || IN_JOB.with(Cell::get) {
+        return inline();
     }
-    let p = pool();
-    let helpers = threads - 1;
-    ensure_workers(p, helpers);
+    if work < MIN_PAR_WORK {
+        medsplit_telemetry::counter_add("pool.inline_small", 1);
+        return inline();
+    }
+    let slot = match POOL.slot.try_lock() {
+        Ok(slot) => slot,
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            medsplit_telemetry::counter_add("pool.inline_busy", 1);
+            return inline();
+        }
+    };
     medsplit_telemetry::counter_add("pool.jobs", 1);
     medsplit_telemetry::counter_add("pool.tasks", tasks as u64);
     medsplit_telemetry::gauge_set_max("pool.queue_depth", tasks as f64);
-    let state = Arc::new(JobState {
-        next: AtomicUsize::new(0),
-        total: tasks,
-        remaining: Mutex::new(helpers),
-        done: Condvar::new(),
-        panicked: AtomicBool::new(false),
+    ensure_workers(threads - 1);
+    let panicked = run_job(&slot, &body, tasks, threads - 1, || {
+        run_tasks(false);
     });
-    let wide: &(dyn Fn(usize) + Sync) = &body;
-    // SAFETY: erases the borrow's lifetime; the latch below keeps the
-    // closure alive for every worker access (see module docs).
-    let task: &'static (dyn Fn(usize) + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(wide) };
-    for _ in 0..helpers {
-        if p.tx
-            .send(Job {
-                task,
-                state: Arc::clone(&state),
-            })
-            .is_err()
-        {
-            panic!("pool channel closed");
-        }
-    }
-
-    /// Blocks until every helper finished — including during unwinding,
-    /// which is what makes the lifetime erasure above sound.
-    struct WaitGuard<'a>(&'a JobState);
-    impl Drop for WaitGuard<'_> {
-        fn drop(&mut self) {
-            let mut rem = self.0.remaining.lock().unwrap();
-            while *rem > 0 {
-                rem = self.0.done.wait(rem).unwrap();
-            }
-        }
-    }
-    let guard = WaitGuard(&state);
-    run_tasks(wide, &state);
-    drop(guard);
-    if state.panicked.load(Ordering::Relaxed) {
+    drop(slot);
+    if panicked {
         panic!("parallel_for: a task panicked");
     }
 }
@@ -242,22 +411,26 @@ pub fn parallel_for<F: Fn(usize) + Sync>(tasks: usize, body: F) {
 /// coverage: no worker can grab two copies while another sits idle.
 ///
 /// This exists to warm per-thread state, above all the thread-local
-/// scratch arena ([`crate::scratch`]): jobs are claimed from a shared
-/// channel by *any* spawned worker, so a warm-up that merely runs a
-/// kernel once only warms whichever workers happened to win that race.
+/// scratch arena ([`crate::scratch`]): a job's tasks are claimed by
+/// whichever workers reach it first, so a warm-up that merely runs a
+/// kernel once only warms the workers that happened to win that race.
 /// Benchmarks and steady-state-allocation tests call this with the
 /// kernel under measurement before the timed region. Nested
 /// [`parallel_for`] calls inside `body` run inline on every thread
 /// (including the caller), so one broadcast of e.g. a conv forward warms
 /// the full nested acquisition pattern on every arena.
 pub fn warmup(f: impl Fn() + Sync) {
+    let p = &POOL;
+    // Unlike `parallel_for` this must reach the workers, so it waits for
+    // the slot. The slot guards no data, and a job always completes
+    // before its owner unwinds, so a poisoned slot is still a free slot.
+    let slot = p.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // Make sure the workers the current target implies exist, then
     // broadcast to every worker ever spawned (there may be more).
-    let threads = num_threads();
-    let p = pool();
-    ensure_workers(p, threads.saturating_sub(1));
-    let spawned = *p.spawned.lock().unwrap();
+    ensure_workers(num_threads() - 1);
+    let spawned = p.spawned.load(Ordering::Relaxed);
     if spawned == 0 {
+        drop(slot);
         f();
         return;
     }
@@ -275,47 +448,18 @@ pub fn warmup(f: impl Fn() + Sync) {
         let _arrive = ArriveGuard(&barrier);
         f();
     };
-    let state = Arc::new(JobState {
-        next: AtomicUsize::new(0),
-        total: spawned,
-        remaining: Mutex::new(spawned),
-        done: Condvar::new(),
-        panicked: AtomicBool::new(false),
+    // One task and one helper slot per worker; the caller claims none and
+    // runs `f` itself, then joins the barrier that releases the workers.
+    let mut local = Ok(());
+    let panicked = run_job(&slot, &body, spawned, spawned, || {
+        local = catch_unwind(AssertUnwindSafe(&f));
+        barrier.wait();
     });
-    let wide: &(dyn Fn(usize) + Sync) = &body;
-    // SAFETY: erases the borrow's lifetime; as in `parallel_for`, the
-    // completion latch below keeps the closure alive until every worker
-    // has finished its copy.
-    let task: &'static (dyn Fn(usize) + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(wide) };
-    for _ in 0..spawned {
-        if p.tx
-            .send(Job {
-                task,
-                state: Arc::clone(&state),
-            })
-            .is_err()
-        {
-            panic!("pool channel closed");
-        }
-    }
-    // Run `f` locally with the worker flag set so nested parallel_for
-    // calls stay inline — the workers are all parked at the barrier and
-    // could not help anyway.
-    let was_worker = IN_WORKER.with(Cell::get);
-    IN_WORKER.with(|w| w.set(true));
-    let local = catch_unwind(AssertUnwindSafe(&f));
-    IN_WORKER.with(|w| w.set(was_worker));
-    barrier.wait();
-    let mut rem = state.remaining.lock().unwrap();
-    while *rem > 0 {
-        rem = state.done.wait(rem).unwrap();
-    }
-    drop(rem);
+    drop(slot);
     if let Err(payload) = local {
         std::panic::resume_unwind(payload);
     }
-    if state.panicked.load(Ordering::Relaxed) {
+    if panicked {
         panic!("pool::warmup: the warm-up closure panicked on a worker");
     }
 }
@@ -330,11 +474,22 @@ pub fn warmup(f: impl Fn() + Sync) {
 /// Panics if `chunk` is zero, or propagates task panics as
 /// [`parallel_for`] does.
 pub fn parallel_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(data: &mut [T], chunk: usize, body: F) {
+    parallel_chunks_mut_sized(data, chunk, usize::MAX, body);
+}
+
+/// [`parallel_chunks_mut`] with a shape-derived work estimate, gated as
+/// in [`parallel_for_sized`].
+pub(crate) fn parallel_chunks_mut_sized<T: Send, F: Fn(usize, &mut [T]) + Sync>(
+    data: &mut [T],
+    chunk: usize,
+    work: usize,
+    body: F,
+) {
     assert!(chunk > 0, "parallel_chunks_mut: zero chunk size");
     let len = data.len();
     let tasks = len.div_ceil(chunk);
     let raw = RawSliceMut::new(data);
-    parallel_for(tasks, |t| {
+    parallel_for_sized(tasks, work, |t| {
         let start = t * chunk;
         let end = (start + chunk).min(len);
         // SAFETY: tasks index disjoint `[start, end)` ranges.

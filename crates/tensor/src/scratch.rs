@@ -9,7 +9,9 @@
 //! **zero** scratch heap allocations — a property the test suite asserts
 //! via [`stats`]. A warm-up must touch *every* pool worker's arena to
 //! count; [`crate::pool::warmup`] broadcasts a closure across the whole
-//! pool for exactly that purpose.
+//! pool for exactly that purpose. Without one, a worker's arena settles
+//! at its first task: a buffer that has to grow grows to the largest
+//! size any thread has asked for so far, not just to the size at hand.
 //!
 //! Buffers are **64-byte aligned** (cache line, and comfortably above the
 //! 32-byte AVX2 requirement) so the SIMD microkernels can use aligned
@@ -24,7 +26,7 @@
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Alignment of every arena buffer, in bytes.
 pub const ALIGN: usize = 64;
@@ -35,6 +37,11 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Number of `with_f32` acquisitions since process start.
 static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
+/// Largest length any thread has requested. A buffer that must grow
+/// grows straight to it: a pool worker joins whichever jobs it reaches in
+/// time, so without this its arena would grow once per kernel shape it
+/// happens to meet, long after the dispatching thread's has settled.
+static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
 
 /// A 64-byte-aligned, grow-only `f32` allocation. Contents beyond what a
 /// caller last wrote are arbitrary (zero on first allocation).
@@ -64,6 +71,7 @@ impl AlignedBuf {
         if self.cap >= len {
             return;
         }
+        let len = HIGH_WATER.fetch_max(len, Ordering::Relaxed).max(len);
         let layout = Self::layout(len);
         // SAFETY: `len > 0` here (cap >= 0 and cap < len), so the layout
         // has non-zero size as `alloc_zeroed` requires.
@@ -184,6 +192,24 @@ mod tests {
         // no growth events.
         assert_eq!(after.allocations, before.allocations, "unexpected scratch growth");
         assert_eq!(after.acquisitions - before.acquisitions, 20);
+    }
+
+    #[test]
+    fn a_late_thread_sizes_its_arena_once() {
+        with_f32(50_000, |b| b[0] = 1.0);
+        std::thread::spawn(|| {
+            // The new thread's first, small request grows to the largest
+            // size the process has seen, so the large one that follows
+            // finds the buffer already big enough.
+            with_f32(10, |b| b[0] = 1.0);
+            let grown = FREE.with(|free| free.borrow().last().map_or(0, |buf| buf.cap));
+            assert!(grown >= 50_000, "first growth stopped at {grown}");
+            with_f32(50_000, |b| b[0] = 1.0);
+            let after = FREE.with(|free| free.borrow().last().map_or(0, |buf| buf.cap));
+            assert_eq!(after, grown, "the arena grew a second time");
+        })
+        .join()
+        .expect("late thread");
     }
 
     #[test]
