@@ -12,34 +12,48 @@
 //! enable flag is process-global, which is why this guard lives in its
 //! own integration-test binary.
 
-use medsplit::core::{SplitConfig, SplitTrainer, TrainingHistory};
-use medsplit::data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+use medsplit::core::{
+    HierPolicy, HierResilientTrainer, ResilienceReport, ResilientTrainer, SplitConfig, SplitTrainer,
+    TrainingHistory,
+};
+use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit::simnet::{MemoryTransport, StarTopology};
+use medsplit::simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, NodeId, StarTopology};
+use medsplit::telemetry::Trace;
 use medsplit::tensor::Tensor;
 
 const PLATFORMS: usize = 4;
 const ROUNDS: usize = 6;
 
-fn run_once() -> (TrainingHistory, Vec<Tensor>) {
-    let arch = Architecture::Mlp(MlpConfig {
+fn arch() -> Architecture {
+    Architecture::Mlp(MlpConfig {
         input_dim: 8,
         hidden: vec![16],
         num_classes: 3,
-    });
+    })
+}
+
+fn data() -> (Vec<InMemoryDataset>, InMemoryDataset) {
     let all = SyntheticTabular::new(3, 8, 0).generate(160).unwrap();
     let train = all.subset(&(0..128).collect::<Vec<_>>()).unwrap();
     let test = all.subset(&(128..160).collect::<Vec<_>>()).unwrap();
-    let shards = partition(&train, PLATFORMS, &Partition::Iid, 1).unwrap();
-    let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
-    let config = SplitConfig {
+    (partition(&train, PLATFORMS, &Partition::Iid, 1).unwrap(), test)
+}
+
+fn config() -> SplitConfig {
+    SplitConfig {
         rounds: ROUNDS,
         eval_every: 3,
         lr: LrSchedule::Constant(0.1),
         minibatch: MinibatchPolicy::Fixed(8),
         ..SplitConfig::default()
-    };
-    let mut trainer = SplitTrainer::new(&arch, config, shards, test, &transport).unwrap();
+    }
+}
+
+fn run_once() -> (TrainingHistory, Vec<Tensor>) {
+    let (shards, test) = data();
+    let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
+    let mut trainer = SplitTrainer::new(&arch(), config(), shards, test, &transport).unwrap();
     let history = trainer.run().unwrap();
     let params: Vec<Tensor> = trainer
         .platforms_mut()
@@ -107,4 +121,100 @@ fn training_is_bit_identical_with_tracing_on_and_off() {
     for (i, (a, b)) in traced_params.iter().zip(&plain_params).enumerate() {
         assert_eq!(a, b, "platform {i} L1 parameters differ");
     }
+
+    fault_counters_mirror_the_reports();
+}
+
+/// Asserts every counter the fault-tolerant drivers emit, by name, against
+/// the matching report field. Called from the one test of this binary
+/// because the metric registry is process-global.
+fn fault_counters_mirror_the_reports() {
+    let base = |prefix: &str, r: &ResilienceReport| -> Vec<(String, u64)> {
+        [
+            ("retries", r.retries),
+            ("checksum_rejections", r.checksum_rejections),
+            ("skipped_platforms", r.skipped_platform_rounds),
+            ("degraded_rounds", r.degraded_rounds),
+            ("quorum_failures", r.quorum_failures),
+            ("crashes", r.crashes),
+            ("rejoins", r.rejoins),
+        ]
+        .into_iter()
+        .map(|(name, v)| (format!("{prefix}.{name}"), v))
+        .collect()
+    };
+    let check = |expected: Vec<(String, u64)>| {
+        let trace = Trace::capture();
+        for (name, value) in expected {
+            assert!(value > 0, "{name} is not exercised by this plan");
+            assert_eq!(trace.counter_total(&name), value, "{name}");
+        }
+    };
+
+    medsplit::telemetry::set_enabled(true);
+    medsplit::telemetry::reset_metrics();
+    let plan = FaultPlan::new(42)
+        .with_drop(0.1)
+        .with_corrupt(0.05)
+        .crash(NodeId::Platform(2), 2)
+        .recover(NodeId::Platform(2), 4)
+        .straggler(NodeId::Platform(1), 5.0);
+    let mut cfg = config();
+    cfg.round_policy.deadline_s = 1.0;
+    cfg.round_policy.min_platforms = 3;
+    let (shards, test) = data();
+    let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(PLATFORMS)), plan);
+    let mut star = ResilientTrainer::new(&arch(), cfg, shards, test, &chaos).unwrap();
+    star.run().unwrap();
+    check(base("resilient", &star.report()));
+
+    medsplit::telemetry::reset_metrics();
+    let topo = HierTopology::new(2, 2);
+    let plan = FaultPlan::new(42)
+        .with_drop(0.1)
+        .with_corrupt(0.15)
+        .crash(NodeId::Platform(3), 0)
+        .recover(NodeId::Platform(3), 1)
+        .crash_relay(1, 1)
+        .recover_relay(1, 3)
+        .link(
+            NodeId::Platform(0),
+            NodeId::Relay(0),
+            medsplit::simnet::LinkFaults {
+                extra_delay_s: 5.0,
+                ..Default::default()
+            },
+        )
+        .partition_region(&topo, 0, 4, 5)
+        .crash_relay(0, 5)
+        .crash_relay(1, 5);
+    let mut cfg = config();
+    cfg.round_policy.deadline_s = 1.0;
+    cfg.round_policy.min_platforms = 2;
+    let hier = HierPolicy {
+        region_quorum: 2,
+        ..HierPolicy::default()
+    };
+    let (shards, test) = data();
+    let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), plan);
+    let mut trainer = HierResilientTrainer::new(&arch(), cfg, hier, topo, shards, test, &chaos).unwrap();
+    trainer.run().unwrap();
+    let r = trainer.report().clone();
+    let mut expected = base("hier", &r.base);
+    for (name, v) in [
+        ("rehomes", r.rehomes),
+        ("direct_fallbacks", r.direct_fallbacks),
+        ("orphaned_platform_rounds", r.orphaned_platform_rounds),
+        ("relay_batches", r.relay_batches),
+        ("region_quorum_drops", r.region_quorum_drops),
+        ("relay_crashes", r.relay_crashes),
+        ("relay_rejoins", r.relay_rejoins),
+    ] {
+        expected.push((format!("hier.{name}"), v));
+    }
+    for (g, &bytes) in r.region_bytes.iter().enumerate() {
+        expected.push((format!("net.bytes.region{g}"), bytes));
+    }
+    check(expected);
+    medsplit::telemetry::set_enabled(false);
 }
