@@ -27,6 +27,11 @@ else
     echo "    (skipped: neither cargo-miri nor cargo-careful is installed)"
 fi
 
+echo "==> frozen benchmark still builds against the workspace"
+# benchmark/ is its own package calling the public entry points; a core
+# API change that breaks it must fail here, not in the pipeline.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> lab ci --smoke (manifest-declared experiment gates)"
 # The lab replaces the old hand-written smoke stanzas: every
 # experiments/*.lab.toml with `ci = true` runs here.

@@ -2,7 +2,7 @@
 
 use medsplit_core::{ComputeModel, SplitError};
 use medsplit_data::{InMemoryDataset, MinibatchPolicy};
-use medsplit_nn::{accuracy, Layer, LrSchedule, Mode, Sequential};
+use medsplit_nn::{Layer, LrSchedule, Mode, Sequential};
 
 /// Configuration shared by all baselines.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,19 +50,7 @@ impl BaselineConfig {
 ///
 /// Propagates tensor errors.
 pub fn evaluate_model(model: &mut Sequential, test: &InMemoryDataset) -> Result<f32, SplitError> {
-    const EVAL_BATCH: usize = 64;
-    let n = test.len();
-    let mut correct_weighted = 0.0;
-    let mut start = 0;
-    while start < n {
-        let count = EVAL_BATCH.min(n - start);
-        let idx: Vec<usize> = (start..start + count).collect();
-        let (features, labels) = test.batch(&idx)?;
-        let logits = model.forward(&features, Mode::Eval)?;
-        correct_weighted += accuracy(&logits, &labels)? * count as f32;
-        start += count;
-    }
-    Ok(correct_weighted / n.max(1) as f32)
+    medsplit_core::evaluate_batched(test, |features| Ok(model.forward(features, Mode::Eval)?))
 }
 
 /// Validates that the shard list is usable.

@@ -286,27 +286,21 @@ fn assert_frontier(points: &[Point]) {
             .iter()
             .find(|q| q.codec == "f32" && q.model == p.model && q.topo == p.topo)
             .expect("every axis pair includes an f32 reference");
-        // On the star every payload is a bare tensor frame, so the
-        // logical (f32-equivalent) accounting sees through the codec and
-        // must agree across runs. The hierarchical path wraps tensors in
-        // relay envelopes the byte-accounting sniffer deliberately
-        // passes through at wire size, so its logical column understates
-        // compression — reported for the frontier, not shape-asserted.
-        if p.topo == TopoAxis::Star4 {
-            assert_eq!(
-                p.logical_bytes,
-                f32_ref.logical_bytes,
-                "{} logical bytes diverged from the f32 run — star protocol shapes must not \
-                 depend on codec",
-                p.label()
-            );
-            assert_eq!(
-                p.messages,
-                f32_ref.messages,
-                "{} message count diverged from the f32 run",
-                p.label()
-            );
-        }
+        // The logical (f32-equivalent) accounting sees through the codec,
+        // bare tensor frames and relay batches alike, so it must agree
+        // across runs on every topology.
+        assert_eq!(
+            p.logical_bytes,
+            f32_ref.logical_bytes,
+            "{} logical bytes diverged from the f32 run — protocol shapes must not depend on codec",
+            p.label()
+        );
+        assert_eq!(
+            p.messages,
+            f32_ref.messages,
+            "{} message count diverged from the f32 run",
+            p.label()
+        );
         let ratio = p.wire_bytes as f64 / f32_ref.wire_bytes as f64;
         match p.codec {
             // The acceptance bound holds where payloads dominate; the

@@ -2,21 +2,20 @@
 //! relays → central server, with relay failover and partition-tolerant
 //! degraded rounds.
 //!
-//! [`HierResilientTrainer`] layers the hierarchical topology on the
-//! same round machinery as [`crate::ResilientTrainer`] — whole-round
-//! participation, retries with backoff and simulated-clock deadlines
-//! under the configured [`RoundPolicy`](crate::RoundPolicy), frozen
-//! survivor sets with renormalised minibatch weights, and
-//! checkpoint-boundary crash/rejoin — and adds the relay layer's
-//! failure semantics:
+//! [`HierResilientTrainer`] is the round engine of [`crate::resilient`]
+//! constructed with a relay tier — whole-round participation, retries
+//! with backoff and simulated-clock deadlines under the configured
+//! [`RoundPolicy`](crate::RoundPolicy), frozen survivor sets with
+//! renormalised minibatch weights, and checkpoint-boundary crash/rejoin
+//! are all that engine's. This module adds what a relay tier means:
 //!
 //! - **Routing.** Each round every live platform is routed over its
 //!   home relay; if the relay is crashed or unreachable (either hop of
 //!   either leg down), the platform *re-homes* to the first viable
 //!   backup relay in cyclic order, else falls back to a direct server
-//!   link — paying [`HierPolicy::failover_penalty_s`] against the round
-//!   deadline. A platform with no viable path at all is orphaned for
-//!   the round and rejoins at the next boundary.
+//!   link — paying [`HierPolicy::failover_penalty_s`] on its simulated
+//!   clock. A platform with no viable path at all is orphaned for the
+//!   round and rejoins at the next boundary.
 //! - **Region quorum.** A region delivering fewer than
 //!   [`HierPolicy::region_quorum`] surviving platforms is dropped whole
 //!   — a partitioned region degrades the round instead of stalling it
@@ -30,25 +29,16 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
-use medsplit_simnet::{ChaosEvent, ChaosTransport, Envelope, HierTopology, MessageKind, NodeId, Transport};
+use medsplit_nn::Architecture;
+use medsplit_simnet::{ChaosTransport, Envelope, HierTopology, MessageKind, NodeId, Transport};
 
-use crate::config::{HierPolicy, L1Sync, Scheduling, SplitConfig};
+use crate::config::{HierPolicy, SplitConfig};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::platform::Platform;
 use crate::relay;
-use crate::resilient::ResilienceReport;
-use crate::server::SplitServer;
-use crate::trainer::build_actors;
-
-/// Same bounded reliable-delivery cap as the star-topology resilient
-/// driver: link state is round-granular, so a committed survivor's leg
-/// can only fail to random loss — exhausting 64 attempts is a protocol
-/// error, not a tolerated fault.
-const MAX_DELIVERY_ATTEMPTS: u32 = 64;
+use crate::resilient::{receiving_platform, ResilienceReport, ResilientTrainer};
 
 /// Counters specific to the hierarchical failure machinery, alongside
 /// the embedded star-level [`ResilienceReport`].
@@ -78,211 +68,36 @@ pub struct HierReport {
     pub region_bytes: Vec<u64>,
 }
 
+/// The relay tier of a hierarchy: its shape and its failover policy.
+pub(crate) struct RelayTier {
+    pub(crate) policy: HierPolicy,
+    pub(crate) topo: HierTopology,
+}
+
 /// Which path a platform uses this round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
+pub(crate) enum Route {
     /// Via relay `r` (home or backup).
     Relay(usize),
-    /// Direct platform ↔ server fallback.
+    /// Straight to the server: every platform of a star, and the
+    /// fallback of a hierarchy.
     Direct,
 }
 
-/// Hierarchical counterpart of [`crate::ResilientTrainer`], driving the
-/// same actors over a [`HierTopology`] chaos transport.
-pub struct HierResilientTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    hier: HierPolicy,
-    topo: HierTopology,
-    platforms: Vec<Platform>,
-    server: SplitServer,
-    chaos: &'t ChaosTransport<T>,
-    test: InMemoryDataset,
-    client_params: usize,
-    server_params: usize,
-    initial_snapshots: Vec<Bytes>,
-    checkpoints: BTreeMap<usize, Bytes>,
-    report: HierReport,
+impl Route {
+    /// The inbox a platform's upstream traffic lands in under this route.
+    pub(crate) fn sink(self) -> NodeId {
+        match self {
+            Route::Relay(r) => NodeId::Relay(r),
+            Route::Direct => NodeId::Server,
+        }
+    }
 }
 
-impl<'t, T: Transport> HierResilientTrainer<'t, T> {
-    /// Builds the trainer over a chaos transport routing a
-    /// [`HierTopology`]. `shards` must hold exactly one dataset per
-    /// platform of the topology, in platform-id order.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors for invalid configs or policies,
-    /// shard/topology shape mismatches, unsupported scheduling, or a
-    /// dirty transport.
-    pub fn new(
-        arch: &Architecture,
-        config: SplitConfig,
-        hier: HierPolicy,
-        topo: HierTopology,
-        shards: Vec<InMemoryDataset>,
-        test: InMemoryDataset,
-        chaos: &'t ChaosTransport<T>,
-    ) -> Result<Self> {
-        config.validate().map_err(SplitError::Config)?;
-        hier.validate(topo.per_region()).map_err(SplitError::Config)?;
-        if topo.regions() == 0 || topo.per_region() == 0 {
-            return Err(SplitError::Config(
-                "hierarchy needs at least one region with at least one platform".into(),
-            ));
-        }
-        if shards.len() != topo.platforms() {
-            return Err(SplitError::Config(format!(
-                "{} shards for a hierarchy of {} platforms",
-                shards.len(),
-                topo.platforms()
-            )));
-        }
-        if config.scheduling != Scheduling::Aggregate {
-            return Err(SplitError::Config(
-                "hierarchical mode implements Aggregate scheduling".into(),
-            ));
-        }
-        if config.l1_sync != L1Sync::CommonInit {
-            return Err(SplitError::Config(
-                "hierarchical mode implements CommonInit L1 sync".into(),
-            ));
-        }
-        if chaos.stats().snapshot().messages > 0 {
-            return Err(SplitError::Config(
-                "transport has already been used; accounting would be polluted".into(),
-            ));
-        }
-        let (mut platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
-        if config.round_policy.min_platforms > platforms.len() {
-            return Err(SplitError::Config(format!(
-                "quorum of {} exceeds the {} configured platforms",
-                config.round_policy.min_platforms,
-                platforms.len()
-            )));
-        }
-        let initial_snapshots = platforms.iter_mut().map(Platform::checkpoint).collect();
-        let report = HierReport {
-            region_bytes: vec![0; topo.regions()],
-            ..HierReport::default()
-        };
-        Ok(HierResilientTrainer {
-            config,
-            hier,
-            topo,
-            platforms,
-            server,
-            chaos,
-            test,
-            client_params,
-            server_params,
-            initial_snapshots,
-            checkpoints: BTreeMap::new(),
-            report,
-        })
-    }
-
-    /// The hierarchical fault-handling counters accumulated so far.
-    pub fn report(&self) -> &HierReport {
-        &self.report
-    }
-
-    /// The platform actors (for inspection).
-    pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.platforms
-    }
-
-    /// Mean test accuracy over the currently live platforms' deployed
-    /// models, exactly as the star driver computes it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn evaluate(&mut self) -> Result<f32> {
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        let mut counted = 0usize;
-        for platform in &mut self.platforms {
-            if self.chaos.is_down(platform.node()) {
-                continue;
-            }
-            let mut correct_weighted = 0.0;
-            let mut seen = 0usize;
-            let n = self.test.len();
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (features, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_l1(&features)?;
-                let logits = self.server.infer(&acts)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                seen += count;
-                start += count;
-            }
-            total += correct_weighted / seen.max(1) as f32;
-            counted += 1;
-        }
-        Ok(total / counted.max(1) as f32)
-    }
-
-    fn count(name: &str, n: u64) {
-        if n > 0 && medsplit_telemetry::enabled() {
-            medsplit_telemetry::counter_add(name, n);
-        }
-    }
-
-    /// Sends one envelope, attributing its wire bytes to `region`.
-    fn send_counted(&mut self, env: Envelope, region: usize) -> Result<()> {
-        self.report.region_bytes[region] += env.wire_size() as u64;
-        self.chaos.send(env)?;
-        Ok(())
-    }
-
-    /// Applies this round's scheduled chaos events. Platform semantics
-    /// match the star driver (crash = pristine reset, recover =
-    /// checkpoint restore); relays are stateless, so their events only
-    /// flip routing viability and are counted here.
-    fn apply_events(&mut self, events: &[ChaosEvent]) -> Result<()> {
-        for event in events {
-            match *event {
-                ChaosEvent::Crash {
-                    node: NodeId::Platform(pid),
-                    ..
-                } => {
-                    self.report.base.crashes += 1;
-                    Self::count("hier.crashes", 1);
-                    if let Some(p) = self.platforms.get_mut(pid) {
-                        p.restore(&self.initial_snapshots[pid])?;
-                    }
-                }
-                ChaosEvent::Recover {
-                    node: NodeId::Platform(pid),
-                    ..
-                } => {
-                    self.report.base.rejoins += 1;
-                    Self::count("hier.rejoins", 1);
-                    if let (Some(p), Some(blob)) = (self.platforms.get_mut(pid), self.checkpoints.get(&pid)) {
-                        p.restore(blob)?;
-                    }
-                }
-                ChaosEvent::Crash {
-                    node: NodeId::Relay(_),
-                    ..
-                } => {
-                    self.report.relay_crashes += 1;
-                    Self::count("hier.relay_crashes", 1);
-                }
-                ChaosEvent::Recover {
-                    node: NodeId::Relay(_),
-                    ..
-                } => {
-                    self.report.relay_rejoins += 1;
-                    Self::count("hier.relay_rejoins", 1);
-                }
-                _ => {}
-            }
-        }
-        Ok(())
+impl<T: Transport> ResilientTrainer<'_, T> {
+    /// The region whose byte counter a platform's traffic is charged to.
+    pub(crate) fn home_region(&self, pid: usize) -> usize {
+        self.tier.as_ref().map_or(0, |t| t.topo.home_relay(pid))
     }
 
     /// Whether routing platform `pid` through relay `r` is viable this
@@ -299,11 +114,12 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
             && !self.chaos.link_down(NodeId::Server, relay)
     }
 
-    /// Picks this round's route for a live platform: home relay, then
-    /// backup relays in cyclic order, then the direct server link.
-    fn route_for(&self, pid: usize) -> Option<Route> {
-        let home = self.topo.home_relay(pid);
-        let regions = self.topo.regions();
+    /// Picks this round's route for a live platform of a hierarchy: home
+    /// relay, then backup relays in cyclic order, then the direct server
+    /// link.
+    fn route_for(&self, topo: &HierTopology, pid: usize) -> Option<Route> {
+        let home = topo.home_relay(pid);
+        let regions = topo.regions();
         for k in 0..regions {
             let r = (home + k) % regions;
             if self.relay_viable(pid, r) {
@@ -317,32 +133,34 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
         None
     }
 
-    /// Assigns routes to every live platform, charging failover
-    /// penalties and counting rehomes/fallbacks/orphans.
-    fn assign_routes(&mut self, round: u64) -> BTreeMap<usize, Route> {
-        let _ = round;
+    /// Assigns routes to every live platform. Over a star that is the
+    /// direct link; over a hierarchy, failover penalties are charged and
+    /// rehomes, fallbacks and orphans counted.
+    pub(crate) fn assign_routes(&mut self) -> BTreeMap<usize, Route> {
         let mut routes = BTreeMap::new();
-        for pid in 0..self.platforms.len() {
+        for pid in 0..self.actors.platforms.len() {
             if self.chaos.is_down(NodeId::Platform(pid)) {
                 continue;
             }
-            let home = self.topo.home_relay(pid);
-            match self.route_for(pid) {
+            let Some(tier) = &self.tier else {
+                routes.insert(pid, Route::Direct);
+                continue;
+            };
+            match self.route_for(&tier.topo, pid) {
                 Some(route) => {
-                    if route != Route::Relay(home) {
-                        // Failure detection + reconnection cost, charged
-                        // against the round deadline.
+                    if route != Route::Relay(tier.topo.home_relay(pid)) {
+                        // Failure detection + reconnection cost.
                         self.chaos
                             .stats()
-                            .advance_clock(NodeId::Platform(pid), self.hier.failover_penalty_s);
+                            .advance_clock(NodeId::Platform(pid), tier.policy.failover_penalty_s);
                         match route {
                             Route::Relay(_) => {
                                 self.report.rehomes += 1;
-                                Self::count("hier.rehomes", 1);
+                                self.count("rehomes", 1);
                             }
                             Route::Direct => {
                                 self.report.direct_fallbacks += 1;
-                                Self::count("hier.direct_fallbacks", 1);
+                                self.count("direct_fallbacks", 1);
                             }
                         }
                     }
@@ -350,129 +168,27 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
                 }
                 None => {
                     self.report.orphaned_platform_rounds += 1;
-                    Self::count("hier.orphaned_platform_rounds", 1);
+                    self.count("orphaned_platform_rounds", 1);
                 }
             }
         }
         routes
     }
 
-    /// The inbox a platform's upstream traffic lands in under `route`.
-    fn sink_of(route: Route) -> NodeId {
-        match route {
-            Route::Relay(r) => NodeId::Relay(r),
-            Route::Direct => NodeId::Server,
-        }
-    }
-
-    /// Drains every collection sink (each relay, then the server),
-    /// keeping the first checksum-valid envelope of `kind` per platform
-    /// that arrived where its route says it should.
-    fn drain_sinks(
-        &mut self,
-        round: u64,
-        kind: MessageKind,
-        routes: &BTreeMap<usize, Route>,
-        received: &mut BTreeMap<usize, Envelope>,
-    ) {
-        let mut sinks: Vec<NodeId> = (0..self.topo.regions()).map(NodeId::Relay).collect();
-        sinks.push(NodeId::Server);
-        for sink in sinks {
-            while let Some(env) = self.chaos.try_recv(sink) {
-                if !env.verify_checksum() {
-                    self.report.base.checksum_rejections += 1;
-                    Self::count("hier.checksum_rejections", 1);
-                    continue;
-                }
-                let Some(pid) = env.src.platform_index() else {
-                    self.report.base.stray_messages += 1;
-                    continue;
-                };
-                let expected = routes.get(&pid).map(|&r| Self::sink_of(r));
-                if env.kind != kind
-                    || env.round != round
-                    || expected != Some(sink)
-                    || received.contains_key(&pid)
-                {
-                    self.report.base.stray_messages += 1;
-                    continue;
-                }
-                received.insert(pid, env);
-            }
-        }
-    }
-
-    /// Collects activations from the routed platforms with retries,
-    /// backoff + jitter and per-platform deadlines, exactly like the
-    /// star driver but with per-route sinks.
-    fn collect_activations(
-        &mut self,
-        round: u64,
-        routes: &BTreeMap<usize, Route>,
-        start_clocks: &BTreeMap<usize, f64>,
-    ) -> Result<BTreeMap<usize, Envelope>> {
-        let policy = self.config.round_policy;
-        let mut pending: BTreeMap<usize, Envelope> = BTreeMap::new();
-        for (&pid, &route) in routes {
-            let mut env = self.platforms[pid].start_round(round)?;
-            if let Route::Relay(r) = route {
-                env.dst = NodeId::Relay(r);
-            }
-            pending.insert(pid, env.clone());
-            self.send_counted(env, self.topo.home_relay(pid))?;
-        }
-        self.chaos.flush();
-
-        let mut received: BTreeMap<usize, Envelope> = BTreeMap::new();
-        let mut expired: Vec<usize> = Vec::new();
-        for attempt in 0..=policy.max_retries {
-            self.drain_sinks(round, MessageKind::Activations, routes, &mut received);
-            pending.retain(|pid, _| !received.contains_key(pid));
-            for &pid in routes.keys() {
-                if !expired.contains(&pid)
-                    && self.chaos.stats().clock(NodeId::Platform(pid))
-                        > start_clocks[&pid] + policy.deadline_s
-                {
-                    expired.push(pid);
-                }
-            }
-            for pid in &expired {
-                pending.remove(pid);
-                received.remove(pid);
-            }
-            if pending.is_empty() || attempt == policy.max_retries {
-                break;
-            }
-            let resend: Vec<(usize, Envelope)> = pending.iter().map(|(p, e)| (*p, e.clone())).collect();
-            for (pid, env) in resend {
-                let delay = policy.backoff.delay_s(attempt) * self.chaos.backoff_jitter();
-                self.chaos.stats().advance_clock(NodeId::Platform(pid), delay);
-                self.report.base.retries += 1;
-                Self::count("hier.retries", 1);
-                self.send_counted(env, self.topo.home_relay(pid))?;
-            }
-            self.chaos.flush();
-        }
-        self.drain_sinks(round, MessageKind::Activations, routes, &mut received);
-        for pid in &expired {
-            received.remove(pid);
-        }
-        Ok(received)
-    }
-
     /// Enforces the per-region quorum on the collected survivors: a
     /// region contributing fewer than `region_quorum` platforms is
     /// dropped whole (its stragglers rejoin next round).
-    fn apply_region_quorum(&mut self, acts: &mut BTreeMap<usize, Envelope>) {
-        for g in 0..self.topo.regions() {
+    pub(crate) fn apply_region_quorum(&mut self, acts: &mut BTreeMap<usize, Envelope>) {
+        let Some(tier) = &self.tier else { return };
+        for g in 0..tier.topo.regions() {
             let members: Vec<usize> = acts
                 .keys()
                 .copied()
-                .filter(|&pid| self.topo.home_relay(pid) == g)
+                .filter(|&pid| tier.topo.home_relay(pid) == g)
                 .collect();
-            if !members.is_empty() && members.len() < self.hier.region_quorum {
+            if !members.is_empty() && members.len() < tier.policy.region_quorum {
                 self.report.region_quorum_drops += 1;
-                Self::count("hier.region_quorum_drops", 1);
+                self.count("region_quorum_drops", 1);
                 for pid in members {
                     acts.remove(&pid);
                 }
@@ -480,53 +196,15 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
         }
     }
 
-    /// Reliable delivery of one envelope to `sink`: resend until a
-    /// checksum-valid envelope satisfying `accept` is drained there.
-    /// Only used for committed survivors, whose links are known-up for
-    /// the rest of the round.
-    fn deliver(
-        &mut self,
-        env: Envelope,
-        region: usize,
-        accept: impl Fn(&Envelope) -> bool,
-        what: &str,
-    ) -> Result<Envelope> {
-        let sink = env.dst;
-        for _ in 0..MAX_DELIVERY_ATTEMPTS {
-            self.send_counted(env.clone(), region)?;
-            self.chaos.flush();
-            while let Some(got) = self.chaos.try_recv(sink) {
-                if !got.verify_checksum() {
-                    self.report.base.checksum_rejections += 1;
-                    Self::count("hier.checksum_rejections", 1);
-                    continue;
-                }
-                if accept(&got) {
-                    return Ok(got);
-                }
-                self.report.base.stray_messages += 1;
-            }
-            self.report.base.retries += 1;
-            Self::count("hier.retries", 1);
-        }
-        Err(SplitError::Protocol(format!(
-            "reliable delivery of {what} to {sink} exhausted {MAX_DELIVERY_ATTEMPTS} attempts"
-        )))
-    }
-
     /// Reliable backbone delivery of one relay batch, in either
     /// direction. Returns the inner envelopes unbatched at the far end.
     fn deliver_batch(&mut self, batch: Envelope, relay: usize) -> Result<Vec<Envelope>> {
-        let round = batch.round;
-        let src = batch.src;
-        let got = self.deliver(
-            batch,
-            relay,
-            |e| e.kind == MessageKind::RelayBatch && e.round == round && e.src == src,
-            "relay batch",
-        )?;
+        let (round, src) = (batch.round, batch.src);
+        let got = self.deliver(batch, relay, |e| {
+            e.kind == MessageKind::RelayBatch && e.round == round && e.src == src
+        })?;
         self.report.relay_batches += 1;
-        Self::count("hier.relay_batches", 1);
+        self.count("relay_batches", 1);
         relay::unbatch(&got)
     }
 
@@ -566,38 +244,31 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
         round: u64,
         routes: &BTreeMap<usize, Route>,
         envs: Vec<Envelope>,
-        kind: MessageKind,
     ) -> Result<Vec<(usize, Envelope)>> {
         let mut by_relay: BTreeMap<usize, Vec<Envelope>> = BTreeMap::new();
-        let mut direct: Vec<(usize, Envelope)> = Vec::new();
+        let mut last_hop: Vec<Envelope> = Vec::new();
         for env in envs {
-            let pid = env
-                .dst
-                .platform_index()
-                .ok_or_else(|| SplitError::Protocol(format!("{kind} addressed to {}", env.dst)))?;
-            match routes[&pid] {
+            match routes[&receiving_platform(&env)?] {
                 Route::Relay(r) => by_relay.entry(r).or_default().push(env),
-                Route::Direct => direct.push((pid, env)),
+                Route::Direct => last_hop.push(env),
             }
         }
         let mut out: Vec<(usize, Envelope)> = Vec::new();
+        let mut hop_down = |engine: &mut Self, env: Envelope| -> Result<()> {
+            let (pid, kind) = (receiving_platform(&env)?, env.kind);
+            let region = engine.home_region(pid);
+            let got = engine.deliver(env, region, |e| e.kind == kind && e.round == round)?;
+            out.push((pid, got));
+            Ok(())
+        };
         for (r, inner) in by_relay {
             let batch = relay::batch_downstream(r, round, &inner);
             for unbatched in self.deliver_batch(batch, r)? {
-                let pid = unbatched
-                    .dst
-                    .platform_index()
-                    .ok_or_else(|| SplitError::Protocol(format!("{kind} addressed to {}", unbatched.dst)))?;
-                let fwd = relay::forward_from_relay(r, &unbatched);
-                let region = self.topo.home_relay(pid);
-                let got = self.deliver(fwd, region, |e| e.kind == kind && e.round == round, kind.as_str())?;
-                out.push((pid, got));
+                hop_down(self, relay::forward_from_relay(r, &unbatched))?;
             }
         }
-        for (pid, env) in direct {
-            let region = self.topo.home_relay(pid);
-            let got = self.deliver(env, region, |e| e.kind == kind && e.round == round, kind.as_str())?;
-            out.push((pid, got));
+        for env in last_hop {
+            hop_down(self, env)?;
         }
         out.sort_by_key(|(pid, _)| *pid);
         Ok(out)
@@ -614,117 +285,107 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
     ) -> Result<Vec<Envelope>> {
         let mut held: BTreeMap<usize, Envelope> = BTreeMap::new();
         for (pid, mut env) in grads {
-            match routes[&pid] {
-                Route::Relay(r) => {
-                    env.dst = NodeId::Relay(r);
-                    let region = self.topo.home_relay(pid);
-                    let got = self.deliver(
-                        env,
-                        region,
-                        |e| {
-                            e.kind == MessageKind::LogitGrads
-                                && e.round == round
-                                && e.src.platform_index() == Some(pid)
-                        },
-                        "logit grads (regional hop)",
-                    )?;
-                    held.insert(pid, got);
-                }
-                Route::Direct => {
-                    let region = self.topo.home_relay(pid);
-                    let got = self.deliver(
-                        env,
-                        region,
-                        |e| {
-                            e.kind == MessageKind::LogitGrads
-                                && e.round == round
-                                && e.src.platform_index() == Some(pid)
-                        },
-                        "logit grads (direct)",
-                    )?;
-                    held.insert(pid, got);
-                }
-            }
+            env.dst = routes[&pid].sink();
+            let region = self.home_region(pid);
+            let got = self.deliver(env, region, |e| {
+                e.kind == MessageKind::LogitGrads && e.round == round && e.src.platform_index() == Some(pid)
+            })?;
+            held.insert(pid, got);
         }
         self.upstream_to_server(round, routes, held)
     }
 
-    /// One hierarchical quorum round. Returns `(mean_loss,
-    /// participants)`; a quorum failure yields `(0.0, survivors)` with
-    /// no update applied.
-    fn run_round(&mut self, round: u64) -> Result<(f32, usize)> {
-        let policy = self.config.round_policy;
-        let routes = self.assign_routes(round);
-        let start_clocks: BTreeMap<usize, f64> = routes
-            .keys()
-            .map(|&pid| (pid, self.chaos.stats().clock(NodeId::Platform(pid))))
-            .collect();
+    /// Steps 2–5 for the committed survivors of a **hierarchy**, one
+    /// phase at a time: all activations reach the server (one batch per
+    /// relay, direct fallbacks as they are), all logits go down, all
+    /// gradients come up, all cut gradients go down. Returns the losses
+    /// in ascending platform id. `baselines/hierarchy_chaos.json` pins
+    /// the makespans this schedule produces.
+    pub(crate) fn exchange_by_phase(
+        &mut self,
+        round: u64,
+        routes: &BTreeMap<usize, Route>,
+        acts: BTreeMap<usize, Envelope>,
+    ) -> Result<Vec<f32>> {
+        let act_envs = self.upstream_to_server(round, routes, acts)?;
+        let logits_out = self.actors.server.aggregate_forward(&act_envs)?;
+        let delivered = self.downstream_to_platforms(round, routes, logits_out)?;
 
-        let mut acts = self.collect_activations(round, &routes, &start_clocks)?;
-        let skipped = routes.len() - acts.len();
-        self.report.base.skipped_platform_rounds += skipped as u64;
-        Self::count("hier.skipped_platforms", skipped as u64);
-
-        self.apply_region_quorum(&mut acts);
-
-        if acts.len() < policy.min_platforms {
-            self.report.base.quorum_failures += 1;
-            Self::count("hier.quorum_failures", 1);
-            return Ok((0.0, acts.len()));
-        }
-
-        // Freeze the survivor set and renormalise minibatch weights so
-        // the aggregate update is the gradient of the mean loss over the
-        // union batch that actually arrived.
-        let survivor_batch: usize = acts.keys().map(|&pid| self.platforms[pid].batch_size()).sum();
-        for &pid in acts.keys() {
-            let share = self.platforms[pid].batch_size() as f32 / survivor_batch.max(1) as f32;
-            self.platforms[pid].set_grad_scale(share);
-        }
-        let survivors: Vec<usize> = acts.keys().copied().collect();
-
-        // Steps 2–5 over reliable, route-respecting legs.
-        let act_envs = self.upstream_to_server(round, &routes, acts)?;
-        let logits_out = self.server.aggregate_forward(&act_envs)?;
-        let delivered = self.downstream_to_platforms(round, &routes, logits_out, MessageKind::Logits)?;
-
-        let mut losses = Vec::with_capacity(survivors.len());
-        let mut grads: Vec<(usize, Envelope)> = Vec::with_capacity(survivors.len());
+        let mut losses = Vec::with_capacity(delivered.len());
+        let mut grads: Vec<(usize, Envelope)> = Vec::with_capacity(delivered.len());
         for (pid, env) in delivered {
-            let (grad_env, loss) = self.platforms[pid].handle_logits(&env)?;
+            let (grad_env, loss) = self.actors.platforms[pid].handle_logits(&env)?;
             losses.push(loss);
             grads.push((pid, grad_env));
         }
 
-        let grad_envs = self.upstream_grads(round, &routes, grads)?;
-        let cuts_out = self.server.aggregate_backward(&grad_envs)?;
-        let delivered = self.downstream_to_platforms(round, &routes, cuts_out, MessageKind::CutGrads)?;
-        for (pid, env) in delivered {
-            self.platforms[pid].handle_cut_grads(&env)?;
+        let grad_envs = self.upstream_grads(round, routes, grads)?;
+        let cuts_out = self.actors.server.aggregate_backward(&grad_envs)?;
+        for (pid, env) in self.downstream_to_platforms(round, routes, cuts_out)? {
+            self.actors.platforms[pid].handle_cut_grads(&env)?;
         }
+        Ok(losses)
+    }
+}
 
-        // Commit survivors' post-update state as their rejoin point.
-        for &pid in &survivors {
-            let blob = self.platforms[pid].checkpoint();
-            self.checkpoints.insert(pid, blob);
+/// Hierarchical counterpart of [`crate::ResilientTrainer`]: the same
+/// engine and actors over a [`HierTopology`] chaos transport.
+pub struct HierResilientTrainer<'t, T: Transport>(ResilientTrainer<'t, T>);
+
+impl<'t, T: Transport> HierResilientTrainer<'t, T> {
+    /// Builds the trainer over a chaos transport routing a
+    /// [`HierTopology`]. `shards` must hold exactly one dataset per
+    /// platform of the topology, in platform-id order.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors for invalid configs or policies,
+    /// shard/topology shape mismatches, unsupported scheduling, or a
+    /// dirty transport.
+    pub fn new(
+        arch: &Architecture,
+        config: SplitConfig,
+        hier: HierPolicy,
+        topo: HierTopology,
+        shards: Vec<InMemoryDataset>,
+        test: InMemoryDataset,
+        chaos: &'t ChaosTransport<T>,
+    ) -> Result<Self> {
+        hier.validate(topo.per_region()).map_err(SplitError::Config)?;
+        if topo.regions() == 0 || topo.per_region() == 0 {
+            return Err(SplitError::Config(
+                "hierarchy needs at least one region with at least one platform".into(),
+            ));
         }
-
-        // Charge this round's local compute to the simulated clocks.
-        let compute = self.config.compute;
-        let stats = self.chaos.stats();
-        for &pid in &survivors {
-            let s = compute.seconds(
-                compute.platform_s_per_msample,
-                self.platforms[pid].batch_size(),
-                self.client_params,
-            );
-            stats.advance_clock(NodeId::Platform(pid), s);
+        if shards.len() != topo.platforms() {
+            return Err(SplitError::Config(format!(
+                "{} shards for a hierarchy of {} platforms",
+                shards.len(),
+                topo.platforms()
+            )));
         }
-        let s = compute.seconds(compute.server_s_per_msample, survivor_batch, self.server_params);
-        stats.advance_clock(NodeId::Server, s);
+        let tier = RelayTier { policy: hier, topo };
+        ResilientTrainer::with_tier(arch, config, shards, test, chaos, Some(tier)).map(Self)
+    }
 
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        Ok((mean_loss, survivors.len()))
+    /// The hierarchical fault-handling counters accumulated so far.
+    pub fn report(&self) -> &HierReport {
+        &self.0.report
+    }
+
+    /// The platform actors (for inspection).
+    pub fn platforms_mut(&mut self) -> &mut [Platform] {
+        self.0.platforms_mut()
+    }
+
+    /// Mean test accuracy over the currently live platforms' deployed
+    /// models, exactly as the star driver computes it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn evaluate(&mut self) -> Result<f32> {
+        self.0.evaluate()
     }
 
     /// Runs the configured number of rounds under the fault plan and
@@ -735,100 +396,24 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
     /// Propagates tensor and protocol errors; tolerated faults (loss,
     /// corruption, crashes, partitions within quorum) do not error.
     pub fn run(&mut self) -> Result<TrainingHistory> {
-        let k = self.platforms.len();
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let round_start = std::time::Instant::now();
-            let events = self.chaos.begin_round(round as u64);
-            self.apply_events(&events)?;
-
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            let (mean_loss, participants) = self.run_round(round as u64)?;
-            let degraded = participants < k;
-            if degraded {
-                self.report.base.degraded_rounds += 1;
-                Self::count("hier.degraded_rounds", 1);
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.chaos.stats().snapshot();
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants,
-                degraded,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
-        };
+        let history = self.0.run()?;
         // Per-region byte attribution as deterministic counters.
         if medsplit_telemetry::enabled() {
-            for (g, &bytes) in self.report.region_bytes.iter().enumerate() {
+            for (g, &bytes) in self.0.report.region_bytes.iter().enumerate() {
                 if bytes > 0 {
                     medsplit_telemetry::counter_add(&format!("net.bytes.region{g}"), bytes);
                 }
             }
         }
-        Ok(TrainingHistory {
-            method: "split_hier_resilient".into(),
-            records,
-            final_accuracy,
-            stats: self.chaos.stats().snapshot(),
-        })
+        Ok(history)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
+    use crate::round::fixtures::{arch, config, replay_key, setup};
     use medsplit_simnet::{FaultPlan, MemoryTransport};
-
-    fn arch() -> Architecture {
-        Architecture::Mlp(MlpConfig {
-            input_dim: 8,
-            hidden: vec![16],
-            num_classes: 3,
-        })
-    }
-
-    fn setup(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
-        let gen = SyntheticTabular::new(3, 8, 0);
-        let train = gen.generate(160).unwrap();
-        let test = SyntheticTabular::new(3, 8, 1).generate(40).unwrap();
-        let shards = partition(&train, platforms, &Partition::Iid, 1).unwrap();
-        (shards, test)
-    }
-
-    fn config(rounds: usize) -> SplitConfig {
-        SplitConfig {
-            rounds,
-            eval_every: rounds,
-            lr: LrSchedule::Constant(0.1),
-            minibatch: MinibatchPolicy::Fixed(10),
-            ..SplitConfig::default()
-        }
-    }
 
     fn run_hier(
         plan: FaultPlan,
@@ -980,23 +565,11 @@ mod tests {
         let (h1, r1) = run_hier(plan.clone(), 12, 2, 2);
         let (h2, r2) = run_hier(plan, 12, 2, 2);
         assert_eq!(r1, r2);
-        let key = |h: &TrainingHistory| -> Vec<_> {
-            h.records
-                .iter()
-                .map(|r| {
-                    (
-                        r.round,
-                        r.mean_loss.to_bits(),
-                        r.cumulative_bytes,
-                        r.simulated_time_s.to_bits(),
-                        r.participants,
-                        r.degraded,
-                        r.accuracy.map(f32::to_bits),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(key(&h1), key(&h2), "same seed ⇒ bit-identical history");
+        assert_eq!(
+            replay_key(&h1),
+            replay_key(&h2),
+            "same seed ⇒ bit-identical history"
+        );
         assert_eq!(h1.stats, h2.stats);
         assert_eq!(h1.final_accuracy.to_bits(), h2.final_accuracy.to_bits());
     }

@@ -18,10 +18,24 @@
 //!
 //! Key types: [`SplitConfig`] (cut point, scheduling, `L1` sync strategy,
 //! the proportional-minibatch imbalance mitigation), [`Platform`] and
-//! [`SplitServer`] (the actors), [`SplitTrainer`] (deterministic driver),
-//! [`threaded::train_threaded`] (thread-per-node driver), [`comm`]
-//! (analytic byte costs for the full-size models) and
-//! [`TrainingHistory`] (the accuracy-vs-bytes curves of Fig. 4).
+//! [`SplitServer`] (the actors), [`comm`] (analytic byte costs for the
+//! full-size models) and [`TrainingHistory`] (the accuracy-vs-bytes
+//! curves of Fig. 4).
+//!
+//! Drivers. The sequential ones share one training loop and one
+//! evaluation and differ in how a round's messages are delivered, which
+//! the caller picks by what it constructs:
+//!
+//! - [`SplitTrainer`] — plain delivery over any transport; both
+//!   schedulings and every `L1` sync. [`UShapeTrainer`] runs the same
+//!   round with platforms that also keep the classifier tail.
+//! - [`ResilientTrainer`] — fault-tolerant delivery over a
+//!   [`ChaosTransport`](medsplit_simnet::ChaosTransport): quorum rounds,
+//!   retries, checksum verification, crash–rejoin from checkpoints.
+//!   [`HierResilientTrainer`] is the same engine with a relay tier
+//!   between platforms and server.
+//! - [`threaded::train_threaded`] — the same actors, one OS thread per
+//!   node.
 //!
 //! ```
 //! use medsplit_core::{SplitConfig, SplitTrainer};
@@ -54,6 +68,7 @@ pub mod messages;
 mod platform;
 pub mod relay;
 mod resilient;
+mod round;
 mod server;
 mod split;
 pub mod threaded;
@@ -69,7 +84,8 @@ pub use hier::{HierReport, HierResilientTrainer};
 pub use history::{RoundRecord, TrainingHistory};
 pub use platform::Platform;
 pub use resilient::{ResilienceReport, ResilientTrainer};
+pub use round::evaluate_batched;
 pub use server::SplitServer;
 pub use split::{build_split, resolve_split, SplitModel};
 pub use trainer::SplitTrainer;
-pub use ushape::{UShapePlatform, UShapeTrainer};
+pub use ushape::UShapeTrainer;

@@ -1,5 +1,5 @@
 //! The platform-side actor: owns local data, labels and the first hidden
-//! layer `L1`.
+//! layer `L1` — and, in the U-shaped variant, the final layers too.
 
 use medsplit_data::{BatchSampler, InMemoryDataset};
 use medsplit_nn::vectorize::{parameter_vector, set_parameter_vector};
@@ -20,6 +20,11 @@ use crate::messages::{decode_tensor, tensor_envelope_codec};
 /// Raw features and labels never leave this struct — the only outbound
 /// tensors are `L1` activations (message 1) and loss gradients w.r.t. the
 /// logits (message 3), exactly as in the paper's Fig. 2/3.
+///
+/// A platform given a tail also keeps the network's final layers
+/// (Vepakomma et al., the paper's reference \[1\]): message 2 then carries
+/// the server's output features instead of logits and message 3 the
+/// gradients w.r.t. those features, so the server never sees logits.
 pub struct Platform {
     id: usize,
     model: Sequential,
@@ -33,6 +38,13 @@ pub struct Platform {
     noise_rng: StdRng,
     pending_labels: Option<Vec<usize>>,
     samples_seen: u64,
+    tail: Option<Tail>,
+}
+
+/// The platform-side final layers of the U-shaped variant.
+struct Tail {
+    model: Sequential,
+    optimizer: Box<dyn Optimizer>,
 }
 
 impl Platform {
@@ -72,7 +84,14 @@ impl Platform {
             noise_rng: rng_from_seed(seed.rotate_left(17) ^ id as u64),
             pending_labels: None,
             samples_seen: 0,
+            tail: None,
         }
+    }
+
+    /// Keeps the network's final layers on this platform (U-shaped
+    /// variant). An empty `model` only re-tags messages 2 and 3.
+    pub(crate) fn set_tail(&mut self, model: Sequential, optimizer: Box<dyn Optimizer>) {
+        self.tail = Some(Tail { model, optimizer });
     }
 
     /// Enables Gaussian noising of every transmitted activation tensor
@@ -138,9 +157,12 @@ impl Platform {
         self.samples_seen
     }
 
-    /// Sets the learning rate for the local `L1` optimiser.
+    /// Sets the learning rate for the local optimisers.
     pub fn set_lr(&mut self, lr: f32) {
         self.optimizer.set_learning_rate(lr);
+        if let Some(tail) = &mut self.tail {
+            tail.optimizer.set_learning_rate(lr);
+        }
     }
 
     /// Mutable access to the local `L1` model (used for evaluation and by
@@ -177,28 +199,47 @@ impl Platform {
     /// local loss against the retained labels, and returns the
     /// logit-gradient message plus the scalar loss.
     ///
+    /// With a tail, message 2 carries [`MessageKind::Features`]: the tail
+    /// turns them into logits, is trained on the loss right here, and the
+    /// reply is the [`MessageKind::FeatureGrads`] message.
+    ///
     /// # Errors
     ///
     /// Returns a protocol error if no round is in flight or the logits
     /// batch does not match the retained labels.
     pub fn handle_logits(&mut self, env: &Envelope) -> Result<(Envelope, f32)> {
         let _span = medsplit_telemetry::span_round("loss_grad", env.round);
-        let logits = decode_tensor(env, MessageKind::Logits)?;
+        let (received_kind, reply_kind) = match self.tail {
+            Some(_) => (MessageKind::Features, MessageKind::FeatureGrads),
+            None => (MessageKind::Logits, MessageKind::LogitGrads),
+        };
+        let received = decode_tensor(env, received_kind)?;
         let labels = self.pending_labels.as_ref().ok_or_else(|| {
-            SplitError::Protocol(format!("platform {} got logits with no round in flight", self.id))
+            SplitError::Protocol(format!(
+                "platform {} got {received_kind} with no round in flight",
+                self.id
+            ))
         })?;
+        let logits = match &mut self.tail {
+            Some(tail) => tail.model.forward(&received, Mode::Train)?,
+            None => received,
+        };
         let out = softmax_cross_entropy(&logits, labels)?;
-        let grad = if self.grad_scale == 1.0 {
+        let mut grad = if self.grad_scale == 1.0 {
             out.grad
         } else {
             out.grad.scale(self.grad_scale)
         };
+        if let Some(tail) = &mut self.tail {
+            grad = tail.model.backward(&grad)?;
+            tail.optimizer.step_and_zero(&mut tail.model);
+        }
         Ok((
             tensor_envelope_codec(
                 self.node(),
                 NodeId::Server,
                 env.round,
-                MessageKind::LogitGrads,
+                reply_kind,
                 &grad,
                 self.codec,
             ),
@@ -279,6 +320,15 @@ impl Platform {
         // The deployed system also transmits activations at inference
         // time, so the privacy noise applies there too.
         Ok(self.noised(acts))
+    }
+
+    /// Turns the server's inference output into logits: through the tail
+    /// in inference mode if this platform keeps one, unchanged otherwise.
+    pub(crate) fn infer_tail(&mut self, server_out: Tensor) -> Result<Tensor> {
+        match &mut self.tail {
+            Some(tail) => Ok(tail.model.forward(&server_out, Mode::Eval)?),
+            None => Ok(server_out),
+        }
     }
 }
 

@@ -3,31 +3,30 @@
 //! Drives the platform and server actors through the paper's four-message
 //! round over a [`Transport`], so every tensor the protocol exchanges is
 //! serialised, sent, counted and deserialised exactly as it would be
-//! across a WAN. See [`crate::threaded`] for the thread-per-node variant
-//! running the identical actors.
+//! across a WAN. Delivery here is plain: every message sent is the next
+//! message received, with no checksum verification, retry or checkpoint
+//! (see [`crate::resilient`] for the round that has them). See
+//! [`crate::threaded`] for the thread-per-node variant running the
+//! identical actors.
 
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
-use medsplit_simnet::{Envelope, MessageKind, NodeId, Transport};
+use medsplit_nn::Architecture;
+use medsplit_simnet::{Envelope, MessageKind, NetStats, NodeId, Transport};
 use medsplit_tensor::Tensor;
 
 use crate::config::{L1Sync, Scheduling, SplitConfig};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::messages::{decode_tensor, tensor_envelope};
 use crate::platform::Platform;
+use crate::round::{Actors, RoundDriver};
 use crate::server::SplitServer;
 use crate::split::build_split;
 
 /// Orchestrates split-learning training across platform shards.
 pub struct SplitTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    platforms: Vec<Platform>,
-    server: SplitServer,
+    actors: Actors,
     transport: &'t T,
-    test: InMemoryDataset,
-    client_params: usize,
-    server_params: usize,
 }
 
 /// Receives the next queued message for `node`, failing loudly if the
@@ -38,14 +37,9 @@ fn expect_msg<T: Transport>(transport: &T, node: NodeId) -> Result<Envelope> {
         .ok_or_else(|| SplitError::Protocol(format!("no message queued for {node}")))
 }
 
-/// Builds the protocol actors from a configuration: identical `L1`
-/// replicas paired with their shards, and the server suffix. Returns
-/// `(platforms, server, client_params, server_params)`.
-pub(crate) fn build_actors(
-    arch: &Architecture,
-    config: &SplitConfig,
-    shards: Vec<InMemoryDataset>,
-) -> Result<(Vec<Platform>, SplitServer, usize, usize)> {
+/// Checks the shard list and returns every platform's minibatch size
+/// under the configured policy.
+pub(crate) fn batch_sizes(config: &SplitConfig, shards: &[InMemoryDataset]) -> Result<Vec<usize>> {
     if shards.is_empty() {
         return Err(SplitError::Config(
             "at least one platform shard is required".into(),
@@ -54,9 +48,20 @@ pub(crate) fn build_actors(
     if shards.iter().any(InMemoryDataset::is_empty) {
         return Err(SplitError::Config("platform shards must be non-empty".into()));
     }
-    let split = build_split(arch, config.split, config.seed, shards.len())?;
     let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-    let batches = config.minibatch.sizes(&sizes);
+    Ok(config.minibatch.sizes(&sizes))
+}
+
+/// Builds the protocol actors from a configuration: identical `L1`
+/// replicas paired with their shards, and the server suffix. Returns
+/// `(platforms, server, client_params, server_params)`.
+pub(crate) fn build_actors(
+    arch: &Architecture,
+    config: &SplitConfig,
+    shards: Vec<InMemoryDataset>,
+) -> Result<(Vec<Platform>, SplitServer, usize, usize)> {
+    let batches = batch_sizes(config, &shards)?;
+    let split = build_split(arch, config.split, config.seed, shards.len())?;
     let total_batch: usize = batches.iter().sum();
     let platforms: Vec<Platform> = split
         .clients
@@ -90,6 +95,34 @@ pub(crate) fn build_actors(
     Ok((platforms, server, split.client_params, split.server_params))
 }
 
+/// Validates `config`, refuses a transport that has already carried
+/// traffic, and builds the actors of a run recorded as `method`.
+pub(crate) fn fresh_actors(
+    method: &'static str,
+    arch: &Architecture,
+    config: SplitConfig,
+    shards: Vec<InMemoryDataset>,
+    test: InMemoryDataset,
+    stats: &NetStats,
+) -> Result<Actors> {
+    config.validate().map_err(SplitError::Config)?;
+    if stats.snapshot().messages > 0 {
+        return Err(SplitError::Config(
+            "transport has already been used; accounting would be polluted".into(),
+        ));
+    }
+    let (platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
+    Ok(Actors {
+        method,
+        config,
+        platforms,
+        server,
+        test,
+        client_params,
+        server_params,
+    })
+}
+
 impl<'t, T: Transport> SplitTrainer<'t, T> {
     /// Builds the trainer: identical `L1` replicas for each shard, the
     /// server suffix, and per-platform minibatch sizes from the
@@ -106,32 +139,23 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
         test: InMemoryDataset,
         transport: &'t T,
     ) -> Result<Self> {
-        config.validate().map_err(SplitError::Config)?;
-        if transport.stats().snapshot().messages > 0 {
-            return Err(SplitError::Config(
-                "transport has already been used; accounting would be polluted".into(),
-            ));
-        }
-        let (platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
-        Ok(SplitTrainer {
-            config,
-            platforms,
-            server,
-            transport,
-            test,
-            client_params,
-            server_params,
-        })
+        let actors = fresh_actors("split", arch, config, shards, test, transport.stats())?;
+        Ok(Self::over(actors, transport))
+    }
+
+    /// The plain round over actors built elsewhere.
+    pub(crate) fn over(actors: Actors, transport: &'t T) -> Self {
+        SplitTrainer { actors, transport }
     }
 
     /// The platform actors (for inspection and privacy probes).
     pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.platforms
+        &mut self.actors.platforms
     }
 
     /// The server actor.
     pub fn server_mut(&mut self) -> &mut SplitServer {
-        &mut self.server
+        &mut self.actors.server
     }
 
     /// Evaluates the deployed model of every platform (its own `L1`
@@ -145,27 +169,7 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     ///
     /// Propagates tensor errors.
     pub fn evaluate(&mut self) -> Result<f32> {
-        let _span = medsplit_telemetry::span("evaluate");
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        for platform in &mut self.platforms {
-            let mut correct_weighted = 0.0;
-            let mut seen = 0usize;
-            let n = self.test.len();
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (features, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_l1(&features)?;
-                let logits = self.server.infer(&acts)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                seen += count;
-                start += count;
-            }
-            total += correct_weighted / seen.max(1) as f32;
-        }
-        Ok(total / self.platforms.len() as f32)
+        self.actors.evaluate(|_| true)
     }
 
     /// Runs the configured number of rounds and returns the history.
@@ -174,65 +178,24 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     ///
     /// Propagates protocol, tensor and transport errors.
     pub fn run(&mut self) -> Result<TrainingHistory> {
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let mut round_span = medsplit_telemetry::span_round("round", round as u64);
-            let round_start = std::time::Instant::now();
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            let mean_loss = self.run_round(round as u64)?;
-            self.charge_compute();
-            if self.config.sync_due(round) {
-                self.sync_l1(round as u64)?;
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.transport.stats().snapshot();
-            round_span.set_sim_s(snap.makespan_s);
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants: self.platforms.len(),
-                degraded: false,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
-        };
-        Ok(TrainingHistory {
-            method: "split".into(),
-            records,
-            final_accuracy,
-            stats: self.transport.stats().snapshot(),
-        })
+        RoundDriver::run(self)
     }
 
     /// One four-message protocol round; returns the mean platform loss.
     fn run_round(&mut self, round: u64) -> Result<f32> {
-        let k = self.platforms.len();
+        let Actors {
+            config,
+            platforms,
+            server,
+            ..
+        } = &mut self.actors;
+        let k = platforms.len();
         let mut losses = Vec::with_capacity(k);
-        match self.config.scheduling {
+        match config.scheduling {
             Scheduling::Aggregate => {
                 // Step 1: every platform forwards L1 and transmits
                 // activations.
-                for p in &mut self.platforms {
+                for p in platforms.iter_mut() {
                     let env = p.start_round(round)?;
                     self.transport.send(env)?;
                 }
@@ -240,11 +203,11 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
                 let acts: Vec<Envelope> = (0..k)
                     .map(|_| expect_msg(self.transport, NodeId::Server))
                     .collect::<Result<_>>()?;
-                for env in self.server.aggregate_forward(&acts)? {
+                for env in server.aggregate_forward(&acts)? {
                     self.transport.send(env)?;
                 }
                 // Step 3: platforms compute local losses, transmit gradients.
-                for p in &mut self.platforms {
+                for p in platforms.iter_mut() {
                     let env = expect_msg(self.transport, p.node())?;
                     let (grads, loss) = p.handle_logits(&env)?;
                     losses.push(loss);
@@ -254,11 +217,11 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
                 let grads: Vec<Envelope> = (0..k)
                     .map(|_| expect_msg(self.transport, NodeId::Server))
                     .collect::<Result<_>>()?;
-                for env in self.server.aggregate_backward(&grads)? {
+                for env in server.aggregate_backward(&grads)? {
                     self.transport.send(env)?;
                 }
                 // Step 5: platforms backpropagate L1.
-                for p in &mut self.platforms {
+                for p in platforms.iter_mut() {
                     let env = expect_msg(self.transport, p.node())?;
                     p.handle_cut_grads(&env)?;
                 }
@@ -267,18 +230,18 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
                 // The server exchanges with one platform at a time, in
                 // platform order; each platform transmits its activations
                 // when its turn starts.
-                for p in &mut self.platforms {
+                for p in platforms.iter_mut() {
                     let env = p.start_round(round)?;
                     self.transport.send(env)?;
                     let acts = expect_msg(self.transport, NodeId::Server)?;
-                    let logits = self.server.platform_forward(&acts)?;
+                    let logits = server.platform_forward(&acts)?;
                     self.transport.send(logits)?;
                     let env = expect_msg(self.transport, p.node())?;
                     let (grads, loss) = p.handle_logits(&env)?;
                     losses.push(loss);
                     self.transport.send(grads)?;
                     let genv = expect_msg(self.transport, NodeId::Server)?;
-                    let cut = self.server.platform_backward(&genv)?;
+                    let cut = server.platform_backward(&genv)?;
                     self.transport.send(cut)?;
                     let cenv = expect_msg(self.transport, p.node())?;
                     p.handle_cut_grads(&cenv)?;
@@ -288,25 +251,12 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
         Ok(losses.iter().sum::<f32>() / losses.len().max(1) as f32)
     }
 
-    /// Advances the simulated clocks for this round's local computation.
-    fn charge_compute(&mut self) {
-        let compute = self.config.compute;
-        let stats = self.transport.stats();
-        let mut total_batch = 0usize;
-        for p in &self.platforms {
-            let s = compute.seconds(compute.platform_s_per_msample, p.batch_size(), self.client_params);
-            stats.advance_clock(p.node(), s);
-            total_batch += p.batch_size();
-        }
-        let s = compute.seconds(compute.server_s_per_msample, total_batch, self.server_params);
-        stats.advance_clock(NodeId::Server, s);
-    }
-
     /// Runs the configured `L1` synchronisation (extension strategies).
     fn sync_l1(&mut self, round: u64) -> Result<()> {
-        let k = self.platforms.len();
+        let platforms = &mut self.actors.platforms;
+        let k = platforms.len();
         // Platforms upload their L1 parameters via the server.
-        for p in &mut self.platforms {
+        for p in platforms.iter_mut() {
             let params = p.l1_parameters();
             self.transport.send(tensor_envelope(
                 p.node(),
@@ -323,11 +273,11 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
             uploads.push((pid, decode_tensor(&env, MessageKind::L1Sync)?));
         }
         uploads.sort_by_key(|(pid, _)| *pid);
-        let outgoing: Vec<(usize, Tensor)> = match self.config.l1_sync {
+        let outgoing: Vec<(usize, Tensor)> = match self.actors.config.l1_sync {
             L1Sync::CommonInit => return Ok(()),
             L1Sync::PeriodicAverage { .. } => {
                 // Weighted by shard size, as FedAvg does.
-                let weights: Vec<f32> = self.platforms.iter().map(|p| p.shard_size() as f32).collect();
+                let weights: Vec<f32> = platforms.iter().map(|p| p.shard_size() as f32).collect();
                 let total: f32 = weights.iter().sum();
                 let mut avg = Tensor::zeros(uploads[0].1.shape().clone());
                 for ((_, t), w) in uploads.iter().zip(&weights) {
@@ -351,7 +301,7 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
                 params,
             ))?;
         }
-        for p in &mut self.platforms {
+        for p in platforms.iter_mut() {
             let env = expect_msg(self.transport, p.node())?;
             let params = decode_tensor(&env, MessageKind::L1Sync)?;
             p.set_l1_parameters(&params)?;
@@ -360,20 +310,36 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     }
 }
 
+impl<T: Transport> RoundDriver for SplitTrainer<'_, T> {
+    fn actors(&mut self) -> &mut Actors {
+        &mut self.actors
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.transport.stats()
+    }
+
+    fn round(&mut self, round: u64) -> Result<(f32, usize)> {
+        let mean_loss = self.run_round(round)?;
+        let k = self.actors.platforms.len();
+        self.actors.charge_compute(self.transport.stats(), 0..k);
+        if self.actors.config.sync_due(round as usize) {
+            self.sync_l1(round)?;
+        }
+        Ok((mean_loss, k))
+    }
+
+    fn evaluate(&mut self) -> Result<f32> {
+        SplitTrainer::evaluate(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::fixtures::{self, arch};
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
     use medsplit_simnet::{MemoryTransport, StarTopology};
-
-    fn arch() -> Architecture {
-        Architecture::Mlp(MlpConfig {
-            input_dim: 8,
-            hidden: vec![16],
-            num_classes: 3,
-        })
-    }
 
     fn setup(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
         let gen = SyntheticTabular::new(3, 8, 0);
@@ -390,11 +356,7 @@ mod tests {
     fn config(rounds: usize, scheduling: Scheduling) -> SplitConfig {
         SplitConfig {
             scheduling,
-            rounds,
-            eval_every: rounds, // single eval at the end
-            lr: LrSchedule::Constant(0.1),
-            minibatch: MinibatchPolicy::Fixed(10),
-            ..SplitConfig::default()
+            ..fixtures::config(rounds)
         }
     }
 
@@ -507,22 +469,34 @@ mod tests {
 
     #[test]
     fn cyclic_share_rotates_parameters() {
-        let (shards, test) = setup(3);
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let mut cfg = config(1, Scheduling::Aggregate);
-        cfg.l1_sync = L1Sync::CyclicShare { every: 1 };
-        cfg.eval_every = 0;
-        let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
-        // Stamp distinguishable parameters before the round's sync.
-        // (Run the round manually: capture params right before sync by
-        // setting them after construction — instead we just verify the sync
-        // traffic and that all three L1s are a permutation afterwards.)
-        let before: Vec<Tensor> = (0..3)
-            .map(|i| trainer.platforms_mut()[i].l1_parameters())
-            .collect();
-        let _ = before;
-        let history = trainer.run().unwrap();
-        assert!(history.stats.bytes_of(MessageKind::L1Sync) > 0);
+        // One round, then the sync: platform p must hold bit-for-bit what
+        // its ring predecessor holds in the same run without the sync.
+        let k = 3;
+        let after_one_round = |l1_sync: L1Sync| {
+            let (shards, test) = setup(k);
+            let transport = MemoryTransport::new(StarTopology::new(k));
+            let mut cfg = config(1, Scheduling::Aggregate);
+            cfg.l1_sync = l1_sync;
+            let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
+            let history = trainer.run().unwrap();
+            let l1: Vec<Tensor> = trainer
+                .platforms_mut()
+                .iter_mut()
+                .map(Platform::l1_parameters)
+                .collect();
+            (l1, history.stats.bytes_of(MessageKind::L1Sync))
+        };
+        let (unsynced, no_sync_bytes) = after_one_round(L1Sync::CommonInit);
+        let (rotated, sync_bytes) = after_one_round(L1Sync::CyclicShare { every: 1 });
+        assert_eq!(no_sync_bytes, 0);
+        assert!(sync_bytes > 0);
+        assert_ne!(
+            unsynced[0], unsynced[1],
+            "platforms must have diverged to tell them apart"
+        );
+        for p in 0..k {
+            assert_eq!(rotated[p], unsynced[(p + k - 1) % k], "platform {p}");
+        }
     }
 
     #[test]

@@ -19,154 +19,27 @@
 //!   <-- 4. CutGrads -------------------–
 //! head backward + update
 //! ```
+//!
+//! This is a placement of the label-holding layers, not another
+//! protocol: a [`Platform`] that keeps a tail, a server built with
+//! [`SplitServer::new_u_shaped`], and [`SplitTrainer`]'s aggregate round.
 
-use medsplit_data::{BatchSampler, InMemoryDataset};
-use medsplit_nn::{accuracy, softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sequential, Sgd};
-use medsplit_simnet::{Envelope, MessageKind, NodeId, Transport};
-use medsplit_tensor::Tensor;
+use medsplit_data::InMemoryDataset;
+use medsplit_nn::Architecture;
+use medsplit_simnet::Transport;
 
-use crate::config::{Scheduling, SplitConfig, WireCodec};
+use crate::config::{ComputeModel, L1Sync, OptimizerKind, Scheduling, SplitConfig};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
-use crate::messages::{decode_tensor, tensor_envelope_codec};
+use crate::history::TrainingHistory;
+use crate::platform::Platform;
+use crate::round::Actors;
 use crate::server::SplitServer;
 use crate::split::resolve_split;
+use crate::trainer::{batch_sizes, SplitTrainer};
 
-/// One platform of the U-shaped protocol: head + tail + private data.
-pub struct UShapePlatform {
-    id: usize,
-    head: Sequential,
-    tail: Sequential,
-    data: InMemoryDataset,
-    sampler: BatchSampler,
-    head_opt: Sgd,
-    tail_opt: Sgd,
-    grad_scale: f32,
-    codec: WireCodec,
-    pending_labels: Option<Vec<usize>>,
-}
-
-impl UShapePlatform {
-    fn new(
-        id: usize,
-        head: Sequential,
-        tail: Sequential,
-        data: InMemoryDataset,
-        batch: usize,
-        momentum: f32,
-        seed: u64,
-    ) -> Self {
-        let sampler = BatchSampler::new(
-            data.len(),
-            batch,
-            seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        UShapePlatform {
-            id,
-            head,
-            tail,
-            data,
-            sampler,
-            head_opt: Sgd::new(0.01).with_momentum(momentum),
-            tail_opt: Sgd::new(0.01).with_momentum(momentum),
-            grad_scale: 1.0,
-            codec: WireCodec::F32,
-            pending_labels: None,
-        }
-    }
-
-    /// This platform's node id.
-    pub fn node(&self) -> NodeId {
-        NodeId::Platform(self.id)
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.head_opt.set_learning_rate(lr);
-        self.tail_opt.set_learning_rate(lr);
-    }
-
-    /// Step 1: head forward, transmit activations.
-    fn start_round(&mut self, round: u64) -> Result<Envelope> {
-        let (features, labels) = self.sampler.next_from(&self.data);
-        let acts = self.head.forward(&features, Mode::Train)?;
-        self.pending_labels = Some(labels);
-        Ok(tensor_envelope_codec(
-            self.node(),
-            NodeId::Server,
-            round,
-            MessageKind::Activations,
-            &acts,
-            self.codec,
-        ))
-    }
-
-    /// Step 3: tail forward on the received features, local loss, tail
-    /// backward + update; transmit the gradients w.r.t. the features.
-    fn handle_features(&mut self, env: &Envelope) -> Result<(Envelope, f32)> {
-        let features = decode_tensor(env, MessageKind::Features)?;
-        let labels = self.pending_labels.as_ref().ok_or_else(|| {
-            SplitError::Protocol(format!(
-                "platform {} got features with no round in flight",
-                self.id
-            ))
-        })?;
-        let logits = self.tail.forward(&features, Mode::Train)?;
-        let out = softmax_cross_entropy(&logits, labels)?;
-        let logit_grad = if self.grad_scale == 1.0 {
-            out.grad
-        } else {
-            out.grad.scale(self.grad_scale)
-        };
-        let feature_grad = self.tail.backward(&logit_grad)?;
-        self.tail_opt.step_and_zero(&mut self.tail);
-        Ok((
-            tensor_envelope_codec(
-                self.node(),
-                NodeId::Server,
-                env.round,
-                MessageKind::FeatureGrads,
-                &feature_grad,
-                self.codec,
-            ),
-            out.loss,
-        ))
-    }
-
-    /// Step 5: head backward on the cut gradients + update.
-    fn handle_cut_grads(&mut self, env: &Envelope) -> Result<()> {
-        let grads = decode_tensor(env, MessageKind::CutGrads)?;
-        if self.pending_labels.take().is_none() {
-            return Err(SplitError::Protocol(format!(
-                "platform {} got cut grads with no round in flight",
-                self.id
-            )));
-        }
-        self.head.backward(&grads)?;
-        self.head_opt.step_and_zero(&mut self.head);
-        Ok(())
-    }
-
-    /// Inference through the platform-side parts composed with provided
-    /// middle features (used by evaluation).
-    fn infer_tail(&mut self, features: &Tensor) -> Result<Tensor> {
-        Ok(self.tail.forward(features, Mode::Eval)?)
-    }
-
-    fn infer_head(&mut self, inputs: &Tensor) -> Result<Tensor> {
-        Ok(self.head.forward(inputs, Mode::Eval)?)
-    }
-}
-
-/// The U-shaped trainer: like
-/// [`SplitTrainer`](crate::trainer::SplitTrainer) with the classifier head
+/// The U-shaped trainer: like [`SplitTrainer`] with the classifier head
 /// kept platform-side. `tail_layers` final layers stay on each platform.
-pub struct UShapeTrainer<'t, T: Transport> {
-    config: SplitConfig,
-    platforms: Vec<UShapePlatform>,
-    server: SplitServer,
-    transport: &'t T,
-    test: InMemoryDataset,
-}
+pub struct UShapeTrainer<'t, T: Transport>(SplitTrainer<'t, T>);
 
 impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// Builds the U-shaped trainer.
@@ -174,6 +47,8 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// The head cut comes from `config.split`; `tail_layers` is the
     /// number of final layers kept on the platform (≥ 1 for a meaningful
     /// U; 0 degenerates to the standard split with relabelled messages).
+    /// Both sides train with SGD, activations are not noised, and neither
+    /// the compute model nor `L1` synchronisation applies.
     ///
     /// # Errors
     ///
@@ -181,20 +56,13 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// unusable.
     pub fn new(
         arch: &Architecture,
-        config: SplitConfig,
+        mut config: SplitConfig,
         tail_layers: usize,
         shards: Vec<InMemoryDataset>,
         test: InMemoryDataset,
         transport: &'t T,
     ) -> Result<Self> {
-        if shards.is_empty() {
-            return Err(SplitError::Config(
-                "at least one platform shard is required".into(),
-            ));
-        }
-        if shards.iter().any(InMemoryDataset::is_empty) {
-            return Err(SplitError::Config("platform shards must be non-empty".into()));
-        }
+        let batches = batch_sizes(&config, &shards)?;
         if config.scheduling != Scheduling::Aggregate {
             return Err(SplitError::Config(
                 "the U-shaped trainer implements Aggregate scheduling".into(),
@@ -208,34 +76,46 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
             )));
         }
         let tail_split = total_layers - tail_layers;
+        // The shared round charges compute and runs the L1 sync; this
+        // variant has never done either, and its clocks are pinned.
+        config.compute = ComputeModel::off();
+        config.l1_sync = L1Sync::CommonInit;
 
-        let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-        let batches = config.minibatch.sizes(&sizes);
+        // Every replica is built from the same seed and cut in the same
+        // two places; each side keeps its own part.
+        let parts = || {
+            let mut head = arch.build(config.seed);
+            let tail = head.split_off(tail_split);
+            let middle = head.split_off(head_split);
+            (head, middle, tail)
+        };
         let total_batch: usize = batches.iter().sum();
-
-        let mut platforms = Vec::with_capacity(shards.len());
-        for (id, (data, &batch)) in shards.into_iter().zip(&batches).enumerate() {
-            let mut full = arch.build(config.seed);
-            let tail = full.split_off(tail_split);
-            let _middle = full.split_off(head_split);
-            let head = full;
-            let mut p = UShapePlatform::new(id, head, tail, data, batch, config.momentum, config.seed);
-            p.grad_scale = batch as f32 / total_batch as f32;
-            p.codec = config.codec;
-            platforms.push(p);
-        }
-        let mut full = arch.build(config.seed);
-        let _tail = full.split_off(tail_split);
-        let middle = full.split_off(head_split);
-        let mut server = SplitServer::new_u_shaped(middle, config.momentum);
+        let platforms = shards
+            .into_iter()
+            .zip(&batches)
+            .enumerate()
+            .map(|(id, (data, &batch))| {
+                let (head, _, tail) = parts();
+                let mut p = Platform::new(id, head, data, batch, config.momentum, config.seed);
+                p.set_grad_scale(batch as f32 / total_batch as f32);
+                p.set_codec(config.codec);
+                p.set_tail(tail, OptimizerKind::Sgd.build(config.momentum));
+                p
+            })
+            .collect();
+        let mut server = SplitServer::new_u_shaped(parts().1, config.momentum);
         server.set_codec(config.codec);
-        Ok(UShapeTrainer {
+        let actors = Actors {
+            method: "split_ushape",
             config,
             platforms,
             server,
-            transport,
             test,
-        })
+            // Only the compute model reads these, and it is off.
+            client_params: 0,
+            server_params: 0,
+        };
+        Ok(UShapeTrainer(SplitTrainer::over(actors, transport)))
     }
 
     /// Mean accuracy of each platform's composed model (head + middle +
@@ -245,25 +125,7 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     ///
     /// Propagates tensor errors.
     pub fn evaluate(&mut self) -> Result<f32> {
-        const EVAL_BATCH: usize = 64;
-        let mut total = 0.0;
-        for platform in &mut self.platforms {
-            let n = self.test.len();
-            let mut correct_weighted = 0.0;
-            let mut start = 0;
-            while start < n {
-                let count = EVAL_BATCH.min(n - start);
-                let idx: Vec<usize> = (start..start + count).collect();
-                let (inputs, labels) = self.test.batch(&idx)?;
-                let acts = platform.infer_head(&inputs)?;
-                let feats = self.server.infer(&acts)?;
-                let logits = platform.infer_tail(&feats)?;
-                correct_weighted += accuracy(&logits, &labels)? * count as f32;
-                start += count;
-            }
-            total += correct_weighted / n.max(1) as f32;
-        }
-        Ok(total / self.platforms.len() as f32)
+        self.0.evaluate()
     }
 
     /// Runs the configured number of rounds.
@@ -272,99 +134,16 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     ///
     /// Propagates protocol, tensor and transport errors.
     pub fn run(&mut self) -> Result<TrainingHistory> {
-        let k = self.platforms.len();
-        let mut records = Vec::with_capacity(self.config.rounds);
-        for round in 0..self.config.rounds {
-            let round_start = std::time::Instant::now();
-            let lr = self.config.lr.lr_at(round);
-            for p in &mut self.platforms {
-                p.set_lr(lr);
-            }
-            self.server.set_lr(lr);
-
-            for p in &mut self.platforms {
-                let env = p.start_round(round as u64)?;
-                self.transport.send(env)?;
-            }
-            let acts: Vec<Envelope> = (0..k)
-                .map(|_| {
-                    self.transport
-                        .try_recv(NodeId::Server)
-                        .ok_or_else(|| SplitError::Protocol("missing activations".into()))
-                })
-                .collect::<Result<_>>()?;
-            for env in self.server.aggregate_forward(&acts)? {
-                self.transport.send(env)?;
-            }
-            let mut losses = Vec::with_capacity(k);
-            for p in &mut self.platforms {
-                let env = self
-                    .transport
-                    .try_recv(p.node())
-                    .ok_or_else(|| SplitError::Protocol("missing features".into()))?;
-                let (grads, loss) = p.handle_features(&env)?;
-                losses.push(loss);
-                self.transport.send(grads)?;
-            }
-            let grads: Vec<Envelope> = (0..k)
-                .map(|_| {
-                    self.transport
-                        .try_recv(NodeId::Server)
-                        .ok_or_else(|| SplitError::Protocol("missing feature grads".into()))
-                })
-                .collect::<Result<_>>()?;
-            for env in self.server.aggregate_backward(&grads)? {
-                self.transport.send(env)?;
-            }
-            for p in &mut self.platforms {
-                let env = self
-                    .transport
-                    .try_recv(p.node())
-                    .ok_or_else(|| SplitError::Protocol("missing cut grads".into()))?;
-                p.handle_cut_grads(&env)?;
-            }
-
-            let eval_due = self.config.eval_every > 0 && (round + 1) % self.config.eval_every == 0;
-            let accuracy = if eval_due { Some(self.evaluate()?) } else { None };
-            let snap = self.transport.stats().snapshot();
-            records.push(RoundRecord {
-                round,
-                lr,
-                mean_loss: losses.iter().sum::<f32>() / losses.len().max(1) as f32,
-                cumulative_bytes: snap.total_bytes,
-                simulated_time_s: snap.makespan_s,
-                wall_time_s: round_start.elapsed().as_secs_f64(),
-                participants: losses.len(),
-                degraded: false,
-                accuracy,
-            });
-        }
-        let final_accuracy = match records.last().and_then(|r| r.accuracy) {
-            Some(a) => a,
-            None => {
-                let a = self.evaluate()?;
-                if let Some(last) = records.last_mut() {
-                    last.accuracy = Some(a);
-                }
-                a
-            }
-        };
-        Ok(TrainingHistory {
-            method: "split_ushape".into(),
-            records,
-            final_accuracy,
-            stats: self.transport.stats().snapshot(),
-        })
+        self.0.run()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::SplitTrainer;
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{MemoryTransport, StarTopology};
+    use medsplit_simnet::{MemoryTransport, MessageKind, StarTopology};
 
     fn arch() -> Architecture {
         Architecture::Mlp(MlpConfig {

@@ -175,20 +175,26 @@ const TENSOR_MAGIC_F32: u32 = 0x4D54_534E;
 const TENSOR_MAGIC_F16: u32 = 0x4D54_5348;
 const TENSOR_MAGIC_I8: u32 = 0x4D54_5351;
 
+/// Bytes [`Envelope::encode`] writes before the payload; the last eight
+/// are the payload length.
+const FRAME_HEADER_LEN: usize = 45;
+
 /// The number of bytes this payload would occupy under the exact f32
 /// tensor encoding — the *logical* payload size.
 ///
 /// Compressed tensor payloads (f16 / int8 magic) are mapped back to
 /// their f32-equivalent length from the header alone; f32 tensors,
-/// control payloads, relay batches and anything unrecognised report
-/// their actual length. The ratio `wire / logical` per message kind is
-/// therefore exactly the codec's compression ratio on tensor traffic.
+/// control payloads and anything unrecognised report their actual
+/// length. The ratio `wire / logical` per message kind is therefore
+/// exactly the codec's compression ratio on tensor traffic. (A relay
+/// batch is not a tensor; [`Envelope::logical_size`] walks its frames.)
 pub fn logical_payload_len(payload: &[u8]) -> usize {
-    if payload.len() < 8 {
+    let word =
+        |at: usize| -> Option<u32> { Some(u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?)) };
+    let (Some(magic), Some(rank)) = (word(0), word(4)) else {
         return payload.len();
-    }
-    let magic = u32::from_le_bytes(payload[0..4].try_into().expect("4-byte slice"));
-    let rank = u32::from_le_bytes(payload[4..8].try_into().expect("4-byte slice")) as usize;
+    };
+    let rank = rank as usize;
     if rank > 16 {
         return payload.len();
     }
@@ -213,6 +219,29 @@ pub fn logical_payload_len(payload: &[u8]) -> usize {
         }
         _ => payload.len(),
     }
+}
+
+/// Logical size of a [`MessageKind::RelayBatch`] payload: each inner
+/// frame's [`FRAME_HEADER_LEN`] plus the logical length of its payload,
+/// so a batch of compressed tensors counts what the same batch of f32
+/// tensors would. A frame that does not parse counts the bytes from
+/// there on as they are.
+fn logical_batch_len(payload: &[u8]) -> usize {
+    fn inner_payload(frame: &[u8]) -> Option<&[u8]> {
+        let len = frame.get(FRAME_HEADER_LEN - 8..FRAME_HEADER_LEN)?;
+        let len = usize::try_from(u64::from_le_bytes(len.try_into().ok()?)).ok()?;
+        frame.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN.checked_add(len)?)
+    }
+    let mut logical = 0;
+    let mut rest = payload;
+    while !rest.is_empty() {
+        let Some(inner) = inner_payload(rest) else {
+            return logical + rest.len();
+        };
+        logical += FRAME_HEADER_LEN + logical_payload_len(inner);
+        rest = &rest[FRAME_HEADER_LEN + inner.len()..];
+    }
+    logical
 }
 
 /// One message on the wire: routing metadata plus an opaque serialised
@@ -273,13 +302,18 @@ impl Envelope {
         self.payload.len() + HEADER_BYTES
     }
 
-    /// Bytes this message *would* occupy with an uncompressed f32 tensor
-    /// payload (payload + framing) — see [`logical_payload_len`]. Equal
-    /// to [`wire_size`](Self::wire_size) for everything except compressed
+    /// Bytes this message *would* occupy with uncompressed f32 tensor
+    /// payloads (payload + framing) — see [`logical_payload_len`]; a
+    /// relay batch counts its inner frames the same way. Equal to
+    /// [`wire_size`](Self::wire_size) for everything except compressed
     /// tensor payloads; the gap between the two is exactly what a wire
     /// codec saved.
     pub fn logical_size(&self) -> usize {
-        logical_payload_len(&self.payload) + HEADER_BYTES
+        let payload = match self.kind {
+            MessageKind::RelayBatch => logical_batch_len(&self.payload),
+            _ => logical_payload_len(&self.payload),
+        };
+        payload + HEADER_BYTES
     }
 
     /// Serialises the envelope to a canonical byte frame:
@@ -299,7 +333,7 @@ impl Envelope {
                 NodeId::Relay(i) => RELAY_CODE_BASE + i as u64,
             }
         }
-        let mut out = Vec::with_capacity(45 + self.payload.len());
+        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + self.payload.len());
         out.push(self.kind.wire_code());
         out.extend_from_slice(&node_code(self.src).to_le_bytes());
         out.extend_from_slice(&node_code(self.dst).to_le_bytes());
@@ -345,8 +379,9 @@ impl Envelope {
             .ok_or(FrameError::Truncated { len: frame.len() })?;
         let checksum = u32::from_le_bytes(checksum_bytes.try_into().expect("4-byte slice"));
         let len = take_u64(frame, 37)? as usize;
-        let payload = frame
-            .get(45..45 + len)
+        let payload = FRAME_HEADER_LEN
+            .checked_add(len)
+            .and_then(|end| frame.get(FRAME_HEADER_LEN..end))
             .ok_or(FrameError::Truncated { len: frame.len() })?;
         Ok(Envelope {
             src,
@@ -456,6 +491,61 @@ mod tests {
     }
 
     #[test]
+    fn relay_batch_logical_size_sees_through_the_codec() {
+        let batch_of = |payloads: &[Vec<u8>]| {
+            let mut frames = Vec::new();
+            for (i, p) in payloads.iter().enumerate() {
+                let inner = Envelope::new(
+                    NodeId::Platform(i),
+                    NodeId::Server,
+                    3,
+                    MessageKind::Activations,
+                    Bytes::from(p.clone()),
+                );
+                frames.extend_from_slice(&inner.encode());
+            }
+            Envelope::new(
+                NodeId::Relay(0),
+                NodeId::Server,
+                3,
+                MessageKind::RelayBatch,
+                Bytes::from(frames),
+            )
+        };
+        let f32_batch = batch_of(&[
+            tensor_payload(TENSOR_MAGIC_F32, &[3, 4], false, 48),
+            tensor_payload(TENSOR_MAGIC_F32, &[5], false, 20),
+        ]);
+        let packed = batch_of(&[
+            tensor_payload(TENSOR_MAGIC_F16, &[3, 4], false, 24),
+            tensor_payload(TENSOR_MAGIC_I8, &[5], true, 5),
+        ]);
+        assert_eq!(f32_batch.logical_size(), f32_batch.wire_size());
+        assert_eq!(packed.logical_size(), f32_batch.logical_size());
+        assert!(packed.wire_size() < packed.logical_size());
+        // An empty batch is just its framing.
+        assert_eq!(batch_of(&[]).logical_size(), HEADER_BYTES);
+
+        // A torn batch counts whole frames logically and the torn rest as
+        // it is; a length field pointing past the end never panics.
+        let whole = packed.payload.len();
+        for cut in [1, FRAME_HEADER_LEN - 1, FRAME_HEADER_LEN + 10, whole - 3] {
+            let mut torn = packed.clone();
+            torn.payload = packed.payload.slice(..cut);
+            assert!(torn.logical_size() >= torn.wire_size(), "cut at {cut}");
+        }
+        let mut lying = packed.payload.to_vec();
+        lying[FRAME_HEADER_LEN - 8..FRAME_HEADER_LEN].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut bad = packed.clone();
+        bad.payload = Bytes::from(lying);
+        assert_eq!(bad.logical_size(), bad.wire_size());
+        // The same bytes under any other kind are opaque.
+        let mut relabelled = packed.clone();
+        relabelled.kind = MessageKind::Control;
+        assert_eq!(relabelled.logical_size(), relabelled.wire_size());
+    }
+
+    #[test]
     fn logical_size_adds_framing() {
         let payload = tensor_payload(TENSOR_MAGIC_F16, &[8], false, 16);
         let env = Envelope::new(
@@ -552,6 +642,14 @@ mod tests {
         ));
         assert!(matches!(
             Envelope::decode(&frame[..frame.len() - 1]),
+            Err(FrameError::Truncated { .. })
+        ));
+        // A length field pointing past the end of memory is truncation,
+        // not an overflowing index.
+        let mut huge_len = frame.to_vec();
+        huge_len[FRAME_HEADER_LEN - 8..FRAME_HEADER_LEN].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            Envelope::decode(&huge_len),
             Err(FrameError::Truncated { .. })
         ));
         let mut bad_kind = frame.to_vec();

@@ -10,11 +10,14 @@
 //!
 //! `wall_time_s` is excluded (host timing is never deterministic); the
 //! enable flag is process-global, which is why this guard lives in its
-//! own integration-test binary.
+//! own integration-test binary — and why the two other checks that read
+//! the process-wide counter registry (fault counter names against the
+//! drivers' reports, codec-invariant logical bytes under relays) are
+//! called from the same single test.
 
 use medsplit::core::{
     HierPolicy, HierResilientTrainer, ResilienceReport, ResilientTrainer, SplitConfig, SplitTrainer,
-    TrainingHistory,
+    TrainingHistory, WireCodec,
 };
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
@@ -123,6 +126,38 @@ fn training_is_bit_identical_with_tracing_on_and_off() {
     }
 
     fault_counters_mirror_the_reports();
+    logical_bytes_are_codec_invariant_under_relays();
+}
+
+/// Logical bytes are what the run would have cost in f32 frames, so over
+/// a 2×2 relay hierarchy they must not depend on the wire codec — in the
+/// run's stats and in the per-kind counter of the relay batches, whose
+/// payloads are tensors wrapped in inner frames.
+fn logical_bytes_are_codec_invariant_under_relays() {
+    let run = |codec: WireCodec| {
+        medsplit::telemetry::reset_metrics();
+        let topo = HierTopology::new(2, 2);
+        let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), FaultPlan::new(1));
+        let (shards, test) = data();
+        let cfg = SplitConfig { codec, ..config() };
+        let mut trainer =
+            HierResilientTrainer::new(&arch(), cfg, HierPolicy::default(), topo, shards, test, &chaos)
+                .unwrap();
+        let stats = trainer.run().unwrap().stats;
+        let batches = Trace::capture().counter_total("net.bytes.relay_batch");
+        (stats.logical_bytes, batches, stats.total_bytes)
+    };
+    medsplit::telemetry::set_enabled(true);
+    let (f32_logical, f32_batches, f32_wire) = run(WireCodec::F32);
+    assert_eq!(f32_logical, f32_wire, "f32 frames are their own logical size");
+    assert!(f32_batches > 0);
+    for codec in [WireCodec::F16, WireCodec::Int8] {
+        let (logical, batches, wire) = run(codec);
+        assert_eq!(logical, f32_logical, "{codec:?} logical bytes");
+        assert_eq!(batches, f32_batches, "{codec:?} net.bytes.relay_batch");
+        assert!(wire < f32_wire, "{codec:?} must still compress the wire");
+    }
+    medsplit::telemetry::set_enabled(false);
 }
 
 /// Asserts every counter the fault-tolerant drivers emit, by name, against
