@@ -14,6 +14,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> decoder suites again under --release"
+# Integer overflow panics in debug and wraps silently in release, so a
+# length or dims field the decoders fail to check shows differently in
+# the two builds: the wire-path suites (property tests included) and the
+# allocation-bound test run in both.
+cargo test -q --release --offline -p medsplit-tensor -p medsplit-simnet -p medsplit-core
+cargo test -q --release --offline --test hostile_bytes
+
 echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,

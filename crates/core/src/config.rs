@@ -67,25 +67,12 @@ impl OptimizerKind {
     }
 }
 
-/// Numeric encoding used for the four protocol tensors on the wire.
-///
-/// `F16` halves the activation/gradient traffic at a ≤0.1 % relative
-/// rounding error per value; `Int8` cuts it to roughly a quarter via
-/// symmetric per-tensor-scale quantisation (absolute error ≤ scale/2 per
-/// value, where scale = absmax/127 travels in the frame header) — both
-/// are ablations of the paper's bandwidth goal (Fig. 4). Parameter
-/// synchronisation (`L1Sync`) always stays exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireCodec {
-    /// Exact 32-bit floats (default).
-    #[default]
-    F32,
-    /// IEEE binary16 payloads: half the bytes, lossy.
-    F16,
-    /// Symmetric int8 quantisation with a per-tensor absmax scale in the
-    /// header: about a quarter of the bytes, lossy.
-    Int8,
-}
+/// Numeric encoding used for the four protocol tensors on the wire: the
+/// tensor crate's [`Encoding`](medsplit_tensor::Encoding) under the name
+/// the protocol uses for it. `F16` and `Int8` are ablations of the
+/// paper's bandwidth goal (Fig. 4); parameter synchronisation (`L1Sync`)
+/// always stays exact.
+pub use medsplit_tensor::Encoding as WireCodec;
 
 /// Simple compute-time model: how long forward+backward on one sample
 /// takes on each side, used by the simulated clock.

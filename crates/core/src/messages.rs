@@ -24,12 +24,7 @@ pub fn tensor_envelope_codec(
     tensor: &Tensor,
     codec: WireCodec,
 ) -> Envelope {
-    let payload = match codec {
-        WireCodec::F32 => tensor.to_bytes(),
-        WireCodec::F16 => tensor.to_bytes_f16(),
-        WireCodec::Int8 => tensor.to_bytes_i8(),
-    };
-    Envelope::new(src, dst, round, kind, payload)
+    Envelope::new(src, dst, round, kind, tensor.encode(codec))
 }
 
 /// Decodes a tensor payload, checking the message kind first.
@@ -39,13 +34,36 @@ pub fn tensor_envelope_codec(
 /// Returns [`SplitError::Protocol`] on a kind mismatch and
 /// [`SplitError::Tensor`] on a corrupt payload.
 pub fn decode_tensor(env: &Envelope, expected: MessageKind) -> Result<Tensor> {
+    expect_kind(env, expected)?;
+    Ok(Tensor::from_bytes(&env.payload[..])?)
+}
+
+fn expect_kind(env: &Envelope, expected: MessageKind) -> Result<()> {
     if env.kind != expected {
         return Err(SplitError::Protocol(format!(
             "expected {expected} from {}, got {} (round {})",
             env.src, env.kind, env.round
         )));
     }
-    Ok(Tensor::from_bytes(env.payload.clone())?)
+    Ok(())
+}
+
+/// Decodes the tensor payloads of `envs` straight into one batch tensor,
+/// concatenated along axis 0 in the order given, checking each message
+/// kind first. Also returns each message's row count.
+///
+/// # Errors
+///
+/// As [`decode_tensor`], plus [`SplitError::Tensor`] if the payloads
+/// disagree on their trailing dimensions.
+pub(crate) fn decode_batch<'a>(
+    envs: impl Iterator<Item = &'a Envelope> + Clone,
+    expected: MessageKind,
+) -> Result<(Tensor, Vec<usize>)> {
+    for env in envs.clone() {
+        expect_kind(env, expected)?;
+    }
+    Ok(Tensor::concat0_from_bytes(envs.map(|env| &env.payload[..]))?)
 }
 
 /// The platform index a message came from.

@@ -15,22 +15,23 @@
 //! messages were relayed or direct.
 
 use bytes::Bytes;
-use medsplit_simnet::{Envelope, MessageKind, NodeId};
+use medsplit_simnet::{Envelope, MessageKind, NodeId, FRAME_HEADER_LEN};
 
 use crate::error::{Result, SplitError};
 
 /// Serialises `inner` envelopes into one opaque batch payload by
-/// concatenating their canonical wire frames.
+/// concatenating their canonical wire frames, each written once into a
+/// buffer sized for all of them.
 pub fn encode_batch(inner: &[Envelope]) -> Bytes {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(inner.iter().map(|e| FRAME_HEADER_LEN + e.payload.len()).sum());
     for env in inner {
-        out.extend_from_slice(&env.encode());
+        env.encode_into(&mut out);
     }
     Bytes::from(out)
 }
 
 /// Splits a [`MessageKind::RelayBatch`] envelope back into its inner
-/// envelopes.
+/// envelopes; their payloads are views into the batch payload.
 ///
 /// # Errors
 ///
@@ -43,23 +44,13 @@ pub fn unbatch(env: &Envelope) -> Result<Vec<Envelope>> {
             env.kind
         )));
     }
-    let buf = &env.payload[..];
+    let mut rest = env.payload.clone();
     let mut out = Vec::new();
-    let mut at = 0usize;
-    while at < buf.len() {
-        let rest = &buf[at..];
-        let len_bytes = rest.get(37..45).ok_or_else(|| {
-            SplitError::Protocol(format!("relay batch truncated at inner frame {}", out.len()))
-        })?;
-        let payload_len = u64::from_le_bytes(len_bytes.try_into().expect("8-byte slice")) as usize;
-        let frame_len = 45 + payload_len;
-        let frame = rest.get(..frame_len).ok_or_else(|| {
-            SplitError::Protocol(format!("relay batch truncated at inner frame {}", out.len()))
-        })?;
-        let inner = Envelope::decode(frame)
-            .map_err(|e| SplitError::Protocol(format!("bad inner envelope in relay batch: {e}")))?;
-        out.push(inner);
-        at += frame_len;
+    while !rest.is_empty() {
+        out.push(
+            Envelope::decode_from(&mut rest)
+                .map_err(|e| SplitError::Protocol(format!("relay batch: inner frame {}: {e}", out.len())))?,
+        );
     }
     Ok(out)
 }
@@ -89,17 +80,15 @@ pub fn batch_downstream(relay: usize, round: u64, inner: &[Envelope]) -> Envelop
 }
 
 /// Re-frames an unbatched downstream envelope for the relay → platform
-/// hop: the payload, kind and round travel unchanged, but the source
-/// becomes the relay so link selection and byte accounting charge the
-/// regional edge actually used.
+/// hop: the payload, its checksum, kind and round travel unchanged, but
+/// the source becomes the relay so link selection and byte accounting
+/// charge the regional edge actually used.
 pub fn forward_from_relay(relay: usize, inner: &Envelope) -> Envelope {
-    Envelope::new(
-        NodeId::Relay(relay),
-        inner.dst,
-        inner.round,
-        inner.kind,
-        inner.payload.clone(),
-    )
+    Envelope {
+        src: NodeId::Relay(relay),
+        seq: 0,
+        ..inner.clone()
+    }
 }
 
 #[cfg(test)]
@@ -168,6 +157,36 @@ mod tests {
         assert!(unbatch(&torn).is_err());
     }
 
+    /// Regression: the parent computed `45 + payload_len` unchecked from
+    /// the untrusted length field — a debug panic, a release wrap.
+    #[test]
+    fn unbatch_rejects_an_overflowing_inner_length() {
+        let batch = batch_upstream(0, 0, &[inner(0, 0, 1, 32), inner(1, 0, 2, 8)]);
+        for lying in [u64::MAX, u64::MAX - 44, u64::MAX - 45, 1 << 63, 33] {
+            let mut raw = batch.payload.to_vec();
+            raw[FRAME_HEADER_LEN - 8..FRAME_HEADER_LEN].copy_from_slice(&lying.to_le_bytes());
+            let bad = Envelope::new(batch.src, batch.dst, 0, MessageKind::RelayBatch, Bytes::from(raw));
+            assert!(
+                matches!(unbatch(&bad), Err(SplitError::Protocol(_))),
+                "length field {lying}"
+            );
+        }
+    }
+
+    #[test]
+    fn unbatched_payloads_are_views_of_the_batch() {
+        let envs = vec![inner(0, 3, 0xAA, 17), inner(1, 3, 0xBB, 0), inner(2, 3, 0xCC, 64)];
+        let batch = batch_upstream(1, 3, &envs);
+        let base = batch.payload.as_ptr();
+        let mut at = 0;
+        for (sent, got) in envs.iter().zip(unbatch(&batch).unwrap()) {
+            assert_eq!(got.payload.as_ptr(), base.wrapping_add(at + FRAME_HEADER_LEN));
+            assert_eq!(got.checksum, sent.checksum);
+            at += FRAME_HEADER_LEN + sent.payload.len();
+        }
+        assert_eq!(at, batch.payload.len());
+    }
+
     #[test]
     fn forward_rewrites_source_only() {
         let logits = Envelope::new(
@@ -183,6 +202,8 @@ mod tests {
         assert_eq!(fwd.round, 7);
         assert_eq!(fwd.kind, MessageKind::Logits);
         assert_eq!(fwd.payload, logits.payload);
+        assert_eq!(fwd.payload.as_ptr(), logits.payload.as_ptr());
+        assert_eq!(fwd.seq, 0);
         assert!(fwd.verify_checksum());
     }
 }

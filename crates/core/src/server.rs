@@ -9,7 +9,7 @@ use crate::config::WireCodec;
 use crate::error::{Result, SplitError};
 #[cfg(test)]
 use crate::messages::tensor_envelope;
-use crate::messages::{decode_tensor, sender_platform, tensor_envelope_codec};
+use crate::messages::{decode_batch, decode_tensor, sender_platform, tensor_envelope_codec};
 
 /// The central server: layers `L2..Lk`, an optimiser for them, and the
 /// per-round bookkeeping needed to route logits and cut gradients back to
@@ -146,37 +146,41 @@ impl SplitServer {
         }
         let round = acts[0].round;
         let _span = medsplit_telemetry::span_round("server_fwd_bwd", round);
-        let mut decoded: Vec<(usize, Tensor)> = Vec::with_capacity(acts.len());
+        let mut senders: Vec<(usize, &Envelope)> = Vec::with_capacity(acts.len());
         for env in acts {
             let pid = sender_platform(env)?;
-            if decoded.iter().any(|(p, _)| *p == pid) {
+            if senders.iter().any(|(p, _)| *p == pid) {
                 return Err(SplitError::Protocol(format!(
                     "duplicate activations from platform {pid}"
                 )));
             }
-            decoded.push((pid, decode_tensor(env, MessageKind::Activations)?));
+            senders.push((pid, env));
         }
-        decoded.sort_by_key(|(pid, _)| *pid);
-        self.layout = decoded.iter().map(|(pid, t)| (*pid, t.dims()[0])).collect();
-        let tensors: Vec<Tensor> = decoded.into_iter().map(|(_, t)| t).collect();
-        let batch = Tensor::concat0(&tensors)?;
+        senders.sort_by_key(|(pid, _)| *pid);
+        let (batch, rows) = decode_batch(senders.iter().map(|(_, env)| *env), MessageKind::Activations)?;
+        self.layout = senders.iter().map(|(pid, _)| *pid).zip(rows).collect();
         let logits = self.model.forward(&batch, Mode::Train)?;
-        // Slice logits back out per platform, in layout order.
-        let mut out = Vec::with_capacity(self.layout.len());
+        self.replies(round, self.fwd_out_kind, &logits)
+    }
+
+    /// One reply per platform of the in-flight layout, each encoded
+    /// straight from its row range of `batch`.
+    fn replies(&self, round: u64, kind: MessageKind, batch: &Tensor) -> Result<Vec<Envelope>> {
         let mut offset = 0;
-        for &(pid, n) in &self.layout {
-            let slice = logits.slice0(offset, n)?;
-            offset += n;
-            out.push(tensor_envelope_codec(
-                NodeId::Server,
-                NodeId::Platform(pid),
-                round,
-                self.fwd_out_kind,
-                &slice,
-                self.codec,
-            ));
-        }
-        Ok(out)
+        self.layout
+            .iter()
+            .map(|&(pid, n)| {
+                let payload = batch.encode_rows(offset..offset + n, self.codec)?;
+                offset += n;
+                Ok(Envelope::new(
+                    NodeId::Server,
+                    NodeId::Platform(pid),
+                    round,
+                    kind,
+                    payload,
+                ))
+            })
+            .collect()
     }
 
     /// **Aggregate backward**: concatenates the platforms' logit
@@ -206,45 +210,30 @@ impl SplitServer {
             )));
         }
         let round = grads[0].round;
-        let mut by_pid: Vec<Option<Tensor>> = vec![None; self.layout.len()];
+        let mut by_slot: Vec<Option<&Envelope>> = vec![None; self.layout.len()];
         for env in grads {
             let pid = sender_platform(env)?;
             let slot = self.layout.iter().position(|(p, _)| *p == pid).ok_or_else(|| {
                 SplitError::Protocol(format!("gradients from platform {pid} not in this round"))
             })?;
-            if by_pid[slot].is_some() {
+            if by_slot[slot].replace(env).is_some() {
                 return Err(SplitError::Protocol(format!(
                     "duplicate gradients from platform {pid}"
                 )));
             }
-            let t = decode_tensor(env, self.bwd_in_kind)?;
-            if t.dims()[0] != self.layout[slot].1 {
+        }
+        // As many distinct slots as the layout has: every slot is filled.
+        let (grad, rows) = decode_batch(by_slot.iter().flatten().copied(), self.bwd_in_kind)?;
+        for (&(pid, expected), got) in self.layout.iter().zip(rows) {
+            if got != expected {
                 return Err(SplitError::Protocol(format!(
-                    "platform {pid} sent a gradient batch of {} rows, expected {}",
-                    t.dims()[0],
-                    self.layout[slot].1
+                    "platform {pid} sent a gradient batch of {got} rows, expected {expected}"
                 )));
             }
-            by_pid[slot] = Some(t);
         }
-        let tensors: Vec<Tensor> = by_pid.into_iter().map(|t| t.expect("all slots filled")).collect();
-        let grad = Tensor::concat0(&tensors)?;
         let cut = self.model.backward(&grad)?;
         self.optimizer.step_and_zero(&mut self.model);
-        let mut out = Vec::with_capacity(self.layout.len());
-        let mut offset = 0;
-        for &(pid, n) in &self.layout {
-            let slice = cut.slice0(offset, n)?;
-            offset += n;
-            out.push(tensor_envelope_codec(
-                NodeId::Server,
-                NodeId::Platform(pid),
-                round,
-                MessageKind::CutGrads,
-                &slice,
-                self.codec,
-            ));
-        }
+        let out = self.replies(round, MessageKind::CutGrads, &cut)?;
         self.layout.clear();
         Ok(out)
     }
@@ -400,6 +389,54 @@ mod tests {
         assert!(s2
             .aggregate_forward(&[acts_env(0, 2, 0), acts_env(0, 2, 0)])
             .is_err());
+    }
+
+    /// Replies are encoded straight from row ranges of the batch output:
+    /// byte for byte what slicing the rows out and encoding them gives,
+    /// per-slice int8 scale included.
+    #[test]
+    fn aggregate_replies_equal_sliced_then_encoded_rows() {
+        let acts = [acts_env(0, 3, 0), acts_env(2, 1, 0), acts_env(1, 2, 0)];
+        let exact: Vec<Tensor> = server(9)
+            .aggregate_forward(&acts)
+            .unwrap()
+            .iter()
+            .map(|e| decode_tensor(e, MessageKind::Logits).unwrap())
+            .collect();
+        for codec in [WireCodec::F32, WireCodec::F16, WireCodec::Int8] {
+            let mut s = server(9);
+            s.set_codec(codec);
+            let replies = s.aggregate_forward(&acts).unwrap();
+            assert_eq!(replies.len(), 3);
+            for (reply, rows) in replies.iter().zip(&exact) {
+                assert_eq!(reply.payload, rows.encode(codec), "{codec:?}");
+                assert!(reply.verify_checksum());
+            }
+        }
+    }
+
+    #[test]
+    fn aggregate_rejects_malformed_batches_without_panicking() {
+        let scalar = tensor_envelope(
+            NodeId::Platform(0),
+            NodeId::Server,
+            0,
+            MessageKind::Activations,
+            &Tensor::scalar(1.0),
+        );
+        assert!(server(1).aggregate_forward(&[scalar]).is_err());
+        let narrow = tensor_envelope(
+            NodeId::Platform(1),
+            NodeId::Server,
+            0,
+            MessageKind::Activations,
+            &Tensor::ones([2, 5]),
+        );
+        assert!(server(1).aggregate_forward(&[acts_env(0, 2, 0), narrow]).is_err());
+        let mut torn = acts_env(0, 2, 0);
+        torn.payload = torn.payload.slice(..20);
+        assert!(server(1).aggregate_forward(&[torn]).is_err());
+        assert!(server(1).aggregate_forward(&[grads_env(0, 2, 0)]).is_err());
     }
 
     #[test]

@@ -89,4 +89,38 @@ proptest! {
         prop_assert_eq!(comm::fedavg_round_bytes(platforms, params), one * platforms as u64);
         prop_assert_eq!(comm::sync_sgd_round_bytes(platforms, params), comm::fedavg_round_bytes(platforms, params));
     }
+
+    /// `relay::unbatch` on arbitrary and on mutated-valid batch payloads:
+    /// inner envelopes that fit inside the batch, or a typed error.
+    #[test]
+    fn unbatch_survives_hostile_batches(
+        lens in prop::collection::vec(0usize..80, 0..4),
+        noise in prop::collection::vec(0u8..=255, 0..120),
+        at in 0usize..400,
+        with in 0u8..=255,
+        cut in 0usize..60,
+    ) {
+        use medsplit_core::relay;
+        use medsplit_simnet::{Envelope, MessageKind, NodeId, FRAME_HEADER_LEN};
+        let inner: Vec<Envelope> = lens.iter().enumerate().map(|(i, &n)| {
+            Envelope::new(NodeId::Platform(i), NodeId::Server, 2, MessageKind::Activations, bytes::Bytes::from(vec![i as u8; n]))
+        }).collect();
+        let clean = relay::batch_upstream(0, 2, &inner);
+        prop_assert_eq!(relay::unbatch(&clean).unwrap().len(), inner.len());
+        let mut mutated = clean.payload.to_vec();
+        if !mutated.is_empty() {
+            let at = at % mutated.len();
+            mutated[at] = with;
+            mutated.truncate(mutated.len() - cut.min(mutated.len()));
+        }
+        for payload in [mutated, noise] {
+            let total = payload.len();
+            let batch = Envelope::new(NodeId::Relay(0), NodeId::Server, 2, MessageKind::RelayBatch, bytes::Bytes::from(payload));
+            prop_assert!(batch.logical_size() >= medsplit_simnet::HEADER_BYTES);
+            if let Ok(envs) = relay::unbatch(&batch) {
+                let framed: usize = envs.iter().map(|e| FRAME_HEADER_LEN + e.payload.len()).sum();
+                prop_assert_eq!(framed, total);
+            }
+        }
+    }
 }

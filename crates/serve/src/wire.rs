@@ -10,7 +10,7 @@
 use bytes::{BufMut, Bytes};
 use medsplit_core::{Result, SplitError, WireCodec};
 use medsplit_simnet::{Envelope, MessageKind, NodeId};
-use medsplit_tensor::Tensor;
+use medsplit_tensor::{encoded_len, Tensor};
 
 /// Fixed request prefix: id, submit time, deadline.
 const REQUEST_PREFIX: usize = 8 + 8 + 8;
@@ -106,16 +106,11 @@ pub fn encode_request(
     activations: &Tensor,
     codec: WireCodec,
 ) -> Envelope {
-    let tensor_bytes = match codec {
-        WireCodec::F32 => activations.to_bytes(),
-        WireCodec::F16 => activations.to_bytes_f16(),
-        WireCodec::Int8 => activations.to_bytes_i8(),
-    };
-    let mut payload = Vec::with_capacity(REQUEST_PREFIX + tensor_bytes.len());
+    let mut payload = Vec::with_capacity(REQUEST_PREFIX + encoded_len(activations.shape(), codec));
     payload.put_u64_le(id);
     payload.put_u64_le(submit_s.to_bits());
     payload.put_u64_le(deadline_s.to_bits());
-    payload.put_slice(&tensor_bytes);
+    activations.encode_into(&mut payload, codec);
     Envelope::new(
         platform,
         NodeId::Server,
@@ -181,19 +176,14 @@ pub struct RoutedRequest {
 /// then router → replica after admission.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_routed_request(src: NodeId, dst: NodeId, req: &RoutedRequest, codec: WireCodec) -> Envelope {
-    let tensor_bytes = match codec {
-        WireCodec::F32 => req.activations.to_bytes(),
-        WireCodec::F16 => req.activations.to_bytes_f16(),
-        WireCodec::Int8 => req.activations.to_bytes_i8(),
-    };
-    let mut payload = Vec::with_capacity(ROUTED_PREFIX + tensor_bytes.len());
+    let mut payload = Vec::with_capacity(ROUTED_PREFIX + encoded_len(req.activations.shape(), codec));
     payload.put_u64_le(req.id);
     payload.put_u64_le(req.submit_s.to_bits());
     payload.put_u64_le(req.deadline_s.to_bits());
     payload.put_u64_le(req.tenant);
     payload.put_u64_le(req.session);
     payload.put_u32_le(req.version);
-    payload.put_slice(&tensor_bytes);
+    req.activations.encode_into(&mut payload, codec);
     Envelope::new(src, dst, req.id, MessageKind::InferRequest, Bytes::from(payload))
 }
 
@@ -267,19 +257,14 @@ pub fn encode_response_from(
     codec: WireCodec,
 ) -> Envelope {
     debug_assert_eq!(logits.is_some(), status == InferStatus::Ok);
-    let tensor_bytes = logits.map(|t| match codec {
-        WireCodec::F32 => t.to_bytes(),
-        WireCodec::F16 => t.to_bytes_f16(),
-        WireCodec::Int8 => t.to_bytes_i8(),
-    });
-    let body_len = tensor_bytes.as_ref().map_or(0, Bytes::len);
+    let body_len = logits.map_or(0, |t| encoded_len(t.shape(), codec));
     let mut payload = Vec::with_capacity(RESPONSE_PREFIX + body_len);
     payload.put_u64_le(id);
     payload.put_u64_le(submit_s.to_bits());
     payload.put_u64_le(served_s.to_bits());
     payload.put_u8(status.code());
-    if let Some(bytes) = &tensor_bytes {
-        payload.put_slice(bytes);
+    if let Some(t) = logits {
+        t.encode_into(&mut payload, codec);
     }
     Envelope::new(
         src,

@@ -41,7 +41,7 @@ mod transport;
 pub use chaos::{ChaosEvent, ChaosRng, ChaosSnapshot, ChaosStats, ChaosTransport, FaultPlan, LinkFaults};
 pub use fault::{FaultKind, FaultyTransport};
 pub use link::LinkSpec;
-pub use message::{payload_checksum, Envelope, FrameError, MessageKind, HEADER_BYTES};
+pub use message::{payload_checksum, Envelope, FrameError, MessageKind, FRAME_HEADER_LEN, HEADER_BYTES};
 pub use node::NodeId;
 pub use stats::{NetStats, StatsSnapshot};
 pub use topology::{FleetTopology, HierTopology, StarTopology, Topology};

@@ -2,7 +2,8 @@
 
 use bytes::Bytes;
 use medsplit_simnet::{
-    Envelope, LinkSpec, MemoryTransport, MessageKind, NodeId, StarTopology, Transport, HEADER_BYTES,
+    Envelope, LinkSpec, MemoryTransport, MessageKind, NodeId, StarTopology, Transport, FRAME_HEADER_LEN,
+    HEADER_BYTES,
 };
 use proptest::prelude::*;
 
@@ -80,5 +81,54 @@ proptest! {
     fn wire_size_formula(len in 0usize..100_000) {
         let env = Envelope::new(NodeId::Server, NodeId::Platform(0), 0, MessageKind::Logits, Bytes::from(vec![0u8; len]));
         prop_assert_eq!(env.wire_size(), len + HEADER_BYTES);
+    }
+
+    /// `Envelope::decode`, `decode_from` and `logical_size` on arbitrary
+    /// bytes: an envelope no larger than the input or a typed error,
+    /// never a panic.
+    #[test]
+    fn decoders_survive_arbitrary_bytes(raw in prop::collection::vec(0u8..=255, 0..160), kind in 0u8..16) {
+        let mut raw = raw;
+        if let Some(first) = raw.first_mut() {
+            *first = kind; // half the point is getting past the kind byte
+        }
+        let mut shared = Bytes::from(raw.clone());
+        match Envelope::decode(&raw) {
+            Ok(env) => {
+                prop_assert!(env.payload.len() + FRAME_HEADER_LEN <= raw.len());
+                prop_assert!(env.logical_size() >= HEADER_BYTES);
+                let same = Envelope::decode_from(&mut shared).unwrap();
+                prop_assert_eq!(same.payload, env.payload);
+                prop_assert_eq!(shared.len(), raw.len() - FRAME_HEADER_LEN - same.payload.len());
+            }
+            Err(_) => {
+                prop_assert!(Envelope::decode_from(&mut shared).is_err());
+                prop_assert_eq!(shared.len(), raw.len());
+            }
+        }
+        // The same bytes as a relay-batch or tensor payload.
+        for k in [MessageKind::RelayBatch, MessageKind::Activations] {
+            let env = Envelope::new(NodeId::Relay(0), NodeId::Server, 0, k, Bytes::from(raw.clone()));
+            prop_assert!(env.logical_size() >= HEADER_BYTES);
+            prop_assert!(env.logical_size() <= HEADER_BYTES + 4 * raw.len());
+        }
+    }
+
+    /// A valid frame with one byte overwritten and its end cut: decode
+    /// errs or returns what the mutated header describes; the length
+    /// field never indexes past the input.
+    #[test]
+    fn mutated_frames_survive_decode(len in 0usize..200, at in 0usize..300, with in 0u8..=255, cut in 0usize..50) {
+        let env = Envelope::new(NodeId::Platform(1), NodeId::Relay(2), 9, MessageKind::LogitGrads, Bytes::from(vec![7u8; len]));
+        let mut raw = env.encode().to_vec();
+        let at = at % raw.len();
+        raw[at] = with;
+        raw.truncate(raw.len() - cut.min(raw.len()));
+        if let Ok(got) = Envelope::decode(&raw) {
+            prop_assert!(got.payload.len() + FRAME_HEADER_LEN <= raw.len());
+            if at >= FRAME_HEADER_LEN {
+                prop_assert_eq!(got.verify_checksum(), got.payload == env.payload);
+            }
+        }
     }
 }

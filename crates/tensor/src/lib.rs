@@ -46,6 +46,6 @@ mod tensor;
 pub use error::{Result, TensorError};
 pub use ops::conv::Conv2dSpec;
 pub use ops::plan::{Blocking, ConvGeometry, ConvPlan, GemmPlan, PlanKind, PlanStats, WeightPrecision};
-pub use serialize::{serialized_len, serialized_len_f16, serialized_len_i8};
+pub use serialize::{encoded_len, serialized_len, serialized_len_f16, serialized_len_i8, Encoding};
 pub use shape::Shape;
 pub use tensor::Tensor;

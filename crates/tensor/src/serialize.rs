@@ -17,7 +17,9 @@
 //!
 //! [`Tensor::from_bytes`] detects the magic and decodes any encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::Range;
+
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{Result, TensorError};
 use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
@@ -28,57 +30,301 @@ const MAGIC: u32 = 0x4D54_534E;
 const MAGIC_F16: u32 = 0x4D54_5348;
 const MAGIC_I8: u32 = 0x4D54_5351;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Encoding {
+/// Numeric encoding of a tensor's data on the wire.
+///
+/// `F16` halves the data bytes at a ≤0.1 % relative rounding error per
+/// value; `Int8` cuts them to a quarter via symmetric per-tensor-scale
+/// quantisation (absolute error ≤ scale/2 per value, where
+/// scale = absmax/127 travels in the frame header).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Encoding {
+    /// Exact 32-bit floats (default).
+    #[default]
     F32,
+    /// IEEE binary16 payloads: half the bytes, lossy.
     F16,
-    I8,
+    /// Symmetric int8 quantisation with a per-tensor absmax scale in the
+    /// header: about a quarter of the bytes, lossy.
+    Int8,
 }
 
-/// Number of bytes [`Tensor::to_bytes`] will produce for a tensor of the
+impl Encoding {
+    fn magic(self) -> u32 {
+        match self {
+            Encoding::F32 => MAGIC,
+            Encoding::F16 => MAGIC_F16,
+            Encoding::Int8 => MAGIC_I8,
+        }
+    }
+
+    /// Bytes per element on the wire.
+    fn elem_bytes(self) -> usize {
+        match self {
+            Encoding::F32 => 4,
+            Encoding::F16 => 2,
+            Encoding::Int8 => 1,
+        }
+    }
+
+    /// Header bytes for a tensor of `rank` dimensions (int8 carries the
+    /// 4-byte scale after the dims).
+    fn header_bytes(self, rank: usize) -> usize {
+        4 + 4 + 8 * rank + if self == Encoding::Int8 { 4 } else { 0 }
+    }
+}
+
+/// Number of bytes [`Tensor::encode`] will produce for a tensor of the
 /// given shape, without serialising.
+pub fn encoded_len(shape: &Shape, enc: Encoding) -> usize {
+    enc.header_bytes(shape.rank()) + enc.elem_bytes() * shape.numel()
+}
+
+/// [`encoded_len`] of the exact f32 frame ([`Tensor::to_bytes`]).
 pub fn serialized_len(shape: &Shape) -> usize {
-    4 + 4 + 8 * shape.rank() + 4 * shape.numel()
+    encoded_len(shape, Encoding::F32)
 }
 
-/// Number of bytes [`Tensor::to_bytes_f16`] will produce for a tensor of
-/// the given shape, without serialising.
+/// [`encoded_len`] of the f16 frame ([`Tensor::to_bytes_f16`]).
 pub fn serialized_len_f16(shape: &Shape) -> usize {
-    4 + 4 + 8 * shape.rank() + 2 * shape.numel()
+    encoded_len(shape, Encoding::F16)
 }
 
-/// Number of bytes [`Tensor::to_bytes_i8`] will produce for a tensor of
-/// the given shape, without serialising (header grows by the 4-byte
-/// scale; each element shrinks to one byte).
+/// [`encoded_len`] of the int8 frame ([`Tensor::to_bytes_i8`]): the
+/// header grows by the 4-byte scale, each element shrinks to one byte.
 pub fn serialized_len_i8(shape: &Shape) -> usize {
-    4 + 4 + 8 * shape.rank() + 4 + shape.numel()
+    encoded_len(shape, Encoding::Int8)
 }
 
 /// Quantises one value against a positive per-tensor scale: round half
-/// away from zero, saturating to the symmetric range ±127.
+/// away from zero, saturating to the symmetric range ±127; NaN gives 0.
 ///
 /// The ratio is formed in f64 so the rounding decision depends only on
 /// the IEEE-exact quotient, never on an intermediate f32 rounding —
 /// quantisation is therefore bit-deterministic across ISAs and hosts.
+/// Rounding is truncation plus a comparison of the exactly representable
+/// remainder with one half, so there is no branch and no libm call.
 fn quantize_i8(v: f32, scale: f32) -> i8 {
-    let q = (f64::from(v) / f64::from(scale)).round();
-    q.clamp(-127.0, 127.0) as i8
+    let q = f64::from(v) / f64::from(scale);
+    let mag = q.abs();
+    // A comparison, not `f64::min`, so that NaN stays NaN (and casts to 0).
+    let mag = if mag > 127.0 { 127.0 } else { mag };
+    let whole = mag as i32;
+    let rounded = whole + i32::from(mag - f64::from(whole) >= 0.5);
+    (if q < 0.0 { -rounded } else { rounded }) as i8
+}
+
+/// Largest finite-or-infinite `|v|` of the slice, NaNs ignored (a stray
+/// NaN cannot poison the scale of the whole tensor). Non-negative floats
+/// order like their bit patterns, so this is an integer max.
+fn absmax(data: &[f32]) -> f32 {
+    const INF: u32 = 0x7F80_0000;
+    let bits = data
+        .iter()
+        .map(|v| v.to_bits() & 0x7FFF_FFFF)
+        .map(|b| if b > INF { 0 } else { b })
+        .max();
+    f32::from_bits(bits.unwrap_or(0))
+}
+
+/// Appends one frame — header, then `data` in a single pass — to `out`.
+fn write_frame(out: &mut Vec<u8>, enc: Encoding, dims: impl Iterator<Item = usize> + Clone, data: &[f32]) {
+    let rank = dims.clone().count();
+    out.reserve(enc.header_bytes(rank) + enc.elem_bytes() * data.len());
+    out.put_u32_le(enc.magic());
+    out.put_u32_le(rank as u32);
+    for d in dims {
+        out.put_u64_le(d as u64);
+    }
+    let mut scale = 0.0;
+    if enc == Encoding::Int8 {
+        let absmax = absmax(data);
+        if absmax > 0.0 {
+            scale = absmax / 127.0;
+        }
+        out.put_f32_le(scale);
+    }
+    let start = out.len();
+    out.resize(start + enc.elem_bytes() * data.len(), 0);
+    let body = &mut out[start..];
+    match enc {
+        Encoding::F32 => {
+            for (dst, v) in body.chunks_exact_mut(4).zip(data) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        Encoding::F16 => {
+            for (dst, &v) in body.chunks_exact_mut(2).zip(data) {
+                dst.copy_from_slice(&f32_to_f16_bits(v).to_le_bytes());
+            }
+        }
+        // A scale of 0 (all-zero tensor, or absmax/127 underflowed)
+        // leaves the zero fill.
+        Encoding::Int8 if scale == 0.0 => {}
+        Encoding::Int8 => {
+            for (dst, &v) in body.iter_mut().zip(data) {
+                *dst = quantize_i8(v, scale) as u8;
+            }
+        }
+    }
+}
+
+/// A tensor frame whose header has been read and checked against the
+/// bytes that follow; the data is still encoded in `body`.
+struct Frame<B> {
+    shape: Shape,
+    enc: Encoding,
+    scale: f32,
+    body: B,
+}
+
+impl<B: Buf> Frame<B> {
+    /// Reads and validates the header: after this, `body` is known to
+    /// hold at least `numel` encoded elements, so nothing later is sized
+    /// by an unchecked field.
+    fn parse(mut buf: B) -> Result<Self> {
+        let corrupt = |what: &str| TensorError::Corrupt(what.into());
+        if buf.remaining() < 8 {
+            return Err(corrupt("buffer shorter than header"));
+        }
+        let magic = buf.get_u32_le();
+        let enc = match magic {
+            MAGIC => Encoding::F32,
+            MAGIC_F16 => Encoding::F16,
+            MAGIC_I8 => Encoding::Int8,
+            _ => return Err(TensorError::Corrupt(format!("bad magic 0x{magic:08X}"))),
+        };
+        let rank = buf.get_u32_le() as usize;
+        if rank > 16 {
+            return Err(TensorError::Corrupt(format!("implausible rank {rank}")));
+        }
+        if buf.remaining() < enc.header_bytes(rank) - 8 {
+            return Err(corrupt("buffer truncated in dims or scale"));
+        }
+        let mut dims = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            dims.push(
+                usize::try_from(buf.get_u64_le())
+                    .map_err(|_| corrupt("dimension exceeds the address space"))?,
+            );
+        }
+        let scale = if enc == Encoding::Int8 {
+            buf.get_f32_le()
+        } else {
+            0.0
+        };
+        // Zero dims count as 1 in the overflow check, so the strides of an
+        // accepted empty shape cannot overflow either.
+        let need = dims
+            .iter()
+            .try_fold(enc.elem_bytes(), |n, &d| n.checked_mul(d.max(1)))
+            .map(|n| if dims.contains(&0) { 0 } else { n });
+        if need.is_none_or(|n| n > buf.remaining()) {
+            return Err(TensorError::Corrupt(format!(
+                "buffer truncated in data: dims {dims:?} need more than the {} bytes present",
+                buf.remaining()
+            )));
+        }
+        Ok(Frame {
+            shape: Shape::new(dims),
+            enc,
+            scale,
+            body: buf,
+        })
+    }
+
+    /// Decodes the data onto the end of `out`, one slice pass per
+    /// [`Buf::chunk`]; an element that straddles two chunks is read
+    /// through the cursor.
+    fn decode_append(&mut self, out: &mut Vec<f32>) {
+        let (enc, scale, elem) = (self.enc, self.scale, self.enc.elem_bytes());
+        let mut left = self.shape.numel();
+        out.reserve(left);
+        while left > 0 {
+            let chunk = self.body.chunk();
+            let n = (chunk.len() / elem).min(left);
+            if n == 0 {
+                out.push(match enc {
+                    Encoding::F32 => self.body.get_f32_le(),
+                    Encoding::F16 => f16_bits_to_f32(self.body.get_u16_le()),
+                    Encoding::Int8 => f32::from(self.body.get_u8() as i8) * scale,
+                });
+                left -= 1;
+                continue;
+            }
+            let src = &chunk[..n * elem];
+            match enc {
+                Encoding::F32 => out.extend(
+                    src.chunks_exact(4)
+                        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+                ),
+                Encoding::F16 => out.extend(
+                    src.chunks_exact(2)
+                        .map(|b| f16_bits_to_f32(u16::from_le_bytes([b[0], b[1]]))),
+                ),
+                Encoding::Int8 => out.extend(src.iter().map(|&b| f32::from(b as i8) * scale)),
+            }
+            self.body.advance(n * elem);
+            left -= n;
+        }
+    }
 }
 
 impl Tensor {
-    /// Serialises the tensor to the exact wire format described in the
-    /// module docs.
+    /// Appends the tensor's frame in the given encoding to `out` — the
+    /// one writer behind every `to_bytes*` wrapper. Each data byte is
+    /// written once, by a single pass over the element slice.
+    ///
+    /// Int8: an all-zero tensor encodes scale 0 and an all-zero payload;
+    /// NaN elements quantise to 0 deterministically.
+    pub fn encode_into(&self, out: &mut Vec<u8>, enc: Encoding) {
+        write_frame(out, enc, self.dims().iter().copied(), self.as_slice());
+    }
+
+    /// The tensor's frame in the given encoding.
+    pub fn encode(&self, enc: Encoding) -> Bytes {
+        let mut out = Vec::new();
+        self.encode_into(&mut out, enc);
+        Bytes::from(out)
+    }
+
+    /// The frame of rows `rows` along axis 0 — byte for byte what
+    /// `self.slice0(rows.start, rows.len())?.encode(enc)` produces (int8
+    /// scale included: it is the absmax of those rows), without the
+    /// intermediate tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::slice0`]: rank 0, or a range past the leading
+    /// dimension.
+    pub fn encode_rows(&self, rows: Range<usize>, enc: Encoding) -> Result<Bytes> {
+        let Some((&n0, tail)) = self.dims().split_first() else {
+            return Err(TensorError::RankMismatch {
+                expected: 1,
+                actual: 0,
+                op: "encode_rows",
+            });
+        };
+        if rows.start > rows.end || rows.end > n0 {
+            return Err(TensorError::IndexOutOfBounds {
+                index: rows.end,
+                dim: n0,
+            });
+        }
+        let inner: usize = tail.iter().product();
+        let mut out = Vec::new();
+        write_frame(
+            &mut out,
+            enc,
+            std::iter::once(rows.len()).chain(tail.iter().copied()),
+            &self.as_slice()[rows.start * inner..rows.end * inner],
+        );
+        Ok(Bytes::from(out))
+    }
+
+    /// Serialises the tensor to the exact f32 wire format described in
+    /// the module docs.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(serialized_len(self.shape()));
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(self.rank() as u32);
-        for &d in self.dims() {
-            buf.put_u64_le(d as u64);
-        }
-        for &v in self.as_slice() {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
+        self.encode(Encoding::F32)
     }
 
     /// Serialises the tensor with half-precision payload: identical header,
@@ -86,16 +332,7 @@ impl Tensor {
     /// representable f16) but half the activation bytes — the protocol's
     /// optional compression codec.
     pub fn to_bytes_f16(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(serialized_len_f16(self.shape()));
-        buf.put_u32_le(MAGIC_F16);
-        buf.put_u32_le(self.rank() as u32);
-        for &d in self.dims() {
-            buf.put_u64_le(d as u64);
-        }
-        for &v in self.as_slice() {
-            buf.put_u16_le(f32_to_f16_bits(v));
-        }
-        buf.freeze()
+        self.encode(Encoding::F16)
     }
 
     /// Serialises the tensor with symmetric int8 quantisation: the header
@@ -103,95 +340,62 @@ impl Tensor {
     /// stored as `round_half_away(v / scale)` clamped to ±127. Lossy
     /// (absolute error ≤ scale/2 per element) but roughly a quarter of the
     /// f32 payload — the protocol's aggressive compression codec.
-    ///
-    /// An all-zero tensor encodes scale 0 and an all-zero payload; NaN
-    /// elements quantise to 0 deterministically.
     pub fn to_bytes_i8(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(serialized_len_i8(self.shape()));
-        buf.put_u32_le(MAGIC_I8);
-        buf.put_u32_le(self.rank() as u32);
-        for &d in self.dims() {
-            buf.put_u64_le(d as u64);
-        }
-        // f32::max ignores NaN operands, so a stray NaN cannot poison the
-        // scale of the whole tensor.
-        let absmax = self.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if absmax > 0.0 { absmax / 127.0 } else { 0.0 };
-        buf.put_f32_le(scale);
-        if scale == 0.0 {
-            for _ in 0..self.shape().numel() {
-                buf.put_u8(0);
-            }
-        } else {
-            for &v in self.as_slice() {
-                buf.put_u8(quantize_i8(v, scale) as u8);
-            }
-        }
-        buf.freeze()
+        self.encode(Encoding::Int8)
     }
 
-    /// Deserialises a tensor written by [`to_bytes`](Self::to_bytes),
-    /// [`to_bytes_f16`](Self::to_bytes_f16) or
-    /// [`to_bytes_i8`](Self::to_bytes_i8) (the encoding is detected from
+    /// Deserialises a tensor written in any [`Encoding`] (detected from
     /// the magic number).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::Corrupt`] if the buffer is truncated, has a
-    /// bad magic number, or declares an implausible rank.
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Tensor> {
-        if buf.remaining() < 8 {
-            return Err(TensorError::Corrupt("buffer shorter than header".into()));
-        }
-        let magic = buf.get_u32_le();
-        let enc = match magic {
-            MAGIC => Encoding::F32,
-            MAGIC_F16 => Encoding::F16,
-            MAGIC_I8 => Encoding::I8,
-            _ => return Err(TensorError::Corrupt(format!("bad magic 0x{magic:08X}"))),
-        };
-        let rank = buf.get_u32_le() as usize;
-        if rank > 16 {
-            return Err(TensorError::Corrupt(format!("implausible rank {rank}")));
-        }
-        if buf.remaining() < 8 * rank {
-            return Err(TensorError::Corrupt("buffer truncated in dims".into()));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(buf.get_u64_le() as usize);
-        }
-        let shape = Shape::new(dims);
-        let numel = shape.numel();
-        let scale = if enc == Encoding::I8 {
-            if buf.remaining() < 4 {
-                return Err(TensorError::Corrupt("buffer truncated in scale".into()));
+    /// bad magic number, declares an implausible rank, or declares dims
+    /// whose element count overflows or exceeds the bytes present.
+    pub fn from_bytes(buf: impl Buf) -> Result<Tensor> {
+        let mut frame = Frame::parse(buf)?;
+        let mut data = Vec::new();
+        frame.decode_append(&mut data);
+        Tensor::from_vec(data, frame.shape)
+    }
+
+    /// Decodes several frames straight into one tensor, concatenated
+    /// along axis 0 in the order given — what [`Tensor::concat0`] of the
+    /// decoded parts yields, without the parts. Also returns each part's
+    /// row count.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::Corrupt`] for no frames, a bad frame or a rank-0
+    /// part; [`TensorError::ShapeMismatch`] if trailing dims disagree.
+    pub fn concat0_from_bytes<B: Buf>(bufs: impl IntoIterator<Item = B>) -> Result<(Tensor, Vec<usize>)> {
+        let mut frames = bufs.into_iter().map(Frame::parse).collect::<Result<Vec<_>>>()?;
+        let first = frames
+            .first()
+            .map(|f| f.shape.clone())
+            .filter(|s| s.rank() > 0)
+            .ok_or_else(|| TensorError::Corrupt("concat of zero tensors or of scalars".into()))?;
+        let mut rows = Vec::with_capacity(frames.len());
+        for f in &frames {
+            if f.shape.rank() != first.rank() || f.shape.dims()[1..] != first.dims()[1..] {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: first,
+                    rhs: f.shape.clone(),
+                    op: "concat0",
+                });
             }
-            buf.get_f32_le()
-        } else {
-            0.0
-        };
-        let elem = match enc {
-            Encoding::F32 => 4,
-            Encoding::F16 => 2,
-            Encoding::I8 => 1,
-        };
-        if buf.remaining() < elem * numel {
-            return Err(TensorError::Corrupt(format!(
-                "buffer truncated in data: need {} bytes, have {}",
-                elem * numel,
-                buf.remaining()
-            )));
+            rows.push(f.shape.dims()[0]);
         }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(match enc {
-                Encoding::F32 => buf.get_f32_le(),
-                Encoding::F16 => f16_bits_to_f32(buf.get_u16_le()),
-                Encoding::I8 => f32::from(buf.get_u8() as i8) * scale,
-            });
+        let mut data = Vec::with_capacity(frames.iter().map(|f| f.shape.numel()).sum());
+        for f in &mut frames {
+            f.decode_append(&mut data);
         }
-        Tensor::from_vec(data, shape)
+        let mut dims = first.dims().to_vec();
+        dims[0] = rows
+            .iter()
+            .try_fold(0usize, |sum, &r| sum.checked_add(r))
+            .ok_or_else(|| TensorError::Corrupt("concatenated row count overflows".into()))?;
+        Ok((Tensor::from_vec(data, dims)?, rows))
     }
 }
 
