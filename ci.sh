@@ -8,6 +8,19 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> env knobs: named in the code == named in the docs"
+# A knob cannot outlive its code or hide from the docs: every
+# MEDSPLIT_* name under crates/*/src must appear in README.md or
+# DESIGN.md, and the docs may name none the code no longer has.
+knob_drift="$(comm -3 \
+    <(grep -rohE 'MEDSPLIT_[A-Z_]+' crates/*/src | sort -u) \
+    <(grep -ohE 'MEDSPLIT_[A-Z_]+' README.md DESIGN.md | sort -u))"
+if [ -n "$knob_drift" ]; then
+    echo "ci.sh: MEDSPLIT_* names differ (left: code only, right: docs only):" >&2
+    echo "$knob_drift" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -25,7 +38,9 @@ cargo test -q --release --offline --test hostile_bytes
 echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
-# so the job is availability-gated rather than required.
+# so the job is availability-gated rather than required. What it would
+# cover: 59 `unsafe` occurrences under crates/ (grep -rw unsafe
+# --include=*.rs), all in crates/tensor.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \
         --lib -- microkernel:: simd:: scratch::

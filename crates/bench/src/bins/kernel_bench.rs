@@ -25,18 +25,16 @@
 //! the unplanned baseline, and that the training path repacks at most
 //! once per orientation per optimizer step.
 //!
-//! A *half-width storage sweep* (`gemm_f16` rows) drives the same
-//! planned GEMM with binary16 weight panels (`MEDSPLIT_WEIGHT_PREC=f16`
-//! semantics) against the f32-storage plan; `speedup_vs_f32_plan` is the
-//! f32-storage/f16-storage time ratio, and the f16 logits fold into the
-//! plan digest so the cross-ISA gate covers both storage precisions.
+//! The thread sweep defaults to `1..=available_parallelism`. A
+//! `--threads` value above the host's cores is still run, but its
+//! `speedup_vs_1t` reads `oversubscribed` instead of a number: more
+//! workers than cores measures time-slicing, not scaling.
 //!
 //! Outputs:
 //!   - `bench_results/kernel_bench.csv` (or `$MEDSPLIT_RESULTS_DIR`),
 //!   - `BENCH_kernels.json` in the current directory (repo root in CI),
 //!     wrapped in the shared schema-v2 envelope (host fingerprint, lab
-//!     run id), with the dispatched ISA and the autotuner's recorded
-//!     blocking picks,
+//!     run id), with the dispatched ISA,
 //!   - `bench_results/kernel_digest.txt`: an FNV-1a digest of a fixed
 //!     deterministic kernel workload. The lab's `kernels-ab` manifest
 //!     runs the smoke bench under `isa = ["scalar", "auto"]` and gates
@@ -60,14 +58,12 @@ use crate::report::{
     arg_present, arg_value, bench_json, bench_json_path, write_result, ReportWriter, TextTable,
 };
 use medsplit_nn::{Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
-use medsplit_tensor::ops::conv::{conv2d_forward, conv2d_forward_planned, Conv2dSpec};
+use medsplit_tensor::ops::conv::{conv2d_forward, Conv2dSpec};
 use medsplit_tensor::ops::plan;
-use medsplit_tensor::{
-    init::rng_from_seed, pool, scratch, simd, ConvPlan, GemmPlan, Tensor, WeightPrecision,
-};
+use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, Tensor};
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
-                          speedup_t2_vs_t1,speedup_vs_seed,speedup_vs_f32_plan,gflops_vs_scalar,\
+                          speedup_t2_vs_t1,speedup_vs_seed,gflops_vs_scalar,\
                           scratch_allocs_per_step,repacks_per_step,dispatch_us";
 
 /// What a `kernel_bench` invocation measured, for the lab runner.
@@ -120,11 +116,12 @@ struct Row {
     reps: usize,
     best_ms: f64,
     gflops: f64,
+    /// One-thread time over this row's time; rendered as the label
+    /// `oversubscribed` when `threads` exceeds the host's cores.
     speedup_vs_1t: f64,
     /// One-thread time over two-thread time for the row's shape.
     speedup_t2_vs_t1: f64,
     speedup_vs_seed: f64,
-    speedup_vs_f32_plan: f64,
     gflops_vs_scalar: f64,
     scratch_allocs_per_step: f64,
     repacks_per_step: f64,
@@ -144,7 +141,6 @@ impl Row {
             speedup_vs_1t: f64::NAN,
             speedup_t2_vs_t1: f64::NAN,
             speedup_vs_seed: f64::NAN,
-            speedup_vs_f32_plan: f64::NAN,
             gflops_vs_scalar: f64::NAN,
             scratch_allocs_per_step: f64::NAN,
             repacks_per_step: f64::NAN,
@@ -287,60 +283,6 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
     }
     fill_t2_vs_t1(&mut rows[sweep_start..]);
     pool::set_num_threads(1);
-}
-
-/// f16-storage vs f32-storage planned GEMM: the same weight driven
-/// through two `GemmPlan`s that differ only in panel storage precision.
-/// `speedup_vs_f32_plan` reports f32-storage plan time over f16-storage
-/// plan time. Asserts the f16 plan never repacks after warmup, that its
-/// logits are bit-identical to the unplanned GEMM against the
-/// f16-narrowed weight (the single narrowing happens at pack time; every
-/// kernel widens exactly), and folds the f16 logits into the cross-ISA
-/// plan digest.
-fn bench_gemm_f16(m: usize, k: usize, n: usize, reps: usize, rows: &mut Vec<Row>, digest: &mut u64) {
-    pool::set_num_threads(1);
-    let mut rng = rng_from_seed(41);
-    let w = Tensor::rand_uniform([n, k], -0.5, 0.5, &mut rng);
-    let x = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
-    let flops = 2.0 * (m * k * n) as f64;
-
-    let p32 = GemmPlan::pack_nt_at(&w, 0, WeightPrecision::F32).expect("f32 plan");
-    let p16 = GemmPlan::pack_nt_at(&w, 0, WeightPrecision::F16).expect("f16 plan");
-
-    let w16: Vec<f32> = w
-        .as_slice()
-        .iter()
-        .map(|&v| medsplit_tensor::half::f16_bits_to_f32(medsplit_tensor::half::f32_to_f16_bits(v)))
-        .collect();
-    let w16 = Tensor::from_vec(w16, [n, k]).expect("narrowed weight");
-    let reference = x.matmul_nt(&w16).expect("narrowed gemm");
-    let planned = p16.matmul_nt(&x).expect("f16 planned gemm");
-    assert_eq!(
-        planned.as_slice(),
-        reference.as_slice(),
-        "f16-storage plan diverged from the unplanned GEMM on narrowed weights at {m}x{k}x{n}"
-    );
-    *digest = fnv1a_fold(*digest, planned.as_slice());
-
-    let (f32_s, _, _) = time_best(reps, || {
-        std::hint::black_box(p32.matmul_nt(&x).expect("f32 planned gemm"));
-    });
-    let (best_s, allocs, repacks) = time_best(reps, || {
-        std::hint::black_box(p16.matmul_nt(&x).expect("f16 planned gemm"));
-    });
-    assert_eq!(
-        repacks, 0.0,
-        "f16-storage plan repacked panels after warmup at {m}x{k}x{n}"
-    );
-    rows.push(Row {
-        best_ms: best_s * 1e3,
-        gflops: flops / best_s / 1e9,
-        speedup_vs_1t: 1.0,
-        speedup_vs_f32_plan: f32_s / best_s,
-        scratch_allocs_per_step: allocs,
-        repacks_per_step: repacks,
-        ..Row::blank("gemm_f16", format!("{m}x{k}x{n}"), 1, reps)
-    });
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -568,6 +510,26 @@ fn assert_training_repack_bound() {
 /// `NaN` metrics (not applicable to this row kind) render as an empty
 /// CSV field / JSON `null`; others with `csv_digits` decimals in the CSV
 /// and one more in the JSON.
+/// The host's core count, the upper end of the default thread sweep.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Whether `r` ran more threads than the host has cores.
+fn oversubscribed(r: &Row) -> bool {
+    r.threads > host_cores()
+}
+
+/// The `speedup_vs_1t` field of `r`: the ratio, or the label
+/// `oversubscribed` (quoted in JSON).
+fn scaling_field(r: &Row, csv: bool) -> String {
+    match (oversubscribed(r), csv) {
+        (true, true) => "oversubscribed".into(),
+        (true, false) => "\"oversubscribed\"".into(),
+        (false, _) => opt_metric(r.speedup_vs_1t, csv, 2),
+    }
+}
+
 fn opt_metric(v: f64, csv: bool, csv_digits: usize) -> String {
     match (v.is_nan(), csv) {
         (true, true) => String::new(),
@@ -582,17 +544,16 @@ fn to_report(rows: &[Row]) -> ReportWriter {
     for r in rows {
         let m = |v, digits| opt_metric(v, true, digits);
         report.line(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.kernel,
             r.shape,
             r.threads,
             r.reps,
             m(r.best_ms, 3),
             m(r.gflops, 2),
-            m(r.speedup_vs_1t, 2),
+            scaling_field(r, true),
             m(r.speedup_t2_vs_t1, 2),
             m(r.speedup_vs_seed, 2),
-            m(r.speedup_vs_f32_plan, 2),
             m(r.gflops_vs_scalar, 2),
             m(r.scratch_allocs_per_step, 2),
             m(r.repacks_per_step, 2),
@@ -611,17 +572,16 @@ fn to_json(rows: &[Row], isa: &str) -> String {
             results,
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"best_ms\": {}, \
              \"gflops\": {}, \"speedup_vs_1t\": {}, \"speedup_t2_vs_t1\": {}, \
-             \"speedup_vs_seed\": {}, \"speedup_vs_f32_plan\": {}, \"gflops_vs_scalar\": {}, \
+             \"speedup_vs_seed\": {}, \"gflops_vs_scalar\": {}, \
              \"scratch_allocs_per_step\": {}, \"repacks_per_step\": {}, \"dispatch_us\": {}}}{}",
             r.kernel,
             r.shape,
             r.threads,
             m(r.best_ms, 3),
             m(r.gflops, 2),
-            m(r.speedup_vs_1t, 2),
+            scaling_field(r, false),
             m(r.speedup_t2_vs_t1, 2),
             m(r.speedup_vs_seed, 2),
-            m(r.speedup_vs_f32_plan, 2),
             m(r.gflops_vs_scalar, 2),
             m(r.scratch_allocs_per_step, 1),
             m(r.repacks_per_step, 1),
@@ -631,28 +591,9 @@ fn to_json(rows: &[Row], isa: &str) -> String {
     }
     results.push_str("  ]");
 
-    // The autotuner's per-shape blocking picks, so the committed bench
-    // numbers are self-describing about how each shape was executed.
-    let mut autotuner = String::from("[\n");
-    let picks = plan::recorded_picks();
-    for (i, (key, b)) in picks.iter().enumerate() {
-        let comma = if i + 1 == picks.len() { "" } else { "," };
-        let _ = writeln!(
-            autotuner,
-            "    {{\"pick\": \"{key}\", \"mr\": {}, \"nr\": {}, \"kc\": {}, \"nc\": {}, \
-             \"row_block\": {}}}{comma}",
-            b.mr, b.nr, b.kc, b.nc, b.row_block
-        );
-    }
-    autotuner.push_str("  ]");
-
     bench_json(
         "kernel_bench",
-        &[
-            ("isa", format!("\"{isa}\"")),
-            ("results", results),
-            ("autotuner_picks", autotuner),
-        ],
+        &[("isa", format!("\"{isa}\"")), ("results", results)],
     )
 }
 
@@ -690,17 +631,6 @@ fn kernel_digest() -> u64 {
     let conv = conv2d_forward(&input, &weight, None, Conv2dSpec::square(3, 1, 1)).expect("digest conv");
     h = fnv1a_fold(h, conv.as_slice());
 
-    // The f16-storage kernel family: GEMM and conv through plans packed
-    // at half precision. Narrowing happens once at pack time and every
-    // kernel widens exactly, so these bits are also ISA-invariant — the
-    // same lab gate that pins the f32 family pins these.
-    let p16 = GemmPlan::pack_nt_at(&bt, 0, WeightPrecision::F16).expect("digest f16 plan");
-    h = fnv1a_fold(h, p16.matmul_nt(&a).expect("digest f16 gemm").as_slice());
-    let mut c16 = ConvPlan::pack_at(&weight, Conv2dSpec::square(3, 1, 1), 0, WeightPrecision::F16)
-        .expect("digest f16 conv plan");
-    let conv16 = conv2d_forward_planned(&input, &mut c16, None).expect("digest f16 conv");
-    h = fnv1a_fold(h, conv16.as_slice());
-
     let x = Tensor::rand_uniform([999], -2.0, 2.0, &mut rng);
     let g = Tensor::rand_uniform([999], -1.0, 1.0, &mut rng);
     h = fnv1a_fold(h, x.relu().as_slice());
@@ -725,12 +655,12 @@ fn parse_threads(spec: &str) -> Vec<usize> {
 /// Runs the kernel benchmark and returns its deterministic digests.
 pub fn run(args: &[String]) -> KernelBenchOutcome {
     let smoke = arg_present(args, "--smoke");
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_threads = host_cores();
     let isa = simd::active_isa();
     let threads = match arg_value(args, "--threads") {
         Some(spec) => parse_threads(&spec),
-        None if smoke => vec![1, 2],
-        None => vec![1, 2, 4],
+        None if smoke => (1..=host_threads.min(2)).collect(),
+        None => (1..=host_threads).collect(),
     };
     let reps: usize = arg_value(args, "--reps")
         .map(|v| v.parse().expect("--reps takes an integer"))
@@ -758,16 +688,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     // Small-batch serving sweep through the plan cache (asserts zero
     // warm-path repacks and bit-identical logits), plus the training
     // repack bound.
-    let mut plan_digest = bench_serving(reps, &mut rows);
-    // f16-storage vs f32-storage planned GEMM (the `gemm_f16` column);
-    // folds the half-width logits into the same cross-ISA plan digest.
-    if smoke {
-        bench_gemm_f16(48, 33, 17, reps, &mut rows, &mut plan_digest);
-    } else {
-        bench_gemm_f16(256, 256, 256, reps, &mut rows, &mut plan_digest);
-        bench_gemm_f16(128, 784, 256, reps, &mut rows, &mut plan_digest);
-        bench_gemm_f16(64, 256, 1024, reps, &mut rows, &mut plan_digest);
-    }
+    let plan_digest = bench_serving(reps, &mut rows);
     assert_training_repack_bound();
 
     let report = to_report(&rows);
@@ -797,7 +718,6 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             "vs 1t",
             "2t/1t",
             "vs seed",
-            "vs f32 plan",
             "vs scalar",
             "allocs/step",
             "repacks/step",
@@ -818,10 +738,13 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             r.threads.to_string(),
             cell(r.best_ms, 3, ""),
             cell(r.gflops, 2, ""),
-            cell(r.speedup_vs_1t, 2, "x"),
+            if oversubscribed(r) {
+                "oversubscribed".into()
+            } else {
+                cell(r.speedup_vs_1t, 2, "x")
+            },
             cell(r.speedup_t2_vs_t1, 2, "x"),
             cell(r.speedup_vs_seed, 2, "x"),
-            cell(r.speedup_vs_f32_plan, 2, "x"),
             cell(r.gflops_vs_scalar, 2, "x"),
             cell(r.scratch_allocs_per_step, 2, ""),
             cell(r.repacks_per_step, 2, ""),

@@ -45,7 +45,7 @@ mod tensor;
 
 pub use error::{Result, TensorError};
 pub use ops::conv::Conv2dSpec;
-pub use ops::plan::{Blocking, ConvGeometry, ConvPlan, GemmPlan, PlanKind, PlanStats, WeightPrecision};
+pub use ops::plan::{ConvGeometry, ConvPlan, GemmPlan, PlanStats};
 pub use serialize::{encoded_len, serialized_len, serialized_len_f16, serialized_len_i8, Encoding};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -27,7 +27,7 @@
 use crate::error::{Result, TensorError};
 use crate::ops::matmul::{self, gemm_into, gemm_nt_into, gemm_tn_into};
 use crate::ops::microkernel::NR;
-use crate::ops::plan::{choose_blocking, ConvPlan, PlanKind};
+use crate::ops::plan::ConvPlan;
 use crate::pool;
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -371,7 +371,7 @@ pub fn conv2d_forward_planned(input: &Tensor, plan: &mut ConvPlan, bias: Option<
     let spec = plan.spec();
     let (rows, ncols) = (geo.rows, geo.ncols);
     let nt = ncols.div_ceil(NR);
-    let blocking = choose_blocking(PlanKind::ConvFwd, o, rows, ncols);
+    let row_block = matmul::row_block(o);
     let wpack = plan.fwd_panels();
     let mut out = Tensor::zeros([n, o, geo.oh, geo.ow]);
     let src = input.as_slice();
@@ -383,17 +383,7 @@ pub fn conv2d_forward_planned(input: &Tensor, plan: &mut ConvPlan, bias: Option<
                 let j0 = jt * NR;
                 pack_patch_tile(img, c, h, w, spec, geo.ow, j0, NR.min(ncols - j0), tile);
             }
-            matmul::gemm_compute_packed_b(
-                wpack,
-                bpack,
-                dst,
-                o,
-                rows,
-                ncols,
-                true,
-                blocking.kc,
-                blocking.row_block,
-            );
+            matmul::gemm_compute_packed_b(wpack, bpack, dst, o, rows, ncols, true, row_block);
         });
         if let Some(b) = bias {
             for (oc, &bv) in b.iter().enumerate() {
@@ -539,7 +529,7 @@ pub fn conv2d_backward_planned(
     let _span = medsplit_telemetry::span("conv_bwd");
     let spec = plan.spec();
     let (rows, ncols, oh, ow) = (geo.rows, geo.ncols, geo.oh, geo.ow);
-    let blocking = choose_blocking(PlanKind::ConvBwd, rows, o, ncols);
+    let row_block = matmul::row_block(rows);
     let wmat = weight.as_slice();
     let wpack_t = plan.bwd_panels(wmat);
     let mut grad_input = Tensor::zeros([n, c, h, w]);
@@ -578,19 +568,7 @@ pub fn conv2d_backward_planned(
                 // dcols = Wᵀ · G from the cached transposed panels.
                 scratch::with_f32(rows * ncols, |dcols| {
                     dcols.fill(0.0);
-                    matmul::gemm_prepacked_a(
-                        wpack_t,
-                        gmat,
-                        ncols,
-                        1,
-                        dcols,
-                        rows,
-                        o,
-                        ncols,
-                        true,
-                        blocking.kc,
-                        blocking.row_block,
-                    );
+                    matmul::gemm_prepacked_a(wpack_t, gmat, ncols, 1, dcols, rows, o, ncols, true, row_block);
                     // SAFETY: image `i` belongs to exactly one chunk, so
                     // the reborrowed region is exclusive to this task.
                     let img = unsafe { gi.slice(i * c * h * w, (i + 1) * c * h * w) };

@@ -40,6 +40,13 @@ use crate::tensor::Tensor;
 /// final panel sees partial row blocks.
 pub(crate) const BLOCK: usize = 11 * MR; // 66
 
+/// Row-panel height for a plan-cached GEMM with `m` output rows: about
+/// eight panels across `m` for load balance, a multiple of [`MR`] inside
+/// `[MR, BLOCK]` — a function of the shape only, never the thread count.
+pub(crate) fn row_block(m: usize) -> usize {
+    (m.div_ceil(8).div_ceil(MR) * MR).clamp(MR, BLOCK)
+}
+
 /// Upper bound on the inner-dimension block: `kc·NR` floats of packed B
 /// plus `kc·MR` of packed A stay comfortably inside a 32 KiB L1 at 320.
 const KC_MAX: usize = 320;
@@ -49,7 +56,7 @@ const KC_MAX: usize = 320;
 /// not `320 + 192`) keep per-block work uniform; deriving the size from
 /// the shape fixed the small-`m`/large-`k` shapes the old constant
 /// mis-sized.
-pub(crate) fn kc_block(k: usize) -> usize {
+fn kc_block(k: usize) -> usize {
     debug_assert!(k > 0);
     k.div_ceil(k.div_ceil(KC_MAX))
 }
@@ -77,21 +84,6 @@ pub(crate) enum PanelsA<'a> {
     /// depth step, zero-padded past row `m` — byte-identical to what
     /// [`microkernel::pack_a_panel`] produces.
     Packed(&'a [f32]),
-    /// A was prepacked by a plan in **binary16 storage** (same panel
-    /// layout as [`Packed`](Self::Packed), each element narrowed by
-    /// [`microkernel::pack_a_panel_f16`]). The driver widens each panel
-    /// to `f32` scratch before streaming it — the conversion is exact,
-    /// so the result equals running the f32 path on the f16-rounded
-    /// weights, bit-identically on every ISA.
-    PackedF16(&'a [u16]),
-}
-
-/// Widens a `k*MR` binary16 A-panel into `dst` (exact conversion).
-fn widen_a_panel(src: &[u16], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    for (d, &bits) in dst.iter_mut().zip(src) {
-        *d = crate::half::f16_bits_to_f32(bits);
-    }
 }
 
 /// The kb/jt tile loops over one MR-row block: streams the packed A
@@ -171,7 +163,6 @@ pub(crate) fn gemm_compute_packed_b(
     k: usize,
     n: usize,
     accumulate: bool,
-    kc: usize,
     row_block: usize,
 ) {
     debug_assert_eq!(c.len(), m * n);
@@ -187,6 +178,7 @@ pub(crate) fn gemm_compute_packed_b(
     }
     let kernel = microkernel::tile_kernel();
     let nt = n.div_ceil(NR);
+    let kc = kc_block(k);
     debug_assert_eq!(bpack.len(), nt * k * NR);
     pool::parallel_chunks_mut_sized(c, row_block * n, m * k * n, |pi, panel| {
         let i0 = pi * row_block;
@@ -209,136 +201,14 @@ pub(crate) fn gemm_compute_packed_b(
                     compute_row_block(kernel, panel_a, bpack, panel, ib, mr, k, n, nt, kc);
                 }
             }
-            PanelsA::PackedF16(panels) => scratch::with_f32(k * MR, |apack| {
-                for ib in (0..rows).step_by(MR) {
-                    let mr = (rows - ib).min(MR);
-                    widen_a_panel(&panels[((i0 + ib) / MR) * k * MR..][..k * MR], apack);
-                    compute_row_block(kernel, apack, bpack, panel, ib, mr, k, n, nt, kc);
-                }
-            }),
-        }
-    });
-}
-
-/// The kb/jt tile loops over one MR-row block against an **f16-storage**
-/// packed B (`nt*k*NR` half-words): the f16 counterpart of
-/// [`compute_row_block`], streaming the same panels through the
-/// [`microkernel::TileKernelF16`] family. Per-element op order is
-/// identical — each B lane is widened exactly, then fused-multiply-added
-/// in ascending depth order.
-#[allow(clippy::too_many_arguments)]
-fn compute_row_block_f16(
-    kernel: microkernel::TileKernelF16,
-    ap_all: &[f32],
-    bpack: &[u16],
-    panel: &mut [f32],
-    ib: usize,
-    mr: usize,
-    k: usize,
-    n: usize,
-    nt: usize,
-    kc: usize,
-) {
-    for kb in (0..k).step_by(kc) {
-        let kcur = (k - kb).min(kc);
-        let ap = ap_all[kb * MR..].as_ptr();
-        for jt in 0..nt {
-            let j0 = jt * NR;
-            let cols = NR.min(n - j0);
-            let bp = bpack[jt * k * NR + kb * NR..].as_ptr();
-            if mr == MR && cols == NR {
-                // SAFETY: same bounds argument as `compute_row_block`;
-                // `bp` offsets are whole NR-half-word (32-byte) steps
-                // from a 64-byte-aligned plan store, satisfying the AVX2
-                // kernel's 16-byte-aligned B loads; `kernel` came from
-                // `tile_kernel_f16()` so the ISA (and F16C) is available.
-                unsafe { kernel(kcur, ap, bp, panel.as_mut_ptr().add(ib * n + j0), n) };
-            } else {
-                let mut stage = [0.0f32; MR * NR];
-                for (r, srow) in stage.chunks_exact_mut(NR).enumerate().take(mr) {
-                    let co = (ib + r) * n + j0;
-                    srow[..cols].copy_from_slice(&panel[co..co + cols]);
-                }
-                // SAFETY: `stage` is a full MR×NR tile with ldc = NR;
-                // pack bounds as above.
-                unsafe { kernel(kcur, ap, bp, stage.as_mut_ptr(), NR) };
-                for (r, srow) in stage.chunks_exact(NR).enumerate().take(mr) {
-                    let co = (ib + r) * n + j0;
-                    panel[co..co + cols].copy_from_slice(&srow[..cols]);
-                }
-            }
-        }
-    }
-}
-
-/// The compute half of the GEMM driver against an **f16-storage**
-/// prepacked B: `bpack` holds `n.div_ceil(NR)` tiles of `k*NR` binary16
-/// half-words as laid out by [`microkernel::pack_b_tile_f16`] (64-byte
-/// aligned). Everything else matches [`gemm_compute_packed_b`]; results
-/// are bit-identical across ISAs, thread counts, and blocking picks for
-/// the same packed bits.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_compute_packed_b_f16(
-    a: PanelsA<'_>,
-    bpack: &[u16],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-    kc: usize,
-    row_block: usize,
-) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert!(row_block >= MR && row_block.is_multiple_of(MR));
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
-        return;
-    }
-    let kernel = microkernel::tile_kernel_f16();
-    let nt = n.div_ceil(NR);
-    debug_assert_eq!(bpack.len(), nt * k * NR);
-    pool::parallel_chunks_mut_sized(c, row_block * n, m * k * n, |pi, panel| {
-        let i0 = pi * row_block;
-        let rows = panel.len() / n;
-        if !accumulate {
-            panel.fill(0.0);
-        }
-        match a {
-            PanelsA::Strided { src, rs, cs } => scratch::with_f32(k * MR, |apack| {
-                for ib in (0..rows).step_by(MR) {
-                    let mr = (rows - ib).min(MR);
-                    microkernel::pack_a_panel(src, rs, cs, i0 + ib, mr, k, apack);
-                    compute_row_block_f16(kernel, apack, bpack, panel, ib, mr, k, n, nt, kc);
-                }
-            }),
-            PanelsA::Packed(panels) => {
-                for ib in (0..rows).step_by(MR) {
-                    let mr = (rows - ib).min(MR);
-                    let panel_a = &panels[((i0 + ib) / MR) * k * MR..][..k * MR];
-                    compute_row_block_f16(kernel, panel_a, bpack, panel, ib, mr, k, n, nt, kc);
-                }
-            }
-            PanelsA::PackedF16(panels) => scratch::with_f32(k * MR, |apack| {
-                for ib in (0..rows).step_by(MR) {
-                    let mr = (rows - ib).min(MR);
-                    widen_a_panel(&panels[((i0 + ib) / MR) * k * MR..][..k * MR], apack);
-                    compute_row_block_f16(kernel, apack, bpack, panel, ib, mr, k, n, nt, kc);
-                }
-            }),
         }
     });
 }
 
 /// Packs B (read through strides) into microkernel tile order inside a
 /// scratch buffer and runs the compute driver with a prepacked A panel
-/// set — the backward half of a conv plan (cached `Wᵀ` panels, in either
-/// storage precision, × fresh per-step gradients).
+/// set — the backward half of a conv plan (cached `Wᵀ` panels × fresh
+/// per-step gradients).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_prepacked_a(
     a: PanelsA<'_>,
@@ -350,11 +220,10 @@ pub(crate) fn gemm_prepacked_a(
     k: usize,
     n: usize,
     accumulate: bool,
-    kc: usize,
     row_block: usize,
 ) {
     if m == 0 || n == 0 || k == 0 {
-        gemm_compute_packed_b(a, &[], c, m, k, n, accumulate, kc, row_block);
+        gemm_compute_packed_b(a, &[], c, m, k, n, accumulate, row_block);
         return;
     }
     let nt = n.div_ceil(NR);
@@ -363,7 +232,7 @@ pub(crate) fn gemm_prepacked_a(
             let j0 = jt * NR;
             microkernel::pack_b_tile(b, brs, bcs, j0, NR.min(n - j0), k, tile);
         });
-        gemm_compute_packed_b(a, bpack, c, m, k, n, accumulate, kc, row_block);
+        gemm_compute_packed_b(a, bpack, c, m, k, n, accumulate, row_block);
     });
 }
 
@@ -397,7 +266,6 @@ fn gemm_strided(
         return;
     }
     let nt = n.div_ceil(NR);
-    let kc = kc_block(k);
     scratch::with_f32(nt * k * NR, |bpack| {
         // Pack all of B once, in parallel over NR-wide column tiles.
         // Tile `jt` occupies `bpack[jt*k*NR ..][.. k*NR]`, depth-major,
@@ -420,7 +288,6 @@ fn gemm_strided(
             k,
             n,
             accumulate,
-            kc,
             BLOCK,
         );
     });
@@ -672,6 +539,20 @@ mod tests {
             assert!(kc - last < kc.max(2), "degenerate trailing block for k={k}");
         }
         assert_eq!(kc_block(512), 256);
+    }
+
+    #[test]
+    fn row_blocks_are_mr_multiples_within_block() {
+        for m in [0usize, 1, 5, 48, 64, 67, 528, 529, 10_000] {
+            let rb = row_block(m);
+            assert!(
+                (MR..=BLOCK).contains(&rb) && rb.is_multiple_of(MR),
+                "row_block({m}) = {rb}"
+            );
+        }
+        assert_eq!(row_block(1), MR);
+        assert_eq!(row_block(64), 2 * MR); // ~8 panels across m
+        assert_eq!(row_block(10_000), BLOCK);
     }
 
     fn pseudo(seed: usize, len: usize) -> Vec<f32> {

@@ -33,7 +33,6 @@
 //! libm call on builds without compile-time FMA, making it a slow
 //! reference path by design; dispatch exists so it only runs when asked.
 
-use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
 use crate::simd::{self, Isa};
 
 /// Microkernel tile height (output rows held in registers).
@@ -260,233 +259,6 @@ pub(crate) fn pack_b_tile(
     }
 }
 
-/// A register-blocked tile update over an **f16-storage** B panel:
-/// `C[MR×NR] += A_panel(k×MR, f32) · B_panel(k×NR, binary16 bits)`.
-///
-/// Same layout contract as [`TileKernel`], except `b` points at `k * NR`
-/// `u16` half-words (IEEE 754 binary16 bit patterns, as produced by
-/// [`pack_b_tile_f16`]). Each implementation widens a B lane to `f32`
-/// (an *exact* conversion — every binary16 value is representable in
-/// binary32) and then performs the identical ascending-`p` fused
-/// multiply-add the f32 kernels use, so the f16 family is bit-identical
-/// across ISAs for the same packed bits.
-///
-/// # Safety
-///
-/// As [`TileKernel`], with `b` valid for `k * NR` `u16` reads; for the
-/// AVX2 kernel `b` must be 16-byte aligned (NR half-words are 32 bytes,
-/// so every `p*NR` offset stays aligned in the 64-byte-aligned stores).
-pub(crate) type TileKernelF16 = unsafe fn(k: usize, a: *const f32, b: *const u16, c: *mut f32, ldc: usize);
-
-/// Selects the f16-storage tile kernel for the active ISA. The AVX2
-/// variant additionally needs the F16C extension (`vcvtph2ps`); hosts
-/// with AVX2 but no F16C run the portable kernel, bit-identically.
-pub(crate) fn tile_kernel_f16() -> TileKernelF16 {
-    match simd::active_isa() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 if simd::f16c_supported() => tile_avx2_f16_entry,
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => tile_neon_f16_entry,
-        _ => tile_portable_f16,
-    }
-}
-
-/// Portable f16-storage reference kernel: widens each B half-word with
-/// [`f16_bits_to_f32`] and runs the exact per-element op order of
-/// [`tile_portable`].
-///
-/// # Safety
-///
-/// See [`TileKernelF16`] (no alignment requirement).
-unsafe fn tile_portable_f16(k: usize, a: *const f32, b: *const u16, c: *mut f32, ldc: usize) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (ir, row) in acc.iter_mut().enumerate() {
-        for (jr, v) in row.iter_mut().enumerate() {
-            // SAFETY: caller guarantees the C tile bounds.
-            *v = unsafe { *c.add(ir * ldc + jr) };
-        }
-    }
-    for p in 0..k {
-        for (ir, row) in acc.iter_mut().enumerate() {
-            // SAFETY: caller guarantees `k * MR` readable floats at `a`.
-            let av = unsafe { *a.add(p * MR + ir) };
-            for (jr, v) in row.iter_mut().enumerate() {
-                // SAFETY: caller guarantees `k * NR` readable half-words at `b`.
-                let bv = f16_bits_to_f32(unsafe { *b.add(p * NR + jr) });
-                *v = av.mul_add(bv, *v);
-            }
-        }
-    }
-    for (ir, row) in acc.iter().enumerate() {
-        for (jr, v) in row.iter().enumerate() {
-            // SAFETY: caller guarantees the C tile bounds.
-            unsafe { *c.add(ir * ldc + jr) = *v };
-        }
-    }
-}
-
-/// Plain-ABI entry for the AVX2+F16C kernel (see [`tile_avx2_entry`]).
-///
-/// # Safety
-///
-/// See [`TileKernelF16`]; AVX2, FMA, and F16C must be available.
-#[cfg(target_arch = "x86_64")]
-unsafe fn tile_avx2_f16_entry(k: usize, a: *const f32, b: *const u16, c: *mut f32, ldc: usize) {
-    // SAFETY: forwarded contract; `tile_kernel_f16` only returns this
-    // entry when feature detection reported AVX2+FMA and F16C.
-    unsafe { tile_avx2_f16(k, a, b, c, ldc) }
-}
-
-/// The AVX2+FMA+F16C f16-storage tile kernel: each depth step widens the
-/// two 8-lane halves of the B row with `vcvtph2ps`, then runs the same
-/// 12-accumulator FMA sequence as [`tile_avx2`]. The conversion is exact,
-/// so only storage (and bandwidth) change — never the rounding sequence.
-///
-/// # Safety
-///
-/// See [`TileKernelF16`]; requires AVX2+FMA+F16C and 16-byte-aligned `b`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn tile_avx2_f16(k: usize, a: *const f32, b: *const u16, c: *mut f32, ldc: usize) {
-    use std::arch::x86_64::*;
-    // SAFETY throughout: pointer arithmetic stays inside the bounds the
-    // `TileKernelF16` contract guarantees.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for (ir, row) in acc.iter_mut().enumerate() {
-            row[0] = _mm256_loadu_ps(c.add(ir * ldc));
-            row[1] = _mm256_loadu_ps(c.add(ir * ldc + 8));
-        }
-        for p in 0..k {
-            // A B-panel row is NR = 16 half-words = 32 bytes; with the
-            // 64-byte-aligned pack store every `p*NR` offset is 16-byte
-            // aligned for the 128-bit loads `vcvtph2ps` widens.
-            let bp = b.add(p * NR);
-            let b0 = _mm256_cvtph_ps(_mm_load_si128(bp.cast()));
-            let b1 = _mm256_cvtph_ps(_mm_load_si128(bp.add(8).cast()));
-            let ap = a.add(p * MR);
-            for (ir, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*ap.add(ir));
-                row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-                row[1] = _mm256_fmadd_ps(av, b1, row[1]);
-            }
-        }
-        for (ir, row) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c.add(ir * ldc), row[0]);
-            _mm256_storeu_ps(c.add(ir * ldc + 8), row[1]);
-        }
-    }
-}
-
-/// Plain-ABI entry for the NEON f16-storage kernel.
-///
-/// # Safety
-///
-/// See [`TileKernelF16`].
-#[cfg(target_arch = "aarch64")]
-unsafe fn tile_neon_f16_entry(k: usize, a: *const f32, b: *const u16, c: *mut f32, ldc: usize) {
-    // SAFETY: forwarded contract; NEON is baseline on aarch64.
-    unsafe { tile_neon_f16(k, a, b, c, ldc) }
-}
-
-/// The NEON f16-storage tile kernel: widens each B row into an on-stack
-/// `f32` buffer (the conversion is exact, so going through software
-/// conversion instead of `fcvtl` changes no bits) and runs the same
-/// 24-accumulator `fmla` sequence as [`tile_neon`].
-///
-/// # Safety
-///
-/// See [`TileKernelF16`].
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn tile_neon_f16(k: usize, a: *const f32, b: *const u16, c: *mut f32, ldc: usize) {
-    use std::arch::aarch64::*;
-    // SAFETY throughout: pointer arithmetic stays inside the bounds the
-    // `TileKernelF16` contract guarantees.
-    unsafe {
-        let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
-        for (ir, row) in acc.iter_mut().enumerate() {
-            for (v, lane) in row.iter_mut().enumerate() {
-                *lane = vld1q_f32(c.add(ir * ldc + v * 4));
-            }
-        }
-        for p in 0..k {
-            let bp = b.add(p * NR);
-            let mut brow = [0.0f32; NR];
-            for (jr, v) in brow.iter_mut().enumerate() {
-                *v = f16_bits_to_f32(*bp.add(jr));
-            }
-            let bv = [
-                vld1q_f32(brow.as_ptr()),
-                vld1q_f32(brow.as_ptr().add(4)),
-                vld1q_f32(brow.as_ptr().add(8)),
-                vld1q_f32(brow.as_ptr().add(12)),
-            ];
-            let ap = a.add(p * MR);
-            for (ir, row) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f32(*ap.add(ir));
-                for (v, lane) in row.iter_mut().enumerate() {
-                    *lane = vfmaq_f32(*lane, av, bv[v]);
-                }
-            }
-        }
-        for (ir, row) in acc.iter().enumerate() {
-            for (v, lane) in row.iter().enumerate() {
-                vst1q_f32(c.add(ir * ldc + v * 4), *lane);
-            }
-        }
-    }
-}
-
-/// [`pack_a_panel`] with binary16 storage: each element is narrowed with
-/// [`f32_to_f16_bits`] (round-to-nearest-even — the *only* lossy step in
-/// the f16-storage pipeline) as it is packed. Padding is `0u16`, the
-/// binary16 `+0.0`.
-pub(crate) fn pack_a_panel_f16(
-    src: &[f32],
-    rs: usize,
-    cs: usize,
-    i0: usize,
-    rows: usize,
-    k: usize,
-    dst: &mut [u16],
-) {
-    debug_assert!(rows <= MR);
-    debug_assert_eq!(dst.len(), k * MR);
-    for (p, out) in dst.chunks_exact_mut(MR).enumerate() {
-        for (ir, v) in out.iter_mut().take(rows).enumerate() {
-            *v = f32_to_f16_bits(src[(i0 + ir) * rs + p * cs]);
-        }
-        for v in out.iter_mut().skip(rows) {
-            *v = 0;
-        }
-    }
-}
-
-/// [`pack_b_tile`] with binary16 storage: same NR-major layout, each
-/// element narrowed with [`f32_to_f16_bits`] as it is packed, `0u16`
-/// padding past the matrix edge.
-pub(crate) fn pack_b_tile_f16(
-    src: &[f32],
-    rs: usize,
-    cs: usize,
-    j0: usize,
-    cols: usize,
-    k: usize,
-    dst: &mut [u16],
-) {
-    debug_assert!(cols <= NR);
-    debug_assert_eq!(dst.len(), k * NR);
-    for (p, out) in dst.chunks_exact_mut(NR).enumerate() {
-        for (jr, v) in out.iter_mut().take(cols).enumerate() {
-            *v = f32_to_f16_bits(src[p * rs + (j0 + jr) * cs]);
-        }
-        for v in out.iter_mut().skip(cols) {
-            *v = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,119 +413,6 @@ mod tests {
                     assert_eq!(got, 0.0, "padding p={p} jr={jr}");
                 }
             }
-        }
-    }
-
-    /// Narrows an f32 B panel to binary16 bits, NR-major (what
-    /// `pack_b_tile_f16` produces for a full tile).
-    fn narrow_panel(b: &[f32]) -> Vec<u16> {
-        b.iter().map(|&v| f32_to_f16_bits(v)).collect()
-    }
-
-    #[test]
-    fn portable_f16_kernel_matches_widened_f32_portable() {
-        // The f16 kernel must equal: widen the packed bits to f32, then
-        // run the f32 kernel — conversion is exact, so storage is the
-        // only difference.
-        for k in [1usize, 2, 7, 33] {
-            let a = mk(21 + k as u32, k * MR);
-            let b16 = narrow_panel(&mk(22 + k as u32, k * NR));
-            let b32: Vec<f32> = b16.iter().map(|&bits| f16_bits_to_f32(bits)).collect();
-            let ldc = NR + 1;
-            let seed_c = mk(23 + k as u32, MR * ldc);
-
-            let mut c_f16 = seed_c.clone();
-            unsafe { tile_portable_f16(k, a.as_ptr(), b16.as_ptr(), c_f16.as_mut_ptr(), ldc) };
-            let mut c_f32 = seed_c.clone();
-            unsafe { tile_portable(k, a.as_ptr(), b32.as_ptr(), c_f32.as_mut_ptr(), ldc) };
-            assert_eq!(
-                c_f16.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c_f32.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "f16 and widened-f32 portable kernels diverged at k={k}"
-            );
-        }
-    }
-
-    /// Runs `f` with `b16` copied into a 64-byte-aligned buffer (the
-    /// alignment plan stores guarantee for f16 panels).
-    fn with_aligned_u16<R>(b16: &[u16], f: impl FnOnce(*const u16) -> R) -> R {
-        crate::scratch::with_f32(b16.len().div_ceil(2), |buf| {
-            let ptr = buf.as_mut_ptr().cast::<u16>();
-            // SAFETY: the arena buffer holds at least `b16.len()` u16s
-            // and u16 has no validity constraints on the f32 bytes.
-            unsafe { std::ptr::copy_nonoverlapping(b16.as_ptr(), ptr, b16.len()) };
-            f(ptr)
-        })
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_f16_kernel_bit_matches_portable_f16() {
-        if !crate::simd::supported(Isa::Avx2) || !crate::simd::f16c_supported() {
-            eprintln!("skipping: host lacks AVX2+FMA+F16C");
-            return;
-        }
-        for k in [1usize, 3, 8, 57] {
-            let a = mk(31 + k as u32, k * MR);
-            let b16 = narrow_panel(&mk(32 + k as u32, k * NR));
-            let ldc = NR;
-            let seed_c = mk(33 + k as u32, MR * ldc);
-
-            let mut c_portable = seed_c.clone();
-            unsafe { tile_portable_f16(k, a.as_ptr(), b16.as_ptr(), c_portable.as_mut_ptr(), ldc) };
-            let c_avx2 = with_aligned_u16(&b16, |bp| {
-                let mut c = seed_c.clone();
-                unsafe { tile_avx2_f16_entry(k, a.as_ptr(), bp, c.as_mut_ptr(), ldc) };
-                c
-            });
-            assert_eq!(
-                c_avx2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c_portable.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "AVX2 and portable f16 kernels diverged at k={k}"
-            );
-        }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[test]
-    fn neon_f16_kernel_bit_matches_portable_f16() {
-        for k in [1usize, 3, 8, 57] {
-            let a = mk(31 + k as u32, k * MR);
-            let b16 = narrow_panel(&mk(32 + k as u32, k * NR));
-            let ldc = NR;
-            let seed_c = mk(33 + k as u32, MR * ldc);
-            let mut c_portable = seed_c.clone();
-            unsafe { tile_portable_f16(k, a.as_ptr(), b16.as_ptr(), c_portable.as_mut_ptr(), ldc) };
-            let mut c_neon = seed_c.clone();
-            unsafe { tile_neon_f16_entry(k, a.as_ptr(), b16.as_ptr(), c_neon.as_mut_ptr(), ldc) };
-            assert_eq!(
-                c_neon.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c_portable.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn pack_f16_lays_out_like_f32_pack_with_narrowing() {
-        // B: 3×20 row-major, tile at j0=16 → 4 valid columns; A: 4×3.
-        let (k, n) = (3usize, 20usize);
-        let b: Vec<f32> = (0..k * n).map(|i| i as f32 * 0.37 - 2.0).collect();
-        let mut d32 = vec![f32::NAN; k * NR];
-        let mut d16 = vec![u16::MAX; k * NR];
-        pack_b_tile(&b, n, 1, 16, n - 16, k, &mut d32);
-        pack_b_tile_f16(&b, n, 1, 16, n - 16, k, &mut d16);
-        for (i, (&w, &h)) in d32.iter().zip(&d16).enumerate() {
-            assert_eq!(h, f32_to_f16_bits(w), "B slot {i}");
-        }
-
-        let (m, ka) = (4usize, 3usize);
-        let a: Vec<f32> = (0..m * ka).map(|i| i as f32 + 0.5).collect();
-        let mut a32 = vec![f32::NAN; ka * MR];
-        let mut a16 = vec![u16::MAX; ka * MR];
-        pack_a_panel(&a, ka, 1, 0, m, ka, &mut a32);
-        pack_a_panel_f16(&a, ka, 1, 0, m, ka, &mut a16);
-        for (i, (&w, &h)) in a32.iter().zip(&a16).enumerate() {
-            assert_eq!(h, f32_to_f16_bits(w), "A slot {i}");
         }
     }
 

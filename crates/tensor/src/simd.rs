@@ -129,26 +129,6 @@ fn resolve() -> Isa {
     }
 }
 
-/// Whether the host can convert f16 half-words to `f32` in vector
-/// registers. On `x86_64` this is the F16C extension (`vcvtph2ps`) — a
-/// separate CPUID bit from AVX2, so the f16-storage GEMM kernels gate on
-/// both. On `aarch64` half-to-single conversion is baseline NEON. Hosts
-/// without hardware conversion fall back to the portable f16 kernel,
-/// which converts in software; results are bit-identical either way
-/// because f16 → f32 conversion is exact on every path.
-pub fn f16c_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        return is_x86_feature_detected!("f16c");
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return true;
-    }
-    #[allow(unreachable_code)]
-    false
-}
-
 /// Whether `isa` can run on this host.
 pub fn supported(isa: Isa) -> bool {
     match isa {

@@ -1,8 +1,9 @@
 //! Planned (cached-panel) execution is bit-identical to the direct path.
 //!
 //! The plan cache prepacks weight panels once and reuses them across
-//! calls; blocking choices come from the deterministic autotuner instead
-//! of the per-call driver. None of that may change result bits: every
+//! calls, and planned GEMMs split rows into shape-derived panels where
+//! the per-call driver uses a fixed one. None of that may change result
+//! bits: every
 //! output element still streams the full depth range in ascending order
 //! through the same fused microkernels. These tests pin the guarantee
 //! for dense and conv, forward and backward, across `MEDSPLIT_ISA`
@@ -23,6 +24,7 @@ use medsplit_tensor::ops::conv::{
 };
 use medsplit_tensor::{init::rng_from_seed, pool, simd, ConvPlan, GemmPlan, Tensor};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Serialises every test that changes the global pool size or ISA.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -76,38 +78,63 @@ fn planned_vs_direct_dense(m: usize, k: usize, n: usize) -> [(Tensor, Tensor); 2
     [fwd, bwd]
 }
 
-proptest! {
-    /// Planned dense forward/backward is bit-identical to the direct
-    /// path across pool sizes (1, 2, and a deliberately odd 7).
-    #[test]
-    fn planned_dense_bit_identical_across_thread_counts((m, k, n) in dense_dims()) {
-        let runs = with_thread_counts(&[1, 2, 7], |_| planned_vs_direct_dense(m, k, n));
-        for run in &runs {
-            for (planned, direct) in run {
-                prop_assert_eq!(planned.as_slice(), direct.as_slice());
-            }
-        }
-        // And across thread counts: run 0 is the reference.
-        for run in &runs[1..] {
-            for (pair, reference) in run.iter().zip(&runs[0]) {
-                prop_assert_eq!(pair.0.as_slice(), reference.0.as_slice());
-            }
+/// Planned dense forward/backward is bit-identical to the direct path
+/// across pool sizes (1, 2, and a deliberately odd 7).
+fn check_dense_across_thread_counts(m: usize, k: usize, n: usize) -> Result<(), TestCaseError> {
+    let runs = with_thread_counts(&[1, 2, 7], |_| planned_vs_direct_dense(m, k, n));
+    for run in &runs {
+        for (planned, direct) in run {
+            prop_assert_eq!(planned.as_slice(), direct.as_slice());
         }
     }
+    // And across thread counts: run 0 is the reference.
+    for run in &runs[1..] {
+        for (pair, reference) in run.iter().zip(&runs[0]) {
+            prop_assert_eq!(pair.0.as_slice(), reference.0.as_slice());
+        }
+    }
+    Ok(())
+}
 
-    /// Planned dense forward/backward is bit-identical to the direct
-    /// path under both the scalar and the auto-detected ISA, and the
-    /// two ISAs agree with each other.
+/// Planned dense forward/backward is bit-identical to the direct path
+/// under both the scalar and the auto-detected ISA, and the two ISAs
+/// agree with each other.
+fn check_dense_across_isas(m: usize, k: usize, n: usize) -> Result<(), TestCaseError> {
+    let (scalar, native) = with_isas(|| planned_vs_direct_dense(m, k, n));
+    for run in [&scalar, &native] {
+        for (planned, direct) in run {
+            prop_assert_eq!(planned.as_slice(), direct.as_slice());
+        }
+    }
+    for (s, n) in scalar.iter().zip(&native) {
+        prop_assert_eq!(s.0.as_slice(), n.0.as_slice());
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn planned_dense_bit_identical_across_thread_counts((m, k, n) in dense_dims()) {
+        check_dense_across_thread_counts(m, k, n)?;
+    }
+
     #[test]
     fn planned_dense_bit_identical_across_isas((m, k, n) in dense_dims()) {
-        let (scalar, native) = with_isas(|| planned_vs_direct_dense(m, k, n));
-        for run in [&scalar, &native] {
-            for (planned, direct) in run {
-                prop_assert_eq!(planned.as_slice(), direct.as_slice());
+        check_dense_across_isas(m, k, n)?;
+    }
+}
+
+/// `dense_dims` tops out at 64, inside one depth block (320) and the
+/// direct path's one 66-row panel. These shapes cross both: two depth
+/// blocks with a second row panel, and three depth blocks under a single
+/// short panel.
+#[test]
+fn planned_dense_bit_identical_across_block_boundaries() {
+    for (m, k, n) in [(67, 321, 33), (7, 641, 17)] {
+        for check in [check_dense_across_thread_counts, check_dense_across_isas] {
+            if let Err(e) = check(m, k, n) {
+                panic!("{m}x{k}x{n}: {e}");
             }
-        }
-        for (s, n) in scalar.iter().zip(&native) {
-            prop_assert_eq!(s.0.as_slice(), n.0.as_slice());
         }
     }
 }
