@@ -1,5 +1,5 @@
-//! Serving latency under load: sweeps the offered request rate for both
-//! wire codecs and reports p50/p95/p99 end-to-end latency, wire bytes per
+//! Serving latency under load: sweeps the offered request rate for every
+//! wire codec and reports p50/p95/p99 end-to-end latency, wire bytes per
 //! request, and goodput from the simulated clock.
 //!
 //! Usage:
@@ -79,7 +79,7 @@ pub fn run(args: &[String]) {
             "goodput_rps",
         ],
     );
-    for &codec in &[WireCodec::F32, WireCodec::F16] {
+    for &codec in &[WireCodec::F32, WireCodec::F16, WireCodec::Int8] {
         for &load in loads {
             eprintln!("[serve_bench] codec {codec:?}, offered {load} req/s per platform...");
             let outcome = run_point(load, codec, requests_per_platform);
