@@ -39,7 +39,7 @@ echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
-# cover: 59 `unsafe` occurrences under crates/ (grep -rw unsafe
+# cover: 58 `unsafe` occurrences under crates/ (grep -rw unsafe
 # --include=*.rs), all in crates/tensor.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \
@@ -102,5 +102,10 @@ echo "==> fleet drain/rejoin acceptance (chaos gate)"
 # in-flight work re-routes to ring successors, the replica rejoins and
 # takes its session shard back, and no admitted request is dropped.
 cargo test -q --release --offline --test fleet_chaos
+
+echo "==> serving golden digests under --release"
+# Every serve_threaded / run_fleet outcome is pinned bit for bit in debug
+# by the workspace run above; the optimised build must agree with it.
+cargo test -q --release --offline --test serving_golden
 
 echo "ci.sh: all green"

@@ -1,7 +1,7 @@
 //! Every experiment in sequence — the one-command reproduction.
 //!
 //! Usage:
-//!   all [--quick] [--full]
+//!   exp all [--quick] [--full]
 //!
 //! Defaults to `--quick` (a few minutes); `--full` reproduces the numbers
 //! in EXPERIMENTS.md (tens of minutes on one core).
@@ -78,4 +78,8 @@ pub fn run(args: &[String]) {
     write_result("fig8.csv", &f8t.to_csv()).expect("write");
 
     eprintln!("[all] done — CSVs in bench_results/");
+    eprintln!(
+        "[all] each experiment on its own: exp <name>, one of {}",
+        super::names()
+    );
 }

@@ -30,7 +30,7 @@
 //!     in the shared schema-v2 envelope.
 //!
 //! Usage:
-//!   codec_bench [--smoke] [--rounds N]
+//!   exp codec_bench [--smoke] [--rounds N]
 //!
 //! `--smoke` sweeps the wide-cut model on the star topology only (3
 //! codecs, replayed = 6 runs) — small enough for CI, but the wide cut

@@ -3,7 +3,7 @@
 //! reference), for VGG/ResNet × CIFAR-10/100-like data.
 //!
 //! Usage:
-//!   fig4 [--model vgg|resnet] [--dataset c10|c100] [--quick]
+//!   exp fig4 [--model vgg|resnet] [--dataset c10|c100] [--quick]
 //!
 //! Without `--model`/`--dataset`, all four panels run. CSV curves land in
 //! `bench_results/fig4_<model>_<dataset>_<method>.csv`.

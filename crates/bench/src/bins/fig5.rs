@@ -3,7 +3,7 @@
 //! deeper into the network.
 //!
 //! Usage:
-//!   fig5 [--quick]
+//!   exp fig5 [--quick]
 
 use crate::experiments::{fig5_run, fig5_table, vgg_lite_cuts, Scale};
 use crate::report::{arg_present, write_result};

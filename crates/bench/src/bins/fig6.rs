@@ -2,7 +2,7 @@
 //! geo-distributed platforms (fixed global batch and dataset).
 //!
 //! Usage:
-//!   fig6 [--quick]
+//!   exp fig6 [--quick]
 
 use crate::experiments::{fig6_run, fig6_table, Scale};
 use crate::report::{arg_present, write_result};

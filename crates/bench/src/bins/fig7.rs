@@ -2,7 +2,7 @@
 //! Gaussian noise is added to every transmitted activation.
 //!
 //! Usage:
-//!   fig7 [--quick]
+//!   exp fig7 [--quick]
 
 use crate::experiments::{fig7_run, fig7_table, Scale};
 use crate::report::{arg_present, write_result};

@@ -2,7 +2,7 @@
 //! full-size models — the geo-distribution story in time units.
 //!
 //! Usage:
-//!   fig8 [--model vgg|resnet] [--batch S]
+//!   exp fig8 [--model vgg|resnet] [--batch S]
 
 use crate::experiments::{fig8_sweep, fig8_table};
 use crate::report::{arg_value, write_result};

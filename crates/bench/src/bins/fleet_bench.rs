@@ -5,7 +5,7 @@
 //! its full offered load).
 //!
 //! Usage:
-//!   fleet_bench [--quick | --smoke]
+//!   exp fleet_bench [--quick | --smoke]
 //!
 //! Outputs:
 //!   - `fleet_goodput.csv` under the results dir (`MEDSPLIT_RESULTS_DIR`,

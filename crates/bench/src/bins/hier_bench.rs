@@ -11,7 +11,7 @@
 //!   - `bench_results/hier.csv` (or `$MEDSPLIT_RESULTS_DIR`).
 //!
 //! Usage:
-//!   hier_bench [--smoke] [--rounds N]
+//!   exp hier_bench [--smoke] [--rounds N]
 //!
 //! `--smoke` runs a reduced sweep and asserts the invariants CI gates
 //! on: a relay crash re-homes its platforms without degrading a single

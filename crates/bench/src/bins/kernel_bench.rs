@@ -45,7 +45,7 @@
 //!     sweep logit, also compared across ISAs.
 //!
 //! Usage:
-//!   kernel_bench [--smoke] [--threads 1,2,4] [--reps N]
+//!   exp kernel_bench [--smoke] [--threads 1,2,4] [--reps N]
 //!
 //! `--smoke` runs tiny shapes with one repetition and asserts the CSV
 //! schema, so CI can gate on the harness itself staying healthy.

@@ -11,7 +11,7 @@
 //!   - `bench_results/resilience.csv` (or `$MEDSPLIT_RESULTS_DIR`).
 //!
 //! Usage:
-//!   resilience_bench [--smoke] [--rounds N]
+//!   exp resilience_bench [--smoke] [--rounds N]
 //!
 //! `--smoke` runs a tiny sweep with fixed seeds and asserts the chaos
 //! invariants CI gates on: training completes under 10 % loss, the

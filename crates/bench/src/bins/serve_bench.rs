@@ -3,7 +3,7 @@
 //! request, and goodput from the simulated clock.
 //!
 //! Usage:
-//!   serve_bench [--quick]
+//!   exp serve_bench [--quick]
 
 use crate::report::{arg_present, write_result, TextTable};
 use medsplit_core::{build_split, Platform, SplitPoint, SplitServer, WireCodec};

@@ -3,7 +3,7 @@
 //! large-scale synchronous SGD.
 //!
 //! Usage:
-//!   table1 [--platforms N] [--batch S]
+//!   exp table1 [--platforms N] [--batch S]
 
 use crate::experiments::table1;
 use crate::report::{arg_value, write_result};

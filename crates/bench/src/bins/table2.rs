@@ -2,7 +2,7 @@
 //! per-platform minibatches under power-law shard sizes.
 //!
 //! Usage:
-//!   table2 [--alpha A] [--quick]
+//!   exp table2 [--alpha A] [--quick]
 
 use crate::experiments::{table2_run, table2_table, Scale};
 use crate::report::{arg_present, arg_value, write_result};

@@ -3,7 +3,7 @@
 //! reporting accuracy, bytes and raw-data exposure.
 //!
 //! Usage:
-//!   table3 [--alpha A] [--quick]
+//!   exp table3 [--alpha A] [--quick]
 
 use crate::experiments::{table3_run, table3_table, Scale};
 use crate::report::{arg_present, arg_value, write_result};

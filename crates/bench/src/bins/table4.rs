@@ -2,7 +2,7 @@
 //! time) half-precision payloads save, and what they cost in accuracy.
 //!
 //! Usage:
-//!   table4 [--quick]
+//!   exp table4 [--quick]
 
 use crate::experiments::{table4_run, table4_table, Scale};
 use crate::report::{arg_present, write_result};

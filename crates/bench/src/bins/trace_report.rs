@@ -16,8 +16,8 @@
 //!   - `trace_phases.csv` in `bench_results/` (or `$MEDSPLIT_RESULTS_DIR`).
 //!
 //! Usage:
-//!   trace_report <trace.jsonl>     report an existing trace
-//!   trace_report --smoke           run a tiny traced 4-platform split
+//!   exp trace_report <trace.jsonl>     report an existing trace
+//!   exp trace_report --smoke           run a tiny traced 4-platform split
 //!                                  training in-process, dump its trace,
 //!                                  re-load it, and assert the expected
 //!                                  span names and non-zero counters

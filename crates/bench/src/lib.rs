@@ -5,21 +5,23 @@
 //!
 //! | target | regenerates |
 //! |--------|-------------|
-//! | `cargo run -p medsplit-bench --bin fig4 --release` | Fig. 4 panels (accuracy vs transmitted bytes) |
-//! | `cargo run -p medsplit-bench --bin table1` | analytic full-size per-round costs |
-//! | `cargo run -p medsplit-bench --bin table2 --release` | imbalance-mitigation ablation |
-//! | `cargo run -p medsplit-bench --bin fig5 --release` | split-point sweep (bytes vs leakage) |
-//! | `cargo run -p medsplit-bench --bin fig6 --release` | scalability with platform count |
-//! | `cargo run -p medsplit-bench --bin table3 --release` | baseline landscape under non-IID |
+//! | `cargo run -p medsplit-bench --release --bin exp -- fig4` | Fig. 4 panels (accuracy vs transmitted bytes) |
+//! | `cargo run -p medsplit-bench --bin exp -- table1` | analytic full-size per-round costs |
+//! | `cargo run -p medsplit-bench --release --bin exp -- table2` | imbalance-mitigation ablation |
+//! | `cargo run -p medsplit-bench --release --bin exp -- fig5` | split-point sweep (bytes vs leakage) |
+//! | `cargo run -p medsplit-bench --release --bin exp -- fig6` | scalability with platform count |
+//! | `cargo run -p medsplit-bench --release --bin exp -- table3` | baseline landscape under non-IID |
 //!
-//! Every binary accepts `--quick` for a smoke-test scale and writes CSVs
-//! under `bench_results/` (override with `MEDSPLIT_RESULTS_DIR`).
-//! Criterion micro-benchmarks live under `benches/`.
+//! Every experiment accepts `--quick` for a smoke-test scale and writes
+//! CSVs under `bench_results/` (override with `MEDSPLIT_RESULTS_DIR`);
+//! `exp --help` lists them all. Criterion micro-benchmarks live under
+//! `benches/`.
 //!
-//! Each binary is a thin shim over [`bins`], so the `lab` orchestrator
-//! (see `crates/lab` and the `lab` binary here) can run any experiment
-//! in-process and capture structured outcomes; [`labrun`] is the bridge
-//! that maps lab manifest points onto these experiment entry points.
+//! The one `exp` binary dispatches on [`bins::EXPERIMENTS`], and every
+//! experiment body is a `run(args)` in [`bins`], so the `lab`
+//! orchestrator (see `crates/lab` and the `lab` binary here) can run any
+//! experiment in-process and capture structured outcomes; [`labrun`] is
+//! the bridge that maps lab manifest points onto these entry points.
 
 #![warn(missing_docs)]
 

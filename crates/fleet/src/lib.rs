@@ -6,15 +6,18 @@
 //! that maps `(tenant, session)` onto a replica via a consistent-hash
 //! ring with virtual nodes. The router enforces per-tenant admission
 //! quotas and pins each session to a weight version from a shared
-//! [`ModelBank`](bank::ModelBank); each replica runs the existing
-//! dynamic batcher with continuous batching across tenants.
+//! [`ModelBank`](bank::ModelBank); each replica is the serving
+//! [`Executor`](medsplit_serve::Executor) of the single-server runtime
+//! (dynamic batcher + busy clock, the shared batch forward) plus a
+//! lifecycle phase, a session shard and per-version models, with
+//! continuous batching across tenants.
 //!
 //! Replicas support graceful drain (stop accepting, flush in-flight
 //! work, hand session state to ring successors) and rejoin; crashes are
 //! exercised under the simnet chaos transport, with the router's
 //! in-flight table redispatching orphaned requests so that no admitted
 //! request is ever dropped. See [`sim::run_fleet`] for the
-//! discrete-event driver and `DESIGN.md` §14 for the protocol.
+//! discrete-event driver and `DESIGN.md` §10.3 for the protocol.
 
 #![warn(missing_docs)]
 

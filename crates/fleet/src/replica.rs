@@ -1,10 +1,13 @@
-//! One server replica: a shard of sessions, a dynamic batcher, and lazily
-//! instantiated per-version models.
+//! One server replica: the serving [`Executor`] (batcher and busy clock)
+//! plus what only a fleet member has — a lifecycle phase, a shard of
+//! sessions, and lazily instantiated per-version models.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use medsplit_core::{Result, SplitServer};
-use medsplit_serve::{Admission, BatchEntry, DynamicBatcher, RoutedRequest, ServeConfig};
+use medsplit_serve::{
+    busy_until, forward_batch, Admission, BatchEntry, Executor, RoutedRequest, ServeConfig,
+};
 use medsplit_tensor::Tensor;
 
 use crate::bank::ModelBank;
@@ -39,8 +42,6 @@ pub struct FleetPending {
 pub struct Served {
     /// Request id.
     pub id: u64,
-    /// Owning tenant.
-    pub tenant: u64,
     /// Platform to answer.
     pub platform: usize,
     /// Echoed submission time.
@@ -54,14 +55,16 @@ pub struct Served {
 /// One server replica of the fleet.
 pub struct Replica {
     id: usize,
+    /// `replica-{id}`, the label of this replica's counters.
+    label: String,
     phase: ReplicaPhase,
-    batcher: DynamicBatcher<FleetPending>,
+    /// Batcher and busy clock; the event loop asks it the three replay
+    /// questions directly.
+    pub(crate) executor: Executor<FleetPending>,
     /// Per-version model instances, pulled from the bank on first use.
     servers: HashMap<u32, SplitServer>,
     /// Session state for the shard this replica currently owns.
     sessions: HashMap<SessionKey, SessionState>,
-    /// Simulated busy clock: when the replica is free to start a batch.
-    pub clock: f64,
     /// Total requests served with logits.
     pub served: u64,
 }
@@ -71,11 +74,11 @@ impl Replica {
     pub fn new(id: usize, serve: &ServeConfig) -> Self {
         Replica {
             id,
+            label: format!("replica-{id}"),
             phase: ReplicaPhase::Active,
-            batcher: DynamicBatcher::new(serve.max_batch, serve.max_wait_s, serve.queue_capacity),
+            executor: Executor::new(serve),
             servers: HashMap::new(),
             sessions: HashMap::new(),
-            clock: 0.0,
             served: 0,
         }
     }
@@ -98,45 +101,44 @@ impl Replica {
 
     /// Number of requests pending in the batcher.
     pub fn queued(&self) -> usize {
-        self.batcher.len()
+        self.executor.batcher().len()
     }
 
-    /// Offers a request to the batcher (the caller has already checked
-    /// the phase).
+    /// Offers a request to the batcher alone (no clock; the caller has
+    /// already checked the phase).
     pub fn offer(&mut self, pending: FleetPending, now_s: f64, deadline_s: f64) -> Admission {
-        self.batcher.offer(pending, now_s, deadline_s)
+        self.executor.batcher_mut().offer(pending, now_s, deadline_s)
     }
 
     /// Earliest age-rule flush time, `None` when the queue is empty.
     pub fn ready_at(&self) -> Option<f64> {
-        self.batcher.ready_at()
+        self.executor.batcher().ready_at()
     }
 
     /// Whether the size rule would flush right now.
     pub fn size_due(&self) -> bool {
-        self.batcher.len() >= self.batcher.max_batch()
+        self.executor.batcher().len() >= self.executor.batcher().max_batch()
     }
 
-    /// Takes up to `max_batch` oldest entries.
+    /// Takes up to `max_batch` oldest entries from the batcher alone.
     pub fn take_batch(&mut self) -> Vec<BatchEntry<FleetPending>> {
-        self.batcher.take_batch()
+        self.executor.batcher_mut().take_batch()
     }
 
-    /// Takes everything pending, ignoring `max_batch` (drain/crash).
-    pub fn drain_pending(&mut self) -> Vec<BatchEntry<FleetPending>> {
-        self.batcher.drain_all()
-    }
-
-    /// Drops all local session state (crash semantics).
-    pub fn forget_sessions(&mut self) {
+    /// Crash semantics: queued work and local session state die with the
+    /// process.
+    pub fn crash(&mut self) {
+        self.phase = ReplicaPhase::Down;
+        self.executor.batcher_mut().drain_all();
         self.sessions.clear();
     }
 
-    /// Runs the batch's entries through their pinned weight versions and
-    /// returns `(serve_done, outcomes)`. Entries are grouped by version —
-    /// continuous batching across tenants within a version — and each
-    /// group takes one forward pass. Expired entries (deadline before
-    /// `serve_done`) are reported with `ok = false` and never inferred.
+    /// Runs a batch that starts at `flush_t` through the entries' pinned
+    /// weight versions and returns `(serve_done, outcomes)`. Entries are
+    /// grouped by version — continuous batching across tenants within a
+    /// version — and each group takes one forward pass. Expired entries
+    /// (deadline before `serve_done`) come first, with `ok = false`, and
+    /// are never inferred.
     ///
     /// # Errors
     ///
@@ -151,79 +153,49 @@ impl Replica {
         if entries.is_empty() {
             return Ok((flush_t, Vec::new()));
         }
-        let serve_done = flush_t + serve.batch_setup_s + serve.per_item_s * entries.len() as f64;
-        medsplit_telemetry::histogram_observe(
+        let serve_done = busy_until(serve, flush_t, entries.len());
+        let mut outcomes = Vec::with_capacity(entries.len());
+        let mut ok = 0;
+        let (servers, sessions) = (&mut self.servers, &mut self.sessions);
+        forward_batch(
+            entries,
+            serve_done,
             "fleet.batch_size",
-            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-            entries.len() as f64,
-        );
-        let (live, expired): (Vec<_>, Vec<_>) = entries.into_iter().partition(|e| e.deadline_s >= serve_done);
-        let mut outcomes: Vec<Served> = expired
-            .into_iter()
-            .map(|e| Served {
-                id: e.item.req.id,
-                tenant: e.item.req.tenant,
-                platform: e.item.platform,
-                submit_s: e.item.req.submit_s,
-                ok: false,
-                logits: None,
-            })
-            .collect();
-
-        // Group by pinned version, ascending, stable within a group.
-        let mut versions: Vec<u32> = live.iter().map(|e| e.item.req.version).collect();
-        versions.sort_unstable();
-        versions.dedup();
-        for version in versions {
-            let group: Vec<&BatchEntry<FleetPending>> =
-                live.iter().filter(|e| e.item.req.version == version).collect();
-            let tensors: Vec<Tensor> = group.iter().map(|e| e.item.req.activations.clone()).collect();
-            let rows: Vec<usize> = tensors.iter().map(|t| t.dims()[0]).collect();
-            let batch = Tensor::concat0(&tensors)?;
-            let server = self.server_for(bank, version)?;
-            let logits = server.infer(&batch)?;
-            let mut offset = 0;
-            for (entry, n) in group.into_iter().zip(rows) {
-                let slice = logits.slice0(offset, n)?;
-                offset += n;
-                let key = SessionKey {
-                    tenant: entry.item.req.tenant,
-                    session: entry.item.req.session,
-                };
-                let state = self
-                    .sessions
-                    .entry(key)
-                    .or_insert_with(|| SessionState::new(key, version));
-                state.served += 1;
-                state.last_served_s = serve_done;
-                self.served += 1;
+            |p| p.req.version,
+            |p| &p.req.activations,
+            // The cached instance (rather than one rebuilt per request)
+            // also keeps its layers' prepacked plan panels warm: after
+            // the first request against a version, serving never repacks.
+            |version, batch| match servers.entry(version) {
+                Entry::Occupied(slot) => slot.into_mut().infer(batch),
+                Entry::Vacant(slot) => slot.insert(bank.instantiate(version)?).infer(batch),
+            },
+            |p, logits| {
+                if logits.is_some() {
+                    let key = SessionKey {
+                        tenant: p.req.tenant,
+                        session: p.req.session,
+                    };
+                    let state = sessions
+                        .entry(key)
+                        .or_insert_with(|| SessionState::new(key, p.req.version));
+                    state.served += 1;
+                    state.last_served_s = serve_done;
+                    ok += 1;
+                }
                 outcomes.push(Served {
-                    id: entry.item.req.id,
-                    tenant: entry.item.req.tenant,
-                    platform: entry.item.platform,
-                    submit_s: entry.item.req.submit_s,
-                    ok: true,
-                    logits: Some(slice),
+                    id: p.req.id,
+                    platform: p.platform,
+                    submit_s: p.req.submit_s,
+                    ok: logits.is_some(),
+                    logits,
                 });
-            }
-        }
-        medsplit_telemetry::counter_add_labeled(
-            "fleet.served",
-            &format!("replica-{}", self.id),
-            outcomes.iter().filter(|o| o.ok).count() as u64,
-        );
+                Ok(())
+            },
+        )?;
+        self.served += ok;
+        medsplit_telemetry::counter_add_labeled("fleet.served", &self.label, ok);
         Ok((serve_done, outcomes))
-    }
-
-    /// The replica's cached per-version server, instantiated from the
-    /// bank on first use. Keeping the instance (rather than rebuilding
-    /// per request) also keeps its layers' prepacked plan panels warm:
-    /// after the first request against a version, serving never repacks.
-    fn server_for(&mut self, bank: &ModelBank, version: u32) -> Result<&mut SplitServer> {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.servers.entry(version) {
-            slot.insert(bank.instantiate(version)?);
-        }
-        Ok(self.servers.get_mut(&version).expect("just inserted"))
     }
 
     /// Exports and removes every session, for a full drain handoff.
@@ -276,7 +248,7 @@ impl std::fmt::Debug for Replica {
         f.debug_struct("Replica")
             .field("id", &self.id)
             .field("phase", &self.phase)
-            .field("queued", &self.batcher.len())
+            .field("queued", &self.queued())
             .field("sessions", &self.sessions.len())
             .finish_non_exhaustive()
     }
@@ -321,7 +293,7 @@ mod tests {
         r.offer(pending(0, 0, 0, 0), 0.0, f64::INFINITY);
         r.offer(pending(1, 1, 0, 1), 0.0, f64::INFINITY);
         r.offer(pending(2, 0, 1, 0), 0.0, f64::INFINITY);
-        let entries = r.drain_pending();
+        let entries = r.take_batch();
         let (done, outcomes) = r.serve(&bank, entries, 1.0, &cfg).unwrap();
         assert!(done > 1.0);
         assert_eq!(outcomes.len(), 3);
@@ -348,7 +320,7 @@ mod tests {
         let cfg = ServeConfig::default();
         let mut r = Replica::new(1, &cfg);
         r.offer(pending(5, 0, 0, 0), 0.0, 0.5); // deadline before serve_done
-        let entries = r.drain_pending();
+        let entries = r.take_batch();
         let (_, outcomes) = r.serve(&bank, entries, 1.0, &cfg).unwrap();
         assert_eq!(outcomes.len(), 1);
         assert!(!outcomes[0].ok);

@@ -73,34 +73,37 @@ pub fn encode_sessions(sessions: &[SessionState]) -> Bytes {
 ///
 /// Returns [`SplitError::Protocol`] for truncated or inconsistent blobs.
 pub fn decode_sessions(payload: &Bytes) -> Result<Vec<SessionState>> {
-    if payload.len() < 8 {
-        return Err(SplitError::Protocol(format!(
-            "truncated session handoff ({} bytes)",
-            payload.len()
-        )));
-    }
-    let read_u64 = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-    let count = read_u64(0) as usize;
-    if payload.len() != 8 + count * RECORD_BYTES {
+    // The count is an outside number: bound it by the bytes present before
+    // multiplying or allocating by it.
+    let count = u64::from_le_bytes(word(payload, 0)?);
+    let records = (payload.len() - 8) / RECORD_BYTES;
+    if count != records as u64 || payload.len() != 8 + records * RECORD_BYTES {
         return Err(SplitError::Protocol(format!(
             "session handoff length {} does not match {count} records",
             payload.len()
         )));
     }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = 8 + i * RECORD_BYTES;
+    let mut out = Vec::with_capacity(records);
+    for at in (8..payload.len()).step_by(RECORD_BYTES) {
         out.push(SessionState {
             key: SessionKey {
-                tenant: read_u64(at),
-                session: read_u64(at + 8),
+                tenant: u64::from_le_bytes(word(payload, at)?),
+                session: u64::from_le_bytes(word(payload, at + 8)?),
             },
-            pinned_version: u32::from_le_bytes(payload[at + 16..at + 20].try_into().expect("4 bytes")),
-            served: read_u64(at + 20),
-            last_served_s: f64::from_bits(read_u64(at + 28)),
+            pinned_version: u32::from_le_bytes(word(payload, at + 16)?),
+            served: u64::from_le_bytes(word(payload, at + 20)?),
+            last_served_s: f64::from_bits(u64::from_le_bytes(word(payload, at + 28)?)),
         });
     }
     Ok(out)
+}
+
+/// The `N` bytes at `at`, by checked read.
+fn word<const N: usize>(payload: &[u8], at: usize) -> Result<[u8; N]> {
+    payload
+        .get(at..at + N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| SplitError::Protocol(format!("truncated session handoff ({} bytes)", payload.len())))
 }
 
 #[cfg(test)]
@@ -155,5 +158,10 @@ mod tests {
         let mut raw = blob.to_vec();
         raw[0] = 9;
         assert!(decode_sessions(&Bytes::from(raw)).is_err());
+        // A count whose byte length wraps `usize` back onto the payload's:
+        // 8 + 2^62 * 36 = 8 (mod 2^64), and 8 + 2^61 * 36 likewise.
+        for count in [1u64 << 62, 1 << 61, u64::MAX] {
+            assert!(decode_sessions(&Bytes::from(count.to_le_bytes().to_vec())).is_err());
+        }
     }
 }

@@ -2,11 +2,19 @@
 //!
 //! One process plays every role — platforms, router, replicas — over a
 //! [`ChaosTransport`]-wrapped [`MemoryTransport`] on a [`FleetTopology`],
-//! replaying all traffic in simulated-time order exactly like the
-//! single-server serving runtime. Each replica keeps its own busy clock,
-//! so capacity genuinely scales with fleet size; every frame (routed
-//! requests, responses, session handoffs) travels through the transport,
-//! so wire bytes and chaos faults are accounted for real.
+//! replaying all traffic in simulated-time order. What a server does with
+//! an arrival is not written here: each replica holds the same
+//! [`Executor`](medsplit_serve::Executor) the single-server runtime
+//! drives, this loop asks it the same three questions (what is due by
+//! `t`, what becomes of this arrival, what is left at the end), and the
+//! batch forward, the client-record latency rule, the report fold and the
+//! clock helper are `medsplit_serve`'s. What is written here is what only
+//! a fleet has: the router and ring in front of the executors, chaos
+//! ticks, crash re-dispatch, drain/rejoin and session handoff. Each
+//! replica's executor keeps its own busy clock, so capacity genuinely
+//! scales with fleet size; every frame (routed requests, responses,
+//! session handoffs) travels through the transport, so wire bytes and
+//! chaos faults are accounted for real.
 //!
 //! Determinism: the event loop is single-threaded with a total order on
 //! events `(time, insertion seq)`, request activations and version pins
@@ -23,15 +31,15 @@
 //! answered and counted).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use bytes::Bytes;
-use medsplit_core::{build_split, Platform, Result, SplitError, SplitPoint, SplitServer, WireCodec};
+use medsplit_core::{build_split, Platform, Result, SplitError, SplitPoint, WireCodec};
 use medsplit_data::SyntheticTabular;
 use medsplit_nn::{Architecture, MlpConfig};
 use medsplit_serve::{
-    decode_response, decode_routed_request, encode_response_from, encode_routed_request, ClientRecord,
-    InferStatus, LatencySummary, RoutedRequest, ServeReport,
+    decode_routed_request, encode_response_from, encode_routed_request, request_id, sync_clock, Arrived,
+    ClientRecord, Due, InferStatus, RoutedRequest, ServeReport,
 };
 use medsplit_simnet::{
     ChaosEvent, ChaosSnapshot, ChaosTransport, Envelope, FaultPlan, FleetTopology, MemoryTransport,
@@ -41,7 +49,7 @@ use medsplit_tensor::{init::rng_from_seed, Tensor};
 
 use crate::bank::ModelBank;
 use crate::config::FleetConfig;
-use crate::replica::{FleetPending, Replica, ReplicaPhase, Served};
+use crate::replica::{FleetPending, Replica, ReplicaPhase};
 use crate::ring::hash64;
 use crate::router::{InFlight, Router};
 use crate::session::{decode_sessions, encode_sessions, SessionKey, SessionState};
@@ -155,11 +163,7 @@ impl PartialOrd for Ev {
 impl Ord for Ev {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .t
-            .partial_cmp(&self.t)
-            .expect("event times are not NaN")
-            .then(other.seq.cmp(&self.seq))
+        other.t.total_cmp(&self.t).then(other.seq.cmp(&self.seq))
     }
 }
 
@@ -178,11 +182,6 @@ struct Driver<'a> {
     handoffs: usize,
     redispatched: usize,
     lost: Vec<ClientRecord>,
-}
-
-/// Globally unique request id: tenant index in the high bits.
-fn request_id(tenant: usize, seq: usize) -> u64 {
-    ((tenant as u64) << 32) | seq as u64
 }
 
 /// Runs a sharded serving session: `cfg.tenants` platforms each submit
@@ -267,14 +266,6 @@ impl Driver<'_> {
         self.cfg.serve.codec
     }
 
-    fn sync_clock(&self, node: NodeId, t: f64) {
-        let stats = self.net.stats();
-        let now = stats.clock(node);
-        if t > now {
-            stats.advance_clock(node, t - now);
-        }
-    }
-
     /// Submits every tenant's stream through the transport in global
     /// submission order and schedules the router arrivals.
     fn submit_all(&mut self, platforms: &mut [Platform], per_tenant: usize) -> Result<()> {
@@ -305,14 +296,10 @@ impl Driver<'_> {
                 ));
             }
         }
-        requests.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("submit times are not NaN")
-                .then(a.1.req.id.cmp(&b.1.req.id))
-        });
+        requests.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.req.id.cmp(&b.1.req.id)));
         for (submit_s, pending) in requests {
             let node = NodeId::Platform(pending.platform);
-            self.sync_clock(node, submit_s);
+            sync_clock(self.net.stats(), node, submit_s);
             let env = encode_routed_request(node, NodeId::Server, &pending.req, self.codec());
             self.net.send(env).map_err(SplitError::from)?;
             match self.net.try_recv(NodeId::Server) {
@@ -362,7 +349,7 @@ impl Driver<'_> {
                         node: NodeId::Replica(r),
                         ..
                     } => {
-                        self.handle_rejoin(r, tick_time, false)?;
+                        self.handle_rejoin(r, tick_time)?;
                     }
                     // Link flaps need no state change here: dispatch
                     // consults the transport's health oracle directly.
@@ -378,57 +365,63 @@ impl Driver<'_> {
     /// earliest-ready first across replicas (ties by replica id).
     fn flush_due(&mut self, t: f64) -> Result<()> {
         loop {
-            let due = self
+            let next = self
                 .replicas
                 .iter()
                 .filter(|r| r.phase() == ReplicaPhase::Active)
                 .filter_map(|r| r.ready_at().map(|ready| (ready, r.id())))
                 .filter(|&(ready, _)| ready <= t)
-                .min_by(|a, b| a.0.partial_cmp(&b.0).expect("not NaN").then(a.1.cmp(&b.1)));
-            let Some((ready, idx)) = due else { return Ok(()) };
-            let flush_t = self.replicas[idx].clock.max(ready);
-            let entries = self.replicas[idx].take_batch();
-            self.serve_and_respond(idx, entries, flush_t)?;
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some((_, idx)) = next else { return Ok(()) };
+            let Some(due) = self.replicas[idx].executor.due_by(t) else {
+                return Ok(());
+            };
+            self.serve_and_respond(idx, due)?;
         }
     }
 
-    fn serve_and_respond(
-        &mut self,
-        idx: usize,
-        entries: Vec<medsplit_serve::BatchEntry<FleetPending>>,
-        flush_t: f64,
-    ) -> Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let (done, outcomes) = self.replicas[idx].serve(&self.bank, entries, flush_t, &self.cfg.serve)?;
-        self.replicas[idx].clock = done;
-        self.sync_clock(NodeId::Replica(idx), done);
-        for served in outcomes {
-            self.respond(NodeId::Replica(idx), &served, done)?;
-            self.router.complete(served.id);
+    /// Runs a batch the replica's executor handed out and answers every
+    /// entry at the batch's completion time.
+    fn serve_and_respond(&mut self, idx: usize, due: Due<FleetPending>) -> Result<()> {
+        let (done, outcomes) =
+            self.replicas[idx].serve(&self.bank, due.entries, due.flush_t, &self.cfg.serve)?;
+        let src = NodeId::Replica(idx);
+        sync_clock(self.net.stats(), src, done);
+        for s in outcomes {
+            let status = if s.ok {
+                InferStatus::Ok
+            } else {
+                InferStatus::TimedOut
+            };
+            self.answer(src, s.platform, s.id, s.submit_s, done, status, s.logits.as_ref())?;
+            self.router.complete(s.id);
         }
         Ok(())
     }
 
-    /// Sends one terminal response and lets the transport account it.
-    fn respond(&mut self, src: NodeId, served: &Served, at_s: f64) -> Result<()> {
-        let status = if served.ok {
-            InferStatus::Ok
-        } else {
-            InferStatus::TimedOut
-        };
-        let env = encode_response_from(
-            src,
-            NodeId::Platform(served.platform),
-            served.id,
-            served.submit_s,
-            at_s,
-            status,
-            served.logits.as_ref(),
-            self.codec(),
-        );
+    /// Sends one terminal response from `src`, stamped `at`, and lets the
+    /// transport account it.
+    #[allow(clippy::too_many_arguments)]
+    fn answer(
+        &mut self,
+        src: NodeId,
+        platform: usize,
+        id: u64,
+        submit_s: f64,
+        at: f64,
+        status: InferStatus,
+        logits: Option<&Tensor>,
+    ) -> Result<()> {
+        let dst = NodeId::Platform(platform);
+        let env = encode_response_from(src, dst, id, submit_s, at, status, logits, self.codec());
         self.net.send(env).map_err(SplitError::from)
+    }
+
+    /// Answers `pending` from `src` at `at` without logits: a refusal.
+    fn refuse(&mut self, src: NodeId, pending: &FleetPending, at: f64, status: InferStatus) -> Result<()> {
+        sync_clock(self.net.stats(), src, at);
+        let req = &pending.req;
+        self.answer(src, pending.platform, req.id, req.submit_s, at, status, None)
     }
 
     /// Answers a request at the router itself (quota or routing failure).
@@ -438,31 +431,19 @@ impl Driver<'_> {
             &format!("tenant-{}", pending.req.tenant),
             1,
         );
-        self.sync_clock(NodeId::Server, t);
-        let env = encode_response_from(
-            NodeId::Server,
-            NodeId::Platform(pending.platform),
-            pending.req.id,
-            pending.req.submit_s,
-            t,
-            InferStatus::Throttled,
-            None,
-            self.codec(),
-        );
-        self.net.send(env).map_err(SplitError::from)
+        self.refuse(NodeId::Server, pending, t, InferStatus::Throttled)
     }
 
     /// Dispatches a routed request to the ring: primary owner first, then
     /// successors, consulting the transport's health oracle and bounded
-    /// by `dispatch_retries`. Returns `true` if the frame left the
-    /// router.
+    /// by `dispatch_retries`; a request no replica can take is throttled.
     fn dispatch(
         &mut self,
         pending: FleetPending,
         t: f64,
         attempt: usize,
         mut skip: Option<usize>,
-    ) -> Result<bool> {
+    ) -> Result<()> {
         let tenant = pending.req.tenant;
         let session = pending.req.session;
         let mut tried = 0usize;
@@ -473,15 +454,14 @@ impl Driver<'_> {
             };
             let Some(r) = candidate else {
                 self.router.release(tenant);
-                self.throttle(&pending, t)?;
-                return Ok(false);
+                return self.throttle(&pending, t);
             };
             let replica_node = NodeId::Replica(r);
             let usable = !self.net.is_down(replica_node)
                 && !self.net.link_down(NodeId::Server, replica_node)
                 && self.replicas[r].phase() == ReplicaPhase::Active;
             if usable {
-                self.sync_clock(NodeId::Server, t);
+                sync_clock(self.net.stats(), NodeId::Server, t);
                 let env = encode_routed_request(NodeId::Server, replica_node, &pending.req, self.codec());
                 let wire = env.wire_size();
                 self.net.send(env).map_err(SplitError::from)?;
@@ -502,7 +482,7 @@ impl Driver<'_> {
                             pending,
                         },
                     );
-                    return Ok(true);
+                    return Ok(());
                 }
                 // The oracle said up but the frame was still eaten
                 // (probabilistic drop): treat like an unusable candidate.
@@ -511,8 +491,7 @@ impl Driver<'_> {
             skip = Some(r);
             if tried > self.cfg.dispatch_retries {
                 self.router.release(tenant);
-                self.throttle(&pending, t)?;
-                return Ok(false);
+                return self.throttle(&pending, t);
             }
         }
     }
@@ -528,11 +507,9 @@ impl Driver<'_> {
         };
         if attempt > self.cfg.dispatch_retries {
             self.router.release(pending.req.tenant);
-            self.throttle(&pending, t)?;
-            return Ok(());
+            return self.throttle(&pending, t);
         }
-        self.dispatch(pending, t, attempt, Some(entry.replica))?;
-        Ok(())
+        self.dispatch(pending, t, attempt, Some(entry.replica))
     }
 
     fn handle_crash(&mut self, r: usize, t: f64) -> Result<()> {
@@ -541,11 +518,9 @@ impl Driver<'_> {
         }
         let _span = medsplit_telemetry::span("fleet.rebalance");
         medsplit_telemetry::counter_add_labeled("fleet.crashes", &format!("replica-{r}"), 1);
-        self.replicas[r].set_phase(ReplicaPhase::Down);
-        self.router.ring_mut().set_active(r, false);
         // Queued work and local session state die with the process.
-        let _ = self.replicas[r].drain_pending();
-        self.replicas[r].forget_sessions();
+        self.replicas[r].crash();
+        self.router.ring_mut().set_active(r, false);
         // Every in-flight request assigned to the victim re-routes to a
         // ring successor. Deadlines still apply downstream.
         for entry in self.router.take_inflight_for(r) {
@@ -554,19 +529,17 @@ impl Driver<'_> {
         Ok(())
     }
 
-    /// Returns a replica to service. `graceful` distinguishes an operator
-    /// rejoin after drain (sessions were handed off and come back) from a
-    /// chaos recovery (successors may have rebuilt fresh state to give
-    /// back).
-    fn handle_rejoin(&mut self, r: usize, t: f64, graceful: bool) -> Result<()> {
+    /// Returns a replica to service, after an operator drain (its sessions
+    /// were handed off and come back) or a chaos recovery (successors may
+    /// have rebuilt fresh state to give back): either way every other
+    /// replica hands back the sessions homed to `r`.
+    fn handle_rejoin(&mut self, r: usize, t: f64) -> Result<()> {
         if self.replicas[r].phase() == ReplicaPhase::Active {
             return Ok(());
         }
         let _span = medsplit_telemetry::span("fleet.rebalance");
         self.replicas[r].set_phase(ReplicaPhase::Active);
         self.router.ring_mut().set_active(r, true);
-        let _ = graceful; // both paths pull the homed shard back
-                          // Every other replica hands back the sessions homed to `r`.
         for other in 0..self.replicas.len() {
             if other == r || self.replicas[other].phase() == ReplicaPhase::Down {
                 continue;
@@ -591,26 +564,22 @@ impl Driver<'_> {
         self.router.ring_mut().set_active(r, false);
         // Flush everything still queued in one sweep — the drain batch
         // may exceed max_batch, and pays compute for every entry.
-        let entries = self.replicas[r].drain_pending();
-        let flush_t = self.replicas[r].clock.max(t);
-        self.serve_and_respond(r, entries, flush_t)?;
+        if let Some(due) = self.replicas[r].executor.drain_all(t) {
+            self.serve_and_respond(r, due)?;
+        }
         // Hand the session shard to each session's ring successor.
         let sessions = self.replicas[r].export_all_sessions();
-        let mut by_successor: Vec<(usize, Vec<SessionState>)> = Vec::new();
+        let mut by_successor: BTreeMap<usize, Vec<SessionState>> = BTreeMap::new();
         let mut orphaned: Vec<SessionState> = Vec::new();
         for s in sessions {
             match self.router.ring().successor(s.key.tenant, s.key.session, r) {
-                Some(succ) => match by_successor.iter_mut().find(|(i, _)| *i == succ) {
-                    Some((_, v)) => v.push(s),
-                    None => by_successor.push((succ, vec![s])),
-                },
+                Some(succ) => by_successor.entry(succ).or_default().push(s),
                 // No active successor (single-replica fleet): the state
                 // stays put rather than being dropped.
                 None => orphaned.push(s),
             }
         }
         self.replicas[r].import_sessions(orphaned);
-        by_successor.sort_by_key(|(i, _)| *i);
         for (succ, group) in by_successor {
             self.transfer_sessions(r, succ, group, t)?;
         }
@@ -628,7 +597,7 @@ impl Driver<'_> {
     ) -> Result<()> {
         let count = sessions.len();
         let blob: Bytes = encode_sessions(&sessions);
-        self.sync_clock(NodeId::Replica(from), t);
+        sync_clock(self.net.stats(), NodeId::Replica(from), t);
         let env = Envelope::new(
             NodeId::Replica(from),
             NodeId::Replica(to),
@@ -685,66 +654,31 @@ impl Driver<'_> {
                         }
                         continue;
                     }
-                    self.replicas[replica].clock = self.replicas[replica].clock.max(ev.t);
                     let deadline = pending.req.deadline_s;
-                    let id = pending.req.id;
-                    let served = Served {
-                        id,
-                        tenant: pending.req.tenant,
-                        platform: pending.platform,
-                        submit_s: pending.req.submit_s,
-                        ok: false,
-                        logits: None,
-                    };
-                    match self.replicas[replica].offer(pending, ev.t, deadline) {
-                        medsplit_serve::Admission::Admitted => {
-                            if self.replicas[replica].size_due() {
-                                let flush_t = self.replicas[replica].clock;
-                                let entries = self.replicas[replica].take_batch();
-                                self.serve_and_respond(replica, entries, flush_t)?;
-                            }
-                        }
-                        medsplit_serve::Admission::Rejected => {
+                    match self.replicas[replica].executor.arrive(pending, ev.t, deadline) {
+                        Arrived::Queued => {}
+                        Arrived::Full(due) => self.serve_and_respond(replica, due)?,
+                        Arrived::Rejected(refused) => {
                             medsplit_telemetry::counter_add("fleet.rejections", 1);
-                            self.sync_clock(NodeId::Replica(replica), ev.t);
-                            let env = encode_response_from(
-                                NodeId::Replica(replica),
-                                NodeId::Platform(served.platform),
-                                served.id,
-                                served.submit_s,
-                                ev.t,
-                                InferStatus::Rejected,
-                                None,
-                                self.codec(),
-                            );
-                            self.net.send(env).map_err(SplitError::from)?;
-                            self.router.complete(id);
+                            self.refuse(NodeId::Replica(replica), &refused, ev.t, InferStatus::Rejected)?;
+                            self.router.complete(refused.req.id);
                         }
                     }
                 }
                 EvKind::Operator(op) => match op.action {
                     FleetAction::Drain => self.handle_drain(op.replica, ev.t)?,
-                    FleetAction::Rejoin => self.handle_rejoin(op.replica, ev.t, true)?,
+                    FleetAction::Rejoin => self.handle_rejoin(op.replica, ev.t)?,
                 },
             }
         }
         Ok(())
     }
 
-    /// Serves whatever is still queued after the last event, honouring
-    /// each batcher's age timer when it is finite.
+    /// Serves whatever is still queued after the last event.
     fn final_drain(&mut self) -> Result<()> {
         for idx in 0..self.replicas.len() {
-            while self.replicas[idx].queued() > 0 {
-                let ready = self.replicas[idx].ready_at().expect("non-empty queue");
-                let clock = self.replicas[idx].clock;
-                let flush_t = if ready.is_finite() {
-                    clock.max(ready)
-                } else {
-                    clock
-                };
-                let entries = self.replicas[idx].take_batch();
-                self.serve_and_respond(idx, entries, flush_t)?;
+            while let Some(due) = self.replicas[idx].executor.drain_next() {
+                self.serve_and_respond(idx, due)?;
             }
         }
         Ok(())
@@ -759,17 +693,8 @@ impl Driver<'_> {
         for p in 0..tenants {
             let node = NodeId::Platform(p);
             while let Some(env) = self.net.try_recv(node) {
-                let resp = decode_response(&env)?;
                 let downlink = self.topology.link(env.src, node);
-                let received_s = resp.served_s + downlink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
-                records.push(ClientRecord {
-                    platform: p,
-                    id: resp.id,
-                    submit_s: resp.submit_s,
-                    status: resp.status,
-                    latency_s: received_s - resp.submit_s,
-                    logits: resp.logits,
-                });
+                records.push(ClientRecord::from_response(p, &env, downlink)?);
             }
         }
         records.sort_by_key(|r| r.id);
@@ -781,22 +706,10 @@ impl Driver<'_> {
         }
 
         let stats = self.net.stats().snapshot();
-        let mut report = ServeReport {
-            offered,
-            completed: 0,
-            rejected: 0,
-            timed_out: 0,
-            throttled: 0,
-            latency: None,
-            request_bytes: stats.bytes_of(MessageKind::InferRequest),
-            response_bytes: stats.bytes_of(MessageKind::InferResponse),
-            makespan_s: stats.makespan_s,
-        };
+        let report = ServeReport::fold(offered, &records, &stats);
         let mut per_tenant_reports = vec![TenantReport::default(); tenants];
-        let mut latencies = Vec::new();
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         for rec in &records {
-            report.tally(rec.status);
             let tr = &mut per_tenant_reports[rec.platform];
             tr.offered += 1;
             match rec.status {
@@ -805,7 +718,6 @@ impl Driver<'_> {
                 _ => {}
             }
             if rec.status == InferStatus::Ok {
-                latencies.push(rec.latency_s);
                 let logits = rec.logits.as_ref().expect("ok records carry logits");
                 let mut bytes: Vec<u8> = rec.id.to_le_bytes().to_vec();
                 for &v in logits.as_slice() {
@@ -815,7 +727,6 @@ impl Driver<'_> {
                 digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        report.latency = LatencySummary::from_samples(&latencies);
 
         let per_replica = self
             .replicas
@@ -841,10 +752,6 @@ impl Driver<'_> {
         })
     }
 }
-
-/// Keeps `SplitServer` in the public-API docs honest: the fleet serves
-/// the same server actor the single-server runtime does.
-const _: fn(&mut SplitServer) = |_| {};
 
 #[cfg(test)]
 mod tests {
@@ -925,7 +832,7 @@ mod tests {
         let out = run_fleet(&cfg, 40, 5, FaultPlan::new(1), &events).unwrap();
         assert_eq!(out.report.offered, 80);
         assert_eq!(out.records.len(), 80);
-        // Nothing may be dropped by a *graceful* drain.
+        // Nothing may be dropped by an operator drain.
         assert_eq!(out.report.completed + out.report.timed_out, 80);
         assert!(out.handoffs > 0, "drain must hand off sessions");
         assert_eq!(out.per_replica[1].final_phase, ReplicaPhase::Active);

@@ -14,23 +14,34 @@
 //! - [`wire`]: request/response payload formats over the simnet
 //!   [`Envelope`](medsplit_simnet::Envelope), with their own
 //!   [`MessageKind`](medsplit_simnet::MessageKind)s so serving traffic is
-//!   accounted separately from training.
+//!   accounted separately from training. The decoders take outside
+//!   bytes: checked reads, and no timestamp that is not a time.
 //! - [`batcher`]: a pure dynamic-batching state machine (flush on size or
 //!   age) with bounded-queue admission control.
-//! - [`runtime`]: the thread-per-node serving loop with simulated-time
-//!   latency accounting, deadlines, and explicit rejection/timeout
-//!   responses.
-//! - [`metrics`]: p50/p95/p99 latency summaries and per-request byte
-//!   accounting.
+//! - [`executor`]: what one server *is* under the simulated clock — the
+//!   batcher plus a busy clock, asked three questions by a replay loop
+//!   (what is due by `t`, what becomes of this arrival, what is left at
+//!   the end), and the one batch forward (expired split, one
+//!   `concat0`/`infer`/`slice0` per group). This crate's server and
+//!   every `medsplit-fleet` replica are this type; `request_id` and the
+//!   clock-to-`t` helper live next to it.
+//! - [`runtime`]: the thread-per-node serving loop — clients submit
+//!   open-loop, the server collects, sorts by simulated arrival and
+//!   drives the executor — with explicit rejection/timeout responses,
+//!   and the [`ClientRecord`] latency rule both drivers use.
+//! - [`metrics`]: p50/p95/p99 latency summaries, per-request byte
+//!   accounting, and the one [`ServeReport`] fold from client records.
 
 #![warn(missing_docs)]
 
 pub mod batcher;
+pub mod executor;
 pub mod metrics;
 pub mod runtime;
 pub mod wire;
 
 pub use batcher::{Admission, BatchEntry, DynamicBatcher};
+pub use executor::{busy_until, forward_batch, request_id, sync_clock, Arrived, Due, Executor};
 pub use metrics::{LatencySummary, ServeReport};
 pub use runtime::{serve_threaded, ClientRecord, ServeConfig, ServeOutcome};
 pub use wire::{

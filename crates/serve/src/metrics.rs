@@ -1,8 +1,10 @@
 //! Latency and throughput accounting for a serving run.
 
-use crate::wire::InferStatus;
-
+use medsplit_simnet::{MessageKind, StatsSnapshot};
 use medsplit_telemetry::percentile;
+
+use crate::runtime::ClientRecord;
+use crate::wire::InferStatus;
 
 /// Order statistics of a latency sample set, in seconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +30,7 @@ impl LatencySummary {
             return None;
         }
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are not NaN"));
+        sorted.sort_by(f64::total_cmp);
         Some(LatencySummary {
             count: sorted.len(),
             mean_s: sorted.iter().sum::<f64>() / sorted.len() as f64,
@@ -66,6 +68,31 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Folds a run's terminal records and network statistics into its
+    /// report. Latency is summarised over completed requests only.
+    pub fn fold(offered: usize, records: &[ClientRecord], stats: &StatsSnapshot) -> ServeReport {
+        let mut report = ServeReport {
+            offered,
+            completed: 0,
+            rejected: 0,
+            timed_out: 0,
+            throttled: 0,
+            latency: None,
+            request_bytes: stats.bytes_of(MessageKind::InferRequest),
+            response_bytes: stats.bytes_of(MessageKind::InferResponse),
+            makespan_s: stats.makespan_s,
+        };
+        let mut latencies = Vec::new();
+        for rec in records {
+            report.tally(rec.status);
+            if rec.status == InferStatus::Ok {
+                latencies.push(rec.latency_s);
+            }
+        }
+        report.latency = LatencySummary::from_samples(&latencies);
+        report
+    }
+
     /// Uplink wire bytes per offered request.
     pub fn request_bytes_per_offered(&self) -> f64 {
         if self.offered == 0 {

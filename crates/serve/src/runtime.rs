@@ -10,32 +10,27 @@
 //!
 //! Timing is simulated: requests carry their submission time, the server
 //! reconstructs arrival times from the topology's link model, serving
-//! advances a single-executor busy clock (`batch_setup_s` +
-//! `per_item_s·n` per batch), and clients compute end-to-end latency from
-//! the served timestamp plus the downlink transfer time. Because the
-//! clients' streams interleave arbitrarily in wall-clock time, the server
-//! first collects all requests and then replays them in simulated-arrival
-//! order (a discrete-event simulation), so batch composition, admission
-//! decisions, and every reported latency are deterministic — wall-clock
-//! thread scheduling never affects the results.
-
-use std::time::Duration;
+//! advances the busy clock of one [`Executor`], and clients compute
+//! end-to-end latency from the served timestamp plus the downlink
+//! transfer time. Because the clients' streams interleave arbitrarily in
+//! wall-clock time, the server first collects all requests and then
+//! replays them against the executor in simulated-arrival order (a
+//! discrete-event simulation), so batch composition, admission decisions,
+//! and every reported latency are deterministic — wall-clock thread
+//! scheduling never affects the results.
 
 use medsplit_core::{Platform, Result, SplitError, SplitServer, WireCodec};
 use medsplit_simnet::threaded::run_per_node;
-use medsplit_simnet::{Envelope, MessageKind, NodeId, StarTopology, StatsSnapshot, Transport};
+use medsplit_simnet::{
+    recv_timeout_default, Envelope, LinkSpec, MessageKind, NodeId, StarTopology, StatsSnapshot, Transport,
+};
 use medsplit_tensor::Tensor;
 
-use crate::batcher::{Admission, BatchEntry, DynamicBatcher};
-use crate::metrics::{LatencySummary, ServeReport};
-use crate::wire::{decode_request, decode_response, encode_request, encode_response, InferStatus};
-
-/// How long a node thread waits on an empty inbox before giving up —
-/// the shared, env-overridable constant from
-/// [`medsplit_simnet::recv_timeout_default`].
-fn recv_timeout() -> Duration {
-    medsplit_simnet::recv_timeout_default()
-}
+use crate::executor::{forward_batch, request_id, sync_clock, Arrived, Due, Executor};
+use crate::metrics::ServeReport;
+use crate::wire::{
+    decode_request, decode_response, encode_request, encode_response, InferRequest, InferStatus,
+};
 
 /// Serving-runtime parameters.
 #[derive(Debug, Clone)]
@@ -80,24 +75,29 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> Result<()> {
-        if self.max_batch == 0 || self.queue_capacity == 0 {
-            return Err(SplitError::Config(
-                "max_batch and queue_capacity must be at least 1".into(),
-            ));
+        let cost = |c: f64| c.is_finite() && c >= 0.0;
+        // A NaN fails every comparison; `INFINITY` stays legal for the age
+        // timer (flush on size only) and the deadline (none).
+        let checks = [
+            (
+                self.max_batch >= 1 && self.queue_capacity >= 1,
+                "max_batch and queue_capacity must be at least 1",
+            ),
+            (
+                self.offered_rps.is_finite() && self.offered_rps > 0.0,
+                "offered_rps must be positive and finite",
+            ),
+            (self.max_wait_s >= 0.0, "max_wait_s must be non-negative"),
+            (self.deadline_s >= 0.0, "deadline_s must be non-negative"),
+            (
+                cost(self.batch_setup_s) && cost(self.per_item_s),
+                "compute costs must be non-negative and finite",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, why)) => Err(SplitError::Config((*why).into())),
+            None => Ok(()),
         }
-        if self.offered_rps.is_nan() || self.offered_rps <= 0.0 {
-            return Err(SplitError::Config("offered_rps must be positive".into()));
-        }
-        if self.max_wait_s.is_nan() || self.max_wait_s < 0.0 {
-            return Err(SplitError::Config("max_wait_s must be non-negative".into()));
-        }
-        if self.deadline_s.is_nan() || self.deadline_s < 0.0 {
-            return Err(SplitError::Config("deadline_s must be non-negative".into()));
-        }
-        if self.batch_setup_s < 0.0 || self.per_item_s < 0.0 {
-            return Err(SplitError::Config("compute costs must be non-negative".into()));
-        }
-        Ok(())
     }
 }
 
@@ -119,6 +119,29 @@ pub struct ClientRecord {
     pub logits: Option<Tensor>,
 }
 
+impl ClientRecord {
+    /// The client's view of the response in `env`, which left its server
+    /// at `served_s` and crossed `downlink`: end-to-end latency under the
+    /// simulated clock is served time plus downlink transfer time minus
+    /// submission time.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decoder's error for a malformed response.
+    pub fn from_response(platform: usize, env: &Envelope, downlink: Option<LinkSpec>) -> Result<Self> {
+        let resp = decode_response(env)?;
+        let received_s = resp.served_s + downlink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
+        Ok(ClientRecord {
+            platform,
+            id: resp.id,
+            submit_s: resp.submit_s,
+            status: resp.status,
+            latency_s: received_s - resp.submit_s,
+            logits: resp.logits,
+        })
+    }
+}
+
 /// Everything a serving run produces.
 #[derive(Debug)]
 pub struct ServeOutcome {
@@ -130,17 +153,12 @@ pub struct ServeOutcome {
     pub stats: StatsSnapshot,
 }
 
-/// A decoded request queued at the server.
+/// A decoded request at the server: the platform it answers to and its
+/// simulated arrival time, the key of the discrete-event replay.
 struct Pending {
     platform: usize,
-    id: u64,
-    submit_s: f64,
-    activations: Tensor,
-}
-
-enum NodeOutput {
-    Client(Vec<ClientRecord>),
-    Server,
+    arrival_s: f64,
+    req: InferRequest,
 }
 
 /// Runs a full serving session: every platform submits its queries
@@ -174,66 +192,35 @@ pub fn serve_threaded<T: Transport>(
     let offered: usize = queries.iter().map(Vec::len).sum();
     let client_count = platforms.len();
 
-    type NodeFn<'a, T> = Box<dyn FnOnce(NodeId, &T) -> Result<NodeOutput> + Send + 'a>;
+    // Every node returns its client records; the server has none.
+    type NodeFn<'a, T> = Box<dyn FnOnce(NodeId, &T) -> Result<Vec<ClientRecord>> + Send + 'a>;
     let mut nodes: Vec<(NodeId, NodeFn<'_, T>)> = Vec::with_capacity(client_count + 1);
     for (platform, qs) in platforms.drain(..).zip(queries) {
         let node = platform.node();
-        let f: NodeFn<'_, T> = Box::new(move |node, t: &T| {
-            client_loop(platform, qs, topology, cfg, node, t).map(NodeOutput::Client)
-        });
-        nodes.push((node, f));
+        let client: NodeFn<'_, T> =
+            Box::new(move |node, t: &T| client_loop(platform, qs, topology, cfg, node, t));
+        nodes.push((node, client));
     }
-    let server_cfg = cfg.clone();
     nodes.push((
         NodeId::Server,
         Box::new(move |_, t: &T| {
-            server_loop(&mut server, topology, &server_cfg, client_count, t)?;
-            Ok(NodeOutput::Server)
+            server_loop(&mut server, topology, cfg, client_count, t).map(|()| Vec::new())
         }),
     ));
 
-    let results = run_per_node(transport, nodes);
     let mut records = Vec::with_capacity(offered);
-    for (node, result) in results {
-        match result? {
-            NodeOutput::Client(mut r) => {
-                r.sort_by_key(|rec| rec.id);
-                records.extend(r);
-            }
-            NodeOutput::Server => debug_assert_eq!(node, NodeId::Server),
-        }
+    for (_, result) in run_per_node(transport, nodes) {
+        let mut of_node = result?;
+        of_node.sort_by_key(|rec| rec.id);
+        records.extend(of_node);
     }
 
     let stats = transport.stats().snapshot();
-    let mut report = ServeReport {
-        offered,
-        completed: 0,
-        rejected: 0,
-        timed_out: 0,
-        throttled: 0,
-        latency: None,
-        request_bytes: stats.bytes_of(MessageKind::InferRequest),
-        response_bytes: stats.bytes_of(MessageKind::InferResponse),
-        makespan_s: stats.makespan_s,
-    };
-    let mut latencies = Vec::new();
-    for rec in &records {
-        report.tally(rec.status);
-        if rec.status == InferStatus::Ok {
-            latencies.push(rec.latency_s);
-        }
-    }
-    report.latency = LatencySummary::from_samples(&latencies);
     Ok(ServeOutcome {
-        report,
+        report: ServeReport::fold(offered, &records, &stats),
         records,
         stats,
     })
-}
-
-/// Globally unique request id: platform index in the high bits.
-fn request_id(platform: usize, seq: usize) -> u64 {
-    ((platform as u64) << 32) | seq as u64
 }
 
 fn client_loop<T: Transport>(
@@ -253,10 +240,7 @@ fn client_loop<T: Transport>(
         // Open-loop arrivals: request `seq` is submitted at a fixed rate
         // regardless of how earlier requests fared.
         let submit_s = seq as f64 / cfg.offered_rps;
-        let now = stats.clock(node);
-        if submit_s > now {
-            stats.advance_clock(node, submit_s - now);
-        }
+        sync_clock(stats, node, submit_s);
         let acts = platform.infer_l1(&query)?;
         let env = encode_request(
             node,
@@ -276,30 +260,11 @@ fn client_loop<T: Transport>(
     let mut records = Vec::with_capacity(expected);
     for _ in 0..expected {
         let env = transport
-            .recv_timeout(node, recv_timeout())
+            .recv_timeout(node, recv_timeout_default())
             .map_err(SplitError::from)?;
-        let resp = decode_response(&env)?;
-        // End-to-end latency under the simulated clock: the response left
-        // the server at `served_s` and takes the downlink transfer time.
-        let received_s = resp.served_s + downlink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
-        records.push(ClientRecord {
-            platform: pid,
-            id: resp.id,
-            submit_s: resp.submit_s,
-            status: resp.status,
-            latency_s: received_s - resp.submit_s,
-            logits: resp.logits,
-        });
+        records.push(ClientRecord::from_response(pid, &env, downlink)?);
     }
     Ok(records)
-}
-
-/// A request waiting to enter the discrete-event replay, keyed by its
-/// simulated arrival time.
-struct Arrival {
-    arrival_s: f64,
-    deadline_s: f64,
-    pending: Pending,
 }
 
 fn server_loop<T: Transport>(
@@ -315,11 +280,11 @@ fn server_loop<T: Transport>(
     // across clients. The busy clock below must only ever move forward,
     // which makes processing order part of the result — so we gather
     // everything first and replay it as a discrete-event simulation.
-    let mut arrivals: Vec<Arrival> = Vec::new();
+    let mut arrivals: Vec<Pending> = Vec::new();
     let mut done = 0usize;
     while done < client_count {
         let env = transport
-            .recv_timeout(NodeId::Server, recv_timeout())
+            .recv_timeout(NodeId::Server, recv_timeout_default())
             .map_err(SplitError::from)?;
         match env.kind {
             MessageKind::Control => done += 1,
@@ -331,15 +296,10 @@ fn server_loop<T: Transport>(
                     .ok_or_else(|| SplitError::Protocol("infer_request from server".into()))?;
                 let uplink = topology.link(env.src, NodeId::Server);
                 let arrival_s = req.submit_s + uplink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
-                arrivals.push(Arrival {
+                arrivals.push(Pending {
+                    platform,
                     arrival_s,
-                    deadline_s: req.deadline_s,
-                    pending: Pending {
-                        platform,
-                        id: req.id,
-                        submit_s: req.submit_s,
-                        activations: req.activations,
-                    },
+                    req,
                 });
             }
             other => {
@@ -350,146 +310,79 @@ fn server_loop<T: Transport>(
         }
     }
     // Deterministic event order: by arrival, ties broken by request id.
-    arrivals.sort_by(|a, b| {
-        a.arrival_s
-            .partial_cmp(&b.arrival_s)
-            .expect("arrival times are not NaN")
-            .then(a.pending.id.cmp(&b.pending.id))
-    });
+    arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.req.id.cmp(&b.req.id)));
 
-    // Phase 2 — replay. A single-executor busy clock: the server is free
-    // to start the next batch at `sim_now`.
-    let mut batcher: DynamicBatcher<Pending> =
-        DynamicBatcher::new(cfg.max_batch, cfg.max_wait_s, cfg.queue_capacity);
-    let mut sim_now = 0.0f64;
-    for event in arrivals {
-        // Any batch whose age timer expired before this arrival was
-        // flushed while the server was (logically) idle.
-        while let Some(ready) = batcher.ready_at() {
-            if ready > event.arrival_s {
-                break;
-            }
-            let flush_t = sim_now.max(ready);
-            sim_now = serve_batch(server, batcher.take_batch(), flush_t, cfg, transport)?;
+    // Phase 2 — replay against the single executor.
+    let mut executor: Executor<Pending> = Executor::new(cfg);
+    for arrival in arrivals {
+        let (t, deadline_s) = (arrival.arrival_s, arrival.req.deadline_s);
+        while let Some(due) = executor.due_by(t) {
+            serve_due(server, due, cfg, transport)?;
         }
-        if event.arrival_s > sim_now {
-            sim_now = event.arrival_s;
-        }
-        let platform = event.pending.platform;
-        let id = event.pending.id;
-        let submit_s = event.pending.submit_s;
-        match batcher.offer(event.pending, event.arrival_s, event.deadline_s) {
-            Admission::Admitted => {
-                if batcher.len() >= batcher.max_batch() {
-                    sim_now = serve_batch(server, batcher.take_batch(), sim_now, cfg, transport)?;
-                }
-            }
-            Admission::Rejected => {
+        match executor.arrive(arrival, t, deadline_s) {
+            Arrived::Queued => {}
+            Arrived::Full(due) => serve_due(server, due, cfg, transport)?,
+            Arrived::Rejected(pending) => {
                 medsplit_telemetry::counter_add("serve.rejections", 1);
                 // Backpressure is explicit: the client gets an answer
                 // rather than a silent drop.
-                sync_server_clock(transport, sim_now);
-                let resp = encode_response(
-                    NodeId::Platform(platform),
-                    id,
-                    submit_s,
-                    sim_now,
-                    InferStatus::Rejected,
-                    None,
-                    cfg.codec,
-                );
-                transport.send(resp).map_err(SplitError::from)?;
+                let now = executor.clock();
+                sync_clock(transport.stats(), NodeId::Server, now);
+                respond(transport, &pending, now, InferStatus::Rejected, None, cfg)?;
             }
         }
     }
-    // Phase 3 — drain what is still queued, honouring the age timer when
-    // it is finite.
-    while !batcher.is_empty() {
-        let ready = batcher.ready_at().expect("non-empty queue");
-        let flush_t = if ready.is_finite() {
-            sim_now.max(ready)
-        } else {
-            sim_now
-        };
-        sim_now = serve_batch(server, batcher.take_batch(), flush_t, cfg, transport)?;
+    // Phase 3 — drain what is still queued.
+    while let Some(due) = executor.drain_next() {
+        serve_due(server, due, cfg, transport)?;
     }
     Ok(())
 }
 
-/// Serves one batch starting at `flush_t` and returns the time the server
-/// is free again. Every entry gets exactly one response: logits, or a
-/// timeout if its deadline expired before the batch finished.
-fn serve_batch<T: Transport>(
+/// Serves one batch. Every entry gets exactly one response stamped with
+/// the batch's completion time: logits, or a timeout if its deadline
+/// expired before the batch finished.
+fn serve_due<T: Transport>(
     server: &mut SplitServer,
-    entries: Vec<BatchEntry<Pending>>,
-    flush_t: f64,
+    due: Due<Pending>,
     cfg: &ServeConfig,
     transport: &T,
-) -> Result<f64> {
-    if entries.is_empty() {
-        return Ok(flush_t);
-    }
-    let serve_done = flush_t + cfg.batch_setup_s + cfg.per_item_s * entries.len() as f64;
-    sync_server_clock(transport, serve_done);
-
-    let (live, expired): (Vec<_>, Vec<_>) = entries.into_iter().partition(|e| e.deadline_s >= serve_done);
-    for entry in expired {
-        let p = entry.item;
-        let resp = encode_response(
-            NodeId::Platform(p.platform),
-            p.id,
-            p.submit_s,
-            serve_done,
-            InferStatus::TimedOut,
-            None,
-            cfg.codec,
-        );
-        transport.send(resp).map_err(SplitError::from)?;
-    }
-    if live.is_empty() {
-        return Ok(serve_done);
-    }
-
-    // One forward pass over the concatenated batch, then per-request
-    // slices — the same aggregate pattern as training.
-    medsplit_telemetry::histogram_observe(
+) -> Result<()> {
+    sync_clock(transport.stats(), NodeId::Server, due.done_s);
+    forward_batch(
+        due.entries,
+        due.done_s,
         "serve.batch_size",
-        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-        live.len() as f64,
-    );
-    let assemble = medsplit_telemetry::span("batch_assemble");
-    let tensors: Vec<Tensor> = live.iter().map(|e| e.item.activations.clone()).collect();
-    let rows: Vec<usize> = tensors.iter().map(|t| t.dims()[0]).collect();
-    let batch = Tensor::concat0(&tensors)?;
-    drop(assemble);
-    let infer = medsplit_telemetry::span("batch_infer");
-    let logits = server.infer(&batch)?;
-    drop(infer);
-    let mut offset = 0;
-    for (entry, n) in live.into_iter().zip(rows) {
-        let slice = logits.slice0(offset, n)?;
-        offset += n;
-        let p = entry.item;
-        let resp = encode_response(
-            NodeId::Platform(p.platform),
-            p.id,
-            p.submit_s,
-            serve_done,
-            InferStatus::Ok,
-            Some(&slice),
-            cfg.codec,
-        );
-        transport.send(resp).map_err(SplitError::from)?;
-    }
-    Ok(serve_done)
+        |_| (),
+        |p| &p.req.activations,
+        |(), batch| server.infer(batch),
+        |p, logits| {
+            let status = if logits.is_some() {
+                InferStatus::Ok
+            } else {
+                InferStatus::TimedOut
+            };
+            respond(transport, p, due.done_s, status, logits.as_ref(), cfg)
+        },
+    )
 }
 
-/// Brings the server's network clock up to `t` so transport-level arrival
-/// times and the makespan agree with the serving busy clock.
-fn sync_server_clock<T: Transport>(transport: &T, t: f64) {
-    let stats = transport.stats();
-    let now = stats.clock(NodeId::Server);
-    if t > now {
-        stats.advance_clock(NodeId::Server, t - now);
-    }
+fn respond<T: Transport>(
+    transport: &T,
+    to: &Pending,
+    served_s: f64,
+    status: InferStatus,
+    logits: Option<&Tensor>,
+    cfg: &ServeConfig,
+) -> Result<()> {
+    let resp = encode_response(
+        NodeId::Platform(to.platform),
+        to.req.id,
+        to.req.submit_s,
+        served_s,
+        status,
+        logits,
+        cfg.codec,
+    );
+    transport.send(resp).map_err(SplitError::from)
 }

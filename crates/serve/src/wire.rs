@@ -6,6 +6,11 @@
 //! the client needs to compute end-to-end latency under the simulated
 //! clock. All timestamps are absolute simulated seconds, serialised as
 //! `f64` bit patterns so `INFINITY` ("no deadline") survives the trip.
+//!
+//! The decoders take bytes from outside: the fixed prefix is read with
+//! checked reads, and a timestamp the replay would sort or add — a
+//! non-finite `submit_s` / `served_s`, a NaN `deadline_s` — is a protocol
+//! error here rather than a panic or a poisoned clock downstream.
 
 use bytes::{BufMut, Bytes};
 use medsplit_core::{Result, SplitError, WireCodec};
@@ -19,6 +24,46 @@ const RESPONSE_PREFIX: usize = 8 + 8 + 8 + 1;
 /// Fixed routed-request prefix: the plain request prefix plus tenant,
 /// session, and pinned weight version.
 const ROUTED_PREFIX: usize = REQUEST_PREFIX + 8 + 8 + 4;
+
+/// Checks the envelope's kind and returns the `len`-byte fixed prefix of
+/// its payload.
+fn prefix(env: &Envelope, kind: MessageKind, len: usize) -> Result<&[u8]> {
+    if env.kind != kind {
+        return Err(SplitError::Protocol(format!(
+            "expected {kind} from {}, got {}",
+            env.src, env.kind
+        )));
+    }
+    env.payload.get(..len).ok_or_else(|| {
+        SplitError::Protocol(format!("truncated {kind} payload ({} bytes)", env.payload.len()))
+    })
+}
+
+/// The little-endian word at `at`, by checked read.
+fn word<const N: usize>(p: &[u8], at: usize) -> Result<[u8; N]> {
+    p.get(at..at + N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| SplitError::Protocol(format!("serving prefix has no {N}-byte word at {at}")))
+}
+
+fn u64_at(p: &[u8], at: usize) -> Result<u64> {
+    word(p, at).map(u64::from_le_bytes)
+}
+
+/// The `f64` at `at`, which must satisfy `is_time`: [`f64::is_finite`]
+/// for a timestamp, [`not_nan`] for a deadline (`+INFINITY` = none).
+fn time_at(p: &[u8], at: usize, field: &str, is_time: fn(f64) -> bool) -> Result<f64> {
+    let t = f64::from_bits(u64_at(p, at)?);
+    if is_time(t) {
+        Ok(t)
+    } else {
+        Err(SplitError::Protocol(format!("{field} {t} is not a time")))
+    }
+}
+
+fn not_nan(t: f64) -> bool {
+    !t.is_nan()
+}
 
 /// Terminal status of one inference request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,27 +169,15 @@ pub fn encode_request(
 ///
 /// # Errors
 ///
-/// Returns [`SplitError::Protocol`] for a wrong message kind or truncated
-/// prefix, and [`SplitError::Tensor`] for a corrupt tensor body.
+/// Returns [`SplitError::Protocol`] for a wrong message kind, a truncated
+/// prefix or a timestamp that is not a time, and [`SplitError::Tensor`]
+/// for a corrupt tensor body.
 pub fn decode_request(env: &Envelope) -> Result<InferRequest> {
-    if env.kind != MessageKind::InferRequest {
-        return Err(SplitError::Protocol(format!(
-            "expected infer_request from {}, got {}",
-            env.src, env.kind
-        )));
-    }
-    let p = &env.payload;
-    if p.len() < REQUEST_PREFIX {
-        return Err(SplitError::Protocol(format!(
-            "truncated infer_request payload ({} bytes)",
-            p.len()
-        )));
-    }
-    let read_u64 = |at: usize| u64::from_le_bytes(p[at..at + 8].try_into().expect("8 bytes"));
+    let p = prefix(env, MessageKind::InferRequest, REQUEST_PREFIX)?;
     Ok(InferRequest {
-        id: read_u64(0),
-        submit_s: f64::from_bits(read_u64(8)),
-        deadline_s: f64::from_bits(read_u64(16)),
+        id: u64_at(p, 0)?,
+        submit_s: time_at(p, 8, "submit_s", f64::is_finite)?,
+        deadline_s: time_at(p, 16, "deadline_s", not_nan)?,
         activations: Tensor::from_bytes(env.payload.slice(REQUEST_PREFIX..))?,
     })
 }
@@ -191,30 +224,18 @@ pub fn encode_routed_request(src: NodeId, dst: NodeId, req: &RoutedRequest, code
 ///
 /// # Errors
 ///
-/// Returns [`SplitError::Protocol`] for a wrong message kind or truncated
-/// prefix, and [`SplitError::Tensor`] for a corrupt tensor body.
+/// Returns [`SplitError::Protocol`] for a wrong message kind, a truncated
+/// prefix or a timestamp that is not a time, and [`SplitError::Tensor`]
+/// for a corrupt tensor body.
 pub fn decode_routed_request(env: &Envelope) -> Result<RoutedRequest> {
-    if env.kind != MessageKind::InferRequest {
-        return Err(SplitError::Protocol(format!(
-            "expected infer_request from {}, got {}",
-            env.src, env.kind
-        )));
-    }
-    let p = &env.payload;
-    if p.len() < ROUTED_PREFIX {
-        return Err(SplitError::Protocol(format!(
-            "truncated routed infer_request payload ({} bytes)",
-            p.len()
-        )));
-    }
-    let read_u64 = |at: usize| u64::from_le_bytes(p[at..at + 8].try_into().expect("8 bytes"));
+    let p = prefix(env, MessageKind::InferRequest, ROUTED_PREFIX)?;
     Ok(RoutedRequest {
-        id: read_u64(0),
-        submit_s: f64::from_bits(read_u64(8)),
-        deadline_s: f64::from_bits(read_u64(16)),
-        tenant: read_u64(24),
-        session: read_u64(32),
-        version: u32::from_le_bytes(p[40..44].try_into().expect("4 bytes")),
+        id: u64_at(p, 0)?,
+        submit_s: time_at(p, 8, "submit_s", f64::is_finite)?,
+        deadline_s: time_at(p, 16, "deadline_s", not_nan)?,
+        tenant: u64_at(p, 24)?,
+        session: u64_at(p, 32)?,
+        version: word(p, 40).map(u32::from_le_bytes)?,
         activations: Tensor::from_bytes(env.payload.slice(ROUTED_PREFIX..))?,
     })
 }
@@ -279,34 +300,23 @@ pub fn encode_response_from(
 ///
 /// # Errors
 ///
-/// Returns [`SplitError::Protocol`] for a wrong kind, truncated prefix, or
-/// unknown status code, and [`SplitError::Tensor`] for a corrupt body.
+/// Returns [`SplitError::Protocol`] for a wrong kind, truncated prefix,
+/// unknown status code or non-finite timestamp, and
+/// [`SplitError::Tensor`] for a corrupt body.
 pub fn decode_response(env: &Envelope) -> Result<InferResponse> {
-    if env.kind != MessageKind::InferResponse {
-        return Err(SplitError::Protocol(format!(
-            "expected infer_response from {}, got {}",
-            env.src, env.kind
-        )));
-    }
-    let p = &env.payload;
-    if p.len() < RESPONSE_PREFIX {
-        return Err(SplitError::Protocol(format!(
-            "truncated infer_response payload ({} bytes)",
-            p.len()
-        )));
-    }
-    let read_u64 = |at: usize| u64::from_le_bytes(p[at..at + 8].try_into().expect("8 bytes"));
-    let status = InferStatus::from_code(p[24])
-        .ok_or_else(|| SplitError::Protocol(format!("unknown infer status code {}", p[24])))?;
+    let p = prefix(env, MessageKind::InferResponse, RESPONSE_PREFIX)?;
+    let [code] = word(p, 24)?;
+    let status = InferStatus::from_code(code)
+        .ok_or_else(|| SplitError::Protocol(format!("unknown infer status code {code}")))?;
     let logits = if status == InferStatus::Ok {
         Some(Tensor::from_bytes(env.payload.slice(RESPONSE_PREFIX..))?)
     } else {
         None
     };
     Ok(InferResponse {
-        id: read_u64(0),
-        submit_s: f64::from_bits(read_u64(8)),
-        served_s: f64::from_bits(read_u64(16)),
+        id: u64_at(p, 0)?,
+        submit_s: time_at(p, 8, "submit_s", f64::is_finite)?,
+        served_s: time_at(p, 16, "served_s", f64::is_finite)?,
         status,
         logits,
     })
@@ -461,6 +471,54 @@ mod tests {
         assert_eq!(resp.status, InferStatus::Throttled);
         assert!(resp.logits.is_none());
         assert_eq!(InferStatus::Throttled.to_string(), "throttled");
+    }
+
+    /// Overwrites the `f64` at `at` in a valid frame.
+    fn with_time(mut env: Envelope, at: usize, t: f64) -> Envelope {
+        let mut raw = env.payload.to_vec();
+        raw[at..at + 8].copy_from_slice(&t.to_bits().to_le_bytes());
+        env.payload = Bytes::from(raw);
+        env
+    }
+
+    #[test]
+    fn timestamps_that_are_not_times_are_refused() {
+        let acts = Tensor::ones([1, 2]);
+        let request = || encode_request(NodeId::Platform(0), 0, 0.0, 1.0, &acts, WireCodec::F32);
+        let routed = || {
+            let req = RoutedRequest {
+                id: 1,
+                submit_s: 0.0,
+                deadline_s: 1.0,
+                tenant: 0,
+                session: 0,
+                version: 0,
+                activations: acts.clone(),
+            };
+            encode_routed_request(NodeId::Platform(0), NodeId::Server, &req, WireCodec::F32)
+        };
+        let response = || {
+            encode_response(
+                NodeId::Platform(0),
+                1,
+                0.0,
+                0.5,
+                InferStatus::Rejected,
+                None,
+                WireCodec::F32,
+            )
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(decode_request(&with_time(request(), 8, bad)).is_err());
+            assert!(decode_routed_request(&with_time(routed(), 8, bad)).is_err());
+            assert!(decode_response(&with_time(response(), 8, bad)).is_err());
+            assert!(decode_response(&with_time(response(), 16, bad)).is_err());
+        }
+        // A deadline may be infinite either way, but not NaN.
+        assert!(decode_request(&with_time(request(), 16, f64::NAN)).is_err());
+        assert!(decode_routed_request(&with_time(routed(), 16, f64::NAN)).is_err());
+        assert!(decode_request(&with_time(request(), 16, f64::NEG_INFINITY)).is_ok());
+        assert!(decode_routed_request(&with_time(routed(), 16, f64::INFINITY)).is_ok());
     }
 
     #[test]

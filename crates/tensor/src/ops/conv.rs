@@ -411,82 +411,14 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: Conv2dSpec,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let (n, c, h, w) = check_nchw(input, "conv2d_backward")?;
+    let (_, c, h, w) = check_nchw(input, "conv2d_backward")?;
     let (o, _ci, kh, kw) = check_nchw(weight, "conv2d_backward(weight)")?;
-    let (gn, go, goh, gow) = check_nchw(grad_out, "conv2d_backward(grad)")?;
+    check_nchw(grad_out, "conv2d_backward(grad)")?;
     let (oh, ow) = spec.output_hw(h, w)?;
-    if gn != n || go != o || goh != oh || gow != ow {
-        return Err(TensorError::ShapeMismatch {
-            lhs: grad_out.shape().clone(),
-            rhs: input.shape().clone(),
-            op: "conv2d_backward",
-        });
-    }
-    let _span = medsplit_telemetry::span("conv_bwd");
-    let rows = c * kh * kw;
-    let ncols = oh * ow;
-    let wmat = weight.as_slice();
-    let mut grad_input = Tensor::zeros([n, c, h, w]);
-    let mut grad_weight = Tensor::zeros([o, c, kh, kw]);
-    let mut grad_bias = Tensor::zeros([o]);
-    let src = input.as_slice();
-    let g = grad_out.as_slice();
-    // Each fixed-size image chunk accumulates weight/bias partials into
-    // its own region of `partials` while scattering input gradients
-    // directly into its (disjoint) slice of `grad_input`; the partials
-    // are then reduced sequentially in chunk order below, keeping the
-    // result independent of the pool size.
-    let pstride = o * rows + o;
-    let nchunks = n.div_ceil(BWD_CHUNK);
-    let mut partials = vec![0.0f32; nchunks * pstride];
-    let gi = pool::RawSliceMut::new(grad_input.as_mut_slice());
-    // Two GEMMs (dW and dX) of `o·rows·ncols` multiply-accumulates per image.
-    let macs = 2 * n * o * rows * ncols;
-    pool::parallel_chunks_mut_sized(&mut partials, pstride, macs, |chunk_idx, partial| {
-        let (gw_part, gb_part) = partial.split_at_mut(o * rows);
-        let lo = chunk_idx * BWD_CHUNK;
-        let hi = (lo + BWD_CHUNK).min(n);
-        for i in lo..hi {
-            let gmat = &g[i * o * ncols..(i + 1) * o * ncols];
-            scratch::with_f32(rows * ncols, |cols| {
-                im2col_single(
-                    &src[i * c * h * w..(i + 1) * c * h * w],
-                    c,
-                    h,
-                    w,
-                    spec,
-                    oh,
-                    ow,
-                    cols,
-                );
-                // dW += G · colsᵀ
-                gemm_nt_into(gmat, cols, gw_part, o, rows, ncols, true);
-                // dcols = Wᵀ · G, then scatter back to image space.
-                scratch::with_f32(rows * ncols, |dcols| {
-                    dcols.fill(0.0);
-                    gemm_tn_into(wmat, gmat, dcols, o, rows, ncols);
-                    // SAFETY: image `i` belongs to exactly one chunk, so
-                    // the reborrowed region is exclusive to this task.
-                    let img = unsafe { gi.slice(i * c * h * w, (i + 1) * c * h * w) };
-                    col2im_single(dcols, c, h, w, spec, oh, ow, img);
-                });
-            });
-            // db += row sums of G
-            for (oc, gb) in gb_part.iter_mut().enumerate() {
-                *gb += gmat[oc * ncols..(oc + 1) * ncols].iter().sum::<f32>();
-            }
-        }
-    });
-    for chunk in partials.chunks_exact(pstride) {
-        let (gw_part, gb_part) = chunk.split_at(o * rows);
-        for (dst, &v) in grad_weight.as_mut_slice().iter_mut().zip(gw_part) {
-            *dst += v;
-        }
-        for (dst, &v) in grad_bias.as_mut_slice().iter_mut().zip(gb_part) {
-            *dst += v;
-        }
-    }
-    Ok((grad_input, grad_weight, grad_bias))
+    let (wmat, rows, ncols) = (weight.as_slice(), c * kh * kw, oh * ow);
+    // dcols += Wᵀ · G, re-packing the weight per image.
+    let wt_g = |gmat: &[f32], dcols: &mut [f32]| gemm_tn_into(wmat, gmat, dcols, o, rows, ncols);
+    backward_with(input, (o, kh, kw), grad_out, spec, (oh, ow), wt_g)
 }
 
 /// Planned gradients of a 2-D convolution: identical math and reduction
@@ -497,7 +429,7 @@ pub fn conv2d_backward(
 ///
 /// `weight` must be the tensor the plan packed (the layer checks the
 /// version before dispatching here); it is still needed directly for the
-/// weight-gradient GEMM and the lazy transposed-panel build.
+/// lazy transposed-panel build.
 ///
 /// # Errors
 ///
@@ -508,9 +440,9 @@ pub fn conv2d_backward_planned(
     grad_out: &Tensor,
     plan: &mut ConvPlan,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let (n, c, h, w) = check_nchw(input, "conv2d_backward")?;
+    let (_, c, h, w) = check_nchw(input, "conv2d_backward")?;
     let (o, ci, kh, kw) = check_nchw(weight, "conv2d_backward(weight)")?;
-    let (gn, go, goh, gow) = check_nchw(grad_out, "conv2d_backward(grad)")?;
+    check_nchw(grad_out, "conv2d_backward(grad)")?;
     if c != plan.in_channels() || o != plan.out_channels() || ci != c {
         return Err(TensorError::ShapeMismatch {
             lhs: input.shape().clone(),
@@ -519,7 +451,30 @@ pub fn conv2d_backward_planned(
         });
     }
     let geo = plan.geometry(h, w)?;
-    if gn != n || go != o || goh != geo.oh || gow != geo.ow {
+    let (spec, rows, ncols) = (plan.spec(), geo.rows, geo.ncols);
+    let row_block = matmul::row_block(rows);
+    let wpack_t = plan.bwd_panels(weight.as_slice());
+    // dcols += Wᵀ · G from the cached transposed panels.
+    let wt_g = |gmat: &[f32], dcols: &mut [f32]| {
+        matmul::gemm_prepacked_a(wpack_t, gmat, ncols, 1, dcols, rows, o, ncols, true, row_block);
+    };
+    backward_with(input, (o, kh, kw), grad_out, spec, (geo.oh, geo.ow), wt_g)
+}
+
+/// The body of both backward entry points, for an `[o, c, kh, kw]` filter
+/// and the `oh × ow` output its caller derived; what is left to check is
+/// that `grad_out` has that shape. `wt_g(G, dcols)` accumulates `Wᵀ·G`
+/// into the zeroed `dcols`; it is the one step the two differ in.
+fn backward_with(
+    input: &Tensor,
+    (o, kh, kw): (usize, usize, usize),
+    grad_out: &Tensor,
+    spec: Conv2dSpec,
+    (oh, ow): (usize, usize),
+    wt_g: impl Fn(&[f32], &mut [f32]) + Sync,
+) -> Result<(Tensor, Tensor, Tensor)> {
+    let (n, c, h, w) = check_nchw(input, "conv2d_backward")?;
+    if grad_out.dims() != [n, o, oh, ow] {
         return Err(TensorError::ShapeMismatch {
             lhs: grad_out.shape().clone(),
             rhs: input.shape().clone(),
@@ -527,19 +482,17 @@ pub fn conv2d_backward_planned(
         });
     }
     let _span = medsplit_telemetry::span("conv_bwd");
-    let spec = plan.spec();
-    let (rows, ncols, oh, ow) = (geo.rows, geo.ncols, geo.oh, geo.ow);
-    let row_block = matmul::row_block(rows);
-    let wmat = weight.as_slice();
-    let wpack_t = plan.bwd_panels(wmat);
+    let (rows, ncols) = (c * kh * kw, oh * ow);
     let mut grad_input = Tensor::zeros([n, c, h, w]);
     let mut grad_weight = Tensor::zeros([o, c, kh, kw]);
     let mut grad_bias = Tensor::zeros([o]);
     let src = input.as_slice();
     let g = grad_out.as_slice();
-    // Same fixed-chunk partial-sum scheme as the unplanned path: the
-    // reduction order (ascending chunk index) never depends on the pool
-    // size, so gradients stay bit-identical across thread counts.
+    // Each fixed-size image chunk accumulates weight/bias partials into
+    // its own region of `partials` while scattering input gradients
+    // directly into its (disjoint) slice of `grad_input`; the partials
+    // are then reduced sequentially in chunk order below, so gradients
+    // stay bit-identical across thread counts.
     let pstride = o * rows + o;
     let nchunks = n.div_ceil(BWD_CHUNK);
     let mut partials = vec![0.0f32; nchunks * pstride];
@@ -552,26 +505,18 @@ pub fn conv2d_backward_planned(
         let hi = (lo + BWD_CHUNK).min(n);
         for i in lo..hi {
             let gmat = &g[i * o * ncols..(i + 1) * o * ncols];
+            let image = i * c * h * w..(i + 1) * c * h * w;
             scratch::with_f32(rows * ncols, |cols| {
-                im2col_single(
-                    &src[i * c * h * w..(i + 1) * c * h * w],
-                    c,
-                    h,
-                    w,
-                    spec,
-                    oh,
-                    ow,
-                    cols,
-                );
+                im2col_single(&src[image.clone()], c, h, w, spec, oh, ow, cols);
                 // dW += G · colsᵀ
                 gemm_nt_into(gmat, cols, gw_part, o, rows, ncols, true);
-                // dcols = Wᵀ · G from the cached transposed panels.
+                // dcols = Wᵀ · G, then scatter back to image space.
                 scratch::with_f32(rows * ncols, |dcols| {
                     dcols.fill(0.0);
-                    matmul::gemm_prepacked_a(wpack_t, gmat, ncols, 1, dcols, rows, o, ncols, true, row_block);
+                    wt_g(gmat, dcols);
                     // SAFETY: image `i` belongs to exactly one chunk, so
                     // the reborrowed region is exclusive to this task.
-                    let img = unsafe { gi.slice(i * c * h * w, (i + 1) * c * h * w) };
+                    let img = unsafe { gi.slice(image.start, image.end) };
                     col2im_single(dcols, c, h, w, spec, oh, ow, img);
                 });
             });

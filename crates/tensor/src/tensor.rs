@@ -288,21 +288,23 @@ impl Tensor {
         })
     }
 
-    /// Concatenates tensors along axis 0. Inputs must agree on all trailing
-    /// dimensions.
+    /// Concatenates tensors (owned or borrowed) along axis 0. Inputs must
+    /// agree on all trailing dimensions.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] on disagreement or an empty
     /// input list.
-    pub fn concat0(tensors: &[Tensor]) -> Result<Tensor> {
-        let first = tensors
+    pub fn concat0<T: std::borrow::Borrow<Tensor>>(tensors: &[T]) -> Result<Tensor> {
+        let first: &Tensor = tensors
             .first()
-            .ok_or_else(|| TensorError::Corrupt("concat of zero tensors".into()))?;
+            .ok_or_else(|| TensorError::Corrupt("concat of zero tensors".into()))?
+            .borrow();
         let tail = &first.dims()[1..];
         let mut rows = 0;
         let mut data = Vec::new();
         for t in tensors {
+            let t: &Tensor = t.borrow();
             if t.rank() != first.rank() || &t.dims()[1..] != tail {
                 return Err(TensorError::ShapeMismatch {
                     lhs: first.shape.clone(),

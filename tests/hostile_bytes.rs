@@ -13,7 +13,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
-use medsplit::core::relay;
+use medsplit::core::{relay, WireCodec};
+use medsplit::fleet::{decode_sessions, encode_sessions, SessionKey, SessionState};
+use medsplit::serve::{
+    decode_request, decode_response, decode_routed_request, encode_request, encode_response,
+    encode_routed_request, InferStatus, RoutedRequest,
+};
 use medsplit::simnet::{Envelope, MessageKind, NodeId, FRAME_HEADER_LEN};
 use medsplit::tensor::Tensor;
 use proptest::prelude::*;
@@ -108,11 +113,43 @@ fn decode_everything(raw: &[u8]) -> Result<(), String> {
     if logical > 64 + 4 * raw.len() {
         return Err(format!("logical size {logical} of {} bytes", raw.len()));
     }
+
+    // The serving path: `raw` as the payload of a request and of a
+    // response, and as a session-handoff blob.
+    let payload = Bytes::copy_from_slice(raw);
+    let serving = |kind| Envelope::new(NodeId::Platform(0), NodeId::Server, 0, kind, payload.clone());
+    let request = serving(MessageKind::InferRequest);
+    let (got, largest) = largest_allocation(|| decode_request(&request));
+    check("decode_request", largest)?;
+    let (routed, largest) = largest_allocation(|| decode_routed_request(&request));
+    check("decode_routed_request", largest)?;
+    let response = serving(MessageKind::InferResponse);
+    let (answered, largest) = largest_allocation(|| decode_response(&response));
+    check("decode_response", largest)?;
+    // What a decoder lets through, the replay may sort and add.
+    let times = [
+        got.ok().map(|r| (r.submit_s, r.deadline_s)),
+        routed.ok().map(|r| (r.submit_s, r.deadline_s)),
+        answered.ok().map(|r| (r.submit_s, r.served_s)),
+    ];
+    for (at, second) in times.into_iter().flatten() {
+        if !at.is_finite() || second.is_nan() {
+            return Err(format!("a serving decoder passed the times ({at}, {second})"));
+        }
+    }
+    let (sessions, largest) = largest_allocation(|| decode_sessions(&payload));
+    check("decode_sessions", largest)?;
+    if let Ok(sessions) = sessions {
+        if 8 + 36 * sessions.len() != raw.len() {
+            return Err(format!("{} sessions out of {} bytes", sessions.len(), raw.len()));
+        }
+    }
     Ok(())
 }
 
 /// A frame of each kind the decoders meet, to mutate: the three tensor
-/// encodings, an envelope around one, and a relay batch of two.
+/// encodings, an envelope around one, a relay batch of two, the three
+/// serving payloads and a session-handoff blob.
 fn valid_frames() -> Vec<Vec<u8>> {
     let t = Tensor::from_vec((0..24).map(|i| i as f32 * 0.37 - 4.0).collect(), [4, 6]).unwrap();
     let env = |pid, payload| {
@@ -125,12 +162,39 @@ fn valid_frames() -> Vec<Vec<u8>> {
         )
     };
     let inner = [env(0, t.to_bytes_i8()), env(1, t.to_bytes_f16())];
+    let routed = RoutedRequest {
+        id: 7,
+        submit_s: 0.25,
+        deadline_s: f64::INFINITY,
+        tenant: 1,
+        session: 2,
+        version: 0,
+        activations: t.clone(),
+    };
+    let session = SessionState::new(
+        SessionKey {
+            tenant: 1,
+            session: 2,
+        },
+        0,
+    );
+    let p0 = NodeId::Platform(0);
     vec![
         t.to_bytes().to_vec(),
         t.to_bytes_f16().to_vec(),
         t.to_bytes_i8().to_vec(),
         inner[0].encode().to_vec(),
         relay::batch_upstream(0, 5, &inner).payload.to_vec(),
+        encode_request(p0, 7, 0.25, 1.5, &t, WireCodec::F16)
+            .payload
+            .to_vec(),
+        encode_routed_request(p0, NodeId::Server, &routed, WireCodec::Int8)
+            .payload
+            .to_vec(),
+        encode_response(p0, 7, 0.25, 0.5, InferStatus::Ok, Some(&t), WireCodec::F32)
+            .payload
+            .to_vec(),
+        encode_sessions(&[session, session]).to_vec(),
     ]
 }
 
@@ -146,7 +210,7 @@ proptest! {
     /// and ranks among them — then cut short or padded.
     #[test]
     fn mutated_frames_are_decoded_within_the_bound(
-        which in 0usize..5,
+        which in 0usize..9,
         at in 0usize..400,
         patch in prop::collection::vec(0u8..=255, 1..9),
         resize in 0usize..80,
@@ -187,7 +251,30 @@ fn known_hostile_headers_are_refused_cheaply() {
     assert_eq!(got.unwrap().numel(), 24);
     assert!((96..=SLACK).contains(&largest), "{largest}");
 
-    for frame in valid_frames() {
+    // A session count whose byte length wraps `usize` back onto the eight
+    // bytes present: 8 + 2^62 * 36 = 8 (mod 2^64).
+    let wrapping_count = Bytes::from((1u64 << 62).to_le_bytes().to_vec());
+    let (got, largest) = largest_allocation(|| decode_sessions(&wrapping_count));
+    assert!(got.is_err());
+    assert!(largest <= SLACK, "{largest}");
+
+    // A NaN submission time would reach the server's arrival sort.
+    let frames = valid_frames();
+    let mut nan_submit = frames[5].clone();
+    nan_submit[8..16].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    let env = |raw: &[u8]| {
+        Envelope::new(
+            NodeId::Platform(0),
+            NodeId::Server,
+            7,
+            MessageKind::InferRequest,
+            Bytes::copy_from_slice(raw),
+        )
+    };
+    assert!(decode_request(&env(&frames[5])).is_ok());
+    assert!(decode_request(&env(&nan_submit)).is_err());
+
+    for frame in frames {
         decode_everything(&frame).unwrap();
         for lying in [u64::MAX, u64::MAX - 44, 1 << 40] {
             let mut raw = frame.clone();
