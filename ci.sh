@@ -35,6 +35,15 @@ echo "==> decoder suites again under --release"
 cargo test -q --release --offline -p medsplit-tensor -p medsplit-simnet -p medsplit-core
 cargo test -q --release --offline --test hostile_bytes
 
+echo "==> spatial kernels again under --release"
+# The conv lowering indexes a zero-bordered copy of each image and the
+# pools clamp their windows once per row, with no bounds test per
+# element: an index slip is a slice panic in debug and a wrong value in
+# release, so both builds must be seen. The naive-reference oracle
+# (crates/tensor/tests/spatial_oracle.rs) already ran in release with
+# the medsplit-tensor suites above; the golden digests follow.
+cargo test -q --release --offline --test spatial_golden
+
 echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,

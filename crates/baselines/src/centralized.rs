@@ -73,7 +73,7 @@ pub fn train_centralized<T: Transport>(
         let (batch, batch_labels) = sampler.next_from(&pooled);
         let logits = model.forward(&batch, Mode::Train)?;
         let out = softmax_cross_entropy(&logits, &batch_labels)?;
-        model.backward(&out.grad)?;
+        model.backward_params(&out.grad)?;
         opt.step_and_zero(&mut model);
         transport.stats().advance_clock(
             NodeId::Server,

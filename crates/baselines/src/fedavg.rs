@@ -109,7 +109,7 @@ pub fn train_fedavg<T: Transport>(
                 let (features, labels) = p.sampler.next_from(&p.data);
                 let logits = p.model.forward(&features, Mode::Train)?;
                 let out = softmax_cross_entropy(&logits, &labels)?;
-                p.model.backward(&out.grad)?;
+                p.model.backward_params(&out.grad)?;
                 p.optimizer.step_and_zero(&mut p.model);
                 loss_sum += out.loss;
             }

@@ -56,7 +56,7 @@ pub fn train_local_only(
             let (features, labels) = sampler.next_from(shard);
             let logits = model.forward(&features, Mode::Train)?;
             let out = softmax_cross_entropy(&logits, &labels)?;
-            model.backward(&out.grad)?;
+            model.backward_params(&out.grad)?;
             opt.step_and_zero(model);
             losses.push(out.loss);
         }

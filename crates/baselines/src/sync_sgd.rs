@@ -108,7 +108,7 @@ pub fn train_sync_sgd<T: Transport>(
             let (features, labels) = w.sampler.next_from(&w.data);
             let logits = w.model.forward(&features, Mode::Train)?;
             let out = softmax_cross_entropy(&logits, &labels)?;
-            w.model.backward(&out.grad)?;
+            w.model.backward_params(&out.grad)?;
             losses.push(out.loss);
             // The push carries the gradient plus the worker's updated
             // batch-norm statistics (the parameter server keeps them in

@@ -16,6 +16,14 @@
 //! spinning) and after a 5 ms sleep (`after_5ms_sleep`: the worker has
 //! parked), at one and two threads, in `dispatch_us`.
 //!
+//! The `conv_train` rows time one planned forward plus one planned
+//! backward (all three gradients) of a `Conv2d`-shaped step at the three
+//! VGG-lite layer shapes — the work `train_vgg` repeats every round — in
+//! GFLOP/s over the three GEMMs' `6·n·o·c·k²·oh·ow` flops, so the patch
+//! gather and scatter around them count against the figure. The `maxpool`
+//! rows time `maxpool2d_forward` (2×2, stride 2) at the three VGG-lite
+//! pooling shapes in `ns_per_elem`: nanoseconds per *input* element.
+//!
 //! A small-batch *serving sweep* (`dense_serve` / `conv_serve` rows at
 //! batch 1/2/4/8) drives the plan-cache path — layers in `Mode::Eval`
 //! with prepacked weight panels — against the unplanned per-call packing
@@ -58,13 +66,16 @@ use crate::report::{
     arg_present, arg_value, bench_json, bench_json_path, write_result, ReportWriter, TextTable,
 };
 use medsplit_nn::{Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
-use medsplit_tensor::ops::conv::{conv2d_forward, Conv2dSpec};
+use medsplit_tensor::ops::conv::{
+    conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, Conv2dSpec,
+};
 use medsplit_tensor::ops::plan;
-use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, Tensor};
+use medsplit_tensor::ops::pool::maxpool2d_forward;
+use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, ConvPlan, Tensor};
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
                           speedup_t2_vs_t1,speedup_vs_seed,gflops_vs_scalar,\
-                          scratch_allocs_per_step,repacks_per_step,dispatch_us";
+                          scratch_allocs_per_step,repacks_per_step,dispatch_us,ns_per_elem";
 
 /// What a `kernel_bench` invocation measured, for the lab runner.
 #[derive(Debug, Clone, Copy)]
@@ -126,6 +137,7 @@ struct Row {
     scratch_allocs_per_step: f64,
     repacks_per_step: f64,
     dispatch_us: f64,
+    ns_per_elem: f64,
 }
 
 impl Row {
@@ -145,6 +157,7 @@ impl Row {
             scratch_allocs_per_step: f64::NAN,
             repacks_per_step: f64::NAN,
             dispatch_us: f64::NAN,
+            ns_per_elem: f64::NAN,
         }
     }
 }
@@ -341,6 +354,61 @@ fn bench_conv(
     }
     fill_t2_vs_t1(&mut rows[sweep_start..]);
     pool::set_num_threads(1);
+}
+
+/// One training step's conv work at a `Conv2d(c -> o, 3×3/s1/p1)` layer
+/// on `n×c×hw×hw`: the planned forward, then the planned backward with
+/// all three gradients, at one thread (and two, for `speedup_t2_vs_t1`).
+fn bench_conv_train(n: usize, c: usize, hw: usize, o: usize, reps: usize, rows: &mut Vec<Row>) {
+    let mut rng = rng_from_seed(37);
+    let spec = Conv2dSpec::square(3, 1, 1);
+    let input = Tensor::rand_uniform([n, c, hw, hw], -1.0, 1.0, &mut rng);
+    let weight = Tensor::rand_uniform([o, c, 3, 3], -0.5, 0.5, &mut rng);
+    let bias = Tensor::rand_uniform([o], -0.1, 0.1, &mut rng);
+    let grad_out = Tensor::rand_uniform([n, o, hw, hw], -1.0, 1.0, &mut rng);
+    // Forward, dW and dX are one `o × c·9 × hw²` GEMM per image each.
+    let flops = 6.0 * (n * o * c * 9 * hw * hw) as f64;
+    let plan = Mutex::new(ConvPlan::pack(&weight, spec, 0).expect("conv plan"));
+    let step = || {
+        let mut plan = plan.lock().expect("plan lock");
+        std::hint::black_box(conv2d_forward_planned(&input, &mut plan, Some(&bias)).expect("conv fwd"));
+        std::hint::black_box(
+            conv2d_backward_planned(&input, &weight, &grad_out, &mut plan).expect("conv bwd"),
+        );
+    };
+    pool::set_num_threads(1);
+    let (best_s, allocs, repacks) = time_best(reps, step);
+    let two_thread_s = at_two_threads(reps, step);
+    rows.push(Row {
+        best_ms: best_s * 1e3,
+        gflops: flops / best_s / 1e9,
+        speedup_vs_1t: 1.0,
+        speedup_t2_vs_t1: best_s / two_thread_s,
+        scratch_allocs_per_step: allocs,
+        repacks_per_step: repacks,
+        ..Row::blank("conv_train", format!("{n}x{c}x{hw}x{hw}->k3s1p1o{o}"), 1, reps)
+    });
+}
+
+/// `maxpool2d_forward` with the 2×2/stride-2 window on `n×c×hw×hw`.
+fn bench_maxpool(n: usize, c: usize, hw: usize, reps: usize, rows: &mut Vec<Row>) {
+    let mut rng = rng_from_seed(41);
+    let input = Tensor::rand_uniform([n, c, hw, hw], -1.0, 1.0, &mut rng).relu();
+    let spec = Conv2dSpec::square(2, 2, 0);
+    let step = || {
+        std::hint::black_box(maxpool2d_forward(&input, spec).expect("maxpool"));
+    };
+    pool::set_num_threads(1);
+    let (best_s, allocs, _) = time_best(reps, step);
+    let two_thread_s = at_two_threads(reps, step);
+    rows.push(Row {
+        best_ms: best_s * 1e3,
+        speedup_vs_1t: 1.0,
+        speedup_t2_vs_t1: best_s / two_thread_s,
+        scratch_allocs_per_step: allocs,
+        ns_per_elem: best_s * 1e9 / input.numel() as f64,
+        ..Row::blank("maxpool", format!("{n}x{c}x{hw}x{hw}->k2s2p0"), 1, reps)
+    });
 }
 
 /// Small-batch serving sweep: `Dense` and `Conv2d` layers in `Mode::Eval`
@@ -544,7 +612,7 @@ fn to_report(rows: &[Row]) -> ReportWriter {
     for r in rows {
         let m = |v, digits| opt_metric(v, true, digits);
         report.line(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.kernel,
             r.shape,
             r.threads,
@@ -557,7 +625,8 @@ fn to_report(rows: &[Row]) -> ReportWriter {
             m(r.gflops_vs_scalar, 2),
             m(r.scratch_allocs_per_step, 2),
             m(r.repacks_per_step, 2),
-            m(r.dispatch_us, 2)
+            m(r.dispatch_us, 2),
+            m(r.ns_per_elem, 3)
         ));
     }
     report
@@ -573,7 +642,8 @@ fn to_json(rows: &[Row], isa: &str) -> String {
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"best_ms\": {}, \
              \"gflops\": {}, \"speedup_vs_1t\": {}, \"speedup_t2_vs_t1\": {}, \
              \"speedup_vs_seed\": {}, \"gflops_vs_scalar\": {}, \
-             \"scratch_allocs_per_step\": {}, \"repacks_per_step\": {}, \"dispatch_us\": {}}}{}",
+             \"scratch_allocs_per_step\": {}, \"repacks_per_step\": {}, \"dispatch_us\": {}, \
+             \"ns_per_elem\": {}}}{}",
             r.kernel,
             r.shape,
             r.threads,
@@ -586,6 +656,7 @@ fn to_json(rows: &[Row], isa: &str) -> String {
             m(r.scratch_allocs_per_step, 1),
             m(r.repacks_per_step, 1),
             m(r.dispatch_us, 2),
+            m(r.ns_per_elem, 3),
             comma
         );
     }
@@ -671,6 +742,8 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     if smoke {
         bench_gemm(48, 33, 17, &threads, reps, &mut rows);
         bench_conv("conv2d", 2, 3, 8, 4, 3, 1, 1, &threads, reps, &mut rows);
+        bench_conv_train(5, 3, 8, 4, reps, &mut rows);
+        bench_maxpool(2, 3, 8, reps, &mut rows);
     } else {
         // GEMM shapes: the acceptance shape plus split-model layer shapes
         // (tall-skinny activations x weights) and a wide-N case that
@@ -684,6 +757,14 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_conv("conv2d", 4, 3, 64, 64, 3, 1, 1, &threads, reps, &mut rows);
         bench_conv("conv2d", 4, 64, 32, 64, 3, 1, 1, &threads, reps, &mut rows);
         bench_conv("conv2d", 8, 3, 56, 64, 7, 2, 3, &threads, reps, &mut rows);
+        // The three conv layers and three pools of VGG-lite at the
+        // `train_vgg` batch sizes: 16 per platform on `L1`, 64 behind it.
+        bench_conv_train(16, 3, 16, 8, reps, &mut rows);
+        bench_conv_train(64, 8, 8, 16, reps, &mut rows);
+        bench_conv_train(64, 16, 4, 32, reps, &mut rows);
+        bench_maxpool(64, 8, 16, reps, &mut rows);
+        bench_maxpool(64, 16, 8, reps, &mut rows);
+        bench_maxpool(64, 32, 4, reps, &mut rows);
     }
     // Small-batch serving sweep through the plan cache (asserts zero
     // warm-path repacks and bit-identical logits), plus the training
@@ -722,6 +803,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             "allocs/step",
             "repacks/step",
             "dispatch us",
+            "ns/elem",
         ],
     );
     for r in &rows {
@@ -749,6 +831,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             cell(r.scratch_allocs_per_step, 2, ""),
             cell(r.repacks_per_step, 2, ""),
             cell(r.dispatch_us, 2, ""),
+            cell(r.ns_per_elem, 3, ""),
         ]);
     }
     println!("{table}");

@@ -263,7 +263,9 @@ impl Platform {
                 self.id
             )));
         }
-        self.model.backward(&grads)?;
+        // `L1` sits on the raw data: nothing upstream wants its input
+        // gradient.
+        self.model.backward_params(&grads)?;
         self.optimizer.step_and_zero(&mut self.model);
         Ok(())
     }

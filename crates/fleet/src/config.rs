@@ -1,5 +1,6 @@
 //! Fleet configuration and validation.
 
+use medsplit_core::SplitError;
 use medsplit_serve::ServeConfig;
 
 /// Parameters of a sharded serving fleet run.
@@ -80,21 +81,10 @@ impl FleetConfig {
         if self.weight_versions < 1 {
             return Err("weight_versions must be at least 1: sessions pin to a version in the bank".into());
         }
-        if self.serve.max_batch < 1 || self.serve.queue_capacity < 1 {
-            return Err("serve.max_batch and serve.queue_capacity must be at least 1".into());
-        }
-        if self.serve.offered_rps.is_nan() || self.serve.offered_rps <= 0.0 {
-            return Err("serve.offered_rps must be positive".into());
-        }
-        if self.serve.max_wait_s.is_nan() || self.serve.max_wait_s < 0.0 {
-            return Err("serve.max_wait_s must be non-negative".into());
-        }
-        if self.serve.deadline_s.is_nan() || self.serve.deadline_s < 0.0 {
-            return Err("serve.deadline_s must be non-negative".into());
-        }
-        if self.serve.batch_setup_s < 0.0 || self.serve.per_item_s < 0.0 {
-            return Err("serve compute costs must be non-negative".into());
-        }
+        self.serve.validate().map_err(|e| match e {
+            SplitError::Config(why) => format!("serve: {why}"),
+            other => other.to_string(),
+        })?;
         if self.chaos_tick_s.is_nan() || self.chaos_tick_s <= 0.0 {
             return Err("chaos_tick_s must be positive: it maps simulated time onto fault-plan ticks".into());
         }
@@ -185,6 +175,16 @@ mod tests {
         let mut cfg = FleetConfig::default();
         cfg.serve.per_item_s = -0.5;
         assert!(cfg.validate().unwrap_err().contains("compute costs"));
+        // The serve-side checks apply whole: what `serve_threaded` would
+        // refuse, a fleet of it refuses too.
+        for cost in [f64::INFINITY, f64::NAN] {
+            let mut cfg = FleetConfig::default();
+            cfg.serve.batch_setup_s = cost;
+            assert!(cfg.validate().unwrap_err().contains("compute costs"));
+        }
+        let mut cfg = FleetConfig::default();
+        cfg.serve.offered_rps = f64::INFINITY;
+        assert!(cfg.validate().unwrap_err().contains("offered_rps"));
     }
 
     #[test]

@@ -46,6 +46,20 @@ pub trait Layer: Send {
     /// forward shapes, or if `forward` was never called.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
 
+    /// [`backward`](Self::backward) for a caller that has no use for the
+    /// input gradient: accumulates exactly the same parameter gradients
+    /// and returns nothing. The platform's `L1` sits on raw patient data,
+    /// which never leaves the hospital, so nobody can ask for
+    /// `dL/d(input)` there; layers whose input gradient is separable work
+    /// (`Dense`, `Conv2d`, and `Sequential` for its first layer) skip it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`backward`](Self::backward).
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// Visits every trainable parameter in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 

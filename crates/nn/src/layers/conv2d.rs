@@ -1,6 +1,8 @@
 //! 2-D convolution layer.
 
-use medsplit_tensor::ops::conv::{conv2d_backward, conv2d_backward_planned, conv2d_forward_planned};
+use medsplit_tensor::ops::conv::{
+    conv2d_backward, conv2d_backward_params, conv2d_backward_planned, conv2d_forward_planned,
+};
 use medsplit_tensor::{init, Conv2dSpec, ConvPlan, Result, Tensor, TensorError};
 use rand::Rng;
 
@@ -14,7 +16,8 @@ use crate::param::Param;
 /// im2col-into-packed-tiles lowering against those panels, and the
 /// backward pass shares the plan's im2col geometry. Results are
 /// bit-identical to the unplanned `conv2d_forward`/`conv2d_backward`
-/// path.
+/// path, and [`Layer::backward_params`] leaves the same weight and bias
+/// gradients as [`Layer::backward`] without computing the input's.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -120,6 +123,17 @@ impl Layer for Conv2d {
         self.weight.accumulate_grad(&gw);
         self.bias.accumulate_grad(&gb);
         Ok(gi)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or_else(|| missing_cache("Conv2d"))?;
+        let (gw, gb) = conv2d_backward_params(input, &self.weight.value, grad_out, self.spec)?;
+        self.weight.accumulate_grad(&gw);
+        self.bias.accumulate_grad(&gb);
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -99,13 +99,7 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self.cached_input.as_ref().ok_or_else(|| missing_cache("Dense"))?;
-        // dW = gᵀ · x  -> [out, in]
-        let gw = grad_out.matmul_tn(input)?;
-        self.weight.accumulate_grad(&gw);
-        // db = column sums of g
-        let gb = grad_out.sum_axis(0)?;
-        self.bias.accumulate_grad(&gb);
+        self.backward_params(grad_out)?;
         // dx = g · W -> [N, in], through the plan's cached backward
         // panels when current (always, in a forward→backward step);
         // fall back to the direct path if the weight moved since.
@@ -117,6 +111,17 @@ impl Layer for Dense {
             Some(plan) => plan.matmul_nn(grad_out, &self.weight.value),
             None => grad_out.matmul(&self.weight.value),
         }
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let input = self.cached_input.as_ref().ok_or_else(|| missing_cache("Dense"))?;
+        // dW = gᵀ · x  -> [out, in]
+        let gw = grad_out.matmul_tn(input)?;
+        self.weight.accumulate_grad(&gw);
+        // db = column sums of g
+        let gb = grad_out.sum_axis(0)?;
+        self.bias.accumulate_grad(&gb);
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -131,6 +131,17 @@ impl Layer for Sequential {
         Ok(g)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g)?;
+        }
+        first.backward_params(&g)
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -74,7 +74,14 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    fn validate(&self) -> Result<()> {
+    /// Checks the knobs a driver cannot run with: a zero batch or queue,
+    /// a rate, cost or timer that is negative or NaN, an infinite rate or
+    /// cost.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SplitError::Config`] naming the offending field.
+    pub fn validate(&self) -> Result<()> {
         let cost = |c: f64| c.is_finite() && c >= 0.0;
         // A NaN fails every comparison; `INFINITY` stays legal for the age
         // timer (flush on size only) and the deadline (none).

@@ -1,5 +1,15 @@
 //! 2-D max- and average-pooling with exact backward passes.
 //!
+//! A pooling window is clamped to the image once per output row and once
+//! per output column (`window`); the loops over it then read only real
+//! elements, with no bounds test of their own — padding is never
+//! materialised, it is simply not visited. That needs every window to
+//! hold at least one element, which [`Conv2dSpec::pool_output_hw`]
+//! guarantees by refusing `padding >= kernel`. The max-pool additionally
+//! gives whole 2×2 and 3×3 windows an unrolled copy of its scan. The
+//! visiting order inside a window is unchanged — rows, then columns —
+//! so sums accumulate and ties break exactly as they always have.
+//!
 //! The forward passes and the average-pooling backward pass are
 //! parallelised over `(batch, channel)` planes — every plane writes a
 //! disjoint output region, so results are identical for any pool size.
@@ -36,21 +46,69 @@ pub struct MaxPoolOutput {
     pub argmax: Vec<usize>,
 }
 
+/// The input rows (or columns) `[lo, hi)` that output index `o`'s window
+/// covers along an axis of `len` elements: the window clamped to the
+/// image once, so the loops over it need no bounds test per element.
+/// Relies on `padding < kernel` ([`Conv2dSpec::pool_output_hw`]).
+fn window(spec: Conv2dSpec, o: usize, kernel: usize, len: usize) -> std::ops::Range<usize> {
+    let start = o * spec.stride;
+    start.saturating_sub(spec.padding)..(start + kernel - spec.padding).min(len)
+}
+
+/// The output indices, of `out_len` along an axis of `len` elements,
+/// whose window [`window`] leaves whole.
+fn whole_windows(spec: Conv2dSpec, out_len: usize, kernel: usize, len: usize) -> std::ops::Range<usize> {
+    let first = spec.padding.div_ceil(spec.stride).min(out_len);
+    let end = ((len + spec.padding).saturating_sub(kernel) / spec.stride + 1).min(out_len);
+    first..end.max(first)
+}
+
+/// The maximum of the `rows × cols` window whose first element is
+/// `src[at]` in a plane of width `w`, and its index: the first strictly
+/// greater element wins, `(-inf, fallback)` if none is.
+#[inline(always)]
+fn scan_window(src: &[f32], at: usize, rows: usize, cols: usize, w: usize, fallback: usize) -> (f32, usize) {
+    let mut best = f32::NEG_INFINITY;
+    let mut best_idx = fallback;
+    for ky in 0..rows {
+        let row = at + ky * w;
+        for (kx, &v) in src[row..row + cols].iter().enumerate() {
+            // Two selects on one comparison rather than a branch: which
+            // element of a window wins is data the predictor cannot learn.
+            let wins = v > best;
+            best = if wins { v } else { best };
+            best_idx = if wins { row + kx } else { best_idx };
+        }
+    }
+    (best, best_idx)
+}
+
 /// Max-pooling forward pass over an `NCHW` tensor.
 ///
-/// Padding positions are treated as `-inf` (they never win).
+/// Padding positions are treated as `-inf` (they never win). Within a
+/// window the first strictly greater element wins, scanning rows then
+/// columns, so ties keep the earliest position and NaN never wins; a
+/// window holding nothing but NaN and `-inf` yields `-inf` with the
+/// plane's first element as its argmax.
 ///
 /// # Errors
 ///
-/// Returns shape errors for non-4-D inputs or non-fitting windows.
+/// Returns shape errors for non-4-D inputs, non-fitting windows, or
+/// `padding >= kernel`.
 pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutput> {
     let (n, c, h, w) = check_nchw(input, "maxpool2d")?;
-    let (oh, ow) = spec.output_hw(h, w)?;
+    let (oh, ow) = spec.pool_output_hw(h, w)?;
     let mut output = Tensor::zeros([n, c, oh, ow]);
     let mut argmax = vec![0usize; n * c * oh * ow];
     let src = input.as_slice();
-    let pad = spec.padding as isize;
     let plane = oh * ow;
+    let Conv2dSpec {
+        kernel_h: kh,
+        kernel_w: kw,
+        stride,
+        padding,
+    } = spec;
+    let whole_x = whole_windows(spec, ow, kw, w);
     let dst = pool::RawSliceMut::new(output.as_mut_slice());
     let arg = pool::RawSliceMut::new(&mut argmax);
     pool::parallel_for_sized(n * c, input.numel(), |p| {
@@ -59,31 +117,27 @@ pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutp
         // of both outputs.
         let dst = unsafe { dst.slice(p * plane, (p + 1) * plane) };
         let arg = unsafe { arg.slice(p * plane, (p + 1) * plane) };
-        let mut oidx = 0usize;
         for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = base; // fallback; will be overwritten
-                for ky in 0..spec.kernel_h {
-                    let iy = (oy * spec.stride) as isize + ky as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..spec.kernel_w {
-                        let ix = (ox * spec.stride) as isize + kx as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let idx = base + iy as usize * w + ix as usize;
-                        if src[idx] > best {
-                            best = src[idx];
-                            best_idx = idx;
-                        }
-                    }
+            let ys = window(spec, oy, kh, h);
+            let row_at = base + ys.start * w;
+            let (dst, arg) = (&mut dst[oy * ow..(oy + 1) * ow], &mut arg[oy * ow..(oy + 1) * ow]);
+            // Whole windows: no clamping, and the common square sizes
+            // get their own unrolled copy of the scan.
+            let whole = if ys.len() == kh { whole_x.clone() } else { 0..0 };
+            let mut whole_row = |kh: usize, kw: usize| {
+                for ox in whole.clone() {
+                    (dst[ox], arg[ox]) = scan_window(src, row_at + ox * stride - padding, kh, kw, w, base);
                 }
-                dst[oidx] = best;
-                arg[oidx] = best_idx;
-                oidx += 1;
+            };
+            match (kh, kw) {
+                (2, 2) => whole_row(2, 2),
+                (3, 3) => whole_row(3, 3),
+                _ => whole_row(kh, kw),
+            }
+            // Windows the image edge cuts short.
+            for ox in (0..whole.start).chain(whole.end..ow) {
+                let xs = window(spec, ox, kw, w);
+                (dst[ox], arg[ox]) = scan_window(src, row_at + xs.start, ys.len(), xs.len(), w, base);
             }
         }
     });
@@ -122,28 +176,22 @@ pub fn maxpool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &cra
 /// Returns shape errors for non-4-D inputs or non-fitting windows.
 pub fn avgpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
     let (n, c, h, w) = check_nchw(input, "avgpool2d")?;
-    let (oh, ow) = spec.output_hw(h, w)?;
+    let (oh, ow) = spec.pool_output_hw(h, w)?;
     let area = (spec.kernel_h * spec.kernel_w) as f32;
     let mut output = Tensor::zeros([n, c, oh, ow]);
     let src = input.as_slice();
-    let pad = spec.padding as isize;
     pool::parallel_chunks_mut_sized(output.as_mut_slice(), oh * ow, input.numel(), |p, dst| {
         let base = p * h * w;
         let mut oidx = 0usize;
         for oy in 0..oh {
+            let ys = window(spec, oy, spec.kernel_h, h);
             for ox in 0..ow {
+                let xs = window(spec, ox, spec.kernel_w, w);
                 let mut acc = 0.0f32;
-                for ky in 0..spec.kernel_h {
-                    let iy = (oy * spec.stride) as isize + ky as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..spec.kernel_w {
-                        let ix = (ox * spec.stride) as isize + kx as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        acc += src[base + iy as usize * w + ix as usize];
+                for iy in ys.clone() {
+                    let row = base + iy * w;
+                    for &v in &src[row + xs.start..row + xs.end] {
+                        acc += v;
                     }
                 }
                 dst[oidx] = acc / area;
@@ -171,7 +219,7 @@ pub fn avgpool2d_backward(grad_out: &Tensor, input_shape: &crate::Shape, spec: C
         });
     }
     let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (oh, ow) = spec.output_hw(h, w)?;
+    let (oh, ow) = spec.pool_output_hw(h, w)?;
     let (gn, gc, goh, gow) = check_nchw(grad_out, "avgpool2d_backward")?;
     if gn != n || gc != c || goh != oh || gow != ow {
         return Err(TensorError::ShapeMismatch {
@@ -183,24 +231,17 @@ pub fn avgpool2d_backward(grad_out: &Tensor, input_shape: &crate::Shape, spec: C
     let area = (spec.kernel_h * spec.kernel_w) as f32;
     let mut grad_in = Tensor::zeros(input_shape.clone());
     let g = grad_out.as_slice();
-    let pad = spec.padding as isize;
     pool::parallel_chunks_mut_sized(grad_in.as_mut_slice(), h * w, n * c * h * w, |p, gi| {
         let mut oidx = p * oh * ow;
         for oy in 0..oh {
+            let ys = window(spec, oy, spec.kernel_h, h);
             for ox in 0..ow {
+                let xs = window(spec, ox, spec.kernel_w, w);
                 let gv = g[oidx] / area;
                 oidx += 1;
-                for ky in 0..spec.kernel_h {
-                    let iy = (oy * spec.stride) as isize + ky as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..spec.kernel_w {
-                        let ix = (ox * spec.stride) as isize + kx as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        gi[iy as usize * w + ix as usize] += gv;
+                for iy in ys.clone() {
+                    for v in &mut gi[iy * w + xs.start..iy * w + xs.end] {
+                        *v += gv;
                     }
                 }
             }
@@ -303,6 +344,64 @@ mod tests {
         let input = Tensor::full([1, 1, 2, 2], -3.0);
         let fw = maxpool2d_forward(&input, Conv2dSpec::square(3, 1, 1)).unwrap();
         assert!(fw.output.as_slice().iter().all(|&v| v == -3.0));
+    }
+
+    #[test]
+    fn padding_not_below_the_kernel_is_refused() {
+        // At `padding >= kernel` the corner window holds no input element:
+        // the old loop wrote `-inf` there with an argmax pointing at the
+        // plane's first pixel, and the backward routed gradient into it.
+        let input = Tensor::arange(16).reshape([1, 1, 4, 4]).unwrap();
+        let tall = Conv2dSpec {
+            kernel_h: 3,
+            kernel_w: 1,
+            stride: 1,
+            padding: 1,
+        };
+        for spec in [
+            Conv2dSpec::square(1, 1, 1),
+            Conv2dSpec::square(2, 1, 2),
+            Conv2dSpec::square(2, 2, 3),
+            tall,
+        ] {
+            assert!(spec.output_hw(4, 4).is_ok(), "a legal convolution geometry");
+            assert!(matches!(
+                maxpool2d_forward(&input, spec),
+                Err(TensorError::Numerical(_))
+            ));
+            assert!(matches!(
+                avgpool2d_forward(&input, spec),
+                Err(TensorError::Numerical(_))
+            ));
+            let (oh, ow) = spec.output_hw(4, 4).unwrap();
+            assert!(matches!(
+                avgpool2d_backward(&Tensor::ones([1, 1, oh, ow]), input.shape(), spec),
+                Err(TensorError::Numerical(_))
+            ));
+        }
+        // The widest padding that is left: every window still holds an
+        // element, so every argmax is a pixel that won.
+        let fw = maxpool2d_forward(&input, Conv2dSpec::square(3, 1, 2)).unwrap();
+        assert_eq!(fw.output.dims(), &[1, 1, 6, 6]);
+        assert_eq!(fw.output.as_slice()[0], 0.0);
+        assert_eq!(fw.argmax[0], 0);
+        assert_eq!(fw.output.as_slice()[35], 15.0);
+        assert_eq!(fw.argmax[35], 15);
+    }
+
+    #[test]
+    fn whole_window_ranges() {
+        // 2×2/s2 without padding: every window is whole.
+        assert_eq!(whole_windows(Conv2dSpec::square(2, 2, 0), 8, 2, 16), 0..8);
+        // 3×3/s1/p1 on 5: the first and last are clamped.
+        assert_eq!(whole_windows(Conv2dSpec::square(3, 1, 1), 5, 3, 5), 1..4);
+        // 3×3/s2/p1 on 6 → outputs at -1, 1, 3: only the first is cut.
+        assert_eq!(whole_windows(Conv2dSpec::square(3, 2, 1), 3, 3, 6), 1..3);
+        // A kernel wider than the image: none is whole.
+        assert_eq!(whole_windows(Conv2dSpec::square(3, 1, 1), 1, 3, 1), 1..1);
+        for (o, want) in [(0, 0..2), (1, 1..4), (2, 3..5)] {
+            assert_eq!(window(Conv2dSpec::square(3, 2, 1), o, 3, 5), want);
+        }
     }
 
     #[test]
