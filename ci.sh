@@ -44,6 +44,14 @@ echo "==> spatial kernels again under --release"
 # the medsplit-tensor suites above; the golden digests follow.
 cargo test -q --release --offline --test spatial_golden
 
+echo "==> layer passes again under --release"
+# BatchNorm walks eight features' planes side by side and the broadcast
+# ops walk the output in block-aligned runs: a lane or phase index one
+# off reads a wrong value in release and panics in debug. The oracle
+# against the one-feature loops and the golden digests run in both.
+cargo test -q --release --offline -p medsplit-nn --test norm_oracle
+cargo test -q --release --offline --test layer_golden
+
 echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,

@@ -23,6 +23,12 @@
 //! gather and scatter around them count against the figure. The `maxpool`
 //! rows time `maxpool2d_forward` (2×2, stride 2) at the three VGG-lite
 //! pooling shapes in `ns_per_elem`: nanoseconds per *input* element.
+//! The `batchnorm` rows time a training-mode `BatchNorm` forward
+//! (`…/fwd`) and backward (`…/bwd`) at VGG-lite's three normalised
+//! shapes, also in `ns_per_elem`; the `dense_train` rows time one
+//! `Dense` forward (with its bias add) plus backward at the MLP
+//! platform's and the VGG-lite head's shapes, in GFLOP/s over the three
+//! GEMMs. None of these rows is folded into a digest.
 //!
 //! A small-batch *serving sweep* (`dense_serve` / `conv_serve` rows at
 //! batch 1/2/4/8) drives the plan-cache path — layers in `Mode::Eval`
@@ -65,7 +71,7 @@ use std::time::Instant;
 use crate::report::{
     arg_present, arg_value, bench_json, bench_json_path, write_result, ReportWriter, TextTable,
 };
-use medsplit_nn::{Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
+use medsplit_nn::{BatchNorm, Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
 use medsplit_tensor::ops::conv::{
     conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, Conv2dSpec,
 };
@@ -411,6 +417,67 @@ fn bench_maxpool(n: usize, c: usize, hw: usize, reps: usize, rows: &mut Vec<Row>
     });
 }
 
+/// A training-mode `BatchNorm` on `n×c×hw×hw`: one row for the forward
+/// (statistics, running-stat update, normalise) and one for the backward
+/// (parameter gradients and the input gradient), in `ns_per_elem`.
+fn bench_batchnorm(n: usize, c: usize, hw: usize, reps: usize, rows: &mut Vec<Row>) {
+    let mut rng = rng_from_seed(43);
+    let input = Tensor::rand_uniform([n, c, hw, hw], -1.0, 1.0, &mut rng);
+    let grad_out = Tensor::rand_uniform([n, c, hw, hw], -1.0, 1.0, &mut rng);
+    let layer = Mutex::new(BatchNorm::new(c));
+    let forward = || {
+        let mut l = layer.lock().expect("batchnorm lock");
+        std::hint::black_box(l.forward(&input, Mode::Train).expect("batchnorm fwd"));
+    };
+    // The backward reads the cache the forward left; repeating it only
+    // accumulates into the parameter gradients.
+    let backward = || {
+        let mut l = layer.lock().expect("batchnorm lock");
+        std::hint::black_box(l.backward(&grad_out).expect("batchnorm bwd"));
+    };
+    pool::set_num_threads(1);
+    forward();
+    for (pass, best_s) in [
+        ("fwd", time_best(reps, forward).0),
+        ("bwd", time_best(reps, backward).0),
+    ] {
+        rows.push(Row {
+            best_ms: best_s * 1e3,
+            speedup_vs_1t: 1.0,
+            ns_per_elem: best_s * 1e9 / input.numel() as f64,
+            ..Row::blank("batchnorm", format!("{n}x{c}x{hw}x{hw}/{pass}"), 1, reps)
+        });
+    }
+}
+
+/// One training step of `Dense(input -> output)` on a batch of `n`: the
+/// planned forward with its bias add, then the backward with all three
+/// gradients, in GFLOP/s over the three GEMMs' `6·n·input·output` flops.
+fn bench_dense_train(n: usize, input: usize, output: usize, reps: usize, rows: &mut Vec<Row>) {
+    let mut rng = rng_from_seed(47);
+    let x = Tensor::rand_uniform([n, input], -1.0, 1.0, &mut rng);
+    let grad_out = Tensor::rand_uniform([n, output], -1.0, 1.0, &mut rng);
+    let layer = Mutex::new(Dense::new(input, output, &mut rng));
+    let flops = 6.0 * (n * input * output) as f64;
+    let step = || {
+        let mut l = layer.lock().expect("dense lock");
+        std::hint::black_box(l.forward(&x, Mode::Train).expect("dense fwd"));
+        std::hint::black_box(l.backward(&grad_out).expect("dense bwd"));
+    };
+    pool::set_num_threads(1);
+    let (best_s, allocs, repacks) = time_best(reps, step);
+    let two_thread_s = at_two_threads(reps, step);
+    rows.push(Row {
+        best_ms: best_s * 1e3,
+        gflops: flops / best_s / 1e9,
+        speedup_vs_1t: 1.0,
+        speedup_t2_vs_t1: best_s / two_thread_s,
+        scratch_allocs_per_step: allocs,
+        repacks_per_step: repacks,
+        ..Row::blank("dense_train", format!("b{n}x{input}->{output}"), 1, reps)
+    });
+}
+
 /// Small-batch serving sweep: `Dense` and `Conv2d` layers in `Mode::Eval`
 /// at batch 1/2/4/8, driven through their cached plans, against the
 /// unplanned per-call packing path.
@@ -744,6 +811,8 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_conv("conv2d", 2, 3, 8, 4, 3, 1, 1, &threads, reps, &mut rows);
         bench_conv_train(5, 3, 8, 4, reps, &mut rows);
         bench_maxpool(2, 3, 8, reps, &mut rows);
+        bench_batchnorm(2, 3, 8, reps, &mut rows);
+        bench_dense_train(4, 8, 16, reps, &mut rows);
     } else {
         // GEMM shapes: the acceptance shape plus split-model layer shapes
         // (tall-skinny activations x weights) and a wide-N case that
@@ -765,6 +834,14 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_maxpool(64, 8, 16, reps, &mut rows);
         bench_maxpool(64, 16, 8, reps, &mut rows);
         bench_maxpool(64, 32, 4, reps, &mut rows);
+        // VGG-lite's three batch norms (one per platform, two on the
+        // server) and the dense layers of the MLP platform and of the
+        // VGG-lite head.
+        bench_batchnorm(16, 8, 16, reps, &mut rows);
+        bench_batchnorm(64, 16, 8, reps, &mut rows);
+        bench_batchnorm(64, 32, 4, reps, &mut rows);
+        bench_dense_train(64, 32, 128, reps, &mut rows);
+        bench_dense_train(64, 128, 256, reps, &mut rows);
     }
     // Small-batch serving sweep through the plan cache (asserts zero
     // warm-path repacks and bit-identical logits), plus the training

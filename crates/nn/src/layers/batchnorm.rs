@@ -1,10 +1,41 @@
 //! Batch normalisation over features (`[N, C]`) or channels
 //! (`[N, C, H, W]`).
+//!
+//! # Summation order
+//!
+//! A tensor is read as `(groups, features, inner)`: feature `f` of group
+//! `g` is the contiguous plane of `inner` elements at `(g·C + f)·inner`.
+//! Every per-feature statistic is a serial `f32` chain over that
+//! feature's planes, groups ascending and elements ascending within a
+//! plane, and the chains of different features never meet. The
+//! reductions therefore walk a block of [`L`] features side by side, one
+//! accumulator per feature, so the adds of eight independent chains
+//! overlap instead of each waiting on its predecessor; every chain still
+//! sees exactly its own operands in exactly the order of the one-feature
+//! loop. What is kept, add for add:
+//!
+//! - the mean: each `(group, feature)` plane is summed on its own,
+//!   starting from `-0.0` (the neutral element of `Sum for f32`), and the
+//!   plane sums are added into the feature's total, which starts at `0.0`;
+//! - the variance, `Σg` and `Σg·x̂`: one chain per feature across all
+//!   groups, starting at `0.0`;
+//! - no fused multiply-add anywhere (`d * d` and `g * x̂` round before
+//!   they are added).
+//!
+//! The remaining `C mod L` features run the same body one at a time. The
+//! per-element passes (normalise, scale-and-shift, input gradient) are
+//! slice zips over a plane with that feature's constants hoisted, and
+//! they append to their output buffers rather than overwriting a zeroed
+//! one.
 
 use medsplit_tensor::{Result, Tensor, TensorError};
 
 use crate::layer::{missing_cache, Layer, Mode};
 use crate::param::Param;
+
+/// Features whose reductions are walked side by side. A constant, not a
+/// knob: results do not depend on it, only how many chains overlap.
+const L: usize = 8;
 
 /// Batch normalisation with learnable scale (`gamma`) and shift (`beta`)
 /// and running statistics for evaluation mode.
@@ -24,8 +55,6 @@ pub struct BatchNorm {
     cached_xhat: Option<Tensor>,
     /// Cached `1 / sqrt(var + eps)` per feature.
     cached_inv_std: Option<Vec<f32>>,
-    /// Shape of the last training input.
-    cached_dims: Option<Vec<usize>>,
 }
 
 /// Layout helper: interprets a rank-2 or rank-4 tensor as
@@ -43,6 +72,138 @@ fn layout(dims: &[usize], num_features: usize, op: &'static str) -> Result<(usiz
     }
 }
 
+/// The groups of `x`, each `c` planes of `inner` elements. An empty
+/// tensor has no groups.
+fn groups(x: &[f32], c: usize, inner: usize) -> std::slice::ChunksExact<'_, f32> {
+    x.chunks_exact((c * inner).max(1))
+}
+
+/// The planes of features `f0..f0 + W` in one group.
+fn planes<const W: usize>(group: &[f32], f0: usize, inner: usize) -> [&[f32]; W] {
+    std::array::from_fn(|l| &group[(f0 + l) * inner..][..inner])
+}
+
+/// Calls `f` with element `i` of every plane in `rows` (`R` sets of `W`
+/// planes, `inner` elements each), for `i` ascending: `f(col)` sees
+/// `col[r][l] = rows[r][l][i]`.
+///
+/// Planes are read eight elements at a time, so the transpose into
+/// columns happens in registers and one bounds check covers a tile.
+#[inline(always)]
+fn for_each_column<const W: usize, const R: usize>(
+    rows: [[&[f32]; W]; R],
+    inner: usize,
+    mut f: impl FnMut([[f32; W]; R]),
+) {
+    const T: usize = 8;
+    let mut i = 0;
+    while i + T <= inner {
+        let tile: [[[f32; T]; W]; R] = std::array::from_fn(|r| {
+            std::array::from_fn(|l| rows[r][l][i..i + T].try_into().expect("a tile of T"))
+        });
+        (0..T).for_each(|t| f(std::array::from_fn(|r| std::array::from_fn(|l| tile[r][l][t]))));
+        i += T;
+    }
+    (i..inner).for_each(|i| f(std::array::from_fn(|r| std::array::from_fn(|l| rows[r][l][i]))));
+}
+
+/// Mean and biased variance of features `f0..f0 + W` of `x`, written to
+/// `mean[f0..]` and `var[f0..]`.
+fn block_stats<const W: usize>(
+    x: &[f32],
+    (c, inner): (usize, usize),
+    f0: usize,
+    count: f32,
+    mean: &mut [f32],
+    var: &mut [f32],
+) {
+    let mut m = [0.0f32; W];
+    for group in groups(x, c, inner) {
+        let mut plane_sum = [-0.0f32; W];
+        for_each_column([planes::<W>(group, f0, inner)], inner, |[col]| {
+            for (s, v) in plane_sum.iter_mut().zip(col) {
+                *s += v;
+            }
+        });
+        for (m, s) in m.iter_mut().zip(plane_sum) {
+            *m += s;
+        }
+    }
+    for m in &mut m {
+        *m /= count;
+    }
+    let mut v = [0.0f32; W];
+    for group in groups(x, c, inner) {
+        for_each_column([planes::<W>(group, f0, inner)], inner, |[col]| {
+            for ((v, x), m) in v.iter_mut().zip(col).zip(m) {
+                let d = x - m;
+                *v += d * d;
+            }
+        });
+    }
+    for v in &mut v {
+        *v /= count;
+    }
+    mean[f0..f0 + W].copy_from_slice(&m);
+    var[f0..f0 + W].copy_from_slice(&v);
+}
+
+/// `Σg` and `Σg·x̂` of features `f0..f0 + W`, written to `sum_g[f0..]`
+/// and `sum_gx[f0..]`.
+fn block_grad_sums<const W: usize>(
+    (g, xhat): (&[f32], &[f32]),
+    (c, inner): (usize, usize),
+    f0: usize,
+    sum_g: &mut [f32],
+    sum_gx: &mut [f32],
+) {
+    let (mut sg, mut sgx) = ([0.0f32; W], [0.0f32; W]);
+    for (gg, xg) in groups(g, c, inner).zip(groups(xhat, c, inner)) {
+        let rows = [planes::<W>(gg, f0, inner), planes::<W>(xg, f0, inner)];
+        for_each_column(rows, inner, |[gc, xc]| {
+            for l in 0..W {
+                sg[l] += gc[l];
+                sgx[l] += gc[l] * xc[l];
+            }
+        });
+    }
+    sum_g[f0..f0 + W].copy_from_slice(&sg);
+    sum_gx[f0..f0 + W].copy_from_slice(&sgx);
+}
+
+/// Per-feature constants of the forward's per-element pass.
+struct Affine<'a> {
+    mean: &'a [f32],
+    inv_std: &'a [f32],
+    gamma: &'a [f32],
+    beta: &'a [f32],
+}
+
+/// `γ·x̂ + β` with `x̂ = (x − mean)·inv_std`, appending `x̂` to `xhat`
+/// too when one is given.
+fn normalise(
+    x: &[f32],
+    (c, inner): (usize, usize),
+    a: &Affine<'_>,
+    mut xhat: Option<&mut Vec<f32>>,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(x.len());
+    for group in groups(x, c, inner) {
+        for (f, plane) in group.chunks_exact(inner).enumerate() {
+            let (m, s, ga, be) = (a.mean[f], a.inv_std[f], a.gamma[f], a.beta[f]);
+            match xhat.as_deref_mut() {
+                Some(xh) => {
+                    let start = xh.len();
+                    xh.extend(plane.iter().map(|&v| (v - m) * s));
+                    out.extend(xh[start..].iter().map(|&h| ga * h + be));
+                }
+                None => out.extend(plane.iter().map(|&v| ga * ((v - m) * s) + be)),
+            }
+        }
+    }
+    out
+}
+
 impl BatchNorm {
     /// Creates a batch-norm layer for `num_features` features/channels.
     pub fn new(num_features: usize) -> Self {
@@ -56,7 +217,6 @@ impl BatchNorm {
             num_features,
             cached_xhat: None,
             cached_inv_std: None,
-            cached_dims: None,
         }
     }
 
@@ -78,43 +238,37 @@ impl BatchNorm {
 
 impl Layer for BatchNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let dims = input.dims().to_vec();
-        let (n, inner) = layout(&dims, self.num_features, "BatchNorm::forward")?;
+        let (n, inner) = layout(input.dims(), self.num_features, "BatchNorm::forward")?;
         let c = self.num_features;
-        let count = (n * inner) as f32;
         let src = input.as_slice();
 
         // Per-feature mean and variance to normalise with.
-        let (mean, var): (Vec<f32>, Vec<f32>) = if mode == Mode::Train {
-            let mut mean = vec![0.0f32; c];
-            for g in 0..n {
-                for (f, m) in mean.iter_mut().enumerate() {
-                    let base = (g * c + f) * inner;
-                    *m += src[base..base + inner].iter().sum::<f32>();
-                }
+        let (mean, var) = if mode == Mode::Train {
+            if n * inner == 0 {
+                // A mean over nothing is NaN, and the running statistics
+                // would carry it into every later evaluation.
+                return Err(TensorError::Numerical(format!(
+                    "BatchNorm::forward: batch statistics over zero elements (input {:?})",
+                    input.dims()
+                )));
             }
-            for m in &mut mean {
-                *m /= count;
+            let count = (n * inner) as f32;
+            let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+            let whole = c - c % L;
+            for f0 in (0..whole).step_by(L) {
+                block_stats::<L>(src, (c, inner), f0, count, &mut mean, &mut var);
             }
-            let mut var = vec![0.0f32; c];
-            for g in 0..n {
-                for f in 0..c {
-                    let base = (g * c + f) * inner;
-                    for &v in &src[base..base + inner] {
-                        let d = v - mean[f];
-                        var[f] += d * d;
-                    }
-                }
-            }
-            for v in &mut var {
-                *v /= count;
+            for f in whole..c {
+                block_stats::<1>(src, (c, inner), f, count, &mut mean, &mut var);
             }
             // Update running stats with exponential moving average.
-            for f in 0..c {
-                let rm = &mut self.running_mean.as_mut_slice()[f];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[f];
-                let rv = &mut self.running_var.as_mut_slice()[f];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var[f];
+            let rm = self.running_mean.as_mut_slice();
+            for (r, &m) in rm.iter_mut().zip(&mean) {
+                *r = (1.0 - self.momentum) * *r + self.momentum * m;
+            }
+            let rv = self.running_var.as_mut_slice();
+            for (r, &v) in rv.iter_mut().zip(&var) {
+                *r = (1.0 - self.momentum) * *r + self.momentum * v;
             }
             (mean, var)
         } else {
@@ -125,31 +279,25 @@ impl Layer for BatchNorm {
         };
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mut out = Tensor::zeros(input.shape().clone());
-        let mut xhat = Tensor::zeros(input.shape().clone());
-        {
-            let o = out.as_mut_slice();
-            let xh = xhat.as_mut_slice();
-            for g in 0..n {
-                for f in 0..c {
-                    let base = (g * c + f) * inner;
-                    let (m, is, ga, be) = (mean[f], inv_std[f], gamma[f], beta[f]);
-                    for i in base..base + inner {
-                        let h = (src[i] - m) * is;
-                        xh[i] = h;
-                        o[i] = ga * h + be;
-                    }
-                }
-            }
-        }
+        let affine = Affine {
+            mean: &mean,
+            inv_std: &inv_std,
+            gamma: self.gamma.value.as_slice(),
+            beta: self.beta.value.as_slice(),
+        };
+        let shape = input.shape().clone();
         if mode == Mode::Train {
-            self.cached_xhat = Some(xhat);
+            // The last step's x̂ is dead once this one starts: reuse its
+            // buffer, already paged in, instead of a fresh allocation.
+            let mut xhat = self.cached_xhat.take().map(Tensor::into_vec).unwrap_or_default();
+            xhat.clear();
+            let out = normalise(src, (c, inner), &affine, Some(&mut xhat));
+            self.cached_xhat = Some(Tensor::from_vec(xhat, shape.clone())?);
             self.cached_inv_std = Some(inv_std);
-            self.cached_dims = Some(dims);
+            Tensor::from_vec(out, shape)
+        } else {
+            Tensor::from_vec(normalise(src, (c, inner), &affine, None), shape)
         }
-        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -161,55 +309,44 @@ impl Layer for BatchNorm {
             .cached_inv_std
             .as_ref()
             .ok_or_else(|| missing_cache("BatchNorm"))?;
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or_else(|| missing_cache("BatchNorm"))?;
-        if grad_out.dims() != &dims[..] {
+        if grad_out.dims() != xhat.dims() {
             return Err(TensorError::ShapeMismatch {
                 lhs: grad_out.shape().clone(),
                 rhs: xhat.shape().clone(),
                 op: "BatchNorm::backward",
             });
         }
-        let (n, inner) = layout(dims, self.num_features, "BatchNorm::backward")?;
+        let (n, inner) = layout(xhat.dims(), self.num_features, "BatchNorm::backward")?;
         let c = self.num_features;
         let count = (n * inner) as f32;
-        let g = grad_out.as_slice();
-        let xh = xhat.as_slice();
-        let gamma = self.gamma.value.as_slice().to_vec();
+        let (g, xh) = (grad_out.as_slice(), xhat.as_slice());
 
         // dgamma[f] = Σ g·xhat, dbeta[f] = Σ g, plus the per-feature sums the
         // input gradient needs.
-        let mut sum_g = vec![0.0f32; c];
-        let mut sum_gx = vec![0.0f32; c];
-        for grp in 0..n {
-            for f in 0..c {
-                let base = (grp * c + f) * inner;
-                for i in base..base + inner {
-                    sum_g[f] += g[i];
-                    sum_gx[f] += g[i] * xh[i];
-                }
-            }
+        let (mut sum_g, mut sum_gx) = (vec![0.0f32; c], vec![0.0f32; c]);
+        let whole = c - c % L;
+        for f0 in (0..whole).step_by(L) {
+            block_grad_sums::<L>((g, xh), (c, inner), f0, &mut sum_g, &mut sum_gx);
         }
-        self.gamma
-            .accumulate_grad(&Tensor::from_vec(sum_gx.clone(), [c])?);
-        self.beta.accumulate_grad(&Tensor::from_vec(sum_g.clone(), [c])?);
+        for f in whole..c {
+            block_grad_sums::<1>((g, xh), (c, inner), f, &mut sum_g, &mut sum_gx);
+        }
+        let (sum_g, sum_gx) = (Tensor::from_vec(sum_g, [c])?, Tensor::from_vec(sum_gx, [c])?);
+        self.gamma.accumulate_grad(&sum_gx);
+        self.beta.accumulate_grad(&sum_g);
 
-        let mut grad_in = Tensor::zeros(grad_out.shape().clone());
-        let gi = grad_in.as_mut_slice();
-        for grp in 0..n {
-            for f in 0..c {
-                let base = (grp * c + f) * inner;
+        let gamma = self.gamma.value.as_slice();
+        let mut grad_in = Vec::with_capacity(g.len());
+        for (gg, xg) in groups(g, c, inner).zip(groups(xh, c, inner)) {
+            let planes = gg.chunks_exact(inner).zip(xg.chunks_exact(inner));
+            for (f, (gp, xp)) in planes.enumerate() {
                 let k = gamma[f] * inv_std[f];
-                let mg = sum_g[f] / count;
-                let mgx = sum_gx[f] / count;
-                for i in base..base + inner {
-                    gi[i] = k * (g[i] - mg - xh[i] * mgx);
-                }
+                let mg = sum_g.as_slice()[f] / count;
+                let mgx = sum_gx.as_slice()[f] / count;
+                grad_in.extend(gp.iter().zip(xp).map(|(&g, &h)| k * (g - mg - h * mgx)));
             }
         }
-        Ok(grad_in)
+        Tensor::from_vec(grad_in, grad_out.shape().clone())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -283,6 +420,33 @@ mod tests {
         assert!(bn.forward(&Tensor::ones([2, 4]), Mode::Train).is_err());
         assert!(bn.forward(&Tensor::ones([2, 4, 2, 2]), Mode::Train).is_err());
         assert!(bn.forward(&Tensor::ones([6]), Mode::Train).is_err());
+    }
+
+    #[test]
+    fn train_forward_over_zero_elements_is_an_error() {
+        let mut bn = BatchNorm::new(3);
+        for dims in [vec![0, 3], vec![0, 3, 2, 2], vec![4, 3, 0, 5]] {
+            let err = bn.forward(&Tensor::zeros(dims.clone()), Mode::Train).unwrap_err();
+            assert!(matches!(err, TensorError::Numerical(_)), "{dims:?}: {err}");
+        }
+        // The running statistics are untouched, so evaluation still
+        // normalises with them...
+        assert_eq!(bn.running_mean().as_slice(), &[0.0; 3]);
+        assert_eq!(bn.running_var().as_slice(), &[1.0; 3]);
+        let x = Tensor::from_vec(vec![1.0, -1.0, 2.0], [1, 3]).unwrap();
+        let y = bn.forward(&x, Mode::Eval).unwrap();
+        assert!(y.allclose(&x, 1e-3), "{:?}", y.as_slice());
+        // ...and nothing was cached to backpropagate through.
+        assert!(bn.backward(&Tensor::zeros([0, 3])).is_err());
+    }
+
+    #[test]
+    fn eval_forward_of_an_empty_batch_is_empty() {
+        let mut bn = BatchNorm::new(2);
+        for dims in [vec![0, 2], vec![0, 2, 3, 3], vec![2, 2, 0, 3]] {
+            let y = bn.forward(&Tensor::zeros(dims.clone()), Mode::Eval).unwrap();
+            assert_eq!(y.dims(), &dims[..]);
+        }
     }
 
     #[test]

@@ -114,18 +114,27 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
+    // The first layer reads the caller's tensor directly; only an empty
+    // container hands back a copy of its input.
+
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         self.mode = mode;
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input, mode)?;
+        for layer in rest {
             x = layer.forward(&x, mode)?;
         }
         Ok(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return Ok(grad_out.clone());
+        };
+        let mut g = last.backward(grad_out)?;
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         Ok(g)
@@ -135,8 +144,11 @@ impl Layer for Sequential {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(());
         };
-        let mut g = grad_out.clone();
-        for layer in rest.iter_mut().rev() {
+        let Some((last, middle)) = rest.split_last_mut() else {
+            return first.backward_params(grad_out);
+        };
+        let mut g = last.backward(grad_out)?;
+        for layer in middle.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         first.backward_params(&g)

@@ -50,22 +50,94 @@ fn simd_binary(a: &Tensor, b: &Tensor, op: simd::BinOp) -> Result<Tensor> {
     Tensor::from_vec(data, a.shape().clone())
 }
 
-/// Computes `out[i] = f(a[bcast(i)], b[bcast(i)])` over the broadcast shape.
-/// The same-shape fast path goes through [`simd_binary`] instead.
-fn broadcast_binary(
-    a: &Tensor,
-    b: &Tensor,
-    op: &'static str,
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) -> Result<Tensor> {
+/// Shortest run a broadcast row hands to the dispatched kernel: a
+/// repeated block shorter than this (a scalar; the bias row of a 3- or
+/// 10-class head) is first tiled to at least this length, so no kernel
+/// call covers a handful of elements.
+const MIN_RUN: usize = 64;
+
+/// `a op b` with NumPy-style broadcasting. Every output element is the
+/// one `f32` operation of `op` on the same two operands whichever way it
+/// is reached:
+///
+/// - same shape: [`simd_binary`];
+/// - one operand is the whole output and the other a block repeated along
+///   leading axes (its dims, past leading 1s, are a suffix of the
+///   output's — a bias row onto a batch, `[3, 4]` onto `[2, 3, 4]`, a
+///   scalar): the output is walked in runs that line up with the block,
+///   each through the dispatched [`simd::binary`], in either operand
+///   order;
+/// - anything else (both operands broadcast, or the repeated axes are not
+///   the leading ones): a per-element odometer over the output index.
+fn binary(a: &Tensor, b: &Tensor, op: simd::BinOp) -> Result<Tensor> {
+    if a.shape() == b.shape() {
+        return simd_binary(a, b, op);
+    }
     let out_shape = a
         .shape()
         .broadcast(b.shape())
         .map_err(|_| TensorError::ShapeMismatch {
             lhs: a.shape().clone(),
             rhs: b.shape().clone(),
-            op,
+            op: op.name(),
         })?;
+    let repeats = |full: &Tensor, block: &Tensor| {
+        let dims = block.dims();
+        let dims = &dims[dims.iter().take_while(|&&d| d == 1).count()..];
+        full.numel() == out_shape.numel() && out_shape.dims().ends_with(dims)
+    };
+    if repeats(a, b) {
+        return Ok(block_binary(a, b.as_slice(), op, false, out_shape));
+    }
+    if repeats(b, a) {
+        return Ok(block_binary(b, a.as_slice(), op, true, out_shape));
+    }
+    odometer_binary(a, b, op, out_shape)
+}
+
+/// `full op block` (`block op full` when `block_is_lhs`) where `full` is
+/// laid out as `out_shape` and `block` repeats along its leading axes.
+fn block_binary(
+    full: &Tensor,
+    block: &[f32],
+    op: simd::BinOp,
+    block_is_lhs: bool,
+    out_shape: Shape,
+) -> Tensor {
+    let full = full.as_slice();
+    let mut data = vec![0.0f32; full.len()];
+    if !block.is_empty() {
+        // The block repeated to at least `MIN_RUN` elements: still
+        // periodic in `block.len()`, so a run may start at any phase.
+        let tiled;
+        let run = if block.len() < MIN_RUN {
+            tiled = block.repeat(MIN_RUN.div_ceil(block.len()));
+            &tiled[..]
+        } else {
+            block
+        };
+        par_chunks(&mut data, |off, chunk| {
+            let mut at = 0;
+            while at < chunk.len() {
+                let phase = (off + at) % block.len();
+                let len = (run.len() - phase).min(chunk.len() - at);
+                let (f, r) = (&full[off + at..off + at + len], &run[phase..phase + len]);
+                let out = &mut chunk[at..at + len];
+                if block_is_lhs {
+                    simd::binary(op, r, f, out);
+                } else {
+                    simd::binary(op, f, r, out);
+                }
+                at += len;
+            }
+        });
+    }
+    Tensor::from_vec(data, out_shape).expect("the full operand has the output's element count")
+}
+
+/// Computes `out[i] = a[bcast(i)] op b[bcast(i)]` one element at a time
+/// over the broadcast shape.
+fn odometer_binary(a: &Tensor, b: &Tensor, op: simd::BinOp, out_shape: Shape) -> Result<Tensor> {
     let rank = out_shape.rank();
     let out_dims = out_shape.dims().to_vec();
     let numel = out_shape.numel();
@@ -94,7 +166,7 @@ fn broadcast_binary(
             oa += index[k] * sa[k];
             ob += index[k] * sb[k];
         }
-        data.push(f(da[oa], db[ob]));
+        data.push(op.apply(da[oa], db[ob]));
         // Increment the multi-index (row-major odometer).
         for k in (0..rank).rev() {
             index[k] += 1;
@@ -115,10 +187,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if shapes are not
     /// broadcast-compatible.
     pub fn try_add(&self, other: &Tensor) -> Result<Tensor> {
-        if self.shape() == other.shape() {
-            return simd_binary(self, other, simd::BinOp::Add);
-        }
-        broadcast_binary(self, other, "add", |a, b| a + b)
+        binary(self, other, simd::BinOp::Add)
     }
 
     /// Broadcasting subtraction.
@@ -127,10 +196,7 @@ impl Tensor {
     ///
     /// See [`try_add`](Self::try_add).
     pub fn try_sub(&self, other: &Tensor) -> Result<Tensor> {
-        if self.shape() == other.shape() {
-            return simd_binary(self, other, simd::BinOp::Sub);
-        }
-        broadcast_binary(self, other, "sub", |a, b| a - b)
+        binary(self, other, simd::BinOp::Sub)
     }
 
     /// Broadcasting elementwise multiplication.
@@ -139,10 +205,7 @@ impl Tensor {
     ///
     /// See [`try_add`](Self::try_add).
     pub fn try_mul(&self, other: &Tensor) -> Result<Tensor> {
-        if self.shape() == other.shape() {
-            return simd_binary(self, other, simd::BinOp::Mul);
-        }
-        broadcast_binary(self, other, "mul", |a, b| a * b)
+        binary(self, other, simd::BinOp::Mul)
     }
 
     /// Broadcasting elementwise division.
@@ -151,10 +214,7 @@ impl Tensor {
     ///
     /// See [`try_add`](Self::try_add).
     pub fn try_div(&self, other: &Tensor) -> Result<Tensor> {
-        if self.shape() == other.shape() {
-            return simd_binary(self, other, simd::BinOp::Div);
-        }
-        broadcast_binary(self, other, "div", |a, b| a / b)
+        binary(self, other, simd::BinOp::Div)
     }
 
     /// Adds a scalar to every element.
@@ -533,6 +593,22 @@ mod tests {
         assert_eq!((&a - &b).as_slice(), &[2.0, 6.0]);
         assert_eq!((&a * &b).as_slice(), &[8.0, 27.0]);
         assert_eq!((&a / &b).as_slice(), &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn broadcast_empty_and_short_blocks() {
+        // A zero-length axis: nothing to compute, the shape still broadcasts.
+        let empty = Tensor::zeros([0, 3]);
+        let row = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).unwrap();
+        assert_eq!((&empty + &row).dims(), &[0, 3]);
+        assert_eq!((&row - &empty).dims(), &[0, 3]);
+        assert_eq!((&Tensor::zeros([2, 0]) * &Tensor::zeros([0])).dims(), &[2, 0]);
+        // A 3-wide block is tiled before the kernel runs: every phase of
+        // every row still pairs with its own column.
+        let big = Tensor::arange(300).reshape([100, 3]).unwrap();
+        let got = (&row / &big).as_slice().to_vec();
+        let want: Vec<f32> = (0..300).map(|i| [1.0, 2.0, 3.0][i % 3] / i as f32).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

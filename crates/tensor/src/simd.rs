@@ -176,6 +176,28 @@ pub(crate) enum BinOp {
     Div,
 }
 
+impl BinOp {
+    /// The operation on one pair: what every kernel computes per lane.
+    pub(crate) fn apply(self, a: f32, b: f32) -> f32 {
+        match self {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div => a / b,
+        }
+    }
+
+    /// Lowercase name, for error messages.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            BinOp::Add => "add",
+            BinOp::Sub => "sub",
+            BinOp::Mul => "mul",
+            BinOp::Div => "div",
+        }
+    }
+}
+
 /// `out[i] = a[i] op b[i]`. All slices must have equal length.
 pub(crate) fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), b.len());
