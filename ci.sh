@@ -21,6 +21,23 @@ if [ -n "$knob_drift" ]; then
     exit 1
 fi
 
+echo "==> one of each: one FNV-1a, one JSON string escaper"
+# Every digest and every JSON document goes through one implementation:
+# medsplit_tensor::fnv1a and medsplit_telemetry::json. A second FNV
+# offset basis (in any underscore spelling) or a second function that
+# writes the escaped quote `\"` under crates/*/src fails here. The
+# golden witnesses under tests/ and the frozen benchmark/ keep their own
+# copies on purpose and are not scanned.
+fnv_hits="$(find crates/*/src -name '*.rs' -exec sh -c \
+    'tr -d _ < "$1" | grep -oi cbf29ce484222325 | sed "s|^|$1: |"' _ {} \;)"
+escaper_hits="$(grep -rnF '"\\\""' crates/*/src || true)"
+if [ "$(grep -c . <<<"$fnv_hits")" -ne 1 ] || [ "$(grep -c . <<<"$escaper_hits")" -ne 1 ]; then
+    echo "ci.sh: want exactly one FNV offset basis and one JSON escaper under crates/*/src, found:" >&2
+    echo "$fnv_hits" >&2
+    echo "$escaper_hits" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -43,7 +43,7 @@ use medsplit_core::{HierPolicy, HierResilientTrainer, ResilientTrainer, SplitCon
 use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
 use medsplit_simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, StarTopology};
-use medsplit_tensor::pool;
+use medsplit_tensor::{fnv1a, pool, FNV_OFFSET};
 
 /// Accuracy band the lossy codecs must stay within of the f32 run on
 /// the same axes. `experiments/codec_frontier.lab.toml` declares the
@@ -163,16 +163,6 @@ impl Point {
     }
 }
 
-/// FNV-1a over a byte stream.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One fault-free split-training run; returns (accuracy, wire bytes,
 /// logical bytes, messages, rounds completed, digest of all of those).
 fn run_once(
@@ -224,7 +214,7 @@ fn run_once(
 
     let stats = &history.stats;
     let completed = history.records.len() as u64;
-    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    let mut d = FNV_OFFSET;
     d = fnv1a(d, &history.final_accuracy.to_bits().to_le_bytes());
     d = fnv1a(d, &stats.total_bytes.to_le_bytes());
     d = fnv1a(d, &stats.logical_bytes.to_le_bytes());
@@ -410,7 +400,7 @@ pub fn run(args: &[String]) -> CodecBenchOutcome {
             "msgs",
         ],
     );
-    let mut frontier_digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut frontier_digest = FNV_OFFSET;
     for p in &points {
         let ratio = p.wire_bytes as f64 / p.logical_bytes as f64;
         let _ = writeln!(

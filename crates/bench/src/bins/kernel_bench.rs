@@ -77,7 +77,7 @@ use medsplit_tensor::ops::conv::{
 };
 use medsplit_tensor::ops::plan;
 use medsplit_tensor::ops::pool::maxpool2d_forward;
-use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, ConvPlan, Tensor};
+use medsplit_tensor::{fnv1a, init::rng_from_seed, pool, scratch, simd, ConvPlan, Tensor, FNV_OFFSET};
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
                           speedup_t2_vs_t1,speedup_vs_seed,gflops_vs_scalar,\
@@ -493,7 +493,7 @@ fn bench_dense_train(n: usize, input: usize, output: usize, reps: usize, rows: &
 fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
     const BATCHES: [usize; 4] = [1, 2, 4, 8];
     pool::set_num_threads(1);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
+    let mut digest = FNV_OFFSET;
 
     // Dense serving shapes: split-model classifier heads (in -> out).
     for &(inf, outf) in &[(256usize, 256usize), (784usize, 128usize)] {
@@ -737,14 +737,8 @@ fn to_json(rows: &[Row], isa: &str) -> String {
 
 /// FNV-1a over a stream of `f32` bit patterns (little-endian).
 fn fnv1a_fold(hash: u64, vals: &[f32]) -> u64 {
-    let mut h = hash;
-    for v in vals {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    vals.iter()
+        .fold(hash, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
 }
 
 /// Runs a fixed deterministic workload through every dispatched kernel
@@ -757,7 +751,7 @@ fn kernel_digest() -> u64 {
     let mut rng = rng_from_seed(99);
     let a = Tensor::rand_uniform([70, 93], -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform([93, 37], -1.0, 1.0, &mut rng);
-    let mut h = 0xcbf2_9ce4_8422_2325; // FNV offset basis
+    let mut h = FNV_OFFSET;
     h = fnv1a_fold(h, a.matmul(&b).expect("digest gemm").as_slice());
     let at = a.transpose().expect("digest transpose");
     h = fnv1a_fold(h, at.matmul_tn(&b).expect("digest gemm_tn").as_slice());

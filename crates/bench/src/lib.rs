@@ -14,8 +14,8 @@
 //!
 //! Every experiment accepts `--quick` for a smoke-test scale and writes
 //! CSVs under `bench_results/` (override with `MEDSPLIT_RESULTS_DIR`);
-//! `exp --help` lists them all. Criterion micro-benchmarks live under
-//! `benches/`.
+//! `exp --help` lists them all. `exp kernel_bench` is the per-kernel
+//! timing table; end-to-end timing is the separate `benchmark/` package.
 //!
 //! The one `exp` binary dispatches on [`bins::EXPERIMENTS`], and every
 //! experiment body is a `run(args)` in [`bins`], so the `lab`

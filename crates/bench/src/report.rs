@@ -5,7 +5,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,15 +272,6 @@ pub fn arg_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Ensures a parent results path exists relative to a file path (test
-/// helper re-exported for the bins).
-pub fn ensure_dir(path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,7 +353,7 @@ mod tests {
         assert!(json.contains("\"host\": {"));
         assert!(json.contains("\"isa\": \"scalar\""));
         // The envelope must be valid JSON end to end.
-        assert!(medsplit_lab::json::parse(&json).is_ok());
+        assert!(medsplit_telemetry::json::parse(&json).is_ok());
     }
 
     #[test]

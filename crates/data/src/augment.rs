@@ -1,19 +1,8 @@
 //! Image augmentation for `NCHW` batches.
 
-use medsplit_tensor::{Result, Tensor, TensorError};
+use medsplit_tensor::ops::check_nchw;
+use medsplit_tensor::{Result, Tensor};
 use rand::Rng;
-
-fn check_nchw(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize)> {
-    if t.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: t.rank(),
-            op,
-        });
-    }
-    let d = t.dims();
-    Ok((d[0], d[1], d[2], d[3]))
-}
 
 /// Horizontally flips each image with probability `p`.
 ///

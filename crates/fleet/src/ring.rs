@@ -11,18 +11,7 @@
 //! Hashing is FNV-1a over explicit little-endian byte strings, so routing
 //! is deterministic across processes and platforms (no `RandomState`).
 
-/// FNV-1a over a byte string. Stable across processes — the property the
-/// proptest suite pins down.
-pub(crate) fn hash64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+use medsplit_tensor::{fnv1a, FNV_OFFSET};
 
 /// Hash of a routing key.
 pub fn key_hash(tenant: u64, session: u64) -> u64 {
@@ -30,7 +19,7 @@ pub fn key_hash(tenant: u64, session: u64) -> u64 {
     buf[0] = b'k';
     buf[1..9].copy_from_slice(&tenant.to_le_bytes());
     buf[9..17].copy_from_slice(&session.to_le_bytes());
-    hash64(&buf)
+    fnv1a(FNV_OFFSET, &buf)
 }
 
 fn point_hash(replica: usize, vnode: usize) -> u64 {
@@ -38,7 +27,7 @@ fn point_hash(replica: usize, vnode: usize) -> u64 {
     buf[0] = b'r';
     buf[1..9].copy_from_slice(&(replica as u64).to_le_bytes());
     buf[9..17].copy_from_slice(&(vnode as u64).to_le_bytes());
-    hash64(&buf)
+    fnv1a(FNV_OFFSET, &buf)
 }
 
 /// A consistent-hash ring over server replicas.

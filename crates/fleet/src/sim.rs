@@ -45,12 +45,11 @@ use medsplit_simnet::{
     ChaosEvent, ChaosSnapshot, ChaosTransport, Envelope, FaultPlan, FleetTopology, MemoryTransport,
     MessageKind, NodeId, StatsSnapshot, Topology, Transport,
 };
-use medsplit_tensor::{init::rng_from_seed, Tensor};
+use medsplit_tensor::{fnv1a, init::rng_from_seed, Tensor, FNV_OFFSET, FNV_PRIME};
 
 use crate::bank::ModelBank;
 use crate::config::FleetConfig;
 use crate::replica::{FleetPending, Replica, ReplicaPhase};
-use crate::ring::hash64;
 use crate::router::{InFlight, Router};
 use crate::session::{decode_sessions, encode_sessions, SessionKey, SessionState};
 
@@ -708,7 +707,7 @@ impl Driver<'_> {
         let stats = self.net.stats().snapshot();
         let report = ServeReport::fold(offered, &records, &stats);
         let mut per_tenant_reports = vec![TenantReport::default(); tenants];
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut digest = FNV_OFFSET;
         for rec in &records {
             let tr = &mut per_tenant_reports[rec.platform];
             tr.offered += 1;
@@ -719,12 +718,14 @@ impl Driver<'_> {
             }
             if rec.status == InferStatus::Ok {
                 let logits = rec.logits.as_ref().expect("ok records carry logits");
-                let mut bytes: Vec<u8> = rec.id.to_le_bytes().to_vec();
-                for &v in logits.as_slice() {
-                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                digest ^= hash64(&bytes);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                let record = logits
+                    .as_slice()
+                    .iter()
+                    .fold(fnv1a(FNV_OFFSET, &rec.id.to_le_bytes()), |h, v| {
+                        fnv1a(h, &v.to_bits().to_le_bytes())
+                    });
+                digest ^= record;
+                digest = digest.wrapping_mul(FNV_PRIME);
             }
         }
 

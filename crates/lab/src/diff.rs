@@ -10,10 +10,11 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::json::{self, Json};
+use medsplit_telemetry::json::Json;
+
 use crate::manifest::GateSpec;
 use crate::matrix::RunPoint;
-use crate::runner::MetricValue;
+use crate::runner::{metrics_json, read_json, v1_document, MetricValue};
 
 /// How a metric is compared against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,11 +101,6 @@ impl DiffReport {
                 .rows
                 .iter()
                 .any(|r| matches!(r.status, DiffStatus::Regressed | DiffStatus::Missing))
-    }
-
-    /// Rows that are not simply `Ok`.
-    pub fn notable_rows(&self) -> impl Iterator<Item = &DiffRow> {
-        self.rows.iter().filter(|r| r.status != DiffStatus::Ok)
     }
 
     /// Counts by status: (ok, regressed, missing, new).
@@ -307,21 +303,10 @@ pub fn check_invariants(
 
 /// Serialises a metric map as a baseline document.
 pub fn baseline_to_string(name: &str, metrics: &BTreeMap<String, MetricValue>) -> String {
-    let mut map = BTreeMap::new();
-    for (k, v) in metrics {
-        map.insert(
-            k.clone(),
-            match v {
-                MetricValue::Num(n) => Json::Num(*n),
-                MetricValue::Str(s) => Json::Str(s.clone()),
-            },
-        );
-    }
-    let mut doc = BTreeMap::new();
-    doc.insert("schema_version".into(), Json::Num(1.0));
-    doc.insert("name".into(), Json::Str(name.to_string()));
-    doc.insert("metrics".into(), Json::Obj(map));
-    json::to_string(&Json::Obj(doc))
+    v1_document([
+        ("name", Json::Str(name.to_string())),
+        ("metrics", metrics_json(metrics)),
+    ])
 }
 
 /// Writes a baseline file (`lab bless`).
@@ -337,8 +322,7 @@ pub fn save_baseline(path: &Path, name: &str, metrics: &BTreeMap<String, MetricV
 
 /// Loads a baseline file back into a metric map.
 pub fn load_baseline(path: &Path) -> Result<BTreeMap<String, MetricValue>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = read_json(path)?;
     let version = doc.get("schema_version").and_then(Json::as_f64).unwrap_or(0.0);
     if version != 1.0 {
         return Err(format!(

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use crate::json::Json;
+use medsplit_telemetry::json::{self, Json};
 
 /// The host facts a run manifest records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,11 +63,11 @@ impl HostFingerprint {
     pub fn to_inline_json(&self) -> String {
         format!(
             "{{\"arch\": \"{}\", \"cores\": {}, \"isa\": \"{}\", \"os\": \"{}\", \"rustc\": \"{}\"}}",
-            crate::json::escape(&self.arch),
+            json::escape(&self.arch),
             self.cores,
-            crate::json::escape(&self.isa),
-            crate::json::escape(&self.os),
-            crate::json::escape(&self.rustc),
+            json::escape(&self.isa),
+            json::escape(&self.os),
+            json::escape(&self.rustc),
         )
     }
 }
@@ -124,6 +124,6 @@ mod tests {
         assert!(!h.os.is_empty());
         let inline = h.to_inline_json();
         assert!(inline.starts_with('{') && inline.ends_with('}'));
-        assert!(crate::json::parse(&inline).is_ok());
+        assert!(json::parse(&inline).is_ok());
     }
 }

@@ -24,14 +24,14 @@
 //!   scalar-vs-auto ISA A/B).
 //!
 //! The split keeps this crate workload-agnostic: it depends only on
-//! `medsplit-tensor` (for the ISA fingerprint) and `medsplit-telemetry`,
-//! so its tests can drive the whole pipeline with stub runners.
+//! `medsplit-tensor` (for the ISA fingerprint and `fnv1a`) and
+//! `medsplit-telemetry` (whose `json` module writes and reads every
+//! artifact), so its tests can drive the whole pipeline with stub runners.
 
 #![warn(missing_docs)]
 
 pub mod diff;
 pub mod host;
-pub mod json;
 pub mod manifest;
 pub mod matrix;
 pub mod runner;
@@ -41,5 +41,5 @@ pub use host::{fingerprint, utc_now, HostFingerprint};
 pub use manifest::{Axes, GateSpec, Manifest, ManifestError, RunOpts};
 pub use matrix::{expand, RunPoint};
 pub use runner::{
-    execute, fnv1a, load_run_metrics, run_dir, run_id, BenchRunner, MetricValue, PointOutcome, RunOutcome,
+    execute, load_run_metrics, run_dir, run_id, BenchRunner, MetricValue, PointOutcome, RunOutcome,
 };

@@ -22,8 +22,10 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use medsplit_telemetry::json::{self, Json};
+use medsplit_tensor::{fnv1a, FNV_OFFSET};
+
 use crate::host::{fingerprint, utc_now};
-use crate::json::{self, Json};
 use crate::manifest::Manifest;
 use crate::matrix::{expand, RunPoint};
 
@@ -31,16 +33,6 @@ use crate::matrix::{expand, RunPoint};
 pub type MetricMap = BTreeMap<String, MetricValue>;
 /// Flattened `point_key/observation` → seconds (or other racy scalar).
 pub type TimingMap = BTreeMap<String, f64>;
-
-/// FNV-1a over a byte stream (the workspace's standard digest).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One deterministic metric value: a number or an opaque string (digests
 /// are reported as hex strings so they are compared bit-exactly, never
@@ -185,7 +177,7 @@ fn resolved_manifest_json(m: &Manifest, points: &[RunPoint]) -> Json {
 pub fn run_id(m: &Manifest) -> String {
     let points = expand(&m.axes);
     let canonical = json::to_string(&resolved_manifest_json(m, &points));
-    format!("{:016x}", fnv1a(canonical.as_bytes()))
+    format!("{:016x}", fnv1a(FNV_OFFSET, canonical.as_bytes()))
 }
 
 /// The run directory a manifest materializes into, under `lab_dir`.
@@ -193,16 +185,17 @@ pub fn run_dir(lab_dir: &Path, m: &Manifest) -> PathBuf {
     lab_dir.join(format!("{}-{}", m.name, run_id(m)))
 }
 
-fn metrics_json_text(run_id: &str, metrics: &BTreeMap<String, MetricValue>) -> String {
-    let mut map = BTreeMap::new();
-    for (k, v) in metrics {
-        map.insert(k.clone(), v.to_json());
-    }
-    let mut doc = BTreeMap::new();
+/// A canonical `schema_version = 1` document holding `fields` — the shape
+/// of `metrics.json`, `timings.json` and a baseline.
+pub(crate) fn v1_document<const N: usize>(fields: [(&str, Json); N]) -> String {
+    let mut doc: BTreeMap<String, Json> = fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     doc.insert("schema_version".into(), Json::Num(1.0));
-    doc.insert("run_id".into(), Json::Str(run_id.to_string()));
-    doc.insert("metrics".into(), Json::Obj(map));
     json::to_string(&Json::Obj(doc))
+}
+
+/// A flattened metric map as a JSON object.
+pub(crate) fn metrics_json(metrics: &MetricMap) -> Json {
+    Json::Obj(metrics.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
 }
 
 /// Expands, executes, and materializes a manifest run. Point failures
@@ -258,8 +251,11 @@ pub fn execute(
         .map_err(|e| format!("write {}: {e}", manifest_path.display()))?;
 
     // metrics.json + its digest: the determinism witness.
-    let metrics_text = metrics_json_text(&id, &metrics);
-    let digest = format!("{:016x}", fnv1a(metrics_text.as_bytes()));
+    let metrics_text = v1_document([
+        ("run_id", Json::Str(id.clone())),
+        ("metrics", metrics_json(&metrics)),
+    ]);
+    let digest = format!("{:016x}", fnv1a(FNV_OFFSET, metrics_text.as_bytes()));
     std::fs::write(dir.join("metrics.json"), &metrics_text)
         .map_err(|e| format!("write metrics.json: {e}"))?;
     std::fs::write(dir.join("digest.txt"), format!("{digest}\n"))
@@ -267,17 +263,15 @@ pub fn execute(
 
     // timings.json: everything nondeterministic, plus the only timestamp
     // in the run directory.
-    let mut tmap = BTreeMap::new();
-    for (k, v) in &timings {
-        tmap.insert(k.clone(), Json::Num(*v));
-    }
-    let mut tdoc = BTreeMap::new();
-    tdoc.insert("schema_version".into(), Json::Num(1.0));
-    tdoc.insert("run_id".into(), Json::Str(id.clone()));
-    tdoc.insert("generated_utc".into(), Json::Str(utc_now()));
-    tdoc.insert("timings".into(), Json::Obj(tmap));
-    std::fs::write(dir.join("timings.json"), json::to_string(&Json::Obj(tdoc)))
-        .map_err(|e| format!("write timings.json: {e}"))?;
+    let timings_text = v1_document([
+        ("run_id", Json::Str(id.clone())),
+        ("generated_utc", Json::Str(utc_now())),
+        (
+            "timings",
+            Json::Obj(timings.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect()),
+        ),
+    ]);
+    std::fs::write(dir.join("timings.json"), timings_text).map_err(|e| format!("write timings.json: {e}"))?;
 
     Ok(RunOutcome {
         run_id: id,
@@ -292,31 +286,27 @@ pub fn execute(
 /// Loads the flattened metric map (and timings) back from a materialized
 /// run directory.
 pub fn load_run_metrics(dir: &Path) -> Result<(MetricMap, TimingMap), String> {
-    let metrics_path = dir.join("metrics.json");
-    let text = std::fs::read_to_string(&metrics_path)
-        .map_err(|e| format!("cannot read {}: {e}", metrics_path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", metrics_path.display()))?;
-    let mut metrics = BTreeMap::new();
-    if let Some(map) = doc.get("metrics").and_then(Json::as_obj) {
-        for (k, v) in map {
-            if let Some(mv) = MetricValue::from_json(v) {
-                metrics.insert(k.clone(), mv);
-            }
-        }
-    }
-    let mut timings = BTreeMap::new();
+    let doc = read_json(&dir.join("metrics.json"))?;
+    let metrics = entries(&doc, "metrics").filter_map(|(k, v)| Some((k.clone(), MetricValue::from_json(v)?)));
+    // timings.json is optional; a readable one must parse.
     let timings_path = dir.join("timings.json");
-    if let Ok(text) = std::fs::read_to_string(&timings_path) {
-        let doc = json::parse(&text).map_err(|e| format!("{}: {e}", timings_path.display()))?;
-        if let Some(map) = doc.get("timings").and_then(Json::as_obj) {
-            for (k, v) in map {
-                if let Some(n) = v.as_f64() {
-                    timings.insert(k.clone(), n);
-                }
-            }
-        }
-    }
-    Ok((metrics, timings))
+    let timings = match std::fs::read_to_string(&timings_path) {
+        Ok(text) => json::parse(&text).map_err(|e| format!("{}: {e}", timings_path.display()))?,
+        Err(_) => Json::Null,
+    };
+    let timings_entries = entries(&timings, "timings").filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)));
+    Ok((metrics.collect(), timings_entries.collect()))
+}
+
+/// The entries of the object under `key`, or none.
+fn entries<'a>(doc: &'a Json, key: &str) -> impl Iterator<Item = (&'a String, &'a Json)> {
+    doc.get(key).and_then(Json::as_obj).into_iter().flatten()
+}
+
+/// Reads and parses a JSON file, naming it in any error.
+pub(crate) fn read_json(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -63,12 +63,6 @@ impl Sequential {
         self
     }
 
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()

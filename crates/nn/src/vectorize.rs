@@ -8,7 +8,7 @@
 //! is the identity and two replicas of the same architecture can exchange
 //! vectors safely.
 
-use medsplit_tensor::{Result, Tensor, TensorError};
+use medsplit_tensor::{fnv1a, Result, Tensor, TensorError, FNV_OFFSET};
 
 use crate::layer::Layer;
 
@@ -139,15 +139,10 @@ pub fn set_state_vector(layer: &mut dyn Layer, vector: &Tensor) -> Result<()> {
 /// weight version (or a handed-off session's pinned model) without
 /// shipping the whole vector again.
 pub fn parameter_digest(layer: &mut dyn Layer) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = FNV_OFFSET;
     let mut fold = |values: &[f32]| {
         for v in values {
-            for byte in v.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
+            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
         }
     };
     layer.visit_params(&mut |p| fold(p.value.as_slice()));

@@ -1,4 +1,4 @@
-//! Trace and metric exporters: JSONL dump/parse (hand-rolled, std-only),
+//! Trace and metric exporters: JSONL dump/parse (through [`crate::json`]),
 //! a Prometheus-style text dump, and a human-readable aggregate table.
 //!
 //! ## JSONL schema
@@ -15,6 +15,9 @@
 //! `parent`, `round`, and `sim_s` are omitted when absent. The parser
 //! accepts the same schema back (unknown fields are ignored), so a trace
 //! written by one process can be aggregated by `trace_report` in another.
+//! Each line is read with [`crate::json::parse`]; a line that is not a
+//! JSON object, lacks a string `t` and `name`, or has an unknown `t` is
+//! skipped.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -22,6 +25,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
+use crate::json::{self, Json};
 use crate::metrics::{snapshot_metrics, MetricSnapshot};
 use crate::span::{drain_spans, SpanRecord};
 
@@ -56,28 +60,17 @@ impl Trace {
     }
 }
 
+/// The trace's float format, kept apart from [`json::fmt_num`] on
+/// purpose: integral values keep a `.0` and `-0.0` stays `-0.0`, where
+/// `fmt_num` writes `0` — and `fmt_num` cannot change without moving every
+/// run id and baseline digest. Both spell the non-finite values `NaN`,
+/// `inf` and `-inf`, which [`json::parse`] reads back.
 fn fmt_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{v:.1}")
     } else {
         format!("{v}")
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serialises a trace to JSONL (one object per line, spans first).
@@ -87,7 +80,7 @@ pub fn to_jsonl(trace: &Trace) -> String {
         let _ = write!(
             out,
             "{{\"t\":\"span\",\"name\":\"{}\",\"tid\":{},\"id\":{},",
-            escape_json(&s.name),
+            json::escape(&s.name),
             s.tid,
             s.id
         );
@@ -109,14 +102,14 @@ pub fn to_jsonl(trace: &Trace) -> String {
                 let _ = writeln!(
                     out,
                     "{{\"t\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                    escape_json(name)
+                    json::escape(name)
                 );
             }
             MetricSnapshot::Gauge { name, value } => {
                 let _ = writeln!(
                     out,
                     "{{\"t\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-                    escape_json(name),
+                    json::escape(name),
                     fmt_f64(*value)
                 );
             }
@@ -132,7 +125,7 @@ pub fn to_jsonl(trace: &Trace) -> String {
                 let _ = writeln!(
                     out,
                     "{{\"t\":\"hist\",\"name\":\"{}\",\"bounds\":[{}],\"buckets\":[{}],\"count\":{count},\"sum\":{}}}",
-                    escape_json(name),
+                    json::escape(name),
                     bounds_s.join(","),
                     buckets_s.join(","),
                     fmt_f64(*sum)
@@ -143,213 +136,62 @@ pub fn to_jsonl(trace: &Trace) -> String {
     out
 }
 
-/// A parsed flat-JSON value (the subset the trace schema needs).
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Arr(Vec<f64>),
-}
-
-impl Val {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Val::Num(n) => Some(*n as u64),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Val::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (string, number, and numeric-array values
-/// only — the full trace schema). Returns `None` on malformed input.
-fn parse_flat_object(line: &str) -> Option<HashMap<String, Val>> {
-    let bytes = line.trim().as_bytes();
-    if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
-        return None;
-    }
-    let mut out = HashMap::new();
-    let mut i = 1usize;
-    let end = bytes.len() - 1;
-    let skip_ws = |i: &mut usize| {
-        while *i < end && bytes[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    loop {
-        skip_ws(&mut i);
-        if i >= end {
-            break;
-        }
-        // Key.
-        if bytes[i] != b'"' {
-            return None;
-        }
-        i += 1;
-        let key_start = i;
-        while i < end && bytes[i] != b'"' {
-            if bytes[i] == b'\\' {
-                i += 1;
-            }
-            i += 1;
-        }
-        let key = unescape(&line[key_start..i])?;
-        i += 1; // closing quote
-        skip_ws(&mut i);
-        if i >= end || bytes[i] != b':' {
-            return None;
-        }
-        i += 1;
-        skip_ws(&mut i);
-        // Value.
-        let val = if bytes[i] == b'"' {
-            i += 1;
-            let vs = i;
-            while i < end && bytes[i] != b'"' {
-                if bytes[i] == b'\\' {
-                    i += 1;
-                }
-                i += 1;
-            }
-            let v = Val::Str(unescape(&line[vs..i])?);
-            i += 1;
-            v
-        } else if bytes[i] == b'[' {
-            i += 1;
-            let vs = i;
-            while i < end && bytes[i] != b']' {
-                i += 1;
-            }
-            let body = line[vs..i].trim();
-            let mut arr = Vec::new();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    arr.push(part.trim().parse::<f64>().ok()?);
-                }
-            }
-            i += 1;
-            Val::Arr(arr)
-        } else {
-            let vs = i;
-            while i < end && bytes[i] != b',' {
-                i += 1;
-            }
-            let body = line[vs..i].trim();
-            if body == "null" {
-                // Tolerated, but the writer never emits it; skip the key.
-                skip_ws(&mut i);
-                if i < end && bytes[i] == b',' {
-                    i += 1;
-                }
-                continue;
-            }
-            Val::Num(body.parse::<f64>().ok()?)
-        };
-        out.insert(key, val);
-        skip_ws(&mut i);
-        if i < end && bytes[i] == b',' {
-            i += 1;
-        }
-    }
-    Some(out)
-}
-
-fn unescape(s: &str) -> Option<String> {
-    if !s.contains('\\') {
-        return Some(s.to_owned());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            other => out.push(other),
-        }
-    }
-    Some(out)
-}
-
 /// Parses a JSONL trace produced by [`to_jsonl`]. Malformed or unknown
 /// lines are skipped rather than failing the whole file.
 pub fn from_jsonl(text: &str) -> Trace {
     let mut trace = Trace::default();
     for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(obj) = parse_flat_object(line) else {
+        let Ok(Json::Obj(obj)) = json::parse(line) else {
             continue;
         };
-        let Some(t) = obj.get("t").and_then(Val::as_str) else {
+        let str_field = |key: &str| obj.get(key).and_then(Json::as_str);
+        let (Some(t), Some(name)) = (str_field("t"), str_field("name")) else {
             continue;
         };
-        let name = match obj.get("name").and_then(Val::as_str) {
-            Some(n) => n.to_owned(),
-            None => continue,
-        };
+        let name = name.to_owned();
+        let f64_field = |key: &str| obj.get(key).and_then(Json::as_f64);
+        let u64_field = |key: &str| f64_field(key).map(|n| n as u64);
         match t {
             "span" => {
                 trace.spans.push(SpanRecord {
                     name,
-                    tid: obj.get("tid").and_then(Val::as_u64).unwrap_or(0),
-                    id: obj.get("id").and_then(Val::as_u64).unwrap_or(0),
-                    parent: obj.get("parent").and_then(Val::as_u64),
-                    start_ns: obj.get("start_ns").and_then(Val::as_u64).unwrap_or(0),
-                    dur_ns: obj.get("dur_ns").and_then(Val::as_u64).unwrap_or(0),
-                    round: obj.get("round").and_then(Val::as_u64),
-                    sim_s: obj.get("sim_s").and_then(Val::as_f64),
+                    tid: u64_field("tid").unwrap_or(0),
+                    id: u64_field("id").unwrap_or(0),
+                    parent: u64_field("parent"),
+                    start_ns: u64_field("start_ns").unwrap_or(0),
+                    dur_ns: u64_field("dur_ns").unwrap_or(0),
+                    round: u64_field("round"),
+                    sim_s: f64_field("sim_s"),
                 });
             }
             "counter" => {
                 trace.metrics.push(MetricSnapshot::Counter {
                     name,
-                    value: obj.get("value").and_then(Val::as_u64).unwrap_or(0),
+                    value: u64_field("value").unwrap_or(0),
                 });
             }
             "gauge" => {
                 trace.metrics.push(MetricSnapshot::Gauge {
                     name,
-                    value: obj.get("value").and_then(Val::as_f64).unwrap_or(0.0),
+                    value: f64_field("value").unwrap_or(0.0),
                 });
             }
             "hist" => {
-                let bounds = match obj.get("bounds") {
-                    Some(Val::Arr(a)) => a.clone(),
-                    _ => Vec::new(),
+                // A numeric array, or empty when absent; any other element
+                // makes the line malformed.
+                let numbers = |key: &str| match obj.get(key) {
+                    Some(Json::Arr(items)) => items.iter().map(Json::as_f64).collect::<Option<Vec<f64>>>(),
+                    _ => Some(Vec::new()),
                 };
-                let buckets = match obj.get("buckets") {
-                    Some(Val::Arr(a)) => a.iter().map(|v| *v as u64).collect(),
-                    _ => Vec::new(),
+                let (Some(bounds), Some(buckets)) = (numbers("bounds"), numbers("buckets")) else {
+                    continue;
                 };
                 trace.metrics.push(MetricSnapshot::Histogram {
                     name,
                     bounds,
-                    buckets,
-                    count: obj.get("count").and_then(Val::as_u64).unwrap_or(0),
-                    sum: obj.get("sum").and_then(Val::as_f64).unwrap_or(0.0),
+                    buckets: buckets.iter().map(|&v| v as u64).collect(),
+                    count: u64_field("count").unwrap_or(0),
+                    sum: f64_field("sum").unwrap_or(0.0),
                 });
             }
             _ => {}

@@ -1,14 +1,24 @@
-//! A minimal hand-rolled JSON reader/writer — the subset the lab's
-//! artifacts need (objects, arrays, strings, numbers, booleans, null).
+//! The workspace's one JSON reader and writer — the subset its artifacts
+//! need (objects, arrays, strings, numbers, booleans, null).
 //!
-//! The workspace is fully offline and zero-dep by policy, so like
-//! `medsplit-telemetry`'s JSONL codec this module implements exactly the
-//! surface the lab uses: parsing baselines and `metrics.json` back in,
-//! and writing canonical (sorted-key, stable-float) documents out so the
-//! same inputs always produce byte-identical artifacts.
+//! The workspace is fully offline and zero-dep by policy, so this module
+//! implements exactly the surface its two users need:
+//!
+//! - the lab (`medsplit-lab`) parses baselines and `metrics.json` back in
+//!   and writes canonical (sorted-key, stable-float) documents out, so the
+//!   same inputs always produce byte-identical artifacts — run ids and
+//!   baseline digests are FNV-1a over these bytes;
+//! - the JSONL trace codec ([`crate::to_jsonl`] / [`crate::from_jsonl`])
+//!   escapes names with [`escape`] and reads each line back with
+//!   [`parse`].
+//!
+//! Non-finite numbers are written the way Rust formats them (`NaN`, `inf`,
+//! `-inf`) and [`parse`] accepts exactly those three tokens, so whatever a
+//! writer here emits reads back. Nesting is bounded by [`MAX_DEPTH`], so
+//! hostile input is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +66,48 @@ impl Json {
     /// Looks up `key` in an object value.
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_obj().and_then(|m| m.get(key))
+    }
+}
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[` would
+/// overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Not JSON (or not the subset read here); the message names the
+    /// offending byte offset where there is one.
+    Malformed(String),
+    /// The array or object opened at byte `at` nests deeper than
+    /// [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the opening bracket.
+        at: usize,
+    },
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::Malformed(msg) => f.write_str(msg),
+            JsonError::TooDeep { at } => write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}"),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Malformed(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> Self {
+        JsonError::Malformed(msg.to_string())
     }
 }
 
@@ -149,15 +201,19 @@ fn write_value(v: &Json, indent: usize, out: &mut String) {
     }
 }
 
-/// Parses a JSON document. Returns an error message with a byte offset
-/// on malformed input.
-pub fn parse(text: &str) -> Result<Json, String> {
+/// Parses a JSON document.
+///
+/// # Errors
+///
+/// [`JsonError::Malformed`] (with a byte offset) on malformed input,
+/// [`JsonError::TooDeep`] past [`MAX_DEPTH`] levels of nesting.
+pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(text, bytes, &mut pos)?;
+    let v = parse_value(text, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
+        return Err(format!("trailing content at byte {pos}").into());
     }
     Ok(v)
 }
@@ -168,11 +224,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
         return Err("unexpected end of input".into());
     };
+    if matches!(c, b'{' | b'[') && depth == MAX_DEPTH {
+        return Err(JsonError::TooDeep { at: *pos });
+    }
     match c {
         b'{' => {
             *pos += 1;
@@ -184,16 +243,16 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(text, bytes, pos)? {
+                let key = match parse_value(text, bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
+                    other => return Err(format!("object key must be a string, got {other:?}").into()),
                 };
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
+                    return Err(format!("expected ':' at byte {pos}").into());
                 }
                 *pos += 1;
-                let val = parse_value(text, bytes, pos)?;
+                let val = parse_value(text, bytes, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -202,7 +261,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
                         *pos += 1;
                         return Ok(Json::Obj(map));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}").into()),
                 }
             }
         }
@@ -215,7 +274,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, bytes, pos)?);
+                items.push(parse_value(text, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -223,7 +282,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}").into()),
                 }
             }
         }
@@ -258,7 +317,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
                                 out.push(char::from_u32(code).ok_or(format!("bad codepoint {code}"))?);
                                 *pos += 4;
                             }
-                            other => return Err(format!("unknown escape \\{}", other as char)),
+                            other => return Err(format!("unknown escape \\{}", other as char).into()),
                         }
                         *pos += 1;
                     }
@@ -284,6 +343,19 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
             *pos += 4;
             Ok(Json::Null)
         }
+        // The writers' spellings of the non-finite numbers.
+        b'N' if text[*pos..].starts_with("NaN") => {
+            *pos += 3;
+            Ok(Json::Num(f64::NAN))
+        }
+        b'i' if text[*pos..].starts_with("inf") => {
+            *pos += 3;
+            Ok(Json::Num(f64::INFINITY))
+        }
+        b'-' if text[*pos..].starts_with("-inf") => {
+            *pos += 4;
+            Ok(Json::Num(f64::NEG_INFINITY))
+        }
         _ => {
             let start = *pos;
             while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -293,7 +365,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
             text[start..*pos]
                 .parse::<f64>()
                 .map(Json::Num)
-                .map_err(|_| format!("malformed number at byte {start}"))
+                .map_err(|_| format!("malformed number at byte {start}").into())
         }
     }
 }
@@ -301,6 +373,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_canonical_documents() {
@@ -343,5 +416,81 @@ mod tests {
             inner,
             &Json::Arr(vec![Json::Num(1.0), Json::Str("two".into()), Json::Bool(true)])
         );
+    }
+
+    #[test]
+    fn reads_back_the_non_finite_numbers_it_writes() {
+        let text = to_string(&Json::Arr(vec![
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+            Json::Num(f64::NEG_INFINITY),
+        ]));
+        assert_eq!(text, "[\n  NaN,\n  inf,\n  -inf\n]\n");
+        let Ok(Json::Arr(back)) = parse(&text) else {
+            panic!("{text}")
+        };
+        let bits: Vec<_> = back.iter().filter_map(Json::as_f64).map(f64::to_bits).collect();
+        assert_eq!(
+            bits,
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(f64::to_bits)
+        );
+        // Only the writers' spellings, not Rust's other ones.
+        for other in ["nan", "Infinity", "+inf", "-NaN", "infinity", "-in"] {
+            assert!(parse(other).is_err(), "{other}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        assert_eq!(parse(&deep), Err(JsonError::TooDeep { at: MAX_DEPTH }));
+        assert!(matches!(
+            parse(&"{\"a\":".repeat(1_000_000)),
+            Err(JsonError::TooDeep { .. })
+        ));
+        // A trace line carrying it is skipped like any malformed line.
+        let trace = crate::from_jsonl(&format!(
+            "{deep}\n{{\"t\":\"counter\",\"name\":\"ok\",\"value\":1}}"
+        ));
+        assert_eq!(trace.metrics.len(), 1);
+        // The bound is exact: MAX_DEPTH levels parse, one more does not.
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        assert_eq!(
+            parse(&format!("[{at_bound}]")),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+    }
+
+    /// Bytes that reach every branch of the parser.
+    const ALPHABET: &[u8] = b"{}[]\":,\\/ \n-+.0123456789eEtrufalsnNiIu\xc3\xa9";
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(raw in prop::collection::vec(0u8..=255, 0..256)) {
+            let text = String::from_utf8_lossy(&raw);
+            let _ = parse(&text);
+            let _ = crate::from_jsonl(&text);
+        }
+
+        #[test]
+        fn mutated_documents_never_panic(
+            edits in prop::collection::vec((0usize..4096, 0usize..ALPHABET.len()), 1..8),
+        ) {
+            let mut doc = [
+                r#"{"a": [1, -2.5e3, NaN, -inf, inf, "x\"\\\u00e9\t"], "b": {"c": null, "d": [true, {}]}}"#,
+                r#"{"t":"hist","name":"h","bounds":[1,2],"buckets":[0,1,2],"sum":NaN}"#,
+            ]
+            .join("\n")
+            .into_bytes();
+            assert!(String::from_utf8_lossy(&doc).lines().all(|l| parse(l).is_ok()));
+            for &(at, pick) in &edits {
+                let at = at % doc.len();
+                doc[at] = ALPHABET[pick];
+            }
+            let text = String::from_utf8_lossy(&doc);
+            let _ = parse(&text);
+            let _ = crate::from_jsonl(&text);
+        }
     }
 }

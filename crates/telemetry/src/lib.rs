@@ -15,6 +15,8 @@
 //! - [`Trace`] with [`to_jsonl`] / [`from_jsonl`] / [`to_prometheus`] /
 //!   [`aggregate_table`] — exporters for offline analysis
 //!   (`trace_report` in `medsplit-bench`).
+//! - [`json`] — the workspace's one JSON reader and writer, shared by the
+//!   JSONL trace codec and the lab's run directories and baselines.
 //! - [`percentile`] — the workspace's single nearest-rank percentile
 //!   implementation (also used by `serve::metrics`).
 //!
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod export;
+pub mod json;
 mod metrics;
 mod span;
 

@@ -49,3 +49,21 @@ pub use ops::plan::{ConvGeometry, ConvPlan, GemmPlan, PlanStats};
 pub use serialize::{encoded_len, serialized_len, serialized_len_f16, serialized_len_i8, Encoding};
 pub use shape::Shape;
 pub use tensor::Tensor;
+
+/// FNV-1a offset basis: the starting state of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `hash` — the workspace's one
+/// digest (run ids, baselines, parameter and logits digests, the fleet
+/// ring). Start from [`FNV_OFFSET`]; folding two slices in turn equals
+/// folding their concatenation.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}

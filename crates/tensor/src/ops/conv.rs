@@ -66,6 +66,7 @@
 //! gradient, for the layer that sits on raw data.
 
 use crate::error::{Result, TensorError};
+use crate::ops::check_nchw;
 use crate::ops::matmul::{self, gemm_tn_into, PanelsA};
 use crate::ops::microkernel::NR;
 use crate::ops::plan::ConvPlan;
@@ -140,18 +141,6 @@ impl Conv2dSpec {
         }
         self.output_hw(h, w)
     }
-}
-
-fn check_nchw(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize)> {
-    if t.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: t.rank(),
-            op,
-        });
-    }
-    let d = t.dims();
-    Ok((d[0], d[1], d[2], d[3]))
 }
 
 /// How one image is lowered: the patch rows of the im2col matrix indexed

@@ -18,21 +18,10 @@
 //! disjoint, and it is a single cheap pass.
 
 use crate::error::{Result, TensorError};
+use crate::ops::check_nchw;
 use crate::ops::conv::Conv2dSpec;
 use crate::pool;
 use crate::tensor::Tensor;
-
-fn check_nchw(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize)> {
-    if t.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: t.rank(),
-            op,
-        });
-    }
-    let d = t.dims();
-    Ok((d[0], d[1], d[2], d[3]))
-}
 
 /// Result of a max-pooling forward pass: the pooled tensor plus the flat
 /// input index each output element was taken from (needed by the backward

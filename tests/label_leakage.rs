@@ -1,9 +1,8 @@
 //! End-to-end label leakage: what an honest-but-curious server can read
 //! from the live protocol traffic — and how the U-shaped variant stops it.
 
+use std::sync::Mutex;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use medsplit::core::{Scheduling, SplitConfig, SplitTrainer, UShapeTrainer};
 use medsplit::data::{InMemoryDataset, MinibatchPolicy, SyntheticTabular};
@@ -30,7 +29,7 @@ impl RecordingTransport {
     }
 
     fn captured(&self) -> Vec<Tensor> {
-        self.captured.lock().clone()
+        self.captured.lock().unwrap().clone()
     }
 }
 
@@ -38,7 +37,7 @@ impl Transport for RecordingTransport {
     fn send(&self, env: Envelope) -> Result<(), NetError> {
         if env.kind == self.kind {
             if let Ok(t) = Tensor::from_bytes(env.payload.clone()) {
-                self.captured.lock().push(t);
+                self.captured.lock().unwrap().push(t);
             }
         }
         self.inner.send(env)
