@@ -295,12 +295,11 @@ impl<T: Transport> ResilientTrainer<'_, T> {
         self.upstream_to_server(round, routes, held)
     }
 
-    /// Steps 2–5 for the committed survivors of a **hierarchy**, one
-    /// phase at a time: all activations reach the server (one batch per
-    /// relay, direct fallbacks as they are), all logits go down, all
-    /// gradients come up, all cut gradients go down. Returns the losses
-    /// in ascending platform id. `baselines/hierarchy_chaos.json` pins
-    /// the makespans this schedule produces.
+    /// Steps 2–5 for the committed survivors, one phase at a time: all
+    /// activations reach the server (one batch per relay, direct routes
+    /// as they are), all logits go down, all gradients come up, all cut
+    /// gradients go down. A star is the case where every route is
+    /// [`Route::Direct`]. Returns the losses in ascending platform id.
     pub(crate) fn exchange_by_phase(
         &mut self,
         round: u64,

@@ -358,19 +358,27 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
     }
 
     /// Reliable delivery of one envelope for a committed survivor, whose
-    /// links are known-up for the rest of the round: resend until
-    /// `receive` finds what it waits for at the far end.
-    fn deliver_until(
+    /// links are known-up for the rest of the round: resend until the
+    /// first checksum-valid envelope satisfying `accept` is received at
+    /// `env.dst`; anything queued behind it stays queued.
+    pub(crate) fn deliver(
         &mut self,
         env: Envelope,
         region: usize,
-        mut receive: impl FnMut(&mut Self) -> Option<Envelope>,
+        accept: impl Fn(&Envelope) -> bool,
     ) -> Result<Envelope> {
+        let sink = env.dst;
         for _ in 0..MAX_DELIVERY_ATTEMPTS {
             self.send_counted(env.clone(), region)?;
             self.chaos.flush();
-            if let Some(got) = receive(self) {
-                return Ok(got);
+            while let Some(got) = self.chaos.try_recv(sink) {
+                if !self.checksum_ok(&got) {
+                    continue;
+                }
+                if accept(&got) {
+                    return Ok(got);
+                }
+                self.report.base.stray_messages += 1;
             }
             self.report.base.retries += 1;
             self.count("retries", 1);
@@ -379,78 +387,6 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
             "reliable delivery of {} to {} exhausted {MAX_DELIVERY_ATTEMPTS} attempts",
             env.kind, env.dst
         )))
-    }
-
-    /// [`deliver_until`](Self::deliver_until) the first checksum-valid
-    /// envelope satisfying `accept` is received at `env.dst`; anything
-    /// queued behind it stays queued.
-    pub(crate) fn deliver(
-        &mut self,
-        env: Envelope,
-        region: usize,
-        accept: impl Fn(&Envelope) -> bool,
-    ) -> Result<Envelope> {
-        let sink = env.dst;
-        self.deliver_until(env, region, |engine| {
-            while let Some(got) = engine.chaos.try_recv(sink) {
-                if !engine.checksum_ok(&got) {
-                    continue;
-                }
-                if accept(&got) {
-                    return Some(got);
-                }
-                engine.report.base.stray_messages += 1;
-            }
-            None
-        })
-    }
-
-    /// Steps 2–5 for the committed survivors of a **star**, one platform
-    /// at a time: each survivor's logits → gradients exchange completes
-    /// before the next survivor's logits are sent, and each upstream
-    /// delivery drains the whole server inbox. Returns the losses in
-    /// ascending platform id.
-    ///
-    /// This serialises what the plain round and the hierarchical schedule
-    /// overlap: on identical shards, star links and an empty fault plan
-    /// (4 platforms, 6 rounds) it moves the same bytes in the same
-    /// messages and learns bit-identical weights as [`crate::SplitTrainer`],
-    /// but reports a simulated makespan of 1.8015 s against 0.7209 s. The
-    /// star rows of `baselines/smoke.json` pin this schedule's chaos RNG
-    /// draw order, so it is kept as it is until those rows are re-blessed
-    /// and this function deleted in favour of
-    /// [`exchange_by_phase`](Self::exchange_by_phase).
-    fn exchange_by_platform(
-        &mut self,
-        round: u64,
-        routes: &BTreeMap<usize, Route>,
-        acts: BTreeMap<usize, Envelope>,
-    ) -> Result<Vec<f32>> {
-        let for_platform = |kind: MessageKind| move |e: &Envelope| e.kind == kind && e.round == round;
-        let acts: Vec<Envelope> = acts.into_values().collect();
-        let mut losses = Vec::with_capacity(acts.len());
-        let mut grad_envs = Vec::with_capacity(acts.len());
-        for env in self.actors.server.aggregate_forward(&acts)? {
-            let pid = receiving_platform(&env)?;
-            let logits = self.deliver(env, self.home_region(pid), for_platform(MessageKind::Logits))?;
-            let (grads, loss) = self.actors.platforms[pid].handle_logits(&logits)?;
-            losses.push(loss);
-            grad_envs.push(self.deliver_until(grads, self.home_region(pid), |engine| {
-                let mut received = BTreeMap::new();
-                engine.drain(round, MessageKind::LogitGrads, routes, &mut received);
-                let got = received.remove(&pid);
-                // Anything else drained alongside is not expected here:
-                // committed survivors exchange strictly in id order.
-                engine.report.base.stray_messages += received.len() as u64;
-                got
-            })?);
-        }
-        for env in self.actors.server.aggregate_backward(&grad_envs)? {
-            let pid = receiving_platform(&env)?;
-            let cut = self.deliver(env, self.home_region(pid), for_platform(MessageKind::CutGrads))?;
-            self.actors.platforms[pid].handle_cut_grads(&cut)?;
-        }
-        Ok(losses)
     }
 
     /// One quorum round. Returns `(mean_loss, participants)`; a quorum
@@ -484,10 +420,7 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
 
         // Steps 2–5 run over the reliable path: the survivors are now
         // committed to the round, so the aggregate layout must complete.
-        let losses = match self.tier {
-            Some(_) => self.exchange_by_phase(round, &routes, acts)?,
-            None => self.exchange_by_platform(round, &routes, acts)?,
-        };
+        let losses = self.exchange_by_phase(round, &routes, acts)?;
 
         // Commit: the survivors' post-update state becomes their rejoin
         // point.

@@ -12,6 +12,11 @@
 //! bytes, evaluation batch order or float accumulation order moves at
 //! least one of them.
 //!
+//! One deliberate move since: when the star fault-tolerant round went
+//! onto the phase-by-phase exchange schedule, the history and stats
+//! digests of `resilient_star_under_chaos` were re-recorded (simulated
+//! clocks only); its weights and report digests did not move.
+//!
 //! The committed `baselines/*.json` carry no random loss on any
 //! hierarchy, so the hierarchical cases here are the only pin on that
 //! driver's RNG draw order.
@@ -378,8 +383,8 @@ fn resilient_star_under_chaos() {
         .iter()
         .all(|r| r.participants < 3 && r.mean_loss == 0.0));
     let want = Golden {
-        history: 0xde0b_6172_04d2_ed86,
-        stats: 0x75a9_0c77_4dc3_4941,
+        history: 0xb5f4_7c46_6d50_c133,
+        stats: 0xafec_d2f9_209c_c9ad,
         weights: 0x7744_7ff4_6ce7_bf5a,
         report: 0x5fe0_6bcc_a470_56c1,
     };
@@ -470,8 +475,8 @@ fn threaded_losses_accuracy_and_bytes() {
 fn fault_free_drivers_agree() {
     // The identity that holds between the drivers on a fault-free run:
     // same losses, same accuracy, same learned weights; the two star
-    // drivers also move the same bytes in the same number of messages.
-    // (Simulated makespans differ between them; see DESIGN.md.)
+    // drivers also move the same bytes in the same number of messages
+    // and read the same simulated clock after every round.
     let (_, split, split_l1) = run_split(config(), 4);
     let (_, star, star_l1) = run_resilient(config(), FaultPlan::new(42), 4);
     let (_, hier, hier_l1) = run_hier(
@@ -495,6 +500,11 @@ fn fault_free_drivers_agree() {
     assert_eq!(split_l1, hier_l1);
     assert_eq!(split.stats.total_bytes, star.stats.total_bytes);
     assert_eq!(split.stats.messages, star.stats.messages);
+    let clocks = |h: &TrainingHistory| -> Vec<u64> {
+        h.records.iter().map(|r| r.simulated_time_s.to_bits()).collect()
+    };
+    assert_eq!(clocks(&split), clocks(&star));
+    assert_eq!(split.stats.makespan_s.to_bits(), star.stats.makespan_s.to_bits());
     for h in [&star, &hier] {
         assert!(h.records.iter().all(|r| r.participants == 4 && !r.degraded));
     }
