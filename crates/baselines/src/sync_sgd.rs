@@ -37,9 +37,11 @@ struct Worker {
 
 /// Runs large-scale synchronous SGD and returns the training history.
 ///
-/// Works over any transport; combine with
-/// [`FaultyTransport`](medsplit_simnet::FaultyTransport) to exercise the
-/// backup-worker path with dead or slow platforms.
+/// Works over any transport; run it over a
+/// [`ChaosTransport`](medsplit_simnet::ChaosTransport) whose plan crashes
+/// or straggles platforms to exercise the backup-worker path. A platform
+/// whose download does not arrive sits the step out and is not counted
+/// as a participant.
 ///
 /// # Errors
 ///
@@ -98,8 +100,8 @@ pub fn train_sync_sgd<T: Transport>(
         // Each platform computes and pushes one gradient.
         let mut losses = Vec::with_capacity(k);
         for (i, w) in workers.iter_mut().enumerate() {
-            // A dead platform's download was dropped by the fault layer;
-            // it simply skips the step.
+            // A crashed platform's download was dropped by the fault
+            // layer; it simply skips the step.
             let Some(env) = transport.try_recv(NodeId::Platform(i)) else {
                 continue;
             };
@@ -165,7 +167,7 @@ pub fn train_sync_sgd<T: Transport>(
             simulated_time_s: snap.makespan_s,
             wall_time_s: round_start.elapsed().as_secs_f64(),
             participants: losses.len(),
-            degraded: false,
+            degraded: losses.len() < k,
             accuracy,
         });
     }
@@ -186,7 +188,7 @@ mod tests {
     use super::*;
     use medsplit_data::{partition, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{FaultKind, FaultyTransport, MemoryTransport, StarTopology};
+    use medsplit_simnet::{ChaosTransport, FaultPlan, MemoryTransport, StarTopology};
 
     fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
         let arch = Architecture::Mlp(MlpConfig {
@@ -199,6 +201,14 @@ mod tests {
         let test = all.subset(&(120..150).collect::<Vec<_>>()).unwrap();
         let shards = partition(&train, 3, &Partition::Iid, 1).unwrap();
         (arch, shards, test)
+    }
+
+    /// A 3-platform star on which `dead` is crashed from the start.
+    fn with_dead_platform(dead: usize) -> ChaosTransport<MemoryTransport> {
+        let plan = FaultPlan::new(0).crash(NodeId::Platform(dead), 0);
+        let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
+        transport.begin_round(0);
+        transport
     }
 
     #[test]
@@ -253,8 +263,7 @@ mod tests {
     #[test]
     fn backup_workers_tolerate_a_dead_platform() {
         let (arch, shards, test) = setup();
-        let transport = FaultyTransport::new(MemoryTransport::new(StarTopology::new(3)));
-        transport.set_fault(NodeId::Platform(2), FaultKind::Dead);
+        let transport = with_dead_platform(2);
         let config = BaselineConfig {
             rounds: 30,
             eval_every: 0,
@@ -280,8 +289,7 @@ mod tests {
     #[test]
     fn without_backups_a_dead_platform_stalls_training() {
         let (arch, shards, test) = setup();
-        let transport = FaultyTransport::new(MemoryTransport::new(StarTopology::new(3)));
-        transport.set_fault(NodeId::Platform(0), FaultKind::Dead);
+        let transport = with_dead_platform(0);
         let config = BaselineConfig {
             rounds: 5,
             eval_every: 0,

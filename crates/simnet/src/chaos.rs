@@ -703,11 +703,14 @@ mod tests {
         assert_eq!(applied.len(), 1);
         assert!(t.is_down(NodeId::Platform(1)));
         // Sends from the crashed node fail fast instead of blocking the
-        // peer for a full receive timeout.
+        // peer for a full receive timeout, and transmit nothing: no
+        // bytes, no message, no clock.
+        let before = t.stats().snapshot();
         assert!(matches!(
             t.send(env(NodeId::Platform(1), 2)),
             Err(NetError::PeerDown(_))
         ));
+        assert_eq!(t.stats().snapshot(), before);
         // Sends *to* the crashed node vanish (but are charged).
         let to_dead = Envelope::control(NodeId::Server, NodeId::Platform(1), 2);
         t.send(to_dead).unwrap();
@@ -823,6 +826,10 @@ mod tests {
         assert!(t.stats().clock(NodeId::Platform(2)) >= 2.5);
         t.send(env(NodeId::Platform(0), 0)).unwrap();
         assert_eq!(t.stats().clock(NodeId::Platform(0)), 0.0);
+        // The delay reaches the receiver: the server cannot read the
+        // straggler's message before it left.
+        assert_eq!(t.try_recv(NodeId::Server).unwrap().src, NodeId::Platform(2));
+        assert!(t.stats().clock(NodeId::Server) >= 2.5);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! message envelopes whose payloads are exactly the serialised tensors the
 //! protocols exchange ([`Envelope`]), a FIFO in-memory transport with a
 //! blocking mode for the thread-per-node runtime ([`MemoryTransport`],
-//! [`threaded::run_per_node`]), fault injection ([`FaultyTransport`]) and
+//! [`threaded::run_per_node`]), seeded fault injection ([`ChaosTransport`]
+//! under a [`FaultPlan`]) and
 //! — the quantity the paper's Fig. 4 plots — exact wire-byte accounting
 //! with a causal simulated clock ([`NetStats`]).
 //!
@@ -29,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod chaos;
-mod fault;
 mod link;
 mod message;
 mod node;
@@ -39,7 +39,6 @@ mod topology;
 mod transport;
 
 pub use chaos::{ChaosEvent, ChaosRng, ChaosSnapshot, ChaosStats, ChaosTransport, FaultPlan, LinkFaults};
-pub use fault::{FaultKind, FaultyTransport};
 pub use link::LinkSpec;
 pub use message::{payload_checksum, Envelope, FrameError, MessageKind, FRAME_HEADER_LEN, HEADER_BYTES};
 pub use node::NodeId;

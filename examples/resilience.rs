@@ -20,9 +20,7 @@ use medsplit::baselines::{train_sync_sgd, BaselineConfig, SyncSgdOptions};
 use medsplit::core::{ResilientTrainer, SplitConfig, SplitTrainer};
 use medsplit::data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit::simnet::{
-    ChaosTransport, FaultKind, FaultPlan, FaultyTransport, MemoryTransport, NodeId, StarTopology,
-};
+use medsplit::simnet::{ChaosTransport, FaultPlan, MemoryTransport, NodeId, StarTopology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Architecture::Mlp(MlpConfig {
@@ -47,10 +45,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
 
+    // Hospital 1 is down from the first round on.
+    let dead_hospital = FaultPlan::new(0).crash(NodeId::Platform(1), 0);
+    let star = |plan: FaultPlan| {
+        let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(4)), plan);
+        transport.begin_round(0);
+        transport
+    };
+
     // Without backup workers, one dead hospital stalls the whole study.
     {
-        let transport = FaultyTransport::new(MemoryTransport::new(StarTopology::new(4)));
-        transport.set_fault(NodeId::Platform(1), FaultKind::Dead);
+        let transport = star(dead_hospital.clone());
         match train_sync_sgd(
             &arch,
             &config,
@@ -66,9 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // With one backup worker the study completes despite a death AND a
     // straggler.
     {
-        let transport = FaultyTransport::new(MemoryTransport::new(StarTopology::new(4)));
-        transport.set_fault(NodeId::Platform(1), FaultKind::Dead);
-        transport.set_fault(NodeId::Platform(3), FaultKind::Slow(3.0));
+        let transport = star(dead_hospital.straggler(NodeId::Platform(3), 3.0));
         let history = train_sync_sgd(
             &arch,
             &config,

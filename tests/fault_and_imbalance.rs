@@ -4,7 +4,7 @@ use medsplit::baselines::{train_local_only, train_sync_sgd, BaselineConfig, Sync
 use medsplit::core::{SplitConfig, SplitTrainer};
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit::simnet::{FaultKind, FaultyTransport, MemoryTransport, NodeId, StarTopology};
+use medsplit::simnet::{ChaosTransport, FaultPlan, MemoryTransport, NodeId, StarTopology};
 
 fn arch() -> Architecture {
     Architecture::Mlp(MlpConfig {
@@ -25,9 +25,11 @@ fn data(seed: u64) -> (InMemoryDataset, InMemoryDataset) {
 fn sync_sgd_with_backups_survives_dead_and_slow_platforms() {
     let (train, test) = data(0);
     let shards = partition(&train, 4, &Partition::Iid, 1).unwrap();
-    let transport = FaultyTransport::new(MemoryTransport::new(StarTopology::new(4)));
-    transport.set_fault(NodeId::Platform(1), FaultKind::Dead);
-    transport.set_fault(NodeId::Platform(3), FaultKind::Slow(5.0));
+    let plan = FaultPlan::new(0)
+        .crash(NodeId::Platform(1), 0)
+        .straggler(NodeId::Platform(3), 5.0);
+    let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(4)), plan);
+    transport.begin_round(0);
     let config = BaselineConfig {
         rounds: 30,
         eval_every: 0,
@@ -55,6 +57,9 @@ fn sync_sgd_with_backups_survives_dead_and_slow_platforms() {
         "makespan {}",
         history.stats.makespan_s
     );
+    // The crashed platform sits out every step: three participants, a
+    // degraded record each time.
+    assert!(history.records.iter().all(|r| r.participants == 3 && r.degraded));
 }
 
 #[test]
@@ -62,11 +67,9 @@ fn split_training_tolerates_a_straggler_in_time_but_not_in_bytes() {
     let (train, test) = data(1);
     let shards = partition(&train, 3, &Partition::Iid, 2).unwrap();
 
-    let run = |slow: Option<f64>| {
-        let transport = FaultyTransport::new(MemoryTransport::new(StarTopology::new(3)));
-        if let Some(penalty) = slow {
-            transport.set_fault(NodeId::Platform(2), FaultKind::Slow(penalty));
-        }
+    let run = |delay_s: f64| {
+        let plan = FaultPlan::new(0).straggler(NodeId::Platform(2), delay_s);
+        let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
         let config = SplitConfig {
             rounds: 10,
             eval_every: 0,
@@ -77,8 +80,8 @@ fn split_training_tolerates_a_straggler_in_time_but_not_in_bytes() {
             SplitTrainer::new(&arch(), config, shards.clone(), test.clone(), &transport).unwrap();
         trainer.run().unwrap()
     };
-    let normal = run(None);
-    let straggled = run(Some(2.0));
+    let normal = run(0.0);
+    let straggled = run(2.0);
     // Same bytes (the protocol is synchronous and loses nothing)...
     assert_eq!(normal.stats.total_bytes, straggled.stats.total_bytes);
     // ...but the straggler inflates simulated time.
