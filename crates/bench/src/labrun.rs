@@ -261,12 +261,17 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
     let samples = manifest.run.samples;
     let rounds = manifest.run.rounds;
 
-    let train = SyntheticTabular::new(3, 8, point.seed)
-        .generate(samples)
-        .map_err(|e| format!("train data: {e}"))?;
-    let test = SyntheticTabular::new(3, 8, point.seed + 1)
-        .generate((samples / 4).max(8))
-        .map_err(|e| format!("test data: {e}"))?;
+    // Train and test rows come from one generator: its class centres are
+    // drawn from the seed, so another seed's rows carry unrelated labels.
+    let n_test = (samples / 4).max(8);
+    let all = SyntheticTabular::new(3, 8, point.seed)
+        .generate(samples + n_test)
+        .map_err(|e| format!("data: {e}"))?;
+    let rows = |range: std::ops::Range<usize>| {
+        all.subset(&range.collect::<Vec<_>>())
+            .map_err(|e| format!("data split: {e}"))
+    };
+    let (train, test) = (rows(0..samples)?, rows(samples..samples + n_test)?);
     let shards =
         partition(&train, platforms, &Partition::Iid, point.seed).map_err(|e| format!("shards: {e}"))?;
 
