@@ -101,9 +101,9 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #                          threads) gated against baselines/smoke.json,
 #                          with thread-invariance declared on accuracy,
 #                          bytes, messages, and makespan.
-#   bins_smoke.lab.toml  — trace_report / resilience_bench / fleet_bench
-#                          smokes (each still runs its own in-process
-#                          asserts) pinned against baselines/bins_smoke.json.
+#   bins_smoke.lab.toml  — trace_report / fleet_bench smokes (each still
+#                          runs its own in-process asserts) pinned against
+#                          baselines/bins_smoke.json.
 #   hierarchy_chaos.lab.toml — relay-hierarchy training under relay
 #                          crashes and region partitions, gated against
 #                          baselines/hierarchy_chaos.json with the

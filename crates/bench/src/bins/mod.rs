@@ -17,9 +17,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fleet_bench;
-pub mod hier_bench;
 pub mod kernel_bench;
-pub mod resilience_bench;
 pub mod serve_bench;
 pub mod table1;
 pub mod table2;
@@ -46,14 +44,8 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
     ("fleet_bench", |args| {
         let _ = fleet_bench::run(args);
     }),
-    ("hier_bench", |args| {
-        let _ = hier_bench::run(args);
-    }),
     ("kernel_bench", |args| {
         let _ = kernel_bench::run(args);
-    }),
-    ("resilience_bench", |args| {
-        let _ = resilience_bench::run(args);
     }),
     ("serve_bench", serve_bench::run),
     ("table1", table1::run),

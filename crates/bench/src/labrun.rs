@@ -10,7 +10,6 @@
 //! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (reports the cross-ISA kernel and plan digests) |
 //! | `codec_frontier` | [`crate::bins::codec_bench`] `--smoke` (per-codec accuracy and wire/logical bytes, replay digest) |
 //! | `trace_smoke` | [`crate::bins::trace_report`] `--smoke` |
-//! | `resilience_smoke` | [`crate::bins::resilience_bench`] `--smoke` |
 //! | `fleet_smoke` | [`crate::bins::fleet_bench`] `--smoke` |
 //!
 //! ## Determinism partitioning
@@ -152,19 +151,31 @@ fn parse_topology(topology: &str) -> Result<TopologyAxis, String> {
     ))
 }
 
-/// Fault-plan grammar for the `fault` axis:
-/// `clean`, `dropNN` (NN percent per-message loss), `crash_C_R`
-/// (platform 1 down for rounds `[C, R)`), `straggler` (platform 1 at
-/// half speed), `relaycrash_C_R` (relay 1 down for rounds `[C, R)`,
-/// hierarchical topologies with ≥ 2 regions only) and
-/// `partition_G_C_R` (region G cut off from everything outside it for
-/// rounds `[C, R)`, hierarchical topologies only). Malformed or
-/// topology-incompatible tokens are hard errors. The plan is seeded
-/// from the point's seed so fault schedules replay with the run.
+/// Fault-plan grammar for the `fault` axis: `clean`, or one or more of
+/// these tokens joined by `+` (e.g. `drop10+crash_10_20`), applied in
+/// order to one plan: `dropNN` (NN percent per-message loss),
+/// `crash_C_R` (platform 1 down for rounds `[C, R)`), `straggler`
+/// (platform 1 pays 0.5 s on each send to the server), `relaycrash_C_R` (relay 1
+/// down for rounds `[C, R)`, hierarchical topologies with ≥ 2 regions
+/// only) and `partition_G_C_R` (region G cut off from everything outside
+/// it for rounds `[C, R)`, hierarchical topologies only). Malformed,
+/// empty or topology-incompatible tokens, and `clean` in a composition,
+/// are hard errors. The plan is seeded from the point's seed so fault
+/// schedules replay with the run.
 fn parse_fault(fault: &str, seed: u64, topo: TopologyAxis) -> Result<FaultPlan, String> {
     let plan = FaultPlan::new(seed);
     if fault == "clean" {
         return Ok(plan);
+    }
+    fault
+        .split('+')
+        .try_fold(plan, |plan, token| add_fault(plan, token, topo))
+}
+
+/// Adds one `+`-separated token of the `fault` grammar to `plan`.
+fn add_fault(plan: FaultPlan, fault: &str, topo: TopologyAxis) -> Result<FaultPlan, String> {
+    if fault == "clean" {
+        return Err("fault \"clean\" cannot be combined with other faults".into());
     }
     if let Some(pct) = fault.strip_prefix("drop") {
         let pct: f64 = pct
@@ -474,20 +485,6 @@ impl BenchRunner for MedsplitRunner {
                     ..PointOutcome::default()
                 })
             }
-            "resilience_smoke" => {
-                let out = crate::bins::resilience_bench::run(&["--smoke".into()]);
-                Ok(PointOutcome {
-                    metrics: vec![
-                        ("rows".into(), MetricValue::Num(out.rows as f64)),
-                        (
-                            "clean_accuracy".into(),
-                            MetricValue::Num(f64::from(out.clean_accuracy)),
-                        ),
-                        ("clean_bytes".into(), MetricValue::Num(out.clean_bytes as f64)),
-                    ],
-                    ..PointOutcome::default()
-                })
-            }
             "fleet_smoke" => {
                 let out = crate::bins::fleet_bench::run(&["--smoke".into()]);
                 let digest = out
@@ -541,6 +538,57 @@ mod tests {
         assert!(parse_fault("drop200", 1, STAR4).is_err());
         assert!(parse_fault("crash_6_3", 1, STAR4).is_err());
         assert!(parse_fault("gremlins", 1, STAR4).is_err());
+    }
+
+    #[test]
+    fn plus_composes_fault_tokens_into_one_plan() {
+        assert_eq!(
+            parse_fault("drop10+crash_10_20", 1, STAR4).unwrap(),
+            FaultPlan::new(1)
+                .with_drop(0.1)
+                .crash(NodeId::Platform(1), 10)
+                .recover(NodeId::Platform(1), 20)
+        );
+        let hier = HierTopology::new(2, 2);
+        assert_eq!(
+            parse_fault("relaycrash_10_20+partition_1_11_21", 1, HIER2_2).unwrap(),
+            FaultPlan::new(1)
+                .crash_relay(1, 10)
+                .recover_relay(1, 20)
+                .partition_region(&hier, 1, 11, 21)
+        );
+        // `clean` stands alone, every token must parse on the topology,
+        // and an empty token is not a fault.
+        assert!(parse_fault("clean+drop10", 1, STAR4).is_err());
+        assert!(parse_fault("drop10+clean", 1, STAR4).is_err());
+        assert!(parse_fault("drop10+relaycrash_2_5", 1, STAR4).is_err());
+        assert!(parse_fault("drop10+", 1, STAR4).is_err());
+        assert!(parse_fault("drop10++crash_1_2", 1, STAR4).is_err());
+    }
+
+    #[test]
+    fn every_committed_split_train_point_parses() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
+        let mut points = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if !path.to_string_lossy().ends_with(".lab.toml") {
+                continue;
+            }
+            let manifest = Manifest::load(&path).unwrap();
+            for point in medsplit_lab::expand(&manifest.axes) {
+                if point.bench != "split_train" {
+                    continue;
+                }
+                let at = format!("{}: {}", path.display(), point.key());
+                let topo = parse_topology(&point.topology).unwrap_or_else(|e| panic!("{at}: {e}"));
+                parse_model(&point.model).unwrap_or_else(|e| panic!("{at}: {e}"));
+                parse_fault(&point.fault, point.seed, topo).unwrap_or_else(|e| panic!("{at}: {e}"));
+                parse_codec(&point.codec).unwrap_or_else(|e| panic!("{at}: {e}"));
+                points += 1;
+            }
+        }
+        assert!(points > 0, "no split_train points under {}", dir.display());
     }
 
     #[test]

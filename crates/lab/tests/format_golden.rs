@@ -16,6 +16,11 @@
 //!   same names and gauge, histogram-sum and `sim_s` values of NaN, ±inf,
 //!   `-0.0`, the smallest subnormal and `1e300` — bit for bit. The JSONL
 //!   bytes themselves are not pinned: only the round trip is.
+//!
+//! A run id moves when its manifest's content does, and only then:
+//! `bins_smoke`'s moved when it dropped a bench point, and
+//! `fault_sweep` / `relay_fault_sweep` entered with the ids they were
+//! committed with.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -80,11 +85,13 @@ const NAMES: [&str; 7] = [
 #[test]
 fn run_ids_of_committed_manifests() {
     let expected = [
-        ("bins_smoke", "16876c47f3cd58c5"),
+        ("bins_smoke", "014f74339277745c"),
         ("codec_ablation", "200673318abfab7f"),
         ("codec_frontier", "39053ae3ff930665"),
+        ("fault_sweep", "e8ce9409df175b4c"),
         ("hierarchy_chaos", "a167e8b1c3f76ff2"),
         ("kernels_ab", "156051201bb21b44"),
+        ("relay_fault_sweep", "f58a23ff1b80ccc8"),
         ("smoke", "041491745c4a0e99"),
     ];
     for (file, id) in expected {
