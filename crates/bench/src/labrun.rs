@@ -155,13 +155,13 @@ fn parse_topology(topology: &str) -> Result<TopologyAxis, String> {
 /// these tokens joined by `+` (e.g. `drop10+crash_10_20`), applied in
 /// order to one plan: `dropNN` (NN percent per-message loss),
 /// `crash_C_R` (platform 1 down for rounds `[C, R)`), `straggler`
-/// (platform 1 pays 0.5 s on each send to the server), `relaycrash_C_R` (relay 1
-/// down for rounds `[C, R)`, hierarchical topologies with ≥ 2 regions
-/// only) and `partition_G_C_R` (region G cut off from everything outside
-/// it for rounds `[C, R)`, hierarchical topologies only). Malformed,
-/// empty or topology-incompatible tokens, and `clean` in a composition,
-/// are hard errors. The plan is seeded from the point's seed so fault
-/// schedules replay with the run.
+/// (platform 1 pays 0.5 s on each send to the server),
+/// `relaycrash_C_R` (relay 1 down for rounds `[C, R)`, hierarchical
+/// topologies with ≥ 2 regions only) and `partition_G_C_R` (region G cut
+/// off from everything outside it for rounds `[C, R)`, hierarchical
+/// topologies only). Malformed, empty or topology-incompatible tokens,
+/// and `clean` in a composition, are hard errors. The plan is seeded
+/// from the point's seed so fault schedules replay with the run.
 fn parse_fault(fault: &str, seed: u64, topo: TopologyAxis) -> Result<FaultPlan, String> {
     let plan = FaultPlan::new(seed);
     if fault == "clean" {
