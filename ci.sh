@@ -108,6 +108,10 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #                          crashes and region partitions, gated against
 #                          baselines/hierarchy_chaos.json with the
 #                          failover counters declared thread-invariant.
+#   codec_frontier.lab.toml — wide-cut split training once per wire
+#                          codec, gated against
+#                          baselines/codec_frontier.json, with logical
+#                          bytes and messages declared codec-invariant.
 #
 # `lab ci` additionally executes every manifest twice and fails unless
 # the metrics digests are bit-identical — the determinism witness.

@@ -10,7 +10,6 @@
 //! dispatches on [`EXPERIMENTS`].
 
 pub mod all;
-pub mod codec_bench;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
@@ -33,9 +32,6 @@ pub type Run = fn(&[String]);
 /// the list its `--help` prints.
 pub const EXPERIMENTS: &[(&str, Run)] = &[
     ("all", all::run),
-    ("codec_bench", |args| {
-        let _ = codec_bench::run(args);
-    }),
     ("fig4", fig4::run),
     ("fig5", fig5::run),
     ("fig6", fig6::run),

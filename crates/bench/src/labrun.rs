@@ -8,7 +8,6 @@
 //! |---------|----------|
 //! | `split_train` | a [`ResilientTrainer`] run shaped by the point's model / topology / fault / codec / threads / seed axes |
 //! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (reports the cross-ISA kernel and plan digests) |
-//! | `codec_frontier` | [`crate::bins::codec_bench`] `--smoke` (per-codec accuracy and wire/logical bytes, replay digest) |
 //! | `trace_smoke` | [`crate::bins::trace_report`] `--smoke` |
 //! | `fleet_smoke` | [`crate::bins::fleet_bench`] `--smoke` |
 //!
@@ -80,20 +79,23 @@ fn parse_isa(name: &str) -> Result<simd::Isa, String> {
     }
 }
 
-fn parse_model(name: &str) -> Result<Architecture, String> {
-    match name {
-        "mlp" => Ok(Architecture::Mlp(MlpConfig {
-            input_dim: 8,
-            hidden: vec![16],
-            num_classes: 3,
-        })),
-        "mlp_wide" => Ok(Architecture::Mlp(MlpConfig {
-            input_dim: 8,
-            hidden: vec![32, 16],
-            num_classes: 3,
-        })),
-        other => Err(format!("unknown model axis value {other:?}")),
-    }
+/// The architecture a `model` axis value names, and its per-platform
+/// minibatch. `mlp_cut128` is the wide cut (128 activations per sample,
+/// batch 64) where tensor payloads, not frame headers, dominate the
+/// wire, as they do for the paper's CNNs.
+fn parse_model(name: &str) -> Result<(Architecture, usize), String> {
+    let (input_dim, hidden, batch) = match name {
+        "mlp" => (8, vec![16], 10),
+        "mlp_wide" => (8, vec![32, 16], 10),
+        "mlp_cut128" => (32, vec![128], 64),
+        other => return Err(format!("unknown model axis value {other:?}")),
+    };
+    let arch = Architecture::Mlp(MlpConfig {
+        input_dim,
+        hidden,
+        num_classes: 3,
+    });
+    Ok((arch, batch))
 }
 
 /// The shape named by a `topology` axis value.
@@ -267,7 +269,7 @@ fn parse_codec(codec: &str) -> Result<WireCodec, String> {
 fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome, String> {
     let topo = parse_topology(&point.topology)?;
     let platforms = topo.platforms();
-    let arch = parse_model(&point.model)?;
+    let (arch, batch) = parse_model(&point.model)?;
     let plan = parse_fault(&point.fault, point.seed, topo)?;
     let samples = manifest.run.samples;
     let rounds = manifest.run.rounds;
@@ -275,7 +277,8 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
     // Train and test rows come from one generator: its class centres are
     // drawn from the seed, so another seed's rows carry unrelated labels.
     let n_test = (samples / 4).max(8);
-    let all = SyntheticTabular::new(3, 8, point.seed)
+    let input_dim = arch.input_dims().iter().product();
+    let all = SyntheticTabular::new(3, input_dim, point.seed)
         .generate(samples + n_test)
         .map_err(|e| format!("data: {e}"))?;
     let rows = |range: std::ops::Range<usize>| {
@@ -290,7 +293,7 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
         rounds,
         eval_every: rounds,
         lr: LrSchedule::Constant(0.1),
-        minibatch: MinibatchPolicy::Fixed(10),
+        minibatch: MinibatchPolicy::Fixed(batch),
         seed: point.seed,
         codec: parse_codec(&point.codec)?,
         ..SplitConfig::default()
@@ -344,6 +347,12 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
         (
             "total_bytes".into(),
             MetricValue::Num(history.stats.total_bytes as f64),
+        ),
+        // What the same messages cost as f32 payloads: the same on every
+        // codec.
+        (
+            "logical_bytes".into(),
+            MetricValue::Num(history.stats.logical_bytes as f64),
         ),
         ("messages".into(), MetricValue::Num(history.stats.messages as f64)),
         (
@@ -443,34 +452,6 @@ impl BenchRunner for MedsplitRunner {
                         ),
                         ("rows".into(), MetricValue::Num(out.rows as f64)),
                     ],
-                    ..PointOutcome::default()
-                })
-            }
-            "codec_frontier" => {
-                let out = crate::bins::codec_bench::run(&["--smoke".into()]);
-                let mut metrics: Vec<(String, MetricValue)> = vec![
-                    ("rows".into(), MetricValue::Num(out.rows as f64)),
-                    (
-                        "frontier_digest".into(),
-                        MetricValue::Str(format!("{:016x}", out.frontier_digest)),
-                    ),
-                ];
-                // Quantity-first keys so the manifest's `[gate.pct]`
-                // prefix bands can give every point's accuracy one
-                // tolerance while the byte columns stay exact.
-                for (label, acc, wire, logical) in &out.points {
-                    metrics.push((
-                        format!("final_accuracy.{label}"),
-                        MetricValue::Num(f64::from(*acc)),
-                    ));
-                    metrics.push((format!("wire_bytes.{label}"), MetricValue::Num(*wire as f64)));
-                    metrics.push((
-                        format!("logical_bytes.{label}"),
-                        MetricValue::Num(*logical as f64),
-                    ));
-                }
-                Ok(PointOutcome {
-                    metrics,
                     ..PointOutcome::default()
                 })
             }
@@ -622,6 +603,11 @@ mod tests {
 
     #[test]
     fn topology_and_codec_axes_parse() {
+        for (model, batch) in [("mlp", 10), ("mlp_wide", 10), ("mlp_cut128", 64)] {
+            assert_eq!(parse_model(model).unwrap().1, batch, "{model}");
+        }
+        assert_eq!(parse_model("mlp_cut128").unwrap().0.input_dims(), [32]);
+        assert!(parse_model("cnn").is_err());
         assert_eq!(parse_topology("star4").unwrap(), STAR4);
         assert!(parse_topology("star1").is_err());
         assert!(parse_topology("ring4").is_err());

@@ -22,9 +22,9 @@
 //! full-size models) and [`TrainingHistory`] (the accuracy-vs-bytes
 //! curves of Fig. 4).
 //!
-//! Drivers. The sequential ones share one training loop and one
-//! evaluation and differ in how a round's messages are delivered, which
-//! the caller picks by what it constructs:
+//! Drivers. All of them share one training loop and one evaluation and
+//! differ in how a round's messages are delivered, which the caller
+//! picks by what it constructs:
 //!
 //! - [`SplitTrainer`] — plain delivery over any transport; both
 //!   schedulings and every `L1` sync. [`UShapeTrainer`] runs the same
@@ -34,8 +34,9 @@
 //!   retries, checksum verification, crash–rejoin from checkpoints.
 //!   [`HierResilientTrainer`] is the same engine with a relay tier
 //!   between platforms and server.
-//! - [`threaded::train_threaded`] — the same actors, one OS thread per
-//!   node.
+//! - [`threaded::train_threaded`] — [`SplitTrainer`]'s aggregate round
+//!   with one OS thread per node; its history equals the sequential
+//!   run's bit for bit.
 //!
 //! ```
 //! use medsplit_core::{SplitConfig, SplitTrainer};

@@ -1,9 +1,10 @@
-//! What every sequential driver shares: the actors of one run, the
-//! training loop around a round, batched evaluation and the compute
-//! charge on the simulated clock.
+//! What every driver shares: the actors of one run, the training loop
+//! around a round, batched evaluation and the compute charge on the
+//! simulated clock.
 //!
 //! A driver supplies the body of one round — plain delivery in
-//! [`crate::trainer`], fault-tolerant delivery in [`crate::resilient`] —
+//! [`crate::trainer`], the same exchange on one thread per node in
+//! [`crate::threaded`], fault-tolerant delivery in [`crate::resilient`] —
 //! and [`RoundDriver::run`] does the rest: learning-rate schedule,
 //! evaluation cadence, one [`RoundRecord`] per round, the final-accuracy
 //! backfill and the `round` / `evaluate` telemetry spans.

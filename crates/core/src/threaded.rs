@@ -1,103 +1,117 @@
-//! Thread-per-node split training: the same actors as
+//! Thread-per-node split training: the round of
 //! [`crate::trainer::SplitTrainer`], but with every platform and the
 //! server running concurrently on its own OS thread, synchronised only
 //! through the transport — shaped like a real deployment.
-
-use std::time::Duration;
+//!
+//! Only the exchange is concurrent. The loop around it (learning-rate
+//! schedule, evaluation cadence, one recorded history row per round), the
+//! compute charge and the `L1` sync are [`SplitTrainer`]'s own, run
+//! between rounds on the calling thread.
+//!
+//! [`SplitTrainer`]: crate::SplitTrainer
 
 use medsplit_data::InMemoryDataset;
-use medsplit_nn::{accuracy, Architecture};
-use medsplit_simnet::{recv_timeout_default, threaded::run_per_node, Envelope, NodeId, Transport};
+use medsplit_nn::Architecture;
+use medsplit_simnet::{recv_timeout_default, Envelope, NetStats, NodeId, Transport};
 
-use crate::config::{L1Sync, Scheduling, SplitConfig};
+use crate::config::{Scheduling, SplitConfig};
 use crate::error::{Result, SplitError};
-use crate::history::{RoundRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::platform::Platform;
+use crate::round::{Actors, RoundDriver};
 use crate::server::SplitServer;
-use crate::trainer::build_actors;
+use crate::trainer::{close_round, fresh_actors};
 
-/// Shared, env-overridable blocking-receive timeout
-/// (see [`medsplit_simnet::recv_timeout_default`]).
-fn recv_timeout() -> Duration {
-    recv_timeout_default()
+/// The aggregate round with one scoped thread per node.
+struct ThreadedTrainer<'t, T: Transport> {
+    actors: Actors,
+    transport: &'t T,
 }
 
-enum NodeResult {
-    Server(Box<SplitServer>),
-    Platform(Box<Platform>, Vec<f32>),
+/// Blocks until the next message for `node` arrives, or the shared
+/// receive timeout passes.
+fn recv<T: Transport>(transport: &T, node: NodeId) -> Result<Envelope> {
+    Ok(transport.recv_timeout(node, recv_timeout_default())?)
 }
 
-fn server_loop<T: Transport>(
-    mut server: SplitServer,
-    config: &SplitConfig,
-    platforms: usize,
-    transport: &T,
-) -> Result<NodeResult> {
-    for round in 0..config.rounds {
-        server.set_lr(config.lr.lr_at(round));
-        let acts: Vec<Envelope> = (0..platforms)
-            .map(|_| {
-                transport
-                    .recv_timeout(NodeId::Server, recv_timeout())
-                    .map_err(SplitError::from)
-            })
-            .collect::<Result<_>>()?;
-        for env in server.aggregate_forward(&acts)? {
-            transport.send(env)?;
-        }
-        let grads: Vec<Envelope> = (0..platforms)
-            .map(|_| {
-                transport
-                    .recv_timeout(NodeId::Server, recv_timeout())
-                    .map_err(SplitError::from)
-            })
-            .collect::<Result<_>>()?;
-        for env in server.aggregate_backward(&grads)? {
+/// The server's half of one round: steps 2 and 4, each over all `k`
+/// platforms' messages in whatever order they arrive (the server orders
+/// its batch by platform id).
+fn server_steps<T: Transport>(server: &mut SplitServer, k: usize, transport: &T) -> Result<()> {
+    for step in [SplitServer::aggregate_forward, SplitServer::aggregate_backward] {
+        let inbox = (0..k)
+            .map(|_| recv(transport, NodeId::Server))
+            .collect::<Result<Vec<_>>>()?;
+        for env in step(server, &inbox)? {
             transport.send(env)?;
         }
     }
-    Ok(NodeResult::Server(Box::new(server)))
+    Ok(())
 }
 
-fn platform_loop<T: Transport>(
-    mut platform: Platform,
-    config: &SplitConfig,
-    transport: &T,
-) -> Result<NodeResult> {
-    let node = platform.node();
-    let mut losses = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let _span = medsplit_telemetry::span_round("round", round as u64);
-        platform.set_lr(config.lr.lr_at(round));
-        let acts = platform.start_round(round as u64)?;
-        transport.send(acts)?;
-        let logits = transport.recv_timeout(node, recv_timeout())?;
-        let (grads, loss) = platform.handle_logits(&logits)?;
-        losses.push(loss);
-        transport.send(grads)?;
-        let cut = transport.recv_timeout(node, recv_timeout())?;
-        platform.handle_cut_grads(&cut)?;
+/// One platform's half of one round: steps 1, 3 and 5. Returns its loss.
+fn platform_steps<T: Transport>(platform: &mut Platform, round: u64, transport: &T) -> Result<f32> {
+    transport.send(platform.start_round(round)?)?;
+    let (grads, loss) = platform.handle_logits(&recv(transport, platform.node())?)?;
+    transport.send(grads)?;
+    platform.handle_cut_grads(&recv(transport, platform.node())?)?;
+    Ok(loss)
+}
+
+impl<T: Transport> RoundDriver for ThreadedTrainer<'_, T> {
+    fn actors(&mut self) -> &mut Actors {
+        &mut self.actors
     }
-    Ok(NodeResult::Platform(Box::new(platform), losses))
+
+    fn stats(&self) -> &NetStats {
+        self.transport.stats()
+    }
+
+    fn round(&mut self, round: u64) -> Result<(f32, usize)> {
+        let transport = self.transport;
+        let Actors {
+            platforms, server, ..
+        } = &mut self.actors;
+        let k = platforms.len();
+        let losses = std::thread::scope(|scope| {
+            let server = scope.spawn(move || server_steps(server, k, transport));
+            let platforms: Vec<_> = platforms
+                .iter_mut()
+                .map(|p| scope.spawn(move || platform_steps(p, round, transport)))
+                .collect();
+            let losses: Vec<Result<f32>> = platforms
+                .into_iter()
+                .map(|h| h.join().expect("platform thread panicked"))
+                .collect();
+            server.join().expect("server thread panicked")?;
+            losses.into_iter().collect::<Result<Vec<f32>>>()
+        })?;
+        close_round(&mut self.actors, transport, round)?;
+        Ok((losses.iter().sum::<f32>() / k as f32, k))
+    }
+
+    fn evaluate(&mut self) -> Result<f32> {
+        self.actors.evaluate(|_| true)
+    }
 }
 
 /// Trains with one OS thread per node and returns the history.
 ///
-/// The actors and arithmetic are identical to the deterministic trainer;
-/// with [`Scheduling::Aggregate`] the server's concatenation order is
-/// fixed (sorted by platform id), so the learned parameters — and the
-/// total byte count — are bit-identical to a sequential run with the same
-/// configuration.
+/// The actors, arithmetic and accounting are [`SplitTrainer`]'s: the
+/// server concatenates platform batches in platform-id order whatever
+/// order they arrive in, and every clock advance is a maximum or a sum
+/// fixed by the protocol, so the history — losses, per-round bytes and
+/// simulated clocks, accuracies, the final statistics — equals a
+/// sequential run's bit for bit. Only the method name and wall times
+/// differ.
 ///
-/// Per-round byte counts are not observable from inside the node threads,
-/// so the records carry evenly interpolated cumulative bytes; the final
-/// snapshot is exact.
+/// [`SplitTrainer`]: crate::SplitTrainer
 ///
 /// # Errors
 ///
-/// Returns configuration errors for unsupported settings (threaded mode
-/// implements the paper-default `Aggregate` + `CommonInit` combination)
-/// and propagates any node's protocol error.
+/// Returns configuration errors for an invalid config, a used transport
+/// or [`Scheduling::RoundRobin`] (a threaded server takes platforms in
+/// arrival order, not in turn), and propagates any node's protocol error.
 pub fn train_threaded<T: Transport>(
     arch: &Architecture,
     config: SplitConfig,
@@ -105,133 +119,28 @@ pub fn train_threaded<T: Transport>(
     test: InMemoryDataset,
     transport: &T,
 ) -> Result<TrainingHistory> {
-    config.validate().map_err(SplitError::Config)?;
     if config.scheduling != Scheduling::Aggregate {
         return Err(SplitError::Config(
             "threaded mode implements Aggregate scheduling".into(),
         ));
     }
-    if config.l1_sync != L1Sync::CommonInit {
-        return Err(SplitError::Config(
-            "threaded mode implements CommonInit L1 sync".into(),
-        ));
-    }
-    let (platforms, server, _client_params, _server_params) = build_actors(arch, &config, shards)?;
-    let k = platforms.len();
-
-    type NodeFn<'a, T> = Box<dyn FnOnce(NodeId, &T) -> Result<NodeResult> + Send + 'a>;
-    let mut nodes: Vec<(NodeId, NodeFn<'_, T>)> = Vec::with_capacity(k + 1);
-    let cfg_server = config.clone();
-    nodes.push((
-        NodeId::Server,
-        Box::new(move |_, t: &T| server_loop(server, &cfg_server, k, t)),
-    ));
-    for platform in platforms {
-        let cfg = config.clone();
-        nodes.push((
-            platform.node(),
-            Box::new(move |_, t: &T| platform_loop(platform, &cfg, t)),
-        ));
-    }
-
-    let train_start = std::time::Instant::now();
-    let results = run_per_node(transport, nodes);
-    let train_wall_s = train_start.elapsed().as_secs_f64();
-
-    let mut server_back: Option<Box<SplitServer>> = None;
-    let mut platforms_back: Vec<(Box<Platform>, Vec<f32>)> = Vec::new();
-    for (_, result) in results {
-        match result? {
-            NodeResult::Server(s) => server_back = Some(s),
-            NodeResult::Platform(p, losses) => platforms_back.push((p, losses)),
-        }
-    }
-    let mut server =
-        *server_back.ok_or_else(|| SplitError::Protocol("server thread produced no result".into()))?;
-    platforms_back.sort_by_key(|(p, _)| p.id());
-
-    // Final evaluation: each platform's L1 composed with the server.
-    let mut total_acc = 0.0;
-    for (platform, _) in &mut platforms_back {
-        let idx: Vec<usize> = (0..test.len()).collect();
-        let (features, labels) = test.batch(&idx)?;
-        let acts = platform.infer_l1(&features)?;
-        let logits = server.infer(&acts)?;
-        total_acc += accuracy(&logits, &labels)?;
-    }
-    let final_accuracy = total_acc / platforms_back.len() as f32;
-
-    let snap = transport.stats().snapshot();
-    let records: Vec<RoundRecord> = (0..config.rounds)
-        .map(|round| {
-            let mean_loss = platforms_back.iter().map(|(_, l)| l[round]).sum::<f32>() / k as f32;
-            RoundRecord {
-                round,
-                lr: config.lr.lr_at(round),
-                mean_loss,
-                cumulative_bytes: snap.total_bytes * (round as u64 + 1) / config.rounds.max(1) as u64,
-                simulated_time_s: snap.makespan_s * (round as f64 + 1.0) / config.rounds.max(1) as f64,
-                // Rounds are not observable from inside the node threads
-                // (see module docs), so wall time is amortised evenly too.
-                wall_time_s: train_wall_s / config.rounds.max(1) as f64,
-                participants: k,
-                degraded: false,
-                accuracy: if round + 1 == config.rounds {
-                    Some(final_accuracy)
-                } else {
-                    None
-                },
-            }
-        })
-        .collect();
-
-    Ok(TrainingHistory {
-        method: "split_threaded".into(),
-        records,
-        final_accuracy,
-        stats: snap,
-    })
+    let actors = fresh_actors("split_threaded", arch, config, shards, test, transport.stats())?;
+    ThreadedTrainer { actors, transport }.run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SplitConfig;
+    use crate::config::{ComputeModel, L1Sync};
+    use crate::round::fixtures::{self, arch, replay_key, setup};
     use crate::trainer::SplitTrainer;
-    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
     use medsplit_simnet::{MemoryTransport, StarTopology};
-
-    fn arch() -> Architecture {
-        Architecture::Mlp(MlpConfig {
-            input_dim: 6,
-            hidden: vec![12],
-            num_classes: 3,
-        })
-    }
-
-    fn config(rounds: usize) -> SplitConfig {
-        SplitConfig {
-            rounds,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            minibatch: MinibatchPolicy::Fixed(8),
-            ..SplitConfig::default()
-        }
-    }
-
-    fn data(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
-        let all = SyntheticTabular::new(3, 6, 0).generate(120).unwrap();
-        let train = all.subset(&(0..90).collect::<Vec<_>>()).unwrap();
-        let test = all.subset(&(90..120).collect::<Vec<_>>()).unwrap();
-        (partition(&train, platforms, &Partition::Iid, 2).unwrap(), test)
-    }
 
     #[test]
     fn threaded_run_learns() {
-        let (shards, test) = data(3);
+        let (shards, test) = setup(3);
         let transport = MemoryTransport::new(StarTopology::new(3));
-        let history = train_threaded(&arch(), config(40), shards, test, &transport).unwrap();
+        let history = train_threaded(&arch(), fixtures::config(40), shards, test, &transport).unwrap();
         assert!(
             history.final_accuracy > 0.6,
             "accuracy {}",
@@ -242,44 +151,49 @@ mod tests {
 
     #[test]
     fn threaded_matches_sequential_bytes_exactly() {
-        let (shards, test) = data(2);
-        let t1 = MemoryTransport::new(StarTopology::new(2));
-        let h1 = train_threaded(&arch(), config(10), shards.clone(), test.clone(), &t1).unwrap();
+        // The whole history, bit for bit, under every L1 sync, with
+        // mid-run evaluations and the compute model charging the clocks.
+        for l1_sync in [
+            L1Sync::CommonInit,
+            L1Sync::PeriodicAverage { every: 2 },
+            L1Sync::CyclicShare { every: 3 },
+        ] {
+            let config = SplitConfig {
+                l1_sync,
+                eval_every: 3,
+                compute: ComputeModel::hospital_default(),
+                ..fixtures::config(7)
+            };
+            let (shards, test) = setup(3);
+            let t1 = MemoryTransport::new(StarTopology::new(3));
+            let threaded =
+                train_threaded(&arch(), config.clone(), shards.clone(), test.clone(), &t1).unwrap();
 
-        let t2 = MemoryTransport::new(StarTopology::new(2));
-        let mut seq = SplitTrainer::new(&arch(), config(10), shards, test, &t2).unwrap();
-        let h2 = seq.run().unwrap();
+            let t2 = MemoryTransport::new(StarTopology::new(3));
+            let sequential = SplitTrainer::new(&arch(), config, shards, test, &t2)
+                .unwrap()
+                .run()
+                .unwrap();
 
-        assert_eq!(h1.stats.total_bytes, h2.stats.total_bytes);
-        assert_eq!(h1.stats.messages, h2.stats.messages);
-        // Learned function identical: same final accuracy.
-        assert!((h1.final_accuracy - h2.final_accuracy).abs() < 1e-6);
-        // Same per-round losses (determinism across drivers).
-        for (a, b) in h1.records.iter().zip(&h2.records) {
-            assert!(
-                (a.mean_loss - b.mean_loss).abs() < 1e-6,
-                "round {} loss {} vs {}",
-                a.round,
-                a.mean_loss,
-                b.mean_loss
+            assert_eq!(threaded.method, "split_threaded");
+            assert_eq!(replay_key(&threaded), replay_key(&sequential), "{l1_sync:?}");
+            assert_eq!(
+                threaded.final_accuracy.to_bits(),
+                sequential.final_accuracy.to_bits(),
+                "{l1_sync:?}"
             );
+            assert_eq!(threaded.stats, sequential.stats, "{l1_sync:?}");
         }
     }
 
     #[test]
     fn unsupported_modes_rejected() {
-        let (shards, test) = data(2);
+        let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(2);
+        let mut cfg = fixtures::config(2);
         cfg.scheduling = Scheduling::RoundRobin;
         assert!(matches!(
-            train_threaded(&arch(), cfg, shards.clone(), test.clone(), &transport),
-            Err(SplitError::Config(_))
-        ));
-        let mut cfg2 = config(2);
-        cfg2.l1_sync = L1Sync::PeriodicAverage { every: 1 };
-        assert!(matches!(
-            train_threaded(&arch(), cfg2, shards, test, &transport),
+            train_threaded(&arch(), cfg, shards, test, &transport),
             Err(SplitError::Config(_))
         ));
     }

@@ -95,8 +95,20 @@ pub(crate) fn build_actors(
     Ok((platforms, server, split.client_params, split.server_params))
 }
 
-/// Validates `config`, refuses a transport that has already carried
-/// traffic, and builds the actors of a run recorded as `method`.
+/// Validates `config` and refuses a transport that has already carried
+/// traffic: what every driver checks before it builds its actors.
+pub(crate) fn check_fresh(config: &SplitConfig, stats: &NetStats) -> Result<()> {
+    config.validate().map_err(SplitError::Config)?;
+    if stats.snapshot().messages > 0 {
+        return Err(SplitError::Config(
+            "transport has already been used; accounting would be polluted".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Runs [`check_fresh`] and builds the actors of a run recorded as
+/// `method`.
 pub(crate) fn fresh_actors(
     method: &'static str,
     arch: &Architecture,
@@ -105,12 +117,7 @@ pub(crate) fn fresh_actors(
     test: InMemoryDataset,
     stats: &NetStats,
 ) -> Result<Actors> {
-    config.validate().map_err(SplitError::Config)?;
-    if stats.snapshot().messages > 0 {
-        return Err(SplitError::Config(
-            "transport has already been used; accounting would be polluted".into(),
-        ));
-    }
+    check_fresh(&config, stats)?;
     let (platforms, server, client_params, server_params) = build_actors(arch, &config, shards)?;
     Ok(Actors {
         method,
@@ -250,64 +257,75 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
         }
         Ok(losses.iter().sum::<f32>() / losses.len().max(1) as f32)
     }
+}
 
-    /// Runs the configured `L1` synchronisation (extension strategies).
-    fn sync_l1(&mut self, round: u64) -> Result<()> {
-        let platforms = &mut self.actors.platforms;
-        let k = platforms.len();
-        // Platforms upload their L1 parameters via the server.
-        for p in platforms.iter_mut() {
-            let params = p.l1_parameters();
-            self.transport.send(tensor_envelope(
-                p.node(),
-                NodeId::Server,
-                round,
-                MessageKind::L1Sync,
-                &params,
-            ))?;
-        }
-        let mut uploads: Vec<(usize, Tensor)> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let env = expect_msg(self.transport, NodeId::Server)?;
-            let pid = crate::messages::sender_platform(&env)?;
-            uploads.push((pid, decode_tensor(&env, MessageKind::L1Sync)?));
-        }
-        uploads.sort_by_key(|(pid, _)| *pid);
-        let outgoing: Vec<(usize, Tensor)> = match self.actors.config.l1_sync {
-            L1Sync::CommonInit => return Ok(()),
-            L1Sync::PeriodicAverage { .. } => {
-                // Weighted by shard size, as FedAvg does.
-                let weights: Vec<f32> = platforms.iter().map(|p| p.shard_size() as f32).collect();
-                let total: f32 = weights.iter().sum();
-                let mut avg = Tensor::zeros(uploads[0].1.shape().clone());
-                for ((_, t), w) in uploads.iter().zip(&weights) {
-                    avg.axpy(w / total, t)?;
-                }
-                (0..k).map(|pid| (pid, avg.clone())).collect()
-            }
-            L1Sync::CyclicShare { .. } => {
-                // Platform p adopts the parameters of its ring predecessor.
-                (0..k)
-                    .map(|pid| (pid, uploads[(pid + k - 1) % k].1.clone()))
-                    .collect()
-            }
-        };
-        for (pid, params) in &outgoing {
-            self.transport.send(tensor_envelope(
-                NodeId::Server,
-                NodeId::Platform(*pid),
-                round,
-                MessageKind::L1Sync,
-                params,
-            ))?;
-        }
-        for p in platforms.iter_mut() {
-            let env = expect_msg(self.transport, p.node())?;
-            let params = decode_tensor(&env, MessageKind::L1Sync)?;
-            p.set_l1_parameters(&params)?;
-        }
-        Ok(())
+/// Closes a round every platform took part in, however its messages
+/// moved: charges the round's compute, then runs the `L1` sync if it is
+/// due.
+pub(crate) fn close_round<T: Transport>(actors: &mut Actors, transport: &T, round: u64) -> Result<()> {
+    actors.charge_compute(transport.stats(), 0..actors.platforms.len());
+    if actors.config.sync_due(round as usize) {
+        sync_l1(actors, transport, round)?;
     }
+    Ok(())
+}
+
+/// Runs the configured `L1` synchronisation (extension strategies).
+fn sync_l1<T: Transport>(actors: &mut Actors, transport: &T, round: u64) -> Result<()> {
+    let platforms = &mut actors.platforms;
+    let k = platforms.len();
+    // Platforms upload their L1 parameters via the server.
+    for p in platforms.iter_mut() {
+        let params = p.l1_parameters();
+        transport.send(tensor_envelope(
+            p.node(),
+            NodeId::Server,
+            round,
+            MessageKind::L1Sync,
+            &params,
+        ))?;
+    }
+    let mut uploads: Vec<(usize, Tensor)> = Vec::with_capacity(k);
+    for _ in 0..k {
+        let env = expect_msg(transport, NodeId::Server)?;
+        let pid = crate::messages::sender_platform(&env)?;
+        uploads.push((pid, decode_tensor(&env, MessageKind::L1Sync)?));
+    }
+    uploads.sort_by_key(|(pid, _)| *pid);
+    let outgoing: Vec<(usize, Tensor)> = match actors.config.l1_sync {
+        L1Sync::CommonInit => return Ok(()),
+        L1Sync::PeriodicAverage { .. } => {
+            // Weighted by shard size, as FedAvg does.
+            let weights: Vec<f32> = platforms.iter().map(|p| p.shard_size() as f32).collect();
+            let total: f32 = weights.iter().sum();
+            let mut avg = Tensor::zeros(uploads[0].1.shape().clone());
+            for ((_, t), w) in uploads.iter().zip(&weights) {
+                avg.axpy(w / total, t)?;
+            }
+            (0..k).map(|pid| (pid, avg.clone())).collect()
+        }
+        L1Sync::CyclicShare { .. } => {
+            // Platform p adopts the parameters of its ring predecessor.
+            (0..k)
+                .map(|pid| (pid, uploads[(pid + k - 1) % k].1.clone()))
+                .collect()
+        }
+    };
+    for (pid, params) in &outgoing {
+        transport.send(tensor_envelope(
+            NodeId::Server,
+            NodeId::Platform(*pid),
+            round,
+            MessageKind::L1Sync,
+            params,
+        ))?;
+    }
+    for p in platforms.iter_mut() {
+        let env = expect_msg(transport, p.node())?;
+        let params = decode_tensor(&env, MessageKind::L1Sync)?;
+        p.set_l1_parameters(&params)?;
+    }
+    Ok(())
 }
 
 impl<T: Transport> RoundDriver for SplitTrainer<'_, T> {
@@ -321,12 +339,8 @@ impl<T: Transport> RoundDriver for SplitTrainer<'_, T> {
 
     fn round(&mut self, round: u64) -> Result<(f32, usize)> {
         let mean_loss = self.run_round(round)?;
-        let k = self.actors.platforms.len();
-        self.actors.charge_compute(self.transport.stats(), 0..k);
-        if self.actors.config.sync_due(round as usize) {
-            self.sync_l1(round)?;
-        }
-        Ok((mean_loss, k))
+        close_round(&mut self.actors, self.transport, round)?;
+        Ok((mean_loss, self.actors.platforms.len()))
     }
 
     fn evaluate(&mut self) -> Result<f32> {

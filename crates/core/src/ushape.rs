@@ -35,7 +35,7 @@ use crate::platform::Platform;
 use crate::round::Actors;
 use crate::server::SplitServer;
 use crate::split::resolve_split;
-use crate::trainer::{batch_sizes, SplitTrainer};
+use crate::trainer::{batch_sizes, check_fresh, SplitTrainer};
 
 /// The U-shaped trainer: like [`SplitTrainer`] with the classifier head
 /// kept platform-side. `tail_layers` final layers stay on each platform.
@@ -52,8 +52,8 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors if the cuts overlap or shards are
-    /// unusable.
+    /// Returns configuration errors for an invalid config or a used
+    /// transport, or if the cuts overlap or shards are unusable.
     pub fn new(
         arch: &Architecture,
         mut config: SplitConfig,
@@ -62,6 +62,7 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
         test: InMemoryDataset,
         transport: &'t T,
     ) -> Result<Self> {
+        check_fresh(&config, transport.stats())?;
         let batches = batch_sizes(&config, &shards)?;
         if config.scheduling != Scheduling::Aggregate {
             return Err(SplitError::Config(
@@ -143,7 +144,7 @@ mod tests {
     use super::*;
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{MemoryTransport, MessageKind, StarTopology};
+    use medsplit_simnet::{Envelope, MemoryTransport, MessageKind, NodeId, StarTopology};
 
     fn arch() -> Architecture {
         Architecture::Mlp(MlpConfig {
@@ -240,6 +241,23 @@ mod tests {
         ));
         assert!(matches!(
             UShapeTrainer::new(&arch(), config(1), 99, shards, test, &transport),
+            Err(SplitError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn used_transport_and_invalid_config_rejected() {
+        let (shards, test) = data();
+        let transport = MemoryTransport::new(StarTopology::new(2));
+        assert!(matches!(
+            UShapeTrainer::new(&arch(), config(0), 1, shards.clone(), test.clone(), &transport),
+            Err(SplitError::Config(_))
+        ));
+        transport
+            .send(Envelope::control(NodeId::Platform(0), NodeId::Server, 0))
+            .unwrap();
+        assert!(matches!(
+            UShapeTrainer::new(&arch(), config(1), 1, shards, test, &transport),
             Err(SplitError::Config(_))
         ));
     }

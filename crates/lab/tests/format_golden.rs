@@ -20,7 +20,8 @@
 //! A run id moves when its manifest's content does, and only then:
 //! `bins_smoke`'s moved when it dropped a bench point, and
 //! `fault_sweep` / `relay_fault_sweep` entered with the ids they were
-//! committed with.
+//! committed with, and `codec_frontier` / `codec_ablation` moved when
+//! they became `split_train` points.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -86,8 +87,8 @@ const NAMES: [&str; 7] = [
 fn run_ids_of_committed_manifests() {
     let expected = [
         ("bins_smoke", "014f74339277745c"),
-        ("codec_ablation", "200673318abfab7f"),
-        ("codec_frontier", "39053ae3ff930665"),
+        ("codec_ablation", "146c0fc643f65e07"),
+        ("codec_frontier", "3ef65e05c1a1eedc"),
         ("fault_sweep", "e8ce9409df175b4c"),
         ("hierarchy_chaos", "a167e8b1c3f76ff2"),
         ("kernels_ab", "156051201bb21b44"),

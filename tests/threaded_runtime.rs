@@ -31,18 +31,16 @@ fn threaded_and_sequential_agree_on_a_conv_model() {
     let mut seq = SplitTrainer::new(&arch, config(6), shards, test, &t2).unwrap();
     let sequential = seq.run().unwrap();
 
-    // Identical bytes, messages, and learned function.
-    assert_eq!(threaded.stats.total_bytes, sequential.stats.total_bytes);
-    assert_eq!(threaded.stats.messages, sequential.stats.messages);
-    assert!(
-        (threaded.final_accuracy - sequential.final_accuracy).abs() < 1e-6,
-        "threaded {} vs sequential {}",
-        threaded.final_accuracy,
-        sequential.final_accuracy
+    // Identical bytes, messages, clocks and learned function, bit for bit.
+    assert_eq!(threaded.stats, sequential.stats);
+    assert_eq!(
+        threaded.final_accuracy.to_bits(),
+        sequential.final_accuracy.to_bits()
     );
     for (a, b) in threaded.records.iter().zip(&sequential.records) {
-        assert!(
-            (a.mean_loss - b.mean_loss).abs() < 1e-6,
+        assert_eq!(
+            a.mean_loss.to_bits(),
+            b.mean_loss.to_bits(),
             "round {} losses differ",
             a.round
         );
