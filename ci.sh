@@ -21,7 +21,7 @@ if [ -n "$knob_drift" ]; then
     exit 1
 fi
 
-echo "==> one of each: one FNV-1a, one JSON string escaper"
+echo "==> one of each: one FNV-1a, one JSON string escaper, one round loop"
 # Every digest and every JSON document goes through one implementation:
 # medsplit_tensor::fnv1a and medsplit_telemetry::json. A second FNV
 # offset basis (in any underscore spelling) or a second function that
@@ -35,6 +35,17 @@ if [ "$(grep -c . <<<"$fnv_hits")" -ne 1 ] || [ "$(grep -c . <<<"$escaper_hits")
     echo "ci.sh: want exactly one FNV offset basis and one JSON escaper under crates/*/src, found:" >&2
     echo "$fnv_hits" >&2
     echo "$escaper_hits" >&2
+    exit 1
+fi
+# Every method's history is recorded by core's one round loop
+# (RoundDriver::run): a `RoundRecord {` struct literal anywhere else under
+# crates/*/src is a second loop. Test modules, which start at the first
+# `#[cfg(test)]` of a file, may build records by hand.
+record_hits="$(find crates/*/src -name '*.rs' ! -path crates/core/src/round.rs -exec awk \
+    '/#\[cfg\(test\)\]/ { exit } /RoundRecord \{/ && !/struct RoundRecord/ { print FILENAME ":" FNR ": " $0 }' {} \;)"
+if [ -n "$record_hits" ]; then
+    echo "ci.sh: RoundRecord built outside crates/core/src/round.rs:" >&2
+    echo "$record_hits" >&2
     exit 1
 fi
 
@@ -145,5 +156,10 @@ echo "==> serving golden digests under --release"
 # Every serve_threaded / run_fleet outcome is pinned bit for bit in debug
 # by the workspace run above; the optimised build must agree with it.
 cargo test -q --release --offline --test serving_golden
+
+echo "==> baseline trainer golden digests under --release"
+# The four comparator methods are pinned the same way, bit for bit, in
+# debug by the workspace run above.
+cargo test -q --release --offline --test baseline_golden
 
 echo "ci.sh: all green"

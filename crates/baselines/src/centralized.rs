@@ -4,29 +4,47 @@
 //! transfer the law forbids — counted as [`MessageKind::RawData`]
 //! traffic), and the server trains a single model on the union.
 
-use medsplit_core::{Result, RoundRecord, SplitError, TrainingHistory};
-use medsplit_data::{BatchSampler, InMemoryDataset};
-use medsplit_nn::{softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sgd};
-use medsplit_simnet::{Envelope, MessageKind, NodeId, Transport};
+use medsplit_core::{
+    check_fresh, ComputeModel, Result, RoundDriver, SplitConfig, SplitError, TrainingHistory,
+};
+use medsplit_data::InMemoryDataset;
+use medsplit_nn::{Architecture, Layer};
+use medsplit_simnet::{Envelope, MessageKind, NetStats, NodeId, Transport};
 use medsplit_tensor::Tensor;
 
-use crate::common::{check_shards, evaluate_model, BaselineConfig};
+use crate::common::{test_accuracy, Learner};
+
+/// Centralised training as a [`RoundDriver`]: the server is the one
+/// participant.
+struct Centralized<'a, T: Transport> {
+    compute: ComputeModel,
+    transport: &'a T,
+    test: &'a InMemoryDataset,
+    server: Learner,
+    param_count: usize,
+}
 
 /// Trains one model on the pooled data, after shipping every shard's raw
 /// features (and labels) to the server over the transport.
 ///
+/// Reads `rounds`, `eval_every`, `lr`, `momentum`, `optimizer`, `seed`,
+/// `minibatch` (the pooled batch is the sum of the per-platform batches)
+/// and `compute` from `config`, which must validate; the split-specific
+/// fields are not read.
+///
 /// # Errors
 ///
-/// Returns configuration errors for unusable shards and propagates tensor
-/// and transport errors.
+/// Returns configuration errors for an invalid config, a used transport
+/// or unusable shards, and propagates tensor and transport errors.
 pub fn train_centralized<T: Transport>(
     arch: &Architecture,
-    config: &BaselineConfig,
+    config: &SplitConfig,
     shards: &[InMemoryDataset],
     test: &InMemoryDataset,
     transport: &T,
 ) -> Result<TrainingHistory> {
-    check_shards(shards)?;
+    check_fresh(config, transport.stats())?;
+    let global_batch: usize = medsplit_core::batch_sizes(config, shards)?.iter().sum();
     // Raw-data upload: features plus one float per label, per platform.
     for (i, shard) in shards.iter().enumerate() {
         let labels: Vec<f32> = shard.labels().iter().map(|&l| l as f32).collect();
@@ -57,93 +75,62 @@ pub fn train_centralized<T: Transport>(
     let labels: Vec<usize> = shards.iter().flat_map(|s| s.labels().iter().copied()).collect();
     let pooled = InMemoryDataset::new(features, labels, shards[0].num_classes()).map_err(SplitError::from)?;
 
-    let global_batch: usize = {
-        let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-        config.minibatch.sizes(&sizes).iter().sum()
-    };
     let mut model = arch.build(config.seed);
-    let mut sampler = BatchSampler::new(pooled.len(), global_batch.min(pooled.len()), config.seed);
-    let mut opt = Sgd::new(0.01).with_momentum(config.momentum);
+    Centralized {
+        compute: config.compute,
+        transport,
+        test,
+        param_count: model.param_count(),
+        server: Learner::new(model, pooled, global_batch, config.seed, config),
+    }
+    .run(config)
+}
 
-    let mut records = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let round_start = std::time::Instant::now();
-        let lr = config.lr.lr_at(round);
-        opt.set_learning_rate(lr);
-        let (batch, batch_labels) = sampler.next_from(&pooled);
-        let logits = model.forward(&batch, Mode::Train)?;
-        let out = softmax_cross_entropy(&logits, &batch_labels)?;
-        model.backward_params(&out.grad)?;
-        opt.step_and_zero(&mut model);
-        transport.stats().advance_clock(
+impl<T: Transport> RoundDriver for Centralized<'_, T> {
+    fn method(&self) -> &'static str {
+        "centralized"
+    }
+
+    fn full_round(&self) -> usize {
+        1
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.server.set_lr(lr);
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.transport.stats()
+    }
+
+    fn round(&mut self, _round: u64) -> Result<(f32, usize)> {
+        let loss = self.server.step()?;
+        let compute = self.compute;
+        self.transport.stats().advance_clock(
             NodeId::Server,
-            config.compute.seconds(
-                config.compute.server_s_per_msample,
-                batch_labels.len(),
-                model.param_count(),
+            compute.seconds(
+                compute.server_s_per_msample,
+                self.server.batch_size(),
+                self.param_count,
             ),
         );
-        let accuracy = if config.eval_due(round) {
-            Some(evaluate_model(&mut model, test)?)
-        } else {
-            None
-        };
-        let snap = transport.stats().snapshot();
-        records.push(RoundRecord {
-            round,
-            lr,
-            mean_loss: out.loss,
-            cumulative_bytes: snap.total_bytes,
-            simulated_time_s: snap.makespan_s,
-            wall_time_s: round_start.elapsed().as_secs_f64(),
-            participants: 1,
-            degraded: false,
-            accuracy,
-        });
+        Ok((loss, 1))
     }
-    let final_accuracy = evaluate_model(&mut model, test)?;
-    if let Some(last) = records.last_mut() {
-        last.accuracy = Some(final_accuracy);
+
+    fn evaluate(&mut self) -> Result<f32> {
+        test_accuracy(&mut self.server.model, self.test)
     }
-    Ok(TrainingHistory {
-        method: "centralized".into(),
-        records,
-        final_accuracy,
-        stats: transport.stats().snapshot(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medsplit_data::{partition, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{MemoryTransport, StarTopology};
-
-    fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
-        let arch = Architecture::Mlp(MlpConfig {
-            input_dim: 6,
-            hidden: vec![12],
-            num_classes: 3,
-        });
-        let all = SyntheticTabular::new(3, 6, 0).generate(150).unwrap();
-        let train = all.subset(&(0..120).collect::<Vec<_>>()).unwrap();
-        let test = all.subset(&(120..150).collect::<Vec<_>>()).unwrap();
-        let shards = partition(&train, 3, &Partition::Iid, 1).unwrap();
-        (arch, shards, test)
-    }
+    use crate::common::tests::{config, setup, star};
 
     #[test]
     fn centralized_learns_and_uploads_raw_data() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let config = BaselineConfig {
-            rounds: 50,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
-        let history = train_centralized(&arch, &config, &shards, &test, &transport).unwrap();
+        let history = train_centralized(&arch, &config(50, 0.1), &shards, &test, &star()).unwrap();
         assert!(
             history.final_accuracy > 0.6,
             "accuracy {}",
@@ -163,13 +150,7 @@ mod tests {
     #[test]
     fn raw_bytes_match_dataset_size() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let config = BaselineConfig {
-            rounds: 1,
-            eval_every: 0,
-            ..Default::default()
-        };
-        let history = train_centralized(&arch, &config, &shards, &test, &transport).unwrap();
+        let history = train_centralized(&arch, &config(1, 0.05), &shards, &test, &star()).unwrap();
         let expected: u64 = shards
             .iter()
             .map(|s| {

@@ -1,102 +1,185 @@
-//! Shared configuration and helpers for the baseline trainers.
+//! What the baselines share: one model learning from one shard.
 
-use medsplit_core::{ComputeModel, SplitError};
-use medsplit_data::{InMemoryDataset, MinibatchPolicy};
-use medsplit_nn::{Layer, LrSchedule, Mode, Sequential};
+use medsplit_core::{batch_sizes, evaluate_batched, Result, SplitConfig};
+use medsplit_data::{BatchSampler, InMemoryDataset};
+use medsplit_nn::{softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sequential};
 
-/// Configuration shared by all baselines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineConfig {
-    /// Learning rate schedule.
-    pub lr: LrSchedule,
-    /// SGD momentum for local optimisers (0 disables).
-    pub momentum: f32,
-    /// Number of rounds (FedAvg rounds / sync-SGD steps / local epochs).
-    pub rounds: usize,
-    /// Evaluate every `eval_every` rounds (0 = only at the end).
-    pub eval_every: usize,
-    /// Seed for model initialisation and samplers.
-    pub seed: u64,
-    /// Per-platform minibatch policy.
-    pub minibatch: MinibatchPolicy,
-    /// Compute-time model for the simulated clock.
-    pub compute: ComputeModel,
+/// A model, the shard it learns from, its minibatch sampler and its
+/// optimiser: a baseline platform, or the server of centralised training.
+pub(crate) struct Learner {
+    pub(crate) model: Sequential,
+    data: InMemoryDataset,
+    sampler: BatchSampler,
+    optimizer: Box<dyn Optimizer>,
 }
 
-impl Default for BaselineConfig {
-    fn default() -> Self {
-        BaselineConfig {
-            lr: LrSchedule::Constant(0.05),
-            momentum: 0.9,
-            rounds: 100,
-            eval_every: 10,
-            seed: 42,
-            minibatch: MinibatchPolicy::Fixed(16),
-            compute: ComputeModel::off(),
+impl Learner {
+    /// A learner drawing `batch`-sample minibatches with `sampler_seed`,
+    /// under the optimiser the split platforms build from `config`.
+    pub(crate) fn new(
+        model: Sequential,
+        data: InMemoryDataset,
+        batch: usize,
+        sampler_seed: u64,
+        config: &SplitConfig,
+    ) -> Self {
+        Learner {
+            model,
+            sampler: BatchSampler::new(data.len(), batch, sampler_seed),
+            data,
+            optimizer: config.optimizer.build(config.momentum),
         }
     }
-}
 
-impl BaselineConfig {
-    /// Whether round `round` (0-based) is an evaluation round.
-    pub fn eval_due(&self, round: usize) -> bool {
-        self.eval_every > 0 && (round + 1).is_multiple_of(self.eval_every)
+    /// The minibatch size.
+    pub(crate) fn batch_size(&self) -> usize {
+        self.sampler.batch_size()
+    }
+
+    /// Sets the optimiser's learning rate.
+    pub(crate) fn set_lr(&mut self, lr: f32) {
+        self.optimizer.set_learning_rate(lr);
+    }
+
+    /// Forward and backward on the next minibatch, leaving the gradients
+    /// in the model. Returns the loss.
+    pub(crate) fn gradient(&mut self) -> Result<f32> {
+        let (features, labels) = self.sampler.next_from(&self.data);
+        let logits = self.model.forward(&features, Mode::Train)?;
+        let out = softmax_cross_entropy(&logits, &labels)?;
+        self.model.backward_params(&out.grad)?;
+        Ok(out.loss)
+    }
+
+    /// One optimiser step on the next minibatch. Returns the loss.
+    pub(crate) fn step(&mut self) -> Result<f32> {
+        let loss = self.gradient()?;
+        self.optimizer.step_and_zero(&mut self.model);
+        Ok(loss)
     }
 }
 
-/// Evaluates a full model on a test set in inference mode.
+/// One learner per shard, platform `i` starting from
+/// `arch.build(model_seed(i))` and sampling with `config.seed ^ (i + 1)`.
 ///
 /// # Errors
 ///
-/// Propagates tensor errors.
-pub fn evaluate_model(model: &mut Sequential, test: &InMemoryDataset) -> Result<f32, SplitError> {
-    medsplit_core::evaluate_batched(test, |features| Ok(model.forward(features, Mode::Eval)?))
+/// Returns configuration errors for an empty shard list or an empty
+/// shard.
+pub(crate) fn platform_learners(
+    arch: &Architecture,
+    config: &SplitConfig,
+    shards: Vec<InMemoryDataset>,
+    model_seed: impl Fn(usize) -> u64,
+) -> Result<Vec<Learner>> {
+    let batches = batch_sizes(config, &shards)?;
+    Ok(shards
+        .into_iter()
+        .zip(batches)
+        .enumerate()
+        .map(|(i, (data, batch))| {
+            let model = arch.build(model_seed(i));
+            Learner::new(model, data, batch, config.seed ^ (i as u64 + 1), config)
+        })
+        .collect())
 }
 
-/// Validates that the shard list is usable.
-pub(crate) fn check_shards(shards: &[InMemoryDataset]) -> Result<(), SplitError> {
-    if shards.is_empty() {
-        return Err(SplitError::Config(
-            "at least one platform shard is required".into(),
-        ));
-    }
-    if shards.iter().any(InMemoryDataset::is_empty) {
-        return Err(SplitError::Config("platform shards must be non-empty".into()));
-    }
-    Ok(())
+/// Test accuracy of a whole model in inference mode.
+pub(crate) fn test_accuracy(model: &mut Sequential, test: &InMemoryDataset) -> Result<f32> {
+    evaluate_batched(test, |features| Ok(model.forward(features, Mode::Eval)?))
 }
 
+/// The small problem the baselines' unit tests share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use medsplit_data::SyntheticTabular;
-    use medsplit_nn::MlpConfig;
+    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+    use medsplit_nn::{LrSchedule, MlpConfig};
+    use medsplit_simnet::{Envelope, MemoryTransport, NodeId, StarTopology, Transport};
 
-    #[test]
-    fn eval_due_schedule() {
-        let mut c = BaselineConfig {
-            eval_every: 3,
-            ..Default::default()
-        };
-        assert!(!c.eval_due(0));
-        assert!(c.eval_due(2));
-        assert!(c.eval_due(5));
-        c.eval_every = 0;
-        assert!(!c.eval_due(2));
+    use crate::{train_centralized, train_fedavg, train_local_only, train_sync_sgd};
+
+    /// A 6-12-3 MLP, three IID shards of 40 rows and 30 test rows.
+    pub(crate) fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
+        let arch = Architecture::Mlp(MlpConfig {
+            input_dim: 6,
+            hidden: vec![12],
+            num_classes: 3,
+        });
+        let all = SyntheticTabular::new(3, 6, 0).generate(150).unwrap();
+        let train = all.subset(&(0..120).collect::<Vec<_>>()).unwrap();
+        let test = all.subset(&(120..150).collect::<Vec<_>>()).unwrap();
+        let shards = partition(&train, 3, &Partition::Iid, 1).unwrap();
+        (arch, shards, test)
+    }
+
+    /// `rounds` rounds at a constant `lr` on 16-row minibatches, evaluated
+    /// only at the end.
+    pub(crate) fn config(rounds: usize, lr: f32) -> SplitConfig {
+        SplitConfig {
+            rounds,
+            eval_every: 0,
+            lr: LrSchedule::Constant(lr),
+            minibatch: MinibatchPolicy::Fixed(16),
+            ..SplitConfig::default()
+        }
+    }
+
+    /// A fresh three-platform star.
+    pub(crate) fn star() -> MemoryTransport {
+        MemoryTransport::new(StarTopology::new(3))
     }
 
     #[test]
     fn evaluate_model_on_fresh_network_is_chance_level() {
         let test = SyntheticTabular::new(4, 6, 0).generate(80).unwrap();
         let mut model = MlpConfig::small(6, 4).build(0);
-        let acc = evaluate_model(&mut model, &test).unwrap();
+        let acc = test_accuracy(&mut model, &test).unwrap();
         assert!((0.0..=0.7).contains(&acc), "untrained accuracy {acc}");
     }
 
+    /// Runs every baseline on `config`, each over its own transport that
+    /// first carries one message if `used` (which leaves out local-only
+    /// training: it has no transport), and checks each fails naming `what`.
+    fn assert_all_rejected(config: &SplitConfig, used: bool, what: &str) {
+        let (arch, shards, test) = setup();
+        let fresh = || {
+            let t = star();
+            if used {
+                t.send(Envelope::control(NodeId::Platform(0), NodeId::Server, 0))
+                    .unwrap();
+            }
+            t
+        };
+        let mut results = vec![
+            train_sync_sgd(&arch, config, Default::default(), shards.clone(), &test, &fresh()),
+            train_fedavg(&arch, config, Default::default(), shards.clone(), &test, &fresh()),
+            train_centralized(&arch, config, &shards, &test, &fresh()),
+        ];
+        if !used {
+            results.push(train_local_only(&arch, config, &shards, &test).map(|(h, _)| h));
+        }
+        for err in results.into_iter().map(|r| r.err().map(|e| e.to_string())) {
+            assert!(err.as_deref().is_some_and(|e| e.contains(what)), "{err:?}");
+        }
+    }
+
     #[test]
-    fn check_shards_validation() {
-        assert!(check_shards(&[]).is_err());
-        let ds = SyntheticTabular::new(2, 3, 0).generate(4).unwrap();
-        assert!(check_shards(&[ds]).is_ok());
+    fn every_baseline_rejects_zero_rounds() {
+        assert_all_rejected(&config(0, 0.1), false, "rounds");
+    }
+
+    #[test]
+    fn every_baseline_rejects_momentum_one() {
+        let config = SplitConfig {
+            momentum: 1.0,
+            ..config(2, 0.1)
+        };
+        assert_all_rejected(&config, false, "momentum");
+    }
+
+    #[test]
+    fn every_baseline_rejects_a_used_transport() {
+        assert_all_rejected(&config(2, 0.1), true, "already been used");
     }
 }

@@ -9,14 +9,16 @@
 //! §II criticises.
 
 use medsplit_core::messages::{decode_tensor, tensor_envelope};
-use medsplit_core::{Result, RoundRecord, SplitError, TrainingHistory};
-use medsplit_data::{BatchSampler, InMemoryDataset};
-use medsplit_nn::vectorize::{load_snapshot_vector, snapshot_vector, state_count};
-use medsplit_nn::{softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sequential, Sgd};
-use medsplit_simnet::{MessageKind, NodeId, Transport};
+use medsplit_core::{
+    check_fresh, ComputeModel, Result, RoundDriver, SplitConfig, SplitError, TrainingHistory,
+};
+use medsplit_data::InMemoryDataset;
+use medsplit_nn::vectorize::{load_snapshot_vector, snapshot_vector};
+use medsplit_nn::{Architecture, Layer, Sequential};
+use medsplit_simnet::{MessageKind, NetStats, NodeId, Transport};
 use medsplit_tensor::Tensor;
 
-use crate::common::{check_shards, evaluate_model, BaselineConfig};
+use crate::common::{platform_learners, test_accuracy, Learner};
 
 /// FedAvg-specific options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,108 +34,127 @@ impl Default for FedAvgOptions {
     }
 }
 
-struct FedAvgPlatform {
-    model: Sequential,
-    data: InMemoryDataset,
-    sampler: BatchSampler,
-    optimizer: Sgd,
+/// FedAvg as a [`RoundDriver`].
+struct FedAvg<'a, T: Transport> {
+    compute: ComputeModel,
+    transport: &'a T,
+    test: &'a InMemoryDataset,
+    /// The server's averaged model.
+    global: Sequential,
+    platforms: Vec<Learner>,
+    /// Each platform's share of the pooled data.
+    weights: Vec<f32>,
+    local_steps: usize,
+    param_count: usize,
 }
 
 /// Runs FedAvg and returns the training history.
 ///
+/// Reads `rounds`, `eval_every`, `lr`, `momentum`, `optimizer`, `seed`,
+/// `minibatch` and `compute` from `config`, which must validate; the
+/// split-specific fields are not read.
+///
 /// # Errors
 ///
-/// Returns configuration errors for unusable shards and propagates tensor
-/// and transport errors.
+/// Returns configuration errors for an invalid config, a used transport,
+/// unusable shards or zero local steps, and propagates tensor and
+/// transport errors.
 pub fn train_fedavg<T: Transport>(
     arch: &Architecture,
-    config: &BaselineConfig,
+    config: &SplitConfig,
     options: FedAvgOptions,
     shards: Vec<InMemoryDataset>,
     test: &InMemoryDataset,
     transport: &T,
 ) -> Result<TrainingHistory> {
-    check_shards(&shards)?;
+    check_fresh(config, transport.stats())?;
     if options.local_steps == 0 {
         return Err(SplitError::Config(
             "FedAvg requires at least one local step".into(),
         ));
     }
-    let k = shards.len();
     let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-    let batches = config.minibatch.sizes(&sizes);
     let total_size: f32 = sizes.iter().sum::<usize>() as f32;
-    let weights: Vec<f32> = sizes.iter().map(|&n| n as f32 / total_size).collect();
-
+    // Each platform's model is overwritten by its first download.
+    let platforms = platform_learners(arch, config, shards, |_| config.seed)?;
     let mut global = arch.build(config.seed);
-    let param_count = global.param_count();
-    let snapshot_len = param_count + state_count(&mut global);
-    let mut platforms: Vec<FedAvgPlatform> = shards
-        .into_iter()
-        .zip(&batches)
-        .enumerate()
-        .map(|(i, (data, &batch))| FedAvgPlatform {
-            model: arch.build(config.seed), // overwritten by the first download
-            sampler: BatchSampler::new(data.len(), batch, config.seed ^ (i as u64 + 1)),
-            data,
-            optimizer: Sgd::new(0.01).with_momentum(config.momentum),
-        })
-        .collect();
+    FedAvg {
+        compute: config.compute,
+        transport,
+        test,
+        param_count: global.param_count(),
+        global,
+        platforms,
+        weights: sizes.iter().map(|&n| n as f32 / total_size).collect(),
+        local_steps: options.local_steps,
+    }
+    .run(config)
+}
 
-    let mut records = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let round_start = std::time::Instant::now();
-        let lr = config.lr.lr_at(round);
-        let global_params = snapshot_vector(&mut global);
+impl<T: Transport> RoundDriver for FedAvg<'_, T> {
+    fn method(&self) -> &'static str {
+        "fedavg"
+    }
+
+    fn full_round(&self) -> usize {
+        self.platforms.len()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        for p in &mut self.platforms {
+            p.set_lr(lr);
+        }
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.transport.stats()
+    }
+
+    fn round(&mut self, round: u64) -> Result<(f32, usize)> {
+        let (transport, compute) = (self.transport, self.compute);
+        let k = self.platforms.len();
+        let global_params = snapshot_vector(&mut self.global);
         // Download phase.
         for i in 0..k {
             transport.send(tensor_envelope(
                 NodeId::Server,
                 NodeId::Platform(i),
-                round as u64,
+                round,
                 MessageKind::ModelDown,
                 &global_params,
             ))?;
         }
         // Local training phase.
         let mut losses = Vec::with_capacity(k);
-        for (i, p) in platforms.iter_mut().enumerate() {
+        for (i, p) in self.platforms.iter_mut().enumerate() {
             let env = transport
                 .try_recv(NodeId::Platform(i))
                 .ok_or_else(|| SplitError::Protocol(format!("platform {i} missed its model download")))?;
-            let params = decode_tensor(&env, MessageKind::ModelDown)?;
-            load_snapshot_vector(&mut p.model, &params)?;
-            p.optimizer.set_learning_rate(lr);
+            load_snapshot_vector(&mut p.model, &decode_tensor(&env, MessageKind::ModelDown)?)?;
             let mut loss_sum = 0.0;
-            for _ in 0..options.local_steps {
-                let (features, labels) = p.sampler.next_from(&p.data);
-                let logits = p.model.forward(&features, Mode::Train)?;
-                let out = softmax_cross_entropy(&logits, &labels)?;
-                p.model.backward_params(&out.grad)?;
-                p.optimizer.step_and_zero(&mut p.model);
-                loss_sum += out.loss;
+            for _ in 0..self.local_steps {
+                loss_sum += p.step()?;
             }
-            losses.push(loss_sum / options.local_steps as f32);
+            losses.push(loss_sum / self.local_steps as f32);
             transport.stats().advance_clock(
                 NodeId::Platform(i),
-                config.compute.seconds(
-                    config.compute.platform_s_per_msample,
-                    p.sampler.batch_size() * options.local_steps,
-                    param_count,
+                compute.seconds(
+                    compute.platform_s_per_msample,
+                    p.batch_size() * self.local_steps,
+                    self.param_count,
                 ),
             );
             // Upload phase.
-            let updated = snapshot_vector(&mut p.model);
             transport.send(tensor_envelope(
                 NodeId::Platform(i),
                 NodeId::Server,
-                round as u64,
+                round,
                 MessageKind::ModelUp,
-                &updated,
+                &snapshot_vector(&mut p.model),
             ))?;
         }
         // Aggregation: weighted average of uploads.
-        let mut averaged = Tensor::zeros([snapshot_len]);
+        let mut averaged = Tensor::zeros([global_params.numel()]);
         for _ in 0..k {
             let env = transport
                 .try_recv(NodeId::Server)
@@ -142,78 +163,35 @@ pub fn train_fedavg<T: Transport>(
                 .src
                 .platform_index()
                 .ok_or_else(|| SplitError::Protocol("model upload from non-platform".into()))?;
-            let params = decode_tensor(&env, MessageKind::ModelUp)?;
-            averaged.axpy(weights[pid], &params)?;
+            averaged.axpy(self.weights[pid], &decode_tensor(&env, MessageKind::ModelUp)?)?;
         }
-        load_snapshot_vector(&mut global, &averaged)?;
+        load_snapshot_vector(&mut self.global, &averaged)?;
+        Ok((losses.iter().sum::<f32>() / losses.len() as f32, losses.len()))
+    }
 
-        let accuracy = if config.eval_due(round) {
-            Some(evaluate_model(&mut global, test)?)
-        } else {
-            None
-        };
-        let snap = transport.stats().snapshot();
-        records.push(RoundRecord {
-            round,
-            lr,
-            mean_loss: losses.iter().sum::<f32>() / losses.len() as f32,
-            cumulative_bytes: snap.total_bytes,
-            simulated_time_s: snap.makespan_s,
-            wall_time_s: round_start.elapsed().as_secs_f64(),
-            participants: losses.len(),
-            degraded: false,
-            accuracy,
-        });
+    fn evaluate(&mut self) -> Result<f32> {
+        test_accuracy(&mut self.global, self.test)
     }
-    let final_accuracy = evaluate_model(&mut global, test)?;
-    if let Some(last) = records.last_mut() {
-        last.accuracy = Some(final_accuracy);
-    }
-    Ok(TrainingHistory {
-        method: "fedavg".into(),
-        records,
-        final_accuracy,
-        stats: transport.stats().snapshot(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medsplit_data::{partition, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
+    use crate::common::tests::{config, setup, star};
+    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+    use medsplit_nn::MlpConfig;
     use medsplit_simnet::{MemoryTransport, StarTopology};
-
-    fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
-        let arch = Architecture::Mlp(MlpConfig {
-            input_dim: 6,
-            hidden: vec![12],
-            num_classes: 3,
-        });
-        let all = SyntheticTabular::new(3, 6, 0).generate(150).unwrap();
-        let train = all.subset(&(0..120).collect::<Vec<_>>()).unwrap();
-        let test = all.subset(&(120..150).collect::<Vec<_>>()).unwrap();
-        let shards = partition(&train, 3, &Partition::Iid, 1).unwrap();
-        (arch, shards, test)
-    }
 
     #[test]
     fn fedavg_learns() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let config = BaselineConfig {
-            rounds: 20,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
         let history = train_fedavg(
             &arch,
-            &config,
+            &config(20, 0.1),
             FedAvgOptions::default(),
             shards,
             &test,
-            &transport,
+            &star(),
         )
         .unwrap();
         assert!(
@@ -226,22 +204,9 @@ mod tests {
     #[test]
     fn bandwidth_is_two_models_per_platform_per_round() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
         let rounds = 4;
-        let config = BaselineConfig {
-            rounds,
-            eval_every: 0,
-            ..Default::default()
-        };
-        let history = train_fedavg(
-            &arch,
-            &config,
-            FedAvgOptions { local_steps: 2 },
-            shards,
-            &test,
-            &transport,
-        )
-        .unwrap();
+        let options = FedAvgOptions { local_steps: 2 };
+        let history = train_fedavg(&arch, &config(rounds, 0.05), options, shards, &test, &star()).unwrap();
         let params = arch.param_count();
         let expected = rounds as u64 * medsplit_core::comm::fedavg_round_bytes(3, params);
         assert_eq!(history.stats.total_bytes, expected);
@@ -255,17 +220,12 @@ mod tests {
     #[test]
     fn zero_local_steps_rejected() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let config = BaselineConfig::default();
-        assert!(train_fedavg(
-            &arch,
-            &config,
-            FedAvgOptions { local_steps: 0 },
-            shards,
-            &test,
-            &transport
-        )
-        .is_err());
+        let config = SplitConfig {
+            minibatch: MinibatchPolicy::Fixed(16),
+            ..Default::default()
+        };
+        let options = FedAvgOptions { local_steps: 0 };
+        assert!(train_fedavg(&arch, &config, options, shards, &test, &star()).is_err());
     }
 
     #[test]
@@ -282,15 +242,9 @@ mod tests {
         let test = all.subset(&(200..220).collect::<Vec<_>>()).unwrap();
         let shards = partition(&train, 4, &Partition::PowerLaw { alpha: 2.0 }, 0).unwrap();
         let transport = MemoryTransport::new(StarTopology::new(4));
-        let config = BaselineConfig {
-            rounds: 20,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
         let history = train_fedavg(
             &arch,
-            &config,
+            &config(20, 0.1),
             FedAvgOptions::default(),
             shards,
             &test,

@@ -15,6 +15,13 @@
 //!   privacy-violating upper bound; its one-time raw-data upload is
 //!   counted as [`MessageKind::RawData`](medsplit_simnet::MessageKind)
 //!   traffic).
+//!
+//! Each is a thin constructor of a
+//! [`RoundDriver`](medsplit_core::RoundDriver): they take the split
+//! protocol's [`SplitConfig`](medsplit_core::SplitConfig), validate it
+//! and the transport as every split driver does, and run core's one round
+//! loop, so their histories are recorded exactly as the split drivers'
+//! are. Each says which configuration fields it reads.
 
 #![warn(missing_docs)]
 
@@ -25,7 +32,6 @@ mod local_only;
 mod sync_sgd;
 
 pub use centralized::train_centralized;
-pub use common::{evaluate_model, BaselineConfig};
 pub use fedavg::{train_fedavg, FedAvgOptions};
 pub use local_only::train_local_only;
 pub use sync_sgd::{train_sync_sgd, SyncSgdOptions};

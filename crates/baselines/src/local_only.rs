@@ -4,130 +4,106 @@
 //! medical platform conducts computations with its own local data, leading
 //! to overfitting" — made measurable. No bytes ever cross the network.
 
-use medsplit_core::{Result, RoundRecord, TrainingHistory};
-use medsplit_data::{BatchSampler, InMemoryDataset};
-use medsplit_nn::{softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sequential, Sgd};
+use medsplit_core::{check_fresh, Result, RoundDriver, SplitConfig, TrainingHistory};
+use medsplit_data::InMemoryDataset;
+use medsplit_nn::Architecture;
+use medsplit_simnet::NetStats;
 
-use crate::common::{check_shards, evaluate_model, BaselineConfig};
+use crate::common::{platform_learners, test_accuracy, Learner};
+
+/// Local-only training as a [`RoundDriver`].
+struct LocalOnly<'a> {
+    test: &'a InMemoryDataset,
+    platforms: Vec<Learner>,
+    /// Accounting of a network nothing crosses.
+    stats: NetStats,
+    /// Every platform's accuracy at the latest evaluation.
+    per_platform: Vec<f32>,
+}
 
 /// Trains one independent model per platform and reports the mean test
 /// accuracy across them. Returns `(history, per-platform accuracies)`.
 ///
 /// One "round" is one local step on every platform, so the x-axis is
-/// comparable with the federated methods.
+/// comparable with the federated methods. Reads `rounds`, `eval_every`,
+/// `lr`, `momentum`, `optimizer`, `seed` and `minibatch` from `config`,
+/// which must validate; with no network there is no clock to charge, so
+/// `compute` is not read, nor are the split-specific fields.
 ///
 /// # Errors
 ///
-/// Returns configuration errors for empty shard lists and propagates
-/// tensor errors.
+/// Returns configuration errors for an invalid config or unusable shards
+/// and propagates tensor errors.
 pub fn train_local_only(
     arch: &Architecture,
-    config: &BaselineConfig,
+    config: &SplitConfig,
     shards: &[InMemoryDataset],
     test: &InMemoryDataset,
 ) -> Result<(TrainingHistory, Vec<f32>)> {
-    check_shards(shards)?;
-    let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-    let batches = config.minibatch.sizes(&sizes);
-    let mut models: Vec<Sequential> = (0..shards.len())
-        .map(|i| arch.build(config.seed.wrapping_add(i as u64)))
-        .collect();
-    let mut samplers: Vec<BatchSampler> = shards
-        .iter()
-        .zip(&batches)
-        .enumerate()
-        .map(|(i, (shard, &b))| BatchSampler::new(shard.len(), b, config.seed ^ (i as u64 + 1)))
-        .collect();
-    let mut optims: Vec<Sgd> = (0..shards.len())
-        .map(|_| Sgd::new(0.01).with_momentum(config.momentum))
-        .collect();
-
-    let mut records = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let round_start = std::time::Instant::now();
-        let lr = config.lr.lr_at(round);
-        let mut losses = Vec::with_capacity(shards.len());
-        for ((model, sampler), (opt, shard)) in models
-            .iter_mut()
-            .zip(&mut samplers)
-            .zip(optims.iter_mut().zip(shards))
-        {
-            opt.set_learning_rate(lr);
-            let (features, labels) = sampler.next_from(shard);
-            let logits = model.forward(&features, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &labels)?;
-            model.backward_params(&out.grad)?;
-            opt.step_and_zero(model);
-            losses.push(out.loss);
-        }
-        let accuracy = if config.eval_due(round) {
-            let mut total = 0.0;
-            for model in &mut models {
-                total += evaluate_model(model, test)?;
-            }
-            Some(total / models.len() as f32)
-        } else {
-            None
-        };
-        records.push(RoundRecord {
-            round,
-            lr,
-            mean_loss: losses.iter().sum::<f32>() / losses.len() as f32,
-            cumulative_bytes: 0,
-            simulated_time_s: 0.0,
-            wall_time_s: round_start.elapsed().as_secs_f64(),
-            participants: losses.len(),
-            degraded: false,
-            accuracy,
-        });
-    }
-
-    let mut per_platform = Vec::with_capacity(models.len());
-    for model in &mut models {
-        per_platform.push(evaluate_model(model, test)?);
-    }
-    let final_accuracy = per_platform.iter().sum::<f32>() / per_platform.len() as f32;
-    if let Some(last) = records.last_mut() {
-        last.accuracy = Some(final_accuracy);
-    }
-    let history = TrainingHistory {
-        method: "local_only".into(),
-        records,
-        final_accuracy,
-        stats: medsplit_simnet::NetStats::new().snapshot(),
+    let stats = NetStats::new();
+    check_fresh(config, &stats)?;
+    let platforms = platform_learners(arch, config, shards.to_vec(), |i| {
+        config.seed.wrapping_add(i as u64)
+    })?;
+    let mut driver = LocalOnly {
+        test,
+        platforms,
+        stats,
+        per_platform: Vec::new(),
     };
-    Ok((history, per_platform))
+    let history = driver.run(config)?;
+    Ok((history, driver.per_platform))
+}
+
+impl RoundDriver for LocalOnly<'_> {
+    fn method(&self) -> &'static str {
+        "local_only"
+    }
+
+    fn full_round(&self) -> usize {
+        self.platforms.len()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        for p in &mut self.platforms {
+            p.set_lr(lr);
+        }
+    }
+
+    fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    fn round(&mut self, _round: u64) -> Result<(f32, usize)> {
+        let losses = self
+            .platforms
+            .iter_mut()
+            .map(Learner::step)
+            .collect::<Result<Vec<f32>>>()?;
+        Ok((losses.iter().sum::<f32>() / losses.len() as f32, losses.len()))
+    }
+
+    fn evaluate(&mut self) -> Result<f32> {
+        self.per_platform = self
+            .platforms
+            .iter_mut()
+            .map(|p| test_accuracy(&mut p.model, self.test))
+            .collect::<Result<_>>()?;
+        Ok(self.per_platform.iter().sum::<f32>() / self.per_platform.len() as f32)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medsplit_data::{partition, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
-
-    fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
-        let arch = Architecture::Mlp(MlpConfig {
-            input_dim: 6,
-            hidden: vec![12],
-            num_classes: 3,
-        });
-        let all = SyntheticTabular::new(3, 6, 0).generate(150).unwrap();
-        let train = all.subset(&(0..120).collect::<Vec<_>>()).unwrap();
-        let test = all.subset(&(120..150).collect::<Vec<_>>()).unwrap();
-        let shards = partition(&train, 3, &Partition::Iid, 1).unwrap();
-        (arch, shards, test)
-    }
+    use crate::common::tests::{config, setup};
+    use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+    use medsplit_nn::MlpConfig;
 
     #[test]
     fn local_training_learns_but_sends_nothing() {
         let (arch, shards, test) = setup();
-        let config = BaselineConfig {
-            rounds: 50,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
-        let (history, per_platform) = train_local_only(&arch, &config, &shards, &test).unwrap();
+        let (history, per_platform) = train_local_only(&arch, &config(50, 0.1), &shards, &test).unwrap();
         assert!(
             history.final_accuracy > 0.5,
             "accuracy {}",
@@ -151,12 +127,7 @@ mod tests {
         let all = SyntheticTabular::new(3, 6, 3).generate(240).unwrap();
         let train = all.subset(&(0..200).collect::<Vec<_>>()).unwrap();
         let test = all.subset(&(200..240).collect::<Vec<_>>()).unwrap();
-        let config = BaselineConfig {
-            rounds: 60,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
+        let config = config(60, 0.1);
 
         let iid = partition(&train, 4, &Partition::Iid, 0).unwrap();
         let (h_iid, _) = train_local_only(&arch, &config, &iid, &test).unwrap();
@@ -173,7 +144,10 @@ mod tests {
     #[test]
     fn empty_shards_rejected() {
         let (arch, _, test) = setup();
-        let config = BaselineConfig::default();
+        let config = SplitConfig {
+            minibatch: MinibatchPolicy::Fixed(16),
+            ..Default::default()
+        };
         assert!(train_local_only(&arch, &config, &[], &test).is_err());
     }
 }

@@ -9,17 +9,18 @@
 //! `2 × model size × platforms` — far more than the split protocol moves.
 
 use medsplit_core::messages::{decode_tensor, tensor_envelope};
-use medsplit_core::{Result, RoundRecord, SplitError, TrainingHistory};
-use medsplit_data::{BatchSampler, InMemoryDataset};
-use medsplit_nn::vectorize::{
-    apply_flat_update, gradient_vector, load_snapshot_vector, set_state_vector, snapshot_vector, state_count,
-    state_vector,
+use medsplit_core::{
+    check_fresh, ComputeModel, Result, RoundDriver, SplitConfig, SplitError, TrainingHistory,
 };
-use medsplit_nn::{softmax_cross_entropy, Architecture, Layer, Mode, Sequential};
-use medsplit_simnet::{MessageKind, NodeId, Transport};
+use medsplit_data::InMemoryDataset;
+use medsplit_nn::vectorize::{
+    apply_flat_update, gradient_vector, load_snapshot_vector, set_state_vector, snapshot_vector, state_vector,
+};
+use medsplit_nn::{Architecture, Layer, Sequential};
+use medsplit_simnet::{MessageKind, NetStats, NodeId, Transport};
 use medsplit_tensor::Tensor;
 
-use crate::common::{check_shards, evaluate_model, BaselineConfig};
+use crate::common::{platform_learners, test_accuracy, Learner};
 
 /// Synchronous-SGD-specific options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,89 +30,114 @@ pub struct SyncSgdOptions {
     pub backup_workers: usize,
 }
 
-struct Worker {
-    model: Sequential,
-    data: InMemoryDataset,
-    sampler: BatchSampler,
+/// Synchronous SGD as a [`RoundDriver`]: one step per round.
+struct SyncSgd<'a, T: Transport> {
+    compute: ComputeModel,
+    transport: &'a T,
+    test: &'a InMemoryDataset,
+    /// The parameter server's model.
+    global: Sequential,
+    /// The platforms; their optimisers stay unused.
+    workers: Vec<Learner>,
+    /// Gradients the server waits for per step.
+    needed: usize,
+    param_count: usize,
+    lr: f32,
 }
 
 /// Runs large-scale synchronous SGD and returns the training history.
 ///
-/// Works over any transport; run it over a
-/// [`ChaosTransport`](medsplit_simnet::ChaosTransport) whose plan crashes
-/// or straggles platforms to exercise the backup-worker path. A platform
-/// whose download does not arrive sits the step out and is not counted
-/// as a participant.
+/// Reads `rounds` (steps), `eval_every`, `lr`, `seed`, `minibatch` and
+/// `compute` from `config`, which must validate. The server applies plain
+/// SGD, so `momentum` and `optimizer` are not read; nor are the
+/// split-specific fields.
+///
+/// Works over any transport. Crashes take effect only as far as the
+/// caller has applied them: this driver never calls
+/// [`ChaosTransport::begin_round`](medsplit_simnet::ChaosTransport::begin_round),
+/// so a platform crashed by `begin_round(0)` before the call stays down
+/// for the whole run, and later crash or recover events of the plan never
+/// fire. Stragglers and other link faults apply throughout. A platform
+/// whose download does not arrive sits the step out and is not counted as
+/// a participant.
 ///
 /// # Errors
 ///
-/// Returns configuration errors (e.g. more backup workers than platforms)
-/// and [`SplitError::Protocol`] if fewer than `k - b` gradients arrive in
-/// a step.
+/// Returns configuration errors (an invalid config, a used transport,
+/// unusable shards, more backup workers than platforms) and
+/// [`SplitError::Protocol`] if fewer than `k - b` gradients arrive in a
+/// step.
 pub fn train_sync_sgd<T: Transport>(
     arch: &Architecture,
-    config: &BaselineConfig,
+    config: &SplitConfig,
     options: SyncSgdOptions,
     shards: Vec<InMemoryDataset>,
     test: &InMemoryDataset,
     transport: &T,
 ) -> Result<TrainingHistory> {
-    check_shards(&shards)?;
-    let k = shards.len();
+    check_fresh(config, transport.stats())?;
+    let workers = platform_learners(arch, config, shards, |_| config.seed)?;
+    let k = workers.len();
     if options.backup_workers >= k {
         return Err(SplitError::Config(format!(
             "{} backup workers leave no required gradients among {k} platforms",
             options.backup_workers
         )));
     }
-    let needed = k - options.backup_workers;
-    let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
-    let batches = config.minibatch.sizes(&sizes);
-
     let mut global = arch.build(config.seed);
-    let param_count = global.param_count();
-    let state_len = state_count(&mut global);
-    let mut workers: Vec<Worker> = shards
-        .into_iter()
-        .zip(&batches)
-        .enumerate()
-        .map(|(i, (data, &batch))| Worker {
-            model: arch.build(config.seed),
-            sampler: BatchSampler::new(data.len(), batch, config.seed ^ (i as u64 + 1)),
-            data,
-        })
-        .collect();
+    SyncSgd {
+        compute: config.compute,
+        transport,
+        test,
+        param_count: global.param_count(),
+        global,
+        workers,
+        needed: k - options.backup_workers,
+        lr: 0.0,
+    }
+    .run(config)
+}
 
-    let mut records = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let round_start = std::time::Instant::now();
-        let lr = config.lr.lr_at(round);
-        let global_params = snapshot_vector(&mut global);
+impl<T: Transport> RoundDriver for SyncSgd<'_, T> {
+    fn method(&self) -> &'static str {
+        "sync_sgd"
+    }
+
+    fn full_round(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.transport.stats()
+    }
+
+    fn round(&mut self, round: u64) -> Result<(f32, usize)> {
+        let (transport, compute) = (self.transport, self.compute);
+        let global_params = snapshot_vector(&mut self.global);
         // Model download to every platform.
-        for i in 0..k {
+        for i in 0..self.workers.len() {
             transport.send(tensor_envelope(
                 NodeId::Server,
                 NodeId::Platform(i),
-                round as u64,
+                round,
                 MessageKind::ModelDown,
                 &global_params,
             ))?;
         }
         // Each platform computes and pushes one gradient.
-        let mut losses = Vec::with_capacity(k);
-        for (i, w) in workers.iter_mut().enumerate() {
+        let mut losses = Vec::with_capacity(self.workers.len());
+        for (i, w) in self.workers.iter_mut().enumerate() {
             // A crashed platform's download was dropped by the fault
             // layer; it simply skips the step.
             let Some(env) = transport.try_recv(NodeId::Platform(i)) else {
                 continue;
             };
-            let params = decode_tensor(&env, MessageKind::ModelDown)?;
-            load_snapshot_vector(&mut w.model, &params)?;
-            let (features, labels) = w.sampler.next_from(&w.data);
-            let logits = w.model.forward(&features, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &labels)?;
-            w.model.backward_params(&out.grad)?;
-            losses.push(out.loss);
+            load_snapshot_vector(&mut w.model, &decode_tensor(&env, MessageKind::ModelDown)?)?;
+            losses.push(w.gradient()?);
             // The push carries the gradient plus the worker's updated
             // batch-norm statistics (the parameter server keeps them in
             // sync, as a real deployment's assign ops would).
@@ -120,20 +146,19 @@ pub fn train_sync_sgd<T: Transport>(
             let push = Tensor::concat0(&[grad, state_vector(&mut w.model)])?;
             transport.stats().advance_clock(
                 NodeId::Platform(i),
-                config
-                    .compute
-                    .seconds(config.compute.platform_s_per_msample, labels.len(), param_count),
+                compute.seconds(compute.platform_s_per_msample, w.batch_size(), self.param_count),
             );
             transport.send(tensor_envelope(
                 NodeId::Platform(i),
                 NodeId::Server,
-                round as u64,
+                round,
                 MessageKind::GradPush,
                 &push,
             ))?;
         }
         // Server: average the first `needed` arrivals, discard the rest.
-        let mut averaged = Tensor::zeros([param_count + state_len]);
+        let needed = self.needed;
+        let mut averaged = Tensor::zeros([global_params.numel()]);
         let mut received = 0usize;
         while received < needed {
             let Some(env) = transport.try_recv(NodeId::Server) else {
@@ -147,66 +172,31 @@ pub fn train_sync_sgd<T: Transport>(
         }
         // Late gradients (beyond `needed`) are dropped, per Chen et al.
         while transport.try_recv(NodeId::Server).is_some() {}
-        let grad_part = averaged.slice0(0, param_count)?;
-        apply_flat_update(&mut global, &grad_part, lr)?;
+        let (params, state_len) = (self.param_count, global_params.numel() - self.param_count);
+        apply_flat_update(&mut self.global, &averaged.slice0(0, params)?, self.lr)?;
         if state_len > 0 {
-            set_state_vector(&mut global, &averaged.slice0(param_count, state_len)?)?;
+            set_state_vector(&mut self.global, &averaged.slice0(params, state_len)?)?;
         }
+        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
+        Ok((mean_loss, losses.len()))
+    }
 
-        let accuracy = if config.eval_due(round) {
-            Some(evaluate_model(&mut global, test)?)
-        } else {
-            None
-        };
-        let snap = transport.stats().snapshot();
-        records.push(RoundRecord {
-            round,
-            lr,
-            mean_loss: losses.iter().sum::<f32>() / losses.len().max(1) as f32,
-            cumulative_bytes: snap.total_bytes,
-            simulated_time_s: snap.makespan_s,
-            wall_time_s: round_start.elapsed().as_secs_f64(),
-            participants: losses.len(),
-            degraded: losses.len() < k,
-            accuracy,
-        });
+    fn evaluate(&mut self) -> Result<f32> {
+        test_accuracy(&mut self.global, self.test)
     }
-    let final_accuracy = evaluate_model(&mut global, test)?;
-    if let Some(last) = records.last_mut() {
-        last.accuracy = Some(final_accuracy);
-    }
-    Ok(TrainingHistory {
-        method: "sync_sgd".into(),
-        records,
-        final_accuracy,
-        stats: transport.stats().snapshot(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medsplit_data::{partition, Partition, SyntheticTabular};
-    use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{ChaosTransport, FaultPlan, MemoryTransport, StarTopology};
-
-    fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
-        let arch = Architecture::Mlp(MlpConfig {
-            input_dim: 6,
-            hidden: vec![12],
-            num_classes: 3,
-        });
-        let all = SyntheticTabular::new(3, 6, 0).generate(150).unwrap();
-        let train = all.subset(&(0..120).collect::<Vec<_>>()).unwrap();
-        let test = all.subset(&(120..150).collect::<Vec<_>>()).unwrap();
-        let shards = partition(&train, 3, &Partition::Iid, 1).unwrap();
-        (arch, shards, test)
-    }
+    use crate::common::tests::{config, setup, star};
+    use medsplit_data::MinibatchPolicy;
+    use medsplit_simnet::{ChaosTransport, FaultPlan, MemoryTransport};
 
     /// A 3-platform star on which `dead` is crashed from the start.
     fn with_dead_platform(dead: usize) -> ChaosTransport<MemoryTransport> {
         let plan = FaultPlan::new(0).crash(NodeId::Platform(dead), 0);
-        let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
+        let transport = ChaosTransport::new(star(), plan);
         transport.begin_round(0);
         transport
     }
@@ -214,20 +204,13 @@ mod tests {
     #[test]
     fn sync_sgd_learns() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let config = BaselineConfig {
-            rounds: 40,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
         let history = train_sync_sgd(
             &arch,
-            &config,
+            &config(40, 0.1),
             SyncSgdOptions::default(),
             shards,
             &test,
-            &transport,
+            &star(),
         )
         .unwrap();
         assert!(
@@ -240,20 +223,14 @@ mod tests {
     #[test]
     fn bandwidth_matches_analytic_formula() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
         let rounds = 3;
-        let config = BaselineConfig {
-            rounds,
-            eval_every: 0,
-            ..Default::default()
-        };
         let history = train_sync_sgd(
             &arch,
-            &config,
+            &config(rounds, 0.05),
             SyncSgdOptions::default(),
             shards,
             &test,
-            &transport,
+            &star(),
         )
         .unwrap();
         let expected = rounds as u64 * medsplit_core::comm::sync_sgd_round_bytes(3, arch.param_count());
@@ -264,21 +241,8 @@ mod tests {
     fn backup_workers_tolerate_a_dead_platform() {
         let (arch, shards, test) = setup();
         let transport = with_dead_platform(2);
-        let config = BaselineConfig {
-            rounds: 30,
-            eval_every: 0,
-            lr: LrSchedule::Constant(0.1),
-            ..Default::default()
-        };
-        let history = train_sync_sgd(
-            &arch,
-            &config,
-            SyncSgdOptions { backup_workers: 1 },
-            shards,
-            &test,
-            &transport,
-        )
-        .unwrap();
+        let options = SyncSgdOptions { backup_workers: 1 };
+        let history = train_sync_sgd(&arch, &config(30, 0.1), options, shards, &test, &transport).unwrap();
         assert!(
             history.final_accuracy > 0.6,
             "accuracy {}",
@@ -290,14 +254,9 @@ mod tests {
     fn without_backups_a_dead_platform_stalls_training() {
         let (arch, shards, test) = setup();
         let transport = with_dead_platform(0);
-        let config = BaselineConfig {
-            rounds: 5,
-            eval_every: 0,
-            ..Default::default()
-        };
         let err = train_sync_sgd(
             &arch,
-            &config,
+            &config(5, 0.05),
             SyncSgdOptions::default(),
             shards,
             &test,
@@ -310,16 +269,11 @@ mod tests {
     #[test]
     fn too_many_backups_rejected() {
         let (arch, shards, test) = setup();
-        let transport = MemoryTransport::new(StarTopology::new(3));
-        let config = BaselineConfig::default();
-        assert!(train_sync_sgd(
-            &arch,
-            &config,
-            SyncSgdOptions { backup_workers: 3 },
-            shards,
-            &test,
-            &transport
-        )
-        .is_err());
+        let config = SplitConfig {
+            minibatch: MinibatchPolicy::Fixed(16),
+            ..Default::default()
+        };
+        let options = SyncSgdOptions { backup_workers: 3 };
+        assert!(train_sync_sgd(&arch, &config, options, shards, &test, &star()).is_err());
     }
 }

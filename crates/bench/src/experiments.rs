@@ -5,8 +5,7 @@
 //! the identical code path at a tiny scale.
 
 use medsplit_baselines::{
-    train_centralized, train_fedavg, train_local_only, train_sync_sgd, BaselineConfig, FedAvgOptions,
-    SyncSgdOptions,
+    train_centralized, train_fedavg, train_local_only, train_sync_sgd, FedAvgOptions, SyncSgdOptions,
 };
 use medsplit_core::{
     comm, ComputeModel, Result, Scheduling, SplitConfig, SplitError, SplitPoint, SplitTrainer,
@@ -86,18 +85,17 @@ fn split_config(scale: Scale, rounds: usize) -> SplitConfig {
     }
 }
 
-fn baseline_config(scale: Scale, rounds: usize) -> BaselineConfig {
-    BaselineConfig {
-        lr: LrSchedule::Constant(0.05),
-        momentum: 0.9,
-        rounds,
-        eval_every: scale.eval_every,
-        seed: 42,
-        minibatch: MinibatchPolicy::Proportional {
-            global: scale.global_batch,
-        },
-        compute: ComputeModel::hospital_default(),
+/// FedAvg on `scale`: five local steps a round, so a fifth of the
+/// rounds, evaluated at the same step counts as the other methods (an
+/// `eval_every` of 0 still means only at the end).
+fn fedavg_config(scale: Scale) -> (SplitConfig, FedAvgOptions) {
+    let options = FedAvgOptions { local_steps: 5 };
+    let in_rounds = |steps: usize| (steps / options.local_steps).max(1);
+    let mut config = split_config(scale, in_rounds(scale.rounds));
+    if scale.eval_every > 0 {
+        config.eval_every = in_rounds(scale.eval_every);
     }
+    (config, options)
 }
 
 // ===================================================================
@@ -126,49 +124,20 @@ pub fn fig4_run(
         &Partition::Iid,
         seed,
     )?;
-    let mut histories = Vec::new();
-
+    // Every method runs on one configuration, each over a fresh transport.
+    let config = split_config(scale, scale.rounds);
+    let star = || MemoryTransport::new(default_topology(scale.platforms));
+    let (shards, test) = (&w.shards, &w.test);
     // Proposed split protocol.
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let mut trainer = SplitTrainer::new(
-            &w.arch,
-            split_config(scale, scale.rounds),
-            w.shards.clone(),
-            w.test.clone(),
-            &transport,
-        )?;
-        histories.push(trainer.run()?);
-    }
+    let split = SplitTrainer::new(&w.arch, config.clone(), shards.clone(), test.clone(), &star())?.run()?;
+    let mut histories = vec![split];
     // Large-scale synchronous SGD (the paper's comparator).
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        histories.push(train_sync_sgd(
-            &w.arch,
-            &baseline_config(scale, scale.rounds),
-            SyncSgdOptions::default(),
-            w.shards.clone(),
-            &w.test,
-            &transport,
-        )?);
-    }
+    let options = SyncSgdOptions::default();
+    let sync = train_sync_sgd(&w.arch, &config, options, shards.clone(), test, &star())?;
     // FedAvg reference series.
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        // FedAvg rounds are heavier (local steps); match the *step* count.
-        let options = FedAvgOptions { local_steps: 5 };
-        let rounds = (scale.rounds / options.local_steps).max(1);
-        let mut cfg = baseline_config(scale, rounds);
-        cfg.eval_every = (scale.eval_every / options.local_steps).max(1);
-        histories.push(train_fedavg(
-            &w.arch,
-            &cfg,
-            options,
-            w.shards.clone(),
-            &w.test,
-            &transport,
-        )?);
-    }
+    let (fed_config, options) = fedavg_config(scale);
+    let fedavg = train_fedavg(&w.arch, &fed_config, options, shards.clone(), test, &star())?;
+    histories.extend([sync, fedavg]);
     Ok(histories)
 }
 
@@ -506,85 +475,36 @@ pub fn table3_run(scale: Scale, alpha: f32, seed: u64) -> Result<Vec<TrainingHis
         &Partition::Dirichlet { alpha },
         seed,
     )?;
-    let mut out = Vec::new();
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let mut trainer = SplitTrainer::new(
-            &arch,
-            split_config(scale, scale.rounds),
-            shards.clone(),
-            test.clone(),
-            &transport,
-        )?;
-        out.push(trainer.run()?);
-    }
+    let config = split_config(scale, scale.rounds);
+    let star = || MemoryTransport::new(default_topology(scale.platforms));
+    let split = SplitTrainer::new(&arch, config.clone(), shards.clone(), test.clone(), &star())?.run()?;
+    let mut out = vec![split];
     {
         // The L1-synchronisation extension: periodically average the
         // platforms' L1 replicas (cf. the authors' cyclic-sharing
         // reference [3]) — closes the non-IID divergence gap of the plain
         // protocol at a small L1-sized bandwidth cost.
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let mut cfg = split_config(scale, scale.rounds);
-        cfg.l1_sync = medsplit_core::L1Sync::PeriodicAverage { every: 10 };
-        let mut trainer = SplitTrainer::new(&arch, cfg, shards.clone(), test.clone(), &transport)?;
-        let mut h = trainer.run()?;
+        let cfg = SplitConfig {
+            l1_sync: medsplit_core::L1Sync::PeriodicAverage { every: 10 },
+            ..config.clone()
+        };
+        let mut h = SplitTrainer::new(&arch, cfg, shards.clone(), test.clone(), &star())?.run()?;
         h.method = "split+l1avg".into();
         out.push(h);
     }
-    {
-        // The U-shaped variant (paper ref. [1]): classifier head stays on
-        // the platform, so the server never sees logits either.
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let mut trainer = medsplit_core::UShapeTrainer::new(
-            &arch,
-            split_config(scale, scale.rounds),
-            1,
-            shards.clone(),
-            test.clone(),
-            &transport,
-        )?;
-        out.push(trainer.run()?);
-    }
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        out.push(train_sync_sgd(
-            &arch,
-            &baseline_config(scale, scale.rounds),
-            SyncSgdOptions::default(),
-            shards.clone(),
-            &test,
-            &transport,
-        )?);
-    }
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let options = FedAvgOptions { local_steps: 5 };
-        let rounds = (scale.rounds / options.local_steps).max(1);
-        let mut cfg = baseline_config(scale, rounds);
-        cfg.eval_every = (scale.eval_every / options.local_steps).max(1);
-        out.push(train_fedavg(
-            &arch,
-            &cfg,
-            options,
-            shards.clone(),
-            &test,
-            &transport,
-        )?);
-    }
-    {
-        let (history, _) = train_local_only(&arch, &baseline_config(scale, scale.rounds), &shards, &test)?;
-        out.push(history);
-    }
-    {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        out.push(train_centralized(
-            &arch,
-            &baseline_config(scale, scale.rounds),
-            &shards,
-            &test,
-            &transport,
-        )?);
-    }
+    // The U-shaped variant (paper ref. [1]): classifier head stays on the
+    // platform, so the server never sees logits either.
+    let transport = star();
+    let ushape =
+        medsplit_core::UShapeTrainer::new(&arch, config.clone(), 1, shards.clone(), test.clone(), &transport);
+    out.push(ushape?.run()?);
+    let options = SyncSgdOptions::default();
+    let sync = train_sync_sgd(&arch, &config, options, shards.clone(), &test, &star())?;
+    let (fed_config, options) = fedavg_config(scale);
+    let fedavg = train_fedavg(&arch, &fed_config, options, shards.clone(), &test, &star())?;
+    out.extend([sync, fedavg]);
+    out.push(train_local_only(&arch, &config, &shards, &test)?.0);
+    out.push(train_centralized(&arch, &config, &shards, &test, &star())?);
     Ok(out)
 }
 
@@ -995,6 +915,15 @@ mod tests {
                 "centralized"
             ]
         );
+        // With eval_every = 0, FedAvg evaluates once, after its last round.
+        let fedavg = &histories[4];
+        let evaluated: Vec<usize> = fedavg
+            .records
+            .iter()
+            .filter(|r| r.accuracy.is_some())
+            .map(|r| r.round)
+            .collect();
+        assert_eq!(evaluated, vec![fedavg.records.len() - 1]);
         // Only centralized ships raw data.
         for h in &histories {
             let raw = h.stats.bytes_of(medsplit_simnet::MessageKind::RawData);

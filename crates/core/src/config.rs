@@ -230,7 +230,7 @@ pub struct SplitConfig {
     pub l1_sync: L1Sync,
     /// Learning rate schedule (applied to both sides).
     pub lr: LrSchedule,
-    /// SGD momentum (0 disables).
+    /// SGD momentum (0 disables). Sync SGD's server update ignores it.
     pub momentum: f32,
     /// Number of training rounds.
     pub rounds: usize,
@@ -243,7 +243,8 @@ pub struct SplitConfig {
     pub compute: ComputeModel,
     /// Wire encoding for the protocol tensors.
     pub codec: WireCodec,
-    /// Optimiser family used by both sides.
+    /// Optimiser family used by both sides. Sync SGD's server update
+    /// ignores it.
     pub optimizer: OptimizerKind,
     /// Standard deviation of Gaussian noise each platform adds to its
     /// transmitted activations (0 disables). A lightweight

@@ -22,9 +22,9 @@
 //! full-size models) and [`TrainingHistory`] (the accuracy-vs-bytes
 //! curves of Fig. 4).
 //!
-//! Drivers. All of them share one training loop and one evaluation and
-//! differ in how a round's messages are delivered, which the caller
-//! picks by what it constructs:
+//! Drivers. All of them share one training loop, [`RoundDriver::run`],
+//! and one evaluation and differ in how a round's messages are
+//! delivered, which the caller picks by what it constructs:
 //!
 //! - [`SplitTrainer`] — plain delivery over any transport; both
 //!   schedulings and every `L1` sync. [`UShapeTrainer`] runs the same
@@ -37,6 +37,10 @@
 //! - [`threaded::train_threaded`] — [`SplitTrainer`]'s aggregate round
 //!   with one OS thread per node; its history equals the sequential
 //!   run's bit for bit.
+//!
+//! The comparators of `medsplit-baselines` (sync SGD, FedAvg, local-only,
+//! centralised) are [`RoundDriver`]s too: same [`SplitConfig`], same
+//! [`check_fresh`], same loop.
 //!
 //! ```
 //! use medsplit_core::{SplitConfig, SplitTrainer};
@@ -85,8 +89,8 @@ pub use hier::{HierReport, HierResilientTrainer};
 pub use history::{RoundRecord, TrainingHistory};
 pub use platform::Platform;
 pub use resilient::{ResilienceReport, ResilientTrainer};
-pub use round::evaluate_batched;
+pub use round::{evaluate_batched, RoundDriver};
 pub use server::SplitServer;
 pub use split::{build_split, resolve_split, SplitModel};
-pub use trainer::SplitTrainer;
+pub use trainer::{batch_sizes, check_fresh, SplitTrainer};
 pub use ushape::UShapeTrainer;

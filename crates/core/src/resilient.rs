@@ -180,7 +180,8 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
     /// Propagates tensor and protocol errors; tolerated faults (loss,
     /// corruption, crashes within quorum) do not error.
     pub fn run(&mut self) -> Result<TrainingHistory> {
-        RoundDriver::run(self)
+        let config = self.actors.config.clone();
+        RoundDriver::run(self, &config)
     }
 
     /// Adds `n` to the telemetry counter `<prefix>.<name>`.
@@ -444,8 +445,16 @@ pub(crate) fn receiving_platform(env: &Envelope) -> Result<usize> {
 }
 
 impl<T: Transport> RoundDriver for ResilientTrainer<'_, T> {
-    fn actors(&mut self) -> &mut Actors {
-        &mut self.actors
+    fn method(&self) -> &'static str {
+        self.actors.method
+    }
+
+    fn full_round(&self) -> usize {
+        self.actors.platforms.len()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.actors.set_lr(lr);
     }
 
     fn stats(&self) -> &NetStats {

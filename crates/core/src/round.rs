@@ -1,13 +1,14 @@
-//! What every driver shares: the actors of one run, the training loop
-//! around a round, batched evaluation and the compute charge on the
-//! simulated clock.
+//! What every driver shares: the training loop around a round, batched
+//! evaluation, and for the split drivers the actors of one run and the
+//! compute charge on the simulated clock.
 //!
 //! A driver supplies the body of one round — plain delivery in
 //! [`crate::trainer`], the same exchange on one thread per node in
-//! [`crate::threaded`], fault-tolerant delivery in [`crate::resilient`] —
-//! and [`RoundDriver::run`] does the rest: learning-rate schedule,
-//! evaluation cadence, one [`RoundRecord`] per round, the final-accuracy
-//! backfill and the `round` / `evaluate` telemetry spans.
+//! [`crate::threaded`], fault-tolerant delivery in [`crate::resilient`],
+//! and each comparator method of `medsplit-baselines` — and
+//! [`RoundDriver::run`] does the rest: learning-rate schedule, evaluation
+//! cadence, one [`RoundRecord`] per round, the final-accuracy backfill and
+//! the `round` telemetry span.
 
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::accuracy;
@@ -83,6 +84,14 @@ impl Actors {
         Ok(total / counted.max(1) as f32)
     }
 
+    /// Sets every platform's and the server's learning rate.
+    pub(crate) fn set_lr(&mut self, lr: f32) {
+        for p in &mut self.platforms {
+            p.set_lr(lr);
+        }
+        self.server.set_lr(lr);
+    }
+
     /// Advances the simulated clocks of the participating platforms and
     /// of the server by one round's local computation.
     pub(crate) fn charge_compute(&self, stats: &NetStats, participants: impl IntoIterator<Item = usize>) {
@@ -99,11 +108,19 @@ impl Actors {
     }
 }
 
-/// A driver of the four-message round: it owns [`Actors`] and a
-/// transport, and says how one round is carried out.
-pub(crate) trait RoundDriver {
-    /// The actors this driver runs.
-    fn actors(&mut self) -> &mut Actors;
+/// A training method as the shared loop sees it: a method name, the body
+/// of one round, an evaluation and the transport's accounting.
+/// [`RoundDriver::run`] is the one training loop of every method.
+pub trait RoundDriver {
+    /// The method name recorded in the history.
+    fn method(&self) -> &'static str;
+
+    /// How many participants make a full round; a round with fewer is
+    /// recorded as degraded.
+    fn full_round(&self) -> usize;
+
+    /// Applies the round's learning rate.
+    fn set_lr(&mut self, lr: f32);
 
     /// The transport's accounting.
     fn stats(&self) -> &NetStats;
@@ -111,24 +128,26 @@ pub(crate) trait RoundDriver {
     /// Carries out one round and returns `(mean_loss, participants)`.
     fn round(&mut self, round: u64) -> Result<(f32, usize)>;
 
-    /// Mean test accuracy over the platforms that can currently serve.
+    /// Test accuracy of the method's current model(s).
     fn evaluate(&mut self) -> Result<f32>;
 
-    /// Runs the configured number of rounds and returns the history.
-    fn run(&mut self) -> Result<TrainingHistory> {
-        let rounds = self.actors().config.rounds;
-        let eval_every = self.actors().config.eval_every;
-        let k = self.actors().platforms.len();
+    /// Runs `config.rounds` rounds under `config.lr`, evaluating every
+    /// `config.eval_every` rounds and after the last round if that one did
+    /// not, and returns the history. Reads no other field of `config`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of [`round`](Self::round) or
+    /// [`evaluate`](Self::evaluate).
+    fn run(&mut self, config: &SplitConfig) -> Result<TrainingHistory> {
+        let (rounds, eval_every) = (config.rounds, config.eval_every);
+        let full = self.full_round();
         let mut records = Vec::with_capacity(rounds);
         for round in 0..rounds {
             let mut round_span = medsplit_telemetry::span_round("round", round as u64);
             let round_start = std::time::Instant::now();
-            let actors = self.actors();
-            let lr = actors.config.lr.lr_at(round);
-            for p in &mut actors.platforms {
-                p.set_lr(lr);
-            }
-            actors.server.set_lr(lr);
+            let lr = config.lr.lr_at(round);
+            self.set_lr(lr);
 
             let (mean_loss, participants) = self.round(round as u64)?;
 
@@ -144,7 +163,7 @@ pub(crate) trait RoundDriver {
                 simulated_time_s: snap.makespan_s,
                 wall_time_s: round_start.elapsed().as_secs_f64(),
                 participants,
-                degraded: participants < k,
+                degraded: participants < full,
                 accuracy,
             });
         }
@@ -159,7 +178,7 @@ pub(crate) trait RoundDriver {
             }
         };
         Ok(TrainingHistory {
-            method: self.actors().method.into(),
+            method: self.method().into(),
             records,
             final_accuracy,
             stats: self.stats().snapshot(),

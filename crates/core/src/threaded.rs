@@ -59,8 +59,16 @@ fn platform_steps<T: Transport>(platform: &mut Platform, round: u64, transport: 
 }
 
 impl<T: Transport> RoundDriver for ThreadedTrainer<'_, T> {
-    fn actors(&mut self) -> &mut Actors {
-        &mut self.actors
+    fn method(&self) -> &'static str {
+        self.actors.method
+    }
+
+    fn full_round(&self) -> usize {
+        self.actors.platforms.len()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.actors.set_lr(lr);
     }
 
     fn stats(&self) -> &NetStats {
@@ -124,8 +132,9 @@ pub fn train_threaded<T: Transport>(
             "threaded mode implements Aggregate scheduling".into(),
         ));
     }
-    let actors = fresh_actors("split_threaded", arch, config, shards, test, transport.stats())?;
-    ThreadedTrainer { actors, transport }.run()
+    let stats = transport.stats();
+    let actors = fresh_actors("split_threaded", arch, config.clone(), shards, test, stats)?;
+    ThreadedTrainer { actors, transport }.run(&config)
 }
 
 #[cfg(test)]

@@ -39,7 +39,12 @@ fn expect_msg<T: Transport>(transport: &T, node: NodeId) -> Result<Envelope> {
 
 /// Checks the shard list and returns every platform's minibatch size
 /// under the configured policy.
-pub(crate) fn batch_sizes(config: &SplitConfig, shards: &[InMemoryDataset]) -> Result<Vec<usize>> {
+///
+/// # Errors
+///
+/// Returns [`SplitError::Config`] for an empty shard list or an empty
+/// shard.
+pub fn batch_sizes(config: &SplitConfig, shards: &[InMemoryDataset]) -> Result<Vec<usize>> {
     if shards.is_empty() {
         return Err(SplitError::Config(
             "at least one platform shard is required".into(),
@@ -97,7 +102,12 @@ pub(crate) fn build_actors(
 
 /// Validates `config` and refuses a transport that has already carried
 /// traffic: what every driver checks before it builds its actors.
-pub(crate) fn check_fresh(config: &SplitConfig, stats: &NetStats) -> Result<()> {
+///
+/// # Errors
+///
+/// Returns [`SplitError::Config`] naming the first invalid field, or
+/// saying the transport was used.
+pub fn check_fresh(config: &SplitConfig, stats: &NetStats) -> Result<()> {
     config.validate().map_err(SplitError::Config)?;
     if stats.snapshot().messages > 0 {
         return Err(SplitError::Config(
@@ -185,7 +195,8 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     ///
     /// Propagates protocol, tensor and transport errors.
     pub fn run(&mut self) -> Result<TrainingHistory> {
-        RoundDriver::run(self)
+        let config = self.actors.config.clone();
+        RoundDriver::run(self, &config)
     }
 
     /// One four-message protocol round; returns the mean platform loss.
@@ -329,8 +340,16 @@ fn sync_l1<T: Transport>(actors: &mut Actors, transport: &T, round: u64) -> Resu
 }
 
 impl<T: Transport> RoundDriver for SplitTrainer<'_, T> {
-    fn actors(&mut self) -> &mut Actors {
-        &mut self.actors
+    fn method(&self) -> &'static str {
+        self.actors.method
+    }
+
+    fn full_round(&self) -> usize {
+        self.actors.platforms.len()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.actors.set_lr(lr);
     }
 
     fn stats(&self) -> &NetStats {

@@ -8,7 +8,7 @@
 //! cargo run --example bandwidth_comparison --release
 //! ```
 
-use medsplit::baselines::{train_fedavg, train_sync_sgd, BaselineConfig, FedAvgOptions, SyncSgdOptions};
+use medsplit::baselines::{train_fedavg, train_sync_sgd, FedAvgOptions, SyncSgdOptions};
 use medsplit::core::{SplitConfig, SplitTrainer, TrainingHistory};
 use medsplit::data::{partition, MinibatchPolicy, Partition, SyntheticImages};
 use medsplit::nn::{Architecture, LrSchedule, VggConfig};
@@ -26,30 +26,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut histories: Vec<TrainingHistory> = Vec::new();
 
+    // Every method runs on this one configuration.
+    let config = SplitConfig {
+        rounds: ROUNDS,
+        eval_every: 30,
+        lr: LrSchedule::Constant(0.05),
+        minibatch,
+        ..SplitConfig::default()
+    };
+
     println!("running split learning ({ROUNDS} rounds)...");
     {
         let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
-        let config = SplitConfig {
-            rounds: ROUNDS,
-            eval_every: 30,
-            lr: LrSchedule::Constant(0.05),
-            minibatch,
-            ..SplitConfig::default()
-        };
-        let mut trainer = SplitTrainer::new(&arch, config, shards.clone(), test.clone(), &transport)?;
+        let mut trainer = SplitTrainer::new(&arch, config.clone(), shards.clone(), test.clone(), &transport)?;
         histories.push(trainer.run()?);
     }
 
     println!("running large-scale synchronous SGD ({ROUNDS} steps)...");
     {
         let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
-        let config = BaselineConfig {
-            rounds: ROUNDS,
-            eval_every: 30,
-            lr: LrSchedule::Constant(0.05),
-            minibatch,
-            ..BaselineConfig::default()
-        };
         histories.push(train_sync_sgd(
             &arch,
             &config,
@@ -63,16 +58,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("running FedAvg ({} rounds x 5 local steps)...", ROUNDS / 5);
     {
         let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
-        let config = BaselineConfig {
+        // Five local steps a round: a fifth of the rounds, evaluated at
+        // the same step counts.
+        let fedavg = SplitConfig {
             rounds: ROUNDS / 5,
             eval_every: 6,
-            lr: LrSchedule::Constant(0.05),
-            minibatch,
-            ..BaselineConfig::default()
+            ..config
         };
         histories.push(train_fedavg(
             &arch,
-            &config,
+            &fedavg,
             FedAvgOptions { local_steps: 5 },
             shards,
             &test,

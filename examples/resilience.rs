@@ -16,7 +16,7 @@
 //! cargo run --example resilience --release
 //! ```
 
-use medsplit::baselines::{train_sync_sgd, BaselineConfig, SyncSgdOptions};
+use medsplit::baselines::{train_sync_sgd, SyncSgdOptions};
 use medsplit::core::{ResilientTrainer, SplitConfig, SplitTrainer};
 use medsplit::data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Part 1: dead + straggling hospitals under sync-SGD -------------
     println!("== Part 1: hospital failures under large-scale synchronous SGD ==");
-    let config = BaselineConfig {
+    let config = SplitConfig {
         rounds: 60,
         eval_every: 0,
         lr: LrSchedule::Constant(0.1),
@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
 
-    // Hospital 1 is down from the first round on.
+    // Hospital 1 is down from the first round on. Sync-SGD never starts a
+    // chaos round itself, so only the crash applied here by
+    // `begin_round(0)` takes effect: it lasts the whole run, and a later
+    // crash or recovery in the plan would never fire.
     let dead_hospital = FaultPlan::new(0).crash(NodeId::Platform(1), 0);
     let star = |plan: FaultPlan| {
         let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(4)), plan);

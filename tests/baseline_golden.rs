@@ -12,10 +12,9 @@
 //! wire bytes or evaluation order moves at least one of them.
 
 use medsplit::baselines::{
-    train_centralized, train_fedavg, train_local_only, train_sync_sgd, BaselineConfig, FedAvgOptions,
-    SyncSgdOptions,
+    train_centralized, train_fedavg, train_local_only, train_sync_sgd, FedAvgOptions, SyncSgdOptions,
 };
-use medsplit::core::{ComputeModel, TrainingHistory};
+use medsplit::core::{ComputeModel, SplitConfig, TrainingHistory};
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
 use medsplit::simnet::{ChaosTransport, FaultPlan, MemoryTransport, NodeId, StarTopology, StatsSnapshot};
@@ -142,8 +141,8 @@ fn data(split: &Partition) -> (Vec<InMemoryDataset>, InMemoryDataset) {
 
 /// Seven rounds under a decaying learning rate, momentum and unequal
 /// minibatches.
-fn config(eval_every: usize, compute: ComputeModel) -> BaselineConfig {
-    BaselineConfig {
+fn config(eval_every: usize, compute: ComputeModel) -> SplitConfig {
+    SplitConfig {
         rounds: ROUNDS,
         eval_every,
         lr: LrSchedule::StepDecay {

@@ -1,6 +1,6 @@
 //! Failure injection and the data-imbalance story, end to end.
 
-use medsplit::baselines::{train_local_only, train_sync_sgd, BaselineConfig, SyncSgdOptions};
+use medsplit::baselines::{train_local_only, train_sync_sgd, SyncSgdOptions};
 use medsplit::core::{SplitConfig, SplitTrainer};
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
@@ -30,7 +30,7 @@ fn sync_sgd_with_backups_survives_dead_and_slow_platforms() {
         .straggler(NodeId::Platform(3), 5.0);
     let transport = ChaosTransport::new(MemoryTransport::new(StarTopology::new(4)), plan);
     transport.begin_round(0);
-    let config = BaselineConfig {
+    let config = SplitConfig {
         rounds: 30,
         eval_every: 0,
         lr: LrSchedule::Constant(0.1),
@@ -135,17 +135,11 @@ fn split_beats_local_only_under_label_skew() {
         minibatch: MinibatchPolicy::Proportional { global: 32 },
         ..SplitConfig::default()
     };
-    let mut trainer = SplitTrainer::new(&arch(), config, shards.clone(), test.clone(), &transport).unwrap();
+    let mut trainer =
+        SplitTrainer::new(&arch(), config.clone(), shards.clone(), test.clone(), &transport).unwrap();
     let split_acc = trainer.run().unwrap().final_accuracy;
 
-    let bconfig = BaselineConfig {
-        rounds: 60,
-        eval_every: 0,
-        lr: LrSchedule::Constant(0.1),
-        minibatch: MinibatchPolicy::Proportional { global: 32 },
-        ..Default::default()
-    };
-    let (local_history, per_platform) = train_local_only(&arch(), &bconfig, &shards, &test).unwrap();
+    let (local_history, per_platform) = train_local_only(&arch(), &config, &shards, &test).unwrap();
 
     // The paper's motivation: local-only models overfit their skewed
     // shards; the split model sees the union through the server.

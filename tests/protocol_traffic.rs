@@ -2,7 +2,7 @@
 //! matches the analytic formulas byte-for-byte, and the privacy
 //! invariants hold.
 
-use medsplit::baselines::{train_fedavg, train_sync_sgd, BaselineConfig, FedAvgOptions, SyncSgdOptions};
+use medsplit::baselines::{train_fedavg, train_sync_sgd, FedAvgOptions, SyncSgdOptions};
 use medsplit::core::{comm, SplitConfig, SplitTrainer};
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
@@ -25,8 +25,8 @@ fn setup() -> (Architecture, Vec<InMemoryDataset>, InMemoryDataset) {
     (arch, shards, test)
 }
 
-fn base_config() -> BaselineConfig {
-    BaselineConfig {
+fn base_config() -> SplitConfig {
+    SplitConfig {
         rounds: ROUNDS,
         eval_every: 0,
         lr: LrSchedule::Constant(0.05),
@@ -39,13 +39,7 @@ fn base_config() -> BaselineConfig {
 fn split_bytes_match_analytic_formula_exactly() {
     let (arch, shards, test) = setup();
     let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
-    let config = SplitConfig {
-        rounds: ROUNDS,
-        eval_every: 0,
-        minibatch: MinibatchPolicy::Fixed(BATCH),
-        ..SplitConfig::default()
-    };
-    let mut trainer = SplitTrainer::new(&arch, config, shards, test, &transport).unwrap();
+    let mut trainer = SplitTrainer::new(&arch, base_config(), shards, test, &transport).unwrap();
     let history = trainer.run().unwrap();
     // L1 output width is 12 (first hidden layer), 3 classes.
     let expected = ROUNDS as u64 * comm::split_round_bytes(&[BATCH; PLATFORMS], &[12], 3);
@@ -91,13 +85,7 @@ fn sync_sgd_bytes_match_analytic_formula_exactly() {
 fn split_uplink_downlink_partition_the_total() {
     let (arch, shards, test) = setup();
     let transport = MemoryTransport::new(StarTopology::new(PLATFORMS));
-    let config = SplitConfig {
-        rounds: ROUNDS,
-        eval_every: 0,
-        minibatch: MinibatchPolicy::Fixed(BATCH),
-        ..SplitConfig::default()
-    };
-    let mut trainer = SplitTrainer::new(&arch, config, shards, test, &transport).unwrap();
+    let mut trainer = SplitTrainer::new(&arch, base_config(), shards, test, &transport).unwrap();
     let history = trainer.run().unwrap();
     let s = &history.stats;
     assert_eq!(s.uplink_bytes + s.downlink_bytes, s.total_bytes);

@@ -3,7 +3,7 @@
 //! trajectory as centralised training of the unsplit model — the cut plus
 //! serialisation round-trips change nothing about the arithmetic.
 
-use medsplit::baselines::{train_centralized, BaselineConfig};
+use medsplit::baselines::train_centralized;
 use medsplit::core::{ComputeModel, Scheduling, SplitConfig, SplitPoint, SplitTrainer};
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, Layer, LrSchedule, MlpConfig, Mode};
@@ -45,29 +45,20 @@ fn single_platform_split_matches_centralized_exactly() {
         compute: ComputeModel::off(),
         ..SplitConfig::default()
     };
-    let mut trainer =
-        SplitTrainer::new(&arch(), config, vec![train.clone()], test.clone(), &transport).unwrap();
-    let split_history = trainer.run().unwrap();
-
-    // Centralised run with the same seed, batch and schedule.
-    let transport2 = MemoryTransport::new(StarTopology::new(1));
-    let bconfig = BaselineConfig {
-        lr: LrSchedule::Constant(0.1),
-        momentum: 0.9,
-        rounds,
-        eval_every: 0,
-        seed,
-        minibatch: MinibatchPolicy::Fixed(batch),
-        compute: ComputeModel::off(),
-    };
-    let central_history = train_centralized(
+    let mut trainer = SplitTrainer::new(
         &arch(),
-        &bconfig,
-        std::slice::from_ref(&train),
-        &test,
-        &transport2,
+        config.clone(),
+        vec![train.clone()],
+        test.clone(),
+        &transport,
     )
     .unwrap();
+    let split_history = trainer.run().unwrap();
+
+    // Centralised run on the same configuration.
+    let transport2 = MemoryTransport::new(StarTopology::new(1));
+    let central_history =
+        train_centralized(&arch(), &config, std::slice::from_ref(&train), &test, &transport2).unwrap();
 
     // Same losses every round (identical arithmetic)...
     for (a, b) in split_history.records.iter().zip(&central_history.records) {

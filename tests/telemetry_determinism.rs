@@ -10,11 +10,13 @@
 //!
 //! `wall_time_s` is excluded (host timing is never deterministic); the
 //! enable flag is process-global, which is why this guard lives in its
-//! own integration-test binary — and why the two other checks that read
-//! the process-wide counter registry (fault counter names against the
-//! drivers' reports, codec-invariant logical bytes under relays) are
-//! called from the same single test.
+//! own integration-test binary — and why the three other checks that read
+//! the process-wide flag, spans or counter registry (fault counter names
+//! against the drivers' reports, codec-invariant logical bytes under
+//! relays, the same guard and one `round` span per round for FedAvg and
+//! sync SGD) are called from the same single test.
 
+use medsplit::baselines::{train_fedavg, train_sync_sgd};
 use medsplit::core::{
     HierPolicy, HierResilientTrainer, ResilienceReport, ResilientTrainer, SplitConfig, SplitTrainer,
     TrainingHistory, WireCodec,
@@ -127,6 +129,51 @@ fn training_is_bit_identical_with_tracing_on_and_off() {
 
     fault_counters_mirror_the_reports();
     logical_bytes_are_codec_invariant_under_relays();
+    baselines_are_bit_identical_and_traced_per_round();
+}
+
+/// The comparator methods run the shared round loop: a traced run equals
+/// an untraced one bit for bit and records one `round` span per round.
+fn baselines_are_bit_identical_and_traced_per_round() {
+    let run = |method: &str| {
+        let (shards, test) = data();
+        let star = MemoryTransport::new(StarTopology::new(PLATFORMS));
+        let history = match method {
+            "fedavg" => train_fedavg(&arch(), &config(), Default::default(), shards, &test, &star),
+            _ => train_sync_sgd(&arch(), &config(), Default::default(), shards, &test, &star),
+        };
+        history.unwrap()
+    };
+    // Everything but host wall time, to the bit.
+    let bits = |h: &TrainingHistory| -> Vec<u64> {
+        let mut v = vec![u64::from(h.final_accuracy.to_bits())];
+        for r in &h.records {
+            let acc = r.accuracy.map_or(0, |a| 1 << 32 | u64::from(a.to_bits()));
+            v.extend([
+                u64::from(r.mean_loss.to_bits()),
+                r.cumulative_bytes,
+                r.simulated_time_s.to_bits(),
+            ]);
+            v.extend([r.participants as u64, u64::from(r.degraded), acc]);
+        }
+        v
+    };
+    for method in ["fedavg", "sync_sgd"] {
+        medsplit::telemetry::set_enabled(true);
+        medsplit::telemetry::drain_spans();
+        let traced = run(method);
+        let spans = medsplit::telemetry::drain_spans();
+        assert_eq!(
+            spans.iter().filter(|s| s.name == "round").count(),
+            ROUNDS,
+            "{method}"
+        );
+        medsplit::telemetry::set_enabled(false);
+        let plain = run(method);
+        assert_eq!(traced.method, method);
+        assert_eq!(bits(&traced), bits(&plain), "{method}");
+        assert_eq!(traced.stats, plain.stats, "{method}");
+    }
 }
 
 /// Logical bytes are what the run would have cost in f32 frames, so over
