@@ -123,28 +123,46 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #                          codec, gated against
 #                          baselines/codec_frontier.json, with logical
 #                          bytes and messages declared codec-invariant.
+#   fig4_ci.lab.toml     — the paper's Fig. 4, VGG x CIFAR-10-like panel
+#                          at seed 42 (split, sync SGD, FedAvg, 400
+#                          rounds; every evaluation a curve.NN metric),
+#                          gated against baselines/fig4_ci.json, which
+#                          tests/paper_claim.rs holds equal to its slice
+#                          of baselines/fig4.json.
+#   table2.lab.toml      — proportional vs equal minibatches on
+#                          Dirichlet(0.3) shards, 3 seeds.
+#   table3.lab.toml      — the seven methods of Table 3 on
+#                          Dirichlet(0.5) shards, 3 seeds.
+#   fig6.lab.toml        — split training over 2-16 platforms, 3 seeds;
+#                          each gated against baselines/<name>.json.
 #
 # `lab ci` additionally executes every manifest twice and fails unless
 # the metrics digests are bit-identical — the determinism witness.
 cargo run -q --release --offline -p medsplit-bench --bin lab -- ci --smoke
 
-echo "==> lab gate negative test (a perturbed baseline must fail)"
+echo "==> lab gate negative tests (a perturbed baseline must fail)"
 # The regression gate is only trustworthy if it actually trips: perturb
-# one byte-count in the committed baseline and assert `lab gate` exits
+# one value of a committed baseline (a byte count of the smoke matrix,
+# one evaluation's bytes on a Fig. 4 curve) and assert `lab gate` exits
 # nonzero against it.
-perturbed="$(mktemp)"
-sed 's/total_bytes": 48880/total_bytes": 48881/' baselines/smoke.json > "$perturbed"
-if cmp -s baselines/smoke.json "$perturbed"; then
-    echo "ci.sh: perturbation was a no-op — update the sed pattern" >&2
-    exit 1
-fi
-if cargo run -q --release --offline -p medsplit-bench --bin lab -- \
-    gate experiments/smoke.lab.toml --baseline "$perturbed" >/dev/null 2>&1; then
-    echo "ci.sh: lab gate passed against a perturbed baseline" >&2
-    exit 1
-fi
-rm -f "$perturbed"
-echo "    perturbed baseline correctly rejected"
+perturbed_gate_fails() { # <manifest name> <sed expression>
+    local perturbed
+    perturbed="$(mktemp)"
+    sed "$2" "baselines/$1.json" > "$perturbed"
+    if cmp -s "baselines/$1.json" "$perturbed"; then
+        echo "ci.sh: perturbing baselines/$1.json was a no-op — update the sed pattern" >&2
+        exit 1
+    fi
+    if cargo run -q --release --offline -p medsplit-bench --bin lab -- \
+        gate "experiments/$1.lab.toml" --baseline "$perturbed" >/dev/null 2>&1; then
+        echo "ci.sh: lab gate passed against a perturbed baselines/$1.json" >&2
+        exit 1
+    fi
+    rm -f "$perturbed"
+    echo "    perturbed baselines/$1.json correctly rejected"
+}
+perturbed_gate_fails smoke 's/total_bytes": 48880/total_bytes": 48881/'
+perturbed_gate_fails fig4_ci 's/curve.00.bytes": 10567680/curve.00.bytes": 10567681/'
 
 echo "==> fleet drain/rejoin acceptance (chaos gate)"
 # The 4-replica crash + rejoin scenario: one replica dies mid-load,

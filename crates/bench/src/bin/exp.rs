@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use medsplit_bench::bins::{names, EXPERIMENTS};
+use medsplit_bench::bins::EXPERIMENTS;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,7 +18,8 @@ fn main() -> ExitCode {
         run(&args[1..]);
         return ExitCode::SUCCESS;
     }
-    eprintln!("usage: exp <experiment> [args]\nexperiments: {}", names());
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("usage: exp <experiment> [args]\nexperiments: {}", names.join(" "));
     if matches!(name, Some("--help" | "-h")) {
         ExitCode::SUCCESS
     } else {

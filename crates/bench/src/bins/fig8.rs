@@ -10,9 +10,11 @@ use crate::workload::ModelKind;
 
 /// Runs the fig8 WAN-bandwidth sweep.
 pub fn run(args: &[String]) {
-    let model = arg_value(args, "--model")
-        .map(|s| ModelKind::parse(&s).unwrap_or_else(|| panic!("unknown model `{s}`")))
-        .unwrap_or(ModelKind::Vgg);
+    let model = match arg_value(args, "--model").as_deref() {
+        None | Some("vgg") => ModelKind::Vgg,
+        Some("resnet") => ModelKind::ResNet,
+        Some(s) => panic!("unknown model `{s}`"),
+    };
     let batch: usize = arg_value(args, "--batch").map_or(32, |v| v.parse().expect("--batch"));
     let mbps = [10.0, 50.0, 100.0, 500.0, 1000.0, 10_000.0];
     let points = fig8_sweep(model, 10, batch, &mbps);

@@ -1,15 +1,13 @@
-//! The experiment implementations behind every table and figure.
+//! The `exp` experiments that are not lab points: the analytic Table 1
+//! and Fig. 8, and the Fig. 5 / Fig. 7 leakage sweeps. Fig. 4, Fig. 6 and
+//! Tables 2–3 are lab method points (see [`crate::labrun`]).
 //!
-//! Each experiment is a library function parameterised by a scale knob, so
+//! Each sweep is a library function parameterised by a scale knob, so
 //! the binaries run the full configuration while the test suite exercises
 //! the identical code path at a tiny scale.
 
-use medsplit_baselines::{
-    train_centralized, train_fedavg, train_local_only, train_sync_sgd, FedAvgOptions, SyncSgdOptions,
-};
 use medsplit_core::{
     comm, ComputeModel, Result, Scheduling, SplitConfig, SplitError, SplitPoint, SplitTrainer,
-    TrainingHistory,
 };
 use medsplit_data::{InMemoryDataset, MinibatchPolicy, Partition};
 use medsplit_nn::{Architecture, Layer, LrSchedule};
@@ -17,9 +15,9 @@ use medsplit_privacy::assess_l1_leakage;
 use medsplit_simnet::{LinkSpec, MemoryTransport, StarTopology};
 
 use crate::report::{human_bytes, TextTable};
-use crate::workload::{tabular_workload, vision_workload, DatasetKind, ModelKind};
+use crate::workload::{vision_workload, DatasetKind, ModelKind};
 
-/// Scale knob shared by the trained experiments.
+/// Scale knob of the Fig. 5 and Fig. 7 sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Training samples (global, before sharding).
@@ -85,94 +83,6 @@ fn split_config(scale: Scale, rounds: usize) -> SplitConfig {
     }
 }
 
-/// FedAvg on `scale`: five local steps a round, so a fifth of the
-/// rounds, evaluated at the same step counts as the other methods (an
-/// `eval_every` of 0 still means only at the end).
-fn fedavg_config(scale: Scale) -> (SplitConfig, FedAvgOptions) {
-    let options = FedAvgOptions { local_steps: 5 };
-    let in_rounds = |steps: usize| (steps / options.local_steps).max(1);
-    let mut config = split_config(scale, in_rounds(scale.rounds));
-    if scale.eval_every > 0 {
-        config.eval_every = in_rounds(scale.eval_every);
-    }
-    (config, options)
-}
-
-// ===================================================================
-// Fig. 4: accuracy vs transmitted data, proposed vs Large-Scale SGD
-// ===================================================================
-
-/// Runs one Fig. 4 panel: the split protocol and large-scale synchronous
-/// SGD (plus FedAvg as an extra reference series) on the same shards,
-/// each over a fresh transport.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn fig4_run(
-    model: ModelKind,
-    dataset: DatasetKind,
-    scale: Scale,
-    seed: u64,
-) -> Result<Vec<TrainingHistory>> {
-    let w = vision_workload(
-        model,
-        dataset,
-        scale.platforms,
-        scale.train_n,
-        scale.test_n,
-        &Partition::Iid,
-        seed,
-    )?;
-    // Every method runs on one configuration, each over a fresh transport.
-    let config = split_config(scale, scale.rounds);
-    let star = || MemoryTransport::new(default_topology(scale.platforms));
-    let (shards, test) = (&w.shards, &w.test);
-    // Proposed split protocol.
-    let split = SplitTrainer::new(&w.arch, config.clone(), shards.clone(), test.clone(), &star())?.run()?;
-    let mut histories = vec![split];
-    // Large-scale synchronous SGD (the paper's comparator).
-    let options = SyncSgdOptions::default();
-    let sync = train_sync_sgd(&w.arch, &config, options, shards.clone(), test, &star())?;
-    // FedAvg reference series.
-    let (fed_config, options) = fedavg_config(scale);
-    let fedavg = train_fedavg(&w.arch, &fed_config, options, shards.clone(), test, &star())?;
-    histories.extend([sync, fedavg]);
-    Ok(histories)
-}
-
-/// Summarises Fig. 4 histories as budget points ("X transmitted @ Y%
-/// accuracy"), quoting the same style of numbers the paper's text does.
-pub fn fig4_table(model: ModelKind, dataset: DatasetKind, histories: &[TrainingHistory]) -> TextTable {
-    let mut table = TextTable::new(
-        format!(
-            "Fig. 4 — {} on {}: communication vs accuracy",
-            model.name(),
-            dataset.name()
-        ),
-        &[
-            "method",
-            "total transmitted",
-            "final accuracy",
-            "bytes@50% acc",
-            "bytes@80% of best",
-        ],
-    );
-    let best: f32 = histories.iter().map(|h| h.final_accuracy).fold(0.0, f32::max);
-    for h in histories {
-        let at50 = h.bytes_to_accuracy(0.5).map_or("—".into(), human_bytes);
-        let at80 = h.bytes_to_accuracy(0.8 * best).map_or("—".into(), human_bytes);
-        table.row(vec![
-            h.method.clone(),
-            human_bytes(h.stats.total_bytes),
-            format!("{:.1}%", h.final_accuracy * 100.0),
-            at50,
-            at80,
-        ]);
-    }
-    table
-}
-
 // ===================================================================
 // Table 1: analytic per-round costs at full (paper-size) scale
 // ===================================================================
@@ -231,63 +141,6 @@ pub fn table1(platforms: usize, batch_per_platform: usize) -> TextTable {
                 format!("s = {crossover}"),
             ]);
         }
-    }
-    table
-}
-
-// ===================================================================
-// Table 2: data-imbalance ablation (proportional vs fixed minibatch)
-// ===================================================================
-
-/// Runs the imbalance ablation: Dirichlet shards (which skews both shard
-/// *sizes* and label mixes — the paper's "amount of data in each platform
-/// is not equal" bias), split training with equal vs proportional
-/// minibatches. Returns `(policy name, history)` pairs.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn table2_run(scale: Scale, alpha: f32, seed: u64) -> Result<Vec<(String, TrainingHistory)>> {
-    let (arch, shards, test) = tabular_workload(
-        scale.platforms,
-        scale.train_n,
-        scale.test_n,
-        &Partition::Dirichlet { alpha },
-        seed,
-    )?;
-    let per_platform = (scale.global_batch / scale.platforms).max(1);
-    let policies = [
-        ("fixed".to_string(), MinibatchPolicy::Fixed(per_platform)),
-        (
-            "proportional".to_string(),
-            MinibatchPolicy::Proportional {
-                global: scale.global_batch,
-            },
-        ),
-    ];
-    let mut out = Vec::new();
-    for (name, policy) in policies {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let mut cfg = split_config(scale, scale.rounds);
-        cfg.minibatch = policy;
-        let mut trainer = SplitTrainer::new(&arch, cfg, shards.clone(), test.clone(), &transport)?;
-        out.push((name, trainer.run()?));
-    }
-    Ok(out)
-}
-
-/// Formats the Table 2 results.
-pub fn table2_table(alpha: f32, results: &[(String, TrainingHistory)]) -> TextTable {
-    let mut table = TextTable::new(
-        format!("Table 2 — imbalance mitigation (Dirichlet alpha = {alpha})"),
-        &["minibatch policy", "final accuracy", "total transmitted"],
-    );
-    for (name, h) in results {
-        table.row(vec![
-            name.clone(),
-            format!("{:.1}%", h.final_accuracy * 100.0),
-            human_bytes(h.stats.total_bytes),
-        ]);
     }
     table
 }
@@ -387,199 +240,6 @@ pub fn fig5_table(points: &[SplitSweepPoint]) -> TextTable {
             format!("{:.3}", p.dcor),
             format!("{:.3}", p.attacker_r2),
             format!("{:.1}%", p.accuracy * 100.0),
-        ]);
-    }
-    table
-}
-
-// ===================================================================
-// Fig. 6: scalability with the number of platforms
-// ===================================================================
-
-/// One row of the scalability sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalePoint {
-    /// Number of platforms.
-    pub platforms: usize,
-    /// Final accuracy.
-    pub accuracy: f32,
-    /// Total bytes.
-    pub total_bytes: u64,
-    /// Simulated makespan in seconds.
-    pub makespan_s: f64,
-}
-
-/// Runs the scalability sweep: the same global dataset and global batch,
-/// sharded over 1..=N platforms.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn fig6_run(scale: Scale, platform_counts: &[usize], seed: u64) -> Result<Vec<ScalePoint>> {
-    let mut out = Vec::new();
-    for &k in platform_counts {
-        let (arch, shards, test) = tabular_workload(k, scale.train_n, scale.test_n, &Partition::Iid, seed)?;
-        let transport = MemoryTransport::new(default_topology(k));
-        let mut cfg = split_config(scale, scale.rounds);
-        cfg.minibatch = MinibatchPolicy::Proportional {
-            global: scale.global_batch,
-        };
-        let mut trainer = SplitTrainer::new(&arch, cfg, shards, test, &transport)?;
-        let history = trainer.run()?;
-        out.push(ScalePoint {
-            platforms: k,
-            accuracy: history.final_accuracy,
-            total_bytes: history.stats.total_bytes,
-            makespan_s: history.stats.makespan_s,
-        });
-    }
-    Ok(out)
-}
-
-/// Formats the Fig. 6 sweep.
-pub fn fig6_table(points: &[ScalePoint]) -> TextTable {
-    let mut table = TextTable::new(
-        "Fig. 6 — scalability with platform count (fixed global batch)",
-        &[
-            "platforms",
-            "final accuracy",
-            "total transmitted",
-            "simulated time",
-        ],
-    );
-    for p in points {
-        table.row(vec![
-            p.platforms.to_string(),
-            format!("{:.1}%", p.accuracy * 100.0),
-            human_bytes(p.total_bytes),
-            format!("{:.1} s", p.makespan_s),
-        ]);
-    }
-    table
-}
-
-// ===================================================================
-// Table 3: the full baseline landscape under non-IID data
-// ===================================================================
-
-/// Runs every method on the same non-IID shards.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn table3_run(scale: Scale, alpha: f32, seed: u64) -> Result<Vec<TrainingHistory>> {
-    let (arch, shards, test) = tabular_workload(
-        scale.platforms,
-        scale.train_n,
-        scale.test_n,
-        &Partition::Dirichlet { alpha },
-        seed,
-    )?;
-    let config = split_config(scale, scale.rounds);
-    let star = || MemoryTransport::new(default_topology(scale.platforms));
-    let split = SplitTrainer::new(&arch, config.clone(), shards.clone(), test.clone(), &star())?.run()?;
-    let mut out = vec![split];
-    {
-        // The L1-synchronisation extension: periodically average the
-        // platforms' L1 replicas (cf. the authors' cyclic-sharing
-        // reference [3]) — closes the non-IID divergence gap of the plain
-        // protocol at a small L1-sized bandwidth cost.
-        let cfg = SplitConfig {
-            l1_sync: medsplit_core::L1Sync::PeriodicAverage { every: 10 },
-            ..config.clone()
-        };
-        let mut h = SplitTrainer::new(&arch, cfg, shards.clone(), test.clone(), &star())?.run()?;
-        h.method = "split+l1avg".into();
-        out.push(h);
-    }
-    // The U-shaped variant (paper ref. [1]): classifier head stays on the
-    // platform, so the server never sees logits either.
-    let transport = star();
-    let ushape =
-        medsplit_core::UShapeTrainer::new(&arch, config.clone(), 1, shards.clone(), test.clone(), &transport);
-    out.push(ushape?.run()?);
-    let options = SyncSgdOptions::default();
-    let sync = train_sync_sgd(&arch, &config, options, shards.clone(), &test, &star())?;
-    let (fed_config, options) = fedavg_config(scale);
-    let fedavg = train_fedavg(&arch, &fed_config, options, shards.clone(), &test, &star())?;
-    out.extend([sync, fedavg]);
-    out.push(train_local_only(&arch, &config, &shards, &test)?.0);
-    out.push(train_centralized(&arch, &config, &shards, &test, &star())?);
-    Ok(out)
-}
-
-/// Formats Table 3.
-pub fn table3_table(alpha: f32, histories: &[TrainingHistory]) -> TextTable {
-    let mut table = TextTable::new(
-        format!("Table 3 — baseline landscape under non-IID shards (Dirichlet alpha = {alpha})"),
-        &[
-            "method",
-            "final accuracy",
-            "total transmitted",
-            "raw data sent",
-            "simulated time",
-        ],
-    );
-    for h in histories {
-        table.row(vec![
-            h.method.clone(),
-            format!("{:.1}%", h.final_accuracy * 100.0),
-            human_bytes(h.stats.total_bytes),
-            human_bytes(h.stats.bytes_of(medsplit_simnet::MessageKind::RawData)),
-            format!("{:.1} s", h.stats.makespan_s),
-        ]);
-    }
-    table
-}
-
-// ===================================================================
-// Table 4: wire-codec ablation (f32 vs f16 payloads)
-// ===================================================================
-
-/// Runs the codec ablation: the split protocol with exact (f32) and
-/// half-precision (f16) payloads on the same VGG workload.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn table4_run(scale: Scale, seed: u64) -> Result<Vec<TrainingHistory>> {
-    let w = vision_workload(
-        ModelKind::Vgg,
-        DatasetKind::C10,
-        scale.platforms,
-        scale.train_n,
-        scale.test_n,
-        &Partition::Iid,
-        seed,
-    )?;
-    let mut out = Vec::new();
-    for (name, codec) in [
-        ("split_f32", medsplit_core::WireCodec::F32),
-        ("split_f16", medsplit_core::WireCodec::F16),
-    ] {
-        let transport = MemoryTransport::new(default_topology(scale.platforms));
-        let mut cfg = split_config(scale, scale.rounds);
-        cfg.codec = codec;
-        let mut trainer = SplitTrainer::new(&w.arch, cfg, w.shards.clone(), w.test.clone(), &transport)?;
-        let mut h = trainer.run()?;
-        h.method = name.into();
-        out.push(h);
-    }
-    Ok(out)
-}
-
-/// Formats Table 4.
-pub fn table4_table(histories: &[TrainingHistory]) -> TextTable {
-    let mut table = TextTable::new(
-        "Table 4 — wire-codec ablation: exact f32 vs half-precision f16 payloads",
-        &["codec", "total transmitted", "final accuracy", "simulated time"],
-    );
-    for h in histories {
-        table.row(vec![
-            h.method.clone(),
-            human_bytes(h.stats.total_bytes),
-            format!("{:.1}%", h.final_accuracy * 100.0),
-            format!("{:.1} s", h.stats.makespan_s),
         ]);
     }
     table
@@ -812,49 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn fig4_quick_runs_and_split_wins_on_bytes() {
-        let scale = Scale {
-            rounds: 6,
-            eval_every: 3,
-            train_n: 80,
-            test_n: 20,
-            platforms: 2,
-            global_batch: 8,
-        };
-        let histories = fig4_run(ModelKind::Vgg, DatasetKind::C10, scale, 0).unwrap();
-        assert_eq!(histories.len(), 3);
-        let split = &histories[0];
-        let sgd = &histories[1];
-        assert_eq!(split.method, "split");
-        assert_eq!(sgd.method, "sync_sgd");
-        // Same number of update steps, far fewer bytes for split.
-        assert!(
-            sgd.stats.total_bytes > 2 * split.stats.total_bytes,
-            "sync-SGD {} vs split {}",
-            sgd.stats.total_bytes,
-            split.stats.total_bytes
-        );
-        let table = fig4_table(ModelKind::Vgg, DatasetKind::C10, &histories);
-        assert_eq!(table.len(), 3);
-    }
-
-    #[test]
-    fn table2_quick_runs() {
-        let scale = Scale {
-            rounds: 10,
-            eval_every: 0,
-            train_n: 120,
-            test_n: 30,
-            platforms: 3,
-            global_batch: 12,
-        };
-        let results = table2_run(scale, 2.0, 0).unwrap();
-        assert_eq!(results.len(), 2);
-        let t = table2_table(2.0, &results);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
     fn fig5_quick_monotone_activation_sizes() {
         let scale = Scale {
             rounds: 4,
@@ -872,86 +489,6 @@ mod tests {
         assert!(points[1].round_bytes < points[0].round_bytes);
         let t = fig5_table(&points);
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn fig6_quick_runs() {
-        let scale = Scale {
-            rounds: 8,
-            eval_every: 0,
-            train_n: 120,
-            test_n: 30,
-            platforms: 0,
-            global_batch: 16,
-        };
-        let points = fig6_run(scale, &[1, 2, 4], 0).unwrap();
-        assert_eq!(points.len(), 3);
-        // More platforms → more per-round messages → more bytes.
-        assert!(points[2].total_bytes > points[0].total_bytes);
-        assert!(!fig6_table(&points).is_empty());
-    }
-
-    #[test]
-    fn table3_quick_runs_all_methods() {
-        let scale = Scale {
-            rounds: 10,
-            eval_every: 0,
-            train_n: 120,
-            test_n: 30,
-            platforms: 3,
-            global_batch: 12,
-        };
-        let histories = table3_run(scale, 0.5, 0).unwrap();
-        let methods: Vec<&str> = histories.iter().map(|h| h.method.as_str()).collect();
-        assert_eq!(
-            methods,
-            vec![
-                "split",
-                "split+l1avg",
-                "split_ushape",
-                "sync_sgd",
-                "fedavg",
-                "local_only",
-                "centralized"
-            ]
-        );
-        // With eval_every = 0, FedAvg evaluates once, after its last round.
-        let fedavg = &histories[4];
-        let evaluated: Vec<usize> = fedavg
-            .records
-            .iter()
-            .filter(|r| r.accuracy.is_some())
-            .map(|r| r.round)
-            .collect();
-        assert_eq!(evaluated, vec![fedavg.records.len() - 1]);
-        // Only centralized ships raw data.
-        for h in &histories {
-            let raw = h.stats.bytes_of(medsplit_simnet::MessageKind::RawData);
-            if h.method == "centralized" {
-                assert!(raw > 0);
-            } else {
-                assert_eq!(raw, 0, "{} leaked raw data", h.method);
-            }
-        }
-        assert_eq!(table3_table(0.5, &histories).len(), 7);
-    }
-
-    #[test]
-    fn table4_quick_shows_byte_halving() {
-        let scale = Scale {
-            rounds: 6,
-            eval_every: 0,
-            train_n: 80,
-            test_n: 20,
-            platforms: 2,
-            global_batch: 8,
-        };
-        let histories = table4_run(scale, 0).unwrap();
-        assert_eq!(histories.len(), 2);
-        let f32b = histories[0].stats.total_bytes;
-        let f16b = histories[1].stats.total_bytes;
-        assert!(f16b < f32b * 3 / 5, "f16 {f16b} vs f32 {f32b}");
-        assert_eq!(table4_table(&histories).len(), 2);
     }
 
     #[test]

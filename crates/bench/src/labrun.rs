@@ -7,6 +7,7 @@
 //! | `bench` | workload |
 //! |---------|----------|
 //! | `split_train` | a [`ResilientTrainer`] run shaped by the point's model / topology / fault / codec / threads / seed axes |
+//! | `split`, `split_l1avg`, `split_ushape`, `split_equal`, `sync_sgd`, `fedavg`, `local_only`, `centralized` | one training method on a [`Workload`] under the paper-figure recipe (see [`METHODS`]) |
 //! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (reports the cross-ISA kernel and plan digests) |
 //! | `trace_smoke` | [`crate::bins::trace_report`] `--smoke` |
 //! | `fleet_smoke` | [`crate::bins::fleet_bench`] `--smoke` |
@@ -26,13 +27,23 @@
 use std::path::Path;
 use std::time::Instant;
 
-use medsplit_core::{HierPolicy, HierResilientTrainer, ResilientTrainer, SplitConfig, WireCodec};
-use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
+use medsplit_baselines::{
+    train_centralized, train_fedavg, train_local_only, train_sync_sgd, FedAvgOptions, SyncSgdOptions,
+};
+use medsplit_core::{
+    ComputeModel, HierPolicy, HierResilientTrainer, L1Sync, ResilientTrainer, SplitConfig, SplitTrainer,
+    TrainingHistory, UShapeTrainer, WireCodec,
+};
+use medsplit_data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit_lab::{BenchRunner, Manifest, MetricValue, PointOutcome, RunPoint};
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit_simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, NodeId, StarTopology};
+use medsplit_simnet::{
+    ChaosTransport, FaultPlan, HierTopology, LinkSpec, MemoryTransport, MessageKind, NodeId, StarTopology,
+};
 use medsplit_telemetry::{MetricSnapshot, Trace};
 use medsplit_tensor::{pool, simd};
+
+use crate::workload::Workload;
 
 /// Executes lab matrix points against the medsplit workloads.
 #[derive(Debug, Default)]
@@ -412,6 +423,159 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
     })
 }
 
+/// The `bench` values that each run one training method on a
+/// [`Workload`]: the paper's Fig. 4, Fig. 6 and Tables 2–3. Every method
+/// shares one recipe: a WAN star, `Proportional { global: 32 }`
+/// minibatches (`split_equal`: an equal share of 32 per platform), lr
+/// 0.05, momentum 0.9, [`ComputeModel::hospital_default`], and an
+/// evaluation every `rounds / 20` rounds (below 20 rounds, only after the
+/// last). FedAvg runs five local steps a round, so a fifth of the rounds,
+/// evaluated at the same step counts.
+/// `split_l1avg` averages the platforms' `L1` every 10 rounds and
+/// `split_ushape` keeps the classifier head on the platforms.
+pub const METHODS: &[&str] = &[
+    "split",
+    "split_l1avg",
+    "split_ushape",
+    "split_equal",
+    "sync_sgd",
+    "fedavg",
+    "local_only",
+    "centralized",
+];
+
+/// The global minibatch of a method point.
+const GLOBAL_BATCH: usize = 32;
+
+/// Evaluations per method run.
+const EVALUATIONS: usize = 20;
+
+/// FedAvg on `config`: five local steps a round, so a fifth of the
+/// rounds, evaluated at the same step counts as the other methods (an
+/// `eval_every` of 0 still means only at the end).
+fn fedavg_config(config: &SplitConfig) -> (SplitConfig, FedAvgOptions) {
+    let options = FedAvgOptions { local_steps: 5 };
+    let in_rounds = |steps: usize| (steps / options.local_steps).max(1);
+    let mut fedavg = SplitConfig {
+        rounds: in_rounds(config.rounds),
+        ..config.clone()
+    };
+    if config.eval_every > 0 {
+        fedavg.eval_every = in_rounds(config.eval_every);
+    }
+    (fedavg, options)
+}
+
+/// Checks a method point's axes: a [`Workload`] model value, a star
+/// topology, no fault and a known codec. Returns the workload, the
+/// platform count and the codec.
+fn parse_method_point(point: &RunPoint) -> Result<(Workload, usize, WireCodec), String> {
+    let workload = Workload::parse(&point.model).ok_or_else(|| {
+        format!(
+            "unknown model {:?} for bench {:?} (expected vgg_c10, vgg_c100, resnet_c10, resnet_c100, \
+             tab_iid, tab_dir03 or tab_dir05)",
+            point.model, point.bench
+        )
+    })?;
+    let TopologyAxis::Star(platforms) = parse_topology(&point.topology)? else {
+        return Err(format!(
+            "bench {:?} runs on a starN topology, not {:?}",
+            point.bench, point.topology
+        ));
+    };
+    if point.fault != "clean" {
+        return Err(format!(
+            "bench {:?} runs fault-free, not {:?}",
+            point.bench, point.fault
+        ));
+    }
+    Ok((workload, platforms, parse_codec(&point.codec)?))
+}
+
+/// Trains `method` (one of [`METHODS`]) over a fresh WAN star.
+fn train_method(
+    method: &str,
+    arch: &Architecture,
+    config: SplitConfig,
+    shards: Vec<InMemoryDataset>,
+    test: InMemoryDataset,
+) -> medsplit_core::Result<TrainingHistory> {
+    let platforms = shards.len();
+    let star = MemoryTransport::new(
+        StarTopology::new(platforms)
+            .with_uplink(LinkSpec::wan())
+            .with_downlink(LinkSpec::wan()),
+    );
+    let split = |config| SplitTrainer::new(arch, config, shards.clone(), test.clone(), &star)?.run();
+    match method {
+        "split" => split(config),
+        "split_l1avg" => split(SplitConfig {
+            l1_sync: L1Sync::PeriodicAverage { every: 10 },
+            ..config
+        }),
+        "split_equal" => split(SplitConfig {
+            minibatch: MinibatchPolicy::Fixed((GLOBAL_BATCH / platforms).max(1)),
+            ..config
+        }),
+        "split_ushape" => UShapeTrainer::new(arch, config, 1, shards, test, &star)?.run(),
+        "sync_sgd" => train_sync_sgd(arch, &config, SyncSgdOptions::default(), shards, &test, &star),
+        "fedavg" => {
+            let (config, options) = fedavg_config(&config);
+            train_fedavg(arch, &config, options, shards, &test, &star)
+        }
+        "local_only" => Ok(train_local_only(arch, &config, &shards, &test)?.0),
+        "centralized" => train_centralized(arch, &config, &shards, &test, &star),
+        other => unreachable!("{other:?} is not in METHODS"),
+    }
+}
+
+/// A method point: [`train_method`] on the point's workload with
+/// `[run] samples` training rows (and a quarter as many test rows).
+/// Reports the totals and every recorded evaluation as
+/// `curve.NN.bytes` / `curve.NN.accuracy`, so a figure's curves are the
+/// baseline itself.
+fn run_method(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome, String> {
+    let (workload, platforms, codec) = parse_method_point(point)?;
+    let (rounds, samples) = (manifest.run.rounds, manifest.run.samples);
+    let (arch, shards, test) = workload
+        .build(platforms, samples, samples / 4, point.seed)
+        .map_err(|e| format!("data: {e}"))?;
+    let config = SplitConfig {
+        minibatch: MinibatchPolicy::Proportional { global: GLOBAL_BATCH },
+        rounds,
+        eval_every: rounds / EVALUATIONS,
+        seed: point.seed,
+        compute: ComputeModel::hospital_default(),
+        codec,
+        ..SplitConfig::default()
+    };
+    let history =
+        train_method(&point.bench, &arch, config, shards, test).map_err(|e| format!("training: {e}"))?;
+    let stats = &history.stats;
+    let mut metrics: Vec<(String, f64)> = vec![
+        ("final_accuracy".into(), f64::from(history.final_accuracy)),
+        ("total_bytes".into(), stats.total_bytes as f64),
+        ("logical_bytes".into(), stats.logical_bytes as f64),
+        ("messages".into(), stats.messages as f64),
+        (
+            "raw_data_bytes".into(),
+            stats.bytes_of(MessageKind::RawData) as f64,
+        ),
+        ("makespan_s".into(), stats.makespan_s),
+    ];
+    for (i, (bytes, accuracy)) in history.curve().into_iter().enumerate() {
+        metrics.push((format!("curve.{i:02}.bytes"), bytes as f64));
+        metrics.push((format!("curve.{i:02}.accuracy"), f64::from(accuracy)));
+    }
+    Ok(PointOutcome {
+        metrics: metrics
+            .into_iter()
+            .map(|(k, v)| (k, MetricValue::Num(v)))
+            .collect(),
+        ..PointOutcome::default()
+    })
+}
+
 impl BenchRunner for MedsplitRunner {
     fn run_point(
         &mut self,
@@ -438,6 +602,7 @@ impl BenchRunner for MedsplitRunner {
         let wall = Instant::now();
         let mut outcome = match point.bench.as_str() {
             "split_train" => run_split_train(point, manifest),
+            bench if METHODS.contains(&bench) => run_method(point, manifest),
             "kernel_smoke" => {
                 let out = crate::bins::kernel_bench::run(&["--smoke".into()]);
                 Ok(PointOutcome {
@@ -502,6 +667,8 @@ impl BenchRunner for MedsplitRunner {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     const STAR4: TopologyAxis = TopologyAxis::Star(4);
@@ -547,10 +714,12 @@ mod tests {
         assert!(parse_fault("drop10++crash_1_2", 1, STAR4).is_err());
     }
 
+    /// Every point of every committed manifest that trains parses under
+    /// its own kind: `split_train` or one of [`METHODS`].
     #[test]
     fn every_committed_split_train_point_parses() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
-        let mut points = 0;
+        let (mut split_train, mut methods) = (0, 0);
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
             if !path.to_string_lossy().ends_with(".lab.toml") {
@@ -558,18 +727,24 @@ mod tests {
             }
             let manifest = Manifest::load(&path).unwrap();
             for point in medsplit_lab::expand(&manifest.axes) {
+                let at = format!("{}: {}", path.display(), point.key());
+                if METHODS.contains(&point.bench.as_str()) {
+                    parse_method_point(&point).unwrap_or_else(|e| panic!("{at}: {e}"));
+                    methods += 1;
+                    continue;
+                }
                 if point.bench != "split_train" {
                     continue;
                 }
-                let at = format!("{}: {}", path.display(), point.key());
                 let topo = parse_topology(&point.topology).unwrap_or_else(|e| panic!("{at}: {e}"));
                 parse_model(&point.model).unwrap_or_else(|e| panic!("{at}: {e}"));
                 parse_fault(&point.fault, point.seed, topo).unwrap_or_else(|e| panic!("{at}: {e}"));
                 parse_codec(&point.codec).unwrap_or_else(|e| panic!("{at}: {e}"));
-                points += 1;
+                split_train += 1;
             }
         }
-        assert!(points > 0, "no split_train points under {}", dir.display());
+        assert!(split_train > 0, "no split_train points under {}", dir.display());
+        assert!(methods > 0, "no method points under {}", dir.display());
     }
 
     #[test]
@@ -668,6 +843,168 @@ mod tests {
                 "serve.latency.sum"
             ]
         );
+    }
+
+    /// Runs every point of a method matrix at `rounds` × `samples` and
+    /// returns each point's numeric metrics, in expansion order.
+    fn run_methods(matrix: &str, rounds: usize, samples: usize) -> Vec<(RunPoint, BTreeMap<String, f64>)> {
+        let text = format!(
+            "schema_version = 1\n[lab]\nname = \"methods\"\n[matrix]\n{matrix}\n[run]\nrounds = {rounds}\nsamples = {samples}\n"
+        );
+        let manifest = Manifest::parse(&text).unwrap();
+        medsplit_lab::expand(&manifest.axes)
+            .into_iter()
+            .map(|point| {
+                let outcome =
+                    run_method(&point, &manifest).unwrap_or_else(|e| panic!("{}: {e}", point.key()));
+                let metrics = outcome
+                    .metrics
+                    .into_iter()
+                    .map(|(name, value)| match value {
+                        MetricValue::Num(v) => (name, v),
+                        MetricValue::Str(s) => panic!("{name} = {s:?} is not a number"),
+                    })
+                    .collect();
+                (point, metrics)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn method_points_refuse_what_they_cannot_run() {
+        let point = |bench: &str, model: &str, topology: &str, fault: &str| RunPoint {
+            bench: bench.into(),
+            model: model.into(),
+            topology: topology.into(),
+            fault: fault.into(),
+            codec: "f32".into(),
+            isa: "auto".into(),
+            threads: 1,
+            seed: 42,
+        };
+        assert!(parse_method_point(&point("split", "vgg_c10", "star4", "clean")).is_ok());
+        assert!(parse_method_point(&point("fedavg", "tab_dir05", "star16", "clean")).is_ok());
+        // split_train's model values, faults and relay hierarchies are
+        // not method points.
+        for (model, topology, fault) in [
+            ("mlp", "star4", "clean"),
+            ("mlp_cut128", "star4", "clean"),
+            ("vgg_c10", "star4", "drop10"),
+            ("tab_iid", "star4", "crash_3_6"),
+            ("tab_iid", "hier2_2", "clean"),
+        ] {
+            let p = point("split", model, topology, fault);
+            assert!(parse_method_point(&p).is_err(), "{}", p.key());
+        }
+        let err = parse_method_point(&point("split", "mlp", "star4", "clean")).unwrap_err();
+        assert!(err.contains("tab_dir05"), "{err}");
+    }
+
+    #[test]
+    fn fig4_quick_runs_and_split_wins_on_bytes() {
+        let runs = run_methods(
+            "bench = [\"split\", \"sync_sgd\", \"fedavg\"]\nmodel = [\"vgg_c10\"]\ntopology = [\"star2\"]",
+            6,
+            80,
+        );
+        let benches: Vec<&str> = runs.iter().map(|(p, _)| p.bench.as_str()).collect();
+        assert_eq!(benches, ["split", "sync_sgd", "fedavg"]);
+        // Same number of update steps, far fewer bytes for split.
+        let (split, sgd) = (runs[0].1["total_bytes"], runs[1].1["total_bytes"]);
+        assert!(sgd > 2.0 * split, "sync-SGD {sgd} vs split {split}");
+    }
+
+    #[test]
+    fn table2_quick_runs() {
+        let runs = run_methods(
+            "bench = [\"split\", \"split_equal\"]\nmodel = [\"tab_dir03\"]\ntopology = [\"star3\"]",
+            10,
+            120,
+        );
+        assert_eq!(runs.len(), 2);
+        for (point, metrics) in &runs {
+            assert!(
+                (0.0..=1.0).contains(&metrics["final_accuracy"]),
+                "{}",
+                point.key()
+            );
+        }
+    }
+
+    #[test]
+    fn fig6_quick_runs() {
+        let runs = run_methods(
+            "bench = [\"split\"]\nmodel = [\"tab_iid\"]\ntopology = [\"star2\", \"star4\", \"star8\"]",
+            8,
+            120,
+        );
+        assert_eq!(runs.len(), 3);
+        // More platforms → more per-round messages → more bytes.
+        assert!(runs[2].1["total_bytes"] > runs[0].1["total_bytes"]);
+    }
+
+    #[test]
+    fn table3_quick_runs_all_methods() {
+        let table3 = [
+            "split",
+            "split_l1avg",
+            "split_ushape",
+            "sync_sgd",
+            "fedavg",
+            "local_only",
+            "centralized",
+        ];
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/table3.lab.toml");
+        assert_eq!(Manifest::load(&committed).unwrap().axes.bench, table3);
+        let runs = run_methods(
+            &format!("bench = {table3:?}\nmodel = [\"tab_dir05\"]\ntopology = [\"star3\"]"),
+            10,
+            120,
+        );
+        let benches: Vec<&str> = runs.iter().map(|(p, _)| p.bench.as_str()).collect();
+        assert_eq!(benches, table3);
+        // With 10 rounds eval_every is 0, and FedAvg evaluates once,
+        // after its last round.
+        let fedavg = &runs[4].1;
+        assert!(fedavg.contains_key("curve.00.accuracy") && !fedavg.contains_key("curve.01.accuracy"));
+        assert_eq!(fedavg["curve.00.bytes"], fedavg["total_bytes"]);
+        // Only centralized ships raw data.
+        for (point, metrics) in &runs {
+            let raw = metrics["raw_data_bytes"];
+            if point.bench == "centralized" {
+                assert!(raw > 0.0);
+            } else {
+                assert_eq!(raw, 0.0, "{} leaked raw data", point.bench);
+            }
+        }
+    }
+
+    #[test]
+    fn table4_quick_shows_byte_halving() {
+        let runs = run_methods(
+            "bench = [\"split\"]\nmodel = [\"vgg_c10\"]\ntopology = [\"star2\"]\ncodec = [\"f32\", \"f16\"]",
+            6,
+            80,
+        );
+        let (f32b, f16b) = (runs[0].1["total_bytes"], runs[1].1["total_bytes"]);
+        assert!(f16b < f32b * 0.6, "f16 {f16b} vs f32 {f32b}");
+    }
+
+    #[test]
+    fn method_points_report_one_curve_point_per_evaluation() {
+        // 100 rounds: an evaluation every 5 (FedAvg: each of its 20
+        // five-step rounds), the last after the last round.
+        let runs = run_methods("bench = [\"split\", \"fedavg\"]\nmodel = [\"tab_iid\"]", 100, 160);
+        for (point, metrics) in &runs {
+            let curve = metrics.keys().filter(|k| k.ends_with(".accuracy")).count();
+            assert_eq!(curve, EVALUATIONS, "{}", point.key());
+            assert_eq!(
+                metrics["curve.19.bytes"],
+                metrics["total_bytes"],
+                "{}",
+                point.key()
+            );
+        }
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //!
 //! | target | regenerates |
 //! |--------|-------------|
-//! | `cargo run -p medsplit-bench --release --bin exp -- fig4` | Fig. 4 panels (accuracy vs transmitted bytes) |
+//! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/fig4.lab.toml` | Fig. 4 panels (accuracy vs transmitted bytes) |
 //! | `cargo run -p medsplit-bench --bin exp -- table1` | analytic full-size per-round costs |
-//! | `cargo run -p medsplit-bench --release --bin exp -- table2` | imbalance-mitigation ablation |
+//! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/table2.lab.toml` | imbalance-mitigation ablation |
 //! | `cargo run -p medsplit-bench --release --bin exp -- fig5` | split-point sweep (bytes vs leakage) |
-//! | `cargo run -p medsplit-bench --release --bin exp -- fig6` | scalability with platform count |
-//! | `cargo run -p medsplit-bench --release --bin exp -- table3` | baseline landscape under non-IID |
+//! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/fig6.lab.toml` | scalability with platform count |
+//! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/table3.lab.toml` | baseline landscape under non-IID |
 //!
-//! Every experiment accepts `--quick` for a smoke-test scale and writes
-//! CSVs under `bench_results/` (override with `MEDSPLIT_RESULTS_DIR`);
-//! `exp --help` lists them all. `exp kernel_bench` is the per-kernel
-//! timing table; end-to-end timing is the separate `benchmark/` package.
+//! The lab points are [`labrun::METHODS`]; their committed baselines
+//! hold every evaluation, and `tests/paper_claim.rs` gates the paper's
+//! claim on `baselines/fig4.json`. Every `exp` experiment accepts
+//! `--quick` for a smoke-test scale and writes CSVs under
+//! `bench_results/` (override with `MEDSPLIT_RESULTS_DIR`); `exp --help`
+//! lists them all. `exp kernel_bench` is the per-kernel timing table;
+//! end-to-end timing is the separate `benchmark/` package.
 //!
 //! The one `exp` binary dispatches on [`bins::EXPERIMENTS`], and every
 //! experiment body is a `run(args)` in [`bins`], so the `lab`

@@ -30,15 +30,6 @@ impl DatasetKind {
             DatasetKind::C100 => "cifar100-like",
         }
     }
-
-    /// Parses `"c10"` / `"c100"`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "c10" | "cifar10" => Some(DatasetKind::C10),
-            "c100" | "cifar100" => Some(DatasetKind::C100),
-            _ => None,
-        }
-    }
 }
 
 /// Which model family a vision workload trains.
@@ -56,15 +47,6 @@ impl ModelKind {
         match self {
             ModelKind::Vgg => "vgg",
             ModelKind::ResNet => "resnet",
-        }
-    }
-
-    /// Parses `"vgg"` / `"resnet"`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "vgg" => Some(ModelKind::Vgg),
-            "resnet" => Some(ModelKind::ResNet),
-            _ => None,
         }
     }
 
@@ -163,18 +145,90 @@ pub fn tabular_workload(
     Ok((arch, shards, test))
 }
 
+/// What a lab method point trains on, named by its `model` value:
+/// architecture × dataset × shards.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Workload {
+    /// A lite vision model on IID image shards: `vgg_c10`, `vgg_c100`,
+    /// `resnet_c10`, `resnet_c100`.
+    Vision(ModelKind, DatasetKind),
+    /// The 16→64→32→4 MLP on tabular shards: `tab_iid`, `tab_dir03`,
+    /// `tab_dir05` (Dirichlet α = 0.3, 0.5).
+    Tabular(Partition),
+}
+
+impl Workload {
+    /// Parses a `model` value.
+    pub fn parse(name: &str) -> Option<Self> {
+        use DatasetKind::{C10, C100};
+        use ModelKind::{ResNet, Vgg};
+        let dirichlet = |alpha| Workload::Tabular(Partition::Dirichlet { alpha });
+        Some(match name {
+            "vgg_c10" => Workload::Vision(Vgg, C10),
+            "vgg_c100" => Workload::Vision(Vgg, C100),
+            "resnet_c10" => Workload::Vision(ResNet, C10),
+            "resnet_c100" => Workload::Vision(ResNet, C100),
+            "tab_iid" => Workload::Tabular(Partition::Iid),
+            "tab_dir03" => dirichlet(0.3),
+            "tab_dir05" => dirichlet(0.5),
+            _ => return None,
+        })
+    }
+
+    /// The architecture, `platforms` training shards of `train_n`
+    /// samples in all, and a test set of `test_n`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates generation/partitioning errors.
+    pub fn build(
+        &self,
+        platforms: usize,
+        train_n: usize,
+        test_n: usize,
+        seed: u64,
+    ) -> Result<(Architecture, Vec<InMemoryDataset>, InMemoryDataset)> {
+        match self {
+            Workload::Vision(model, dataset) => {
+                let w = vision_workload(
+                    *model,
+                    *dataset,
+                    platforms,
+                    train_n,
+                    test_n,
+                    &Partition::Iid,
+                    seed,
+                )?;
+                Ok((w.arch, w.shards, w.test))
+            }
+            Workload::Tabular(how) => tabular_workload(platforms, train_n, test_n, how, seed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn dataset_and_model_parsing() {
-        assert_eq!(DatasetKind::parse("c10"), Some(DatasetKind::C10));
-        assert_eq!(DatasetKind::parse("cifar100"), Some(DatasetKind::C100));
-        assert_eq!(DatasetKind::parse("mnist"), None);
-        assert_eq!(ModelKind::parse("vgg"), Some(ModelKind::Vgg));
-        assert_eq!(ModelKind::parse("resnet"), Some(ModelKind::ResNet));
-        assert_eq!(ModelKind::parse("lstm"), None);
+        use Workload::{Tabular, Vision};
+        assert_eq!(
+            Workload::parse("vgg_c10"),
+            Some(Vision(ModelKind::Vgg, DatasetKind::C10))
+        );
+        assert_eq!(
+            Workload::parse("resnet_c100"),
+            Some(Vision(ModelKind::ResNet, DatasetKind::C100))
+        );
+        assert_eq!(
+            Workload::parse("tab_dir03"),
+            Some(Tabular(Partition::Dirichlet { alpha: 0.3 }))
+        );
+        assert_eq!(Workload::parse("tab_iid"), Some(Tabular(Partition::Iid)));
+        for unknown in ["vgg", "c10", "mnist", "lstm_c10", "mlp"] {
+            assert_eq!(Workload::parse(unknown), None, "{unknown}");
+        }
         assert_eq!(DatasetKind::C100.classes(), 100);
     }
 

@@ -20,8 +20,9 @@
 //! A run id moves when its manifest's content does, and only then:
 //! `bins_smoke`'s moved when it dropped a bench point, and
 //! `fault_sweep` / `relay_fault_sweep` entered with the ids they were
-//! committed with, and `codec_frontier` / `codec_ablation` moved when
-//! they became `split_train` points.
+//! committed with, `codec_frontier` / `codec_ablation` moved when
+//! they became `split_train` points, and the five paper-figure manifests
+//! (`fig4`, `fig4_ci`, `table2`, `table3`, `fig6`) entered with theirs.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -94,6 +95,11 @@ fn run_ids_of_committed_manifests() {
         ("kernels_ab", "156051201bb21b44"),
         ("relay_fault_sweep", "f58a23ff1b80ccc8"),
         ("smoke", "041491745c4a0e99"),
+        ("fig4", "0e2417cf00264b5d"),
+        ("fig4_ci", "79f64025c362a8f8"),
+        ("table2", "676ba2f783ac2e78"),
+        ("table3", "daf373bdf9c3a224"),
+        ("fig6", "a010893f6f239739"),
     ];
     for (file, id) in expected {
         let path = repo_root().join("experiments").join(format!("{file}.lab.toml"));
