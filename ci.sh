@@ -84,7 +84,7 @@ echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
-# cover: 58 `unsafe` occurrences under crates/ (grep -rw unsafe
+# cover: 62 `unsafe` occurrences under crates/ (grep -rw unsafe
 # --include=*.rs), all in crates/tensor.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \

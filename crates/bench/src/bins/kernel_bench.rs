@@ -30,6 +30,15 @@
 //! platform's and the VGG-lite head's shapes, in GFLOP/s over the three
 //! GEMMs. None of these rows is folded into a digest.
 //!
+//! The `encode_i8` rows time the int8 wire encoder (`Tensor::encode`
+//! with `Encoding::Int8`: absmax, quantiser, frame) on a 64×128
+//! activation tensor — the shape `train_hier_int8` quantises eight times
+//! a round — under the portable scalar kernels (`…/scalar`) and the
+//! active ones (`…/avx2` on an AVX2 host), in `ns_per_byte` of f32
+//! input, the unit of the end-to-end benchmark's
+//! `tensor.serialize.encode_ns_per_byte`; their `gflops_vs_scalar` is
+//! the throughput ratio to the scalar row.
+//!
 //! A small-batch *serving sweep* (`dense_serve` / `conv_serve` rows at
 //! batch 1/2/4/8) drives the plan-cache path — layers in `Mode::Eval`
 //! with prepacked weight panels — against the unplanned per-call packing
@@ -77,11 +86,13 @@ use medsplit_tensor::ops::conv::{
 };
 use medsplit_tensor::ops::plan;
 use medsplit_tensor::ops::pool::maxpool2d_forward;
-use medsplit_tensor::{fnv1a, init::rng_from_seed, pool, scratch, simd, ConvPlan, Tensor, FNV_OFFSET};
+use medsplit_tensor::{
+    fnv1a, init::rng_from_seed, pool, scratch, simd, ConvPlan, Encoding, Tensor, FNV_OFFSET,
+};
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
                           speedup_t2_vs_t1,speedup_vs_seed,gflops_vs_scalar,\
-                          scratch_allocs_per_step,repacks_per_step,dispatch_us,ns_per_elem";
+                          scratch_allocs_per_step,repacks_per_step,dispatch_us,ns_per_elem,ns_per_byte";
 
 /// What a `kernel_bench` invocation measured, for the lab runner.
 #[derive(Debug, Clone, Copy)]
@@ -144,6 +155,7 @@ struct Row {
     repacks_per_step: f64,
     dispatch_us: f64,
     ns_per_elem: f64,
+    ns_per_byte: f64,
 }
 
 impl Row {
@@ -164,6 +176,7 @@ impl Row {
             repacks_per_step: f64::NAN,
             dispatch_us: f64::NAN,
             ns_per_elem: f64::NAN,
+            ns_per_byte: f64::NAN,
         }
     }
 }
@@ -478,6 +491,32 @@ fn bench_dense_train(n: usize, input: usize, output: usize, reps: usize, rows: &
     });
 }
 
+/// The int8 wire encoder on an `r×c` tensor of activation-like values,
+/// at the portable scalar reference and at the active ISA, one row each
+/// in `ns_per_byte` of f32 input. A repetition is 64 encodes: one is a
+/// few microseconds, below what a best-of-reps timer resolves.
+fn bench_encode_i8(r: usize, c: usize, reps: usize, rows: &mut Vec<Row>) {
+    const CALLS: usize = 64;
+    let mut rng = rng_from_seed(53);
+    let t = Tensor::rand_uniform([r, c], -2.0, 2.0, &mut rng);
+    let step = || {
+        for _ in 0..CALLS {
+            std::hint::black_box(t.encode(Encoding::Int8));
+        }
+    };
+    pool::set_num_threads(1);
+    let (active_s, _, _) = time_best(reps, step);
+    let scalar_s = scalar_baseline(reps, step);
+    for (isa, best_s) in [("scalar", scalar_s), (simd::active_isa().name(), active_s)] {
+        rows.push(Row {
+            best_ms: best_s * 1e3 / CALLS as f64,
+            gflops_vs_scalar: scalar_s / best_s,
+            ns_per_byte: best_s * 1e9 / (CALLS * 4 * t.numel()) as f64,
+            ..Row::blank("encode_i8", format!("{r}x{c}/{isa}"), 1, reps)
+        });
+    }
+}
+
 /// Small-batch serving sweep: `Dense` and `Conv2d` layers in `Mode::Eval`
 /// at batch 1/2/4/8, driven through their cached plans, against the
 /// unplanned per-call packing path.
@@ -679,7 +718,7 @@ fn to_report(rows: &[Row]) -> ReportWriter {
     for r in rows {
         let m = |v, digits| opt_metric(v, true, digits);
         report.line(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.kernel,
             r.shape,
             r.threads,
@@ -693,7 +732,8 @@ fn to_report(rows: &[Row]) -> ReportWriter {
             m(r.scratch_allocs_per_step, 2),
             m(r.repacks_per_step, 2),
             m(r.dispatch_us, 2),
-            m(r.ns_per_elem, 3)
+            m(r.ns_per_elem, 3),
+            m(r.ns_per_byte, 3)
         ));
     }
     report
@@ -710,7 +750,7 @@ fn to_json(rows: &[Row], isa: &str) -> String {
              \"gflops\": {}, \"speedup_vs_1t\": {}, \"speedup_t2_vs_t1\": {}, \
              \"speedup_vs_seed\": {}, \"gflops_vs_scalar\": {}, \
              \"scratch_allocs_per_step\": {}, \"repacks_per_step\": {}, \"dispatch_us\": {}, \
-             \"ns_per_elem\": {}}}{}",
+             \"ns_per_elem\": {}, \"ns_per_byte\": {}}}{}",
             r.kernel,
             r.shape,
             r.threads,
@@ -724,6 +764,7 @@ fn to_json(rows: &[Row], isa: &str) -> String {
             m(r.repacks_per_step, 1),
             m(r.dispatch_us, 2),
             m(r.ns_per_elem, 3),
+            m(r.ns_per_byte, 3),
             comma
         );
     }
@@ -743,9 +784,9 @@ fn fnv1a_fold(hash: u64, vals: &[f32]) -> u64 {
 
 /// Runs a fixed deterministic workload through every dispatched kernel
 /// family (all three GEMM variants with edge tiles, conv forward, the
-/// ReLU family, the accumulators) at one thread and digests the result
-/// bits. Identical across `MEDSPLIT_ISA` settings by construction; the
-/// lab's invariant gate asserts it.
+/// ReLU family, the accumulators, the int8 wire codec's absmax and
+/// quantiser) at one thread and digests the result bits. Identical
+/// across `MEDSPLIT_ISA` settings; the lab's invariant gate asserts it.
 fn kernel_digest() -> u64 {
     pool::set_num_threads(1);
     let mut rng = rng_from_seed(99);
@@ -774,6 +815,9 @@ fn kernel_digest() -> u64 {
     acc.scale_inplace(-1.25);
     h = fnv1a_fold(h, acc.as_slice());
     h = fnv1a_fold(h, (&x * &g).as_slice());
+    for t in [&conv, &x, &acc] {
+        h = fnv1a(h, &t.encode(Encoding::Int8));
+    }
     h
 }
 
@@ -807,6 +851,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_maxpool(2, 3, 8, reps, &mut rows);
         bench_batchnorm(2, 3, 8, reps, &mut rows);
         bench_dense_train(4, 8, 16, reps, &mut rows);
+        bench_encode_i8(4, 40, reps, &mut rows);
     } else {
         // GEMM shapes: the acceptance shape plus split-model layer shapes
         // (tall-skinny activations x weights) and a wide-N case that
@@ -836,6 +881,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_batchnorm(64, 32, 4, reps, &mut rows);
         bench_dense_train(64, 32, 128, reps, &mut rows);
         bench_dense_train(64, 128, 256, reps, &mut rows);
+        bench_encode_i8(64, 128, reps, &mut rows);
     }
     // Small-batch serving sweep through the plan cache (asserts zero
     // warm-path repacks and bit-identical logits), plus the training
@@ -875,6 +921,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             "repacks/step",
             "dispatch us",
             "ns/elem",
+            "ns/B",
         ],
     );
     for r in &rows {
@@ -903,6 +950,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             cell(r.repacks_per_step, 2, ""),
             cell(r.dispatch_us, 2, ""),
             cell(r.ns_per_elem, 3, ""),
+            cell(r.ns_per_byte, 3, ""),
         ]);
     }
     println!("{table}");

@@ -24,6 +24,7 @@ use bytes::{Buf, BufMut, Bytes};
 use crate::error::{Result, TensorError};
 use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
 use crate::shape::Shape;
+use crate::simd;
 use crate::tensor::Tensor;
 
 const MAGIC: u32 = 0x4D54_534E;
@@ -95,37 +96,6 @@ pub fn serialized_len_i8(shape: &Shape) -> usize {
     encoded_len(shape, Encoding::Int8)
 }
 
-/// Quantises one value against a positive per-tensor scale: round half
-/// away from zero, saturating to the symmetric range ±127; NaN gives 0.
-///
-/// The ratio is formed in f64 so the rounding decision depends only on
-/// the IEEE-exact quotient, never on an intermediate f32 rounding —
-/// quantisation is therefore bit-deterministic across ISAs and hosts.
-/// Rounding is truncation plus a comparison of the exactly representable
-/// remainder with one half, so there is no branch and no libm call.
-fn quantize_i8(v: f32, scale: f32) -> i8 {
-    let q = f64::from(v) / f64::from(scale);
-    let mag = q.abs();
-    // A comparison, not `f64::min`, so that NaN stays NaN (and casts to 0).
-    let mag = if mag > 127.0 { 127.0 } else { mag };
-    let whole = mag as i32;
-    let rounded = whole + i32::from(mag - f64::from(whole) >= 0.5);
-    (if q < 0.0 { -rounded } else { rounded }) as i8
-}
-
-/// Largest finite-or-infinite `|v|` of the slice, NaNs ignored (a stray
-/// NaN cannot poison the scale of the whole tensor). Non-negative floats
-/// order like their bit patterns, so this is an integer max.
-fn absmax(data: &[f32]) -> f32 {
-    const INF: u32 = 0x7F80_0000;
-    let bits = data
-        .iter()
-        .map(|v| v.to_bits() & 0x7FFF_FFFF)
-        .map(|b| if b > INF { 0 } else { b })
-        .max();
-    f32::from_bits(bits.unwrap_or(0))
-}
-
 /// Appends one frame — header, then `data` in a single pass — to `out`.
 fn write_frame(out: &mut Vec<u8>, enc: Encoding, dims: impl Iterator<Item = usize> + Clone, data: &[f32]) {
     let rank = dims.clone().count();
@@ -137,7 +107,7 @@ fn write_frame(out: &mut Vec<u8>, enc: Encoding, dims: impl Iterator<Item = usiz
     }
     let mut scale = 0.0;
     if enc == Encoding::Int8 {
-        let absmax = absmax(data);
+        let absmax = simd::absmax(data);
         if absmax > 0.0 {
             scale = absmax / 127.0;
         }
@@ -160,11 +130,7 @@ fn write_frame(out: &mut Vec<u8>, enc: Encoding, dims: impl Iterator<Item = usiz
         // A scale of 0 (all-zero tensor, or absmax/127 underflowed)
         // leaves the zero fill.
         Encoding::Int8 if scale == 0.0 => {}
-        Encoding::Int8 => {
-            for (dst, &v) in body.iter_mut().zip(data) {
-                *dst = quantize_i8(v, scale) as u8;
-            }
-        }
+        Encoding::Int8 => simd::quantize_i8(data, scale, body),
     }
 }
 

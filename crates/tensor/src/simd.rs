@@ -20,7 +20,15 @@
 //!   `vfmadd`/`fmla` lanes on AVX2/NEON, [`f32::mul_add`] (exactly
 //!   rounded by IEEE 754 definition) in the portable kernel;
 //! - the elementwise kernels use the identical unfused expression per
-//!   lane (`a + b`, `y += alpha * x`, compare-and-select ReLU).
+//!   lane (`a + b`, `y += alpha * x`, compare-and-select ReLU);
+//! - the int8 wire codec's `absmax` is an integer max, exact in any
+//!   order; its quantiser is the one exception to "same operations": the
+//!   AVX2 body replaces the reference's f64 division with an f32
+//!   reciprocal plus two exact fused sign tests, and is equal to the
+//!   reference by the argument on `avx2::quantize_i8` (and by test).
+//!
+//! The elementwise and int8 kernels have AVX2 bodies only; `aarch64`
+//! runs their portable code.
 //!
 //! `MEDSPLIT_ISA=scalar` therefore reproduces the SIMD results **to the
 //! bit** (pinned by `tests/parallel_kernels.rs` and a CI digest A/B),
@@ -343,9 +351,80 @@ pub(crate) fn leaky_relu_grad(alpha: f32, x: &[f32], g: &[f32], out: &mut [f32])
     }
 }
 
+/// Bit pattern of `+inf`: sign-cleared patterns above it are NaNs.
+const INF_BITS: u32 = 0x7F80_0000;
+
+/// Largest finite-or-infinite `|v|` of the slice, NaNs ignored (a stray
+/// NaN cannot poison the scale of a whole int8 frame); `+0.0` for an
+/// empty or all-NaN slice. Non-negative floats order like their bit
+/// patterns, so this is an integer max — exact, hence equal on every ISA.
+pub(crate) fn absmax(src: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if active_isa() == Isa::Avx2 {
+        // SAFETY: detection guarantees AVX2 is available.
+        return f32::from_bits(unsafe { avx2::absmax_bits(src) });
+    }
+    f32::from_bits(absmax_bits_portable(src))
+}
+
+fn absmax_bits_portable(src: &[f32]) -> u32 {
+    src.iter()
+        .map(|v| v.to_bits() & 0x7FFF_FFFF)
+        .map(|b| if b > INF_BITS { 0 } else { b })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Scales the vector quantiser accepts: both `scale` and `1/scale` are
+/// normal floats with two binades to spare, so the reciprocal keeps full
+/// precision and the correction residues cannot underflow to zero (see
+/// `avx2::quantize_i8`). Outside it — and for NaN or infinite scales —
+/// every ISA runs the per-element reference.
+const VECTOR_SCALES: std::ops::RangeInclusive<f32> =
+    f32::MIN_POSITIVE * 4.0..=1.0 / (f32::MIN_POSITIVE * 4.0);
+
+/// `dst[i] = quantize_one(src[i], scale)` as a byte: the int8 wire
+/// codec's quantiser against a positive per-tensor scale.
+pub(crate) fn quantize_i8(src: &[f32], scale: f32, dst: &mut [u8]) {
+    debug_assert_eq!(src.len(), dst.len());
+    #[cfg(target_arch = "x86_64")]
+    if active_isa() == Isa::Avx2 && VECTOR_SCALES.contains(&scale) {
+        // SAFETY: detection guarantees AVX2 and FMA are available.
+        unsafe { avx2::quantize_i8(src, scale, dst) };
+        return;
+    }
+    quantize_i8_portable(src, scale, dst);
+}
+
+fn quantize_i8_portable(src: &[f32], scale: f32, dst: &mut [u8]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = quantize_one(v, scale) as u8;
+    }
+}
+
+/// Quantises one value against a positive scale: round half away from
+/// zero, saturating to the symmetric range ±127; NaN gives 0.
+///
+/// The ratio is formed in f64 so the rounding decision depends only on
+/// the IEEE-exact quotient, never on an intermediate f32 rounding —
+/// quantisation is therefore bit-deterministic across ISAs and hosts.
+/// Rounding is truncation plus a comparison of the exactly representable
+/// remainder with one half, so there is no branch and no libm call.
+fn quantize_one(v: f32, scale: f32) -> i8 {
+    let q = f64::from(v) / f64::from(scale);
+    let mag = q.abs();
+    // A comparison, not `f64::min`, so that NaN stays NaN (and casts to 0).
+    let mag = if mag > 127.0 { 127.0 } else { mag };
+    let whole = mag as i32;
+    let rounded = whole + i32::from(mag - f64::from(whole) >= 0.5);
+    (if q < 0.0 { -rounded } else { rounded }) as i8
+}
+
 /// AVX2 elementwise kernels. Each mirrors its portable counterpart
 /// lane-for-lane: identical operations, identical rounding, so results
 /// are bit-identical — the vector just advances 8 elements at a time.
+/// The int8 quantiser is the exception: different operations, proved to
+/// give the same bytes (see `quantize_i8`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::BinOp;
@@ -491,6 +570,92 @@ mod avx2 {
             *o = if xv > 0.0 { gv } else { alpha * gv };
         }
     }
+
+    /// The bits of `super::absmax`: four 8-lane running maxima of the
+    /// sign-cleared patterns (NaN lanes zeroed), reduced at the end.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn absmax_bits(src: &[f32]) -> u32 {
+        const STEP: usize = 4 * LANES;
+        let n = src.len();
+        let magnitude = _mm256_set1_epi32(0x7FFF_FFFF);
+        let inf = _mm256_set1_epi32(super::INF_BITS as i32);
+        let lane = |i: usize| {
+            let b = _mm256_and_si256(_mm256_loadu_si256(src.as_ptr().add(i).cast()), magnitude);
+            // Patterns are non-negative here, so a signed compare orders them.
+            _mm256_andnot_si256(_mm256_cmpgt_epi32(b, inf), b)
+        };
+        let mut acc = [_mm256_setzero_si256(); 4];
+        let mut i = 0;
+        while i + STEP <= n {
+            for (k, m) in acc.iter_mut().enumerate() {
+                *m = _mm256_max_epi32(*m, lane(i + k * LANES));
+            }
+            i += STEP;
+        }
+        let m = _mm256_max_epi32(_mm256_max_epi32(acc[0], acc[1]), _mm256_max_epi32(acc[2], acc[3]));
+        let m = _mm_max_epi32(_mm256_castsi256_si128(m), _mm256_extracti128_si256::<1>(m));
+        let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b01_00_11_10>(m));
+        let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b10_11_00_01>(m));
+        (_mm_cvtsi128_si32(m) as u32).max(super::absmax_bits_portable(&src[i..]))
+    }
+
+    /// The int8 quantiser, 32 values per step, bit for bit what
+    /// `super::quantize_one` gives for a scale in `super::VECTOR_SCALES`.
+    ///
+    /// Per lane, with `a = |v|` (NaN → 0) and `x = a / scale` the exact
+    /// real quotient:
+    /// 1. candidate `c = trunc(min(fma(a, 1/scale, ½), 128))`. The
+    ///    reciprocal and the fma each round once, so `c` is within one of
+    ///    `floor(x + ½)` whenever that is below 128;
+    /// 2. correction: `c += 1` if `fma(c + ½, scale, −a) ≤ 0`, `c −= 1` if
+    ///    `fma(c − ½, scale, −a) > 0`. Each residue is a multiple of
+    ///    2^-149 because `scale ≥ 2^-124`, so round-to-nearest keeps the
+    ///    sign of a nonzero residue and never yields a false zero: the
+    ///    tests decide `x ≥ c + ½` and `x < c − ½` exactly, and `c` lands
+    ///    on round-half-away of `x`;
+    /// 3. clamp at 127, reapply the sign of `v`, narrow to bytes.
+    ///
+    /// The f64 reference decides the same: a quotient of two f32s that
+    /// is not a half-integer lies at least 2^-26 from one, further than
+    /// the f64 division's rounding error at magnitudes ≤ 128.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn quantize_i8(src: &[f32], scale: f32, dst: &mut [u8]) {
+        const STEP: usize = 4 * LANES;
+        // Both bounds: the stores below must stay inside `dst`.
+        let n = src.len().min(dst.len());
+        let s = _mm256_set1_ps(scale);
+        let r = _mm256_set1_ps(1.0 / scale);
+        let half = _mm256_set1_ps(0.5);
+        let one = _mm256_set1_ps(1.0);
+        let cap = _mm256_set1_ps(128.0);
+        let top = _mm256_set1_ps(127.0);
+        let zero = _mm256_setzero_ps();
+        let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
+        let lane = |i: usize| {
+            let v = _mm256_loadu_ps(src.as_ptr().add(i));
+            let a = _mm256_and_ps(_mm256_and_ps(v, magnitude), _mm256_cmp_ps::<_CMP_ORD_Q>(v, v));
+            let c = _mm256_min_ps(_mm256_fmadd_ps(a, r, half), cap);
+            let c = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(c);
+            let up = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_fmsub_ps(_mm256_add_ps(c, half), s, a), zero);
+            let down = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_fmsub_ps(_mm256_sub_ps(c, half), s, a), zero);
+            let c = _mm256_sub_ps(_mm256_add_ps(c, _mm256_and_ps(up, one)), _mm256_and_ps(down, one));
+            let q = _mm256_cvttps_epi32(_mm256_min_ps(c, top));
+            // Negates lanes whose sign bit is set (NaN lanes are 0 already).
+            _mm256_sign_epi32(q, _mm256_castps_si256(v))
+        };
+        // packs interleaves 128-bit halves; this puts the 32 bytes back in
+        // source order.
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let mut i = 0;
+        while i + STEP <= n {
+            let lo = _mm256_packs_epi32(lane(i), lane(i + LANES));
+            let hi = _mm256_packs_epi32(lane(i + 2 * LANES), lane(i + 3 * LANES));
+            let bytes = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
+            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), bytes);
+            i += STEP;
+        }
+        super::quantize_i8_portable(&src[i..], scale, &mut dst[i..]);
+    }
 }
 
 #[cfg(test)]
@@ -597,6 +762,43 @@ mod tests {
             parts.extend_from_slice(&out);
             parts
         });
+    }
+
+    #[test]
+    fn quantiser_bit_identical_across_isas_and_to_the_reference() {
+        // Scales m·2^e with a small odd m make every (k+½)·scale exact, so
+        // values sit on the rounding boundary whichever way 1/scale
+        // rounds; ±1–2 ulp neighbours, values past ±127·scale (the clamp),
+        // ±inf, NaN and ±0 ride along. 77 values: vector body plus tail.
+        for e in [-124, -60, -7, 0, 3, 40, 100, 124] {
+            for m in (1..=255).step_by(2) {
+                let scale = m as f32 * 2.0f32.powi(e);
+                let mut x: Vec<f32> = (-40..=40)
+                    .flat_map(|k| {
+                        let on = (k as f32 * 3.25 + 0.5) * scale;
+                        (-2i32..=2).map(move |d| f32::from_bits((on.to_bits() as i32 + d) as u32))
+                    })
+                    .collect();
+                x.truncate(77);
+                x[..7].copy_from_slice(&[
+                    f32::NAN,
+                    -0.0,
+                    0.0,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    200.0 * scale,
+                    -128.0 * scale,
+                ]);
+                let want: Vec<u8> = x.iter().map(|&v| quantize_one(v, scale) as u8).collect();
+                let _g = ISA_LOCK.lock().unwrap();
+                for isa in [Isa::Scalar, detect()] {
+                    assert!(set_isa(isa));
+                    let mut got = vec![0xA5; x.len()];
+                    quantize_i8(&x, scale, &mut got);
+                    assert_eq!(got, want, "{} at scale {m}·2^{e}", isa.name());
+                }
+            }
+        }
     }
 
     #[test]

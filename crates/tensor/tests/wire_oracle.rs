@@ -5,9 +5,11 @@
 //! one `put_*` / `get_*` call per element and the f64 `round` quantiser.
 //! It lives only here, as the reference.
 
+use std::sync::Mutex;
+
 use bytes::{Buf, BufMut};
 use medsplit_tensor::half::{f16_bits_to_f32, f32_to_f16_bits};
-use medsplit_tensor::{encoded_len, Encoding, Tensor, TensorError};
+use medsplit_tensor::{encoded_len, simd, Encoding, Tensor, TensorError};
 use proptest::prelude::*;
 
 const ENCODINGS: [Encoding; 3] = [Encoding::F32, Encoding::F16, Encoding::Int8];
@@ -134,7 +136,80 @@ fn any_bits_tensor() -> impl Strategy<Value = Tensor> {
     })
 }
 
+/// Serialises the tests that switch the process-global ISA. The other
+/// tests here run at whichever ISA is active, which is also correct.
+static ISA_LOCK: Mutex<()> = Mutex::new(());
+
+/// The int8 frame of `t` equals the oracle's under the portable scalar
+/// kernels and under the detected ISA; detection is restored afterwards.
+fn check_int8_at_each_isa(t: &Tensor) {
+    let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let want = oracle::encode(t, Encoding::Int8);
+    for isa in [simd::Isa::Scalar, simd::detect()] {
+        assert!(simd::set_isa(isa));
+        let got = t.encode(Encoding::Int8);
+        assert_eq!(
+            &got[..],
+            &want[..],
+            "int8 encode under {} of {:?}",
+            isa.name(),
+            t.as_slice()
+        );
+    }
+}
+
+/// Any positive absmax: uniform over the bit patterns (every exponent
+/// equally likely); `127·m·2^e` with a small odd `m`, so the scale is
+/// exactly `m·2^e` and every `(k+½)·scale` is representable — a value
+/// exactly on the rounding boundary, wherever the reciprocal rounds; the
+/// ranges the vector quantiser treats apart — subnormal, the edges of
+/// its scale window (scale 2^-124 and 2^124), near overflow — and an
+/// infinite absmax.
+fn any_absmax() -> impl Strategy<Value = f32> {
+    (0usize..7, 0u32..=u32::MAX, -64i32..=64).prop_map(|(range, raw, d)| {
+        let near = |centre: f32| f32::from_bits((centre.to_bits() as i32 + d) as u32);
+        match range {
+            0 => f32::from_bits(1 + raw % 0x7F7F_FFFF),
+            1 => {
+                let m = f64::from(1 + 2 * (raw % 128));
+                let e = (raw >> 7) % 250;
+                (127.0 * m * 2.0f64.powi(e as i32 - 140)) as f32
+            }
+            2 => f32::from_bits(1 + raw % 0x007F_FFFF),
+            3 => near(127.0 * 2.0f32.powi(-124)),
+            4 => near(127.0 * 2.0f32.powi(124)),
+            5 => f32::from_bits(0x7F00_0000 + raw % 0x0080_0000),
+            _ => f32::INFINITY,
+        }
+    })
+}
+
 proptest! {
+    #[test]
+    fn quantiser_matches_the_oracle_on_half_steps_at_every_scale_and_isa(
+        absmax in any_absmax(),
+        steps in prop::collection::vec((-128i32..=127, -2i32..=2), 0..90),
+        specials in prop::collection::vec((0usize..6, 0usize..100), 0..6),
+    ) {
+        // Values at (k+½)·scale, nudged by up to two ulps; the scale is the
+        // one the encoder derives, so each value sits on or next to a
+        // rounding boundary. ±absmax lanes are ±inf when absmax is.
+        let scale = absmax / 127.0;
+        let mut data = vec![absmax];
+        for (k, nudge) in steps {
+            let on = (k as f32 + 0.5) * scale;
+            let v = f32::from_bits((on.to_bits() as i32 + nudge) as u32);
+            data.push(if v.abs() > absmax { absmax.copysign(v) } else { v });
+        }
+        for (which, at) in specials {
+            let v = [f32::NAN, -f32::NAN, 0.0, -0.0, absmax, -absmax][which];
+            let at = at % data.len();
+            data.insert(at, v);
+        }
+        let n = data.len();
+        check_int8_at_each_isa(&Tensor::from_vec(data, [n]).unwrap());
+    }
+
     #[test]
     fn codecs_match_the_oracle_on_any_bit_pattern(t in any_bits_tensor()) {
         check_against_oracle(&t);

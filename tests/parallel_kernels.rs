@@ -20,12 +20,15 @@
 
 use std::sync::Mutex;
 
-use medsplit::core::{ComputeModel, Scheduling, SplitConfig, SplitPoint, SplitTrainer};
-use medsplit::data::{InMemoryDataset, MinibatchPolicy, SyntheticTabular};
+use medsplit::core::{
+    ComputeModel, HierPolicy, HierResilientTrainer, Scheduling, SplitConfig, SplitPoint, SplitTrainer,
+    TrainingHistory, WireCodec,
+};
+use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit::simnet::{MemoryTransport, StarTopology};
+use medsplit::simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, StarTopology};
 use medsplit_tensor::ops::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
-use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, Tensor};
+use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, Encoding, Tensor};
 use proptest::prelude::*;
 
 /// Serialises every test that changes the global pool size or ISA.
@@ -259,7 +262,9 @@ fn split_training_round_deterministic_across_thread_counts() {
 
 /// `MEDSPLIT_ISA=scalar` and auto-dispatch produce bit-identical outputs
 /// for the whole kernel family: all three GEMM variants (with edge
-/// tiles), conv forward/backward, and the dispatched elementwise ops.
+/// tiles), conv forward/backward, the dispatched elementwise ops, and the
+/// int8 wire codec's absmax and quantiser (frames below, at and past the
+/// vector width).
 #[test]
 fn kernels_bit_identical_across_isas() {
     let mut rng = rng_from_seed(1234);
@@ -273,6 +278,23 @@ fn kernels_bit_identical_across_isas() {
     let spec = Conv2dSpec::square(3, 1, 1);
     let x = Tensor::rand_uniform([777], -2.0, 2.0, &mut rng);
     let g = Tensor::rand_uniform([777], -1.0, 1.0, &mut rng);
+    let mut wire = Tensor::rand_uniform([777], -3.0, 3.0, &mut rng);
+    for (i, v) in [f32::NAN, -0.0, 0.0, -f32::NAN, 1e-42].into_iter().enumerate() {
+        wire.as_mut_slice()[i * 97 + 3] = v;
+    }
+
+    let (scalar_frames, native_frames) = with_isas(|| {
+        let mut frames = Vec::new();
+        for len in [0, 1, 15, 16, 17, 31, 32, 33, 777] {
+            let head = Tensor::from_vec(wire.as_slice()[..len].to_vec(), [len]).unwrap();
+            frames.push(head.encode(Encoding::Int8));
+            frames.push(wire.encode_rows(777 - len..777, Encoding::Int8).unwrap());
+        }
+        frames
+    });
+    for (i, (s, v)) in scalar_frames.iter().zip(&native_frames).enumerate() {
+        assert_eq!(s, v, "int8 frame #{i} diverged between scalar and native ISA");
+    }
 
     let (scalar, native) = with_isas(|| {
         let conv = conv2d_forward(&input, &weight, None, spec).unwrap();
@@ -313,6 +335,76 @@ fn split_training_bit_identical_across_isas() {
     assert_eq!(
         scalar, native,
         "split training diverged between scalar and native ISA"
+    );
+}
+
+/// Every simulated quantity of a history, as bits (wall time excluded).
+fn history_bits(h: &TrainingHistory) -> Vec<u64> {
+    let mut bits = vec![
+        u64::from(h.final_accuracy.to_bits()),
+        h.stats.total_bytes,
+        h.stats.logical_bytes,
+        h.stats.messages,
+        h.stats.makespan_s.to_bits(),
+    ];
+    for r in &h.records {
+        bits.extend([
+            r.round as u64,
+            u64::from(r.lr.to_bits()),
+            u64::from(r.mean_loss.to_bits()),
+            r.cumulative_bytes,
+            r.simulated_time_s.to_bits(),
+            r.participants as u64,
+            u64::from(r.degraded),
+            r.accuracy.map_or(u64::MAX, |a| u64::from(a.to_bits())),
+        ]);
+    }
+    bits
+}
+
+/// A 2×2 relay hierarchy under the int8 codec: every activation and
+/// cut-gradient frame goes through the dispatched absmax and quantiser,
+/// so the history and each platform's `L1` weights are a bit-level
+/// fingerprint of both.
+fn run_hier_int8() -> (Vec<u64>, Vec<Vec<u32>>) {
+    let topo = HierTopology::new(2, 2);
+    let train = SyntheticTabular::new(3, 8, 0).generate(160).unwrap();
+    let test = SyntheticTabular::new(3, 8, 1).generate(40).unwrap();
+    let shards = partition(&train, topo.platforms(), &Partition::Iid, 1).unwrap();
+    let arch = Architecture::Mlp(MlpConfig {
+        input_dim: 8,
+        hidden: vec![16],
+        num_classes: 3,
+    });
+    let config = SplitConfig {
+        rounds: 4,
+        eval_every: 2,
+        lr: LrSchedule::Constant(0.1),
+        minibatch: MinibatchPolicy::Fixed(10),
+        codec: WireCodec::Int8,
+        ..SplitConfig::default()
+    };
+    let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), FaultPlan::new(5));
+    let mut trainer =
+        HierResilientTrainer::new(&arch, config, HierPolicy::default(), topo, shards, test, &chaos).unwrap();
+    let history = trainer.run().unwrap();
+    let l1 = trainer
+        .platforms_mut()
+        .iter_mut()
+        .map(|p| p.l1_parameters().as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (history_bits(&history), l1)
+}
+
+/// The int8-codec hierarchy is bit-identical between `MEDSPLIT_ISA=scalar`
+/// and auto-dispatch.
+#[test]
+fn hier_int8_training_bit_identical_across_isas() {
+    let (scalar, native) = with_isas(run_hier_int8);
+    assert_eq!(scalar.0, native.0, "int8 hierarchy history diverged between ISAs");
+    assert_eq!(
+        scalar.1, native.1,
+        "int8 hierarchy L1 weights diverged between ISAs"
     );
 }
 
