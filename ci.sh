@@ -111,14 +111,17 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #   smoke.lab.toml       — the split-training matrix (fault × codec ×
 #                          threads) gated against baselines/smoke.json,
 #                          with thread-invariance declared on accuracy,
-#                          bytes, messages, and makespan.
+#                          bytes (total, uplink, downlink), messages,
+#                          makespan, retries, checksum rejections and
+#                          degraded rounds.
 #   bins_smoke.lab.toml  — trace_report / fleet_bench smokes (each still
 #                          runs its own in-process asserts) pinned against
 #                          baselines/bins_smoke.json.
 #   hierarchy_chaos.lab.toml — relay-hierarchy training under relay
 #                          crashes and region partitions, gated against
 #                          baselines/hierarchy_chaos.json with the
-#                          failover counters declared thread-invariant.
+#                          byte, message, fault and failover counters
+#                          declared thread-invariant.
 #   codec_frontier.lab.toml — wide-cut split training once per wire
 #                          codec, gated against
 #                          baselines/codec_frontier.json, with logical

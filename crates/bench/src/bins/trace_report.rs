@@ -4,7 +4,8 @@
 //! Outputs:
 //!   - an aggregate span table (calls, total, self time per span name),
 //!   - a per-round protocol-phase breakdown whose shares sum to ~100% of
-//!     each round's wall time (the unattributed remainder is `other`),
+//!     each round's wall time (the unattributed remainder is `other`;
+//!     a phase's platform steps that overlapped count once),
 //!   - a per-kernel attribution (gemm/conv time, resolved to rounds via
 //!     span parent links), and next to it how the worker pool treated
 //!     those kernels: fanned out, run inline because small or because the
@@ -77,11 +78,13 @@ struct RoundBreakdown {
 }
 
 /// Per-round wall time split by protocol phase. Only spans named `round`
-/// define a round's wall time; phase spans accumulate into it by their
-/// resolved round.
+/// define a round's wall time; a phase's time in a round is the union
+/// of its spans' intervals there, so platform steps that ran side by
+/// side on the worker pool count once and shares still sum to ~100%.
 fn round_breakdowns(spans: &[SpanRecord]) -> BTreeMap<u64, RoundBreakdown> {
     let rounds_of = resolve_rounds(spans);
     let mut out: BTreeMap<u64, RoundBreakdown> = BTreeMap::new();
+    let mut intervals: BTreeMap<(u64, &str), Vec<(u64, u64)>> = BTreeMap::new();
     for s in spans {
         let Some(&round) = rounds_of.get(&s.id) else {
             continue;
@@ -90,10 +93,32 @@ fn round_breakdowns(spans: &[SpanRecord]) -> BTreeMap<u64, RoundBreakdown> {
         if s.name == "round" {
             entry.wall_s += s.dur_ns as f64 / 1e9;
         } else if PHASES.contains(&s.name.as_str()) {
-            *entry.phase_s.entry(s.name.clone()).or_default() += s.dur_ns as f64 / 1e9;
+            let end = s.start_ns.saturating_add(s.dur_ns);
+            intervals
+                .entry((round, &s.name))
+                .or_default()
+                .push((s.start_ns, end));
         }
     }
+    for ((round, phase), iv) in intervals {
+        let b = out.entry(round).or_default();
+        b.phase_s.insert(phase.to_string(), union_ns(iv) as f64 / 1e9);
+    }
     out
+}
+
+/// Nanoseconds covered by at least one of the `[start, end)` intervals.
+fn union_ns(mut intervals: Vec<(u64, u64)>) -> u64 {
+    intervals.sort_unstable();
+    let (mut total, mut covered_to) = (0, 0);
+    for (start, end) in intervals {
+        let start = start.max(covered_to);
+        if end > start {
+            total += end - start;
+            covered_to = end;
+        }
+    }
+    total
 }
 
 /// Renders the per-round phase CSV (`round,phase,seconds,share_pct`);
@@ -354,5 +379,52 @@ pub fn run(args: &[String]) -> TraceReportOutcome {
     TraceReportOutcome {
         spans: trace.spans.len(),
         metrics: trace.metrics.len(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(name: &str, tid: u64, id: u64, start_ns: u64, dur_ns: u64, parent: Option<u64>) -> SpanRecord {
+        SpanRecord {
+            name: name.into(),
+            tid,
+            id,
+            parent,
+            start_ns,
+            dur_ns,
+            round: Some(0),
+            sim_s: None,
+        }
+    }
+
+    /// Two platforms' `l1_forward` steps on two threads, 300 ns of the
+    /// 600 ns they cover overlapping: the phase takes its union, and the
+    /// round's shares still sum to 100%.
+    #[test]
+    fn overlapping_phase_spans_count_once() {
+        let spans = vec![
+            span("round", 0, 1, 0, 1_000, None),
+            span("l1_forward", 0, 2, 100, 400, Some(1)),
+            span("l1_forward", 1, 3, 200, 500, Some(1)),
+            span("server_fwd_bwd", 0, 4, 700, 200, Some(1)),
+        ];
+        let rounds = round_breakdowns(&spans);
+        let b = &rounds[&0];
+        assert_eq!(b.phase_s["l1_forward"], 600e-9);
+        assert_eq!(b.phase_s["server_fwd_bwd"], 200e-9);
+        let total: f64 = phases_csv(&rounds)
+            .lines()
+            .skip(1)
+            .map(|l| l.rsplit(',').next().unwrap().parse::<f64>().unwrap())
+            .sum();
+        assert!((total - 100.0).abs() < 1e-6, "shares sum to {total}");
+    }
+
+    #[test]
+    fn union_of_nested_disjoint_and_touching_intervals() {
+        assert_eq!(union_ns(vec![]), 0);
+        assert_eq!(union_ns(vec![(10, 20), (0, 5), (12, 15), (20, 30)]), 25);
     }
 }

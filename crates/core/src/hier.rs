@@ -25,7 +25,8 @@
 //!   protocol step (see [`crate::relay`]).
 //!
 //! Everything stays deterministic: one seeded chaos RNG, platforms and
-//! relays iterated in id order, bit-identical replay from equal plans.
+//! relays iterated in id order on the driver thread, bit-identical
+//! replay from equal plans at any kernel-pool size.
 
 use std::collections::BTreeMap;
 
@@ -39,6 +40,7 @@ use crate::history::TrainingHistory;
 use crate::platform::Platform;
 use crate::relay;
 use crate::resilient::{receiving_platform, ResilienceReport, ResilientTrainer};
+use crate::round::platform_phase;
 
 /// Counters specific to the hierarchical failure machinery, alongside
 /// the embedded star-level [`ResilienceReport`].
@@ -310,19 +312,20 @@ impl<T: Transport> ResilientTrainer<'_, T> {
         let logits_out = self.actors.server.aggregate_forward(&act_envs)?;
         let delivered = self.downstream_to_platforms(round, routes, logits_out)?;
 
-        let mut losses = Vec::with_capacity(delivered.len());
-        let mut grads: Vec<(usize, Envelope)> = Vec::with_capacity(delivered.len());
-        for (pid, env) in delivered {
-            let (grad_env, loss) = self.actors.platforms[pid].handle_logits(&env)?;
-            losses.push(loss);
-            grads.push((pid, grad_env));
-        }
+        let replies = platform_phase(&mut self.actors.platforms, delivered, |p, env| {
+            Ok((p.id(), p.handle_logits(&env)?))
+        })?;
+        let (grads, losses) = replies
+            .into_iter()
+            .map(|(pid, (grad_env, loss))| ((pid, grad_env), loss))
+            .unzip();
 
         let grad_envs = self.upstream_grads(round, routes, grads)?;
         let cuts_out = self.actors.server.aggregate_backward(&grad_envs)?;
-        for (pid, env) in self.downstream_to_platforms(round, routes, cuts_out)? {
-            self.actors.platforms[pid].handle_cut_grads(&env)?;
-        }
+        let cuts = self.downstream_to_platforms(round, routes, cuts_out)?;
+        platform_phase(&mut self.actors.platforms, cuts, |p, env| {
+            p.handle_cut_grads(&env)
+        })?;
         Ok(losses)
     }
 }

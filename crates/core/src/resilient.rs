@@ -15,10 +15,16 @@
 //! are crashed by a scheduled [`ChaosEvent`] — simply sit the round out
 //! and rejoin at the next boundary from their last checkpoint.
 //!
-//! Everything is deterministic: the driver is single-threaded, iterates
-//! platforms and relays in id order, and all fault randomness comes from
-//! the chaos transport's seeded RNG — two runs with equal configs and
-//! equal fault plans produce bit-identical weights and histories.
+//! Everything is deterministic: the driver does all sends, receives,
+//! retries, checksum checks, checkpoints and counting on its own thread,
+//! iterating platforms and relays in id order, and all fault randomness
+//! comes from the chaos transport's seeded RNG — two runs with equal
+//! configs and equal fault plans produce bit-identical weights and
+//! histories. Only the platforms' own steps (`start_round`,
+//! `handle_logits`, `handle_cut_grads`) run side by side on the kernel
+//! pool ([`crate::round::platform_phase`]), between a phase's receives
+//! and its sends; each touches nothing but its platform, so the pool
+//! size changes no result.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +38,7 @@ use crate::error::{Result, SplitError};
 use crate::hier::{HierReport, RelayTier, Route};
 use crate::history::TrainingHistory;
 use crate::platform::Platform;
-use crate::round::{Actors, RoundDriver};
+use crate::round::{platform_phase, Actors, RoundDriver};
 use crate::trainer::fresh_actors;
 
 /// Hard cap on delivery attempts for the within-round reliable path
@@ -309,8 +315,9 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
         // resampling the minibatch (the platform's round state must not
         // advance twice).
         let mut pending: BTreeMap<usize, Envelope> = BTreeMap::new();
-        for (&pid, &route) in routes {
-            let mut env = self.actors.platforms[pid].start_round(round)?;
+        let work = routes.keys().map(|&pid| (pid, ())).collect();
+        let outbound = platform_phase(&mut self.actors.platforms, work, |p, ()| p.start_round(round))?;
+        for ((&pid, &route), mut env) in routes.iter().zip(outbound) {
             env.dst = route.sink();
             pending.insert(pid, env.clone());
             self.send_counted(env, self.home_region(pid))?;

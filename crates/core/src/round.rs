@@ -8,15 +8,17 @@
 //! and each comparator method of `medsplit-baselines` — and
 //! [`RoundDriver::run`] does the rest: learning-rate schedule, evaluation
 //! cadence, one [`RoundRecord`] per round, the final-accuracy backfill and
-//! the `round` telemetry span.
+//! the `round` telemetry span. [`platform_phase`] runs one protocol
+//! phase's platform steps side by side on the kernel pool, for every
+//! round body whose phases are all-platforms-at-once.
 
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::accuracy;
 use medsplit_simnet::{NetStats, NodeId};
-use medsplit_tensor::Tensor;
+use medsplit_tensor::{pool, Tensor};
 
 use crate::config::SplitConfig;
-use crate::error::Result;
+use crate::error::{Result, SplitError};
 use crate::history::{RoundRecord, TrainingHistory};
 use crate::platform::Platform;
 use crate::server::SplitServer;
@@ -106,6 +108,69 @@ impl Actors {
         let s = compute.seconds(compute.server_s_per_msample, total_batch, self.server_params);
         stats.advance_clock(NodeId::Server, s);
     }
+}
+
+/// One task of [`platform_phase`]: the platform and its input before the
+/// step runs, the step's result after.
+enum Step<'p, I, R> {
+    Ready(&'p mut Platform, I),
+    Running,
+    Done(Result<R>),
+}
+
+/// Runs `step` once for each `(pid, input)` in `work`, one kernel-pool
+/// task per step ([`pool::parallel_chunks_mut`]), and returns the
+/// results in the order of `work`: ascending platform id, which `work`
+/// must list without repeats. Kernels inside a step run inline on the
+/// task's thread (the pool's nesting rule), so the platforms, not their
+/// kernels, run side by side; at one pool thread this is the plain loop
+/// over `work` in order. A step touches only its own platform, so the
+/// results do not depend on the thread count.
+///
+/// Steps must not touch the transport, the accounting or the chaos RNG:
+/// callers receive before and send after, on their own thread, in pid
+/// order. Spans a step enters on a pool worker keep the caller's
+/// current span as their parent.
+///
+/// # Errors
+///
+/// Returns [`SplitError::Protocol`] when `work` is not strictly
+/// ascending or names a pid past `platforms`; otherwise the first error
+/// in `work` order. Every step runs before errors are looked at, so
+/// platforms after a failed one may already have taken their step.
+pub(crate) fn platform_phase<I: Send, R: Send>(
+    platforms: &mut [Platform],
+    work: Vec<(usize, I)>,
+    step: impl Fn(&mut Platform, I) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let ascending = work.windows(2).all(|w| w[0].0 < w[1].0);
+    if !ascending || work.last().is_some_and(|&(pid, _)| pid >= platforms.len()) {
+        let pids: Vec<usize> = work.iter().map(|&(pid, _)| pid).collect();
+        return Err(SplitError::Protocol(format!(
+            "platform phase over pids {pids:?} of {} platforms",
+            platforms.len()
+        )));
+    }
+    let mut work = work.into_iter().peekable();
+    let mut tasks: Vec<Step<'_, I, R>> = platforms
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(pid, p)| work.next_if(|&(w, _)| w == pid).map(|(_, i)| Step::Ready(p, i)))
+        .collect();
+    let parent = medsplit_telemetry::SpanParent::capture();
+    pool::parallel_chunks_mut(&mut tasks, 1, |_, task| {
+        let _parent = parent.adopt();
+        if let Step::Ready(p, input) = std::mem::replace(&mut task[0], Step::Running) {
+            task[0] = Step::Done(step(p, input));
+        }
+    });
+    tasks
+        .into_iter()
+        .map(|task| match task {
+            Step::Done(r) => r,
+            Step::Ready(..) | Step::Running => unreachable!("parallel_chunks_mut returned before a step ran"),
+        })
+        .collect()
 }
 
 /// A training method as the shared loop sees it: a method name, the body
@@ -235,5 +300,173 @@ pub(crate) mod fixtures {
                 )
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use crate::trainer::build_actors;
+
+    /// Serialises the tests that change the process-wide pool size.
+    static POOL_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Runs `body` at `threads` pool threads, then goes back to one.
+    fn at_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
+        let _guard = POOL_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        pool::set_num_threads(threads);
+        let out = body();
+        pool::set_num_threads(1);
+        out
+    }
+
+    fn platforms(k: usize) -> Vec<Platform> {
+        let (shards, _) = fixtures::setup(k);
+        build_actors(&fixtures::arch(), &fixtures::config(1), shards)
+            .unwrap()
+            .0
+    }
+
+    fn all(k: usize) -> Vec<(usize, ())> {
+        (0..k).map(|pid| (pid, ())).collect()
+    }
+
+    #[test]
+    fn results_follow_work_order_when_the_first_step_finishes_last() {
+        let mut ps = platforms(2);
+        // The pool may be busy with another test's kernel, which runs a
+        // range inline; retry until the two steps really overlapped.
+        let overlapped = at_threads(2, || {
+            (0..20).any(|_| {
+                let second_done = AtomicBool::new(false);
+                let finished = Mutex::new(Vec::new());
+                let out = platform_phase(&mut ps, all(2), |p, ()| {
+                    if p.id() == 0 {
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while !second_done.load(Ordering::Acquire) && Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        second_done.store(true, Ordering::Release);
+                    }
+                    finished.lock().unwrap().push(p.id());
+                    Ok(p.id() * 10)
+                })
+                .unwrap();
+                assert_eq!(out, vec![0, 10]);
+                finished.into_inner().unwrap() == [1, 0]
+            })
+        });
+        assert!(overlapped, "platform 0 never finished after platform 1");
+    }
+
+    #[test]
+    fn first_error_in_work_order_wins() {
+        let mut ps = platforms(3);
+        let ran = Mutex::new(Vec::new());
+        let err = at_threads(2, || {
+            platform_phase(&mut ps, all(3), |p, ()| {
+                ran.lock().unwrap().push(p.id());
+                match p.id() {
+                    0 => Ok(()),
+                    pid => Err(SplitError::Protocol(format!("step of {pid}"))),
+                }
+            })
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, SplitError::Protocol(m) if m == "step of 1"),
+            "{err}"
+        );
+        // Every step ran, the ones after the first failure included.
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        assert_eq!(ran, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn duplicate_unsorted_and_unknown_pids_are_refused() {
+        let mut ps = platforms(3);
+        for work in [vec![(1, ()), (1, ())], vec![(2, ()), (0, ())], vec![(3, ())]] {
+            let got = platform_phase(&mut ps, work.clone(), |_, ()| -> Result<()> {
+                panic!("a refused phase ran a step")
+            });
+            assert!(matches!(got, Err(SplitError::Protocol(_))), "{work:?}");
+        }
+    }
+
+    #[test]
+    fn empty_work_runs_nothing() {
+        let mut ps = platforms(2);
+        let out = at_threads(2, || {
+            platform_phase(&mut ps, Vec::new(), |_, ()| -> Result<()> {
+                panic!("no step is due")
+            })
+        });
+        assert!(out.unwrap().is_empty());
+    }
+
+    #[test]
+    fn steps_on_a_pool_worker_keep_the_callers_span_as_parent() {
+        let mut ps = platforms(2);
+        // One phase under a span of its own; `None` unless its two steps
+        // really ran on two threads (see above).
+        let mut traced_phase = || {
+            medsplit_telemetry::set_enabled(true);
+            let _ = medsplit_telemetry::drain_spans();
+            let phase = medsplit_telemetry::span("t_phase");
+            let second_done = AtomicBool::new(false);
+            platform_phase(&mut ps, all(2), |p, ()| {
+                let _step = medsplit_telemetry::span("t_phase_step");
+                if p.id() == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(2);
+                    while !second_done.load(Ordering::Acquire) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    second_done.store(true, Ordering::Release);
+                }
+                Ok(())
+            })
+            .unwrap();
+            drop(phase);
+            medsplit_telemetry::set_enabled(false);
+            let spans = medsplit_telemetry::drain_spans();
+            let mut tids: Vec<u64> = spans
+                .iter()
+                .filter(|s| s.name == "t_phase_step")
+                .map(|s| s.tid)
+                .collect();
+            tids.sort_unstable();
+            tids.dedup();
+            (tids.len() == 2).then_some(spans)
+        };
+        let spans = at_threads(2, || (0..20).find_map(|_| traced_phase())).expect("steps never overlapped");
+        let phase = spans.iter().find(|s| s.name == "t_phase").unwrap();
+        let steps: Vec<_> = spans.iter().filter(|s| s.name == "t_phase_step").collect();
+        assert_eq!(steps.len(), 2);
+        assert!(steps.iter().all(|s| s.parent == Some(phase.id)), "{steps:?}");
+    }
+
+    #[test]
+    fn one_thread_runs_the_steps_inline_in_pid_order() {
+        let mut ps = platforms(4);
+        let here = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let out = at_threads(1, || {
+            platform_phase(&mut ps, vec![(0, 'a'), (2, 'b'), (3, 'c')], |p, tag| {
+                seen.lock().unwrap().push((p.id(), std::thread::current().id()));
+                Ok(tag)
+            })
+        })
+        .unwrap();
+        assert_eq!(out, vec!['a', 'b', 'c']);
+        assert_eq!(seen.into_inner().unwrap(), vec![(0, here), (2, here), (3, here)]);
     }
 }

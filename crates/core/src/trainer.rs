@@ -1,4 +1,4 @@
-//! The deterministic (single-threaded) split-learning trainer.
+//! The deterministic split-learning trainer.
 //!
 //! Drives the platform and server actors through the paper's four-message
 //! round over a [`Transport`], so every tensor the protocol exchanges is
@@ -8,6 +8,12 @@
 //! (see [`crate::resilient`] for the round that has them). See
 //! [`crate::threaded`] for the thread-per-node variant running the
 //! identical actors.
+//!
+//! Under `Aggregate` scheduling the platforms' steps 1, 3 and 5 run side
+//! by side on the kernel pool ([`platform_phase`]); everything that
+//! touches the transport stays on the calling thread in platform order,
+//! so histories, accounting and simulated clocks are the same at every
+//! pool size. `RoundRobin` is serial by definition and stays a loop.
 
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::Architecture;
@@ -19,7 +25,7 @@ use crate::error::{Result, SplitError};
 use crate::history::TrainingHistory;
 use crate::messages::{decode_tensor, tensor_envelope};
 use crate::platform::Platform;
-use crate::round::{Actors, RoundDriver};
+use crate::round::{platform_phase, Actors, RoundDriver};
 use crate::server::SplitServer;
 use crate::split::build_split;
 
@@ -35,6 +41,14 @@ fn expect_msg<T: Transport>(transport: &T, node: NodeId) -> Result<Envelope> {
     transport
         .try_recv(node)
         .ok_or_else(|| SplitError::Protocol(format!("no message queued for {node}")))
+}
+
+/// Receives the next queued message of every platform, in pid order.
+fn inboxes<T: Transport>(transport: &T, platforms: &[Platform]) -> Result<Vec<(usize, Envelope)>> {
+    platforms
+        .iter()
+        .map(|p| Ok((p.id(), expect_msg(transport, p.node())?)))
+        .collect()
 }
 
 /// Checks the shard list and returns every platform's minibatch size
@@ -213,8 +227,8 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
             Scheduling::Aggregate => {
                 // Step 1: every platform forwards L1 and transmits
                 // activations.
-                for p in platforms.iter_mut() {
-                    let env = p.start_round(round)?;
+                let all = (0..k).map(|pid| (pid, ())).collect();
+                for env in platform_phase(platforms, all, |p, ()| p.start_round(round))? {
                     self.transport.send(env)?;
                 }
                 // Step 2: server concatenates all platform batches, one forward.
@@ -225,9 +239,8 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
                     self.transport.send(env)?;
                 }
                 // Step 3: platforms compute local losses, transmit gradients.
-                for p in platforms.iter_mut() {
-                    let env = expect_msg(self.transport, p.node())?;
-                    let (grads, loss) = p.handle_logits(&env)?;
+                let logits = inboxes(self.transport, platforms)?;
+                for (grads, loss) in platform_phase(platforms, logits, |p, env| p.handle_logits(&env))? {
                     losses.push(loss);
                     self.transport.send(grads)?;
                 }
@@ -239,10 +252,8 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
                     self.transport.send(env)?;
                 }
                 // Step 5: platforms backpropagate L1.
-                for p in platforms.iter_mut() {
-                    let env = expect_msg(self.transport, p.node())?;
-                    p.handle_cut_grads(&env)?;
-                }
+                let cuts = inboxes(self.transport, platforms)?;
+                platform_phase(platforms, cuts, |p, env| p.handle_cut_grads(&env))?;
             }
             Scheduling::RoundRobin => {
                 // The server exchanges with one platform at a time, in

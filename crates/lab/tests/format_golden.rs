@@ -22,7 +22,9 @@
 //! `fault_sweep` / `relay_fault_sweep` entered with the ids they were
 //! committed with, `codec_frontier` / `codec_ablation` moved when
 //! they became `split_train` points, and the five paper-figure manifests
-//! (`fig4`, `fig4_ci`, `table2`, `table3`, `fig6`) entered with theirs.
+//! (`fig4`, `fig4_ci`, `table2`, `table3`, `fig6`) entered with theirs;
+//! `smoke` / `hierarchy_chaos` moved when their thread-invariance gates
+//! gained the retry, checksum, degraded-round and link-byte counters.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -91,10 +93,10 @@ fn run_ids_of_committed_manifests() {
         ("codec_ablation", "146c0fc643f65e07"),
         ("codec_frontier", "3ef65e05c1a1eedc"),
         ("fault_sweep", "e8ce9409df175b4c"),
-        ("hierarchy_chaos", "a167e8b1c3f76ff2"),
+        ("hierarchy_chaos", "18591cb1ab705879"),
         ("kernels_ab", "156051201bb21b44"),
         ("relay_fault_sweep", "f58a23ff1b80ccc8"),
-        ("smoke", "041491745c4a0e99"),
+        ("smoke", "babeeeb670cb59b8"),
         ("fig4", "0e2417cf00264b5d"),
         ("fig4_ci", "79f64025c362a8f8"),
         ("table2", "676ba2f783ac2e78"),

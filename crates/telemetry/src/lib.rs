@@ -8,7 +8,8 @@
 //! protocol phases and kernels:
 //!
 //! - [`span`] / [`span_round`] — RAII scoped spans with thread-local
-//!   nesting, buffered per thread and drained via [`drain_spans`].
+//!   nesting, buffered per thread and drained via [`drain_spans`];
+//!   [`SpanParent`] carries the nesting to work run on another thread.
 //! - [`counter_add`] / [`gauge_set`] / [`histogram_observe`] — named
 //!   atomic metrics in a global registry, snapshotted via
 //!   [`snapshot_metrics`].
@@ -54,4 +55,6 @@ pub use metrics::{
     counter_add, counter_add_labeled, gauge_set, gauge_set_max, histogram_observe, percentile, reset_metrics,
     snapshot_metrics, Counter, Gauge, Histogram, Metric, MetricSnapshot,
 };
-pub use span::{drain_spans, enabled, set_enabled, span, span_round, SpanGuard, SpanRecord};
+pub use span::{
+    drain_spans, enabled, set_enabled, span, span_round, AdoptGuard, SpanGuard, SpanParent, SpanRecord,
+};

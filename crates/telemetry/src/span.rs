@@ -17,7 +17,9 @@
 //! - **Nesting by guard scope.** The thread-local current-span cell makes
 //!   every span a child of the span whose guard encloses it on the same
 //!   thread; guards restore the parent on drop, including during
-//!   unwinding.
+//!   unwinding. Work handed to another thread carries its parent along
+//!   explicitly: [`SpanParent::capture`] on the handing thread,
+//!   [`SpanParent::adopt`] on the running one.
 //! - **Passive observation only.** Spans read clocks and write buffers;
 //!   they never touch RNGs, model state, or the simulated network, which
 //!   is what makes the on/off determinism guarantee trivial to uphold.
@@ -218,6 +220,48 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The calling thread's innermost live span, captured so that work it
+/// hands to another thread can nest under it: [`capture`](Self::capture)
+/// on the thread that owns the span, [`adopt`](Self::adopt) on the
+/// thread that runs the work. Without it a span entered on a pool
+/// worker has no parent, and whatever resolves spans through their
+/// parents (self time, per-round attribution) loses it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanParent(Option<u64>);
+
+impl SpanParent {
+    /// The calling thread's current span; no parent when tracing is off.
+    #[inline]
+    pub fn capture() -> Self {
+        if !enabled() {
+            return SpanParent(None);
+        }
+        SpanParent(CURRENT.with(Cell::get))
+    }
+
+    /// Makes the captured span this thread's current one until the
+    /// returned guard drops, which restores what was current before.
+    #[inline]
+    pub fn adopt(self) -> AdoptGuard {
+        AdoptGuard {
+            prior: CURRENT.with(|c| c.replace(self.0)),
+        }
+    }
+}
+
+/// Restores the thread's previous current span on drop; see
+/// [`SpanParent::adopt`].
+#[must_use = "the adopted parent is current only while the guard lives"]
+pub struct AdoptGuard {
+    prior: Option<u64>,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.set(self.prior));
+    }
+}
+
 /// Takes every buffered span from every thread, sorted by start time.
 /// Buffers are left empty; spans still live (guards not yet dropped) are
 /// not included.
@@ -299,5 +343,36 @@ pub(crate) mod tests {
         assert_ne!(outer.tid, main_tid, "worker thread gets its own tid");
         assert_eq!(inner.parent, Some(outer.id));
         assert_eq!(outer.parent, None, "no cross-thread parenting");
+    }
+
+    #[test]
+    fn adopted_parent_links_spans_across_threads() {
+        let _g = LOCK.lock().unwrap();
+        set_enabled(true);
+        let _ = drain_spans();
+        {
+            let _round = span_round("t_xround", 5);
+            let parent = SpanParent::capture();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    {
+                        let _adopted = parent.adopt();
+                        let _step = span("t_xstep");
+                    }
+                    // The guard restored the worker's own (empty) nesting.
+                    let _after = span("t_xafter");
+                });
+            });
+        }
+        set_enabled(false);
+        let spans = drain_spans();
+        let round = spans.iter().find(|r| r.name == "t_xround").unwrap();
+        let step = spans.iter().find(|r| r.name == "t_xstep").unwrap();
+        let after = spans.iter().find(|r| r.name == "t_xafter").unwrap();
+        assert_ne!(step.tid, round.tid, "the step ran on another thread");
+        assert_eq!(step.parent, Some(round.id));
+        assert_eq!(after.parent, None);
+        // Tracing off: nothing is captured.
+        assert_eq!(SpanParent::capture(), SpanParent::default());
     }
 }

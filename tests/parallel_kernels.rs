@@ -21,12 +21,12 @@
 use std::sync::Mutex;
 
 use medsplit::core::{
-    ComputeModel, HierPolicy, HierResilientTrainer, Scheduling, SplitConfig, SplitPoint, SplitTrainer,
-    TrainingHistory, WireCodec,
+    ComputeModel, HierPolicy, HierReport, HierResilientTrainer, Platform, Scheduling, SplitConfig,
+    SplitPoint, SplitTrainer, TrainingHistory, WireCodec,
 };
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
-use medsplit::simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, StarTopology};
+use medsplit::simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, NodeId, StarTopology};
 use medsplit_tensor::ops::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
 use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, Encoding, Tensor};
 use proptest::prelude::*;
@@ -218,10 +218,11 @@ fn conv_forward_zero_allocations_after_warmup() {
     );
 }
 
-/// A small end-to-end split-training run; returns the per-round loss
-/// trajectory, which is a bit-level fingerprint of every kernel in the
-/// forward/backward/update path.
-fn run_split() -> Vec<f32> {
+/// A small end-to-end split-training run over a star of four platforms;
+/// returns the history as bits and every platform's `L1` weights, a
+/// bit-level fingerprint of every kernel in the forward/backward/update
+/// path and of the platforms' steps running side by side.
+fn run_split() -> (Vec<u64>, Vec<Vec<u32>>) {
     let all = SyntheticTabular::new(3, 6, 5).generate(60).unwrap();
     let train: InMemoryDataset = all.subset(&(0..48).collect::<Vec<_>>()).unwrap();
     let test = all.subset(&(48..60).collect::<Vec<_>>()).unwrap();
@@ -230,7 +231,8 @@ fn run_split() -> Vec<f32> {
         hidden: vec![16, 8],
         num_classes: 3,
     });
-    let transport = MemoryTransport::new(StarTopology::new(1));
+    let shards = partition(&train, 4, &Partition::Iid, 1).unwrap();
+    let transport = MemoryTransport::new(StarTopology::new(4));
     let config = SplitConfig {
         split: SplitPoint::Default,
         scheduling: Scheduling::Aggregate,
@@ -243,21 +245,28 @@ fn run_split() -> Vec<f32> {
         compute: ComputeModel::off(),
         ..SplitConfig::default()
     };
-    let mut trainer = SplitTrainer::new(&arch, config, vec![train], test, &transport).unwrap();
+    let mut trainer = SplitTrainer::new(&arch, config, shards, test, &transport).unwrap();
     let history = trainer.run().unwrap();
-    history.records.iter().map(|r| r.mean_loss).collect()
+    (history_bits(&history), l1_bits(trainer.platforms_mut()))
 }
 
-/// One full split-training run at 4 threads reproduces the 1-thread loss
-/// trajectory. The backend's decomposition is shape-derived, so this
-/// holds exactly, not just within tolerance.
+/// One full split-training run over four platforms is bit-identical at
+/// 1, 2 and 4 threads, history and every `L1`. The backend's
+/// decomposition is shape-derived and each platform step touches only
+/// its own platform, so this holds exactly, not just within tolerance.
 #[test]
 fn split_training_round_deterministic_across_thread_counts() {
-    let runs = with_thread_counts(&[1, 4], |_| run_split());
-    assert_eq!(
-        runs[0], runs[1],
-        "split training diverged between 1 and 4 threads"
-    );
+    let runs = with_thread_counts(&[1, 2, 4], |_| run_split());
+    for (threads, run) in [2, 4].into_iter().zip(&runs[1..]) {
+        assert_eq!(
+            runs[0].0, run.0,
+            "split training history diverged between 1 and {threads} threads"
+        );
+        assert_eq!(
+            runs[0].1, run.1,
+            "split training L1 weights diverged between 1 and {threads} threads"
+        );
+    }
 }
 
 /// `MEDSPLIT_ISA=scalar` and auto-dispatch produce bit-identical outputs
@@ -362,50 +371,98 @@ fn history_bits(h: &TrainingHistory) -> Vec<u64> {
     bits
 }
 
+/// Every platform's `L1` weights as bits.
+fn l1_bits(platforms: &mut [Platform]) -> Vec<Vec<u32>> {
+    platforms
+        .iter_mut()
+        .map(|p| p.l1_parameters().as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
 /// A 2×2 relay hierarchy under the int8 codec: every activation and
 /// cut-gradient frame goes through the dispatched absmax and quantiser,
 /// so the history and each platform's `L1` weights are a bit-level
-/// fingerprint of both.
-fn run_hier_int8() -> (Vec<u64>, Vec<Vec<u32>>) {
+/// fingerprint of both. Returns the fault report too.
+fn run_hier_int8(
+    plan: FaultPlan,
+    rounds: usize,
+    shards: Partition,
+    minibatch: MinibatchPolicy,
+) -> (Vec<u64>, HierReport, Vec<Vec<u32>>) {
     let topo = HierTopology::new(2, 2);
     let train = SyntheticTabular::new(3, 8, 0).generate(160).unwrap();
     let test = SyntheticTabular::new(3, 8, 1).generate(40).unwrap();
-    let shards = partition(&train, topo.platforms(), &Partition::Iid, 1).unwrap();
+    let shards = partition(&train, topo.platforms(), &shards, 1).unwrap();
     let arch = Architecture::Mlp(MlpConfig {
         input_dim: 8,
         hidden: vec![16],
         num_classes: 3,
     });
     let config = SplitConfig {
-        rounds: 4,
+        rounds,
         eval_every: 2,
         lr: LrSchedule::Constant(0.1),
-        minibatch: MinibatchPolicy::Fixed(10),
+        minibatch,
         codec: WireCodec::Int8,
         ..SplitConfig::default()
     };
-    let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), FaultPlan::new(5));
+    let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), plan);
     let mut trainer =
         HierResilientTrainer::new(&arch, config, HierPolicy::default(), topo, shards, test, &chaos).unwrap();
     let history = trainer.run().unwrap();
-    let l1 = trainer
-        .platforms_mut()
-        .iter_mut()
-        .map(|p| p.l1_parameters().as_slice().iter().map(|v| v.to_bits()).collect())
-        .collect();
-    (history_bits(&history), l1)
+    let report = trainer.report().clone();
+    (history_bits(&history), report, l1_bits(trainer.platforms_mut()))
 }
 
 /// The int8-codec hierarchy is bit-identical between `MEDSPLIT_ISA=scalar`
 /// and auto-dispatch.
 #[test]
 fn hier_int8_training_bit_identical_across_isas() {
-    let (scalar, native) = with_isas(run_hier_int8);
+    let (scalar, native) =
+        with_isas(|| run_hier_int8(FaultPlan::new(5), 4, Partition::Iid, MinibatchPolicy::Fixed(10)));
     assert_eq!(scalar.0, native.0, "int8 hierarchy history diverged between ISAs");
     assert_eq!(
-        scalar.1, native.1,
+        scalar.2, native.2,
         "int8 hierarchy L1 weights diverged between ISAs"
     );
+}
+
+/// The fault-tolerant engine runs its platforms' steps side by side
+/// between its receives and its sends; under every fault the chaos
+/// transport injects (loss, corruption, duplicates, reordering, a
+/// platform crash and rejoin, a relay crash), its sends, retries and
+/// chaos RNG draws must not depend on the pool size. Shards and
+/// minibatches are skewed so the platforms' steps take unequal time and
+/// finish out of pid order on two or more threads.
+#[test]
+fn hier_engine_bit_identical_across_thread_counts() {
+    let plan = FaultPlan::new(17)
+        .with_drop(0.08)
+        .with_corrupt(0.05)
+        .with_dup(0.05)
+        .with_reorder(0.1)
+        .crash(NodeId::Platform(3), 2)
+        .recover(NodeId::Platform(3), 5)
+        .crash_relay(0, 4)
+        .recover_relay(0, 6);
+    let skewed = Partition::PowerLaw { alpha: 1.5 };
+    let batches = MinibatchPolicy::Proportional { global: 120 };
+    let runs = with_thread_counts(&[1, 2, 4], |_| {
+        run_hier_int8(plan.clone(), 8, skewed.clone(), batches)
+    });
+    let (bits, report, l1) = &runs[0];
+    assert!(
+        report.base.retries > 0 && report.base.checksum_rejections > 0,
+        "the plan must exercise retries and corruption: {report:?}"
+    );
+    assert_eq!((report.base.crashes, report.base.rejoins), (1, 1));
+    assert_eq!(report.relay_crashes, 1);
+    assert!(report.rehomes > 0, "the relay crash must re-home platforms");
+    for (threads, run) in [2, 4].into_iter().zip(&runs[1..]) {
+        assert_eq!(bits, &run.0, "hierarchy history diverged at {threads} threads");
+        assert_eq!(report, &run.1, "HierReport diverged at {threads} threads");
+        assert_eq!(l1, &run.2, "hierarchy L1 weights diverged at {threads} threads");
+    }
 }
 
 /// The bench-harness failure mode behind the nonzero
