@@ -80,11 +80,23 @@ echo "==> layer passes again under --release"
 cargo test -q --release --offline -p medsplit-nn --test norm_oracle
 cargo test -q --release --offline --test layer_golden
 
+echo "==> GEMM packing again under --release"
+# The stride-class packs copy whole runs per depth step and the AVX2
+# transposing pack reads 8x8 blocks unchecked after one extent check
+# per call; the swapped orientation writes each tile back transposed.
+# An index slip in any of them is a slice panic in debug and a wrong
+# value in release, so the pack oracles and the GEMM unit tests, the
+# golden digests (committed before the packs and the swap existed) and
+# the GEMM property tests of parallel_kernels run in both.
+cargo test -q --release --offline -p medsplit-tensor --lib -- ops::microkernel:: ops::matmul::
+cargo test -q --release --offline --test gemm_golden
+cargo test -q --release --offline --test parallel_kernels -- matmul_family packed_gemm
+
 echo "==> miri (unsafe microkernel + simd + scratch modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
-# cover: 62 `unsafe` occurrences under crates/ (grep -rw unsafe
+# cover: 68 `unsafe` occurrences under crates/ (grep -rw unsafe
 # --include=*.rs), all in crates/tensor.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \

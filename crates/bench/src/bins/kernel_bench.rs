@@ -27,8 +27,11 @@
 //! (`…/fwd`) and backward (`…/bwd`) at VGG-lite's three normalised
 //! shapes, also in `ns_per_elem`; the `dense_train` rows time one
 //! `Dense` forward (with its bias add) plus backward at the MLP
-//! platform's and the VGG-lite head's shapes, in GFLOP/s over the three
-//! GEMMs. None of these rows is folded into a digest.
+//! platform's and server's shapes and at the VGG-lite head's, in
+//! GFLOP/s over the three GEMMs. The `gemm_tn` / `gemm_nt` rows time the
+//! transposed-operand entry points on the MLP server's skinny forward
+//! shape, next to its `gemm` row. None of these rows is folded into a
+//! digest.
 //!
 //! The `encode_i8` rows time the int8 wire encoder (`Tensor::encode`
 //! with `Encoding::Int8`: absmax, quantiser, frame) on a 64×128
@@ -276,11 +279,45 @@ fn scalar_baseline(reps: usize, body: impl Fn() + Sync) -> f64 {
     best_s
 }
 
-fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows: &mut Vec<Row>) {
+/// A GEMM entry point `kernel_bench` times: `gemm` is `A·B`, `gemm_tn`
+/// is `Aᵀ·B` with A stored `[k, m]`, `gemm_nt` is `A·Bᵀ` with B stored
+/// `[n, k]`. Every variant computes the same logical `m×k×n` product.
+#[derive(Clone, Copy)]
+enum GemmVariant {
+    Nn,
+    Tn,
+    Nt,
+}
+
+impl GemmVariant {
+    fn kernel(self) -> &'static str {
+        match self {
+            GemmVariant::Nn => "gemm",
+            GemmVariant::Tn => "gemm_tn",
+            GemmVariant::Nt => "gemm_nt",
+        }
+    }
+}
+
+fn bench_gemm(
+    variant: GemmVariant,
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: &[usize],
+    reps: usize,
+    rows: &mut Vec<Row>,
+) {
     let mut rng = rng_from_seed(7);
     let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
+    let (at, bt) = (a.transpose().expect("gemm Aᵀ"), b.transpose().expect("gemm Bᵀ"));
+    let product = || match variant {
+        GemmVariant::Nn => a.matmul(&b).expect("gemm"),
+        GemmVariant::Tn => at.matmul_tn(&b).expect("gemm_tn"),
+        GemmVariant::Nt => a.matmul_nt(&bt).expect("gemm_nt"),
+    };
 
     let (seed_s, _, _) = time_best(reps, || {
         std::hint::black_box(seed_gemm(a.as_slice(), b.as_slice(), m, k, n));
@@ -288,7 +325,7 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
     // The scalar reference path is deliberately slow (libm-fused); a
     // couple of repetitions suffice for a stable best-of.
     let scalar_s = scalar_baseline(reps.min(2), || {
-        std::hint::black_box(a.matmul(&b).expect("gemm"));
+        std::hint::black_box(product());
     });
     let scalar_gflops = flops / scalar_s / 1e9;
 
@@ -297,7 +334,7 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
     for &t in threads {
         pool::set_num_threads(t);
         let (best_s, allocs, repacks) = time_best(reps, || {
-            std::hint::black_box(a.matmul(&b).expect("gemm"));
+            std::hint::black_box(product());
         });
         if t == 1 {
             one_thread_s = best_s;
@@ -310,7 +347,7 @@ fn bench_gemm(m: usize, k: usize, n: usize, threads: &[usize], reps: usize, rows
             gflops_vs_scalar: (flops / best_s / 1e9) / scalar_gflops,
             scratch_allocs_per_step: allocs,
             repacks_per_step: repacks,
-            ..Row::blank("gemm", format!("{m}x{k}x{n}"), t, reps)
+            ..Row::blank(variant.kernel(), format!("{m}x{k}x{n}"), t, reps)
         });
     }
     fill_t2_vs_t1(&mut rows[sweep_start..]);
@@ -845,7 +882,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     let mut rows = Vec::new();
     bench_dispatch(if smoke { 3 } else { 51 }, &mut rows);
     if smoke {
-        bench_gemm(48, 33, 17, &threads, reps, &mut rows);
+        bench_gemm(GemmVariant::Nn, 48, 33, 17, &threads, reps, &mut rows);
         bench_conv("conv2d", 2, 3, 8, 4, 3, 1, 1, &threads, reps, &mut rows);
         bench_conv_train(5, 3, 8, 4, reps, &mut rows);
         bench_maxpool(2, 3, 8, reps, &mut rows);
@@ -856,10 +893,16 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         // GEMM shapes: the acceptance shape plus split-model layer shapes
         // (tall-skinny activations x weights) and a wide-N case that
         // exercises the shared whole-B pack.
-        bench_gemm(512, 512, 512, &threads, reps, &mut rows);
-        bench_gemm(256, 256, 256, &threads, reps, &mut rows);
-        bench_gemm(128, 784, 256, &threads, reps, &mut rows);
-        bench_gemm(64, 256, 1024, &threads, reps, &mut rows);
+        bench_gemm(GemmVariant::Nn, 512, 512, 512, &threads, reps, &mut rows);
+        bench_gemm(GemmVariant::Nn, 256, 256, 256, &threads, reps, &mut rows);
+        bench_gemm(GemmVariant::Nn, 128, 784, 256, &threads, reps, &mut rows);
+        bench_gemm(GemmVariant::Nn, 64, 256, 1024, &threads, reps, &mut rows);
+        // The MLP server's forward product (a 256-row batch through
+        // Dense(128→3)) in each operand layout: three live columns of a
+        // sixteen-wide tile unless the orientation swaps.
+        for variant in [GemmVariant::Nn, GemmVariant::Tn, GemmVariant::Nt] {
+            bench_gemm(variant, 256, 128, 3, &threads, reps, &mut rows);
+        }
         // Conv shapes drawn from VGG16 / ResNet18 early stages, scaled to
         // medical-imaging-sized inputs the paper's CNNs use.
         bench_conv("conv2d", 4, 3, 64, 64, 3, 1, 1, &threads, reps, &mut rows);
@@ -881,6 +924,9 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_batchnorm(64, 32, 4, reps, &mut rows);
         bench_dense_train(64, 32, 128, reps, &mut rows);
         bench_dense_train(64, 128, 256, reps, &mut rows);
+        // The MLP workloads' whole server model and VGG-lite's last layer.
+        bench_dense_train(256, 128, 3, reps, &mut rows);
+        bench_dense_train(64, 128, 10, reps, &mut rows);
         bench_encode_i8(64, 128, reps, &mut rows);
     }
     // Small-batch serving sweep through the plan cache (asserts zero

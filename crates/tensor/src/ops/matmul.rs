@@ -21,6 +21,9 @@
 //!    [`kc_block`] — sized from the shape, not a constant, so no shape
 //!    pays for a mis-fitted panel. Edge tiles stage through an on-stack
 //!    `MR×NR` buffer so every path runs the identical kernel.
+//! 4. **Orientation** — a skinny output (few columns, many rows) runs
+//!    as `Cᵀ = opB(B)ᵀ·opA(A)ᵀ` on the same kernel and packed B, so its
+//!    rows fill whole NR tiles ([`swapped`]); the shape alone decides.
 //!
 //! Per output element the math is a fused multiply-add per depth step in
 //! ascending `k` order on every ISA (see [`microkernel`]), so outputs
@@ -45,6 +48,27 @@ pub(crate) const BLOCK: usize = 11 * MR; // 66
 /// `[MR, BLOCK]` — a function of the shape only, never the thread count.
 pub(crate) fn row_block(m: usize) -> usize {
     (m.div_ceil(8).div_ceil(MR) * MR).clamp(MR, BLOCK)
+}
+
+/// Whether `C[m×n]` runs in the *swapped* orientation: computed as
+/// `Cᵀ = opB(B)ᵀ·opA(A)ᵀ` on the same tile kernel, so that the small `n`
+/// sits on the MR side and `m` fills whole NR-wide tiles. Chosen when
+/// that takes strictly fewer MR×NR tiles and `n` fits one B tile in
+/// whole MR panels; ties keep the direct orientation. A function of the
+/// shape alone: the thread count and the ISA never enter.
+///
+/// `Dense(128→3)` over 256 rows is 43 direct tiles with 3 of 16 lanes
+/// live, against 16 swapped ones; a batch of 8 at 10 outputs is 2
+/// against 2 and stays direct.
+pub(crate) fn swapped(m: usize, n: usize) -> bool {
+    let panels = n.div_ceil(MR);
+    panels * MR <= NR && panels * m.div_ceil(NR) < m.div_ceil(MR)
+}
+
+/// Output rows per parallel task of the swapped orientation: about
+/// eight tasks across `m`, whole NR tiles, at most four tiles.
+fn swapped_rows(m: usize) -> usize {
+    (m.div_ceil(8).div_ceil(NR) * NR).clamp(NR, 4 * NR)
 }
 
 /// Upper bound on the inner-dimension block: `kc·NR` floats of packed B
@@ -119,7 +143,7 @@ fn compute_row_block(
                 // plan's aligned panel store, and `NR` floats are a whole
                 // cache line); `kernel` came from `tile_kernel()` so the
                 // ISA is available.
-                unsafe { kernel(kcur, ap, bp, panel.as_mut_ptr().add(ib * n + j0), n) };
+                unsafe { kernel(kcur, ap, MR, bp, panel.as_mut_ptr().add(ib * n + j0), n) };
             } else {
                 // Edge tile: stage through a full MR×NR buffer (valid C
                 // in the live region, zeros elsewhere; the packs are
@@ -134,7 +158,7 @@ fn compute_row_block(
                 // SAFETY: `stage` is a full MR×NR tile with ldc = NR;
                 // pack bounds as above. (The AVX2 kernel loads B aligned;
                 // the stage buffer is only ever C.)
-                unsafe { kernel(kcur, ap, bp, stage.as_mut_ptr(), NR) };
+                unsafe { kernel(kcur, ap, MR, bp, stage.as_mut_ptr(), NR) };
                 for (r, srow) in stage.chunks_exact(NR).enumerate().take(mr) {
                     let co = (ib + r) * n + j0;
                     panel[co..co + cols].copy_from_slice(&srow[..cols]);
@@ -153,7 +177,9 @@ fn compute_row_block(
 /// output element always streams the full `k` range in ascending order
 /// through the same fused kernel, so any `row_block`/`kc` choice is
 /// bit-identical (the partial sum parked in C between `kc` blocks is the
-/// same `f32` the register held).
+/// same `f32` the register held). A strided A whose shape is
+/// [`swapped`] runs [`gemm_compute_swapped`] on the same `bpack`
+/// instead; prepacked A panels always run direct.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_compute_packed_b(
     a: PanelsA<'_>,
@@ -175,6 +201,12 @@ pub(crate) fn gemm_compute_packed_b(
             c.fill(0.0);
         }
         return;
+    }
+    if let PanelsA::Strided { src, rs, cs } = a {
+        if swapped(m, n) {
+            gemm_compute_swapped(src, rs, cs, bpack, c, m, k, n, accumulate);
+            return;
+        }
     }
     let kernel = microkernel::tile_kernel();
     let nt = n.div_ceil(NR);
@@ -202,6 +234,88 @@ pub(crate) fn gemm_compute_packed_b(
                 }
             }
         }
+    });
+}
+
+/// The swapped orientation of [`gemm_compute_packed_b`]:
+/// `C (+)= opA(A)·B` computed tile by tile as `Cᵀ = Bᵀ·opA(A)ᵀ`.
+///
+/// B is small (`n` lanes in whole MR panels fit one tile, see
+/// [`swapped`]), so its one packed tile doubles as the A operand: read
+/// with depth stride NR, lanes `ib..ib+MR` are the MR-row panel `ib` of
+/// `Bᵀ`, zero-padded past `n` like any panel. `opA(A)ᵀ` is the B
+/// operand: each NR-row block of A is packed as a B tile through the
+/// transposed strides `(cs, rs)` — for a row-major A that is the
+/// transposing pack. Each tile accumulates the whole depth in an
+/// on-stack MR×NR stage (seeded from C when `accumulate`) and lands in
+/// C transposed.
+///
+/// Per output element this is the direct path's sequence: one fused
+/// multiply-add per depth step in ascending `p`, the two multiplicands
+/// swapped. Fused multiply-add rounds the exact product `a·b + c` once,
+/// so the swap changes no bit — except the payload of a NaN result when
+/// both multiplicands are NaN, where the ISA may pick either operand's.
+#[allow(clippy::too_many_arguments)]
+fn gemm_compute_swapped(
+    src: &[f32],
+    rs: usize,
+    cs: usize,
+    btile: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    // The kernel reads the tile unchecked: hold its extent once per call.
+    assert!(
+        btile.len() >= k * NR && n.div_ceil(MR) * MR <= NR,
+        "swapped GEMM: tile of {} for k={k}, n={n}",
+        btile.len()
+    );
+    let kernel = microkernel::tile_kernel();
+    let task_rows = swapped_rows(m);
+    pool::parallel_chunks_mut_sized(c, task_rows * n, m * k * n, |ti, chunk| {
+        let i0 = ti * task_rows;
+        let rows = chunk.len() / n;
+        scratch::with_f32(k * NR, |apack| {
+            for j0 in (0..rows).step_by(NR) {
+                let cols = NR.min(rows - j0);
+                microkernel::pack_b_tile(src, cs, rs, i0 + j0, cols, k, apack);
+                for ib in (0..n).step_by(MR) {
+                    let mr = MR.min(n - ib);
+                    let mut stage = [0.0f32; MR * NR];
+                    if accumulate {
+                        for (r, srow) in stage.chunks_exact_mut(NR).enumerate().take(mr) {
+                            for (jr, v) in srow[..cols].iter_mut().enumerate() {
+                                *v = chunk[(j0 + jr) * n + ib + r];
+                            }
+                        }
+                    }
+                    // SAFETY: the A reads `btile[ib + p*NR + ir]` end
+                    // before `ib + MR + (k-1)*NR <= k*NR` because
+                    // `ib + MR <= n.div_ceil(MR)*MR <= NR`; `apack` is a
+                    // 64-byte-aligned `k*NR` tile from the scratch arena;
+                    // `stage` is a full MR×NR tile with ldc = NR; `kernel`
+                    // came from `tile_kernel()`.
+                    unsafe {
+                        kernel(
+                            k,
+                            btile[ib..].as_ptr(),
+                            NR,
+                            apack.as_ptr(),
+                            stage.as_mut_ptr(),
+                            NR,
+                        )
+                    };
+                    for (r, srow) in stage.chunks_exact(NR).enumerate().take(mr) {
+                        for (jr, &v) in srow[..cols].iter().enumerate() {
+                            chunk[(j0 + jr) * n + ib + r] = v;
+                        }
+                    }
+                }
+            }
+        });
     });
 }
 
@@ -397,6 +511,7 @@ impl Tensor {
             });
         }
         let _span = medsplit_telemetry::span("gemm");
+        // Accumulate onto the fresh zeros rather than zero them twice.
         let mut out = Tensor::zeros([m, n]);
         gemm_nt_into(
             self.as_slice(),
@@ -405,7 +520,7 @@ impl Tensor {
             m,
             n,
             k1,
-            false,
+            true,
         );
         Ok(out)
     }
@@ -600,6 +715,102 @@ mod tests {
                 c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "gemm ({m}x{k}x{n}) diverged from the fused reference"
+            );
+        }
+    }
+
+    #[test]
+    fn orientation_is_swapped_only_when_it_saves_tiles() {
+        // The MLP server (n = 3) and VGG-lite's head (n = 10) over a
+        // training batch swap; batch-1 and batch-8 serving tie and keep
+        // the direct orientation, as does anything 13+ wide.
+        for (m, n, want) in [
+            (256, 3, true),
+            (64, 10, true),
+            (7, 1, true),
+            (1, 3, false),
+            (6, 3, false),
+            (8, 10, false),
+            (256, 13, false),
+            (4096, 15, false),
+            (256, 128, false),
+            (3, 256, false),
+        ] {
+            assert_eq!(swapped(m, n), want, "swapped({m}, {n})");
+        }
+        for m in 1..300 {
+            for n in 1..40 {
+                if swapped(m, n) {
+                    assert!(n.div_ceil(MR) * MR <= NR, "panels of n={n} overflow one tile");
+                }
+            }
+        }
+    }
+
+    /// Ascending-`k` `mul_add` onto an initial C.
+    fn fused_onto(c0: &[f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    c[i * n + j] = a[i * k + p].mul_add(b[p * n + j], c[i * n + j]);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn swapped_gemm_bit_matches_fused_reference() {
+        // Swapped shapes with partial NR row tiles, two and three MR
+        // panels of n, depths past one kc block, and a task split.
+        for &(m, k, n) in &[
+            (256usize, 128usize, 3usize),
+            (64, 128, 10),
+            (7, 9, 1),
+            (40, 5, 12),
+            (150, 321, 6),
+        ] {
+            assert!(swapped(m, n), "{m}x{k}x{n} should swap");
+            let a = pseudo(m * 7 + 1, m * k);
+            let b = pseudo(n * 5 + 2, k * n);
+            let c0 = pseudo(m + n, m * n);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+            let mut c = c0.clone();
+            gemm_into(&a, &b, &mut c, m, k, n);
+            assert_eq!(
+                bits(&c),
+                bits(&fused_onto(&c0, &a, &b, m, k, n)),
+                "gemm onto C {m}x{k}x{n}"
+            );
+
+            let mut at = vec![0.0f32; k * m];
+            for i in 0..m {
+                for p in 0..k {
+                    at[p * m + i] = a[i * k + p];
+                }
+            }
+            let mut c = vec![0.0f32; m * n];
+            gemm_tn_into(&at, &b, &mut c, k, m, n);
+            assert_eq!(
+                bits(&c),
+                bits(&fused_reference(&a, &b, m, k, n)),
+                "gemm_tn {m}x{k}x{n}"
+            );
+
+            let mut bt = vec![0.0f32; n * k];
+            for p in 0..k {
+                for j in 0..n {
+                    bt[j * k + p] = b[p * n + j];
+                }
+            }
+            let mut c = c0.clone();
+            gemm_nt_into(&a, &bt, &mut c, m, n, k, false);
+            assert_eq!(
+                bits(&c),
+                bits(&fused_reference(&a, &b, m, k, n)),
+                "gemm_nt overwrite {m}x{k}x{n}"
             );
         }
     }

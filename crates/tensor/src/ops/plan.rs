@@ -216,7 +216,8 @@ fn pack_a_panels(src: &[f32], rs: usize, cs: usize, m: usize, k: usize) -> Align
 }
 
 /// `x · B` (`[m, k]` × prepacked `k×n` B tiles) into a fresh tensor — the
-/// compute half both orientations of a [`GemmPlan`] share.
+/// compute half both products of a [`GemmPlan`] share. The tensor starts
+/// zeroed, so the driver accumulates onto it rather than zeroing again.
 fn gemm_planned(x: &Tensor, bpack: &AlignedVec, m: usize, k: usize, n: usize) -> Tensor {
     let _span = medsplit_telemetry::span("gemm");
     let mut out = Tensor::zeros([m, n]);
@@ -232,7 +233,7 @@ fn gemm_planned(x: &Tensor, bpack: &AlignedVec, m: usize, k: usize, n: usize) ->
         m,
         k,
         n,
-        false,
+        true,
         matmul::row_block(m),
     );
     out
@@ -244,6 +245,12 @@ fn gemm_planned(x: &Tensor, bpack: &AlignedVec, m: usize, k: usize, n: usize) ->
 /// Owns the weight prepacked for the forward GEMM `y = x·Wᵀ` and,
 /// lazily, for the backward GEMM `dx = g·W`. Immutable after packing
 /// (modulo the lazy backward build), shared read-only across threads.
+///
+/// Each product is packed once, as B tiles. When a call's batch makes
+/// the output skinny enough for the swapped GEMM orientation
+/// (`ops::matmul::swapped`: `Dense(128→3)` over a training batch), the same
+/// tile is read as the A operand, so no batch size packs a second copy
+/// and the choice never touches the plan's generation or pack counters.
 #[derive(Debug)]
 pub struct GemmPlan {
     out_features: usize,
