@@ -23,11 +23,17 @@
 //! the plane's first element by the first-strictly-greater-wins rule.
 //! Pooling geometries keep `padding < kernel`: beyond that a window lies
 //! wholly in padding, which is an error, not a result to pin.
+//!
+//! `conv_full_mantissa` was added later, recorded against the packed
+//! lowering (patch and row tiles gathered into GEMM order) before the
+//! in-place kernels replaced it: its operands carry full mantissas, so a
+//! reordered or unfused accumulation moves its digest.
 
 use std::sync::Mutex;
 
 use medsplit_tensor::ops::conv::{
-    conv2d_backward, conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, im2col, Conv2dSpec,
+    conv2d_backward, conv2d_backward_params, conv2d_backward_planned, conv2d_forward, conv2d_forward_planned,
+    im2col, Conv2dSpec,
 };
 use medsplit_tensor::ops::pool::{
     avgpool2d_backward, avgpool2d_forward, maxpool2d_backward, maxpool2d_forward,
@@ -117,6 +123,38 @@ impl Lcg {
         Tensor::from_vec(data, dims.to_vec()).unwrap()
     }
 
+    /// A full-mantissa value in `[-2, 2)`: almost no sum of these is
+    /// exact, so the digest sees the rounding of every multiply-add and
+    /// therefore its order and its fusion.
+    fn real(&mut self) -> f32 {
+        let hi = self.next();
+        let lo = self.next();
+        let unit = (f64::from(hi) * 2f64.powi(31) + f64::from(lo)) / 2f64.powi(62);
+        (unit * 4.0 - 2.0) as f32
+    }
+
+    fn reals(&mut self, dims: &[usize]) -> Tensor {
+        let n: usize = dims.iter().product();
+        let data = (0..n).map(|_| self.real()).collect();
+        Tensor::from_vec(data, dims.to_vec()).unwrap()
+    }
+
+    /// `reals` with NaN, `±inf`, `-0.0` and subnormals sprinkled in.
+    fn specials(&mut self, dims: &[usize]) -> Tensor {
+        let mut t = self.reals(dims);
+        for v in t.as_mut_slice() {
+            match self.next() % 32 {
+                0 => *v = f32::NAN,
+                1 => *v = f32::INFINITY,
+                2 => *v = f32::NEG_INFINITY,
+                3 | 4 => *v = -0.0,
+                5..=7 => *v *= 1e-39,
+                _ => {}
+            }
+        }
+        t
+    }
+
     /// `coarse` with `-inf` and NaN sprinkled in, the first plane all
     /// `-inf` and the second all NaN.
     fn hostile(&mut self, dims: &[usize]) -> Tensor {
@@ -198,6 +236,46 @@ fn conv_case(rng: &mut Lcg, n: usize, c: usize, h: usize, w: usize, o: usize, sp
     let (gi, gw, gb) = conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
     let (pi, pw, pb) = conv2d_backward_planned(&input, &weight, &grad_out, &mut plan).unwrap();
     for t in [&gi, &gw, &gb, &pi, &pw, &pb] {
+        d.tensor(t);
+    }
+    d.0
+}
+
+/// Every conv entry point — planned and unplanned forward, planned and
+/// unplanned backward, and the parameters-only backward — over
+/// full-mantissa operands. With `specials`, the input alone carries NaN,
+/// `±inf`, `-0.0` and subnormals; the weight and the upstream gradient
+/// stay finite.
+#[allow(clippy::too_many_arguments)]
+fn conv_full_case(
+    rng: &mut Lcg,
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    o: usize,
+    spec: Conv2dSpec,
+    specials: bool,
+) -> u64 {
+    let input = if specials {
+        rng.specials(&[n, c, h, w])
+    } else {
+        rng.reals(&[n, c, h, w])
+    };
+    let weight = rng.reals(&[o, c, spec.kernel_h, spec.kernel_w]);
+    let bias = rng.reals(&[o]);
+    let mut d = Fnv::new();
+    let out = conv2d_forward(&input, &weight, Some(&bias), spec).unwrap();
+    d.tensor(&out);
+    d.tensor(&conv2d_forward(&input, &weight, None, spec).unwrap());
+    let mut plan = ConvPlan::pack(&weight, spec, 0).unwrap();
+    d.tensor(&conv2d_forward_planned(&input, &mut plan, Some(&bias)).unwrap());
+    d.tensor(&conv2d_forward_planned(&input, &mut plan, None).unwrap());
+    let grad_out = rng.reals(out.dims());
+    let (gi, gw, gb) = conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
+    let (pi, pw, pb) = conv2d_backward_planned(&input, &weight, &grad_out, &mut plan).unwrap();
+    let (qw, qb) = conv2d_backward_params(&input, &weight, &grad_out, spec).unwrap();
+    for t in [&gi, &gw, &gb, &pi, &pw, &pb, &qw, &qb] {
         d.tensor(t);
     }
     d.0
@@ -285,6 +363,39 @@ fn conv_batches_and_model_shapes() {
     cases.push((1, 3, 20, 20, 6, Conv2dSpec::square(7, 2, 3)));
     pin("conv_batches_and_model_shapes", 0xc1c4_c2a3_88e9_d3a7, || {
         conv_family(0x5eed_0003, &cases)
+    });
+}
+
+#[test]
+fn conv_full_mantissa() {
+    // The families above draw multiples of 1/64, so nearly every conv sum
+    // is exact and a reordered or unfused accumulation would not show.
+    // Here every operand has a full mantissa: the three VGG-lite layers
+    // over batches of 1 to 64 (single images, a partial four-image
+    // backward chunk, and the pool's two-thread split), a stride-2 and a
+    // 5×7 geometry, and the 8×8 layer with specials in its input.
+    let vgg = Conv2dSpec::square(3, 1, 1);
+    let mut cases = Vec::new();
+    for n in [1, 2, 5, 16, 64] {
+        cases.push((n, 3, 16, 16, 8, vgg, false));
+        cases.push((n, 8, 8, 8, 16, vgg, false));
+        cases.push((n, 16, 4, 4, 32, vgg, false));
+    }
+    cases.push((5, 3, 9, 9, 8, Conv2dSpec::square(3, 2, 1), false));
+    cases.push((5, 3, 5, 7, 5, vgg, false));
+    cases.push((5, 8, 8, 8, 16, vgg, true));
+    pin("conv_full_mantissa", 0x464a_5cdb_8834_66b7, || {
+        let mut rng = Lcg(0x5eed_0008);
+        cases
+            .iter()
+            .map(|&(n, c, h, w, o, spec, specials)| {
+                let tag = if specials { " specials" } else { "" };
+                (
+                    format!("{}{tag}", label(n, c, h, w, o, spec)),
+                    conv_full_case(&mut rng, n, c, h, w, o, spec, specials),
+                )
+            })
+            .collect()
     });
 }
 
