@@ -69,8 +69,12 @@ echo "==> spatial kernels again under --release"
 # element: an index slip is a slice panic in debug and a wrong value in
 # release, so both builds must be seen. The naive-reference oracle
 # (crates/tensor/tests/spatial_oracle.rs) already ran in release with
-# the medsplit-tensor suites above; the golden digests follow.
+# the medsplit-tensor suites above; the golden digests follow. The
+# in-place conv kernels and the 2x2 max-pool read unchecked after one
+# extent check per call, so their unit tests (every AVX2 and portable
+# body against the packed path and the scan) run in release too.
 cargo test -q --release --offline --test spatial_golden
+cargo test -q --release --offline -p medsplit-tensor --lib -- ops::conv:: ops::pool::
 
 echo "==> layer passes again under --release"
 # BatchNorm walks eight features' planes side by side and the broadcast
@@ -92,15 +96,15 @@ cargo test -q --release --offline -p medsplit-tensor --lib -- ops::microkernel::
 cargo test -q --release --offline --test gemm_golden
 cargo test -q --release --offline --test parallel_kernels -- matmul_family packed_gemm
 
-echo "==> miri (unsafe microkernel + simd + scratch modules)"
+echo "==> miri (unsafe microkernel, simd, scratch, conv and pool modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
-# cover: 68 `unsafe` occurrences under crates/ (grep -rw unsafe
+# cover: 84 `unsafe` occurrences under crates/ (grep -rw unsafe
 # --include=*.rs), all in crates/tensor.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \
-        --lib -- microkernel:: simd:: scratch::
+        --lib -- microkernel:: simd:: scratch:: ops::conv:: ops::pool::
 elif cargo careful --version >/dev/null 2>&1; then
     cargo careful test -q -p medsplit-tensor --offline --lib
 else

@@ -20,7 +20,9 @@
 //! backward (all three gradients) of a `Conv2d`-shaped step at the three
 //! VGG-lite layer shapes — the work `train_vgg` repeats every round — in
 //! GFLOP/s over the three GEMMs' `6·n·o·c·k²·oh·ow` flops, so the patch
-//! gather and scatter around them count against the figure. The `maxpool`
+//! gather and scatter around them count against the figure; the
+//! `conv_params` row times the parameters-only backward of the
+//! platform's `L1` (`16x3x16x16->o8`), in GFLOP/s over its one GEMM. The `maxpool`
 //! rows time `maxpool2d_forward` (2×2, stride 2) at the three VGG-lite
 //! pooling shapes in `ns_per_elem`: nanoseconds per *input* element.
 //! The `batchnorm` rows time a training-mode `BatchNorm` forward
@@ -43,7 +45,8 @@
 //! the throughput ratio to the scalar row.
 //!
 //! A small-batch *serving sweep* (`dense_serve` / `conv_serve` rows at
-//! batch 1/2/4/8) drives the plan-cache path — layers in `Mode::Eval`
+//! batch 1/2/4/8, plus `conv_serve` rows at VGG-lite's own serving
+//! convs, which stay out of the plan digest) drives the plan-cache path — layers in `Mode::Eval`
 //! with prepacked weight panels — against the unplanned per-call packing
 //! path. Its `repacks_per_step` column counts plan panel packs inside
 //! the timed region; the harness asserts it is exactly 0.0 after warmup
@@ -85,7 +88,7 @@ use crate::report::{
 };
 use medsplit_nn::{BatchNorm, Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
 use medsplit_tensor::ops::conv::{
-    conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, Conv2dSpec,
+    conv2d_backward_params, conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, Conv2dSpec,
 };
 use medsplit_tensor::ops::plan;
 use medsplit_tensor::ops::pool::maxpool2d_forward;
@@ -446,6 +449,33 @@ fn bench_conv_train(n: usize, c: usize, hw: usize, o: usize, reps: usize, rows: 
     });
 }
 
+/// The parameters-only backward (`conv2d_backward_params`: weight and
+/// bias gradients, no input gradient) of a `Conv2d(c -> o, 3×3/s1/p1)`
+/// on `n×c×hw×hw` — what the platform's `L1` runs each round — at one
+/// thread, in GFLOP/s over the weight-gradient GEMM's `2·n·o·c·9·hw²`.
+fn bench_conv_params(n: usize, c: usize, hw: usize, o: usize, reps: usize, rows: &mut Vec<Row>) {
+    let mut rng = rng_from_seed(37);
+    let spec = Conv2dSpec::square(3, 1, 1);
+    let input = Tensor::rand_uniform([n, c, hw, hw], -1.0, 1.0, &mut rng);
+    let weight = Tensor::rand_uniform([o, c, 3, 3], -0.5, 0.5, &mut rng);
+    let grad_out = Tensor::rand_uniform([n, o, hw, hw], -1.0, 1.0, &mut rng);
+    let flops = 2.0 * (n * o * c * 9 * hw * hw) as f64;
+    let step = || {
+        std::hint::black_box(conv2d_backward_params(&input, &weight, &grad_out, spec).expect("conv params"));
+    };
+    pool::set_num_threads(1);
+    let (best_s, allocs, _) = time_best(reps, step);
+    let two_thread_s = at_two_threads(reps, step);
+    rows.push(Row {
+        best_ms: best_s * 1e3,
+        gflops: flops / best_s / 1e9,
+        speedup_vs_1t: 1.0,
+        speedup_t2_vs_t1: best_s / two_thread_s,
+        scratch_allocs_per_step: allocs,
+        ..Row::blank("conv_params", format!("{n}x{c}x{hw}x{hw}->k3s1p1o{o}"), 1, reps)
+    });
+}
+
 /// `maxpool2d_forward` with the 2×2/stride-2 window on `n×c×hw×hw`.
 fn bench_maxpool(n: usize, c: usize, hw: usize, reps: usize, rows: &mut Vec<Row>) {
     let mut rng = rng_from_seed(41);
@@ -631,52 +661,88 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
     let layer = Mutex::new(Conv2d::from_parts(w.clone(), b.clone(), spec).expect("conv layer"));
     for &batch in &BATCHES {
         let x = Tensor::rand_uniform([batch, c, hw, hw], -1.0, 1.0, &mut rng);
-        let (oh, ow) = spec.output_hw(hw, hw).expect("conv shape");
-        let flops = 2.0 * (batch * o * oh * ow * c * 9) as f64;
-        let direct = conv2d_forward(&x, &w, Some(&b), spec).expect("direct conv");
-        let (direct_s, _, _) = time_best(reps, || {
-            std::hint::black_box(conv2d_forward(&x, &w, Some(&b), spec).expect("direct conv"));
-        });
-        let planned = layer
-            .lock()
-            .expect("conv lock")
-            .forward(&x, Mode::Eval)
-            .expect("planned conv");
-        assert_eq!(
-            planned.as_slice(),
-            direct.as_slice(),
-            "planned conv logits diverged from the unplanned path at b{batch}x{c}x{hw}x{hw}"
-        );
+        let planned = conv_serve_row(&layer, &w, &b, &x, reps, rows);
         digest = fnv1a_fold(digest, planned.as_slice());
-        let (best_s, allocs, repacks) = time_best(reps, || {
-            let mut l = layer.lock().expect("conv lock");
-            std::hint::black_box(l.forward(&x, Mode::Eval).expect("planned conv"));
-        });
-        assert_eq!(
-            repacks, 0.0,
-            "conv serve repacked panels after warmup at b{batch}x{c}x{hw}x{hw}"
-        );
-        let two_thread_s = at_two_threads(reps, || {
-            let mut l = layer.lock().expect("conv lock");
-            std::hint::black_box(l.forward(&x, Mode::Eval).expect("planned conv"));
-        });
-        rows.push(Row {
-            best_ms: best_s * 1e3,
-            gflops: flops / best_s / 1e9,
-            speedup_vs_1t: 1.0,
-            speedup_t2_vs_t1: best_s / two_thread_s,
-            speedup_vs_seed: direct_s / best_s,
-            scratch_allocs_per_step: allocs,
-            repacks_per_step: repacks,
-            ..Row::blank(
-                "conv_serve",
-                format!("b{batch}x{c}x{hw}x{hw}->k3s1p1o{o}"),
-                1,
-                reps,
-            )
-        });
+    }
+    // VGG-lite's own serving convs: the server's two layers at batches 1
+    // and 2, and the platform's `L1` at batch 1. Not folded into the
+    // digest, which pins the rows above.
+    for &(batch, c, hw, o) in &[
+        (1usize, 8usize, 8usize, 16usize),
+        (2, 8, 8, 16),
+        (1, 16, 4, 32),
+        (2, 16, 4, 32),
+        (1, 3, 16, 8),
+    ] {
+        let mut rng = rng_from_seed(47);
+        let w = Tensor::rand_uniform([o, c, 3, 3], -0.5, 0.5, &mut rng);
+        let b = Tensor::rand_uniform([o], -0.1, 0.1, &mut rng);
+        let layer = Mutex::new(Conv2d::from_parts(w.clone(), b.clone(), spec).expect("conv layer"));
+        let x = Tensor::rand_uniform([batch, c, hw, hw], -1.0, 1.0, &mut rng);
+        conv_serve_row(&layer, &w, &b, &x, reps, rows);
     }
     digest
+}
+
+/// One `conv_serve` row: the planned forward of `layer` (3×3/s1/p1,
+/// weight `w`, bias `b`) in `Mode::Eval` on `x`, against the unplanned
+/// `conv2d_forward`. Asserts bit-identical logits and zero warm-path
+/// repacks; returns the planned logits.
+fn conv_serve_row(
+    layer: &Mutex<Conv2d>,
+    w: &Tensor,
+    b: &Tensor,
+    x: &Tensor,
+    reps: usize,
+    rows: &mut Vec<Row>,
+) -> Tensor {
+    let spec = Conv2dSpec::square(3, 1, 1);
+    let (batch, c, hw) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+    let o = w.dims()[0];
+    let (oh, ow) = spec.output_hw(hw, hw).expect("conv shape");
+    let flops = 2.0 * (batch * o * oh * ow * c * 9) as f64;
+    let direct = conv2d_forward(x, w, Some(b), spec).expect("direct conv");
+    let (direct_s, _, _) = time_best(reps, || {
+        std::hint::black_box(conv2d_forward(x, w, Some(b), spec).expect("direct conv"));
+    });
+    let planned = layer
+        .lock()
+        .expect("conv lock")
+        .forward(x, Mode::Eval)
+        .expect("planned conv");
+    assert_eq!(
+        planned.as_slice(),
+        direct.as_slice(),
+        "planned conv logits diverged from the unplanned path at b{batch}x{c}x{hw}x{hw}"
+    );
+    let (best_s, allocs, repacks) = time_best(reps, || {
+        let mut l = layer.lock().expect("conv lock");
+        std::hint::black_box(l.forward(x, Mode::Eval).expect("planned conv"));
+    });
+    assert_eq!(
+        repacks, 0.0,
+        "conv serve repacked panels after warmup at b{batch}x{c}x{hw}x{hw}"
+    );
+    let two_thread_s = at_two_threads(reps, || {
+        let mut l = layer.lock().expect("conv lock");
+        std::hint::black_box(l.forward(x, Mode::Eval).expect("planned conv"));
+    });
+    rows.push(Row {
+        best_ms: best_s * 1e3,
+        gflops: flops / best_s / 1e9,
+        speedup_vs_1t: 1.0,
+        speedup_t2_vs_t1: best_s / two_thread_s,
+        speedup_vs_seed: direct_s / best_s,
+        scratch_allocs_per_step: allocs,
+        repacks_per_step: repacks,
+        ..Row::blank(
+            "conv_serve",
+            format!("b{batch}x{c}x{hw}x{hw}->k3s1p1o{o}"),
+            1,
+            reps,
+        )
+    });
+    planned
 }
 
 /// Asserts the training-path packing bound: each optimizer step
@@ -885,6 +951,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_gemm(GemmVariant::Nn, 48, 33, 17, &threads, reps, &mut rows);
         bench_conv("conv2d", 2, 3, 8, 4, 3, 1, 1, &threads, reps, &mut rows);
         bench_conv_train(5, 3, 8, 4, reps, &mut rows);
+        bench_conv_params(5, 3, 8, 4, reps, &mut rows);
         bench_maxpool(2, 3, 8, reps, &mut rows);
         bench_batchnorm(2, 3, 8, reps, &mut rows);
         bench_dense_train(4, 8, 16, reps, &mut rows);
@@ -913,6 +980,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_conv_train(16, 3, 16, 8, reps, &mut rows);
         bench_conv_train(64, 8, 8, 16, reps, &mut rows);
         bench_conv_train(64, 16, 4, 32, reps, &mut rows);
+        bench_conv_params(16, 3, 16, 8, reps, &mut rows);
         bench_maxpool(64, 8, 16, reps, &mut rows);
         bench_maxpool(64, 16, 8, reps, &mut rows);
         bench_maxpool(64, 32, 4, reps, &mut rows);

@@ -10,8 +10,21 @@
 //! visiting order inside a window is unchanged — rows, then columns —
 //! so sums accumulate and ties break exactly as they always have.
 //!
+//! The 2×2, stride-2, unpadded max-pool (every window whole; the VGG
+//! pools) has a path of its own, picked by the geometry alone: the
+//! output rows of all planes form one sequence, cut into blocks of
+//! whole planes, and each block runs a dispatched body — on AVX2 eight
+//! outputs at a time, their input rows de-interleaved into even and odd
+//! columns and the four window elements compared and blended in scan
+//! order (the argmax as a vector of flat indices); elsewhere, and for
+//! outputs that fill no group of eight, the scan. Both give every output
+//! the scan's value and argmax: the first strictly greater element
+//! wins, NaN never wins, and a window of NaN and `-inf` falls back to
+//! the plane's first element.
+//!
 //! The forward passes and the average-pooling backward pass are
-//! parallelised over `(batch, channel)` planes — every plane writes a
+//! parallelised over `(batch, channel)` planes (blocks of them for the
+//! 2×2 max-pool) — every plane writes a
 //! disjoint output region, so results are identical for any pool size.
 //! The max-pooling backward pass stays sequential: it scatters through
 //! caller-supplied `argmax` indices, which the type system cannot prove
@@ -21,6 +34,8 @@ use crate::error::{Result, TensorError};
 use crate::ops::check_nchw;
 use crate::ops::conv::Conv2dSpec;
 use crate::pool;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{self, Isa};
 use crate::tensor::Tensor;
 
 /// Result of a max-pooling forward pass: the pooled tensor plus the flat
@@ -97,6 +112,10 @@ pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutp
         stride,
         padding,
     } = spec;
+    if (kh, kw, stride, padding) == (2, 2, 2, 0) {
+        maxpool2x2(src, n * c, h, w, output.as_mut_slice(), &mut argmax);
+        return Ok(MaxPoolOutput { output, argmax });
+    }
     let whole_x = whole_windows(spec, ow, kw, w);
     let dst = pool::RawSliceMut::new(output.as_mut_slice());
     let arg = pool::RawSliceMut::new(&mut argmax);
@@ -131,6 +150,240 @@ pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutp
         }
     });
     Ok(MaxPoolOutput { output, argmax })
+}
+
+/// The 2×2, stride-2, unpadded max-pool of `planes` planes of `h×w`:
+/// every window is whole, and output row `q` of the flattened
+/// `[planes·OH, OW]` output scans input rows `2·(q % OH)` and the one
+/// below in plane `q / OH`. Blocks of whole planes (at least 64 outputs
+/// each) run as pool tasks, each through the dispatched body; both
+/// bodies give every output the scan's value and argmax.
+fn maxpool2x2(src: &[f32], planes: usize, h: usize, w: usize, dst: &mut [f32], arg: &mut [usize]) {
+    let (oh, ow) = (h / 2, w / 2);
+    let block = 64usize.div_ceil(oh * ow) * oh * ow;
+    let arg = pool::RawSliceMut::new(arg);
+    pool::parallel_chunks_mut_sized(dst, block, planes * h * w, |t, dst| {
+        let q0 = t * block / ow;
+        // SAFETY: block `t` owns exactly the outputs of `dst`, so the
+        // matching argmax region is exclusive to this task.
+        let arg = unsafe { arg.slice(t * block, t * block + dst.len()) };
+        #[cfg(target_arch = "x86_64")]
+        if simd::active_isa() == Isa::Avx2 && src.len() <= i32::MAX as usize {
+            // SAFETY: AVX2 is available (the active ISA is only ever a
+            // supported one), and every flat input index fits an `i32`.
+            unsafe { maxpool2x2_avx2(src, h, w, q0, dst, arg) };
+            return;
+        }
+        maxpool2x2_portable(src, w, &mut PoolRows::new(q0, h, w), dst, arg);
+    });
+}
+
+/// A cursor over the output rows of a 2×2 max-pool from row `q` on:
+/// each step yields the flat input index of the row's first window and
+/// of its plane's first element (the argmax when nothing wins).
+struct PoolRows {
+    /// Flat index of the current plane's first element.
+    base: usize,
+    oy: usize,
+    oh: usize,
+    plane: usize,
+    w: usize,
+}
+
+impl PoolRows {
+    fn new(q: usize, h: usize, w: usize) -> Self {
+        let oh = h / 2;
+        PoolRows {
+            base: q / oh * h * w,
+            oy: q % oh,
+            oh,
+            plane: h * w,
+            w,
+        }
+    }
+
+    fn next_row(&mut self) -> (usize, usize) {
+        let at = (self.base + 2 * self.oy * self.w, self.base);
+        self.oy += 1;
+        if self.oy == self.oh {
+            self.oy = 0;
+            self.base += self.plane;
+        }
+        at
+    }
+}
+
+/// Portable body of [`maxpool2x2`]: the scan, window by window, over
+/// the rows the cursor yields, `w / 2` outputs of `dst` and `arg` each.
+fn maxpool2x2_portable(src: &[f32], w: usize, cursor: &mut PoolRows, dst: &mut [f32], arg: &mut [usize]) {
+    let ow = w / 2;
+    for (dst, arg) in dst.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow)) {
+        let (row, base) = cursor.next_row();
+        for ox in 0..ow {
+            (dst[ox], arg[ox]) = scan_window(src, row + 2 * ox, 2, 2, w, base);
+        }
+    }
+}
+
+/// AVX2 body of [`maxpool2x2`]: eight outputs at a time — a run of eight
+/// of one output row, or two whole 4-wide or four whole 2-wide rows
+/// ([`maxpool2x2_groups`]); outputs that fill no group run the scan.
+///
+/// # Safety
+///
+/// AVX2 must be available, and every flat input index must fit an `i32`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn maxpool2x2_avx2(src: &[f32], h: usize, w: usize, q0: usize, dst: &mut [f32], arg: &mut [usize]) {
+    let ow = w / 2;
+    let rows = dst.len() / ow;
+    if rows == 0 {
+        return;
+    }
+    // One extent check: the bottom-right element of the last window.
+    let (last_row, _) = PoolRows::new(q0 + rows - 1, h, w).next_row();
+    assert!(
+        last_row + w + 2 * ow <= src.len() && arg.len() == dst.len(),
+        "2x2 max-pool reads to {}, input has {}",
+        last_row + w + 2 * ow,
+        src.len()
+    );
+    let mut cursor = PoolRows::new(q0, h, w);
+    // SAFETY (all three): AVX2 is available; the extent was checked.
+    let grouped = unsafe {
+        match ow {
+            2 => maxpool2x2_groups::<2>(src, w, &mut cursor, dst, arg),
+            4 => maxpool2x2_groups::<4>(src, w, &mut cursor, dst, arg),
+            ow if ow >= 8 => maxpool2x2_groups::<8>(src, w, &mut cursor, dst, arg),
+            _ => 0,
+        }
+    };
+    // Rows left over by the grouping (or every row, when OW is too narrow
+    // and not 2 or 4).
+    let rest = grouped * ow;
+    maxpool2x2_portable(src, w, &mut cursor, &mut dst[rest..], &mut arg[rest..]);
+}
+
+/// The grouped part of [`maxpool2x2_avx2`] for output rows of `RUN`
+/// pixels per group (`RUN < 8`: groups of `8 / RUN` whole rows of
+/// exactly `RUN`; `RUN = 8`: each row's runs of eight, its tail
+/// scanned). Each group's two input rows are loaded as sixteen floats
+/// each and de-interleaved into the windows' even and odd columns; the
+/// four window elements are then compared in scan order (`>` is false on
+/// NaN, so NaN never wins and ties keep the earlier element) and the
+/// winner and its flat index blended in. Returns the output rows done.
+///
+/// # Safety
+///
+/// AVX2 must be available; every window of the rows handed out by
+/// `cursor` must lie inside `src`, and every flat index fit an `i32`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn maxpool2x2_groups<const RUN: usize>(
+    src: &[f32],
+    w: usize,
+    cursor: &mut PoolRows,
+    dst: &mut [f32],
+    arg: &mut [usize],
+) -> usize {
+    use std::arch::x86_64::*;
+    let ow = w / 2;
+    let per = 8 / RUN;
+    let rows = dst.len() / ow;
+    let groups = rows / per * per;
+    // SAFETY throughout: every read is a window of a row the cursor
+    // yields (in bounds by the caller's contract); the stores cover the
+    // eight outputs of each group in `dst` and `arg` (usize is 64 bits).
+    unsafe {
+        let p = src.as_ptr();
+        // Lane `l` of a group sits `2·(l % RUN)` past its row's start.
+        let lane = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
+        let lane = _mm256_and_si256(lane, _mm256_set1_epi32(2 * RUN as i32 - 1));
+        let halves = |x: usize, y: usize| {
+            _mm256_insertf128_ps::<1>(
+                _mm256_castps128_ps256(_mm_loadu_ps(p.add(x))),
+                _mm_loadu_ps(p.add(y)),
+            )
+        };
+        // Even and odd elements of `x ++ y`, in order.
+        let split = |x: __m256, y: __m256| {
+            let even = _mm256_shuffle_ps::<0x88>(x, y);
+            let odd = _mm256_shuffle_ps::<0xDD>(x, y);
+            (
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(even))),
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(odd))),
+            )
+        };
+        // One group of eight: `at[r]` / `base[r]` are the first window and
+        // plane start of its `r`-th row (RUN < 8), or of its run (RUN = 8).
+        let group = |at: [usize; 4], base: [usize; 4], j: usize, dst: &mut [f32], arg: &mut [usize]| {
+            let pairs = |below: usize| match RUN {
+                2 => (
+                    halves(at[0] + below, at[1] + below),
+                    halves(at[2] + below, at[3] + below),
+                ),
+                4 => (
+                    _mm256_loadu_ps(p.add(at[0] + below)),
+                    _mm256_loadu_ps(p.add(at[1] + below)),
+                ),
+                _ => (
+                    _mm256_loadu_ps(p.add(at[0] + below)),
+                    _mm256_loadu_ps(p.add(at[0] + below + 8)),
+                ),
+            };
+            let spread = |v: [usize; 4]| {
+                let l = |i: usize| v[i / RUN] as i32;
+                _mm256_setr_epi32(l(0), l(1), l(2), l(3), l(4), l(5), l(6), l(7))
+            };
+            let (top_l, top_r) = {
+                let (x, y) = pairs(0);
+                split(x, y)
+            };
+            let (bot_l, bot_r) = {
+                let (x, y) = pairs(w);
+                split(x, y)
+            };
+            let first = _mm256_add_epi32(spread(at), lane);
+            let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+            let mut idx = _mm256_castsi256_ps(spread(base));
+            for (v, delta) in [(top_l, 0), (top_r, 1), (bot_l, w as i32), (bot_r, w as i32 + 1)] {
+                let wins = _mm256_cmp_ps::<_CMP_GT_OQ>(v, best);
+                best = _mm256_blendv_ps(best, v, wins);
+                let at = _mm256_castsi256_ps(_mm256_add_epi32(first, _mm256_set1_epi32(delta)));
+                idx = _mm256_blendv_ps(idx, at, wins);
+            }
+            _mm256_storeu_ps(dst.as_mut_ptr().add(j), best);
+            let idx = _mm256_castps_si256(idx);
+            let out = arg.as_mut_ptr().add(j).cast::<__m256i>();
+            _mm256_storeu_si256(out, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(idx)));
+            _mm256_storeu_si256(
+                out.add(1),
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(idx)),
+            );
+        };
+        let mut q = 0;
+        while q < groups {
+            if RUN == 8 {
+                let (row, base) = cursor.next_row();
+                let whole = ow / 8 * 8;
+                for ox in (0..whole).step_by(8) {
+                    group([row + 2 * ox; 4], [base; 4], q * ow + ox, dst, arg);
+                }
+                for ox in whole..ow {
+                    (dst[q * ow + ox], arg[q * ow + ox]) = scan_window(src, row + 2 * ox, 2, 2, w, base);
+                }
+            } else {
+                let mut at = [0; 4];
+                let mut base = [0; 4];
+                for r in 0..per {
+                    (at[r], base[r]) = cursor.next_row();
+                }
+                group(at, base, q * ow, dst, arg);
+            }
+            q += per;
+        }
+        groups
+    }
 }
 
 /// Max-pooling backward pass: routes each upstream gradient to the winning
@@ -427,5 +680,117 @@ mod tests {
         assert_eq!(gi.as_slice()[4..], [2.0; 4]);
         assert!(global_avgpool_backward(&Tensor::ones([2, 2]), input.shape()).is_err());
         assert!(global_avgpool(&Tensor::ones([2, 2])).is_err());
+    }
+
+    /// Coarse values (many exact ties, `±0.0`) with NaN and `-inf`
+    /// sprinkled in, and whole planes of each.
+    fn hostile(planes: usize, h: usize, w: usize) -> Vec<f32> {
+        let mut state = (planes * 131 + h * 17 + w) as u64;
+        (0..planes * h * w)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match (i / (h * w), state >> 60) {
+                    (0, _) | (_, 0) => f32::NEG_INFINITY,
+                    (1, _) | (_, 1) => f32::NAN,
+                    (_, 2) => -0.0,
+                    (_, v) => (v % 5) as f32 * 0.5 - 1.0,
+                }
+            })
+            .collect()
+    }
+
+    /// The scan rule, window by window: first strictly greater wins,
+    /// `(-inf, plane start)` if nothing does.
+    fn naive_2x2(src: &[f32], planes: usize, h: usize, w: usize) -> (Vec<u32>, Vec<usize>) {
+        let (oh, ow) = (h / 2, w / 2);
+        let mut out = Vec::new();
+        let mut arg = Vec::new();
+        for p in 0..planes {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let (mut best, mut at) = (f32::NEG_INFINITY, p * h * w);
+                    for (y, x) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                        let i = p * h * w + (2 * oy + y) * w + 2 * ox + x;
+                        if src[i] > best {
+                            (best, at) = (src[i], i);
+                        }
+                    }
+                    out.push(best.to_bits());
+                    arg.push(at);
+                }
+            }
+        }
+        (out, arg)
+    }
+
+    /// Both 2×2 max-pool bodies, called directly from output row 0 and
+    /// from mid-tensor rows, against the scan rule: output rows of 1, 2,
+    /// 3, 4, 8, 10 and 16 windows (the 4- and 2-wide groups span planes),
+    /// odd input sides, and planes of `-inf` and NaN.
+    #[test]
+    fn maxpool2x2_bodies_match_the_scan() {
+        for (planes, h, w) in [
+            (3, 4, 4),
+            (5, 8, 8),
+            (7, 4, 4),
+            (2, 16, 16),
+            (3, 9, 5),
+            (3, 6, 20),
+            (4, 2, 2),
+            (3, 4, 6),
+            (5, 5, 9),
+            (3, 8, 33),
+        ] {
+            let src = hostile(planes, h, w);
+            let (want_out, want_arg) = naive_2x2(&src, planes, h, w);
+            let ow = w / 2;
+            let total_rows = planes * (h / 2);
+            for q0 in [0, total_rows / 3] {
+                let (lo, n) = (q0 * ow, (total_rows - q0) * ow);
+                let mut out = vec![f32::NAN; n];
+                let mut arg = vec![usize::MAX; n];
+                maxpool2x2_portable(&src, w, &mut PoolRows::new(q0, h, w), &mut out, &mut arg);
+                assert_eq!(
+                    bits(&out),
+                    want_out[lo..],
+                    "portable {planes}x{h}x{w} from row {q0}"
+                );
+                assert_eq!(
+                    arg,
+                    want_arg[lo..],
+                    "portable argmax {planes}x{h}x{w} from row {q0}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if crate::simd::supported(Isa::Avx2) {
+                    let mut out = vec![f32::NAN; n];
+                    let mut arg = vec![usize::MAX; n];
+                    // SAFETY: AVX2 is present and the indices are small.
+                    unsafe { maxpool2x2_avx2(&src, h, w, q0, &mut out, &mut arg) };
+                    assert_eq!(bits(&out), want_out[lo..], "avx2 {planes}x{h}x{w} from row {q0}");
+                    assert_eq!(arg, want_arg[lo..], "avx2 argmax {planes}x{h}x{w} from row {q0}");
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// An input shorter than its windows is refused before any unchecked
+    /// read.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "2x2 max-pool reads")]
+    fn maxpool2x2_avx2_checks_the_source_extent() {
+        if !crate::simd::supported(Isa::Avx2) {
+            panic!("2x2 max-pool reads (skipped: host lacks AVX2)");
+        }
+        let src = vec![0.0f32; 2 * 8 * 8 - 1];
+        let (mut out, mut arg) = (vec![0.0f32; 32], vec![0usize; 32]);
+        // SAFETY: AVX2 is present; the short source must be refused.
+        unsafe { maxpool2x2_avx2(&src, 8, 8, 0, &mut out, &mut arg) };
     }
 }

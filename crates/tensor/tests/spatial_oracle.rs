@@ -13,7 +13,9 @@
 //! fused multiply-add per depth step in ascending `(ch, kh, kw)` /
 //! output-channel / output-pixel order with padded reads contributing
 //! `w · 0.0`, weight and bias gradients reduced per four-image chunk and
-//! then across chunks in order, input gradients summed in ascending
+//! then across chunks in order (the weight gradient's multiplicands in
+//! either order: fused multiply-add rounds `a·b + c` once, so `g·x` and
+//! `x·g` give the same bits on values that are not both NaN), input gradients summed in ascending
 //! `(kh, kw)` order, and the first strictly greater element winning a
 //! pooling window.
 
@@ -361,7 +363,7 @@ fn spec(kernel_h: usize, kernel_w: usize, stride: usize, padding: usize) -> Conv
 proptest! {
     #[test]
     fn conv_matches_the_seven_loop_reference(
-        n in 1usize..7, c in 1usize..4, o in 1usize..8,
+        n in 1usize..7, c in 1usize..4, o in 1usize..=40,
         h in 1usize..11, w in 1usize..21,
         kh in 1usize..6, kw in 1usize..6,
         stride in 1usize..4, padding in 0usize..4,
@@ -403,6 +405,18 @@ fn conv_named_cases() {
         // Tiles that start mid-row and span three rows.
         (2, 2, 4, 7, 5, spec(3, 3, 1, 1)),
         (1, 1, 3, 33, 2, spec(3, 3, 1, 1)),
+        // The forward reads its tiles in place when they are whole 4- or
+        // 8-pixel output rows or 16-aligned runs of one row; one row
+        // fewer, or a run that is not 16-aligned, and they are gathered.
+        (3, 5, 4, 4, 20, spec(3, 3, 1, 1)),
+        (3, 5, 3, 4, 20, spec(3, 3, 1, 1)),
+        (2, 3, 6, 8, 13, spec(3, 3, 1, 1)),
+        (2, 3, 5, 8, 13, spec(3, 3, 1, 1)),
+        (2, 2, 3, 32, 17, spec(3, 3, 1, 1)),
+        (2, 2, 3, 24, 17, spec(3, 3, 1, 1)),
+        // The weight gradient reads in place at every stride: a strided
+        // one over three output-channel tiles.
+        (5, 3, 9, 9, 33, spec(3, 3, 2, 1)),
     ];
     for (i, (n, c, h, w, o, spec)) in cases.into_iter().enumerate() {
         let p = Problem::new(n, c, h, w, o, spec, 77 + i as u64).expect("case fits");
