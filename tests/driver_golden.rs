@@ -336,6 +336,37 @@ fn split_int8_codec() {
 }
 
 #[test]
+fn split_over_chaos_transport() {
+    // The star `SplitTrainer` over a chaos transport whose plan holds
+    // only a straggler (no events, no random faults), with the `L1`
+    // sync, the int8 codec and the compute model on: the route whose
+    // delivery moved onto the fault-tolerant exchange.
+    let plan = FaultPlan::new(42).straggler(NodeId::Platform(2), 2.0);
+    let mut cfg = config();
+    cfg.l1_sync = L1Sync::PeriodicAverage { every: 2 };
+    cfg.codec = WireCodec::Int8;
+    let (shards, test) = data(4);
+    let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(4)), plan);
+    let mut trainer = SplitTrainer::new(&arch(&[16]), cfg, shards, test, &chaos).unwrap();
+    let history = trainer.run().unwrap();
+    let l1 = l1_bits(trainer.platforms_mut());
+    let server = trainer.server_mut().weights_digest();
+    let got = Golden {
+        history: history_digest(&history),
+        stats: stats_digest(&history.stats),
+        weights: weights_digest(&l1, Some(server)),
+        report: 0,
+    };
+    let want = Golden {
+        history: 0xd73e_0fe5_e366_6e3b,
+        stats: 0x87db_ee8d_3b80_5c9c,
+        weights: 0xff01_323f_48ef_b093,
+        report: 0,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
 fn ushape_tail_one() {
     // The U-shaped trainer exposes neither platforms nor server, so its
     // weights are pinned through the accuracies in the history and one
