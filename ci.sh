@@ -199,4 +199,10 @@ echo "==> baseline trainer golden digests under --release"
 # debug by the workspace run above.
 cargo test -q --release --offline --test baseline_golden
 
+echo "==> training driver golden digests under --release"
+# Every split trainer runs the one round engine; its histories, stats,
+# weights and fault reports are pinned bit for bit in debug by the
+# workspace run above, and the optimised build must agree with them.
+cargo test -q --release --offline --test driver_golden
+
 echo "ci.sh: all green"

@@ -6,9 +6,7 @@
 //! the binaries run the full configuration while the test suite exercises
 //! the identical code path at a tiny scale.
 
-use medsplit_core::{
-    comm, ComputeModel, Result, Scheduling, SplitConfig, SplitError, SplitPoint, SplitTrainer,
-};
+use medsplit_core::{comm, ComputeModel, Result, SplitConfig, SplitError, SplitPoint, SplitTrainer};
 use medsplit_data::{InMemoryDataset, MinibatchPolicy, Partition};
 use medsplit_nn::{Architecture, Layer, LrSchedule};
 use medsplit_privacy::assess_l1_leakage;
@@ -72,7 +70,6 @@ fn split_config(scale: Scale, rounds: usize) -> SplitConfig {
         minibatch: MinibatchPolicy::Proportional {
             global: scale.global_batch,
         },
-        scheduling: Scheduling::Aggregate,
         lr: LrSchedule::Constant(0.05),
         momentum: 0.9,
         rounds,

@@ -13,19 +13,6 @@ pub enum SplitPoint {
     At(usize),
 }
 
-/// How the server schedules platform batches within one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduling {
-    /// The server processes each platform's minibatch independently
-    /// (forward + backward + update per platform), matching the paper's
-    /// flowchart read literally.
-    RoundRobin,
-    /// The server concatenates all platforms' activations into one batch
-    /// per round — realising "the effect of training with all data" with a
-    /// single update.
-    Aggregate,
-}
-
 /// How (and whether) the platforms' `L1` replicas are kept in sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L1Sync {
@@ -224,8 +211,6 @@ pub struct SplitConfig {
     pub split: SplitPoint,
     /// Per-platform minibatch policy (the paper's imbalance mitigation).
     pub minibatch: MinibatchPolicy,
-    /// Server-side scheduling of platform batches.
-    pub scheduling: Scheduling,
     /// `L1` synchronisation strategy.
     pub l1_sync: L1Sync,
     /// Learning rate schedule (applied to both sides).
@@ -252,8 +237,9 @@ pub struct SplitConfig {
     /// ever sees the noised representation, at a measurable accuracy
     /// cost (Fig. 7).
     pub activation_noise: f32,
-    /// Fault-tolerance policy for the resilient trainer (deadline,
-    /// quorum, retries). Ignored by the fail-stop drivers.
+    /// Fault-tolerance policy of every split round (deadline, quorum,
+    /// retries). Over a plain transport nothing is late or lost, so only
+    /// the quorum can bind.
     pub round_policy: RoundPolicy,
 }
 
@@ -262,7 +248,6 @@ impl Default for SplitConfig {
         SplitConfig {
             split: SplitPoint::Default,
             minibatch: MinibatchPolicy::Proportional { global: 64 },
-            scheduling: Scheduling::Aggregate,
             l1_sync: L1Sync::CommonInit,
             lr: LrSchedule::Constant(0.05),
             momentum: 0.9,
@@ -340,7 +325,6 @@ mod tests {
         let c = SplitConfig::default();
         assert_eq!(c.split, SplitPoint::Default);
         assert_eq!(c.l1_sync, L1Sync::CommonInit);
-        assert_eq!(c.scheduling, Scheduling::Aggregate);
         assert!(matches!(c.minibatch, MinibatchPolicy::Proportional { .. }));
     }
 

@@ -39,8 +39,9 @@ use crate::error::{Result, SplitError};
 use crate::history::TrainingHistory;
 use crate::platform::Platform;
 use crate::relay;
-use crate::resilient::{receiving_platform, ResilienceReport, ResilientTrainer};
+use crate::resilient::{receiving_platform, Engine, ResilienceReport};
 use crate::round::platform_phase;
+use crate::trainer::fresh_actors;
 
 /// Counters specific to the hierarchical failure machinery, alongside
 /// the embedded star-level [`ResilienceReport`].
@@ -96,7 +97,7 @@ impl Route {
     }
 }
 
-impl<T: Transport> ResilientTrainer<'_, T> {
+impl<T: Transport> Engine<'_, T> {
     /// The region whose byte counter a platform's traffic is charged to.
     pub(crate) fn home_region(&self, pid: usize) -> usize {
         self.tier.as_ref().map_or(0, |t| t.topo.home_relay(pid))
@@ -109,11 +110,11 @@ impl<T: Transport> ResilientTrainer<'_, T> {
     /// implement.
     fn relay_viable(&self, pid: usize, r: usize) -> bool {
         let (p, relay) = (NodeId::Platform(pid), NodeId::Relay(r));
-        !self.chaos.is_down(relay)
-            && !self.chaos.link_down(p, relay)
-            && !self.chaos.link_down(relay, p)
-            && !self.chaos.link_down(relay, NodeId::Server)
-            && !self.chaos.link_down(NodeId::Server, relay)
+        !self.transport.is_down(relay)
+            && !self.transport.link_down(p, relay)
+            && !self.transport.link_down(relay, p)
+            && !self.transport.link_down(relay, NodeId::Server)
+            && !self.transport.link_down(NodeId::Server, relay)
     }
 
     /// Picks this round's route for a live platform of a hierarchy: home
@@ -129,7 +130,7 @@ impl<T: Transport> ResilientTrainer<'_, T> {
             }
         }
         let p = NodeId::Platform(pid);
-        if !self.chaos.link_down(p, NodeId::Server) && !self.chaos.link_down(NodeId::Server, p) {
+        if !self.transport.link_down(p, NodeId::Server) && !self.transport.link_down(NodeId::Server, p) {
             return Some(Route::Direct);
         }
         None
@@ -141,7 +142,7 @@ impl<T: Transport> ResilientTrainer<'_, T> {
     pub(crate) fn assign_routes(&mut self) -> BTreeMap<usize, Route> {
         let mut routes = BTreeMap::new();
         for pid in 0..self.actors.platforms.len() {
-            if self.chaos.is_down(NodeId::Platform(pid)) {
+            if self.transport.is_down(NodeId::Platform(pid)) {
                 continue;
             }
             let Some(tier) = &self.tier else {
@@ -152,7 +153,7 @@ impl<T: Transport> ResilientTrainer<'_, T> {
                 Some(route) => {
                     if route != Route::Relay(tier.topo.home_relay(pid)) {
                         // Failure detection + reconnection cost.
-                        self.chaos
+                        self.transport
                             .stats()
                             .advance_clock(NodeId::Platform(pid), tier.policy.failover_penalty_s);
                         match route {
@@ -241,7 +242,7 @@ impl<T: Transport> ResilientTrainer<'_, T> {
     /// then fan out over the regional links with the relay as source;
     /// direct routes go straight down. Returns `(pid, envelope)` as
     /// received by each platform, in ascending platform order.
-    fn downstream_to_platforms(
+    pub(crate) fn downstream_to_platforms(
         &mut self,
         round: u64,
         routes: &BTreeMap<usize, Route>,
@@ -276,21 +277,22 @@ impl<T: Transport> ResilientTrainer<'_, T> {
         Ok(out)
     }
 
-    /// Moves committed survivors' upstream gradients to the server over
-    /// their routes (reliable on every hop), returning the server-side
-    /// envelopes.
-    fn upstream_grads(
+    /// Moves committed survivors' upstream envelopes (gradients, `L1`
+    /// parameters) to the server over their routes (reliable on every
+    /// hop), returning the server-side envelopes in ascending platform
+    /// order.
+    pub(crate) fn upstream(
         &mut self,
         round: u64,
         routes: &BTreeMap<usize, Route>,
-        grads: Vec<(usize, Envelope)>,
+        envs: Vec<(usize, Envelope)>,
     ) -> Result<Vec<Envelope>> {
         let mut held: BTreeMap<usize, Envelope> = BTreeMap::new();
-        for (pid, mut env) in grads {
+        for (pid, mut env) in envs {
             env.dst = routes[&pid].sink();
-            let region = self.home_region(pid);
+            let (region, kind) = (self.home_region(pid), env.kind);
             let got = self.deliver(env, region, |e| {
-                e.kind == MessageKind::LogitGrads && e.round == round && e.src.platform_index() == Some(pid)
+                e.kind == kind && e.round == round && e.src.platform_index() == Some(pid)
             })?;
             held.insert(pid, got);
         }
@@ -320,7 +322,7 @@ impl<T: Transport> ResilientTrainer<'_, T> {
             .map(|(pid, (grad_env, loss))| ((pid, grad_env), loss))
             .unzip();
 
-        let grad_envs = self.upstream_grads(round, routes, grads)?;
+        let grad_envs = self.upstream(round, routes, grads)?;
         let cuts_out = self.actors.server.aggregate_backward(&grad_envs)?;
         let cuts = self.downstream_to_platforms(round, routes, cuts_out)?;
         platform_phase(&mut self.actors.platforms, cuts, |p, env| {
@@ -332,7 +334,7 @@ impl<T: Transport> ResilientTrainer<'_, T> {
 
 /// Hierarchical counterpart of [`crate::ResilientTrainer`]: the same
 /// engine and actors over a [`HierTopology`] chaos transport.
-pub struct HierResilientTrainer<'t, T: Transport>(ResilientTrainer<'t, T>);
+pub struct HierResilientTrainer<'t, T: Transport>(Engine<'t, ChaosTransport<T>>);
 
 impl<'t, T: Transport> HierResilientTrainer<'t, T> {
     /// Builds the trainer over a chaos transport routing a
@@ -342,8 +344,8 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
     /// # Errors
     ///
     /// Returns configuration errors for invalid configs or policies,
-    /// shard/topology shape mismatches, unsupported scheduling, or a
-    /// dirty transport.
+    /// shard/topology shape mismatches, a quorum larger than the
+    /// platform count, or a dirty transport.
     pub fn new(
         arch: &Architecture,
         config: SplitConfig,
@@ -366,8 +368,9 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
                 topo.platforms()
             )));
         }
+        let actors = fresh_actors("split_hier_resilient", arch, config, shards, test, chaos.stats())?;
         let tier = RelayTier { policy: hier, topo };
-        ResilientTrainer::with_tier(arch, config, shards, test, chaos, Some(tier)).map(Self)
+        Engine::new(actors, chaos, Some(tier)).map(Self)
     }
 
     /// The hierarchical fault-handling counters accumulated so far.
@@ -377,7 +380,7 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
 
     /// The platform actors (for inspection).
     pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        self.0.platforms_mut()
+        &mut self.0.actors.platforms
     }
 
     /// Mean test accuracy over the currently live platforms' deployed
@@ -415,7 +418,8 @@ impl<'t, T: Transport> HierResilientTrainer<'t, T> {
 mod tests {
     use super::*;
     use crate::round::fixtures::{arch, config, replay_key, setup};
-    use medsplit_simnet::{FaultPlan, MemoryTransport};
+    use crate::{L1Sync, SplitTrainer};
+    use medsplit_simnet::{FaultPlan, MemoryTransport, StarTopology};
 
     fn run_hier(
         plan: FaultPlan,
@@ -602,5 +606,38 @@ mod tests {
             HierResilientTrainer::new(&arch(), config(2), bad, topo, shards, test, &chaos),
             Err(SplitError::Config(_))
         ));
+    }
+
+    #[test]
+    fn l1_sync_crosses_the_relays_and_matches_the_star() {
+        let mut cfg = config(6);
+        cfg.l1_sync = L1Sync::PeriodicAverage { every: 2 };
+        let topo = HierTopology::new(2, 2);
+        let chaos = ChaosTransport::new(MemoryTransport::new(topo.clone()), FaultPlan::new(1));
+        let (shards, test) = setup(4);
+        let hier = HierPolicy::default();
+        let mut trainer = HierResilientTrainer::new(
+            &arch(),
+            cfg.clone(),
+            hier,
+            topo,
+            shards.clone(),
+            test.clone(),
+            &chaos,
+        )
+        .unwrap();
+        let relayed = trainer.run().unwrap();
+        let star = MemoryTransport::new(StarTopology::new(4));
+        let direct = SplitTrainer::new(&arch(), cfg, shards, test, &star)
+            .unwrap()
+            .run()
+            .unwrap();
+        let losses =
+            |h: &TrainingHistory| -> Vec<u32> { h.records.iter().map(|r| r.mean_loss.to_bits()).collect() };
+        assert_eq!(losses(&relayed), losses(&direct));
+        assert_eq!(relayed.final_accuracy.to_bits(), direct.final_accuracy.to_bits());
+        // Three syncs, each one regional hop per platform and direction;
+        // the backbone legs travel as relay batches.
+        assert_eq!(relayed.stats.messages_of(MessageKind::L1Sync), 3 * 2 * 4);
     }
 }

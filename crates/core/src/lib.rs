@@ -16,27 +16,29 @@
 //! 4. server → platform: gradients at the cut, which the platform
 //!    backpropagates through `L1`.
 //!
-//! Key types: [`SplitConfig`] (cut point, scheduling, `L1` sync strategy,
-//! the proportional-minibatch imbalance mitigation), [`Platform`] and
+//! Key types: [`SplitConfig`] (cut point, `L1` sync strategy, the
+//! proportional-minibatch imbalance mitigation, the round policy),
+//! [`Platform`] and
 //! [`SplitServer`] (the actors), [`comm`] (analytic byte costs for the
 //! full-size models) and [`TrainingHistory`] (the accuracy-vs-bytes
 //! curves of Fig. 4).
 //!
 //! Drivers. All of them share one training loop, [`RoundDriver::run`],
-//! and one evaluation and differ in how a round's messages are
-//! delivered, which the caller picks by what it constructs:
+//! one evaluation and one round body: the engine of quorum rounds,
+//! retries, checksum-verified delivery, crash–rejoin from checkpoints and
+//! the `L1` sync. It reads faults through the transport's fault view
+//! ([`Transport::begin_round`](medsplit_simnet::Transport::begin_round)
+//! and its siblings), whose defaults are an empty plan, so a plain
+//! transport is a fault-free run. The trainers differ only in what they
+//! build around it:
 //!
-//! - [`SplitTrainer`] — plain delivery over any transport; both
-//!   schedulings and every `L1` sync. [`UShapeTrainer`] runs the same
-//!   round with platforms that also keep the classifier tail.
-//! - [`ResilientTrainer`] — fault-tolerant delivery over a
-//!   [`ChaosTransport`](medsplit_simnet::ChaosTransport): quorum rounds,
-//!   retries, checksum verification, crash–rejoin from checkpoints.
-//!   [`HierResilientTrainer`] is the same engine with a relay tier
+//! - [`SplitTrainer`] — the paper's star over any transport.
+//!   [`UShapeTrainer`] runs the same round with platforms that also keep
+//!   the classifier tail.
+//! - [`ResilientTrainer`] — the star over a
+//!   [`ChaosTransport`](medsplit_simnet::ChaosTransport), reporting what
+//!   its fault handling did. [`HierResilientTrainer`] adds a relay tier
 //!   between platforms and server.
-//! - [`threaded::train_threaded`] — [`SplitTrainer`]'s aggregate round
-//!   with one OS thread per node; its history equals the sequential
-//!   run's bit for bit.
 //!
 //! The comparators of `medsplit-baselines` (sync SGD, FedAvg, local-only,
 //! centralised) are [`RoundDriver`]s too: same [`SplitConfig`], same
@@ -76,13 +78,11 @@ mod resilient;
 mod round;
 mod server;
 mod split;
-pub mod threaded;
 mod trainer;
 mod ushape;
 
 pub use config::{
-    Backoff, ComputeModel, HierPolicy, L1Sync, OptimizerKind, RoundPolicy, Scheduling, SplitConfig,
-    SplitPoint, WireCodec,
+    Backoff, ComputeModel, HierPolicy, L1Sync, OptimizerKind, RoundPolicy, SplitConfig, SplitPoint, WireCodec,
 };
 pub use error::{Result, SplitError};
 pub use hier::{HierReport, HierResilientTrainer};

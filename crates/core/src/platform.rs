@@ -112,12 +112,11 @@ impl Platform {
     /// Sets the factor the logit gradients are scaled by before
     /// transmission.
     ///
-    /// Under [`Scheduling::Aggregate`](crate::Scheduling) the server
-    /// concatenates all platforms' batches into one update, so each
-    /// platform's locally-normalised cross-entropy gradient (divided by
-    /// its own `s_k`) must be re-weighted by `s_k / Σ s` to make the
-    /// concatenation equal the gradient of the mean loss over the union
-    /// batch. Under round-robin scheduling the scale stays 1.
+    /// The server concatenates the participating platforms' batches
+    /// into one update, so each platform's locally-normalised
+    /// cross-entropy gradient (divided by its own `s_k`) must be
+    /// re-weighted by `s_k / Σ s` to make the concatenation equal the
+    /// gradient of the mean loss over the union batch.
     pub fn set_grad_scale(&mut self, scale: f32) {
         self.grad_scale = scale;
     }

@@ -1,19 +1,30 @@
-//! The fault-tolerant round: quorum rounds, retry with exponential
-//! backoff, checksum-verified delivery, and crash–rejoin recovery from
-//! checkpoints, driven over a deterministic [`ChaosTransport`].
+//! The round engine: the paper's four-message exchange with quorum
+//! rounds, retry with exponential backoff, checksum-verified delivery,
+//! crash–rejoin recovery from checkpoints and the `L1` sync.
 //!
-//! [`ResilientTrainer`] is the engine itself, over a star;
-//! [`crate::HierResilientTrainer`] is the same engine constructed with a
-//! relay tier (routing, failover and batching live in [`crate::hier`]).
+//! Every trainer constructs this one engine. [`crate::SplitTrainer`] and
+//! [`crate::UShapeTrainer`] run it over any [`Transport`],
+//! [`ResilientTrainer`] over a [`ChaosTransport`], and
+//! [`crate::HierResilientTrainer`] with a relay tier between platforms
+//! and server (routing, failover and batching live in [`crate::hier`]).
+//! The engine reads faults through the transport's fault view
+//! ([`Transport::begin_round`], [`Transport::is_down`],
+//! [`Transport::link_down`], [`Transport::flush`],
+//! [`Transport::backoff_jitter`]), whose defaults describe an empty
+//! plan: over a plain transport nothing is down, every collection
+//! completes on its first attempt, and neither pristine snapshots nor
+//! checkpoints are taken, because nothing could restore them. A
+//! fault-free run is an empty fault plan, not another code path.
 //!
 //! The recovery invariant is round-granular: **a platform participates
 //! in a whole round or in none of it.** Activations are collected with
 //! bounded retries and a per-platform deadline; whoever makes it into
 //! the aggregate is then carried through the remaining three protocol
-//! messages with reliable (retried) delivery, so the server's batch
-//! layout can never be torn mid-round. Platforms that miss the cut — or
-//! are crashed by a scheduled [`ChaosEvent`] — simply sit the round out
-//! and rejoin at the next boundary from their last checkpoint.
+//! messages, and the `L1` sync when it is due, with reliable (retried)
+//! delivery, so the server's batch layout can never be torn mid-round.
+//! Platforms that miss the cut — or are crashed by a scheduled
+//! [`ChaosEvent`] — simply sit the round out and rejoin at the next
+//! boundary from their last checkpoint.
 //!
 //! Everything is deterministic: the driver does all sends, receives,
 //! retries, checksum checks, checkpoints and counting on its own thread,
@@ -32,11 +43,13 @@ use bytes::Bytes;
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::Architecture;
 use medsplit_simnet::{ChaosEvent, ChaosTransport, Envelope, MessageKind, NetStats, NodeId, Transport};
+use medsplit_tensor::Tensor;
 
-use crate::config::{L1Sync, Scheduling, SplitConfig};
+use crate::config::{L1Sync, SplitConfig};
 use crate::error::{Result, SplitError};
 use crate::hier::{HierReport, RelayTier, Route};
 use crate::history::TrainingHistory;
+use crate::messages::{decode_tensor, tensor_envelope};
 use crate::platform::Platform;
 use crate::round::{platform_phase, Actors, RoundDriver};
 use crate::trainer::fresh_actors;
@@ -72,16 +85,18 @@ pub struct ResilienceReport {
     pub rejoins: u64,
 }
 
-/// Fault-tolerant counterpart of [`crate::SplitTrainer`], driving the
-/// same actors over a [`ChaosTransport`] under the configured
-/// [`RoundPolicy`](crate::RoundPolicy).
-pub struct ResilientTrainer<'t, T: Transport> {
+/// The one round engine, over a star (`tier` = `None`) or a relay
+/// hierarchy, under the configured [`RoundPolicy`](crate::RoundPolicy).
+pub(crate) struct Engine<'t, T: Transport> {
     pub(crate) actors: Actors,
-    pub(crate) chaos: &'t ChaosTransport<T>,
+    pub(crate) transport: &'t T,
     /// The relay tier between platforms and server; `None` over a star.
     pub(crate) tier: Option<RelayTier>,
     /// Prefix of every telemetry counter this engine emits.
     prefix: &'static str,
+    /// Whether the plan can crash a platform, so that snapshots and
+    /// checkpoints are worth taking.
+    restorable: bool,
     /// Pristine per-platform snapshots: what a crashed node is reset to
     /// before its checkpoint is restored (RAM is gone, disk survives).
     initial_snapshots: Vec<Bytes>,
@@ -92,48 +107,14 @@ pub struct ResilientTrainer<'t, T: Transport> {
     pub(crate) report: HierReport,
 }
 
-impl<'t, T: Transport> ResilientTrainer<'t, T> {
-    /// Builds the trainer over a chaos transport.
+impl<'t, T: Transport> Engine<'t, T> {
+    /// The engine over `actors`, built by a trainer's constructor.
     ///
     /// # Errors
     ///
-    /// Returns configuration errors for invalid configs, unsupported
-    /// scheduling (the fault-tolerant round implements the paper-default
-    /// `Aggregate` + `CommonInit` combination), or a dirty transport.
-    pub fn new(
-        arch: &Architecture,
-        config: SplitConfig,
-        shards: Vec<InMemoryDataset>,
-        test: InMemoryDataset,
-        chaos: &'t ChaosTransport<T>,
-    ) -> Result<Self> {
-        Self::with_tier(arch, config, shards, test, chaos, None)
-    }
-
-    /// The engine over a star (`tier` = `None`) or a relay hierarchy.
-    pub(crate) fn with_tier(
-        arch: &Architecture,
-        config: SplitConfig,
-        shards: Vec<InMemoryDataset>,
-        test: InMemoryDataset,
-        chaos: &'t ChaosTransport<T>,
-        tier: Option<RelayTier>,
-    ) -> Result<Self> {
-        if config.scheduling != Scheduling::Aggregate {
-            return Err(SplitError::Config(
-                "the fault-tolerant round implements Aggregate scheduling".into(),
-            ));
-        }
-        if config.l1_sync != L1Sync::CommonInit {
-            return Err(SplitError::Config(
-                "the fault-tolerant round implements CommonInit L1 sync".into(),
-            ));
-        }
-        let (prefix, method) = match tier {
-            Some(_) => ("hier", "split_hier_resilient"),
-            None => ("resilient", "split_resilient"),
-        };
-        let mut actors = fresh_actors(method, arch, config, shards, test, chaos.stats())?;
+    /// Returns [`SplitError::Config`] if the quorum exceeds the platform
+    /// count.
+    pub(crate) fn new(mut actors: Actors, transport: &'t T, tier: Option<RelayTier>) -> Result<Self> {
         if actors.config.round_policy.min_platforms > actors.platforms.len() {
             return Err(SplitError::Config(format!(
                 "quorum of {} exceeds the {} configured platforms",
@@ -141,51 +122,36 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
                 actors.platforms.len()
             )));
         }
-        let initial_snapshots = actors.platforms.iter_mut().map(Platform::checkpoint).collect();
+        let restorable = transport.schedules_platform_crashes();
+        let initial_snapshots = match restorable {
+            true => actors.platforms.iter_mut().map(Platform::checkpoint).collect(),
+            false => Vec::new(),
+        };
         let report = HierReport {
             region_bytes: vec![0; tier.as_ref().map_or(0, |t| t.topo.regions())],
             ..HierReport::default()
         };
-        Ok(ResilientTrainer {
+        Ok(Engine {
             actors,
-            chaos,
+            transport,
+            prefix: if tier.is_some() { "hier" } else { "resilient" },
             tier,
-            prefix,
+            restorable,
             initial_snapshots,
             checkpoints: BTreeMap::new(),
             report,
         })
     }
 
-    /// The fault-handling counters accumulated so far.
-    pub fn report(&self) -> ResilienceReport {
-        self.report.base
-    }
-
-    /// The platform actors (for inspection).
-    pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.actors.platforms
-    }
-
     /// Mean test accuracy over the currently *live* platforms' deployed
     /// models (crashed hospitals cannot serve).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors.
-    pub fn evaluate(&mut self) -> Result<f32> {
-        let chaos = self.chaos;
-        self.actors.evaluate(|node| !chaos.is_down(node))
+    pub(crate) fn evaluate(&mut self) -> Result<f32> {
+        let transport = self.transport;
+        self.actors.evaluate(|node| !transport.is_down(node))
     }
 
-    /// Runs the configured number of rounds under the fault plan and
-    /// returns the history (method `"split_resilient"`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor and protocol errors; tolerated faults (loss,
-    /// corruption, crashes within quorum) do not error.
-    pub fn run(&mut self) -> Result<TrainingHistory> {
+    /// Runs the configured number of rounds and returns the history.
+    pub(crate) fn run(&mut self) -> Result<TrainingHistory> {
         let config = self.actors.config.clone();
         RoundDriver::run(self, &config)
     }
@@ -203,7 +169,7 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
         if let Some(bytes) = self.report.region_bytes.get_mut(region) {
             *bytes += env.wire_size() as u64;
         }
-        self.chaos.send(env)?;
+        self.transport.send(env)?;
         Ok(())
     }
 
@@ -221,8 +187,11 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
                 } => {
                     self.report.base.crashes += 1;
                     self.count("crashes", 1);
-                    if let Some(p) = self.actors.platforms.get_mut(pid) {
-                        p.restore(&self.initial_snapshots[pid])?;
+                    if let (Some(p), Some(blob)) = (
+                        self.actors.platforms.get_mut(pid),
+                        self.initial_snapshots.get(pid),
+                    ) {
+                        p.restore(blob)?;
                     }
                 }
                 ChaosEvent::Recover {
@@ -279,7 +248,7 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
     ) {
         let relays = self.tier.as_ref().map_or(0, |t| t.topo.regions());
         for sink in (0..relays).map(NodeId::Relay).chain([NodeId::Server]) {
-            while let Some(env) = self.chaos.try_recv(sink) {
+            while let Some(env) = self.transport.try_recv(sink) {
                 if !self.checksum_ok(&env) {
                     continue;
                 }
@@ -306,7 +275,7 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
         routes: &BTreeMap<usize, Route>,
     ) -> Result<BTreeMap<usize, Envelope>> {
         let policy = self.actors.config.round_policy;
-        let stats = self.chaos.stats();
+        let stats = self.transport.stats();
         let start_clocks: BTreeMap<usize, f64> = routes
             .keys()
             .map(|&pid| (pid, stats.clock(NodeId::Platform(pid))))
@@ -322,7 +291,7 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
             pending.insert(pid, env.clone());
             self.send_counted(env, self.home_region(pid))?;
         }
-        self.chaos.flush();
+        self.transport.flush();
 
         let mut received: BTreeMap<usize, Envelope> = BTreeMap::new();
         let mut expired: Vec<usize> = Vec::new();
@@ -350,13 +319,13 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
             // Retry the missing platforms after backing off: the wait and
             // the re-send both advance the sender's simulated clock.
             for (&pid, env) in &pending {
-                let delay = policy.backoff.delay_s(attempt) * self.chaos.backoff_jitter();
+                let delay = policy.backoff.delay_s(attempt) * self.transport.backoff_jitter();
                 stats.advance_clock(NodeId::Platform(pid), delay);
                 self.report.base.retries += 1;
                 self.count("retries", 1);
                 self.send_counted(env.clone(), self.home_region(pid))?;
             }
-            self.chaos.flush();
+            self.transport.flush();
         }
         self.drain(round, MessageKind::Activations, routes, &mut received);
         for pid in &expired {
@@ -378,8 +347,8 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
         let sink = env.dst;
         for _ in 0..MAX_DELIVERY_ATTEMPTS {
             self.send_counted(env.clone(), region)?;
-            self.chaos.flush();
-            while let Some(got) = self.chaos.try_recv(sink) {
+            self.transport.flush();
+            while let Some(got) = self.transport.try_recv(sink) {
                 if !self.checksum_ok(&got) {
                     continue;
                 }
@@ -429,18 +398,83 @@ impl<'t, T: Transport> ResilientTrainer<'t, T> {
         // Steps 2–5 run over the reliable path: the survivors are now
         // committed to the round, so the aggregate layout must complete.
         let losses = self.exchange_by_phase(round, &routes, acts)?;
+        self.actors
+            .charge_compute(self.transport.stats(), survivors.iter().copied());
+        if self.actors.config.sync_due(round as usize) {
+            self.sync_l1(round, &routes, &survivors)?;
+        }
 
         // Commit: the survivors' post-update state becomes their rejoin
         // point.
-        for &pid in &survivors {
-            let blob = self.actors.platforms[pid].checkpoint();
-            self.checkpoints.insert(pid, blob);
+        if self.restorable {
+            for &pid in &survivors {
+                let blob = self.actors.platforms[pid].checkpoint();
+                self.checkpoints.insert(pid, blob);
+            }
         }
-        self.actors
-            .charge_compute(self.chaos.stats(), survivors.iter().copied());
 
         let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
         Ok((mean_loss, survivors.len()))
+    }
+
+    /// Runs the configured `L1` synchronisation among the round's
+    /// committed survivors, by reliable delivery along their routes:
+    /// each uploads its `L1` parameters, and the server sends back the
+    /// shard-weighted average (`PeriodicAverage`, FedAvg applied to `L1`)
+    /// or the parameters of the platform's predecessor on the survivors'
+    /// ring (`CyclicShare`).
+    fn sync_l1(&mut self, round: u64, routes: &BTreeMap<usize, Route>, survivors: &[usize]) -> Result<()> {
+        let platforms = &mut self.actors.platforms;
+        let ups = survivors
+            .iter()
+            .map(|&pid| {
+                let p = &mut platforms[pid];
+                let params = p.l1_parameters();
+                let env = tensor_envelope(p.node(), NodeId::Server, round, MessageKind::L1Sync, &params);
+                (pid, env)
+            })
+            .collect();
+        let uploads = self
+            .upstream(round, routes, ups)?
+            .iter()
+            .map(|env| decode_tensor(env, MessageKind::L1Sync))
+            .collect::<Result<Vec<Tensor>>>()?;
+        let n = survivors.len();
+        let outgoing: Vec<Tensor> = match self.actors.config.l1_sync {
+            L1Sync::CommonInit => return Ok(()),
+            L1Sync::PeriodicAverage { .. } => {
+                let platforms = &self.actors.platforms;
+                let weights: Vec<f32> = survivors
+                    .iter()
+                    .map(|&pid| platforms[pid].shard_size() as f32)
+                    .collect();
+                let total: f32 = weights.iter().sum();
+                let mut avg = Tensor::zeros(uploads[0].shape().clone());
+                for (t, w) in uploads.iter().zip(&weights) {
+                    avg.axpy(w / total, t)?;
+                }
+                vec![avg; n]
+            }
+            L1Sync::CyclicShare { .. } => (0..n).map(|i| uploads[(i + n - 1) % n].clone()).collect(),
+        };
+        let downs = survivors
+            .iter()
+            .zip(&outgoing)
+            .map(|(&pid, params)| {
+                tensor_envelope(
+                    NodeId::Server,
+                    NodeId::Platform(pid),
+                    round,
+                    MessageKind::L1Sync,
+                    params,
+                )
+            })
+            .collect();
+        for (pid, env) in self.downstream_to_platforms(round, routes, downs)? {
+            let params = decode_tensor(&env, MessageKind::L1Sync)?;
+            self.actors.platforms[pid].set_l1_parameters(&params)?;
+        }
+        Ok(())
     }
 }
 
@@ -451,7 +485,7 @@ pub(crate) fn receiving_platform(env: &Envelope) -> Result<usize> {
         .ok_or_else(|| SplitError::Protocol(format!("{} addressed to {}", env.kind, env.dst)))
 }
 
-impl<T: Transport> RoundDriver for ResilientTrainer<'_, T> {
+impl<T: Transport> RoundDriver for Engine<'_, T> {
     fn method(&self) -> &'static str {
         self.actors.method
     }
@@ -465,11 +499,11 @@ impl<T: Transport> RoundDriver for ResilientTrainer<'_, T> {
     }
 
     fn stats(&self) -> &NetStats {
-        self.chaos.stats()
+        self.transport.stats()
     }
 
     fn round(&mut self, round: u64) -> Result<(f32, usize)> {
-        let events = self.chaos.begin_round(round);
+        let events = self.transport.begin_round(round);
         self.apply_events(&events)?;
         let (mean_loss, participants) = self.quorum_round(round)?;
         if participants < self.actors.platforms.len() {
@@ -480,7 +514,88 @@ impl<T: Transport> RoundDriver for ResilientTrainer<'_, T> {
     }
 
     fn evaluate(&mut self) -> Result<f32> {
-        ResilientTrainer::evaluate(self)
+        Engine::evaluate(self)
+    }
+}
+
+/// The engine over a star [`ChaosTransport`]: the fault-tolerant
+/// counterpart of [`crate::SplitTrainer`], reporting what its fault
+/// handling did.
+pub struct ResilientTrainer<'t, T: Transport>(Engine<'t, ChaosTransport<T>>);
+
+impl<'t, T: Transport> ResilientTrainer<'t, T> {
+    /// Builds the trainer over a chaos transport.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors for invalid configs, a quorum larger
+    /// than the platform count, or a dirty transport.
+    pub fn new(
+        arch: &Architecture,
+        config: SplitConfig,
+        shards: Vec<InMemoryDataset>,
+        test: InMemoryDataset,
+        chaos: &'t ChaosTransport<T>,
+    ) -> Result<Self> {
+        let actors = fresh_actors("split_resilient", arch, config, shards, test, chaos.stats())?;
+        Engine::new(actors, chaos, None).map(Self)
+    }
+
+    /// The fault-handling counters accumulated so far.
+    pub fn report(&self) -> ResilienceReport {
+        self.0.report.base
+    }
+
+    /// The platform actors (for inspection).
+    pub fn platforms_mut(&mut self) -> &mut [Platform] {
+        &mut self.0.actors.platforms
+    }
+
+    /// Mean test accuracy over the currently *live* platforms' deployed
+    /// models (crashed hospitals cannot serve).
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn evaluate(&mut self) -> Result<f32> {
+        self.0.evaluate()
+    }
+
+    /// Runs the configured number of rounds under the fault plan and
+    /// returns the history (method `"split_resilient"`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor and protocol errors; tolerated faults (loss,
+    /// corruption, crashes within quorum) do not error.
+    pub fn run(&mut self) -> Result<TrainingHistory> {
+        self.0.run()
+    }
+}
+
+impl<T: Transport> RoundDriver for ResilientTrainer<'_, T> {
+    fn method(&self) -> &'static str {
+        self.0.method()
+    }
+
+    fn full_round(&self) -> usize {
+        self.0.full_round()
+    }
+
+    fn set_lr(&mut self, lr: f32) {
+        self.0.set_lr(lr);
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.0.stats()
+    }
+
+    fn round(&mut self, round: u64) -> Result<(f32, usize)> {
+        self.0.round(round)
+    }
+
+    fn evaluate(&mut self) -> Result<f32> {
+        self.0.evaluate()
     }
 }
 
@@ -644,5 +759,81 @@ mod tests {
             ResilientTrainer::new(&arch(), cfg, shards, test, &chaos),
             Err(SplitError::Config(_))
         ));
+    }
+
+    #[test]
+    fn l1_sync_under_crash_rejoin_replays_and_restores_the_checkpoint() {
+        // Platform 1 is down for rounds [2, 5); the sync fires after
+        // rounds 1, 3, 5 and 7.
+        let plan = FaultPlan::new(11)
+            .crash(NodeId::Platform(1), 2)
+            .recover(NodeId::Platform(1), 5);
+        fn trainer(chaos: &ChaosTransport<MemoryTransport>) -> ResilientTrainer<'_, MemoryTransport> {
+            let (shards, test) = setup(3);
+            let mut cfg = config(8);
+            cfg.l1_sync = L1Sync::PeriodicAverage { every: 2 };
+            ResilientTrainer::new(&arch(), cfg, shards, test, chaos).unwrap()
+        }
+        let run = || {
+            let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan.clone());
+            let mut t = trainer(&chaos);
+            let history = t.run().unwrap();
+            let l1: Vec<Tensor> = t
+                .platforms_mut()
+                .iter_mut()
+                .map(Platform::l1_parameters)
+                .collect();
+            (history, t.report(), l1)
+        };
+        let (h1, r1, l1) = run();
+        let (h2, r2, l2) = run();
+        assert_eq!((replay_key(&h1), r1), (replay_key(&h2), r2));
+        assert_eq!(h1.stats, h2.stats);
+        assert_eq!(l1, l2);
+        // Two `L1Sync` messages per survivor per sync: round 3 ran
+        // without platform 1.
+        assert_eq!(h1.stats.messages_of(MessageKind::L1Sync), 2 * (3 + 2 + 3 + 3));
+
+        // Step by hand: the crash wipes platform 1 to its pristine state,
+        // the recovery restores the state the round-1 sync committed.
+        let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
+        let mut t = trainer(&chaos);
+        let pristine = t.platforms_mut()[1].l1_parameters();
+        t.set_lr(0.1);
+        for round in 0..2 {
+            t.round(round).unwrap();
+        }
+        let synced = t.platforms_mut()[1].l1_parameters();
+        assert_eq!(synced, t.platforms_mut()[0].l1_parameters());
+        assert_ne!(synced, pristine);
+        for round in 2..5 {
+            t.round(round).unwrap();
+        }
+        assert_eq!(t.platforms_mut()[1].l1_parameters(), pristine);
+        let events = chaos.begin_round(5);
+        t.0.apply_events(&events).unwrap();
+        assert_eq!(t.platforms_mut()[1].l1_parameters(), synced);
+    }
+
+    #[test]
+    fn a_plain_transport_takes_no_snapshot_and_no_checkpoint() {
+        let (shards, test) = setup(3);
+        let transport = MemoryTransport::new(StarTopology::new(3));
+        let actors = fresh_actors("split", &arch(), config(4), shards, test, transport.stats()).unwrap();
+        let mut engine = Engine::new(actors, &transport, None).unwrap();
+        engine.run().unwrap();
+        assert!(!engine.restorable);
+        assert!(engine.initial_snapshots.is_empty());
+        assert!(engine.checkpoints.is_empty());
+
+        // A plan that schedules a platform crash keeps both.
+        let plan = FaultPlan::new(1).crash(NodeId::Platform(2), 9);
+        let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(3)), plan);
+        let (shards, test) = setup(3);
+        let actors = fresh_actors("split", &arch(), config(4), shards, test, chaos.stats()).unwrap();
+        let mut engine = Engine::new(actors, &chaos, None).unwrap();
+        engine.run().unwrap();
+        assert_eq!(engine.initial_snapshots.len(), 3);
+        assert_eq!(engine.checkpoints.len(), 3);
     }
 }

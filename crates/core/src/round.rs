@@ -2,15 +2,13 @@
 //! evaluation, and for the split drivers the actors of one run and the
 //! compute charge on the simulated clock.
 //!
-//! A driver supplies the body of one round — plain delivery in
-//! [`crate::trainer`], the same exchange on one thread per node in
-//! [`crate::threaded`], fault-tolerant delivery in [`crate::resilient`],
-//! and each comparator method of `medsplit-baselines` — and
-//! [`RoundDriver::run`] does the rest: learning-rate schedule, evaluation
-//! cadence, one [`RoundRecord`] per round, the final-accuracy backfill and
-//! the `round` telemetry span. [`platform_phase`] runs one protocol
-//! phase's platform steps side by side on the kernel pool, for every
-//! round body whose phases are all-platforms-at-once.
+//! A driver supplies the body of one round — the split round engine of
+//! [`crate::resilient`], which every split trainer constructs, and each
+//! comparator method of `medsplit-baselines` — and [`RoundDriver::run`]
+//! does the rest: learning-rate schedule, evaluation cadence, one
+//! [`RoundRecord`] per round, the final-accuracy backfill and the
+//! `round` telemetry span. [`platform_phase`] runs one protocol phase's
+//! platform steps side by side on the kernel pool.
 
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::accuracy;

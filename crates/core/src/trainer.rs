@@ -1,55 +1,31 @@
-//! The deterministic split-learning trainer.
+//! The split-learning trainer over a plain star, and what every trainer
+//! shares to build its actors.
 //!
-//! Drives the platform and server actors through the paper's four-message
-//! round over a [`Transport`], so every tensor the protocol exchanges is
-//! serialised, sent, counted and deserialised exactly as it would be
-//! across a WAN. Delivery here is plain: every message sent is the next
-//! message received, with no checksum verification, retry or checkpoint
-//! (see [`crate::resilient`] for the round that has them). See
-//! [`crate::threaded`] for the thread-per-node variant running the
-//! identical actors.
-//!
-//! Under `Aggregate` scheduling the platforms' steps 1, 3 and 5 run side
-//! by side on the kernel pool ([`platform_phase`]); everything that
-//! touches the transport stays on the calling thread in platform order,
-//! so histories, accounting and simulated clocks are the same at every
-//! pool size. `RoundRobin` is serial by definition and stays a loop.
+//! [`SplitTrainer`] drives the platform and server actors through the
+//! paper's four-message round over a [`Transport`], so every tensor the
+//! protocol exchanges is serialised, sent, counted and deserialised
+//! exactly as it would be across a WAN. Its round body is the engine of
+//! [`crate::resilient`], the only one: over a plain transport the
+//! engine's fault view is an empty plan, so every platform takes part in
+//! every round and every message is delivered on its first attempt;
+//! over a [`ChaosTransport`](medsplit_simnet::ChaosTransport) the same
+//! trainer retries, verifies and degrades as the plan requires.
 
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::Architecture;
-use medsplit_simnet::{Envelope, MessageKind, NetStats, NodeId, Transport};
-use medsplit_tensor::Tensor;
+use medsplit_simnet::{NetStats, Transport};
 
-use crate::config::{L1Sync, Scheduling, SplitConfig};
+use crate::config::SplitConfig;
 use crate::error::{Result, SplitError};
 use crate::history::TrainingHistory;
-use crate::messages::{decode_tensor, tensor_envelope};
 use crate::platform::Platform;
-use crate::round::{platform_phase, Actors, RoundDriver};
+use crate::resilient::Engine;
+use crate::round::{Actors, RoundDriver};
 use crate::server::SplitServer;
 use crate::split::build_split;
 
 /// Orchestrates split-learning training across platform shards.
-pub struct SplitTrainer<'t, T: Transport> {
-    actors: Actors,
-    transport: &'t T,
-}
-
-/// Receives the next queued message for `node`, failing loudly if the
-/// protocol left the queue empty.
-fn expect_msg<T: Transport>(transport: &T, node: NodeId) -> Result<Envelope> {
-    transport
-        .try_recv(node)
-        .ok_or_else(|| SplitError::Protocol(format!("no message queued for {node}")))
-}
-
-/// Receives the next queued message of every platform, in pid order.
-fn inboxes<T: Transport>(transport: &T, platforms: &[Platform]) -> Result<Vec<(usize, Envelope)>> {
-    platforms
-        .iter()
-        .map(|p| Ok((p.id(), expect_msg(transport, p.node())?)))
-        .collect()
-}
+pub struct SplitTrainer<'t, T: Transport>(Engine<'t, T>);
 
 /// Checks the shard list and returns every platform's minibatch size
 /// under the configured policy.
@@ -90,12 +66,10 @@ pub(crate) fn build_actors(
         .enumerate()
         .map(|(id, ((model, data), &batch))| {
             let mut p = Platform::new(id, model, data, batch, config.momentum, config.seed);
-            // Under aggregate scheduling the server takes one step on the
-            // union batch, so each platform re-weights its locally
-            // normalised gradient by its batch share.
-            if config.scheduling == Scheduling::Aggregate {
-                p.set_grad_scale(batch as f32 / total_batch as f32);
-            }
+            // The server takes one step on the union batch, so each
+            // platform re-weights its locally normalised gradient by its
+            // batch share.
+            p.set_grad_scale(batch as f32 / total_batch as f32);
             p.set_codec(config.codec);
             if config.activation_noise > 0.0 {
                 p.set_activation_noise(config.activation_noise);
@@ -162,7 +136,7 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     /// # Errors
     ///
     /// Returns configuration errors for invalid split points, shard
-    /// counts, or empty shards.
+    /// counts, empty shards, or a quorum larger than the platform count.
     pub fn new(
         arch: &Architecture,
         config: SplitConfig,
@@ -171,25 +145,20 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
         transport: &'t T,
     ) -> Result<Self> {
         let actors = fresh_actors("split", arch, config, shards, test, transport.stats())?;
-        Ok(Self::over(actors, transport))
-    }
-
-    /// The plain round over actors built elsewhere.
-    pub(crate) fn over(actors: Actors, transport: &'t T) -> Self {
-        SplitTrainer { actors, transport }
+        Engine::new(actors, transport, None).map(Self)
     }
 
     /// The platform actors (for inspection and privacy probes).
     pub fn platforms_mut(&mut self) -> &mut [Platform] {
-        &mut self.actors.platforms
+        &mut self.0.actors.platforms
     }
 
     /// The server actor.
     pub fn server_mut(&mut self) -> &mut SplitServer {
-        &mut self.actors.server
+        &mut self.0.actors.server
     }
 
-    /// Evaluates the deployed model of every platform (its own `L1`
+    /// Evaluates the deployed model of every live platform (its own `L1`
     /// composed with the shared server layers) on the test set and
     /// returns the mean accuracy.
     ///
@@ -200,7 +169,7 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     ///
     /// Propagates tensor errors.
     pub fn evaluate(&mut self) -> Result<f32> {
-        self.actors.evaluate(|_| true)
+        self.0.evaluate()
     }
 
     /// Runs the configured number of rounds and returns the history.
@@ -209,181 +178,44 @@ impl<'t, T: Transport> SplitTrainer<'t, T> {
     ///
     /// Propagates protocol, tensor and transport errors.
     pub fn run(&mut self) -> Result<TrainingHistory> {
-        let config = self.actors.config.clone();
-        RoundDriver::run(self, &config)
+        self.0.run()
     }
-
-    /// One four-message protocol round; returns the mean platform loss.
-    fn run_round(&mut self, round: u64) -> Result<f32> {
-        let Actors {
-            config,
-            platforms,
-            server,
-            ..
-        } = &mut self.actors;
-        let k = platforms.len();
-        let mut losses = Vec::with_capacity(k);
-        match config.scheduling {
-            Scheduling::Aggregate => {
-                // Step 1: every platform forwards L1 and transmits
-                // activations.
-                let all = (0..k).map(|pid| (pid, ())).collect();
-                for env in platform_phase(platforms, all, |p, ()| p.start_round(round))? {
-                    self.transport.send(env)?;
-                }
-                // Step 2: server concatenates all platform batches, one forward.
-                let acts: Vec<Envelope> = (0..k)
-                    .map(|_| expect_msg(self.transport, NodeId::Server))
-                    .collect::<Result<_>>()?;
-                for env in server.aggregate_forward(&acts)? {
-                    self.transport.send(env)?;
-                }
-                // Step 3: platforms compute local losses, transmit gradients.
-                let logits = inboxes(self.transport, platforms)?;
-                for (grads, loss) in platform_phase(platforms, logits, |p, env| p.handle_logits(&env))? {
-                    losses.push(loss);
-                    self.transport.send(grads)?;
-                }
-                // Step 4: server backward + update, cut gradients back.
-                let grads: Vec<Envelope> = (0..k)
-                    .map(|_| expect_msg(self.transport, NodeId::Server))
-                    .collect::<Result<_>>()?;
-                for env in server.aggregate_backward(&grads)? {
-                    self.transport.send(env)?;
-                }
-                // Step 5: platforms backpropagate L1.
-                let cuts = inboxes(self.transport, platforms)?;
-                platform_phase(platforms, cuts, |p, env| p.handle_cut_grads(&env))?;
-            }
-            Scheduling::RoundRobin => {
-                // The server exchanges with one platform at a time, in
-                // platform order; each platform transmits its activations
-                // when its turn starts.
-                for p in platforms.iter_mut() {
-                    let env = p.start_round(round)?;
-                    self.transport.send(env)?;
-                    let acts = expect_msg(self.transport, NodeId::Server)?;
-                    let logits = server.platform_forward(&acts)?;
-                    self.transport.send(logits)?;
-                    let env = expect_msg(self.transport, p.node())?;
-                    let (grads, loss) = p.handle_logits(&env)?;
-                    losses.push(loss);
-                    self.transport.send(grads)?;
-                    let genv = expect_msg(self.transport, NodeId::Server)?;
-                    let cut = server.platform_backward(&genv)?;
-                    self.transport.send(cut)?;
-                    let cenv = expect_msg(self.transport, p.node())?;
-                    p.handle_cut_grads(&cenv)?;
-                }
-            }
-        }
-        Ok(losses.iter().sum::<f32>() / losses.len().max(1) as f32)
-    }
-}
-
-/// Closes a round every platform took part in, however its messages
-/// moved: charges the round's compute, then runs the `L1` sync if it is
-/// due.
-pub(crate) fn close_round<T: Transport>(actors: &mut Actors, transport: &T, round: u64) -> Result<()> {
-    actors.charge_compute(transport.stats(), 0..actors.platforms.len());
-    if actors.config.sync_due(round as usize) {
-        sync_l1(actors, transport, round)?;
-    }
-    Ok(())
-}
-
-/// Runs the configured `L1` synchronisation (extension strategies).
-fn sync_l1<T: Transport>(actors: &mut Actors, transport: &T, round: u64) -> Result<()> {
-    let platforms = &mut actors.platforms;
-    let k = platforms.len();
-    // Platforms upload their L1 parameters via the server.
-    for p in platforms.iter_mut() {
-        let params = p.l1_parameters();
-        transport.send(tensor_envelope(
-            p.node(),
-            NodeId::Server,
-            round,
-            MessageKind::L1Sync,
-            &params,
-        ))?;
-    }
-    let mut uploads: Vec<(usize, Tensor)> = Vec::with_capacity(k);
-    for _ in 0..k {
-        let env = expect_msg(transport, NodeId::Server)?;
-        let pid = crate::messages::sender_platform(&env)?;
-        uploads.push((pid, decode_tensor(&env, MessageKind::L1Sync)?));
-    }
-    uploads.sort_by_key(|(pid, _)| *pid);
-    let outgoing: Vec<(usize, Tensor)> = match actors.config.l1_sync {
-        L1Sync::CommonInit => return Ok(()),
-        L1Sync::PeriodicAverage { .. } => {
-            // Weighted by shard size, as FedAvg does.
-            let weights: Vec<f32> = platforms.iter().map(|p| p.shard_size() as f32).collect();
-            let total: f32 = weights.iter().sum();
-            let mut avg = Tensor::zeros(uploads[0].1.shape().clone());
-            for ((_, t), w) in uploads.iter().zip(&weights) {
-                avg.axpy(w / total, t)?;
-            }
-            (0..k).map(|pid| (pid, avg.clone())).collect()
-        }
-        L1Sync::CyclicShare { .. } => {
-            // Platform p adopts the parameters of its ring predecessor.
-            (0..k)
-                .map(|pid| (pid, uploads[(pid + k - 1) % k].1.clone()))
-                .collect()
-        }
-    };
-    for (pid, params) in &outgoing {
-        transport.send(tensor_envelope(
-            NodeId::Server,
-            NodeId::Platform(*pid),
-            round,
-            MessageKind::L1Sync,
-            params,
-        ))?;
-    }
-    for p in platforms.iter_mut() {
-        let env = expect_msg(transport, p.node())?;
-        let params = decode_tensor(&env, MessageKind::L1Sync)?;
-        p.set_l1_parameters(&params)?;
-    }
-    Ok(())
 }
 
 impl<T: Transport> RoundDriver for SplitTrainer<'_, T> {
     fn method(&self) -> &'static str {
-        self.actors.method
+        self.0.method()
     }
 
     fn full_round(&self) -> usize {
-        self.actors.platforms.len()
+        self.0.full_round()
     }
 
     fn set_lr(&mut self, lr: f32) {
-        self.actors.set_lr(lr);
+        self.0.set_lr(lr);
     }
 
     fn stats(&self) -> &NetStats {
-        self.transport.stats()
+        self.0.stats()
     }
 
     fn round(&mut self, round: u64) -> Result<(f32, usize)> {
-        let mean_loss = self.run_round(round)?;
-        close_round(&mut self.actors, self.transport, round)?;
-        Ok((mean_loss, self.actors.platforms.len()))
+        self.0.round(round)
     }
 
     fn evaluate(&mut self) -> Result<f32> {
-        SplitTrainer::evaluate(self)
+        self.0.evaluate()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::fixtures::{self, arch};
+    use crate::config::L1Sync;
+    use crate::round::fixtures::{arch, config};
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
-    use medsplit_simnet::{MemoryTransport, StarTopology};
+    use medsplit_simnet::{Envelope, MemoryTransport, MessageKind, NodeId, StarTopology};
+    use medsplit_tensor::Tensor;
 
     fn setup(platforms: usize) -> (Vec<InMemoryDataset>, InMemoryDataset) {
         let gen = SyntheticTabular::new(3, 8, 0);
@@ -397,25 +229,11 @@ mod tests {
         (shards, test)
     }
 
-    fn config(rounds: usize, scheduling: Scheduling) -> SplitConfig {
-        SplitConfig {
-            scheduling,
-            ..fixtures::config(rounds)
-        }
-    }
-
     #[test]
     fn training_improves_accuracy() {
         let (shards, test) = setup(3);
         let transport = MemoryTransport::new(StarTopology::new(3));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(60, Scheduling::Aggregate),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
+        let mut trainer = SplitTrainer::new(&arch(), config(60), shards, test, &transport).unwrap();
         let before = trainer.evaluate().unwrap();
         let history = trainer.run().unwrap();
         assert!(
@@ -428,37 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_also_learns() {
-        let (shards, test) = setup(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(60, Scheduling::RoundRobin),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
-        let history = trainer.run().unwrap();
-        assert!(
-            history.final_accuracy > 0.6,
-            "accuracy {}",
-            history.final_accuracy
-        );
-    }
-
-    #[test]
     fn four_message_kinds_and_counts() {
         let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(5, Scheduling::Aggregate),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
+        let mut trainer = SplitTrainer::new(&arch(), config(5), shards, test, &transport).unwrap();
         let history = trainer.run().unwrap();
         // 4 messages per platform per round, nothing else.
         assert_eq!(history.stats.messages, 4 * 2 * 5);
@@ -481,14 +272,7 @@ mod tests {
         // not the input; and no message kind carries labels.
         let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut trainer = SplitTrainer::new(
-            &arch(),
-            config(1, Scheduling::Aggregate),
-            shards,
-            test,
-            &transport,
-        )
-        .unwrap();
+        let mut trainer = SplitTrainer::new(&arch(), config(1), shards, test, &transport).unwrap();
         let history = trainer.run().unwrap();
         let act_bytes = history.stats.bytes_of(MessageKind::Activations);
         // 2 platforms × batch 10 × 16 activation floats (+ header/shape).
@@ -500,7 +284,7 @@ mod tests {
     fn periodic_average_sync_traffic_counted() {
         let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(4, Scheduling::Aggregate);
+        let mut cfg = config(4);
         cfg.l1_sync = L1Sync::PeriodicAverage { every: 2 };
         let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
         let history = trainer.run().unwrap();
@@ -519,7 +303,7 @@ mod tests {
         let after_one_round = |l1_sync: L1Sync| {
             let (shards, test) = setup(k);
             let transport = MemoryTransport::new(StarTopology::new(k));
-            let mut cfg = config(1, Scheduling::Aggregate);
+            let mut cfg = config(1);
             cfg.l1_sync = l1_sync;
             let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
             let history = trainer.run().unwrap();
@@ -548,13 +332,7 @@ mod tests {
         let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
         assert!(matches!(
-            SplitTrainer::new(
-                &arch(),
-                config(1, Scheduling::Aggregate),
-                vec![],
-                test.clone(),
-                &transport
-            ),
+            SplitTrainer::new(&arch(), config(1), vec![], test.clone(), &transport),
             Err(SplitError::Config(_))
         ));
         // Dirty transport rejected.
@@ -562,13 +340,7 @@ mod tests {
             .send(Envelope::control(NodeId::Platform(0), NodeId::Server, 0))
             .unwrap();
         assert!(matches!(
-            SplitTrainer::new(
-                &arch(),
-                config(1, Scheduling::Aggregate),
-                shards,
-                test,
-                &transport
-            ),
+            SplitTrainer::new(&arch(), config(1), shards, test, &transport),
             Err(SplitError::Config(_))
         ));
     }
@@ -578,7 +350,7 @@ mod tests {
         use crate::config::OptimizerKind;
         let (shards, test) = setup(2);
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(50, Scheduling::Aggregate);
+        let mut cfg = config(50);
         cfg.optimizer = OptimizerKind::Adam;
         cfg.lr = medsplit_nn::LrSchedule::Constant(0.01);
         let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
@@ -596,7 +368,7 @@ mod tests {
         let (shards, test) = setup(2);
         let run = |codec: WireCodec| {
             let transport = MemoryTransport::new(StarTopology::new(2));
-            let mut cfg = config(40, Scheduling::Aggregate);
+            let mut cfg = config(40);
             cfg.codec = codec;
             let mut trainer =
                 SplitTrainer::new(&arch(), cfg, shards.clone(), test.clone(), &transport).unwrap();
@@ -623,7 +395,7 @@ mod tests {
         let (shards, test) = setup(2);
         let run = |codec: WireCodec| {
             let transport = MemoryTransport::new(StarTopology::new(2));
-            let mut cfg = config(40, Scheduling::Aggregate);
+            let mut cfg = config(40);
             cfg.codec = codec;
             let mut trainer =
                 SplitTrainer::new(&arch(), cfg, shards.clone(), test.clone(), &transport).unwrap();
@@ -655,7 +427,7 @@ mod tests {
         let run = || {
             let (shards, test) = setup(2);
             let transport = MemoryTransport::new(StarTopology::new(2));
-            let mut cfg = config(10, Scheduling::Aggregate);
+            let mut cfg = config(10);
             cfg.codec = WireCodec::Int8;
             let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
             trainer.run().unwrap()
@@ -674,7 +446,7 @@ mod tests {
         let test = gen.generate(30).unwrap();
         let sizes: Vec<usize> = shards.iter().map(InMemoryDataset::len).collect();
         let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(1, Scheduling::Aggregate);
+        let mut cfg = config(1);
         cfg.minibatch = MinibatchPolicy::Proportional { global: 40 };
         let expected = cfg.minibatch.sizes(&sizes);
         let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();

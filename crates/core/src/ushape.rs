@@ -22,24 +22,27 @@
 //!
 //! This is a placement of the label-holding layers, not another
 //! protocol: a [`Platform`] that keeps a tail, a server built with
-//! [`SplitServer::new_u_shaped`], and [`SplitTrainer`]'s aggregate round.
+//! [`SplitServer::new_u_shaped`], and the one round engine of
+//! [`crate::resilient`] over any transport, faults included.
 
 use medsplit_data::InMemoryDataset;
 use medsplit_nn::Architecture;
 use medsplit_simnet::Transport;
 
-use crate::config::{ComputeModel, L1Sync, OptimizerKind, Scheduling, SplitConfig};
+use crate::config::{ComputeModel, OptimizerKind, SplitConfig};
 use crate::error::{Result, SplitError};
 use crate::history::TrainingHistory;
 use crate::platform::Platform;
+use crate::resilient::Engine;
 use crate::round::Actors;
 use crate::server::SplitServer;
 use crate::split::resolve_split;
-use crate::trainer::{batch_sizes, check_fresh, SplitTrainer};
+use crate::trainer::{batch_sizes, check_fresh};
 
-/// The U-shaped trainer: like [`SplitTrainer`] with the classifier head
-/// kept platform-side. `tail_layers` final layers stay on each platform.
-pub struct UShapeTrainer<'t, T: Transport>(SplitTrainer<'t, T>);
+/// The U-shaped trainer: like [`crate::SplitTrainer`] with the
+/// classifier head kept platform-side. `tail_layers` final layers stay
+/// on each platform.
+pub struct UShapeTrainer<'t, T: Transport>(Engine<'t, T>);
 
 impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// Builds the U-shaped trainer.
@@ -47,13 +50,14 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// The head cut comes from `config.split`; `tail_layers` is the
     /// number of final layers kept on the platform (≥ 1 for a meaningful
     /// U; 0 degenerates to the standard split with relabelled messages).
-    /// Both sides train with SGD, activations are not noised, and neither
-    /// the compute model nor `L1` synchronisation applies.
+    /// Both sides train with SGD, activations are not noised, and the
+    /// compute model does not apply.
     ///
     /// # Errors
     ///
     /// Returns configuration errors for an invalid config or a used
-    /// transport, or if the cuts overlap or shards are unusable.
+    /// transport, a quorum larger than the platform count, or if the
+    /// cuts overlap or shards are unusable.
     pub fn new(
         arch: &Architecture,
         mut config: SplitConfig,
@@ -64,11 +68,6 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     ) -> Result<Self> {
         check_fresh(&config, transport.stats())?;
         let batches = batch_sizes(&config, &shards)?;
-        if config.scheduling != Scheduling::Aggregate {
-            return Err(SplitError::Config(
-                "the U-shaped trainer implements Aggregate scheduling".into(),
-            ));
-        }
         let head_split = resolve_split(arch, config.split)?;
         let total_layers = arch.build(0).len();
         if head_split + tail_layers >= total_layers {
@@ -77,10 +76,9 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
             )));
         }
         let tail_split = total_layers - tail_layers;
-        // The shared round charges compute and runs the L1 sync; this
-        // variant has never done either, and its clocks are pinned.
+        // The engine charges compute; this variant never has, and its
+        // clocks are pinned.
         config.compute = ComputeModel::off();
-        config.l1_sync = L1Sync::CommonInit;
 
         // Every replica is built from the same seed and cut in the same
         // two places; each side keeps its own part.
@@ -116,7 +114,7 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
             client_params: 0,
             server_params: 0,
         };
-        Ok(UShapeTrainer(SplitTrainer::over(actors, transport)))
+        Engine::new(actors, transport, None).map(UShapeTrainer)
     }
 
     /// Mean accuracy of each platform's composed model (head + middle +
@@ -142,9 +140,13 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::fixtures::replay_key;
+    use crate::SplitTrainer;
     use medsplit_data::{partition, MinibatchPolicy, Partition, SyntheticTabular};
     use medsplit_nn::{LrSchedule, MlpConfig};
-    use medsplit_simnet::{Envelope, MemoryTransport, MessageKind, NodeId, StarTopology};
+    use medsplit_simnet::{
+        ChaosTransport, Envelope, FaultPlan, MemoryTransport, MessageKind, NodeId, StarTopology,
+    };
 
     fn arch() -> Architecture {
         Architecture::Mlp(MlpConfig {
@@ -263,14 +265,27 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_unsupported() {
-        let (shards, test) = data();
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(1);
-        cfg.scheduling = Scheduling::RoundRobin;
-        assert!(matches!(
-            UShapeTrainer::new(&arch(), cfg, 1, shards, test, &transport),
-            Err(SplitError::Config(_))
-        ));
+    fn ten_percent_loss_retries_learns_and_replays() {
+        let run = || {
+            let (shards, test) = data();
+            let plan = FaultPlan::new(3).with_drop(0.1);
+            let chaos = ChaosTransport::new(MemoryTransport::new(StarTopology::new(2)), plan);
+            let mut trainer = UShapeTrainer::new(&arch(), config(60), 1, shards, test, &chaos).unwrap();
+            let before = trainer.evaluate().unwrap();
+            let history = trainer.run().unwrap();
+            (before, history, trainer.0.report.base)
+        };
+        let (before, h1, r1) = run();
+        let (_, h2, r2) = run();
+        assert!(r1.retries > 0, "10% loss must trigger retries");
+        assert!(
+            h1.final_accuracy > before + 0.2,
+            "{before} -> {}",
+            h1.final_accuracy
+        );
+        assert_eq!(r1, r2);
+        assert_eq!(replay_key(&h1), replay_key(&h2));
+        assert_eq!(h1.stats, h2.stats);
+        assert_eq!(h1.final_accuracy.to_bits(), h2.final_accuracy.to_bits());
     }
 }

@@ -585,6 +585,41 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     fn shutdown(&self) {
         self.inner.shutdown()
     }
+
+    fn begin_round(&self, round: u64) -> Vec<ChaosEvent> {
+        ChaosTransport::begin_round(self, round)
+    }
+
+    fn is_down(&self, node: NodeId) -> bool {
+        ChaosTransport::is_down(self, node)
+    }
+
+    fn link_down(&self, src: NodeId, dst: NodeId) -> bool {
+        ChaosTransport::link_down(self, src, dst)
+    }
+
+    fn flush(&self) {
+        ChaosTransport::flush(self)
+    }
+
+    fn backoff_jitter(&self) -> f64 {
+        ChaosTransport::backoff_jitter(self)
+    }
+
+    fn schedules_platform_crashes(&self) -> bool {
+        self.plan.events.iter().any(|e| {
+            matches!(
+                e,
+                ChaosEvent::Crash {
+                    node: NodeId::Platform(_),
+                    ..
+                } | ChaosEvent::Recover {
+                    node: NodeId::Platform(_),
+                    ..
+                }
+            )
+        })
+    }
 }
 
 impl<T> std::fmt::Debug for ChaosTransport<T> {

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::chaos::ChaosEvent;
 use crate::message::Envelope;
 use crate::node::NodeId;
 use crate::stats::NetStats;
@@ -110,6 +111,41 @@ pub trait Transport: Send + Sync {
     /// Wakes all blocked receivers and makes further blocking receives on
     /// empty queues fail fast.
     fn shutdown(&self);
+
+    // The fault view a round engine reads. The defaults describe an
+    // empty fault plan: no events, nothing down, nothing held back, so a
+    // plain transport is a fault-free run. `ChaosTransport` overrides
+    // them with its plan.
+
+    /// Applies the faults scheduled for the start of `round` and returns
+    /// them.
+    fn begin_round(&self, _round: u64) -> Vec<ChaosEvent> {
+        Vec::new()
+    }
+
+    /// Whether `node` is crashed.
+    fn is_down(&self, _node: NodeId) -> bool {
+        false
+    }
+
+    /// Whether the directed link `src → dst` is down.
+    fn link_down(&self, _src: NodeId, _dst: NodeId) -> bool {
+        false
+    }
+
+    /// Delivers any message a fault is holding back.
+    fn flush(&self) {}
+
+    /// The factor a retry's backoff delay is scaled by.
+    fn backoff_jitter(&self) -> f64 {
+        1.0
+    }
+
+    /// Whether the fault plan schedules any platform crash or recovery,
+    /// i.e. whether a platform may ever need restoring.
+    fn schedules_platform_crashes(&self) -> bool {
+        false
+    }
 }
 
 struct Inboxes {

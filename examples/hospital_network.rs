@@ -1,8 +1,8 @@
 //! A realistic geo-distributed scenario: five hospitals of very different
 //! sizes (power-law), non-uniform WAN links, the paper's proportional
-//! minibatch mitigation, and the thread-per-node runtime — each hospital
-//! really runs on its own OS thread and talks to the server only through
-//! the simulated network.
+//! minibatch mitigation, and the split round engine: each hospital talks
+//! to the server only through the simulated network, and the platforms'
+//! steps of each protocol phase run side by side on the kernel pool.
 //!
 //! Run with:
 //!
@@ -10,8 +10,7 @@
 //! cargo run --example hospital_network --release
 //! ```
 
-use medsplit::core::threaded::train_threaded;
-use medsplit::core::{ComputeModel, SplitConfig};
+use medsplit::core::{ComputeModel, SplitConfig, SplitTrainer};
 use medsplit::data::{partition, MinibatchPolicy, Partition, SyntheticImages};
 use medsplit::nn::{Architecture, LrSchedule, VggConfig};
 use medsplit::simnet::{LinkSpec, MemoryTransport, MessageKind, NodeId, StarTopology};
@@ -49,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SplitConfig::default()
     };
 
-    println!("\ntraining with one OS thread per hospital + one for the server...");
-    let history = train_threaded(&arch, config, shards, test, &transport)?;
+    println!("\ntraining...");
+    let history = SplitTrainer::new(&arch, config, shards, test, &transport)?.run()?;
 
     let snap = &history.stats;
     println!("\nfinal accuracy: {:.1}%", history.final_accuracy * 100.0);

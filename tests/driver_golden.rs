@@ -24,10 +24,9 @@
 //! All hierarchical cases use the f32 codec, where logical bytes equal
 //! wire bytes whether or not relay batches are walked.
 
-use medsplit::core::threaded::train_threaded;
 use medsplit::core::{
     ComputeModel, HierPolicy, HierReport, HierResilientTrainer, L1Sync, Platform, ResilienceReport,
-    ResilientTrainer, Scheduling, SplitConfig, SplitTrainer, TrainingHistory, UShapeTrainer, WireCodec,
+    ResilientTrainer, SplitConfig, SplitTrainer, TrainingHistory, UShapeTrainer, WireCodec,
 };
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
@@ -280,20 +279,6 @@ fn split_aggregate() {
 }
 
 #[test]
-fn split_round_robin() {
-    let mut cfg = config();
-    cfg.scheduling = Scheduling::RoundRobin;
-    let (got, _, _) = run_split(cfg, 4);
-    let want = Golden {
-        history: 0x39ed_6a37_9fd9_55f0,
-        stats: 0x515f_d6c4_2d53_b024,
-        weights: 0x405b_6dd3_6302_fe42,
-        report: 0,
-    };
-    assert_eq!(got, want);
-}
-
-#[test]
 fn split_periodic_average() {
     let mut cfg = config();
     cfg.l1_sync = L1Sync::PeriodicAverage { every: 2 };
@@ -481,25 +466,6 @@ fn hier_2x2_region_quorum() {
         report: 0x3817_b7bc_915a_6d73,
     };
     assert_eq!(got, want);
-}
-
-#[test]
-fn threaded_losses_accuracy_and_bytes() {
-    // The thread-per-node driver returns only a history; its learned
-    // weights are pinned through the loss and accuracy bits. Per-round
-    // bytes and clocks are interpolated there, so only the totals count.
-    let (shards, test) = data(4);
-    let transport = MemoryTransport::new(StarTopology::new(4));
-    let history = train_threaded(&arch(&[16]), config(), shards, test, &transport).unwrap();
-    assert_eq!(history.method, "split_threaded");
-    let mut d = Fnv::new();
-    for r in &history.records {
-        d.u64(u64::from(r.mean_loss.to_bits()));
-    }
-    d.u64(u64::from(history.final_accuracy.to_bits()));
-    d.u64(history.stats.total_bytes);
-    d.u64(history.stats.messages);
-    assert_eq!(d.0, 0x4bd4_1c09_a757_3f97, "{:#018x}", d.0);
 }
 
 #[test]

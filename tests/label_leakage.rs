@@ -4,7 +4,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use medsplit::core::{Scheduling, SplitConfig, SplitTrainer, UShapeTrainer};
+use medsplit::core::{SplitConfig, SplitTrainer, UShapeTrainer};
 use medsplit::data::{InMemoryDataset, MinibatchPolicy, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
 use medsplit::privacy::label_recovery_rate;
@@ -78,7 +78,6 @@ fn config(rounds: usize) -> SplitConfig {
         eval_every: 0,
         lr: LrSchedule::Constant(0.05),
         minibatch: MinibatchPolicy::Fixed(6),
-        scheduling: Scheduling::Aggregate,
         ..SplitConfig::default()
     }
 }

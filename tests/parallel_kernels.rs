@@ -21,8 +21,8 @@
 use std::sync::Mutex;
 
 use medsplit::core::{
-    ComputeModel, HierPolicy, HierReport, HierResilientTrainer, Platform, Scheduling, SplitConfig,
-    SplitPoint, SplitTrainer, TrainingHistory, WireCodec,
+    ComputeModel, HierPolicy, HierReport, HierResilientTrainer, Platform, SplitConfig, SplitPoint,
+    SplitTrainer, TrainingHistory, WireCodec,
 };
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
@@ -240,7 +240,6 @@ fn run_split() -> (Vec<u64>, Vec<Vec<u32>>) {
     let transport = MemoryTransport::new(StarTopology::new(4));
     let config = SplitConfig {
         split: SplitPoint::Default,
-        scheduling: Scheduling::Aggregate,
         minibatch: MinibatchPolicy::Fixed(8),
         lr: LrSchedule::Constant(0.1),
         momentum: 0.9,

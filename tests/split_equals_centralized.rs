@@ -4,7 +4,7 @@
 //! serialisation round-trips change nothing about the arithmetic.
 
 use medsplit::baselines::train_centralized;
-use medsplit::core::{ComputeModel, Scheduling, SplitConfig, SplitPoint, SplitTrainer};
+use medsplit::core::{ComputeModel, SplitConfig, SplitPoint, SplitTrainer};
 use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit::nn::{Architecture, Layer, LrSchedule, MlpConfig, Mode};
 use medsplit::simnet::{MemoryTransport, StarTopology};
@@ -35,7 +35,6 @@ fn single_platform_split_matches_centralized_exactly() {
     let transport = MemoryTransport::new(StarTopology::new(1));
     let config = SplitConfig {
         split: SplitPoint::Default,
-        scheduling: Scheduling::Aggregate,
         minibatch: MinibatchPolicy::Fixed(batch),
         lr: LrSchedule::Constant(0.1),
         momentum: 0.9,
