@@ -123,9 +123,10 @@ impl<'t, T: Transport> Engine<'t, T> {
             )));
         }
         let restorable = transport.schedules_platform_crashes();
-        let initial_snapshots = match restorable {
-            true => actors.platforms.iter_mut().map(Platform::checkpoint).collect(),
-            false => Vec::new(),
+        let initial_snapshots = if restorable {
+            actors.platforms.iter_mut().map(Platform::checkpoint).collect()
+        } else {
+            Vec::new()
         };
         let report = HierReport {
             region_bytes: vec![0; tier.as_ref().map_or(0, |t| t.topo.regions())],

@@ -57,7 +57,6 @@ pub(crate) fn build_actors(
 ) -> Result<(Vec<Platform>, SplitServer, usize, usize)> {
     let batches = batch_sizes(config, &shards)?;
     let split = build_split(arch, config.split, config.seed, shards.len())?;
-    let total_batch: usize = batches.iter().sum();
     let platforms: Vec<Platform> = split
         .clients
         .into_iter()
@@ -66,10 +65,6 @@ pub(crate) fn build_actors(
         .enumerate()
         .map(|(id, ((model, data), &batch))| {
             let mut p = Platform::new(id, model, data, batch, config.momentum, config.seed);
-            // The server takes one step on the union batch, so each
-            // platform re-weights its locally normalised gradient by its
-            // batch share.
-            p.set_grad_scale(batch as f32 / total_batch as f32);
             p.set_codec(config.codec);
             if config.activation_noise > 0.0 {
                 p.set_activation_noise(config.activation_noise);

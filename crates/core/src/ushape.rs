@@ -88,7 +88,6 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
             let middle = head.split_off(head_split);
             (head, middle, tail)
         };
-        let total_batch: usize = batches.iter().sum();
         let platforms = shards
             .into_iter()
             .zip(&batches)
@@ -96,7 +95,6 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
             .map(|(id, (data, &batch))| {
                 let (head, _, tail) = parts();
                 let mut p = Platform::new(id, head, data, batch, config.momentum, config.seed);
-                p.set_grad_scale(batch as f32 / total_batch as f32);
                 p.set_codec(config.codec);
                 p.set_tail(tail, OptimizerKind::Sgd.build(config.momentum));
                 p

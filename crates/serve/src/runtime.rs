@@ -1,7 +1,7 @@
 //! Thread-per-node serving runtime over the simulated network.
 //!
-//! Mirrors the training runtime (`medsplit_core::threaded`): every
-//! platform and the server run on their own OS thread and communicate
+//! Every platform and the server run on their own OS thread
+//! ([`medsplit_simnet::threaded::run_per_node`]) and communicate
 //! exclusively through a shared [`Transport`]. Clients submit requests
 //! open-loop at a configured rate; the server decodes activation
 //! envelopes, batches them with [`DynamicBatcher`], runs `L2..Lk`

@@ -156,7 +156,7 @@ struct Inboxes {
 /// The in-memory transport: per-node FIFO inboxes guarded by a single
 /// lock, with a condition variable for the threaded runtime. Used both by
 /// the deterministic single-threaded trainers and (via `Arc`) by the
-/// thread-per-node runtime.
+/// thread-per-node serving runtime.
 ///
 /// Generic over the [`Topology`] it routes over; the default keeps the
 /// paper's star so existing call sites read unchanged.
