@@ -192,7 +192,9 @@ cargo test -q --release --offline --test fleet_chaos
 echo "==> serving golden digests under --release"
 # Every serve_threaded / run_fleet outcome is pinned bit for bit in debug
 # by the workspace run above; the optimised build must agree with it.
-cargo test -q --release --offline --test serving_golden
+# The serving suite runs here too: its end-to-end logits check and the
+# refusal of a lost response must hold on the optimised build.
+cargo test -q --release --offline --test serving_golden --test serving
 
 echo "==> baseline trainer golden digests under --release"
 # The four comparator methods are pinned the same way, bit for bit, in

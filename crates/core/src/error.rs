@@ -62,7 +62,7 @@ mod tests {
     fn conversions_and_display() {
         let t: SplitError = TensorError::Corrupt("x".into()).into();
         assert!(t.to_string().contains("tensor error"));
-        let n: SplitError = NetError::Disconnected("y".into()).into();
+        let n: SplitError = NetError::PeerDown("y".into()).into();
         assert!(n.to_string().contains("network error"));
         assert!(SplitError::Protocol("bad".into()).to_string().contains("bad"));
         assert!(SplitError::Config("oops".into()).to_string().contains("oops"));

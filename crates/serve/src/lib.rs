@@ -25,10 +25,11 @@
 //!   `concat0`/`infer`/`slice0` per group). This crate's server and
 //!   every `medsplit-fleet` replica are this type; `request_id` and the
 //!   clock-to-`t` helper live next to it.
-//! - [`runtime`]: the thread-per-node serving loop — clients submit
-//!   open-loop, the server collects, sorts by simulated arrival and
-//!   drives the executor — with explicit rejection/timeout responses,
-//!   and the [`ClientRecord`] latency rule both drivers use.
+//! - [`runtime`]: the serving session on the caller's thread — clients
+//!   submit open-loop, the server collects, sorts by simulated arrival
+//!   and drives the executor, clients receive — with explicit
+//!   rejection/timeout responses, and the [`ClientRecord`] latency rule
+//!   both drivers use.
 //! - [`metrics`]: p50/p95/p99 latency summaries, per-request byte
 //!   accounting, and the one [`ServeReport`] fold from client records.
 

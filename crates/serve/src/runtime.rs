@@ -1,10 +1,10 @@
-//! Thread-per-node serving runtime over the simulated network.
+//! The serving runtime over the simulated network, on the caller's
+//! thread.
 //!
-//! Every platform and the server run on their own OS thread
-//! ([`medsplit_simnet::threaded::run_per_node`]) and communicate
-//! exclusively through a shared [`Transport`]. Clients submit requests
-//! open-loop at a configured rate; the server decodes activation
-//! envelopes, batches them with [`DynamicBatcher`], runs `L2..Lk`
+//! Platforms and the server communicate exclusively through a shared
+//! [`Transport`]. Clients submit requests open-loop at a configured
+//! rate; the server decodes activation envelopes, batches them with
+//! [`DynamicBatcher`](crate::batcher::DynamicBatcher), runs `L2..Lk`
 //! forward-only, and answers every request explicitly — logits, a
 //! rejection, or a timeout.
 //!
@@ -12,18 +12,16 @@
 //! reconstructs arrival times from the topology's link model, serving
 //! advances the busy clock of one [`Executor`], and clients compute
 //! end-to-end latency from the served timestamp plus the downlink
-//! transfer time. Because the clients' streams interleave arbitrarily in
-//! wall-clock time, the server first collects all requests and then
+//! transfer time. A session runs in three phases: every platform
+//! submits its whole stream, the server collects all requests and
 //! replays them against the executor in simulated-arrival order (a
-//! discrete-event simulation), so batch composition, admission decisions,
-//! and every reported latency are deterministic — wall-clock thread
-//! scheduling never affects the results.
+//! discrete-event simulation), every platform receives its responses.
+//! Batch composition, admission decisions and every reported latency
+//! are deterministic, and a response that never arrives is an
+//! immediate protocol error, not a wait.
 
 use medsplit_core::{Platform, Result, SplitError, SplitServer, WireCodec};
-use medsplit_simnet::threaded::run_per_node;
-use medsplit_simnet::{
-    recv_timeout_default, Envelope, LinkSpec, MessageKind, NodeId, StarTopology, StatsSnapshot, Transport,
-};
+use medsplit_simnet::{Envelope, LinkSpec, MessageKind, NodeId, StarTopology, StatsSnapshot, Transport};
 use medsplit_tensor::Tensor;
 
 use crate::executor::{forward_batch, request_id, sync_clock, Arrived, Due, Executor};
@@ -176,12 +174,17 @@ struct Pending {
 /// feature batch for [`Platform::infer_l1`]); `platforms.len()` must
 /// equal `queries.len()` and match the transport's topology.
 ///
+/// The session runs on the caller's thread in three phases: every
+/// platform submits, the server collects and replays, every platform
+/// receives. The name is kept because the benchmark imports it.
+///
 /// # Errors
 ///
-/// Returns config errors for invalid parameters, protocol errors for
-/// malformed traffic, and net errors if a node times out.
+/// Returns config errors for invalid parameters and protocol errors for
+/// malformed traffic, a missing or repeated done marker, or a platform
+/// whose response count differs from its request count.
 pub fn serve_threaded<T: Transport>(
-    mut platforms: Vec<Platform>,
+    platforms: Vec<Platform>,
     mut server: SplitServer,
     queries: Vec<Vec<Tensor>>,
     topology: &StarTopology,
@@ -197,27 +200,51 @@ pub fn serve_threaded<T: Transport>(
         )));
     }
     let offered: usize = queries.iter().map(Vec::len).sum();
-    let client_count = platforms.len();
 
-    // Every node returns its client records; the server has none.
-    type NodeFn<'a, T> = Box<dyn FnOnce(NodeId, &T) -> Result<Vec<ClientRecord>> + Send + 'a>;
-    let mut nodes: Vec<(NodeId, NodeFn<'_, T>)> = Vec::with_capacity(client_count + 1);
-    for (platform, qs) in platforms.drain(..).zip(queries) {
-        let node = platform.node();
-        let client: NodeFn<'_, T> =
-            Box::new(move |node, t: &T| client_loop(platform, qs, topology, cfg, node, t));
-        nodes.push((node, client));
+    // Phase 1 — submit, one platform after another: `L1` over each
+    // query and every request, then the done marker.
+    let mut clients = Vec::with_capacity(platforms.len());
+    for (mut platform, qs) in platforms.into_iter().zip(queries) {
+        let (pid, node, sent) = (platform.id(), platform.node(), qs.len());
+        for (seq, query) in qs.into_iter().enumerate() {
+            // Open-loop arrivals: request `seq` is submitted at a fixed
+            // rate regardless of how earlier requests fared.
+            let submit_s = seq as f64 / cfg.offered_rps;
+            sync_clock(transport.stats(), node, submit_s);
+            let acts = platform.infer_l1(&query)?;
+            let env = encode_request(
+                node,
+                request_id(pid, seq),
+                submit_s,
+                submit_s + cfg.deadline_s,
+                &acts,
+                cfg.codec,
+            );
+            transport.send(env).map_err(SplitError::from)?;
+        }
+        transport
+            .send(Envelope::control(node, NodeId::Server, sent as u64))
+            .map_err(SplitError::from)?;
+        clients.push((pid, node, sent));
     }
-    nodes.push((
-        NodeId::Server,
-        Box::new(move |_, t: &T| {
-            server_loop(&mut server, topology, cfg, client_count, t).map(|()| Vec::new())
-        }),
-    ));
 
+    // Phase 2 — the server collects every request and replays them.
+    collect_and_replay(&mut server, topology, cfg, clients.len(), transport)?;
+
+    // Phase 3 — every platform receives its responses.
     let mut records = Vec::with_capacity(offered);
-    for (_, result) in run_per_node(transport, nodes) {
-        let mut of_node = result?;
+    for (pid, node, sent) in clients {
+        let downlink = topology.link(NodeId::Server, node);
+        let mut of_node = Vec::with_capacity(sent);
+        while let Some(env) = transport.try_recv(node) {
+            of_node.push(ClientRecord::from_response(pid, &env, downlink)?);
+        }
+        if of_node.len() != sent {
+            return Err(SplitError::Protocol(format!(
+                "platform {pid} received {} of {sent} responses",
+                of_node.len()
+            )));
+        }
         of_node.sort_by_key(|rec| rec.id);
         records.extend(of_node);
     }
@@ -230,77 +257,30 @@ pub fn serve_threaded<T: Transport>(
     })
 }
 
-fn client_loop<T: Transport>(
-    mut platform: Platform,
-    queries: Vec<Tensor>,
-    topology: &StarTopology,
-    cfg: &ServeConfig,
-    node: NodeId,
-    transport: &T,
-) -> Result<Vec<ClientRecord>> {
-    let pid = platform.id();
-    let downlink = topology.link(NodeId::Server, node);
-    let stats = transport.stats();
-    let expected = queries.len();
-
-    for (seq, query) in queries.into_iter().enumerate() {
-        // Open-loop arrivals: request `seq` is submitted at a fixed rate
-        // regardless of how earlier requests fared.
-        let submit_s = seq as f64 / cfg.offered_rps;
-        sync_clock(stats, node, submit_s);
-        let acts = platform.infer_l1(&query)?;
-        let env = encode_request(
-            node,
-            request_id(pid, seq),
-            submit_s,
-            submit_s + cfg.deadline_s,
-            &acts,
-            cfg.codec,
-        );
-        transport.send(env).map_err(SplitError::from)?;
-    }
-    // Tell the server this client is done submitting.
-    transport
-        .send(Envelope::control(node, NodeId::Server, expected as u64))
-        .map_err(SplitError::from)?;
-
-    let mut records = Vec::with_capacity(expected);
-    for _ in 0..expected {
-        let env = transport
-            .recv_timeout(node, recv_timeout_default())
-            .map_err(SplitError::from)?;
-        records.push(ClientRecord::from_response(pid, &env, downlink)?);
-    }
-    Ok(records)
-}
-
-fn server_loop<T: Transport>(
+fn collect_and_replay<T: Transport>(
     server: &mut SplitServer,
     topology: &StarTopology,
     cfg: &ServeConfig,
     client_count: usize,
     transport: &T,
 ) -> Result<()> {
-    // Phase 1 — collect. Wall-clock receive order mixes the clients'
-    // streams arbitrarily (each client thread enqueues its whole stream
-    // as fast as it can), so simulated arrival times arrive out of order
-    // across clients. The busy clock below must only ever move forward,
-    // which makes processing order part of the result — so we gather
-    // everything first and replay it as a discrete-event simulation.
+    // Collect. Platforms submit one after another, so the inbox holds
+    // their streams back to back, not in simulated-arrival order. The
+    // busy clock below must only ever move forward, which makes
+    // processing order part of the result — so we gather everything
+    // first and replay it as a discrete-event simulation.
     let mut arrivals: Vec<Pending> = Vec::new();
-    let mut done = 0usize;
-    while done < client_count {
-        let env = transport
-            .recv_timeout(NodeId::Server, recv_timeout_default())
-            .map_err(SplitError::from)?;
+    let mut done = vec![0usize; client_count];
+    while let Some(env) = transport.try_recv(NodeId::Server) {
+        let platform = env
+            .src
+            .platform_index()
+            .filter(|&p| p < client_count)
+            .ok_or_else(|| SplitError::Protocol(format!("{} message from {}", env.kind, env.src)))?;
         match env.kind {
-            MessageKind::Control => done += 1,
+            MessageKind::Control => done[platform] += 1,
             MessageKind::InferRequest => {
                 let req = decode_request(&env)?;
-                let platform = env
-                    .src
-                    .platform_index()
-                    .ok_or_else(|| SplitError::Protocol("infer_request from server".into()))?;
                 let uplink = topology.link(env.src, NodeId::Server);
                 let arrival_s = req.submit_s + uplink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
                 arrivals.push(Pending {
@@ -316,10 +296,15 @@ fn server_loop<T: Transport>(
             }
         }
     }
+    if let Some((p, &n)) = done.iter().enumerate().find(|(_, &n)| n != 1) {
+        return Err(SplitError::Protocol(format!(
+            "server holds {n} done markers from platform {p}, want 1"
+        )));
+    }
     // Deterministic event order: by arrival, ties broken by request id.
     arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.req.id.cmp(&b.req.id)));
 
-    // Phase 2 — replay against the single executor.
+    // Replay against the single executor.
     let mut executor: Executor<Pending> = Executor::new(cfg);
     for arrival in arrivals {
         let (t, deadline_s) = (arrival.arrival_s, arrival.req.deadline_s);
@@ -339,7 +324,7 @@ fn server_loop<T: Transport>(
             }
         }
     }
-    // Phase 3 — drain what is still queued.
+    // Drain what is still queued.
     while let Some(due) = executor.drain_next() {
         serve_due(server, due, cfg, transport)?;
     }

@@ -13,7 +13,6 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -574,16 +573,8 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.try_recv(node)
     }
 
-    fn recv_timeout(&self, node: NodeId, timeout: Duration) -> Result<Envelope, NetError> {
-        self.inner.recv_timeout(node, timeout)
-    }
-
     fn stats(&self) -> &NetStats {
         self.inner.stats()
-    }
-
-    fn shutdown(&self) {
-        self.inner.shutdown()
     }
 
     fn begin_round(&self, round: u64) -> Vec<ChaosEvent> {
@@ -737,8 +728,7 @@ mod tests {
         let applied = t.begin_round(2);
         assert_eq!(applied.len(), 1);
         assert!(t.is_down(NodeId::Platform(1)));
-        // Sends from the crashed node fail fast instead of blocking the
-        // peer for a full receive timeout, and transmit nothing: no
+        // Sends from the crashed node fail fast and transmit nothing: no
         // bytes, no message, no clock.
         let before = t.stats().snapshot();
         assert!(matches!(

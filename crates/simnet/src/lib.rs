@@ -4,10 +4,10 @@
 //! star topology of medical platforms around one central server
 //! ([`StarTopology`]), links with bandwidth/latency ([`LinkSpec`]),
 //! message envelopes whose payloads are exactly the serialised tensors the
-//! protocols exchange ([`Envelope`]), a FIFO in-memory transport with a
-//! blocking mode for the thread-per-node runtime ([`MemoryTransport`],
-//! [`threaded::run_per_node`]), seeded fault injection ([`ChaosTransport`]
-//! under a [`FaultPlan`]) and
+//! protocols exchange ([`Envelope`]), a non-blocking FIFO in-memory
+//! transport ([`MemoryTransport`]; every driver runs on its caller's
+//! thread, and only the kernel pool starts threads), seeded fault
+//! injection ([`ChaosTransport`] under a [`FaultPlan`]) and
 //! — the quantity the paper's Fig. 4 plots — exact wire-byte accounting
 //! with a causal simulated clock ([`NetStats`]).
 //!
@@ -34,7 +34,6 @@ mod link;
 mod message;
 mod node;
 mod stats;
-pub mod threaded;
 mod topology;
 mod transport;
 
@@ -44,4 +43,4 @@ pub use message::{payload_checksum, Envelope, FrameError, MessageKind, FRAME_HEA
 pub use node::NodeId;
 pub use stats::{NetStats, StatsSnapshot};
 pub use topology::{FleetTopology, HierTopology, StarTopology, Topology};
-pub use transport::{recv_timeout_default, MemoryTransport, NetError, Transport};
+pub use transport::{MemoryTransport, NetError, Transport};

@@ -2,7 +2,6 @@
 //! from the live protocol traffic — and how the U-shaped variant stops it.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use medsplit::core::{SplitConfig, SplitTrainer, UShapeTrainer};
 use medsplit::data::{InMemoryDataset, MinibatchPolicy, SyntheticTabular};
@@ -45,14 +44,8 @@ impl Transport for RecordingTransport {
     fn try_recv(&self, node: NodeId) -> Option<Envelope> {
         self.inner.try_recv(node)
     }
-    fn recv_timeout(&self, node: NodeId, timeout: Duration) -> Result<Envelope, NetError> {
-        self.inner.recv_timeout(node, timeout)
-    }
     fn stats(&self) -> &medsplit::simnet::NetStats {
         self.inner.stats()
-    }
-    fn shutdown(&self) {
-        self.inner.shutdown()
     }
 }
 

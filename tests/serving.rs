@@ -1,12 +1,12 @@
-//! End-to-end serving over the thread-per-node runtime: request → local
-//! `L1` → server `L2..Lk` → logits, plus the deadline-timeout and
-//! queue-full rejection paths.
+//! End-to-end serving over the simulated network: request → local `L1`
+//! → server `L2..Lk` → logits, plus the deadline-timeout and queue-full
+//! rejection paths and the refusal of a lost response.
 
 use medsplit::core::{build_split, Platform, SplitPoint, SplitServer, WireCodec};
 use medsplit::data::SyntheticTabular;
 use medsplit::nn::{Architecture, MlpConfig};
 use medsplit::serve::{serve_threaded, InferStatus, ServeConfig};
-use medsplit::simnet::{MemoryTransport, StarTopology};
+use medsplit::simnet::{ChaosTransport, FaultPlan, LinkFaults, MemoryTransport, NodeId, StarTopology};
 use medsplit::tensor::Tensor;
 
 const FEATURES: usize = 8;
@@ -153,8 +153,7 @@ fn deadline_timeouts_are_reported() {
 fn queue_full_requests_are_rejected_not_dropped() {
     // Capacity 4 with an infinite flush timer and a size threshold above
     // capacity: the first 4 requests sit in the queue, every later one is
-    // rejected, and the queued 4 are served at the shutdown drain. This
-    // is deterministic regardless of thread scheduling because nothing
+    // rejected, and the queued 4 are served at the final drain. Nothing
     // can flush while requests keep arriving.
     let total = 10;
     let (platforms, server) = actors(1, 3);
@@ -226,4 +225,47 @@ fn f16_codec_shrinks_serving_traffic() {
         f16_run.report.response_bytes < f32_run.report.response_bytes,
         "f16 must shrink downlink serving traffic"
     );
+}
+
+/// Every frame on one of platform 1's links is lost: its responses on
+/// the downlink, or its requests and done marker on the uplink. The
+/// session refuses to report at once, naming the platform and the
+/// counts, and the refusal is the same on every run: nothing waits for
+/// a message that will never come.
+#[test]
+fn lost_messages_fail_fast_and_deterministically() {
+    let per_platform = 6;
+    let cases = [
+        (
+            (NodeId::Server, NodeId::Platform(1)),
+            format!("platform 1 received 0 of {per_platform} responses"),
+        ),
+        (
+            (NodeId::Platform(1), NodeId::Server),
+            "server holds 0 done markers from platform 1, want 1".to_string(),
+        ),
+    ];
+    for ((src, dst), want) in cases {
+        let run = || {
+            let (platforms, server) = actors(2, 13);
+            let topology = StarTopology::new(2);
+            let lost = LinkFaults {
+                drop_p: 1.0,
+                ..LinkFaults::default()
+            };
+            let plan = FaultPlan::new(3).link(src, dst, lost);
+            let transport = ChaosTransport::new(MemoryTransport::new(topology.clone()), plan);
+            let qs = (0..2).map(|p| queries(per_platform, p)).collect();
+            let cfg = ServeConfig::default();
+            let started = std::time::Instant::now();
+            let err = serve_threaded(platforms, server, qs, &topology, &cfg, &transport)
+                .unwrap_err()
+                .to_string();
+            (err, started.elapsed())
+        };
+        let (first, took) = run();
+        assert_eq!(first, format!("protocol violation: {want}"));
+        assert!(took.as_secs_f64() < 1.0, "the refusal took {took:?}");
+        assert_eq!(first, run().0, "two runs of one scenario disagree");
+    }
 }
