@@ -604,6 +604,7 @@ mod tests {
 
     #[test]
     fn plan_shape_validation() {
+        let _g = PACK_LOCK.lock().unwrap();
         let w = Tensor::ones([4, 3]);
         let plan = GemmPlan::pack_nt(&w, 0).unwrap();
         assert!(plan.matmul_nt(&Tensor::ones([2, 5])).is_err());
@@ -627,6 +628,7 @@ mod tests {
 
     #[test]
     fn conv_geometry_is_cached() {
+        let _g = PACK_LOCK.lock().unwrap();
         let spec = Conv2dSpec::square(3, 1, 1);
         let w = Tensor::ones([2, 3, 3, 3]);
         let mut plan = ConvPlan::pack(&w, spec, 0).unwrap();
