@@ -771,6 +771,55 @@ mod tests {
         }
     }
 
+    /// Literal checksums of payloads shorter than one 256-byte block, and
+    /// the whole frame of one 100-byte payload: pinned so that a change to
+    /// how long payloads are hashed shows whether short payloads and their
+    /// frames moved.
+    #[test]
+    fn checksum_values_below_256_bytes() {
+        let payload: Vec<u8> = (0..255u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let pinned = [
+            (0, 0x9f53_4135),
+            (1, 0x9e53_3fa2),
+            (3, 0xdfe0_5b7c),
+            (4, 0x4937_6d23),
+            (5, 0xba65_1197),
+            (31, 0xb40a_bfe5),
+            (32, 0x7321_1556),
+            (33, 0x680f_bae4),
+            (63, 0x5497_6920),
+            (64, 0x225d_bb0b),
+            (100, 0xb129_c0ad),
+            (224, 0x3d65_2dc3),
+            (255, 0xa6bf_401d),
+        ];
+        for (len, sum) in pinned {
+            assert_eq!(payload_checksum(&payload[..len]), sum, "length {len}");
+        }
+        let mut env = Envelope::new(
+            NodeId::Platform(2),
+            NodeId::Server,
+            7,
+            MessageKind::Activations,
+            Bytes::copy_from_slice(&payload[..100]),
+        );
+        env.seq = 11;
+        // kind · src · dst · round · seq · checksum · len, then the payload.
+        let frame: String = [
+            "00 0200000000000000 ffffffffffffffff 0700000000000000 0b00000000000000 adc029b1 6400000000000000",
+            "00bb7733efab6622de9a5611cd894501bc7834f0ac6723df9b5712ce8a4602bd",
+            "7935f1ad6824e09c5813cf8b4703be7a36f2ae6925e19d5914d08c4804bf7b37",
+            "f3af6a26e29e5a16d18d4905c17c38f4b06c27e39f5b17d28e4a06c27d39f5b1",
+            "6d28e4a0",
+        ]
+        .concat()
+        .replace(' ', "");
+        let hex: String = env.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, frame);
+    }
+
     /// `Bytes` keeps the `Vec` it is built from, and a frame taken off a
     /// buffer with `decode_from` views that same allocation. (Pinned
     /// here because `vendor/bytes`' own tests are outside the default
