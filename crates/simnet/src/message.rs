@@ -158,29 +158,86 @@ impl std::fmt::Display for MessageKind {
 /// every word `w`, and is injective in `w` for every state `h`.
 const CHECKSUM_PRIME: u32 = 0x0100_0193;
 const CHECKSUM_BASIS: u32 = 0x811C_9DC5;
-/// Independent states of [`payload_checksum`]: one 32-byte block is one
-/// step of all eight, which the compiler turns into vector code.
+/// States of [`payload_checksum`] after the wide blocks: one 32-byte
+/// block is one step of all eight.
 const CHECKSUM_LANES: usize = 8;
+/// States of [`payload_checksum`] over its 256-byte blocks: eight
+/// independent eight-lane multiply chains, enough to cover the multiply's
+/// latency. Under AVX2 code generation each chain is one vector register.
+const CHECKSUM_WIDE_LANES: usize = 64;
 
 /// The payload checksum carried by every [`Envelope`]: a word-wise
-/// multiplicative hash. The payload is read as little-endian `u32`
-/// words; word `i` of each 32-byte block goes through lane `i`
-/// (`h = (h ^ w) * P`), then the eight lanes, the up to seven words after
-/// the last whole block, the zero-padded byte tail and the length are
-/// folded through the same step.
+/// multiplicative hash. The payload is read as little-endian `u32` words,
+/// and every word goes through one step `h = (h ^ w) * P`:
+/// 1. If the payload holds at least one whole 256-byte block, 64 lanes
+///    start at the basis, word `i` of each whole 256-byte block goes
+///    through lane `i`, and the lanes then fold into eight: lane `j`
+///    absorbs lane `j + 32` as its word, then lane `j + 16`, then lane
+///    `j + 8`. Otherwise eight lanes start at the basis.
+/// 2. Word `i` of each whole 32-byte block of what remains goes through
+///    lane `i` of the eight.
+/// 3. The eight lanes, the up to seven words after the last whole block,
+///    the zero-padded byte tail and the length are folded through the
+///    same step.
+///
+/// Below 256 bytes step 1 does nothing. On x86-64 with AVX2 the same
+/// definition runs as code compiled for AVX2; the value is the same on
+/// every CPU.
 ///
 /// Not cryptographic: it exists so that *injected* bit corruption (see
 /// `ChaosTransport`) is detected at the receiver instead of being
 /// silently trained on. Every change confined to one aligned word — so
 /// every single-bit and single-byte flip — is detected with certainty:
 /// the step is injective in `w`, so the state right after the changed
-/// word differs, and every later step (same words, same order) is a
-/// bijection of the state, so the difference survives to the end.
+/// word differs, and every later step is a bijection of the state it
+/// updates; in the fold a changed lane enters one step, as the state or
+/// as the word, so the difference survives to the end.
 pub fn payload_checksum(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= 4 * CHECKSUM_WIDE_LANES && is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { checksum_avx2(bytes) };
+    }
+    checksum_portable(bytes)
+}
+
+/// [`checksum_portable`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn checksum_avx2(bytes: &[u8]) -> u32 {
+    checksum_portable(bytes)
+}
+
+/// The body of [`payload_checksum`], in safe portable code.
+#[inline(always)]
+fn checksum_portable(bytes: &[u8]) -> u32 {
     let mix = |h: u32, w: u32| (h ^ w).wrapping_mul(CHECKSUM_PRIME);
     let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut lanes = [CHECKSUM_BASIS; CHECKSUM_LANES];
-    let mut blocks = bytes.chunks_exact(4 * CHECKSUM_LANES);
+    let mut wide_blocks = bytes.chunks_exact(4 * CHECKSUM_WIDE_LANES);
+    if wide_blocks.len() > 0 {
+        // Lane `i` of the 64 is lane `i % 8` of vector `i / 8`.
+        let mut wide = [[CHECKSUM_BASIS; CHECKSUM_LANES]; CHECKSUM_WIDE_LANES / CHECKSUM_LANES];
+        for block in &mut wide_blocks {
+            for (vector, words) in wide.iter_mut().zip(block.chunks_exact(4 * CHECKSUM_LANES)) {
+                for (lane, w) in vector.iter_mut().zip(words.chunks_exact(4)) {
+                    *lane = mix(*lane, word(w));
+                }
+            }
+        }
+        // Vector `v` absorbs vector `v + half`: lane `j` absorbs lane
+        // `j + 32`, then `j + 16`, then `j + 8`.
+        for half in [4, 2, 1] {
+            let (low, high) = wide.split_at_mut(half);
+            for (vector, absorbed) in low.iter_mut().zip(&*high) {
+                for (lane, &w) in vector.iter_mut().zip(absorbed) {
+                    *lane = mix(*lane, w);
+                }
+            }
+        }
+        lanes = wide[0];
+    }
+    let mut blocks = wide_blocks.remainder().chunks_exact(4 * CHECKSUM_LANES);
     for block in &mut blocks {
         for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
             *lane = mix(*lane, word(w));
@@ -714,18 +771,44 @@ mod tests {
     /// The checksum as its doc comment defines it, written word by word
     /// with explicit lane indices instead of block iterators.
     fn checksum_by_definition(bytes: &[u8]) -> u32 {
+        checksum_folding_all_but(bytes, 0..0)
+    }
+
+    /// [`checksum_by_definition`], except that the wide lanes in
+    /// `unfolded` never enter the fold: with a non-empty range, a broken
+    /// checksum that the flip loop must catch.
+    fn checksum_folding_all_but(bytes: &[u8], unfolded: std::ops::Range<usize>) -> u32 {
         let mix = |h: u32, w: u32| (h ^ w).wrapping_mul(CHECKSUM_PRIME);
         let words: Vec<u32> = bytes
             .chunks_exact(4)
             .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
             .collect();
-        let in_blocks = words.len() / CHECKSUM_LANES * CHECKSUM_LANES;
-        let mut lanes = [CHECKSUM_BASIS; CHECKSUM_LANES];
-        for (i, &w) in words[..in_blocks].iter().enumerate() {
+        // 1. Whole 256-byte blocks through 64 lanes, folded into 8.
+        let in_wide = words.len() / CHECKSUM_WIDE_LANES * CHECKSUM_WIDE_LANES;
+        let mut lanes = vec![CHECKSUM_BASIS; CHECKSUM_LANES];
+        if in_wide > 0 {
+            lanes = vec![CHECKSUM_BASIS; CHECKSUM_WIDE_LANES];
+            for (i, &w) in words[..in_wide].iter().enumerate() {
+                lanes[i % CHECKSUM_WIDE_LANES] = mix(lanes[i % CHECKSUM_WIDE_LANES], w);
+            }
+            for half in [32, 16, 8] {
+                for j in 0..half {
+                    if !unfolded.contains(&(j + half)) {
+                        lanes[j] = mix(lanes[j], lanes[j + half]);
+                    }
+                }
+            }
+            lanes.truncate(CHECKSUM_LANES);
+        }
+        // 2. Whole 32-byte blocks of the rest through the 8 lanes.
+        let rest = &words[in_wide..];
+        let in_blocks = rest.len() / CHECKSUM_LANES * CHECKSUM_LANES;
+        for (i, &w) in rest[..in_blocks].iter().enumerate() {
             lanes[i % CHECKSUM_LANES] = mix(lanes[i % CHECKSUM_LANES], w);
         }
+        // 3. The lanes, the leftover words, the tail and the length.
         let mut hash = CHECKSUM_BASIS;
-        for &x in lanes.iter().chain(&words[in_blocks..]) {
+        for &x in lanes.iter().chain(&rest[in_blocks..]) {
             hash = mix(hash, x);
         }
         let mut tail = 0u32;
@@ -735,39 +818,92 @@ mod tests {
         mix(mix(hash, tail), bytes.len() as u32)
     }
 
+    /// Lengths that cross every lane, leftover-word and tail boundary
+    /// below one wide block, and around one and two wide blocks.
+    fn flip_lengths() -> impl Iterator<Item = usize> {
+        (0..=130).chain(250..=262).chain(506..=518)
+    }
+
+    fn flip_payload() -> Vec<u8> {
+        (0..518u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
+    /// The first change to `clean` that `checksum` does not detect: a
+    /// single-bit flip at any position, a whole-byte replacement at
+    /// every position by a sample of values, truncation by one byte, or
+    /// extension by a zero byte.
+    fn first_undetected_change(checksum: impl Fn(&[u8]) -> u32, clean: &[u8]) -> Option<String> {
+        let len = clean.len();
+        let sum = checksum(clean);
+        let mut bent = clean.to_vec();
+        for at in 0..len {
+            for bit in 0..8 {
+                bent[at] ^= 1 << bit;
+                if checksum(&bent) == sum {
+                    return Some(format!("len {len}: bit {bit} of byte {at}"));
+                }
+                bent[at] ^= 1 << bit;
+            }
+            for with in [0x00, 0xFF, clean[at].wrapping_add(1)] {
+                bent[at] = with;
+                if with != clean[at] && checksum(&bent) == sum {
+                    return Some(format!("len {len}: byte {at} := {with}"));
+                }
+            }
+            bent[at] = clean[at];
+        }
+        if len > 0 && checksum(&clean[..len - 1]) == sum {
+            return Some(format!("truncation at {len}"));
+        }
+        bent.push(0);
+        (checksum(&bent) == sum).then(|| format!("zero-extension at {len}"))
+    }
+
     /// Every single-bit flip of every position is detected, for lengths
     /// that cross every lane, leftover-word and tail boundary; so is
     /// every whole-byte replacement at a sample of positions, and
     /// truncation or zero-extension.
     #[test]
     fn checksum_detects_every_single_flip() {
-        let payload: Vec<u8> = (0..130u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        for len in 0..=130 {
+        let payload = flip_payload();
+        for len in flip_lengths() {
             let clean = &payload[..len];
-            let sum = payload_checksum(clean);
-            assert_eq!(sum, checksum_by_definition(clean), "definition at length {len}");
-            let mut bent = clean.to_vec();
-            for at in 0..len {
-                for bit in 0..8 {
-                    bent[at] ^= 1 << bit;
-                    assert_ne!(payload_checksum(&bent), sum, "len {len}: bit {bit} of byte {at}");
-                    bent[at] ^= 1 << bit;
-                }
-                for with in [0x00, 0xFF, clean[at].wrapping_add(1)] {
-                    if with != clean[at] {
-                        bent[at] = with;
-                        assert_ne!(payload_checksum(&bent), sum, "len {len}: byte {at} := {with}");
-                    }
-                }
-                bent[at] = clean[at];
+            assert_eq!(
+                payload_checksum(clean),
+                checksum_by_definition(clean),
+                "definition at length {len}"
+            );
+            assert_eq!(first_undetected_change(payload_checksum, clean), None);
+        }
+    }
+
+    /// The flip loop has the power to fail: a checksum that leaves wide
+    /// lanes 56..=63 out of the fold misses a change at a length of at
+    /// least one wide block, and none below it.
+    #[test]
+    fn flip_loop_catches_a_checksum_that_skips_part_of_the_fold() {
+        let payload = flip_payload();
+        let broken = |b: &[u8]| checksum_folding_all_but(b, 56..64);
+        let miss = flip_lengths().find(|&len| first_undetected_change(broken, &payload[..len]).is_some());
+        assert_eq!(miss, Some(4 * CHECKSUM_WIDE_LANES));
+    }
+
+    /// The dispatched checksum (compiled for AVX2 where the CPU has it)
+    /// equals the portable body at every length across four wide blocks,
+    /// on varied, all-zero and all-ones bytes.
+    #[test]
+    fn dispatched_checksum_equals_portable_body() {
+        let varied: Vec<u8> = (0..1100u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        for bytes in [varied, vec![0; 1100], vec![0xFF; 1100]] {
+            for len in 0..=bytes.len() {
+                let b = &bytes[..len];
+                assert_eq!(payload_checksum(b), checksum_portable(b), "length {len}");
+                assert_eq!(payload_checksum(b), checksum_by_definition(b), "length {len}");
             }
-            if len > 0 {
-                assert_ne!(payload_checksum(&clean[..len - 1]), sum, "truncation at {len}");
-            }
-            bent.push(0);
-            assert_ne!(payload_checksum(&bent), sum, "zero-extension at {len}");
         }
     }
 
