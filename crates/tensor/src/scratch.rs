@@ -172,11 +172,16 @@ pub fn with_f32<R>(len: usize, body: impl FnOnce(&mut [f32]) -> R) -> R {
 mod tests {
     use super::*;
 
+    /// This thread's free list: where each buffer lives and how big it is.
+    fn arena() -> Vec<(NonNull<f32>, usize)> {
+        FREE.with(|free| free.borrow().iter().map(|buf| (buf.ptr, buf.cap)).collect())
+    }
+
     #[test]
     fn buffers_are_reused_after_warmup() {
         // Warm up with the largest size used below.
         with_f32(4096, |b| b.fill(1.0));
-        let before = stats();
+        let (before, warm) = (stats(), arena());
         for _ in 0..10 {
             with_f32(4096, |b| {
                 b[0] = 2.0;
@@ -185,13 +190,12 @@ mod tests {
                 b[99] = 3.0;
             });
         }
-        let after = stats();
-        // The 4096 buffer is cached; the nested-free 100 buffer reuses it
-        // LIFO... but the first 100-length acquisition happens after the
-        // 4096 one was released, so it pops that same buffer. Either way:
-        // no growth events.
-        assert_eq!(after.allocations, before.allocations, "unexpected scratch growth");
-        assert_eq!(after.acquisitions - before.acquisitions, 20);
+        // Each acquisition pops the one cached buffer and pushes it back,
+        // so this thread's arena holds the same buffer at the same size.
+        // Other tests use the arena on parallel threads, so the
+        // process-wide counters can only be bounded from below here.
+        assert_eq!(arena(), warm, "unexpected scratch growth");
+        assert!(stats().acquisitions - before.acquisitions >= 20);
     }
 
     #[test]
