@@ -616,8 +616,11 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         // Spawn three helpers, then shrink the logical target: warmup
         // must still reach all spawned workers, not just the target's.
+        // The first warmup spawns them whatever other tests do: it waits
+        // for the job slot, where a `parallel_for` that finds the slot
+        // held by another test's kernel runs inline and spawns none.
         set_num_threads(4);
-        parallel_for(8, |_| {});
+        warmup(|| {});
         set_num_threads(2);
         let ids = Mutex::new(std::collections::HashSet::new());
         warmup(|| {
