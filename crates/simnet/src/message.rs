@@ -158,8 +158,9 @@ impl std::fmt::Display for MessageKind {
 /// every word `w`, and is injective in `w` for every state `h`.
 const CHECKSUM_PRIME: u32 = 0x0100_0193;
 const CHECKSUM_BASIS: u32 = 0x811C_9DC5;
-/// States of [`payload_checksum`] after the wide blocks: one 32-byte
-/// block is one step of all eight.
+/// States of [`payload_checksum`] outside its 256-byte blocks: one
+/// 32-byte block is one step of all eight, and a single vector step only
+/// where the code is generated for AVX2.
 const CHECKSUM_LANES: usize = 8;
 /// States of [`payload_checksum`] over its 256-byte blocks: eight
 /// independent eight-lane multiply chains, enough to cover the multiply's
@@ -180,9 +181,10 @@ const CHECKSUM_WIDE_LANES: usize = 64;
 ///    the zero-padded byte tail and the length are folded through the
 ///    same step.
 ///
-/// Below 256 bytes step 1 does nothing. On x86-64 with AVX2 the same
-/// definition runs as code compiled for AVX2; the value is the same on
-/// every CPU.
+/// Below 256 bytes step 1 does nothing, so short payloads keep the value
+/// of the eight-lane definition. On x86-64 with AVX2, a payload of 256
+/// bytes or more runs the same safe body compiled for AVX2; the value is
+/// the same on every CPU.
 ///
 /// Not cryptographic: it exists so that *injected* bit corruption (see
 /// `ChaosTransport`) is detected at the receiver instead of being
