@@ -9,13 +9,9 @@
 //! `cargo run -p medsplit-bench --bin exp -- <name> [args]`, which
 //! dispatches on [`EXPERIMENTS`].
 
-pub mod fig5;
-pub mod fig7;
-pub mod fig8;
 pub mod fleet_bench;
 pub mod kernel_bench;
 pub mod serve_bench;
-pub mod table1;
 pub mod trace_report;
 
 /// An experiment's entry point: its arguments without the program or
@@ -25,9 +21,6 @@ pub type Run = fn(&[String]);
 /// Every experiment by name — the dispatch table of the `exp` binary and
 /// the list its `--help` prints.
 pub const EXPERIMENTS: &[(&str, Run)] = &[
-    ("fig5", fig5::run),
-    ("fig7", fig7::run),
-    ("fig8", fig8::run),
     ("fleet_bench", |args| {
         let _ = fleet_bench::run(args);
     }),
@@ -35,7 +28,6 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
         let _ = kernel_bench::run(args);
     }),
     ("serve_bench", serve_bench::run),
-    ("table1", table1::run),
     ("trace_report", |args| {
         let _ = trace_report::run(args);
     }),

@@ -8,6 +8,7 @@
 //! |---------|----------|
 //! | `split_train` | a [`ResilientTrainer`] run shaped by the point's model / topology / fault / codec / threads / seed axes |
 //! | `split`, `split_l1avg`, `split_ushape`, `split_equal`, `sync_sgd`, `fedavg`, `local_only`, `centralized` | one training method on a [`Workload`] under the paper-figure recipe (see [`METHODS`]) |
+//! | `table1`, `fig5`, `fig7`, `fig8` | the paper's other figures on a vision [`Workload`] (see [`FIGURES`]) |
 //! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (reports the cross-ISA kernel and plan digests) |
 //! | `trace_smoke` | [`crate::bins::trace_report`] `--smoke` |
 //! | `fleet_smoke` | [`crate::bins::fleet_bench`] `--smoke` |
@@ -31,19 +32,20 @@ use medsplit_baselines::{
     train_centralized, train_fedavg, train_local_only, train_sync_sgd, FedAvgOptions, SyncSgdOptions,
 };
 use medsplit_core::{
-    ComputeModel, HierPolicy, HierResilientTrainer, L1Sync, ResilientTrainer, SplitConfig, SplitTrainer,
-    TrainingHistory, UShapeTrainer, WireCodec,
+    comm, ComputeModel, HierPolicy, HierResilientTrainer, L1Sync, Platform, ResilientTrainer, SplitConfig,
+    SplitPoint, SplitTrainer, TrainingHistory, UShapeTrainer, WireCodec,
 };
 use medsplit_data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
 use medsplit_lab::{BenchRunner, Manifest, MetricValue, PointOutcome, RunPoint};
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
+use medsplit_privacy::{distance_correlation, flatten_samples, reconstruction_attack};
 use medsplit_simnet::{
     ChaosTransport, FaultPlan, HierTopology, LinkSpec, MemoryTransport, MessageKind, NodeId, StarTopology,
 };
 use medsplit_telemetry::{MetricSnapshot, Trace};
 use medsplit_tensor::{pool, simd};
 
-use crate::workload::Workload;
+use crate::workload::{DatasetKind, ModelKind, Workload};
 
 /// Executes lab matrix points against the medsplit workloads.
 #[derive(Debug, Default)]
@@ -492,6 +494,15 @@ fn parse_method_point(point: &RunPoint) -> Result<(Workload, usize, WireCodec), 
     Ok((workload, platforms, parse_codec(&point.codec)?))
 }
 
+/// A fresh star of `platforms` over WAN links.
+fn wan_star(platforms: usize) -> MemoryTransport {
+    MemoryTransport::new(
+        StarTopology::new(platforms)
+            .with_uplink(LinkSpec::wan())
+            .with_downlink(LinkSpec::wan()),
+    )
+}
+
 /// Trains `method` (one of [`METHODS`]) over a fresh WAN star.
 fn train_method(
     method: &str,
@@ -501,11 +512,7 @@ fn train_method(
     test: InMemoryDataset,
 ) -> medsplit_core::Result<TrainingHistory> {
     let platforms = shards.len();
-    let star = MemoryTransport::new(
-        StarTopology::new(platforms)
-            .with_uplink(LinkSpec::wan())
-            .with_downlink(LinkSpec::wan()),
-    );
+    let star = wan_star(platforms);
     let split = |config| SplitTrainer::new(arch, config, shards.clone(), test.clone(), &star)?.run();
     match method {
         "split" => split(config),
@@ -529,13 +536,24 @@ fn train_method(
     }
 }
 
-/// A method point: [`train_method`] on the point's workload with
-/// `[run] samples` training rows (and a quarter as many test rows).
-/// Reports the totals and every recorded evaluation as
-/// `curve.NN.bytes` / `curve.NN.accuracy`, so a figure's curves are the
-/// baseline itself.
-fn run_method(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome, String> {
-    let (workload, platforms, codec) = parse_method_point(point)?;
+/// What a method or figure point trains: a workload's architecture,
+/// `[run] samples` training rows over the platforms' shards, a quarter as
+/// many test rows, and the shared config.
+struct Recipe {
+    arch: Architecture,
+    shards: Vec<InMemoryDataset>,
+    test: InMemoryDataset,
+    config: SplitConfig,
+}
+
+/// The [`Recipe`] of `workload` on `platforms`.
+fn recipe(
+    workload: &Workload,
+    platforms: usize,
+    codec: WireCodec,
+    point: &RunPoint,
+    manifest: &Manifest,
+) -> Result<Recipe, String> {
     let (rounds, samples) = (manifest.run.rounds, manifest.run.samples);
     let (arch, shards, test) = workload
         .build(platforms, samples, samples / 4, point.seed)
@@ -549,6 +567,25 @@ fn run_method(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome, Str
         codec,
         ..SplitConfig::default()
     };
+    Ok(Recipe {
+        arch,
+        shards,
+        test,
+        config,
+    })
+}
+
+/// A method point: [`train_method`] on the point's [`Recipe`]. Reports
+/// the totals and every recorded evaluation as `curve.NN.bytes` /
+/// `curve.NN.accuracy`, so a figure's curves are the baseline itself.
+fn run_method(point: &RunPoint, manifest: &Manifest) -> Result<Vec<(String, f64)>, String> {
+    let (workload, platforms, codec) = parse_method_point(point)?;
+    let Recipe {
+        arch,
+        shards,
+        test,
+        config,
+    } = recipe(&workload, platforms, codec, point, manifest)?;
     let history =
         train_method(&point.bench, &arch, config, shards, test).map_err(|e| format!("training: {e}"))?;
     let stats = &history.stats;
@@ -567,13 +604,249 @@ fn run_method(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome, Str
         metrics.push((format!("curve.{i:02}.bytes"), bytes as f64));
         metrics.push((format!("curve.{i:02}.accuracy"), f64::from(accuracy)));
     }
-    Ok(PointOutcome {
+    Ok(metrics)
+}
+
+/// The `bench` values of the paper's other figures. Each runs on a
+/// vision `model` value over the method points' star, and reports row
+/// `NN` of a sweep as `<row>.NN.<column>`:
+///
+/// - `table1`: the paper-size model's parameters, activation floats per
+///   sample at the cut, per-round bytes of split, FedAvg and sync SGD at
+///   [`FULL_SIZE_BATCH`] per platform, and the crossover minibatch.
+/// - `fig8`: the paper-size model's round time over links of each
+///   bandwidth in [`FIG8_MBPS`] (`bandwidth.NN.*`).
+/// - `fig5`: `split` trained on the [`Recipe`] once per cut in
+///   [`FIG5_CUTS`], each probed by [`probe_leakage`] (`cut.NN.*`).
+/// - `fig7`: the same once per activation-noise σ in [`FIG7_SIGMAS`]
+///   (`noise.NN.*`).
+pub const FIGURES: &[&str] = &["table1", "fig5", "fig7", "fig8"];
+
+/// Per-platform minibatch of the analytic figures.
+const FULL_SIZE_BATCH: usize = 32;
+
+/// Fig. 8's link bandwidths, Mbit/s, up and down alike.
+const FIG8_MBPS: [f64; 6] = [10.0, 50.0, 100.0, 500.0, 1000.0, 10_000.0];
+
+/// Fig. 5's cuts, as layer indices of the lite VGG: after the ReLU and
+/// after the pool of its first and second stages, and after its third
+/// stage's ReLU.
+const FIG5_CUTS: [usize; 5] = [3, 4, 7, 8, 11];
+
+/// Fig. 7's activation-noise standard deviations.
+const FIG7_SIGMAS: [f32; 5] = [0.0, 0.5, 1.0, 2.0, 4.0];
+
+/// Test rows the leakage probe feeds through `L1`.
+const PROBE_ROWS: usize = 96;
+
+/// Checks a figure point: a method point on a vision workload. Returns
+/// the model, the dataset, the platform count and the codec.
+fn parse_figure_point(point: &RunPoint) -> Result<(ModelKind, DatasetKind, usize, WireCodec), String> {
+    let (workload, platforms, codec) = parse_method_point(point)?;
+    let Workload::Vision(model, dataset) = workload else {
+        return Err(format!(
+            "bench {:?} runs on vgg_c10, vgg_c100, resnet_c10 or resnet_c100, not {:?}",
+            point.bench, point.model
+        ));
+    };
+    Ok((model, dataset, platforms, codec))
+}
+
+/// The paper-size architecture of a vision workload and its activation
+/// dims per sample at the default cut.
+fn full_size(model: ModelKind, dataset: DatasetKind) -> (Architecture, Vec<usize>) {
+    let arch = model.full_arch(dataset.classes());
+    let act_dims = match &arch {
+        Architecture::Vgg(c) => vec![c.stages[0][0], c.input_hw, c.input_hw],
+        Architecture::ResNet(c) => vec![c.base_width, c.input_hw, c.input_hw],
+        Architecture::Mlp(_) => unreachable!("paper-size models are CNNs"),
+    };
+    (arch, act_dims)
+}
+
+/// Table 1 on a star of `platforms`.
+fn table1(model: ModelKind, dataset: DatasetKind, platforms: usize) -> Vec<(String, f64)> {
+    let (arch, act_dims) = full_size(model, dataset);
+    let classes = dataset.classes();
+    let params = arch.param_count();
+    let act_floats: usize = act_dims.iter().product();
+    let split = comm::split_round_bytes(&vec![FULL_SIZE_BATCH; platforms], &act_dims, classes);
+    vec![
+        ("params".into(), params as f64),
+        ("cut_floats".into(), act_floats as f64),
+        ("split_round_bytes".into(), split as f64),
+        (
+            "fedavg_round_bytes".into(),
+            comm::fedavg_round_bytes(platforms, params) as f64,
+        ),
+        (
+            "sync_sgd_round_bytes".into(),
+            comm::sync_sgd_round_bytes(platforms, params) as f64,
+        ),
+        // The per-platform minibatch at which the split protocol's
+        // per-round bytes (≈ 2 × s × (act + classes) floats) equal the
+        // model-exchange protocols' (2 × params floats): beyond it, model
+        // exchange is cheaper per round.
+        ("crossover_batch".into(), (params / (act_floats + classes)) as f64),
+    ]
+}
+
+/// Fig. 8: one platform's communication time per round. Platforms
+/// transfer in parallel on equal batches, so one platform's time is the
+/// round's; every message pays the link latency.
+fn fig8(model: ModelKind, dataset: DatasetKind) -> Vec<(String, f64)> {
+    let (arch, act_dims) = full_size(model, dataset);
+    let split_bytes = comm::split_round_bytes(&[FULL_SIZE_BATCH], &act_dims, dataset.classes()) as usize;
+    let model_bytes = comm::flat_message_bytes(arch.param_count()) as usize;
+    let mut metrics = Vec::new();
+    for (i, &mbps) in FIG8_MBPS.iter().enumerate() {
+        let link = LinkSpec {
+            bandwidth_bps: mbps * 1e6,
+            ..LinkSpec::wan()
+        };
+        // Split: four messages, the bytes counted once.
+        let split = 4.0 * link.latency_s + link.transfer_time(split_bytes) - link.latency_s;
+        // Sync SGD and FedAvg: the model down, a model or gradient up.
+        let exchange = 2.0 * link.transfer_time(model_bytes);
+        metrics.push((format!("bandwidth.{i:02}.mbps"), mbps));
+        metrics.push((format!("bandwidth.{i:02}.split_round_s"), split));
+        metrics.push((format!("bandwidth.{i:02}.sync_sgd_round_s"), exchange));
+        metrics.push((format!("bandwidth.{i:02}.fedavg_round_s"), exchange));
+    }
+    metrics
+}
+
+/// What the leakage probe sees of one platform's `L1`.
+struct Leakage {
+    /// Activation dims per sample.
+    act_dims: Vec<usize>,
+    /// Distance correlation of inputs and activations.
+    dcor: f64,
+    /// R² of the ridge attacker's reconstruction.
+    attacker_r2: f32,
+}
+
+/// The leakage probe of Figs. 5 and 7: `platform`'s `L1` in inference,
+/// noised as it would transmit, on the first [`PROBE_ROWS`] test rows;
+/// then the distance correlation of inputs and activations and a ridge
+/// attack (λ = 1e-2) fit on the first half and scored on the second.
+fn probe_leakage(platform: &mut Platform, test: &InMemoryDataset) -> medsplit_core::Result<Leakage> {
+    let n = test.len().min(PROBE_ROWS);
+    let (inputs, _) = test.batch(&(0..n).collect::<Vec<_>>())?;
+    let acts = platform.infer_l1(&inputs)?;
+    let xs = flatten_samples(&inputs)?;
+    let zs = flatten_samples(&acts)?;
+    let half = n / 2;
+    let attack = reconstruction_attack(
+        &zs.slice0(0, half)?,
+        &xs.slice0(0, half)?,
+        &zs.slice0(half, n - half)?,
+        &xs.slice0(half, n - half)?,
+        1e-2,
+    )?;
+    Ok(Leakage {
+        act_dims: acts.dims()[1..].to_vec(),
+        dcor: distance_correlation(&xs, &zs)?,
+        attacker_r2: attack.r_squared,
+    })
+}
+
+/// Trains `split` on `recipe`'s data under `config` over a fresh WAN
+/// star and probes platform 0. Returns the final accuracy and the probe.
+fn train_and_probe(recipe: &Recipe, config: SplitConfig) -> Result<(f32, Leakage), String> {
+    let star = wan_star(recipe.shards.len());
+    let run = || -> medsplit_core::Result<_> {
+        let mut trainer = SplitTrainer::new(
+            &recipe.arch,
+            config,
+            recipe.shards.clone(),
+            recipe.test.clone(),
+            &star,
+        )?;
+        let accuracy = trainer.run()?.final_accuracy;
+        Ok((
+            accuracy,
+            probe_leakage(&mut trainer.platforms_mut()[0], &recipe.test)?,
+        ))
+    };
+    run().map_err(|e| format!("training: {e}"))
+}
+
+/// Fig. 5: the cut against its bytes per round and its leakage.
+fn fig5(recipe: &Recipe) -> Result<Vec<(String, f64)>, String> {
+    let classes = recipe.arch.num_classes();
+    let shard_sizes: Vec<usize> = recipe.shards.iter().map(InMemoryDataset::len).collect();
+    let batches = recipe.config.minibatch.sizes(&shard_sizes);
+    let mut metrics = Vec::new();
+    for (i, &cut) in FIG5_CUTS.iter().enumerate() {
+        let config = SplitConfig {
+            split: SplitPoint::At(cut),
+            ..recipe.config.clone()
+        };
+        let (accuracy, leak) = train_and_probe(recipe, config)?;
+        let round_bytes = comm::split_round_bytes(&batches, &leak.act_dims, classes);
+        let row = |column: &str| format!("cut.{i:02}.{column}");
+        metrics.push((row("layer"), cut as f64));
+        metrics.push((row("act_floats"), leak.act_dims.iter().product::<usize>() as f64));
+        metrics.push((row("round_bytes"), round_bytes as f64));
+        metrics.push((row("dcor"), leak.dcor));
+        metrics.push((row("attacker_r2"), f64::from(leak.attacker_r2)));
+        metrics.push((row("accuracy"), f64::from(accuracy)));
+    }
+    Ok(metrics)
+}
+
+/// Fig. 7: the activation noise against accuracy and leakage.
+fn fig7(recipe: &Recipe) -> Result<Vec<(String, f64)>, String> {
+    let mut metrics = Vec::new();
+    for (i, &sigma) in FIG7_SIGMAS.iter().enumerate() {
+        let config = SplitConfig {
+            activation_noise: sigma,
+            // Until evaluation stops drawing from the training noise
+            // stream, the evaluation period changes the model.
+            eval_every: 20,
+            ..recipe.config.clone()
+        };
+        let (accuracy, leak) = train_and_probe(recipe, config)?;
+        let row = |column: &str| format!("noise.{i:02}.{column}");
+        metrics.push((row("sigma"), f64::from(sigma)));
+        metrics.push((row("accuracy"), f64::from(accuracy)));
+        metrics.push((row("dcor"), leak.dcor));
+        metrics.push((row("attacker_r2"), f64::from(leak.attacker_r2)));
+    }
+    Ok(metrics)
+}
+
+/// A figure point: one of [`FIGURES`] on the point's workload.
+fn run_figure(point: &RunPoint, manifest: &Manifest) -> Result<Vec<(String, f64)>, String> {
+    let (model, dataset, platforms, codec) = parse_figure_point(point)?;
+    let recipe = || {
+        recipe(
+            &Workload::Vision(model, dataset),
+            platforms,
+            codec,
+            point,
+            manifest,
+        )
+    };
+    match point.bench.as_str() {
+        "table1" => Ok(table1(model, dataset, platforms)),
+        "fig8" => Ok(fig8(model, dataset)),
+        "fig5" => fig5(&recipe()?),
+        "fig7" => fig7(&recipe()?),
+        other => unreachable!("{other:?} is not in FIGURES"),
+    }
+}
+
+/// An outcome of numeric metrics and no timings.
+fn numeric_outcome(metrics: Vec<(String, f64)>) -> PointOutcome {
+    PointOutcome {
         metrics: metrics
             .into_iter()
             .map(|(k, v)| (k, MetricValue::Num(v)))
             .collect(),
         ..PointOutcome::default()
-    })
+    }
 }
 
 impl BenchRunner for MedsplitRunner {
@@ -602,7 +875,8 @@ impl BenchRunner for MedsplitRunner {
         let wall = Instant::now();
         let mut outcome = match point.bench.as_str() {
             "split_train" => run_split_train(point, manifest),
-            bench if METHODS.contains(&bench) => run_method(point, manifest),
+            bench if METHODS.contains(&bench) => run_method(point, manifest).map(numeric_outcome),
+            bench if FIGURES.contains(&bench) => run_figure(point, manifest).map(numeric_outcome),
             "kernel_smoke" => {
                 let out = crate::bins::kernel_bench::run(&["--smoke".into()]);
                 Ok(PointOutcome {
@@ -714,12 +988,13 @@ mod tests {
         assert!(parse_fault("drop10++crash_1_2", 1, STAR4).is_err());
     }
 
-    /// Every point of every committed manifest that trains parses under
-    /// its own kind: `split_train` or one of [`METHODS`].
+    /// Every point of every committed manifest that trains or measures a
+    /// figure parses under its own kind: `split_train`, one of
+    /// [`METHODS`] or one of [`FIGURES`].
     #[test]
     fn every_committed_split_train_point_parses() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
-        let (mut split_train, mut methods) = (0, 0);
+        let (mut split_train, mut methods, mut figures) = (0, 0, 0);
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
             if !path.to_string_lossy().ends_with(".lab.toml") {
@@ -731,6 +1006,11 @@ mod tests {
                 if METHODS.contains(&point.bench.as_str()) {
                     parse_method_point(&point).unwrap_or_else(|e| panic!("{at}: {e}"));
                     methods += 1;
+                    continue;
+                }
+                if FIGURES.contains(&point.bench.as_str()) {
+                    parse_figure_point(&point).unwrap_or_else(|e| panic!("{at}: {e}"));
+                    figures += 1;
                     continue;
                 }
                 if point.bench != "split_train" {
@@ -745,6 +1025,7 @@ mod tests {
         }
         assert!(split_train > 0, "no split_train points under {}", dir.display());
         assert!(methods > 0, "no method points under {}", dir.display());
+        assert!(figures > 0, "no figure points under {}", dir.display());
     }
 
     #[test]
@@ -845,18 +1126,22 @@ mod tests {
         );
     }
 
-    /// Runs every point of a method matrix at `rounds` × `samples` and
-    /// returns each point's numeric metrics, in expansion order.
+    /// Runs every point of a method or figure matrix at `rounds` ×
+    /// `samples` through [`MedsplitRunner::run_point`] and returns each
+    /// point's metrics, in expansion order.
     fn run_methods(matrix: &str, rounds: usize, samples: usize) -> Vec<(RunPoint, BTreeMap<String, f64>)> {
         let text = format!(
             "schema_version = 1\n[lab]\nname = \"methods\"\n[matrix]\n{matrix}\n[run]\nrounds = {rounds}\nsamples = {samples}\n"
         );
         let manifest = Manifest::parse(&text).unwrap();
-        medsplit_lab::expand(&manifest.axes)
+        let _env = crate::testsync::ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = std::env::temp_dir().join(format!("medsplit-methods-{}", std::process::id()));
+        let runs = medsplit_lab::expand(&manifest.axes)
             .into_iter()
             .map(|point| {
-                let outcome =
-                    run_method(&point, &manifest).unwrap_or_else(|e| panic!("{}: {e}", point.key()));
+                let outcome = MedsplitRunner
+                    .run_point(&point, &manifest, &tmp)
+                    .unwrap_or_else(|e| panic!("{}: {e}", point.key()));
                 let metrics = outcome
                     .metrics
                     .into_iter()
@@ -867,7 +1152,9 @@ mod tests {
                     .collect();
                 (point, metrics)
             })
-            .collect()
+            .collect();
+        let _ = std::fs::remove_dir_all(tmp);
+        runs
     }
 
     #[test]
@@ -898,6 +1185,9 @@ mod tests {
         }
         let err = parse_method_point(&point("split", "mlp", "star4", "clean")).unwrap_err();
         assert!(err.contains("tab_dir05"), "{err}");
+        // The figures run on vision workloads only.
+        assert!(parse_figure_point(&point("fig5", "resnet_c100", "star4", "clean")).is_ok());
+        assert!(parse_figure_point(&point("table1", "tab_iid", "star4", "clean")).is_err());
     }
 
     #[test]
@@ -1005,6 +1295,83 @@ mod tests {
                 point.key()
             );
         }
+    }
+
+    #[test]
+    fn table1_has_four_rows_and_paper_shape() {
+        let runs = run_methods(
+            "bench = [\"table1\"]\nmodel = [\"vgg_c10\", \"vgg_c100\", \"resnet_c10\", \"resnet_c100\"]",
+            1,
+            8,
+        );
+        assert_eq!(runs.len(), 4);
+        for (point, m) in &runs {
+            // Per round, full-size sync SGD costs more than split, and
+            // the crossover minibatch lies beyond the table's 32.
+            assert!(
+                m["sync_sgd_round_bytes"] > m["split_round_bytes"],
+                "{}",
+                point.key()
+            );
+            assert!(m["crossover_batch"] > FULL_SIZE_BATCH as f64, "{}", point.key());
+        }
+        // Four platforms: FedAvg and sync SGD each move the model twice
+        // per platform.
+        let m = &runs[0].1;
+        assert_eq!(m["fedavg_round_bytes"], m["sync_sgd_round_bytes"]);
+        assert!(m["fedavg_round_bytes"] > 8.0 * 4.0 * m["params"]);
+    }
+
+    #[test]
+    fn fig5_quick_monotone_activation_sizes() {
+        let runs = run_methods(
+            "bench = [\"fig5\"]\nmodel = [\"vgg_c10\"]\ntopology = [\"star2\"]",
+            4,
+            80,
+        );
+        let m = &runs[0].1;
+        let cut = |i: usize, column: &str| m[&format!("cut.{i:02}.{column}")];
+        assert_eq!(
+            (0..FIG5_CUTS.len()).map(|i| cut(i, "layer")).collect::<Vec<_>>(),
+            [3.0, 4.0, 7.0, 8.0, 11.0]
+        );
+        // Pooling shrinks activations: cut 4 (after the pool) < cut 3,
+        // and cut 8 < cut 4; the bytes follow.
+        assert!(cut(1, "act_floats") < cut(0, "act_floats"));
+        assert!(cut(3, "act_floats") < cut(1, "act_floats"));
+        assert!(cut(1, "round_bytes") < cut(0, "round_bytes"));
+        assert!(cut(3, "round_bytes") < cut(1, "round_bytes"));
+    }
+
+    #[test]
+    fn fig7_quick_noise_reduces_leakage() {
+        let runs = run_methods(
+            "bench = [\"fig7\"]\nmodel = [\"vgg_c10\"]\ntopology = [\"star2\"]",
+            4,
+            160,
+        );
+        let m = &runs[0].1;
+        let noise = |i: usize, column: &str| m[&format!("noise.{i:02}.{column}")];
+        assert_eq!(noise(4, "sigma"), 4.0);
+        assert!(
+            noise(4, "dcor") < noise(0, "dcor"),
+            "noise must reduce dcor: {m:?}"
+        );
+        assert!(noise(4, "attacker_r2") <= noise(0, "attacker_r2") + 0.02);
+    }
+
+    #[test]
+    fn fig8_analytic_shapes() {
+        let runs = run_methods("bench = [\"fig8\"]\nmodel = [\"vgg_c10\"]", 1, 8);
+        let m = &runs[0].1;
+        let bw = |i: usize, column: &str| m[&format!("bandwidth.{i:02}.{column}")];
+        for i in 0..FIG8_MBPS.len() {
+            // Full-size VGG: split is faster per round at every bandwidth.
+            assert!(bw(i, "split_round_s") < bw(i, "sync_sgd_round_s"), "{i}");
+        }
+        // More bandwidth → faster rounds.
+        assert!(bw(5, "split_round_s") < bw(0, "split_round_s"));
+        assert!(bw(5, "sync_sgd_round_s") < bw(0, "sync_sgd_round_s"));
     }
 
     #[test]

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod bins;
-pub mod experiments;
 pub mod labrun;
 pub mod report;
 pub mod workload;

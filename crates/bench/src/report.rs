@@ -246,20 +246,6 @@ pub fn write_result(filename: &str, content: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Formats bytes as a human-friendly quantity (KB/MB/GB, base 10).
-pub fn human_bytes(bytes: u64) -> String {
-    let b = bytes as f64;
-    if b >= 1e9 {
-        format!("{:.2} GB", b / 1e9)
-    } else if b >= 1e6 {
-        format!("{:.2} MB", b / 1e6)
-    } else if b >= 1e3 {
-        format!("{:.2} KB", b / 1e3)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
 /// Reads a `--flag value` style argument from a raw arg list.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -294,14 +280,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn row_arity_checked() {
         TextTable::new("x", &["a", "b"]).row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn human_bytes_ranges() {
-        assert_eq!(human_bytes(12), "12 B");
-        assert_eq!(human_bytes(1_500), "1.50 KB");
-        assert_eq!(human_bytes(2_000_000), "2.00 MB");
-        assert_eq!(human_bytes(3_140_000_000), "3.14 GB");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Standard workloads for the experiments: dataset + architecture +
-//! partitioning bundles, scaled by an experiment size knob.
+//! The workloads of the lab's method and figure points: dataset +
+//! architecture + partitioning bundles, named by a `model` axis value.
 
 use medsplit_core::{Result, SplitError};
 use medsplit_data::{partition, InMemoryDataset, Partition, SyntheticImages, SyntheticTabular};
@@ -22,14 +22,6 @@ impl DatasetKind {
             DatasetKind::C100 => 100,
         }
     }
-
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DatasetKind::C10 => "cifar10-like",
-            DatasetKind::C100 => "cifar100-like",
-        }
-    }
 }
 
 /// Which model family a vision workload trains.
@@ -42,14 +34,6 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::Vgg => "vgg",
-            ModelKind::ResNet => "resnet",
-        }
-    }
-
     /// The CPU-trainable (lite) architecture for this family.
     pub fn lite_arch(&self, classes: usize) -> Architecture {
         match self {
@@ -66,83 +50,6 @@ impl ModelKind {
             ModelKind::ResNet => Architecture::ResNet(ResNetConfig::resnet18(classes)),
         }
     }
-}
-
-/// A prepared vision workload: architecture, platform shards and test set.
-#[derive(Debug)]
-pub struct VisionWorkload {
-    /// The architecture to train.
-    pub arch: Architecture,
-    /// Per-platform training shards.
-    pub shards: Vec<InMemoryDataset>,
-    /// Shared test set.
-    pub test: InMemoryDataset,
-    /// Dataset kind.
-    pub dataset: DatasetKind,
-    /// Model kind.
-    pub model: ModelKind,
-}
-
-/// Builds a vision workload on the lite (trainable) scale.
-///
-/// # Errors
-///
-/// Propagates generation/partitioning errors.
-pub fn vision_workload(
-    model: ModelKind,
-    dataset: DatasetKind,
-    platforms: usize,
-    train_n: usize,
-    test_n: usize,
-    how: &Partition,
-    seed: u64,
-) -> Result<VisionWorkload> {
-    let classes = dataset.classes();
-    let gen = SyntheticImages::lite(classes, seed);
-    let (train, test) = gen.generate_split(train_n, test_n).map_err(SplitError::from)?;
-    let shards = partition(&train, platforms, how, seed ^ 0xDEAD).map_err(SplitError::from)?;
-    Ok(VisionWorkload {
-        arch: model.lite_arch(classes),
-        shards,
-        test,
-        dataset,
-        model,
-    })
-}
-
-/// Builds a tabular (MLP) workload, used by the scalability and imbalance
-/// experiments.
-///
-/// # Errors
-///
-/// Propagates generation/partitioning errors.
-pub fn tabular_workload(
-    platforms: usize,
-    train_n: usize,
-    test_n: usize,
-    how: &Partition,
-    seed: u64,
-) -> Result<(Architecture, Vec<InMemoryDataset>, InMemoryDataset)> {
-    let classes = 4;
-    let dim = 16;
-    // Class separation below the noise level keeps the task non-trivial,
-    // so accuracy contrasts between policies/methods stay visible.
-    let mut gen = SyntheticTabular::new(classes, dim, seed);
-    gen.separation = 0.5;
-    let all = gen.generate(train_n + test_n).map_err(SplitError::from)?;
-    let train = all
-        .subset(&(0..train_n).collect::<Vec<_>>())
-        .map_err(SplitError::from)?;
-    let test = all
-        .subset(&(train_n..train_n + test_n).collect::<Vec<_>>())
-        .map_err(SplitError::from)?;
-    let shards = partition(&train, platforms, how, seed ^ 0xBEEF).map_err(SplitError::from)?;
-    let arch = Architecture::Mlp(MlpConfig {
-        input_dim: dim,
-        hidden: vec![64, 32],
-        num_classes: classes,
-    });
-    Ok((arch, shards, test))
 }
 
 /// What a lab method point trains on, named by its `model` value:
@@ -190,18 +97,33 @@ impl Workload {
     ) -> Result<(Architecture, Vec<InMemoryDataset>, InMemoryDataset)> {
         match self {
             Workload::Vision(model, dataset) => {
-                let w = vision_workload(
-                    *model,
-                    *dataset,
-                    platforms,
-                    train_n,
-                    test_n,
-                    &Partition::Iid,
-                    seed,
-                )?;
-                Ok((w.arch, w.shards, w.test))
+                let classes = dataset.classes();
+                let (train, test) = SyntheticImages::lite(classes, seed)
+                    .generate_split(train_n, test_n)
+                    .map_err(SplitError::from)?;
+                let shards =
+                    partition(&train, platforms, &Partition::Iid, seed ^ 0xDEAD).map_err(SplitError::from)?;
+                Ok((model.lite_arch(classes), shards, test))
             }
-            Workload::Tabular(how) => tabular_workload(platforms, train_n, test_n, how, seed),
+            Workload::Tabular(how) => {
+                let (classes, dim) = (4, 16);
+                // Class separation below the noise level keeps the task
+                // non-trivial, so accuracy contrasts between policies and
+                // methods stay visible.
+                let mut gen = SyntheticTabular::new(classes, dim, seed);
+                gen.separation = 0.5;
+                let all = gen.generate(train_n + test_n).map_err(SplitError::from)?;
+                let rows = |range: std::ops::Range<usize>| all.subset(&range.collect::<Vec<_>>());
+                let train = rows(0..train_n).map_err(SplitError::from)?;
+                let test = rows(train_n..train_n + test_n).map_err(SplitError::from)?;
+                let shards = partition(&train, platforms, how, seed ^ 0xBEEF).map_err(SplitError::from)?;
+                let arch = Architecture::Mlp(MlpConfig {
+                    input_dim: dim,
+                    hidden: vec![64, 32],
+                    num_classes: classes,
+                });
+                Ok((arch, shards, test))
+            }
         }
     }
 }
@@ -234,12 +156,12 @@ mod tests {
 
     #[test]
     fn vision_workload_is_consistent() {
-        let w = vision_workload(ModelKind::Vgg, DatasetKind::C10, 3, 60, 20, &Partition::Iid, 0).unwrap();
-        assert_eq!(w.shards.len(), 3);
-        assert_eq!(w.shards.iter().map(|s| s.len()).sum::<usize>(), 60);
-        assert_eq!(w.test.len(), 20);
-        assert_eq!(w.arch.num_classes(), 10);
-        assert_eq!(w.arch.input_dims(), vec![3, 16, 16]);
+        let (arch, shards, test) = Workload::parse("vgg_c10").unwrap().build(3, 60, 20, 0).unwrap();
+        assert_eq!(shards.len(), 3);
+        assert_eq!(shards.iter().map(|s| s.len()).sum::<usize>(), 60);
+        assert_eq!(test.len(), 20);
+        assert_eq!(arch.num_classes(), 10);
+        assert_eq!(arch.input_dims(), vec![3, 16, 16]);
     }
 
     #[test]
@@ -258,7 +180,7 @@ mod tests {
 
     #[test]
     fn tabular_workload_builds() {
-        let (arch, shards, test) = tabular_workload(4, 80, 20, &Partition::Iid, 1).unwrap();
+        let (arch, shards, test) = Workload::parse("tab_iid").unwrap().build(4, 80, 20, 1).unwrap();
         assert_eq!(shards.len(), 4);
         assert_eq!(test.len(), 20);
         assert_eq!(arch.family(), "mlp");
