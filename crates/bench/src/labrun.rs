@@ -802,9 +802,6 @@ fn fig7(recipe: &Recipe) -> Result<Vec<(String, f64)>, String> {
     for (i, &sigma) in FIG7_SIGMAS.iter().enumerate() {
         let config = SplitConfig {
             activation_noise: sigma,
-            // Until evaluation stops drawing from the training noise
-            // stream, the evaluation period changes the model.
-            eval_every: 20,
             ..recipe.config.clone()
         };
         let (accuracy, leak) = train_and_probe(recipe, config)?;

@@ -35,7 +35,12 @@ pub struct Platform {
     grad_scale: f32,
     codec: WireCodec,
     noise_std: f32,
+    /// Noise drawn for the training sends.
     noise_rng: StdRng,
+    /// Noise drawn for inference, apart from the training sends', so an
+    /// evaluation or a served request mid-training leaves the training
+    /// draws, and so the trained model, unchanged.
+    infer_noise_rng: StdRng,
     pending_labels: Option<Vec<usize>>,
     samples_seen: u64,
     tail: Option<Tail>,
@@ -82,6 +87,7 @@ impl Platform {
             codec: WireCodec::F32,
             noise_std: 0.0,
             noise_rng: rng_from_seed(seed.rotate_left(17) ^ id as u64),
+            infer_noise_rng: rng_from_seed(seed.rotate_left(41) ^ id as u64),
             pending_labels: None,
             samples_seen: 0,
             tail: None,
@@ -100,12 +106,13 @@ impl Platform {
         self.noise_std = std;
     }
 
-    /// Adds the configured activation noise to an outbound representation.
-    fn noised(&mut self, acts: Tensor) -> Tensor {
-        if self.noise_std == 0.0 {
+    /// Adds the configured activation noise, drawn from `rng`, to an
+    /// outbound representation.
+    fn noised(std: f32, acts: Tensor, rng: &mut StdRng) -> Tensor {
+        if std == 0.0 {
             return acts;
         }
-        let noise = Tensor::rand_normal(acts.shape().clone(), 0.0, self.noise_std, &mut self.noise_rng);
+        let noise = Tensor::rand_normal(acts.shape().clone(), 0.0, std, rng);
         acts.try_add(&noise).expect("noise shape matches activations")
     }
 
@@ -182,7 +189,7 @@ impl Platform {
         let (features, labels) = self.sampler.next_from(&self.data);
         self.samples_seen += labels.len() as u64;
         let acts = self.model.forward(&features, Mode::Train)?;
-        let acts = self.noised(acts);
+        let acts = Self::noised(self.noise_std, acts, &mut self.noise_rng);
         self.pending_labels = Some(labels);
         Ok(tensor_envelope_codec(
             self.node(),
@@ -319,8 +326,9 @@ impl Platform {
         self.model.set_mode(prior);
         let acts = result?;
         // The deployed system also transmits activations at inference
-        // time, so the privacy noise applies there too.
-        Ok(self.noised(acts))
+        // time, so the privacy noise applies there too, from its own
+        // stream.
+        Ok(Self::noised(self.noise_std, acts, &mut self.infer_noise_rng))
     }
 
     /// Turns the server's inference output into logits: through the tail

@@ -225,6 +225,32 @@ mod tests {
     }
 
     #[test]
+    fn evaluation_leaves_noised_training_unchanged() {
+        // Evaluation runs every platform's L1 with its noise too; those
+        // draws must not move the training sends' noise, so the
+        // evaluation period cannot change the trained model.
+        let digests = |eval_every: usize| {
+            let (shards, test) = setup(3);
+            let transport = MemoryTransport::new(StarTopology::new(3));
+            let cfg = SplitConfig {
+                activation_noise: 0.5,
+                eval_every,
+                ..config(8)
+            };
+            let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
+            trainer.run().unwrap();
+            let mut digests: Vec<u64> = trainer
+                .platforms_mut()
+                .iter_mut()
+                .map(|p| medsplit_nn::vectorize::parameter_digest(p.model_mut()))
+                .collect();
+            digests.push(trainer.server_mut().weights_digest());
+            digests
+        };
+        assert_eq!(digests(1), digests(8));
+    }
+
+    #[test]
     fn training_improves_accuracy() {
         let (shards, test) = setup(3);
         let transport = MemoryTransport::new(StarTopology::new(3));
