@@ -154,6 +154,15 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #                          Dirichlet(0.5) shards, 3 seeds.
 #   fig6.lab.toml        — split training over 2-16 platforms, 3 seeds;
 #                          each gated against baselines/<name>.json.
+#   table1.lab.toml      — the paper-size models' analytic per-round
+#                          bytes (split, FedAvg, sync SGD) and crossover
+#                          minibatch.
+#   fig8.lab.toml        — the paper-size models' analytic round time
+#                          over 10 Mbit/s to 10 Gbit/s links.
+#   fig5.lab.toml        — split training once per cut of the lite VGG,
+#                          each probed for leakage (dcor, attacker R^2).
+#   fig7.lab.toml        — the same once per activation-noise level;
+#                          each gated against baselines/<name>.json.
 #
 # `lab ci` additionally executes every manifest twice and fails unless
 # the metrics digests are bit-identical — the determinism witness.
@@ -162,8 +171,9 @@ cargo run -q --release --offline -p medsplit-bench --bin lab -- ci --smoke
 echo "==> lab gate negative tests (a perturbed baseline must fail)"
 # The regression gate is only trustworthy if it actually trips: perturb
 # one value of a committed baseline (a byte count of the smoke matrix,
-# one evaluation's bytes on a Fig. 4 curve) and assert `lab gate` exits
-# nonzero against it.
+# one evaluation's bytes on a Fig. 4 curve, one per-round byte count of
+# Table 1, one cut's dcor in Fig. 5) and assert `lab gate` exits nonzero
+# against it.
 perturbed_gate_fails() { # <manifest name> <sed expression>
     local perturbed
     perturbed="$(mktemp)"
@@ -182,6 +192,8 @@ perturbed_gate_fails() { # <manifest name> <sed expression>
 }
 perturbed_gate_fails smoke 's/total_bytes": 48880/total_bytes": 48881/'
 perturbed_gate_fails fig4_ci 's/curve.00.bytes": 10567680/curve.00.bytes": 10567681/'
+perturbed_gate_fails table1 's/fedavg_round_bytes": 488115136/fedavg_round_bytes": 488115137/'
+perturbed_gate_fails fig5 's/cut.00.dcor": 0.9806217490215962/cut.00.dcor": 0.9816217490215962/'
 
 echo "==> fleet drain/rejoin acceptance (chaos gate)"
 # The 4-replica crash + rejoin scenario: one replica dies mid-load,

@@ -613,12 +613,12 @@ fn run_method(point: &RunPoint, manifest: &Manifest) -> Result<Vec<(String, f64)
 ///
 /// - `table1`: the paper-size model's parameters, activation floats per
 ///   sample at the cut, per-round bytes of split, FedAvg and sync SGD at
-///   [`FULL_SIZE_BATCH`] per platform, and the crossover minibatch.
+///   `FULL_SIZE_BATCH` per platform, and the crossover minibatch.
 /// - `fig8`: the paper-size model's round time over links of each
-///   bandwidth in [`FIG8_MBPS`] (`bandwidth.NN.*`).
-/// - `fig5`: `split` trained on the [`Recipe`] once per cut in
-///   [`FIG5_CUTS`], each probed by [`probe_leakage`] (`cut.NN.*`).
-/// - `fig7`: the same once per activation-noise σ in [`FIG7_SIGMAS`]
+///   bandwidth in `FIG8_MBPS` (`bandwidth.NN.*`).
+/// - `fig5`: `split` trained on the method recipe once per cut in
+///   `FIG5_CUTS`, each probed by `probe_leakage` (`cut.NN.*`).
+/// - `fig7`: the same once per activation-noise σ in `FIG7_SIGMAS`
 ///   (`noise.NN.*`).
 pub const FIGURES: &[&str] = &["table1", "fig5", "fig7", "fig8"];
 
@@ -708,10 +708,11 @@ fn fig8(model: ModelKind, dataset: DatasetKind) -> Vec<(String, f64)> {
         let split = 4.0 * link.latency_s + link.transfer_time(split_bytes) - link.latency_s;
         // Sync SGD and FedAvg: the model down, a model or gradient up.
         let exchange = 2.0 * link.transfer_time(model_bytes);
-        metrics.push((format!("bandwidth.{i:02}.mbps"), mbps));
-        metrics.push((format!("bandwidth.{i:02}.split_round_s"), split));
-        metrics.push((format!("bandwidth.{i:02}.sync_sgd_round_s"), exchange));
-        metrics.push((format!("bandwidth.{i:02}.fedavg_round_s"), exchange));
+        let row = |column: &str| format!("bandwidth.{i:02}.{column}");
+        metrics.push((row("mbps"), mbps));
+        metrics.push((row("split_round_s"), split));
+        metrics.push((row("sync_sgd_round_s"), exchange));
+        metrics.push((row("fedavg_round_s"), exchange));
     }
     metrics
 }

@@ -52,7 +52,7 @@ impl ModelKind {
     }
 }
 
-/// What a lab method point trains on, named by its `model` value:
+/// What a lab method or figure point runs on, named by its `model` value:
 /// architecture × dataset × shards.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {

@@ -16,8 +16,10 @@
 //!   standard protocol reveals every training diagnosis to the server;
 //!   the U-shaped variant defeats this.
 //!
-//! Used by the split-point sweep (Fig. 5): deeper cuts cost more platform
-//! compute but leak less.
+//! The lab's `fig5` and `fig7` points (`experiments/fig5.lab.toml`,
+//! `fig7.lab.toml`) gate dCor and the ridge attack's R² per cut and per
+//! activation-noise level: deeper cuts cost more platform compute but
+//! leak less.
 
 #![warn(missing_docs)]
 

@@ -58,6 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("note: deeper cuts shrink the transmitted representation and its leakage,");
-    println!("at the cost of more computation on the hospital side (see fig5 bench).");
+    println!("at the cost of more computation on the hospital side (see experiments/fig5.lab.toml).");
     Ok(())
 }
