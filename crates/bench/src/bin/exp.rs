@@ -1,4 +1,4 @@
-//! `exp` — every experiment of the harness behind one binary.
+//! `exp` — the harness's measurement tools behind one binary.
 //!
 //! ```text
 //! exp <name> [args]     run one experiment (see `bins::<name>` for its flags)

@@ -1,4 +1,5 @@
-//! Library bodies of every experiment.
+//! Library bodies of the `exp` measurement tools (the tables and figures
+//! are lab points, see [`crate::labrun`]).
 //!
 //! Each experiment is a `run(args)` in its module here, so the `lab`
 //! orchestrator can execute any bench in-process — same telemetry
