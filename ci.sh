@@ -96,12 +96,21 @@ cargo test -q --release --offline -p medsplit-tensor --lib -- ops::microkernel::
 cargo test -q --release --offline --test gemm_golden
 cargo test -q --release --offline --test parallel_kernels -- matmul_family packed_gemm
 
+echo "==> elementwise, int8 encoder and planned serving forward again under --release"
+# The elementwise kernels and the int8 quantiser have AVX2 bodies with
+# scalar tails, and the planned forward reads cached weight panels: a
+# tail or panel index one off is a slice panic in debug and a wrong
+# value in release. The golden digests (committed before the cross-ISA
+# kernel and plan digests they replaced were deleted) run in both.
+cargo test -q --release --offline --test kernel_golden
+
 echo "==> miri (unsafe microkernel, simd, scratch, conv and pool modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
-# cover: 84 `unsafe` occurrences under crates/ (grep -rw unsafe
-# --include=*.rs), all in crates/tensor.
+# cover: 85 `unsafe` occurrences under crates/ (grep -rw unsafe
+# --include=*.rs): 84 in crates/tensor, and the AVX2 checksum dispatch
+# in crates/simnet/src/message.rs, which this job does not run.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \
         --lib -- microkernel:: simd:: scratch:: ops::conv:: ops::pool::
@@ -120,18 +129,17 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 # The lab replaces the old hand-written smoke stanzas: every
 # experiments/*.lab.toml with `ci = true` runs here.
 #
-#   kernels_ab.lab.toml  — the scalar-vs-auto ISA A/B, declared as an
-#                          `invariant_across = ["isa"]` gate on both the
-#                          kernel digest and the plan-cache serving
-#                          digest (was the mktemp/cmp stanza).
 #   smoke.lab.toml       — the split-training matrix (fault × codec ×
 #                          threads) gated against baselines/smoke.json,
 #                          with thread-invariance declared on accuracy,
 #                          bytes (total, uplink, downlink), messages,
 #                          makespan, retries, checksum rejections and
 #                          degraded rounds.
-#   bins_smoke.lab.toml  — trace_report / fleet_bench smokes (each still
-#                          runs its own in-process asserts) pinned against
+#   bins_smoke.lab.toml  — the kernel_bench and trace_report smokes, each
+#                          running its own in-process asserts (planned
+#                          serving logits equal unplanned, zero warm
+#                          repacks, the training repack bound; the span
+#                          names), with the span count pinned against
 #                          baselines/bins_smoke.json.
 #   hierarchy_chaos.lab.toml — relay-hierarchy training under relay
 #                          crashes and region partitions, gated against
@@ -163,6 +171,16 @@ echo "==> lab ci --smoke (manifest-declared experiment gates)"
 #                          each probed for leakage (dcor, attacker R^2).
 #   fig7.lab.toml        — the same once per activation-noise level;
 #                          each gated against baselines/<name>.json.
+#   serve.lab.toml       — split inference under offered load (25-800
+#                          requests/s per platform), once per wire codec:
+#                          latency percentiles, bytes per request,
+#                          goodput and a served-logits digest, gated
+#                          against baselines/serve.json.
+#   fleet.lab.toml       — the same over 1-8 server replicas at 50-800
+#                          requests/s per tenant, at 1 and 2 pool
+#                          threads, gated against baselines/fleet.json,
+#                          with the logits digest declared
+#                          thread-invariant.
 #
 # `lab ci` additionally executes every manifest twice and fails unless
 # the metrics digests are bit-identical — the determinism witness.
@@ -172,8 +190,9 @@ echo "==> lab gate negative tests (a perturbed baseline must fail)"
 # The regression gate is only trustworthy if it actually trips: perturb
 # one value of a committed baseline (a byte count of the smoke matrix,
 # one evaluation's bytes on a Fig. 4 curve, one per-round byte count of
-# Table 1, one cut's dcor in Fig. 5) and assert `lab gate` exits nonzero
-# against it.
+# Table 1, one cut's dcor in Fig. 5, one load's goodput in the serving
+# sweep, one row's p99 latency in the fleet sweep) and assert `lab gate`
+# exits nonzero against it.
 perturbed_gate_fails() { # <manifest name> <sed expression>
     local perturbed
     perturbed="$(mktemp)"
@@ -194,6 +213,8 @@ perturbed_gate_fails smoke 's/total_bytes": 48880/total_bytes": 48881/'
 perturbed_gate_fails fig4_ci 's/curve.00.bytes": 10567680/curve.00.bytes": 10567681/'
 perturbed_gate_fails table1 's/fedavg_round_bytes": 488115136/fedavg_round_bytes": 488115137/'
 perturbed_gate_fails fig5 's/cut.00.dcor": 0.9806217490215962/cut.00.dcor": 0.9816217490215962/'
+perturbed_gate_fails serve 's/load.02.goodput_rps": 293.6350798756585/load.02.goodput_rps": 293.7350798756585/'
+perturbed_gate_fails fleet 's/row.00.p99_ms": 75.24167040000007/row.00.p99_ms": 75.25167040000007/'
 
 echo "==> fleet drain/rejoin acceptance (chaos gate)"
 # The 4-replica crash + rejoin scenario: one replica dies mid-load,

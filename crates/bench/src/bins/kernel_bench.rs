@@ -32,8 +32,7 @@
 //! platform's and server's shapes and at the VGG-lite head's, in
 //! GFLOP/s over the three GEMMs. The `gemm_tn` / `gemm_nt` rows time the
 //! transposed-operand entry points on the MLP server's skinny forward
-//! shape, next to its `gemm` row. None of these rows is folded into a
-//! digest.
+//! shape, next to its `gemm` row.
 //!
 //! The `encode_i8` rows time the int8 wire encoder (`Tensor::encode`
 //! with `Encoding::Int8`: absmax, quantiser, frame) on a 64×128
@@ -46,7 +45,7 @@
 //!
 //! A small-batch *serving sweep* (`dense_serve` / `conv_serve` rows at
 //! batch 1/2/4/8, plus `conv_serve` rows at VGG-lite's own serving
-//! convs, which stay out of the plan digest) drives the plan-cache path — layers in `Mode::Eval`
+//! convs) drives the plan-cache path — layers in `Mode::Eval`
 //! with prepacked weight panels — against the unplanned per-call packing
 //! path. Its `repacks_per_step` column counts plan panel packs inside
 //! the timed region; the harness asserts it is exactly 0.0 after warmup
@@ -59,19 +58,17 @@
 //! `speedup_vs_1t` reads `oversubscribed` instead of a number: more
 //! workers than cores measures time-slicing, not scaling.
 //!
+//! The values these kernels compute are pinned elsewhere:
+//! `tests/kernel_golden.rs` holds the elementwise family, the int8
+//! encoder and the planned serving forward to literal digests at 1 and
+//! 2 threads under the scalar and the detected ISA, as the GEMM, spatial
+//! and layer goldens do for the rest. This harness only times them.
+//!
 //! Outputs:
 //!   - `bench_results/kernel_bench.csv` (or `$MEDSPLIT_RESULTS_DIR`),
 //!   - `BENCH_kernels.json` in the current directory (repo root in CI),
 //!     wrapped in the shared schema-v2 envelope (host fingerprint, lab
-//!     run id), with the dispatched ISA,
-//!   - `bench_results/kernel_digest.txt`: an FNV-1a digest of a fixed
-//!     deterministic kernel workload. The lab's `kernels-ab` manifest
-//!     runs the smoke bench under `isa = ["scalar", "auto"]` and gates
-//!     on the digests matching, pinning the cross-ISA bit-identity
-//!     guarantee end to end,
-//!   - `bench_results/plan_digest.txt`: the same guarantee for the
-//!     planned (cached-panel) path — an FNV-1a digest of every serving
-//!     sweep logit, also compared across ISAs.
+//!     run id), with the dispatched ISA.
 //!
 //! Usage:
 //!   exp kernel_bench [--smoke] [--threads 1,2,4] [--reps N]
@@ -83,18 +80,14 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::report::{
-    arg_present, arg_value, bench_json, bench_json_path, write_result, ReportWriter, TextTable,
-};
+use crate::report::{arg_present, arg_value, bench_json, bench_json_path, ReportWriter, TextTable};
 use medsplit_nn::{BatchNorm, Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
 use medsplit_tensor::ops::conv::{
     conv2d_backward_params, conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, Conv2dSpec,
 };
 use medsplit_tensor::ops::plan;
 use medsplit_tensor::ops::pool::maxpool2d_forward;
-use medsplit_tensor::{
-    fnv1a, init::rng_from_seed, pool, scratch, simd, ConvPlan, Encoding, Tensor, FNV_OFFSET,
-};
+use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, ConvPlan, Encoding, Tensor};
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
                           speedup_t2_vs_t1,speedup_vs_seed,gflops_vs_scalar,\
@@ -105,12 +98,6 @@ const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t
 pub struct KernelBenchOutcome {
     /// CSV rows produced.
     pub rows: usize,
-    /// FNV-1a digest of the fixed deterministic kernel workload —
-    /// identical across `MEDSPLIT_ISA` settings by construction.
-    pub kernel_digest: u64,
-    /// FNV-1a digest of every planned serving-sweep logit — the same
-    /// cross-ISA guarantee for the plan-cache path.
-    pub plan_digest: u64,
 }
 
 /// The seed repository's GEMM kernel, kept verbatim as the baseline: a
@@ -593,13 +580,9 @@ fn bench_encode_i8(r: usize, c: usize, reps: usize, rows: &mut Vec<Row>) {
 /// replaces). Asserts, per shape: planned logits are bit-identical to
 /// the unplanned baseline, and the warm path packs zero panels
 /// (`repacks_per_step == 0.0` — eval never repacks after warmup).
-///
-/// Returns an FNV-1a digest over every planned logit, written to
-/// `plan_digest.txt` for the cross-ISA comparison.
-fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
+fn bench_serving(reps: usize, rows: &mut Vec<Row>) {
     const BATCHES: [usize; 4] = [1, 2, 4, 8];
     pool::set_num_threads(1);
-    let mut digest = FNV_OFFSET;
 
     // Dense serving shapes: split-model classifier heads (in -> out).
     for &(inf, outf) in &[(256usize, 256usize), (784usize, 128usize)] {
@@ -626,7 +609,6 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
                 direct.as_slice(),
                 "planned dense logits diverged from the unplanned path at b{batch}x{inf}->{outf}"
             );
-            digest = fnv1a_fold(digest, planned.as_slice());
             let (best_s, allocs, repacks) = time_best(reps, || {
                 let mut l = layer.lock().expect("dense lock");
                 std::hint::black_box(l.forward(&x, Mode::Eval).expect("planned dense"));
@@ -661,12 +643,10 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
     let layer = Mutex::new(Conv2d::from_parts(w.clone(), b.clone(), spec).expect("conv layer"));
     for &batch in &BATCHES {
         let x = Tensor::rand_uniform([batch, c, hw, hw], -1.0, 1.0, &mut rng);
-        let planned = conv_serve_row(&layer, &w, &b, &x, reps, rows);
-        digest = fnv1a_fold(digest, planned.as_slice());
+        conv_serve_row(&layer, &w, &b, &x, reps, rows);
     }
     // VGG-lite's own serving convs: the server's two layers at batches 1
-    // and 2, and the platform's `L1` at batch 1. Not folded into the
-    // digest, which pins the rows above.
+    // and 2, and the platform's `L1` at batch 1.
     for &(batch, c, hw, o) in &[
         (1usize, 8usize, 8usize, 16usize),
         (2, 8, 8, 16),
@@ -681,13 +661,12 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) -> u64 {
         let x = Tensor::rand_uniform([batch, c, hw, hw], -1.0, 1.0, &mut rng);
         conv_serve_row(&layer, &w, &b, &x, reps, rows);
     }
-    digest
 }
 
 /// One `conv_serve` row: the planned forward of `layer` (3×3/s1/p1,
 /// weight `w`, bias `b`) in `Mode::Eval` on `x`, against the unplanned
 /// `conv2d_forward`. Asserts bit-identical logits and zero warm-path
-/// repacks; returns the planned logits.
+/// repacks.
 fn conv_serve_row(
     layer: &Mutex<Conv2d>,
     w: &Tensor,
@@ -695,7 +674,7 @@ fn conv_serve_row(
     x: &Tensor,
     reps: usize,
     rows: &mut Vec<Row>,
-) -> Tensor {
+) {
     let spec = Conv2dSpec::square(3, 1, 1);
     let (batch, c, hw) = (x.dims()[0], x.dims()[1], x.dims()[2]);
     let o = w.dims()[0];
@@ -742,7 +721,6 @@ fn conv_serve_row(
             reps,
         )
     });
-    planned
 }
 
 /// Asserts the training-path packing bound: each optimizer step
@@ -879,51 +857,6 @@ fn to_json(rows: &[Row], isa: &str) -> String {
     )
 }
 
-/// FNV-1a over a stream of `f32` bit patterns (little-endian).
-fn fnv1a_fold(hash: u64, vals: &[f32]) -> u64 {
-    vals.iter()
-        .fold(hash, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
-}
-
-/// Runs a fixed deterministic workload through every dispatched kernel
-/// family (all three GEMM variants with edge tiles, conv forward, the
-/// ReLU family, the accumulators, the int8 wire codec's absmax and
-/// quantiser) at one thread and digests the result bits. Identical
-/// across `MEDSPLIT_ISA` settings; the lab's invariant gate asserts it.
-fn kernel_digest() -> u64 {
-    pool::set_num_threads(1);
-    let mut rng = rng_from_seed(99);
-    let a = Tensor::rand_uniform([70, 93], -1.0, 1.0, &mut rng);
-    let b = Tensor::rand_uniform([93, 37], -1.0, 1.0, &mut rng);
-    let mut h = FNV_OFFSET;
-    h = fnv1a_fold(h, a.matmul(&b).expect("digest gemm").as_slice());
-    let at = a.transpose().expect("digest transpose");
-    h = fnv1a_fold(h, at.matmul_tn(&b).expect("digest gemm_tn").as_slice());
-    let bt = b.transpose().expect("digest transpose");
-    h = fnv1a_fold(h, a.matmul_nt(&bt).expect("digest gemm_nt").as_slice());
-
-    let input = Tensor::rand_uniform([2, 3, 11, 11], -1.0, 1.0, &mut rng);
-    let weight = Tensor::rand_uniform([4, 3, 3, 3], -0.5, 0.5, &mut rng);
-    let conv = conv2d_forward(&input, &weight, None, Conv2dSpec::square(3, 1, 1)).expect("digest conv");
-    h = fnv1a_fold(h, conv.as_slice());
-
-    let x = Tensor::rand_uniform([999], -2.0, 2.0, &mut rng);
-    let g = Tensor::rand_uniform([999], -1.0, 1.0, &mut rng);
-    h = fnv1a_fold(h, x.relu().as_slice());
-    h = fnv1a_fold(h, x.relu().relu_backward(&g).expect("digest relu_bwd").as_slice());
-    h = fnv1a_fold(h, x.leaky_relu(0.01).as_slice());
-    let mut acc = x.clone();
-    acc.axpy(0.37, &g).expect("digest axpy");
-    acc.add_assign(&g).expect("digest add_assign");
-    acc.scale_inplace(-1.25);
-    h = fnv1a_fold(h, acc.as_slice());
-    h = fnv1a_fold(h, (&x * &g).as_slice());
-    for t in [&conv, &x, &acc] {
-        h = fnv1a(h, &t.encode(Encoding::Int8));
-    }
-    h
-}
-
 fn parse_threads(spec: &str) -> Vec<usize> {
     spec.split(',')
         .filter(|s| !s.is_empty())
@@ -931,7 +864,7 @@ fn parse_threads(spec: &str) -> Vec<usize> {
         .collect()
 }
 
-/// Runs the kernel benchmark and returns its deterministic digests.
+/// Runs the kernel benchmark and returns its row count.
 pub fn run(args: &[String]) -> KernelBenchOutcome {
     let smoke = arg_present(args, "--smoke");
     let host_threads = host_cores();
@@ -1000,7 +933,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     // Small-batch serving sweep through the plan cache (asserts zero
     // warm-path repacks and bit-identical logits), plus the training
     // repack bound.
-    let plan_digest = bench_serving(reps, &mut rows);
+    bench_serving(reps, &mut rows);
     assert_training_repack_bound();
 
     let report = to_report(&rows);
@@ -1012,12 +945,6 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     // committed full-sweep numbers at the repo root.
     let json_path = bench_json_path("BENCH_kernels.json", smoke);
     std::fs::write(&json_path, &json).expect("write BENCH_kernels.json");
-
-    let digest = kernel_digest();
-    let digest_path =
-        write_result("kernel_digest.txt", &format!("{digest:016x}\n")).expect("write kernel_digest.txt");
-    let plan_digest_path =
-        write_result("plan_digest.txt", &format!("{plan_digest:016x}\n")).expect("write plan_digest.txt");
 
     let mut table = TextTable::new(
         "kernel_bench (best-of-reps wall time)",
@@ -1073,22 +1000,12 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         isa.name()
     );
     println!("host available_parallelism: {host_threads}");
-    println!(
-        "wrote {}, {}, {} and {}",
-        csv_path.display(),
-        json_path.display(),
-        digest_path.display(),
-        plan_digest_path.display()
-    );
+    println!("wrote {} and {}", csv_path.display(), json_path.display());
     if smoke {
         println!(
             "smoke OK: {} rows, schema verified, serve repacks 0.0, planned logits match unplanned",
             rows.len()
         );
     }
-    KernelBenchOutcome {
-        rows: rows.len(),
-        kernel_digest: digest,
-        plan_digest,
-    }
+    KernelBenchOutcome { rows: rows.len() }
 }

@@ -9,9 +9,9 @@
 //! | `split_train` | a [`ResilientTrainer`] run shaped by the point's model / topology / fault / codec / threads / seed axes |
 //! | `split`, `split_l1avg`, `split_ushape`, `split_equal`, `sync_sgd`, `fedavg`, `local_only`, `centralized` | one training method on a [`Workload`] under the paper-figure recipe (see [`METHODS`]) |
 //! | `table1`, `fig5`, `fig7`, `fig8` | the paper's other figures on a vision [`Workload`] (see [`FIGURES`]) |
-//! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (reports the cross-ISA kernel and plan digests) |
+//! | `serve`, `fleet` | the serving sweeps: split inference under offered load, on one server or a fleet of replicas (see [`SERVING`]) |
+//! | `kernel_smoke` | [`crate::bins::kernel_bench`] `--smoke` (its own asserts; the row count is a timing) |
 //! | `trace_smoke` | [`crate::bins::trace_report`] `--smoke` |
-//! | `fleet_smoke` | [`crate::bins::fleet_bench`] `--smoke` |
 //!
 //! ## Determinism partitioning
 //!
@@ -32,18 +32,20 @@ use medsplit_baselines::{
     train_centralized, train_fedavg, train_local_only, train_sync_sgd, FedAvgOptions, SyncSgdOptions,
 };
 use medsplit_core::{
-    comm, ComputeModel, HierPolicy, HierResilientTrainer, L1Sync, Platform, ResilientTrainer, SplitConfig,
-    SplitPoint, SplitTrainer, TrainingHistory, UShapeTrainer, WireCodec,
+    build_split, comm, ComputeModel, HierPolicy, HierResilientTrainer, L1Sync, Platform, ResilientTrainer,
+    SplitConfig, SplitPoint, SplitServer, SplitTrainer, TrainingHistory, UShapeTrainer, WireCodec,
 };
 use medsplit_data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
+use medsplit_fleet::{run_fleet, FleetConfig, CLASSES, FEATURES};
 use medsplit_lab::{BenchRunner, Manifest, MetricValue, PointOutcome, RunPoint};
 use medsplit_nn::{Architecture, LrSchedule, MlpConfig};
 use medsplit_privacy::{distance_correlation, flatten_samples, reconstruction_attack};
+use medsplit_serve::{serve_threaded, ServeConfig, ServeOutcome};
 use medsplit_simnet::{
     ChaosTransport, FaultPlan, HierTopology, LinkSpec, MemoryTransport, MessageKind, NodeId, StarTopology,
 };
 use medsplit_telemetry::{MetricSnapshot, Trace};
-use medsplit_tensor::{pool, simd};
+use medsplit_tensor::{fnv1a, init::rng_from_seed, pool, simd, Tensor, FNV_OFFSET};
 
 use crate::workload::{DatasetKind, ModelKind, Workload};
 
@@ -836,13 +838,211 @@ fn run_figure(point: &RunPoint, manifest: &Manifest) -> Result<Vec<(String, f64)
     }
 }
 
+/// The `bench` values of the serving sweeps. Both serve the split
+/// 16-feature, 4-class MLP of [`medsplit_fleet`] to the platforms of a
+/// `starN` topology over WAN links, open-loop at each offered load, with
+/// the point's codec and [`ServeConfig`]'s defaults otherwise, and
+/// report row `NN` of the sweep as `<row>.NN.<column>`:
+///
+/// - `serve`: one server, `SERVE_REQUESTS` requests per platform at
+///   each load in `SERVE_LOADS` (`load.NN.*`).
+/// - `fleet`: a replica fleet ([`FleetConfig`]'s defaults otherwise:
+///   four sessions and a quota of 64 in flight per tenant, two weight
+///   versions), `FLEET_REQUESTS` requests per tenant at each load in
+///   `FLEET_LOADS` and each replica count in `FLEET_REPLICAS`
+///   (`row.NN.*`, load-major). At one load, every replica count that
+///   completes its whole stream must serve the same logits, or the point
+///   fails.
+///
+/// A latency is reported only when a request completed. Each point also
+/// reports a `logits_digest`: FNV-1a over the served logits in record
+/// order (`serve`) or over every row's logits digest (`fleet`).
+pub const SERVING: &[&str] = &["serve", "fleet"];
+
+/// Offered loads of `serve`, requests per second per platform.
+const SERVE_LOADS: [f64; 6] = [25.0, 50.0, 100.0, 200.0, 400.0, 800.0];
+
+/// Requests each platform submits at one load of `serve`.
+const SERVE_REQUESTS: usize = 300;
+
+/// Offered loads of `fleet`, requests per second per tenant.
+const FLEET_LOADS: [f64; 5] = [50.0, 100.0, 200.0, 400.0, 800.0];
+
+/// Replica counts of `fleet`.
+const FLEET_REPLICAS: [usize; 4] = [1, 2, 4, 8];
+
+/// Requests each tenant submits at one row of `fleet`.
+const FLEET_REQUESTS: usize = 240;
+
+/// Checks a serving point: a `starN` topology and no fault. Returns the
+/// platform (tenant) count and the codec.
+fn parse_serving_point(point: &RunPoint) -> Result<(usize, WireCodec), String> {
+    let TopologyAxis::Star(platforms) = parse_topology(&point.topology)? else {
+        return Err(format!(
+            "bench {:?} runs on a starN topology, not {:?}",
+            point.bench, point.topology
+        ));
+    };
+    if point.fault != "clean" {
+        return Err(format!(
+            "bench {:?} runs fault-free, not {:?}",
+            point.bench, point.fault
+        ));
+    }
+    Ok((platforms, parse_codec(&point.codec)?))
+}
+
+/// One `serve` run at `offered_rps`: the split MLP built from `seed`,
+/// each platform holding 16 rows of its own data, and queries drawn from
+/// `seed + offered_rps`.
+fn serve_once(
+    platforms: usize,
+    offered_rps: f64,
+    codec: WireCodec,
+    seed: u64,
+) -> Result<ServeOutcome, String> {
+    let arch = Architecture::Mlp(MlpConfig::small(FEATURES, CLASSES));
+    let model =
+        build_split(&arch, SplitPoint::Default, seed, platforms).map_err(|e| format!("model: {e}"))?;
+    let mut nodes = Vec::with_capacity(platforms);
+    for (id, client) in model.clients.into_iter().enumerate() {
+        let data = SyntheticTabular::new(CLASSES, FEATURES, seed ^ id as u64)
+            .generate(16)
+            .map_err(|e| format!("data: {e}"))?;
+        nodes.push(Platform::new(id, client, data, 4, 0.0, seed));
+    }
+    let server = SplitServer::new(model.server, 0.0);
+    let mut rng = rng_from_seed(seed.wrapping_add(offered_rps as u64));
+    let queries: Vec<Vec<Tensor>> = (0..platforms)
+        .map(|_| {
+            (0..SERVE_REQUESTS)
+                .map(|_| Tensor::rand_uniform([1, FEATURES], -1.0, 1.0, &mut rng))
+                .collect()
+        })
+        .collect();
+    let topology = StarTopology::new(platforms);
+    let transport = MemoryTransport::new(topology.clone());
+    let cfg = ServeConfig {
+        offered_rps,
+        codec,
+        ..ServeConfig::default()
+    };
+    serve_threaded(nodes, server, queries, &topology, &cfg, &transport).map_err(|e| format!("serving: {e}"))
+}
+
+/// The `serve` sweep.
+fn run_serve(point: &RunPoint) -> Result<Vec<(String, MetricValue)>, String> {
+    let (platforms, codec) = parse_serving_point(point)?;
+    let mut metrics = Vec::new();
+    let mut logits = FNV_OFFSET;
+    for (i, &load) in SERVE_LOADS.iter().enumerate() {
+        let outcome = serve_once(platforms, load, codec, point.seed)?;
+        let r = &outcome.report;
+        let num = |column: &str, v: f64| (format!("load.{i:02}.{column}"), MetricValue::Num(v));
+        metrics.extend([
+            num("offered_rps", load),
+            num("completed", r.completed as f64),
+            num("rejected", r.rejected as f64),
+            num("timed_out", r.timed_out as f64),
+            num("req_bytes", r.request_bytes_per_offered()),
+            num("resp_bytes", r.response_bytes_per_offered()),
+            num("goodput_rps", r.goodput_rps()),
+        ]);
+        if let Some(lat) = &r.latency {
+            metrics.extend([
+                num("p50_ms", lat.p50_s * 1e3),
+                num("p95_ms", lat.p95_s * 1e3),
+                num("p99_ms", lat.p99_s * 1e3),
+            ]);
+        }
+        for v in outcome
+            .records
+            .iter()
+            .flat_map(|r| r.logits.iter())
+            .flat_map(Tensor::as_slice)
+        {
+            logits = fnv1a(logits, &v.to_bits().to_le_bytes());
+        }
+    }
+    metrics.push(("logits_digest".into(), MetricValue::Str(format!("{logits:016x}"))));
+    Ok(metrics)
+}
+
+/// The `fleet` sweep.
+fn run_fleet_sweep(point: &RunPoint) -> Result<Vec<(String, MetricValue)>, String> {
+    let (tenants, codec) = parse_serving_point(point)?;
+    let mut metrics = Vec::new();
+    let mut logits = FNV_OFFSET;
+    let mut i = 0;
+    for &load in &FLEET_LOADS {
+        // The first replica count that served the whole stream at this
+        // load, and its logits digest.
+        let mut full: Option<(usize, u64)> = None;
+        for &replicas in &FLEET_REPLICAS {
+            let cfg = FleetConfig {
+                replicas,
+                tenants,
+                serve: ServeConfig {
+                    offered_rps: load,
+                    codec,
+                    ..ServeConfig::default()
+                },
+                ..FleetConfig::default()
+            };
+            let out = run_fleet(&cfg, FLEET_REQUESTS, point.seed, FaultPlan::new(point.seed), &[])
+                .map_err(|e| format!("fleet: {e}"))?;
+            let r = &out.report;
+            if r.completed == r.offered {
+                match full {
+                    None => full = Some((replicas, out.logits_digest)),
+                    Some((first, digest)) if digest != out.logits_digest => {
+                        return Err(format!(
+                            "logits diverged between {first} and {replicas} replicas at {load} req/s"
+                        ))
+                    }
+                    Some(_) => {}
+                }
+            }
+            let row = |column: &str| format!("row.{i:02}.{column}");
+            let num = |column: &str, v: f64| (row(column), MetricValue::Num(v));
+            metrics.extend([
+                num("replicas", replicas as f64),
+                num("offered_rps", load),
+                num("completed", r.completed as f64),
+                num("throttled", r.throttled as f64),
+                num("rejected", r.rejected as f64),
+                num("timed_out", r.timed_out as f64),
+                num("goodput_rps", r.goodput_rps()),
+                (
+                    row("digest"),
+                    MetricValue::Str(format!("{:016x}", out.logits_digest)),
+                ),
+            ]);
+            if let Some(lat) = &r.latency {
+                metrics.extend([num("p50_ms", lat.p50_s * 1e3), num("p99_ms", lat.p99_s * 1e3)]);
+            }
+            logits = fnv1a(logits, &out.logits_digest.to_le_bytes());
+            i += 1;
+        }
+    }
+    metrics.push(("logits_digest".into(), MetricValue::Str(format!("{logits:016x}"))));
+    Ok(metrics)
+}
+
 /// An outcome of numeric metrics and no timings.
 fn numeric_outcome(metrics: Vec<(String, f64)>) -> PointOutcome {
-    PointOutcome {
-        metrics: metrics
+    metrics_outcome(
+        metrics
             .into_iter()
             .map(|(k, v)| (k, MetricValue::Num(v)))
             .collect(),
+    )
+}
+
+/// An outcome of `metrics` and no timings.
+fn metrics_outcome(metrics: Vec<(String, MetricValue)>) -> PointOutcome {
+    PointOutcome {
+        metrics,
         ..PointOutcome::default()
     }
 }
@@ -875,20 +1075,14 @@ impl BenchRunner for MedsplitRunner {
             "split_train" => run_split_train(point, manifest),
             bench if METHODS.contains(&bench) => run_method(point, manifest).map(numeric_outcome),
             bench if FIGURES.contains(&bench) => run_figure(point, manifest).map(numeric_outcome),
+            "serve" => run_serve(point).map(metrics_outcome),
+            "fleet" => run_fleet_sweep(point).map(metrics_outcome),
             "kernel_smoke" => {
                 let out = crate::bins::kernel_bench::run(&["--smoke".into()]);
                 Ok(PointOutcome {
-                    metrics: vec![
-                        (
-                            "kernel_digest".into(),
-                            MetricValue::Str(format!("{:016x}", out.kernel_digest)),
-                        ),
-                        (
-                            "plan_digest".into(),
-                            MetricValue::Str(format!("{:016x}", out.plan_digest)),
-                        ),
-                        ("rows".into(), MetricValue::Num(out.rows as f64)),
-                    ],
+                    // The sweep runs at 1..=min(2, cores) threads, so the
+                    // row count depends on the host: not digested.
+                    timings: vec![("rows".into(), out.rows as f64)],
                     ..PointOutcome::default()
                 })
             }
@@ -900,20 +1094,6 @@ impl BenchRunner for MedsplitRunner {
                     // process has lazily registered so far — racy across
                     // in-process repetitions, so it is not digested.
                     timings: vec![("metric_snapshots".into(), out.metrics as f64)],
-                    ..PointOutcome::default()
-                })
-            }
-            "fleet_smoke" => {
-                let out = crate::bins::fleet_bench::run(&["--smoke".into()]);
-                let digest = out
-                    .low_load_digest
-                    .map(|d| format!("{d:016x}"))
-                    .ok_or("fleet smoke completed no full-load point")?;
-                Ok(PointOutcome {
-                    metrics: vec![
-                        ("rows".into(), MetricValue::Num(out.rows as f64)),
-                        ("low_load_digest".into(), MetricValue::Str(digest)),
-                    ],
                     ..PointOutcome::default()
                 })
             }
@@ -986,13 +1166,13 @@ mod tests {
         assert!(parse_fault("drop10++crash_1_2", 1, STAR4).is_err());
     }
 
-    /// Every point of every committed manifest that trains or measures a
-    /// figure parses under its own kind: `split_train`, one of
-    /// [`METHODS`] or one of [`FIGURES`].
+    /// Every point of every committed manifest that trains, measures a
+    /// figure or serves parses under its own kind: `split_train`, one of
+    /// [`METHODS`], one of [`FIGURES`] or one of [`SERVING`].
     #[test]
     fn every_committed_split_train_point_parses() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
-        let (mut split_train, mut methods, mut figures) = (0, 0, 0);
+        let (mut split_train, mut methods, mut figures, mut serving) = (0, 0, 0, 0);
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
             if !path.to_string_lossy().ends_with(".lab.toml") {
@@ -1011,6 +1191,11 @@ mod tests {
                     figures += 1;
                     continue;
                 }
+                if SERVING.contains(&point.bench.as_str()) {
+                    parse_serving_point(&point).unwrap_or_else(|e| panic!("{at}: {e}"));
+                    serving += 1;
+                    continue;
+                }
                 if point.bench != "split_train" {
                     continue;
                 }
@@ -1024,6 +1209,7 @@ mod tests {
         assert!(split_train > 0, "no split_train points under {}", dir.display());
         assert!(methods > 0, "no method points under {}", dir.display());
         assert!(figures > 0, "no figure points under {}", dir.display());
+        assert!(serving > 0, "no serving points under {}", dir.display());
     }
 
     #[test]
@@ -1186,6 +1372,14 @@ mod tests {
         // The figures run on vision workloads only.
         assert!(parse_figure_point(&point("fig5", "resnet_c100", "star4", "clean")).is_ok());
         assert!(parse_figure_point(&point("table1", "tab_iid", "star4", "clean")).is_err());
+        // The serving sweeps take their platforms from a star and run
+        // fault-free.
+        assert_eq!(
+            parse_serving_point(&point("serve", "mlp", "star3", "clean")).unwrap(),
+            (3, WireCodec::F32)
+        );
+        assert!(parse_serving_point(&point("fleet", "mlp", "hier2_2", "clean")).is_err());
+        assert!(parse_serving_point(&point("serve", "mlp", "star3", "drop10")).is_err());
     }
 
     #[test]

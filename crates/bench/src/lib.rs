@@ -13,15 +13,17 @@
 //! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/table3.lab.toml` | baseline landscape under non-IID |
 //! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/fig7.lab.toml` | activation-noise defence (accuracy vs leakage) |
 //! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/fig8.lab.toml` | analytic round time vs WAN bandwidth |
+//! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/serve.lab.toml` | serving latency, bytes per request and goodput vs offered load, per codec |
+//! | `cargo run -p medsplit-bench --release --bin lab -- run experiments/fleet.lab.toml` | fleet goodput and latency vs offered load and replica count |
 //!
-//! The lab points are [`labrun::METHODS`] and [`labrun::FIGURES`]; their
-//! committed baselines hold every number of every figure, and
-//! `tests/paper_claim.rs` gates the paper's claim on
-//! `baselines/fig4.json`.
+//! The lab points are [`labrun::METHODS`], [`labrun::FIGURES`] and
+//! [`labrun::SERVING`]; their committed baselines hold every number of
+//! every figure and sweep, and `tests/paper_claim.rs` gates the paper's
+//! claim on `baselines/fig4.json`.
 //!
 //! The `exp` binary keeps the measurement tools: `kernel_bench` (the
-//! per-kernel timing table), `serve_bench`, `fleet_bench` and
-//! `trace_report`. They write CSVs under `bench_results/` (override with
+//! per-kernel timing table) and `trace_report` (a traced run's phase
+//! breakdown). They write CSVs under `bench_results/` (override with
 //! `MEDSPLIT_RESULTS_DIR`); `exp --help` lists them. End-to-end timing
 //! is the separate `benchmark/` package. `exp` dispatches on
 //! [`bins::EXPERIMENTS`], and every tool body is a `run(args)` in

@@ -1,5 +1,5 @@
 //! Plain-text tables, schema-asserted CSV, and the shared `BENCH_*.json`
-//! envelope for the experiment binaries.
+//! envelope for the measurement tools.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -36,25 +36,9 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Renders the table as CSV (no alignment padding).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -89,10 +73,9 @@ impl fmt::Display for TextTable {
 }
 
 /// A CSV emitter with a declared schema: the header is fixed at
-/// construction and every row is asserted to match its arity, so schema
-/// drift dies in the bin that caused it rather than in a downstream
-/// parser. All bench binaries route their CSV output through this (or
-/// through [`TextTable`], which asserts the same invariant per row).
+/// construction and every line is asserted to match its arity, so schema
+/// drift dies in the tool that caused it rather than in a downstream
+/// parser. Every tool's CSV output goes through this.
 #[derive(Debug, Clone)]
 pub struct ReportWriter {
     header: String,
@@ -109,33 +92,6 @@ impl ReportWriter {
             columns,
             lines: Vec::new(),
         }
-    }
-
-    /// Builds a report from a [`TextTable`]'s header and rows.
-    pub fn from_table(table: &TextTable) -> Self {
-        let csv = table.to_csv();
-        let mut lines = csv.lines();
-        let mut out = ReportWriter::csv(lines.next().unwrap_or_default());
-        for line in lines {
-            out.line(line);
-        }
-        out
-    }
-
-    /// Appends one row of cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count does not match the header arity.
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
-        assert_eq!(
-            cells.len(),
-            self.columns,
-            "CSV row arity mismatch against header {:?}",
-            self.header
-        );
-        self.lines.push(cells.join(","));
-        self
     }
 
     /// Appends one pre-joined CSV line.
@@ -156,11 +112,6 @@ impl ReportWriter {
     /// Number of data rows.
     pub fn rows(&self) -> usize {
         self.lines.len()
-    }
-
-    /// Whether the report has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
     }
 
     /// Renders the report as CSV text.
@@ -263,16 +214,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_alignment_and_csv() {
+    fn table_alignment() {
         let mut t = TextTable::new("demo", &["name", "value"]);
+        assert!(t.is_empty());
         t.row(vec!["alpha".into(), "1".into()]);
         t.row(vec!["b".into(), "22222".into()]);
-        let text = t.to_string();
-        assert!(text.contains("== demo =="));
-        assert!(text.contains("alpha"));
-        let csv = t.to_csv();
-        assert_eq!(csv, "name,value\nalpha,1\nb,22222\n");
-        assert_eq!(t.len(), 2);
+        assert_eq!(
+            t.to_string(),
+            "== demo ==\nname   value\n------------\nalpha  1    \nb      22222\n"
+        );
         assert!(!t.is_empty());
     }
 
@@ -297,10 +247,8 @@ mod tests {
     #[test]
     fn report_writer_schema_assertion() {
         let mut w = ReportWriter::csv("a,b,c");
-        w.row(&["1".into(), "2".into(), "3".into()]);
-        w.line("4,5,6");
+        w.line("1,2,3").line("4,5,6");
         assert_eq!(w.rows(), 2);
-        assert!(!w.is_empty());
         assert_eq!(w.to_csv(), "a,b,c\n1,2,3\n4,5,6\n");
     }
 
@@ -308,14 +256,6 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn report_writer_rejects_short_row() {
         ReportWriter::csv("a,b,c").line("1,2");
-    }
-
-    #[test]
-    fn report_writer_from_table() {
-        let mut t = TextTable::new("x", &["k", "v"]);
-        t.row(vec!["a".into(), "1".into()]);
-        let w = ReportWriter::from_table(&t);
-        assert_eq!(w.to_csv(), "k,v\na,1\n");
     }
 
     #[test]

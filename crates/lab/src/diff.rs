@@ -419,23 +419,23 @@ mod tests {
         use crate::manifest::Axes;
         use crate::matrix::expand;
         let axes = Axes {
-            bench: vec!["kernel_smoke".into()],
+            bench: vec!["serve".into()],
             isa: vec!["scalar".into(), "auto".into()],
             ..Axes::default()
         };
         let points = expand(&axes);
         let gate = GateSpec {
             invariant_across: vec!["isa".into()],
-            invariant: vec!["kernel_digest".into()],
+            invariant: vec!["logits_digest".into()],
             ..GateSpec::default()
         };
         let same = BTreeMap::from([
             (
-                format!("{}/kernel_digest", points[0].key()),
+                format!("{}/logits_digest", points[0].key()),
                 MetricValue::Str("aaaa".into()),
             ),
             (
-                format!("{}/kernel_digest", points[1].key()),
+                format!("{}/logits_digest", points[1].key()),
                 MetricValue::Str("aaaa".into()),
             ),
         ]);
@@ -443,20 +443,20 @@ mod tests {
 
         let diverged = BTreeMap::from([
             (
-                format!("{}/kernel_digest", points[0].key()),
+                format!("{}/logits_digest", points[0].key()),
                 MetricValue::Str("aaaa".into()),
             ),
             (
-                format!("{}/kernel_digest", points[1].key()),
+                format!("{}/logits_digest", points[1].key()),
                 MetricValue::Str("bbbb".into()),
             ),
         ]);
         let violations = check_invariants(&points, &diverged, &gate);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("kernel_digest"));
+        assert!(violations[0].contains("logits_digest"));
 
         let missing = BTreeMap::from([(
-            format!("{}/kernel_digest", points[0].key()),
+            format!("{}/logits_digest", points[0].key()),
             MetricValue::Str("aaaa".into()),
         )]);
         assert!(!check_invariants(&points, &missing, &gate).is_empty());

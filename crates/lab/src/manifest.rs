@@ -31,7 +31,7 @@
 //! baseline = "baselines/smoke.json"
 //! exact = ["accuracy", "bytes"]  # leaf-name prefixes compared exactly
 //! invariant_across = ["isa"]     # axes results must not depend on
-//! invariant = ["kernel_digest"]  # metrics pinned across those axes
+//! invariant = ["logits_digest"]  # metrics pinned across those axes
 //!
 //! [gate.pct]
 //! wall_s = 50.0                  # percentage tolerance bands

@@ -18,7 +18,8 @@
 //!   bytes themselves are not pinned: only the round trip is.
 //!
 //! A run id moves when its manifest's content does, and only then:
-//! `bins_smoke`'s moved when it dropped a bench point, and
+//! `bins_smoke`'s moved when it dropped a bench point and again when
+//! its kernel smoke replaced the fleet smoke, and
 //! `fault_sweep` / `relay_fault_sweep` entered with the ids they were
 //! committed with, `codec_frontier` / `codec_ablation` moved when
 //! they became `split_train` points, and the five paper-figure manifests
@@ -89,12 +90,11 @@ const NAMES: [&str; 7] = [
 #[test]
 fn run_ids_of_committed_manifests() {
     let expected = [
-        ("bins_smoke", "014f74339277745c"),
+        ("bins_smoke", "9c84a7b2eabf41d5"),
         ("codec_ablation", "146c0fc643f65e07"),
         ("codec_frontier", "3ef65e05c1a1eedc"),
         ("fault_sweep", "e8ce9409df175b4c"),
         ("hierarchy_chaos", "18591cb1ab705879"),
-        ("kernels_ab", "156051201bb21b44"),
         ("relay_fault_sweep", "f58a23ff1b80ccc8"),
         ("smoke", "babeeeb670cb59b8"),
         ("fig4", "0e2417cf00264b5d"),
