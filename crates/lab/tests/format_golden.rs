@@ -23,7 +23,9 @@
 //! `fault_sweep` / `relay_fault_sweep` entered with the ids they were
 //! committed with, `codec_frontier` / `codec_ablation` moved when
 //! they became `split_train` points, and the five paper-figure manifests
-//! (`fig4`, `fig4_ci`, `table2`, `table3`, `fig6`) entered with theirs;
+//! (`fig4`, `fig4_ci`, `table2`, `table3`, `fig6`) entered with theirs,
+//! as did `table1`, `fig5`, `fig7`, `fig8`, `serve` and `fleet`, recorded
+//! later from the unchanged manifests;
 //! `smoke` / `hierarchy_chaos` moved when their thread-invariance gates
 //! gained the retry, checksum, degraded-round and link-byte counters.
 
@@ -102,6 +104,12 @@ fn run_ids_of_committed_manifests() {
         ("table2", "676ba2f783ac2e78"),
         ("table3", "daf373bdf9c3a224"),
         ("fig6", "a010893f6f239739"),
+        ("table1", "6075cb29bf2e83d7"),
+        ("fig5", "441053c2092f0f13"),
+        ("fig7", "db226c1e661b909b"),
+        ("fig8", "e4c0b557f6d1bc61"),
+        ("serve", "2b196769a8211ded"),
+        ("fleet", "1db35a55d67b0009"),
     ];
     for (file, id) in expected {
         let path = repo_root().join("experiments").join(format!("{file}.lab.toml"));
