@@ -38,8 +38,10 @@
 //! ```
 //!
 //! The parser is strict: unknown sections or keys, duplicate keys
-//! (duplicate axes), and empty axis lists are all hard errors — a
-//! manifest that parses is a manifest the runner fully understands.
+//! (duplicate axes), empty axis lists, a value listed twice on one axis
+//! and a `threads` value below 1 are all hard errors — a manifest that
+//! parses is a manifest the runner fully understands, and no two of its
+//! points share a key.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -489,24 +491,32 @@ impl Manifest {
             axes.isa = v;
         }
         if let Some(v) = take_int_list(&mut matrix, "threads")? {
-            axes.threads = v.into_iter().map(|i| i.max(1) as usize).collect();
+            if v.iter().any(|&i| i < 1) {
+                return err(0, "axis `threads` must list values of at least 1");
+            }
+            axes.threads = v.into_iter().map(|i| i as usize).collect();
         }
         if let Some(v) = take_int_list(&mut matrix, "seed")? {
             axes.seed = v.into_iter().map(|i| i as u64).collect();
         }
         reject_unknown("matrix", &matrix)?;
-        for (axis, values) in [
-            ("bench", &axes.bench),
-            ("model", &axes.model),
-            ("topology", &axes.topology),
-            ("fault", &axes.fault),
-            ("codec", &axes.codec),
-            ("isa", &axes.isa),
-        ] {
-            let mut seen = values.clone();
+        fn repeats<T: Ord>(values: &[T]) -> bool {
+            let mut seen: Vec<&T> = values.iter().collect();
             seen.sort();
             seen.dedup();
-            if seen.len() != values.len() {
+            seen.len() != values.len()
+        }
+        for (axis, repeated) in [
+            ("bench", repeats(&axes.bench)),
+            ("model", repeats(&axes.model)),
+            ("topology", repeats(&axes.topology)),
+            ("fault", repeats(&axes.fault)),
+            ("codec", repeats(&axes.codec)),
+            ("isa", repeats(&axes.isa)),
+            ("threads", repeats(&axes.threads)),
+            ("seed", repeats(&axes.seed)),
+        ] {
+            if repeated {
                 return err(0, format!("axis `{axis}` lists a duplicate value"));
             }
         }

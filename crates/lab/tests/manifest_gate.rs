@@ -65,6 +65,19 @@ fn manifest_rejects_malformed_inputs() {
             "[lab]\nname = \"x\"\n[matrix]\nbench = [\"b\", \"b\"]\n",
             "duplicate value",
         ),
+        // Two points with one key would overwrite each other's metrics.
+        (
+            "[lab]\nname = \"x\"\n[matrix]\nbench = [\"b\"]\nthreads = [1, 1]\n",
+            "duplicate value",
+        ),
+        (
+            "[lab]\nname = \"x\"\n[matrix]\nbench = [\"b\"]\nseed = [42, 42]\n",
+            "duplicate value",
+        ),
+        (
+            "[lab]\nname = \"x\"\n[matrix]\nbench = [\"b\"]\nthreads = [0, 1]\n",
+            "at least 1",
+        ),
         (
             "[lab]\nname = \"x\"\n[matrix]\nbench = [\"b\"]\nbench = [\"c\"]\n",
             "duplicate key",
