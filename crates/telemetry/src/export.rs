@@ -1,5 +1,5 @@
-//! Trace and metric exporters: JSONL dump/parse (through [`crate::json`]),
-//! a Prometheus-style text dump, and a human-readable aggregate table.
+//! Trace and metric exporters: JSONL dump/parse (through [`crate::json`])
+//! and a human-readable aggregate table.
 //!
 //! ## JSONL schema
 //!
@@ -200,46 +200,6 @@ pub fn from_jsonl(text: &str) -> Trace {
     trace
 }
 
-/// Renders the metric snapshots in a Prometheus-style text format
-/// (`name value`, histograms as `name_bucket{le="..."} count` series).
-pub fn to_prometheus(trace: &Trace) -> String {
-    let sanitize = |name: &str| name.replace(['.', '-', '/'], "_");
-    let mut out = String::new();
-    for m in &trace.metrics {
-        match m {
-            MetricSnapshot::Counter { name, value } => {
-                let n = sanitize(name);
-                let _ = writeln!(out, "# TYPE {n} counter");
-                let _ = writeln!(out, "{n} {value}");
-            }
-            MetricSnapshot::Gauge { name, value } => {
-                let n = sanitize(name);
-                let _ = writeln!(out, "# TYPE {n} gauge");
-                let _ = writeln!(out, "{n} {value}");
-            }
-            MetricSnapshot::Histogram {
-                name,
-                bounds,
-                buckets,
-                count,
-                sum,
-            } => {
-                let n = sanitize(name);
-                let _ = writeln!(out, "# TYPE {n} histogram");
-                let mut cumulative = 0u64;
-                for (bound, bucket) in bounds.iter().zip(buckets.iter()) {
-                    cumulative += bucket;
-                    let _ = writeln!(out, "{n}_bucket{{le=\"{bound}\"}} {cumulative}");
-                }
-                let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {count}");
-                let _ = writeln!(out, "{n}_sum {sum}");
-                let _ = writeln!(out, "{n}_count {count}");
-            }
-        }
-    }
-    out
-}
-
 /// Aggregate statistics for one span name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanAggregate {
@@ -412,15 +372,6 @@ mod tests {
         let table = aggregate_table(&trace.spans);
         assert!(table.contains("round"));
         assert!(table.contains("gemm"));
-    }
-
-    #[test]
-    fn prometheus_export_has_expected_series() {
-        let text = to_prometheus(&sample_trace());
-        assert!(text.contains("net_bytes_activations 4096"));
-        assert!(text.contains("# TYPE serve_batch_size histogram"));
-        assert!(text.contains("serve_batch_size_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("serve_batch_size_sum 7"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! - [`counter_add`] / [`gauge_set`] / [`histogram_observe`] — named
 //!   atomic metrics in a global registry, snapshotted via
 //!   [`snapshot_metrics`].
-//! - [`Trace`] with [`to_jsonl`] / [`from_jsonl`] / [`to_prometheus`] /
+//! - [`Trace`] with [`to_jsonl`] / [`from_jsonl`] /
 //!   [`aggregate_table`] — exporters for offline analysis
 //!   (`trace_report` in `medsplit-bench`).
 //! - [`json`] — the workspace's one JSON reader and writer, shared by the
@@ -48,8 +48,8 @@ mod metrics;
 mod span;
 
 pub use export::{
-    aggregate_spans, aggregate_table, from_jsonl, to_jsonl, to_prometheus, write_configured, write_jsonl,
-    SpanAggregate, Trace,
+    aggregate_spans, aggregate_table, from_jsonl, to_jsonl, write_configured, write_jsonl, SpanAggregate,
+    Trace,
 };
 pub use metrics::{
     counter_add, counter_add_labeled, gauge_set, gauge_set_max, histogram_observe, percentile, reset_metrics,
