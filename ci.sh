@@ -49,6 +49,19 @@ if [ -n "$record_hits" ]; then
     exit 1
 fi
 
+echo "==> unsafe, file by file: the code == the DESIGN §11 table"
+# The "now" column of the table between the unsafe-table markers in
+# DESIGN.md must equal the per-file count of lines matching the word
+# `unsafe` under crates/, file for file, so the table cannot go stale.
+unsafe_table="$(sed -n '/^<!-- unsafe-table -->$/,/^<!-- \/unsafe-table -->$/p' DESIGN.md \
+    | awk -F'|' '$2 ~ /`crates\// { gsub(/[ `]/, "", $2); gsub(/ /, "", $4); print $2 ":" $4 }' | sort)"
+unsafe_code="$(grep -rcw unsafe --include='*.rs' crates | grep -v ':0$' | sort)"
+if [ -z "$unsafe_table" ] || [ "$unsafe_table" != "$unsafe_code" ]; then
+    echo "ci.sh: DESIGN §11 unsafe table (left) differs from the code (right):" >&2
+    diff <(echo "$unsafe_table") <(echo "$unsafe_code") >&2 || true
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -97,10 +110,11 @@ cargo test -q --release --offline --test gemm_golden
 cargo test -q --release --offline --test parallel_kernels -- matmul_family packed_gemm
 
 echo "==> elementwise, int8 encoder and planned serving forward again under --release"
-# The elementwise kernels and the int8 quantiser have AVX2 bodies with
-# scalar tails, and the planned forward reads cached weight panels: a
-# tail or panel index one off is a slice panic in debug and a wrong
-# value in release. The golden digests (committed before the cross-ISA
+# The in-place elementwise kernels, absmax and the int8 quantiser have
+# hand-written AVX2 bodies with scalar tails, the other elementwise
+# kernels are portable bodies the compiler vectorises, and the planned
+# forward reads cached weight panels: a tail or panel index one off is
+# a slice panic in debug and a wrong value in release. The golden digests (committed before the cross-ISA
 # kernel and plan digests they replaced were deleted) run in both.
 cargo test -q --release --offline --test kernel_golden
 
@@ -108,9 +122,10 @@ echo "==> miri (unsafe microkernel, simd, scratch, conv and pool modules)"
 # Miri (or cargo-careful as a fallback) over the unsafe kernel modules'
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
-# cover: 85 `unsafe` occurrences under crates/ (grep -rw unsafe
-# --include=*.rs): 84 in crates/tensor, and the AVX2 checksum dispatch
-# in crates/simnet/src/message.rs, which this job does not run.
+# cover: the `unsafe` lines the DESIGN §11 table counts per file (the
+# step above keeps it current), all in crates/tensor but the AVX2
+# checksum dispatch in crates/simnet/src/message.rs, which this job does
+# not run.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \
         --lib -- microkernel:: simd:: scratch:: ops::conv:: ops::pool::

@@ -25,6 +25,9 @@
 //! platform's `L1` (`16x3x16x16->o8`), in GFLOP/s over its one GEMM. The `maxpool`
 //! rows time `maxpool2d_forward` (2×2, stride 2) at the three VGG-lite
 //! pooling shapes in `ns_per_elem`: nanoseconds per *input* element.
+//! The `elementwise` rows time the dispatched elementwise family (ReLU
+//! and leaky ReLU forward and backward, a same-shape add and `axpy`) at
+//! 16 Ki and 256 Ki floats, also in `ns_per_elem`.
 //! The `batchnorm` rows time a training-mode `BatchNorm` forward
 //! (`…/fwd`) and backward (`…/bwd`) at VGG-lite's three normalised
 //! shapes, also in `ns_per_elem`; the `dense_train` rows time one
@@ -484,6 +487,49 @@ fn bench_maxpool(n: usize, c: usize, hw: usize, reps: usize, rows: &mut Vec<Row>
     });
 }
 
+/// The dispatched elementwise family on `len` floats at one thread, in
+/// `ns_per_elem`: `relu`, `relu_backward`, `leaky_relu`,
+/// `leaky_relu_backward`, a same-shape `try_add` and an in-place `axpy`.
+/// One timed step repeats the call over about 4 Mi elements, so a step
+/// lasts a millisecond or more at every length.
+fn bench_elementwise(len: usize, reps: usize, rows: &mut Vec<Row>) {
+    let mut rng = rng_from_seed(59);
+    let x = Tensor::rand_uniform([len], -1.0, 1.0, &mut rng);
+    let g = Tensor::rand_uniform([len], -1.0, 1.0, &mut rng);
+    let acc = Mutex::new(Tensor::rand_uniform([len], -1.0, 1.0, &mut rng));
+    let calls = (1usize << 22).div_ceil(len);
+    let ops: [(&str, &(dyn Fn() + Sync)); 6] = [
+        ("relu", &|| {
+            std::hint::black_box(x.relu());
+        }),
+        ("relu_bwd", &|| {
+            std::hint::black_box(x.relu_backward(&g).expect("relu_backward"));
+        }),
+        ("leaky", &|| {
+            std::hint::black_box(x.leaky_relu(0.01));
+        }),
+        ("leaky_bwd", &|| {
+            std::hint::black_box(x.leaky_relu_backward(0.01, &g).expect("leaky_relu_backward"));
+        }),
+        ("add", &|| {
+            std::hint::black_box(x.try_add(&g).expect("add"));
+        }),
+        ("axpy", &|| {
+            acc.lock().expect("axpy lock").axpy(1e-3, &x).expect("axpy");
+        }),
+    ];
+    pool::set_num_threads(1);
+    for (name, op) in ops {
+        let (best_s, allocs, _) = time_best(reps, || (0..calls).for_each(|_| op()));
+        rows.push(Row {
+            best_ms: best_s * 1e3,
+            scratch_allocs_per_step: allocs,
+            ns_per_elem: best_s * 1e9 / (calls * len) as f64,
+            ..Row::blank("elementwise", format!("{name}/{len}"), 1, reps)
+        });
+    }
+}
+
 /// A training-mode `BatchNorm` on `n×c×hw×hw`: one row for the forward
 /// (statistics, running-stat update, normalise) and one for the backward
 /// (parameter gradients and the input gradient), in `ns_per_elem`.
@@ -886,6 +932,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_conv_train(5, 3, 8, 4, reps, &mut rows);
         bench_conv_params(5, 3, 8, 4, reps, &mut rows);
         bench_maxpool(2, 3, 8, reps, &mut rows);
+        bench_elementwise(1000, reps, &mut rows);
         bench_batchnorm(2, 3, 8, reps, &mut rows);
         bench_dense_train(4, 8, 16, reps, &mut rows);
         bench_encode_i8(4, 40, reps, &mut rows);
@@ -917,6 +964,10 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         bench_maxpool(64, 8, 16, reps, &mut rows);
         bench_maxpool(64, 16, 8, reps, &mut rows);
         bench_maxpool(64, 32, 4, reps, &mut rows);
+        // The elementwise family at a cache-resident and a memory-bound
+        // length.
+        bench_elementwise(16 * 1024, reps, &mut rows);
+        bench_elementwise(256 * 1024, reps, &mut rows);
         // VGG-lite's three batch norms (one per platform, two on the
         // server) and the dense layers of the MLP platform and of the
         // VGG-lite head.

@@ -2,14 +2,14 @@
 //!
 //! The packed GEMM in [`super::matmul`] bottoms out here: a fixed
 //! [`MR`]×[`NR`] tile of the output is held in registers while a whole
-//! `k`-panel of packed A and B streams through it. Three implementations
-//! share one contract ([`TileKernel`]) and one packed-data layout, and
-//! [`tile_kernel`] picks between them from [`crate::simd::active_isa`]:
+//! `k`-panel of packed A and B streams through it. Two bodies share one
+//! contract ([`TileKernel`]) and one packed-data layout, and
+//! [`tile_kernel`] picks a compilation from [`crate::simd::active_isa`]:
 //!
-//! - **AVX2+FMA** — 12 `ymm` accumulators (6 rows × 2 × 8 lanes),
-//!   `vfmadd231ps` per element, aligned loads of the B panel;
-//! - **NEON** — 24 `q` accumulators (6 rows × 4 × 4 lanes), `fmla`;
-//! - **portable** — the same loop with [`f32::mul_add`] per element.
+//! - **portable** — a 6×16 array of accumulators and [`f32::mul_add`]
+//!   per element, run as written under `Isa::Scalar` and compiled again
+//!   for AVX2+FMA (12 `ymm` accumulators, `vfmadd` per element);
+//! - **NEON** — 24 `q` accumulators (6 rows × 4 × 4 lanes), `fmla`.
 //!
 //! # Layout
 //!
@@ -26,7 +26,7 @@
 //!
 //! # Bit-identity
 //!
-//! All three kernels compute, for every output element independently,
+//! Every kernel computes, for every output element independently,
 //! `c += a*b` fused (single rounding) at each depth step, in ascending
 //! `p`. An FMA vector lane and [`f32::mul_add`] are both IEEE 754
 //! `fusedMultiplyAdd`, so the results are **bit-identical** across ISAs —
@@ -52,9 +52,6 @@ pub(crate) const NR: usize = 16;
 /// - `c` must be valid for reads and writes of an `MR×NR` tile with row
 ///   stride `ldc` (i.e. `(MR-1)*ldc + NR` elements) and must not alias
 ///   `a` or `b`;
-/// - for the AVX2 kernel, `b` must be 32-byte aligned (the packing
-///   buffers come from the 64-byte-aligned scratch arena, and `NR` floats
-///   are a whole cache line, so every `p*NR` offset stays aligned);
 /// - the corresponding instruction set must be available (guaranteed by
 ///   obtaining the pointer through [`tile_kernel`]).
 pub(crate) type TileKernel =
@@ -72,12 +69,14 @@ pub(crate) fn tile_kernel() -> TileKernel {
     }
 }
 
-/// Portable reference kernel: identical per-element operation order to
-/// the vector kernels, fused via [`f32::mul_add`].
+/// Portable reference kernel, fused via [`f32::mul_add`]: the body of the
+/// AVX2 kernel too, and identical per-element operation order to the
+/// NEON one.
 ///
 /// # Safety
 ///
-/// See [`TileKernel`] (no alignment requirement).
+/// See [`TileKernel`].
+#[inline(always)]
 unsafe fn tile_portable(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
     // Accumulate in locals (the register tile), exactly like the vector
     // kernels: load C once, stream the panels, store C once.
@@ -121,40 +120,17 @@ unsafe fn tile_avx2_entry(k: usize, a: *const f32, lda: usize, b: *const f32, c:
     unsafe { tile_avx2(k, a, lda, b, c, ldc) }
 }
 
-/// The AVX2+FMA tile kernel: 6×16 output tile in 12 `ymm` accumulators.
+/// [`tile_portable`] compiled for AVX2+FMA, where the 6×16 register
+/// tile becomes 12 `ymm` accumulators and each `mul_add` a `vfmadd`.
 ///
 /// # Safety
 ///
-/// See [`TileKernel`]; requires AVX2+FMA and 32-byte-aligned `b`.
+/// See [`TileKernel`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn tile_avx2(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
-    use std::arch::x86_64::*;
-    // SAFETY throughout: pointer arithmetic stays inside the bounds the
-    // `TileKernel` contract guarantees.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for (ir, row) in acc.iter_mut().enumerate() {
-            row[0] = _mm256_loadu_ps(c.add(ir * ldc));
-            row[1] = _mm256_loadu_ps(c.add(ir * ldc + 8));
-        }
-        for p in 0..k {
-            // B panel rows are NR = 16 floats = one 64-byte line; with the
-            // 64-byte-aligned pack buffer every offset is 32-byte aligned.
-            let b0 = _mm256_load_ps(b.add(p * NR));
-            let b1 = _mm256_load_ps(b.add(p * NR + 8));
-            let ap = a.add(p * lda);
-            for (ir, row) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*ap.add(ir));
-                row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-                row[1] = _mm256_fmadd_ps(av, b1, row[1]);
-            }
-        }
-        for (ir, row) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c.add(ir * ldc), row[0]);
-            _mm256_storeu_ps(c.add(ir * ldc + 8), row[1]);
-        }
-    }
+    // SAFETY: forwarded contract.
+    unsafe { tile_portable(k, a, lda, b, c, ldc) }
 }
 
 /// Plain-ABI entry for the NEON kernel (see [`tile_avx2_entry`]).

@@ -112,8 +112,8 @@ pub fn stats() -> PlanStats {
 /// A 64-byte-aligned, fixed-size `f32` store for packed panels.
 ///
 /// Written once during packing, then shared read-only across pool
-/// threads (the AVX2 microkernel requires the aligned B loads this
-/// alignment guarantees).
+/// threads (the alignment puts each 16-float B-panel row the GEMM tile
+/// loads on one cache line).
 struct AlignedVec {
     ptr: NonNull<f32>,
     len: usize,

@@ -13,9 +13,9 @@
 //! at its first task: a buffer that has to grow grows to the largest
 //! size any thread has asked for so far, not just to the size at hand.
 //!
-//! Buffers are **64-byte aligned** (cache line, and comfortably above the
-//! 32-byte AVX2 requirement) so the SIMD microkernels can use aligned
-//! vector loads on packed panels. The arena is a LIFO stack of buffers
+//! Buffers are **64-byte aligned** (a cache line), so each 16-float row
+//! of a packed panel sits on one line and no vector load of a kernel
+//! splits two. The arena is a LIFO stack of buffers
 //! per thread. Nested acquisitions (a conv task holding its column buffer
 //! while the inner GEMM grabs a pack buffer) release in reverse order, so
 //! each nesting level keeps hitting the same cached buffer and sizes

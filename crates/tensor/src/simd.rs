@@ -1,12 +1,23 @@
 //! Runtime ISA detection and dispatch for the SIMD compute kernels.
 //!
-//! The hot kernels (the GEMM microkernel in [`crate::ops::microkernel`]
-//! and the elementwise maps below) exist in up to three implementations:
-//! AVX2+FMA (`x86_64`), NEON (`aarch64`), and a portable fallback. The
-//! active one is picked **once** per process from CPU feature detection,
-//! overridable with `MEDSPLIT_ISA=scalar|avx2|neon` for A/B testing, and
-//! switchable at runtime via [`set_isa`] (benchmarks and tests use this;
-//! it is process-global like [`crate::pool::set_num_threads`]).
+//! A hot kernel has up to three bodies: a portable one, which defines
+//! its bits, an AVX2 one (`x86_64`) and a NEON one (`aarch64`). Where the
+//! portable body compiled for AVX2 is as fast as a hand-written one, it
+//! *is* the AVX2 body: the same safe code compiled a second time inside a
+//! `#[target_feature(enable = "avx2")]` (or `"avx2,fma"`) function, which
+//! the compiler vectorises, behind one dispatching call. That
+//! holds for the out-of-place maps below (the binary ops and the ReLU
+//! family) and the GEMM tile in [`crate::ops::microkernel`]. Hand-written
+//! AVX2 bodies stay where the recompiled twin measured slower (the
+//! in-place `axpy` / `add_assign` / `scale`, `absmax`, the direct conv
+//! tiles and the 2×2 max-pool), where the vector form computes
+//! differently (the int8 quantiser) and where the portable form is a
+//! different algorithm (the transposing pack); the NEON tile stays too.
+//! The active ISA is picked **once** per process from CPU feature
+//! detection, overridable with `MEDSPLIT_ISA=scalar|avx2|neon` for A/B
+//! testing, and switchable at runtime via [`set_isa`] (benchmarks and
+//! tests use this; it is process-global like
+//! [`crate::pool::set_num_threads`]).
 //!
 //! # Bit-identical results across ISAs
 //!
@@ -15,28 +26,30 @@
 //! only changes how many independent elements advance per instruction,
 //! never the per-element rounding sequence. Concretely:
 //!
-//! - the GEMM microkernels accumulate each output element over `k` in
-//!   ascending order with a **fused** multiply-add per step — hardware
-//!   `vfmadd`/`fmla` lanes on AVX2/NEON, [`f32::mul_add`] (exactly
-//!   rounded by IEEE 754 definition) in the portable kernel;
-//! - the elementwise kernels use the identical unfused expression per
-//!   lane (`a + b`, `y += alpha * x`, compare-and-select ReLU);
+//! - the GEMM and conv tiles accumulate each output element over `k` in
+//!   ascending order with a **fused** multiply-add per step —
+//!   `vfmadd`/`fmla` lanes, or [`f32::mul_add`] (exactly rounded by IEEE
+//!   754 definition, and compiled to `vfmadd` lanes where FMA is
+//!   enabled);
+//! - the elementwise kernels use one unfused expression per element
+//!   (`a + b`, `y += alpha * x`, compare-and-select ReLU) on every ISA;
+//!   Rust never contracts the portable one into a fused operation;
 //! - the int8 wire codec's `absmax` is an integer max, exact in any
 //!   order; its quantiser is the one exception to "same operations": the
 //!   AVX2 body replaces the reference's f64 division with an f32
 //!   reciprocal plus two exact fused sign tests, and is equal to the
 //!   reference by the argument on `avx2::quantize_i8` (and by test).
 //!
-//! The elementwise and int8 kernels have AVX2 bodies only; `aarch64`
-//! runs their portable code.
+//! The elementwise and int8 kernels have no NEON bodies; `aarch64` runs
+//! their portable code.
 //!
 //! `MEDSPLIT_ISA=scalar` therefore reproduces the SIMD results **to the
-//! bit** (pinned by `tests/parallel_kernels.rs` and a CI digest A/B),
-//! and results are reproducible across hosts. The price: the portable
-//! GEMM kernel's `mul_add` compiles to a libm call on targets without a
-//! compile-time FMA guarantee, so the scalar path is a slow *reference*
-//! implementation, not a fast fallback — dispatch exists precisely so
-//! real hosts never run it.
+//! bit** (pinned by the `tests/*_golden.rs` files at scalar and auto
+//! ISA), and results are reproducible across hosts. The price: the
+//! portable tiles' `mul_add` compiles to a libm call on targets without
+//! a compile-time FMA guarantee, so the scalar path is a slow
+//! *reference* implementation, not a fast fallback — dispatch exists
+//! precisely so real hosts never run it.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -206,39 +219,61 @@ impl BinOp {
     }
 }
 
-/// `out[i] = a[i] op b[i]`. All slices must have equal length.
-pub(crate) fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::binary(op, a, b, out) };
-        return;
-    }
-    binary_portable(op, a, b, out);
+/// Defines a dispatched kernel from its one portable body. The body runs
+/// as written under `Isa::Scalar`; on AVX2 the same body runs compiled a
+/// second time with AVX2 enabled, where the compiler vectorises it eight
+/// lanes wide. Vectorising changes how many elements advance per
+/// instruction, never the operations on one element, so both give the
+/// same bits.
+macro_rules! kernel {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {
+        $(#[$doc])*
+        pub(crate) fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[inline(always)]
+            fn portable($($arg: $ty),*) $(-> $ret)? $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) $(-> $ret)? {
+                portable($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            if active_isa() == Isa::Avx2 {
+                // SAFETY: the active ISA is only ever one this host
+                // supports, so AVX2 is available.
+                return unsafe { avx2($($arg),*) };
+            }
+            portable($($arg),*)
+        }
+    };
 }
 
-fn binary_portable(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-    match op {
-        BinOp::Add => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = x + y;
+kernel! {
+    /// `out[i] = a[i] op b[i]`. All slices must have equal length.
+    fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(a.len(), b.len());
+        debug_assert_eq!(a.len(), out.len());
+        match op {
+            BinOp::Add => {
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    *o = x + y;
+                }
             }
-        }
-        BinOp::Sub => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = x - y;
+            BinOp::Sub => {
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    *o = x - y;
+                }
             }
-        }
-        BinOp::Mul => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = x * y;
+            BinOp::Mul => {
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    *o = x * y;
+                }
             }
-        }
-        BinOp::Div => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = x / y;
+            BinOp::Div => {
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    *o = x / y;
+                }
             }
         }
     }
@@ -287,67 +322,51 @@ pub(crate) fn scale(dst: &mut [f32], s: f32) {
     }
 }
 
-/// `out[i] = if src[i] > 0 { src[i] } else { 0.0 }`.
-///
-/// Select-by-comparison rather than `max`: it maps `-0.0` and NaN inputs
-/// to `+0.0` identically on every ISA (vector `max` NaN/zero semantics
-/// differ between instruction sets).
-pub(crate) fn relu(src: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(src.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::relu(src, out) };
-        return;
-    }
-    for (o, &x) in out.iter_mut().zip(src) {
-        *o = if x > 0.0 { x } else { 0.0 };
+kernel! {
+    /// `out[i] = if src[i] > 0 { src[i] } else { 0.0 }`.
+    ///
+    /// Select-by-comparison rather than `max`: it maps `-0.0` and NaN
+    /// inputs to `+0.0` identically on every ISA (vector `max` NaN/zero
+    /// semantics differ between instruction sets).
+    fn relu(src: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(src.len(), out.len());
+        for (o, &x) in out.iter_mut().zip(src) {
+            *o = if x > 0.0 { x } else { 0.0 };
+        }
     }
 }
 
-/// ReLU backward: `out[i] = if y[i] > 0 { g[i] } else { 0.0 }`, where `y`
-/// is the cached forward *output*.
-pub(crate) fn relu_grad(y: &[f32], g: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(y.len(), g.len());
-    debug_assert_eq!(y.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::relu_grad(y, g, out) };
-        return;
-    }
-    for ((o, &yv), &gv) in out.iter_mut().zip(y).zip(g) {
-        *o = if yv > 0.0 { gv } else { 0.0 };
+kernel! {
+    /// ReLU backward: `out[i] = if y[i] > 0 { g[i] } else { 0.0 }`, where
+    /// `y` is the cached forward *output*.
+    fn relu_grad(y: &[f32], g: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(y.len(), g.len());
+        debug_assert_eq!(y.len(), out.len());
+        for ((o, &yv), &gv) in out.iter_mut().zip(y).zip(g) {
+            *o = if yv > 0.0 { gv } else { 0.0 };
+        }
     }
 }
 
-/// Leaky ReLU: `out[i] = if src[i] > 0 { src[i] } else { alpha * src[i] }`.
-pub(crate) fn leaky_relu(alpha: f32, src: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(src.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::leaky_relu(alpha, src, out) };
-        return;
-    }
-    for (o, &x) in out.iter_mut().zip(src) {
-        *o = if x > 0.0 { x } else { alpha * x };
+kernel! {
+    /// Leaky ReLU: `out[i] = if src[i] > 0 { src[i] } else { alpha * src[i] }`.
+    fn leaky_relu(alpha: f32, src: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(src.len(), out.len());
+        for (o, &x) in out.iter_mut().zip(src) {
+            *o = if x > 0.0 { x } else { alpha * x };
+        }
     }
 }
 
-/// Leaky ReLU backward against the cached forward *input* `x`:
-/// `out[i] = if x[i] > 0 { g[i] } else { alpha * g[i] }`.
-pub(crate) fn leaky_relu_grad(alpha: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), g.len());
-    debug_assert_eq!(x.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::leaky_relu_grad(alpha, x, g, out) };
-        return;
-    }
-    for ((o, &xv), &gv) in out.iter_mut().zip(x).zip(g) {
-        *o = if xv > 0.0 { gv } else { alpha * gv };
+kernel! {
+    /// Leaky ReLU backward against the cached forward *input* `x`:
+    /// `out[i] = if x[i] > 0 { g[i] } else { alpha * g[i] }`.
+    fn leaky_relu_grad(alpha: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(x.len(), g.len());
+        debug_assert_eq!(x.len(), out.len());
+        for ((o, &xv), &gv) in out.iter_mut().zip(x).zip(g) {
+            *o = if xv > 0.0 { gv } else { alpha * gv };
+        }
     }
 }
 
@@ -420,36 +439,17 @@ fn quantize_one(v: f32, scale: f32) -> i8 {
     (if q < 0.0 { -rounded } else { rounded }) as i8
 }
 
-/// AVX2 elementwise kernels. Each mirrors its portable counterpart
-/// lane-for-lane: identical operations, identical rounding, so results
-/// are bit-identical — the vector just advances 8 elements at a time.
-/// The int8 quantiser is the exception: different operations, proved to
-/// give the same bytes (see `quantize_i8`).
+/// The hand-written AVX2 bodies. The in-place accumulators and `absmax`
+/// mirror their portable counterparts lane for lane — identical
+/// operations, identical rounding, so results are bit-identical — and stay
+/// because the portable bodies compiled for AVX2 measured slower. The
+/// int8 quantiser uses different operations, proved to give the same
+/// bytes (see `quantize_i8`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::BinOp;
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let x = _mm256_loadu_ps(a.as_ptr().add(i));
-            let y = _mm256_loadu_ps(b.as_ptr().add(i));
-            let r = match op {
-                BinOp::Add => _mm256_add_ps(x, y),
-                BinOp::Sub => _mm256_sub_ps(x, y),
-                BinOp::Mul => _mm256_mul_ps(x, y),
-                BinOp::Div => _mm256_div_ps(x, y),
-            };
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), r);
-            i += LANES;
-        }
-        super::binary_portable(op, &a[i..], &b[i..], &mut out[i..]);
-    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
@@ -496,78 +496,6 @@ mod avx2 {
         }
         for d in dst[i..].iter_mut() {
             *d *= s;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn relu(src: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + LANES <= n {
-            let x = _mm256_loadu_ps(src.as_ptr().add(i));
-            // x > 0 ? x : 0 — the mask is all-ones/all-zeros per lane, so
-            // AND implements the select (NaN compares false -> 0).
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(x, zero);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_and_ps(x, mask));
-            i += LANES;
-        }
-        for (o, &x) in out[i..].iter_mut().zip(&src[i..]) {
-            *o = if x > 0.0 { x } else { 0.0 };
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn relu_grad(y: &[f32], g: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + LANES <= n {
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(yv, zero);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_and_ps(gv, mask));
-            i += LANES;
-        }
-        for ((o, &yv), &gv) in out[i..].iter_mut().zip(&y[i..]).zip(&g[i..]) {
-            *o = if yv > 0.0 { gv } else { 0.0 };
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn leaky_relu(alpha: f32, src: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let zero = _mm256_setzero_ps();
-        let va = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            let x = _mm256_loadu_ps(src.as_ptr().add(i));
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(x, zero);
-            let neg = _mm256_mul_ps(va, x);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_blendv_ps(neg, x, mask));
-            i += LANES;
-        }
-        for (o, &x) in out[i..].iter_mut().zip(&src[i..]) {
-            *o = if x > 0.0 { x } else { alpha * x };
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn leaky_relu_grad(alpha: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let zero = _mm256_setzero_ps();
-        let va = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(xv, zero);
-            let neg = _mm256_mul_ps(va, gv);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_blendv_ps(neg, gv, mask));
-            i += LANES;
-        }
-        for ((o, &xv), &gv) in out[i..].iter_mut().zip(&x[i..]).zip(&g[i..]) {
-            *o = if xv > 0.0 { gv } else { alpha * gv };
         }
     }
 

@@ -7,7 +7,10 @@
 //! decoder makes. The bound is linear in the input: four bytes of `f32`
 //! per payload byte is the most a legitimate int8 tensor frame needs, and
 //! `SLACK` covers error strings, the dims vector and the first growth of
-//! an envelope vector.
+//! an envelope vector. The two text readers — the JSON reader behind
+//! traces, run directories and baselines, and the lab's manifest reader —
+//! get the same bound on arbitrary text, and neither lets nesting depth
+//! reach the stack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +23,9 @@ use medsplit::serve::{
     encode_routed_request, InferStatus, RoutedRequest,
 };
 use medsplit::simnet::{Envelope, MessageKind, NodeId, FRAME_HEADER_LEN};
+use medsplit::telemetry::json;
 use medsplit::tensor::Tensor;
+use medsplit_lab::Manifest;
 use proptest::prelude::*;
 
 const SLACK: usize = 4096;
@@ -198,7 +203,38 @@ fn valid_frames() -> Vec<Vec<u8>> {
     ]
 }
 
+/// Both text readers on `raw` read as lossy UTF-8, each under the bound.
+/// The bound is for arbitrary text: a long crafted list (`[0,0,…]`)
+/// costs either tree reader 8–26 bytes per input byte, one list slot per
+/// element.
+fn read_text(raw: &[u8]) -> Result<(), String> {
+    let text = String::from_utf8_lossy(raw);
+    let bound = 4 * text.len() + SLACK;
+    let (_, largest) = largest_allocation(|| json::parse(&text));
+    if largest > bound {
+        return Err(format!(
+            "json::parse asked for {largest} bytes on {} bytes",
+            text.len()
+        ));
+    }
+    let (_, largest) = largest_allocation(|| Manifest::parse(&text));
+    if largest > bound {
+        return Err(format!(
+            "Manifest::parse asked for {largest} bytes on {} bytes",
+            text.len()
+        ));
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn random_text_is_read_within_the_bound(raw in prop::collection::vec(0u8..=255, 0..400)) {
+        if let Err(why) = read_text(&raw) {
+            prop_assert!(false, "{why}");
+        }
+    }
+
     #[test]
     fn random_buffers_are_decoded_within_the_bound(raw in prop::collection::vec(0u8..=255, 0..200)) {
         if let Err(why) = decode_everything(&raw) {
@@ -284,4 +320,21 @@ fn known_hostile_headers_are_refused_cheaply() {
             }
         }
     }
+}
+
+/// A megabyte of open brackets is a typed error from both text readers,
+/// read on a thread whose stack a recursion per level would overflow.
+#[test]
+fn nesting_depth_cannot_reach_the_stack() {
+    let deep = "[".repeat(1 << 20);
+    let manifest = format!("[lab]\nname = \"x\"\n[matrix]\nbench = {deep}\n");
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            assert!(json::parse(&deep).is_err());
+            assert!(Manifest::parse(&manifest).is_err());
+        })
+        .expect("spawn a small-stack reader")
+        .join()
+        .expect("both readers return on deep nesting");
 }
