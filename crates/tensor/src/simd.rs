@@ -5,14 +5,14 @@
 //! portable body compiled for AVX2 is as fast as a hand-written one, it
 //! *is* the AVX2 body: the same safe code compiled a second time inside a
 //! `#[target_feature(enable = "avx2")]` (or `"avx2,fma"`) function, which
-//! the compiler vectorises, behind one dispatching call. That
-//! holds for the out-of-place maps below (the binary ops and the ReLU
-//! family) and the GEMM tile in [`crate::ops::microkernel`]. Hand-written
-//! AVX2 bodies stay where the recompiled twin measured slower (the
-//! in-place `axpy` / `add_assign` / `scale`, `absmax`, the direct conv
-//! tiles and the 2×2 max-pool), where the vector form computes
-//! differently (the int8 quantiser) and where the portable form is a
-//! different algorithm (the transposing pack); the NEON tile stays too.
+//! the compiler vectorises, behind one dispatching call. That holds
+//! for the binary ops, the ReLU family and `scale` below and for the
+//! GEMM tile in [`crate::ops::microkernel`]. Hand-written AVX2 bodies
+//! stay where the recompiled twin measured slower (`axpy`,
+//! `add_assign`, `absmax`, the direct conv tiles and the 2×2 max-pool),
+//! where the vector form computes differently (the int8 quantiser) and
+//! where the portable form is a different algorithm (the transposing
+//! pack); the NEON tile stays too.
 //! The active ISA is picked **once** per process from CPU feature
 //! detection, overridable with `MEDSPLIT_ISA=scalar|avx2|neon` for A/B
 //! testing, and switchable at runtime via [`set_isa`] (benchmarks and
@@ -309,16 +309,12 @@ pub(crate) fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// `dst[i] *= s`.
-pub(crate) fn scale(dst: &mut [f32], s: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::scale(dst, s) };
-        return;
-    }
-    for d in dst.iter_mut() {
-        *d *= s;
+kernel! {
+    /// `dst[i] *= s`.
+    fn scale(dst: &mut [f32], s: f32) {
+        for d in dst.iter_mut() {
+            *d *= s;
+        }
     }
 }
 
@@ -439,7 +435,7 @@ fn quantize_one(v: f32, scale: f32) -> i8 {
     (if q < 0.0 { -rounded } else { rounded }) as i8
 }
 
-/// The hand-written AVX2 bodies. The in-place accumulators and `absmax`
+/// The hand-written AVX2 bodies. The two accumulators and `absmax`
 /// mirror their portable counterparts lane for lane — identical
 /// operations, identical rounding, so results are bit-identical — and stay
 /// because the portable bodies compiled for AVX2 measured slower. The
@@ -481,21 +477,6 @@ mod avx2 {
         }
         for (d, &s) in dst[i..].iter_mut().zip(&src[i..]) {
             *d += s;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale(dst: &mut [f32], s: f32) {
-        let n = dst.len();
-        let vs = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i + LANES <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(d, vs));
-            i += LANES;
-        }
-        for d in dst[i..].iter_mut() {
-            *d *= s;
         }
     }
 
