@@ -45,7 +45,11 @@
 //!
 //! `MEDSPLIT_ISA=scalar` therefore reproduces the SIMD results **to the
 //! bit** (pinned by the `tests/*_golden.rs` files at scalar and auto
-//! ISA), and results are reproducible across hosts. The price: the
+//! ISA), and results are reproducible across hosts. The one exception is
+//! a NaN result with two NaN inputs (two NaN operands, or a NaN factor
+//! times a NaN element): which payload survives is the compilation's
+//! choice of operand order, and the scalar one differs for `+`, `*`,
+//! `scale` and `axpy`. The price: the
 //! portable tiles' `mul_add` compiles to a libm call on targets without
 //! a compile-time FMA guarantee, so the scalar path is a slow
 //! *reference* implementation, not a fast fallback — dispatch exists
