@@ -24,7 +24,8 @@ use medsplit::serve::{serve_threaded, ClientRecord, InferStatus, ServeConfig, Se
 use medsplit::simnet::{
     FaultPlan, LinkFaults, LinkSpec, MemoryTransport, NodeId, StarTopology, StatsSnapshot,
 };
-use medsplit::tensor::Tensor;
+use medsplit::tensor::{pool, Tensor};
+use std::sync::Mutex;
 
 const FEATURES: usize = 8;
 const CLASSES: usize = 3;
@@ -198,11 +199,11 @@ fn fleet_golden(o: &FleetOutcome) -> Golden {
     }
 }
 
-/// `PLATFORMS` platforms (identical `L1`, private shards) and the server.
-fn actors(seed: u64) -> (Vec<Platform>, SplitServer) {
+/// `count` platforms (identical `L1`, private shards) and the server.
+fn actors(seed: u64, count: usize) -> (Vec<Platform>, SplitServer) {
     let arch = Architecture::Mlp(MlpConfig::small(FEATURES, CLASSES));
-    let model = build_split(&arch, SplitPoint::Default, seed, PLATFORMS).unwrap();
-    let mut platforms = Vec::with_capacity(PLATFORMS);
+    let model = build_split(&arch, SplitPoint::Default, seed, count).unwrap();
+    let mut platforms = Vec::with_capacity(count);
     for (id, client) in model.clients.into_iter().enumerate() {
         let data = SyntheticTabular::new(CLASSES, FEATURES, seed ^ id as u64)
             .generate(16)
@@ -212,20 +213,32 @@ fn actors(seed: u64) -> (Vec<Platform>, SplitServer) {
     (platforms, SplitServer::new(model.server, 0.0))
 }
 
-/// One `serve_threaded` run: `per_platform` single-row queries from each
-/// of the three platforms.
-fn serve_once(cfg: &ServeConfig, topology: &StarTopology, per_platform: usize) -> ServeOutcome {
-    let (platforms, server) = actors(11);
-    let queries: Vec<Vec<Tensor>> = (0..PLATFORMS)
+/// `per_platform` single-row queries for each of `count` platforms.
+fn queries(count: usize, per_platform: usize) -> Vec<Vec<Tensor>> {
+    (0..count)
         .map(|p| {
             let mut rng = medsplit::tensor::init::rng_from_seed(100 + p as u64);
             (0..per_platform)
                 .map(|_| Tensor::rand_uniform([1, FEATURES], -1.0, 1.0, &mut rng))
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+/// One `serve_threaded` run: `per_platform` single-row queries from each
+/// of the three platforms.
+fn serve_once(cfg: &ServeConfig, topology: &StarTopology, per_platform: usize) -> ServeOutcome {
+    let (platforms, server) = actors(11, PLATFORMS);
     let transport = MemoryTransport::new(topology.clone());
-    serve_threaded(platforms, server, queries, topology, cfg, &transport).unwrap()
+    serve_threaded(
+        platforms,
+        server,
+        queries(PLATFORMS, per_platform),
+        topology,
+        cfg,
+        &transport,
+    )
+    .unwrap()
 }
 
 /// Runs the scenario twice, requires the two runs to agree, and returns
@@ -283,20 +296,81 @@ fn serve_overload_rejects() {
 /// The size rule under the same load: `queue_capacity == max_batch`
 /// flushes every fourth arrival and the busy clock runs ahead of the
 /// arrivals.
-#[test]
-fn serve_overload_size_flushes() {
-    let cfg = ServeConfig {
+fn size_flush_cfg() -> ServeConfig {
+    ServeConfig {
         offered_rps: 2_000.0,
         queue_capacity: 4,
         max_batch: 4,
         ..ServeConfig::default()
-    };
-    let (got, out) = serve_case(&cfg, &star(), 20);
+    }
+}
+
+const SIZE_FLUSH_GOLDEN: Golden = Golden {
+    records: 0xdb2f_9cec_e65d_d051,
+    report: 0x2587_5c9a_3818_e681,
+    stats: 0xb536_b6a2_9fb3_ab77,
+    fleet: 0,
+};
+
+#[test]
+fn serve_overload_size_flushes() {
+    let (got, out) = serve_case(&size_flush_cfg(), &star(), 20);
     assert_eq!(out.report.completed, 60);
+    assert_eq!(got, SIZE_FLUSH_GOLDEN);
+}
+
+/// Serialises the tests that change the process-global pool size.
+static POOL_LOCK: Mutex<()> = Mutex::new(());
+
+/// The size-flush session at one and at two pool threads: 20 queries per
+/// platform and 15 batches, so with two threads its inferences can run
+/// side by side. Who computes what must not show in any digest.
+#[test]
+fn serve_pool_sizes_agree() {
+    let _guard = POOL_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let prior = pool::num_threads();
+    let got: Vec<Golden> = [1, 2]
+        .iter()
+        .map(|&threads| {
+            pool::set_num_threads(threads);
+            serve_golden(&serve_once(&size_flush_cfg(), &star(), 20))
+        })
+        .collect();
+    pool::set_num_threads(prior);
+    assert_eq!(got[0], got[1], "one and two pool threads disagree");
+    assert_eq!(got[0], SIZE_FLUSH_GOLDEN);
+}
+
+/// Two platforms whose `L1` activations carry Gaussian noise, drawn from
+/// each platform's inference stream in submission order, 20 queries each.
+#[test]
+fn serve_noised_activations() {
+    let run = |std: f32| {
+        let (mut platforms, server) = actors(11, 2);
+        for p in &mut platforms {
+            p.set_activation_noise(std);
+        }
+        let topology = StarTopology::new(2);
+        let transport = MemoryTransport::new(topology.clone());
+        let cfg = ServeConfig::default();
+        serve_threaded(platforms, server, queries(2, 20), &topology, &cfg, &transport).unwrap()
+    };
+    let first = serve_golden(&run(0.25));
+    let out = run(0.25);
+    let got = serve_golden(&out);
+    assert_eq!(first, got, "two runs of one scenario disagree");
+    assert_eq!(out.report.completed, 40);
+    assert_ne!(
+        got.records,
+        serve_golden(&run(0.0)).records,
+        "the noise must reach the logits"
+    );
     let want = Golden {
-        records: 0xdb2f_9cec_e65d_d051,
-        report: 0x2587_5c9a_3818_e681,
-        stats: 0xb536_b6a2_9fb3_ab77,
+        records: 0x7657_0665_5665_3bfb,
+        report: 0xaca7_e618_c652_4781,
+        stats: 0x9bfd_f653_7956_25e9,
         fleet: 0,
     };
     assert_eq!(got, want);
