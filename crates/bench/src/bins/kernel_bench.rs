@@ -73,6 +73,9 @@
 //!     wrapped in the shared schema-v2 envelope (host fingerprint, lab
 //!     run id), with the dispatched ISA.
 //!
+//! Both write `best_ms` to the nanosecond (six decimals), so rows of a
+//! few microseconds do not tie by rounding.
+//!
 //! Usage:
 //!   exp kernel_bench [--smoke] [--threads 1,2,4] [--reps N]
 //!
@@ -850,7 +853,7 @@ fn to_report(rows: &[Row]) -> ReportWriter {
             r.shape,
             r.threads,
             r.reps,
-            m(r.best_ms, 3),
+            m(r.best_ms, 6), // to the nanosecond
             m(r.gflops, 2),
             scaling_field(r, true),
             m(r.speedup_t2_vs_t1, 2),
@@ -881,7 +884,7 @@ fn to_json(rows: &[Row], isa: &str) -> String {
             r.kernel,
             r.shape,
             r.threads,
-            m(r.best_ms, 3),
+            m(r.best_ms, 5), // six decimals: to the nanosecond
             m(r.gflops, 2),
             scaling_field(r, false),
             m(r.speedup_t2_vs_t1, 2),

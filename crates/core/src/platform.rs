@@ -310,25 +310,51 @@ impl Platform {
     }
 
     /// Runs the local `L1` in inference mode (used to compose the deployed
-    /// model during evaluation and by the serving path).
+    /// model during evaluation and by the serving path): the plans are
+    /// brought up to date, [`infer_l1_shared`](Self::infer_l1_shared)
+    /// computes the activations and
+    /// [`noise_inference`](Self::noise_inference) noises them.
     ///
-    /// The forward runs in [`Mode::Eval`] and the model's recorded mode is
-    /// restored afterwards, so serving a request mid-training leaves the
-    /// training state (cached activations, running statistics, mode
-    /// bookkeeping) untouched.
+    /// Serving a request mid-training leaves the training state (cached
+    /// activations, running statistics, mode bookkeeping) untouched.
     ///
     /// # Errors
     ///
     /// Propagates tensor errors.
     pub fn infer_l1(&mut self, features: &Tensor) -> Result<Tensor> {
-        let prior = self.model.mode();
-        let result = self.model.forward(features, Mode::Eval);
-        self.model.set_mode(prior);
-        let acts = result?;
-        // The deployed system also transmits activations at inference
-        // time, so the privacy noise applies there too, from its own
-        // stream.
-        Ok(Self::noised(self.noise_std, acts, &mut self.infer_noise_rng))
+        self.update_plans()?;
+        let acts = self.infer_l1_shared(features)?;
+        Ok(self.noise_inference(acts))
+    }
+
+    /// Brings `L1`'s cached execution plans up to date, so that
+    /// [`infer_l1_shared`](Self::infer_l1_shared) runs the planned
+    /// kernels.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn update_plans(&mut self) -> Result<()> {
+        Ok(self.model.update_plans()?)
+    }
+
+    /// `L1` in inference mode through a shared reference, so several
+    /// threads may run it on one platform at once: the activations
+    /// [`infer_l1`](Self::infer_l1) sends, before the noise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn infer_l1_shared(&self, features: &Tensor) -> Result<Tensor> {
+        Ok(self.model.infer(features)?)
+    }
+
+    /// Adds the activation noise to an inference output, drawn from the
+    /// inference stream: the deployed system also transmits activations
+    /// at inference time, so the privacy noise applies there too. Call it
+    /// in submission order; the draws are a sequence.
+    pub fn noise_inference(&mut self, acts: Tensor) -> Tensor {
+        Self::noised(self.noise_std, acts, &mut self.infer_noise_rng)
     }
 
     /// Turns the server's inference output into logits: through the tail

@@ -79,22 +79,41 @@ impl SplitServer {
     }
 
     /// Runs the server layers in inference mode (used to compose the
-    /// deployed model during evaluation and by the serving path).
+    /// deployed model during evaluation and by the serving path): the
+    /// plans are brought up to date, then
+    /// [`infer_shared`](Self::infer_shared) runs.
     ///
-    /// The forward runs in [`Mode::Eval`] and the model's recorded mode is
-    /// restored afterwards, so inference interleaved with training leaves
-    /// no trace: no dropout, no running-statistics updates, no cached
-    /// backward state, and the mode bookkeeping a caller may rely on is
-    /// unchanged.
+    /// Inference interleaved with training leaves no trace: no dropout,
+    /// no running-statistics updates, no cached backward state, and the
+    /// mode bookkeeping a caller may rely on is unchanged.
     ///
     /// # Errors
     ///
     /// Propagates tensor errors.
     pub fn infer(&mut self, activations: &Tensor) -> Result<Tensor> {
-        let prior = self.model.mode();
-        let result = self.model.forward(activations, Mode::Eval);
-        self.model.set_mode(prior);
-        Ok(result?)
+        self.update_plans()?;
+        self.infer_shared(activations)
+    }
+
+    /// Brings the server layers' cached execution plans up to date, so
+    /// that [`infer_shared`](Self::infer_shared) runs the planned
+    /// kernels.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn update_plans(&mut self) -> Result<()> {
+        Ok(self.model.update_plans()?)
+    }
+
+    /// The server layers in inference mode through a shared reference,
+    /// so several threads may run batches on one server at once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors.
+    pub fn infer_shared(&self, activations: &Tensor) -> Result<Tensor> {
+        Ok(self.model.infer(activations)?)
     }
 
     /// Serialises the server model (parameters + batch-norm state) into a

@@ -126,6 +126,9 @@ mod tests {
     struct Triple;
     impl Layer for Triple {
         fn forward(&mut self, input: &Tensor, _m: Mode) -> TResult<Tensor> {
+            self.infer(input)
+        }
+        fn infer(&self, input: &Tensor) -> TResult<Tensor> {
             Ok(input.scale(3.0))
         }
         fn backward(&mut self, g: &Tensor) -> TResult<Tensor> {
@@ -141,6 +144,9 @@ mod tests {
     struct WrongGrad;
     impl Layer for WrongGrad {
         fn forward(&mut self, input: &Tensor, _m: Mode) -> TResult<Tensor> {
+            self.infer(input)
+        }
+        fn infer(&self, input: &Tensor) -> TResult<Tensor> {
             Ok(input.scale(3.0))
         }
         fn backward(&mut self, g: &Tensor) -> TResult<Tensor> {

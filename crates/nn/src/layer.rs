@@ -27,14 +27,42 @@ pub enum Mode {
 /// protocol operates — the platform calls `backward` on `L1` with the cut
 /// gradient it received from the server.
 ///
+/// Inference also has a shared entry, [`infer`](Self::infer), which reads
+/// the layer through `&self`: several threads may run it on one model at
+/// once. A [`Mode::Eval`] forward is [`update_plans`](Self::update_plans)
+/// followed by `infer`, so each layer has one eval body.
+///
 /// The trait is object-safe; models are built as `Vec<Box<dyn Layer>>`.
-pub trait Layer: Send {
+pub trait Layer: Send + Sync {
     /// Computes the layer output.
     ///
     /// # Errors
     ///
     /// Returns a tensor error if the input shape is incompatible.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
+
+    /// The inference output, bit for bit that of
+    /// `forward(input, Mode::Eval)`, through a shared reference: no
+    /// training cache, running statistic, RNG or recorded mode is read
+    /// for writing. A layer whose cached execution plan is stale (its
+    /// weight moved since [`update_plans`](Self::update_plans)) runs the
+    /// unplanned kernel, which the plan contract makes bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// Returns a tensor error if the input shape is incompatible.
+    fn infer(&self, input: &Tensor) -> Result<Tensor>;
+
+    /// Brings every cached execution plan up to date with the current
+    /// parameters, so that [`infer`](Self::infer) runs the planned
+    /// kernels. Layers without plans need not override this.
+    ///
+    /// # Errors
+    ///
+    /// Returns a tensor error if a plan cannot be built.
+    fn update_plans(&mut self) -> Result<()> {
+        Ok(())
+    }
 
     /// Backpropagates `grad_out` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients and returning the gradient w.r.t.
@@ -102,6 +130,9 @@ mod tests {
 
     impl Layer for Doubler {
         fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+            self.infer(input)
+        }
+        fn infer(&self, input: &Tensor) -> Result<Tensor> {
             Ok(input.scale(2.0))
         }
         fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

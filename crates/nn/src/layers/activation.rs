@@ -62,13 +62,7 @@ impl Activation {
 
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        // The ReLU family goes through the SIMD-dispatched tensor kernels;
-        // the transcendental activations stay on the pool-parallel map.
-        let out = match self.kind {
-            ActivationKind::Relu => input.relu(),
-            ActivationKind::LeakyRelu(a) => input.leaky_relu(a),
-            _ => input.par_map(|x| self.apply(x)),
-        };
+        let out = self.infer(input)?;
         if mode == Mode::Train {
             self.cached_output = Some(out.clone());
             if matches!(self.kind, ActivationKind::LeakyRelu(_)) {
@@ -76,6 +70,16 @@ impl Layer for Activation {
             }
         }
         Ok(out)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        // The ReLU family goes through the SIMD-dispatched tensor kernels;
+        // the transcendental activations stay on the pool-parallel map.
+        Ok(match self.kind {
+            ActivationKind::Relu => input.relu(),
+            ActivationKind::LeakyRelu(a) => input.leaky_relu(a),
+            _ => input.par_map(|x| self.apply(x)),
+        })
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

@@ -236,68 +236,79 @@ impl BatchNorm {
     }
 }
 
+impl BatchNorm {
+    /// The per-feature constants of `γ·(x − mean)·inv_std + β`, with
+    /// `inv_std = 1 / sqrt(var + eps)`.
+    fn affine<'a>(&'a self, mean: &'a [f32], inv_std: &'a [f32]) -> Affine<'a> {
+        Affine {
+            mean,
+            inv_std,
+            gamma: self.gamma.value.as_slice(),
+            beta: self.beta.value.as_slice(),
+        }
+    }
+
+    fn inv_std(&self, var: &[f32]) -> Vec<f32> {
+        var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect()
+    }
+}
+
 impl Layer for BatchNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        if mode == Mode::Eval {
+            return self.infer(input);
+        }
         let (n, inner) = layout(input.dims(), self.num_features, "BatchNorm::forward")?;
         let c = self.num_features;
         let src = input.as_slice();
-
-        // Per-feature mean and variance to normalise with.
-        let (mean, var) = if mode == Mode::Train {
-            if n * inner == 0 {
-                // A mean over nothing is NaN, and the running statistics
-                // would carry it into every later evaluation.
-                return Err(TensorError::Numerical(format!(
-                    "BatchNorm::forward: batch statistics over zero elements (input {:?})",
-                    input.dims()
-                )));
-            }
-            let count = (n * inner) as f32;
-            let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
-            let whole = c - c % L;
-            for f0 in (0..whole).step_by(L) {
-                block_stats::<L>(src, (c, inner), f0, count, &mut mean, &mut var);
-            }
-            for f in whole..c {
-                block_stats::<1>(src, (c, inner), f, count, &mut mean, &mut var);
-            }
-            // Update running stats with exponential moving average.
-            let rm = self.running_mean.as_mut_slice();
-            for (r, &m) in rm.iter_mut().zip(&mean) {
-                *r = (1.0 - self.momentum) * *r + self.momentum * m;
-            }
-            let rv = self.running_var.as_mut_slice();
-            for (r, &v) in rv.iter_mut().zip(&var) {
-                *r = (1.0 - self.momentum) * *r + self.momentum * v;
-            }
-            (mean, var)
-        } else {
-            (
-                self.running_mean.as_slice().to_vec(),
-                self.running_var.as_slice().to_vec(),
-            )
-        };
-
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let affine = Affine {
-            mean: &mean,
-            inv_std: &inv_std,
-            gamma: self.gamma.value.as_slice(),
-            beta: self.beta.value.as_slice(),
-        };
-        let shape = input.shape().clone();
-        if mode == Mode::Train {
-            // The last step's x̂ is dead once this one starts: reuse its
-            // buffer, already paged in, instead of a fresh allocation.
-            let mut xhat = self.cached_xhat.take().map(Tensor::into_vec).unwrap_or_default();
-            xhat.clear();
-            let out = normalise(src, (c, inner), &affine, Some(&mut xhat));
-            self.cached_xhat = Some(Tensor::from_vec(xhat, shape.clone())?);
-            self.cached_inv_std = Some(inv_std);
-            Tensor::from_vec(out, shape)
-        } else {
-            Tensor::from_vec(normalise(src, (c, inner), &affine, None), shape)
+        if n * inner == 0 {
+            // A mean over nothing is NaN, and the running statistics
+            // would carry it into every later evaluation.
+            return Err(TensorError::Numerical(format!(
+                "BatchNorm::forward: batch statistics over zero elements (input {:?})",
+                input.dims()
+            )));
         }
+
+        // Per-feature batch mean and variance to normalise with.
+        let count = (n * inner) as f32;
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+        let whole = c - c % L;
+        for f0 in (0..whole).step_by(L) {
+            block_stats::<L>(src, (c, inner), f0, count, &mut mean, &mut var);
+        }
+        for f in whole..c {
+            block_stats::<1>(src, (c, inner), f, count, &mut mean, &mut var);
+        }
+        // Update running stats with exponential moving average.
+        let rm = self.running_mean.as_mut_slice();
+        for (r, &m) in rm.iter_mut().zip(&mean) {
+            *r = (1.0 - self.momentum) * *r + self.momentum * m;
+        }
+        let rv = self.running_var.as_mut_slice();
+        for (r, &v) in rv.iter_mut().zip(&var) {
+            *r = (1.0 - self.momentum) * *r + self.momentum * v;
+        }
+
+        let inv_std = self.inv_std(&var);
+        // The last step's x̂ is dead once this one starts: reuse its
+        // buffer, already paged in, instead of a fresh allocation.
+        let mut xhat = self.cached_xhat.take().map(Tensor::into_vec).unwrap_or_default();
+        xhat.clear();
+        let out = normalise(src, (c, inner), &self.affine(&mean, &inv_std), Some(&mut xhat));
+        let shape = input.shape().clone();
+        self.cached_xhat = Some(Tensor::from_vec(xhat, shape.clone())?);
+        self.cached_inv_std = Some(inv_std);
+        Tensor::from_vec(out, shape)
+    }
+
+    /// Normalises with the running statistics.
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let (_, inner) = layout(input.dims(), self.num_features, "BatchNorm::forward")?;
+        let inv_std = self.inv_std(self.running_var.as_slice());
+        let affine = self.affine(self.running_mean.as_slice(), &inv_std);
+        let out = normalise(input.as_slice(), (self.num_features, inner), &affine, None);
+        Tensor::from_vec(out, input.shape().clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

@@ -1,7 +1,8 @@
 //! 2-D convolution layer.
 
 use medsplit_tensor::ops::conv::{
-    conv2d_backward, conv2d_backward_params, conv2d_backward_planned, conv2d_forward_planned,
+    conv2d_backward, conv2d_backward_params, conv2d_backward_planned, conv2d_forward,
+    conv2d_forward_prepacked,
 };
 use medsplit_tensor::{init, Conv2dSpec, ConvPlan, Result, Tensor, TensorError};
 use rand::Rng;
@@ -90,19 +91,41 @@ impl Conv2d {
     }
 }
 
+impl Conv2d {
+    /// The cached plan, if it packed the current weight.
+    fn current_plan(&self) -> Option<&ConvPlan> {
+        self.plan
+            .as_ref()
+            .filter(|p| p.generation() == self.weight.version())
+    }
+}
+
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let plan = ConvPlan::ensure(
-            &mut self.plan,
-            &self.weight.value,
-            self.spec,
-            self.weight.version(),
-        )?;
-        let out = conv2d_forward_planned(input, plan, Some(&self.bias.value))?;
+        self.update_plans()?;
+        let out = self.infer(input)?;
         if mode == Mode::Train {
             self.cached_input = Some(input.clone());
         }
         Ok(out)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let bias = Some(&self.bias.value);
+        match self.current_plan() {
+            Some(plan) => conv2d_forward_prepacked(input, plan, bias),
+            None => conv2d_forward(input, &self.weight.value, bias, self.spec),
+        }
+    }
+
+    fn update_plans(&mut self) -> Result<()> {
+        ConvPlan::ensure(
+            &mut self.plan,
+            &self.weight.value,
+            self.spec,
+            self.weight.version(),
+        )
+        .map(drop)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

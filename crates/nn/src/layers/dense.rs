@@ -80,8 +80,26 @@ impl Dense {
     }
 }
 
+impl Dense {
+    /// The cached plan, if it packed the current weight.
+    fn current_plan(&self) -> Option<&GemmPlan> {
+        self.plan
+            .as_ref()
+            .filter(|p| p.generation() == self.weight.version())
+    }
+}
+
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.update_plans()?;
+        let out = self.infer(input)?;
+        if mode == Mode::Train {
+            self.cached_input = Some(input.clone());
+        }
+        Ok(out)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(TensorError::ShapeMismatch {
                 lhs: input.shape().clone(),
@@ -89,13 +107,16 @@ impl Layer for Dense {
                 op: "Dense::forward",
             });
         }
-        let plan = GemmPlan::ensure(&mut self.plan, &self.weight.value, self.weight.version())?;
-        let out = plan.matmul_nt(input)?; // [N, out], cached panels
-        let out = out.try_add(&self.bias.value)?; // broadcast bias over rows
-        if mode == Mode::Train {
-            self.cached_input = Some(input.clone());
-        }
-        Ok(out)
+        // [N, out], from the cached panels when they are current.
+        let out = match self.current_plan() {
+            Some(plan) => plan.matmul_nt(input)?,
+            None => input.matmul_nt(&self.weight.value)?,
+        };
+        out.try_add(&self.bias.value) // broadcast bias over rows
+    }
+
+    fn update_plans(&mut self) -> Result<()> {
+        GemmPlan::ensure(&mut self.plan, &self.weight.value, self.weight.version()).map(drop)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

@@ -47,7 +47,7 @@ impl Dropout {
 impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         if mode == Mode::Eval || self.p == 0.0 {
-            return Ok(input.clone());
+            return self.infer(input);
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
@@ -58,6 +58,11 @@ impl Layer for Dropout {
         let out = input.try_mul(&mask)?;
         self.mask = Some(mask);
         Ok(out)
+    }
+
+    /// The identity: inverted dropout scales at training time.
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(input.clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

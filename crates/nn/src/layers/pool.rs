@@ -39,12 +39,17 @@ impl MaxPool2d {
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let fw = maxpool2d_forward(input, self.spec)?;
-        if mode == Mode::Train {
-            self.argmax = Some(fw.argmax);
-            self.input_shape = Some(input.shape().clone());
+        if mode == Mode::Eval {
+            return self.infer(input);
         }
+        let fw = maxpool2d_forward(input, self.spec)?;
+        self.argmax = Some(fw.argmax);
+        self.input_shape = Some(input.shape().clone());
         Ok(fw.output)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(maxpool2d_forward(input, self.spec)?.output)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -85,11 +90,15 @@ impl AvgPool2d {
 
 impl Layer for AvgPool2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = avgpool2d_forward(input, self.spec)?;
+        let out = self.infer(input)?;
         if mode == Mode::Train {
             self.input_shape = Some(input.shape().clone());
         }
         Ok(out)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        avgpool2d_forward(input, self.spec)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -125,11 +134,15 @@ impl GlobalAvgPool {
 
 impl Layer for GlobalAvgPool {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = global_avgpool(input)?;
+        let out = self.infer(input)?;
         if mode == Mode::Train {
             self.input_shape = Some(input.shape().clone());
         }
         Ok(out)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        global_avgpool(input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -162,11 +175,15 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let n = input.dims().first().copied().unwrap_or(1);
-        let inner: usize = input.dims().iter().skip(1).product();
         if mode == Mode::Train {
             self.input_shape = Some(input.shape().clone());
         }
+        self.infer(input)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let n = input.dims().first().copied().unwrap_or(1);
+        let inner: usize = input.dims().iter().skip(1).product();
         input.reshape([n, inner])
     }
 

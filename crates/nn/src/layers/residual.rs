@@ -40,6 +40,10 @@ impl Residual {
 
 impl Layer for Residual {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        if mode == Mode::Eval {
+            self.update_plans()?;
+            return self.infer(input);
+        }
         let m = self.main.forward(input, mode)?;
         let s = match &mut self.shortcut {
             Some(proj) => proj.forward(input, mode)?,
@@ -47,10 +51,25 @@ impl Layer for Residual {
         };
         let sum = m.try_add(&s)?;
         let out = sum.map(|x| x.max(0.0));
-        if mode == Mode::Train {
-            self.cached_sum = Some(sum);
-        }
+        self.cached_sum = Some(sum);
         Ok(out)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let m = self.main.infer(input)?;
+        let s = match &self.shortcut {
+            Some(proj) => proj.infer(input)?,
+            None => input.clone(),
+        };
+        Ok(m.try_add(&s)?.map(|x| x.max(0.0)))
+    }
+
+    fn update_plans(&mut self) -> Result<()> {
+        self.main.update_plans()?;
+        match &mut self.shortcut {
+            Some(proj) => proj.update_plans(),
+            None => Ok(()),
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

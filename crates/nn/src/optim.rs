@@ -10,7 +10,7 @@ use crate::layer::Layer;
 /// Per-parameter state (momentum buffers, Adam moments) is keyed by the
 /// parameter's position in the model's stable visitation order, allocated
 /// lazily on the first step.
-pub trait Optimizer: Send {
+pub trait Optimizer: Send + Sync {
     /// Applies one update and leaves the gradients untouched (call
     /// [`Layer::zero_grads`] afterwards, or use [`step_and_zero`](Optimizer::step_and_zero)).
     fn step(&mut self, model: &mut dyn Layer);
@@ -87,14 +87,26 @@ impl Optimizer for Sgd {
             let value = p.value.as_mut_slice();
             let grad = p.grad.as_slice();
             let vel = v.as_mut_slice();
-            for i in 0..value.len() {
-                let g = grad[i] + wd * value[i];
-                if momentum > 0.0 {
-                    vel[i] = momentum * vel[i] + g;
-                    let step = if nesterov { g + momentum * vel[i] } else { vel[i] };
-                    value[i] -= lr * step;
-                } else {
-                    value[i] -= lr * g;
+            // One loop per update rule, each over zipped slices, so the
+            // compiler vectorises it; every element sees the same
+            // operations in the same order, with no fused multiply-add.
+            let updates = value.iter_mut().zip(grad).zip(vel.iter_mut());
+            if momentum > 0.0 && nesterov {
+                for ((x, &g), v) in updates {
+                    let g = g + wd * *x;
+                    *v = momentum * *v + g;
+                    *x -= lr * (g + momentum * *v);
+                }
+            } else if momentum > 0.0 {
+                for ((x, &g), v) in updates {
+                    let g = g + wd * *x;
+                    *v = momentum * *v + g;
+                    *x -= lr * *v;
+                }
+            } else {
+                for (x, &g) in value.iter_mut().zip(grad) {
+                    let g = g + wd * *x;
+                    *x -= lr * g;
                 }
             }
             p.bump_version();
@@ -162,13 +174,13 @@ impl Optimizer for Adam {
             let grad = p.grad.as_slice();
             let m = ms[idx].as_mut_slice();
             let v = vs[idx].as_mut_slice();
-            for i in 0..value.len() {
-                let g = grad[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                value[i] -= lr * mhat / (vhat.sqrt() + eps);
+            // Zipped slices, so the compiler vectorises the loop.
+            for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *x -= lr * mhat / (vhat.sqrt() + eps);
             }
             p.bump_version();
             idx += 1;

@@ -113,6 +113,10 @@ impl Layer for Sequential {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         self.mode = mode;
+        if mode == Mode::Eval {
+            self.update_plans()?;
+            return self.infer(input);
+        }
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(input.clone());
         };
@@ -121,6 +125,21 @@ impl Layer for Sequential {
             x = layer.forward(&x, mode)?;
         }
         Ok(x)
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.infer(input)?;
+        for layer in rest {
+            x = layer.infer(&x)?;
+        }
+        Ok(x)
+    }
+
+    fn update_plans(&mut self) -> Result<()> {
+        self.layers.iter_mut().try_for_each(|layer| layer.update_plans())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

@@ -20,7 +20,7 @@
 
 use medsplit_core::Result;
 use medsplit_simnet::{NetStats, NodeId};
-use medsplit_tensor::Tensor;
+use medsplit_tensor::{pool, Tensor};
 
 use crate::batcher::{Admission, BatchEntry, DynamicBatcher};
 use crate::runtime::ServeConfig;
@@ -165,14 +165,65 @@ impl<P> Executor<P> {
     }
 }
 
-/// Runs one batch that is done at `done_s` and reports every entry
-/// exactly once through `emit`, in a fixed order: first the entries whose
-/// deadline precedes `done_s` (with `None`: a timeout, never inferred),
-/// then the live ones by ascending `group_of` key and arrival order
-/// within a group, each with its slice of the group's logits. A group
-/// takes one forward pass over its concatenated activations — the same
-/// aggregate pattern as training. The single server has one group; a
-/// fleet replica groups by pinned weight version.
+/// A batch's answers in the order [`forward_batch`] reports them: each
+/// entry's position in the batch with its logits, `None` for an entry
+/// whose deadline preceded the batch's `done_s`.
+pub type Answers = Vec<(usize, Option<Tensor>)>;
+
+/// Batches in one kernel-pool task of [`infer_batches`]. A constant of
+/// the code, never derived from the thread count.
+const BATCHES_PER_TASK: usize = 8;
+
+/// The compute of one batch that is done at `done_s`, in the order
+/// [`forward_batch`] reports it: first the entries whose deadline
+/// precedes `done_s` (no logits: a timeout, never inferred), then the
+/// live ones by ascending `group_of` key and arrival order within a
+/// group, each with its slice of the group's logits. A group takes one
+/// forward pass over its concatenated activations — the same aggregate
+/// pattern as training. The single server has one group; a fleet replica
+/// groups by pinned weight version.
+///
+/// # Errors
+///
+/// Propagates tensor and model errors.
+pub fn infer_batch<P, K: Ord>(
+    entries: &[BatchEntry<P>],
+    done_s: f64,
+    group_of: impl Fn(&P) -> K,
+    activations: impl Fn(&P) -> &Tensor,
+    mut infer: impl FnMut(K, &Tensor) -> Result<Tensor>,
+) -> Result<Answers> {
+    let (mut live, expired): (Vec<usize>, Vec<usize>) =
+        (0..entries.len()).partition(|&i| entries[i].deadline_s >= done_s);
+    let mut answers: Answers = expired.into_iter().map(|i| (i, None)).collect();
+    // Stable, so arrival order survives within a group.
+    let key = |i: &usize| group_of(&entries[*i].item);
+    live.sort_by_key(key);
+    for group in live.chunk_by(|a, b| key(a) == key(b)) {
+        let assemble = medsplit_telemetry::span("batch_assemble");
+        let tensors: Vec<&Tensor> = group.iter().map(|&i| activations(&entries[i].item)).collect();
+        let batch = Tensor::concat0(&tensors)?;
+        drop(assemble);
+        let infer_span = medsplit_telemetry::span("batch_infer");
+        let logits = infer(key(&group[0]), &batch)?;
+        drop(infer_span);
+        let mut offset = 0;
+        for (&i, acts) in group.iter().zip(&tensors) {
+            let rows = acts.dims()[0];
+            answers.push((i, Some(logits.slice0(offset, rows)?)));
+            offset += rows;
+        }
+    }
+    Ok(answers)
+}
+
+/// Observes a batch of `n` entries in `histogram`.
+fn observe_batch(histogram: &str, n: usize) {
+    medsplit_telemetry::histogram_observe(histogram, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], n as f64);
+}
+
+/// Runs one batch that is done at `done_s` ([`infer_batch`]) and reports
+/// every entry exactly once through `emit`, in [`infer_batch`]'s order.
 ///
 /// # Errors
 ///
@@ -183,36 +234,65 @@ pub fn forward_batch<P, K: Ord>(
     histogram: &str,
     group_of: impl Fn(&P) -> K,
     activations: impl Fn(&P) -> &Tensor,
-    mut infer: impl FnMut(K, &Tensor) -> Result<Tensor>,
+    infer: impl FnMut(K, &Tensor) -> Result<Tensor>,
     mut emit: impl FnMut(&P, Option<Tensor>) -> Result<()>,
 ) -> Result<()> {
-    medsplit_telemetry::histogram_observe(
-        histogram,
-        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-        entries.len() as f64,
-    );
-    let (mut live, expired): (Vec<_>, Vec<_>) = entries.into_iter().partition(|e| e.deadline_s >= done_s);
-    for entry in &expired {
-        emit(&entry.item, None)?;
-    }
-    // Stable, so arrival order survives within a group.
-    live.sort_by_key(|e| group_of(&e.item));
-    for group in live.chunk_by(|a, b| group_of(&a.item) == group_of(&b.item)) {
-        let assemble = medsplit_telemetry::span("batch_assemble");
-        let tensors: Vec<&Tensor> = group.iter().map(|e| activations(&e.item)).collect();
-        let batch = Tensor::concat0(&tensors)?;
-        drop(assemble);
-        let infer_span = medsplit_telemetry::span("batch_infer");
-        let logits = infer(group_of(&group[0].item), &batch)?;
-        drop(infer_span);
-        let mut offset = 0;
-        for (entry, acts) in group.iter().zip(&tensors) {
-            let rows = acts.dims()[0];
-            emit(&entry.item, Some(logits.slice0(offset, rows)?))?;
-            offset += rows;
-        }
+    observe_batch(histogram, entries.len());
+    for (i, logits) in infer_batch(&entries, done_s, group_of, activations, infer)? {
+        emit(&entries[i].item, logits)?;
     }
     Ok(())
+}
+
+/// [`infer_batch`] for every batch of `dues`, side by side on the kernel
+/// pool, [`BATCHES_PER_TASK`] batches per task; the answers come back in
+/// the order of `dues`. Kernels inside a task run inline on the task's
+/// thread (the pool's nesting rule), and a batch touches nothing but its
+/// own entries and a shared model, so the answers do not depend on the
+/// thread count. Every batch is observed in `histogram` first, in order.
+///
+/// # Errors
+///
+/// Returns the first error in the order of `dues`; every batch runs
+/// before errors are looked at.
+pub fn infer_batches<'a, P: Sync + 'a, K: Ord>(
+    dues: impl IntoIterator<Item = &'a Due<P>>,
+    histogram: &str,
+    group_of: impl Fn(&P) -> K + Sync,
+    activations: impl Fn(&P) -> &Tensor + Sync,
+    infer: impl Fn(K, &Tensor) -> Result<Tensor> + Sync,
+) -> Result<Vec<Answers>> {
+    let dues: Vec<&Due<P>> = dues.into_iter().collect();
+    for due in &dues {
+        observe_batch(histogram, due.entries.len());
+    }
+    side_by_side(&dues, BATCHES_PER_TASK, |due| {
+        infer_batch(&due.entries, due.done_s, &group_of, &activations, &infer)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// `f` over every item, `per_task` consecutive items per kernel-pool
+/// task ([`pool::parallel_chunks_mut`]), results in item order. At one
+/// pool thread this is the plain loop. Spans entered on a pool worker
+/// keep the caller's current span as their parent.
+pub(crate) fn side_by_side<T: Sync, R: Send>(
+    items: &[T],
+    per_task: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let parent = medsplit_telemetry::SpanParent::capture();
+    pool::parallel_chunks_mut(&mut out, per_task, |task, slots| {
+        let _parent = parent.adopt();
+        for (slot, item) in slots.iter_mut().zip(&items[task * per_task..]) {
+            *slot = Some(f(item));
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("parallel_chunks_mut returned before a task ran"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -42,7 +42,9 @@ pub mod runtime;
 pub mod wire;
 
 pub use batcher::{Admission, BatchEntry, DynamicBatcher};
-pub use executor::{busy_until, forward_batch, request_id, sync_clock, Arrived, Due, Executor};
+pub use executor::{
+    busy_until, forward_batch, infer_batches, request_id, sync_clock, Answers, Arrived, Due, Executor,
+};
 pub use metrics::{LatencySummary, ServeReport};
 pub use runtime::{serve_threaded, ClientRecord, ServeConfig, ServeOutcome};
 pub use wire::{

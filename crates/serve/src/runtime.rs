@@ -1,5 +1,4 @@
-//! The serving runtime over the simulated network, on the caller's
-//! thread.
+//! The serving runtime over the simulated network.
 //!
 //! Platforms and the server communicate exclusively through a shared
 //! [`Transport`]. Clients submit requests open-loop at a configured
@@ -16,15 +15,22 @@
 //! submits its whole stream, the server collects all requests and
 //! replays them against the executor in simulated-arrival order (a
 //! discrete-event simulation), every platform receives its responses.
-//! Batch composition, admission decisions and every reported latency
-//! are deterministic, and a response that never arrives is an
-//! immediate protocol error, not a wait.
+//! The session is driven from the caller's thread; the inferences, which
+//! are independent of one another, run side by side on the kernel pool:
+//! each platform's `L1` over its queries, and the server's `L2..Lk` over
+//! the batches the replay scheduled. Everything that orders or accounts
+//! (noise draws, sends, the busy clock, node clocks) stays on the
+//! caller's thread, in the order a one-at-a-time run would take. Batch
+//! composition, admission decisions, every reported latency and every
+//! logit bit are deterministic and independent of the pool size, and a
+//! response that never arrives is an immediate protocol error, not a
+//! wait.
 
 use medsplit_core::{Platform, Result, SplitError, SplitServer, WireCodec};
 use medsplit_simnet::{Envelope, LinkSpec, MessageKind, NodeId, StarTopology, StatsSnapshot, Transport};
 use medsplit_tensor::Tensor;
 
-use crate::executor::{forward_batch, request_id, sync_clock, Arrived, Due, Executor};
+use crate::executor::{infer_batches, request_id, side_by_side, sync_clock, Answers, Arrived, Due, Executor};
 use crate::metrics::ServeReport;
 use crate::wire::{
     decode_request, decode_response, encode_request, encode_response, InferRequest, InferStatus,
@@ -166,6 +172,18 @@ struct Pending {
     req: InferRequest,
 }
 
+/// What the replay decided, in the order its answers leave the server.
+enum Scheduled {
+    /// A batch; its answers leave at `done_s`.
+    Batch(Due<Pending>),
+    /// A refused arrival, answered at the busy clock of its arrival.
+    Refused(Pending, f64),
+}
+
+/// Queries in one kernel-pool task of a platform's `L1` pass. A constant
+/// of the code, never derived from the thread count.
+const L1_QUERIES_PER_TASK: usize = 16;
+
 /// Runs a full serving session: every platform submits its queries
 /// open-loop at `cfg.offered_rps`, the server batches and answers, and
 /// the outcome aggregates every request's fate.
@@ -174,9 +192,12 @@ struct Pending {
 /// feature batch for [`Platform::infer_l1`]); `platforms.len()` must
 /// equal `queries.len()` and match the transport's topology.
 ///
-/// The session runs on the caller's thread in three phases: every
-/// platform submits, the server collects and replays, every platform
-/// receives. The name is kept because the benchmark imports it.
+/// The session is driven from the caller's thread in three phases:
+/// every platform submits, the server collects, replays and answers,
+/// every platform receives. The `L1` and `L2..Lk` inferences run side by
+/// side on the kernel pool; sends, noise draws and clocks keep the order
+/// of a one-at-a-time run. The name is kept because the benchmark
+/// imports it.
 ///
 /// # Errors
 ///
@@ -201,17 +222,22 @@ pub fn serve_threaded<T: Transport>(
     }
     let offered: usize = queries.iter().map(Vec::len).sum();
 
-    // Phase 1 — submit, one platform after another: `L1` over each
-    // query and every request, then the done marker.
+    // Phase 1 — submit, one platform after another: `L1` over the
+    // platform's queries side by side on the kernel pool, then the noise
+    // draws and every request in submission order, then the done marker.
     let mut clients = Vec::with_capacity(platforms.len());
     for (mut platform, qs) in platforms.into_iter().zip(queries) {
         let (pid, node, sent) = (platform.id(), platform.node(), qs.len());
-        for (seq, query) in qs.into_iter().enumerate() {
+        platform.update_plans()?;
+        let shared = &platform;
+        let activations = side_by_side(&qs, L1_QUERIES_PER_TASK, |q| shared.infer_l1_shared(q));
+        drop(qs);
+        for (seq, acts) in activations.into_iter().enumerate() {
             // Open-loop arrivals: request `seq` is submitted at a fixed
             // rate regardless of how earlier requests fared.
             let submit_s = seq as f64 / cfg.offered_rps;
             sync_clock(transport.stats(), node, submit_s);
-            let acts = platform.infer_l1(&query)?;
+            let acts = platform.noise_inference(acts?);
             let env = encode_request(
                 node,
                 request_id(pid, seq),
@@ -228,8 +254,25 @@ pub fn serve_threaded<T: Transport>(
         clients.push((pid, node, sent));
     }
 
-    // Phase 2 — the server collects every request and replays them.
-    collect_and_replay(&mut server, topology, cfg, clients.len(), transport)?;
+    // Phase 2 — the server collects every request and replays them to a
+    // schedule, runs every scheduled batch side by side on the kernel
+    // pool, and sends the answers in schedule order.
+    let arrivals = collect(topology, clients.len(), transport)?;
+    let schedule = replay(arrivals, cfg);
+    server.update_plans()?;
+    let batches = schedule.iter().filter_map(|event| match event {
+        Scheduled::Batch(due) => Some(due),
+        Scheduled::Refused(..) => None,
+    });
+    let shared = &server;
+    let answers = infer_batches(
+        batches,
+        "serve.batch_size",
+        |_| (),
+        |p| &p.req.activations,
+        |(), batch| shared.infer_shared(batch),
+    )?;
+    answer(schedule, answers, cfg, transport)?;
 
     // Phase 3 — every platform receives its responses.
     let mut records = Vec::with_capacity(offered);
@@ -257,18 +300,18 @@ pub fn serve_threaded<T: Transport>(
     })
 }
 
-fn collect_and_replay<T: Transport>(
-    server: &mut SplitServer,
+/// Every request in the server's inbox, decoded, in simulated-arrival
+/// order (ties broken by request id).
+fn collect<T: Transport>(
     topology: &StarTopology,
-    cfg: &ServeConfig,
     client_count: usize,
     transport: &T,
-) -> Result<()> {
-    // Collect. Platforms submit one after another, so the inbox holds
-    // their streams back to back, not in simulated-arrival order. The
-    // busy clock below must only ever move forward, which makes
-    // processing order part of the result — so we gather everything
-    // first and replay it as a discrete-event simulation.
+) -> Result<Vec<Pending>> {
+    // Platforms submit one after another, so the inbox holds their
+    // streams back to back, not in simulated-arrival order. The busy
+    // clock must only ever move forward, which makes processing order
+    // part of the result — so we gather everything first and replay it
+    // as a discrete-event simulation.
     let mut arrivals: Vec<Pending> = Vec::new();
     let mut done = vec![0usize; client_count];
     while let Some(env) = transport.try_recv(NodeId::Server) {
@@ -301,62 +344,76 @@ fn collect_and_replay<T: Transport>(
             "server holds {n} done markers from platform {p}, want 1"
         )));
     }
-    // Deterministic event order: by arrival, ties broken by request id.
     arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.req.id.cmp(&b.req.id)));
+    Ok(arrivals)
+}
 
-    // Replay against the single executor.
+/// Replays `arrivals` against the single executor and returns its
+/// batches and refusals in the order they happen. Nothing is computed.
+fn replay(arrivals: Vec<Pending>, cfg: &ServeConfig) -> Vec<Scheduled> {
     let mut executor: Executor<Pending> = Executor::new(cfg);
+    let mut schedule = Vec::new();
     for arrival in arrivals {
         let (t, deadline_s) = (arrival.arrival_s, arrival.req.deadline_s);
         while let Some(due) = executor.due_by(t) {
-            serve_due(server, due, cfg, transport)?;
+            schedule.push(Scheduled::Batch(due));
         }
         match executor.arrive(arrival, t, deadline_s) {
             Arrived::Queued => {}
-            Arrived::Full(due) => serve_due(server, due, cfg, transport)?,
+            Arrived::Full(due) => schedule.push(Scheduled::Batch(due)),
             Arrived::Rejected(pending) => {
                 medsplit_telemetry::counter_add("serve.rejections", 1);
-                // Backpressure is explicit: the client gets an answer
-                // rather than a silent drop.
-                let now = executor.clock();
-                sync_clock(transport.stats(), NodeId::Server, now);
-                respond(transport, &pending, now, InferStatus::Rejected, None, cfg)?;
+                schedule.push(Scheduled::Refused(pending, executor.clock()));
             }
         }
     }
     // Drain what is still queued.
     while let Some(due) = executor.drain_next() {
-        serve_due(server, due, cfg, transport)?;
+        schedule.push(Scheduled::Batch(due));
     }
-    Ok(())
+    schedule
 }
 
-/// Serves one batch. Every entry gets exactly one response stamped with
-/// the batch's completion time: logits, or a timeout if its deadline
-/// expired before the batch finished.
-fn serve_due<T: Transport>(
-    server: &mut SplitServer,
-    due: Due<Pending>,
+/// Sends every answer of `schedule`, with `answers` holding one entry
+/// per batch in order. Every batch entry gets exactly one response
+/// stamped with the batch's completion time: logits, or a timeout if its
+/// deadline expired before the batch finished. Backpressure is explicit:
+/// a refused client gets an answer rather than a silent drop.
+fn answer<T: Transport>(
+    schedule: Vec<Scheduled>,
+    answers: Vec<Answers>,
     cfg: &ServeConfig,
     transport: &T,
 ) -> Result<()> {
-    sync_clock(transport.stats(), NodeId::Server, due.done_s);
-    forward_batch(
-        due.entries,
-        due.done_s,
-        "serve.batch_size",
-        |_| (),
-        |p| &p.req.activations,
-        |(), batch| server.infer(batch),
-        |p, logits| {
-            let status = if logits.is_some() {
-                InferStatus::Ok
-            } else {
-                InferStatus::TimedOut
-            };
-            respond(transport, p, due.done_s, status, logits.as_ref(), cfg)
-        },
-    )
+    let mut answers = answers.into_iter();
+    for event in schedule {
+        match event {
+            Scheduled::Batch(due) => {
+                sync_clock(transport.stats(), NodeId::Server, due.done_s);
+                let batch = answers.next().expect("one set of answers per batch");
+                for (i, logits) in batch {
+                    let status = if logits.is_some() {
+                        InferStatus::Ok
+                    } else {
+                        InferStatus::TimedOut
+                    };
+                    respond(
+                        transport,
+                        &due.entries[i].item,
+                        due.done_s,
+                        status,
+                        logits.as_ref(),
+                        cfg,
+                    )?;
+                }
+            }
+            Scheduled::Refused(pending, at_s) => {
+                sync_clock(transport.stats(), NodeId::Server, at_s);
+                respond(transport, &pending, at_s, InferStatus::Rejected, None, cfg)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 fn respond<T: Transport>(

@@ -845,8 +845,19 @@ pub fn conv2d_forward(
     Ok(forward_with(input, o, bias, lo, a, matmul::BLOCK))
 }
 
+/// [`conv2d_forward_prepacked`] for a caller that holds the plan
+/// exclusively (the pinned spatial digests call it so).
+///
+/// # Errors
+///
+/// Those of [`conv2d_forward_prepacked`].
+pub fn conv2d_forward_planned(input: &Tensor, plan: &mut ConvPlan, bias: Option<&Tensor>) -> Result<Tensor> {
+    conv2d_forward_prepacked(input, plan, bias)
+}
+
 /// Planned forward 2-D convolution: the plan's prepacked filter panels ×
-/// patch tiles gathered straight into packed B order.
+/// patch tiles gathered straight into packed B order. The plan is only
+/// read, so several threads may run one plan at once.
 ///
 /// Bit-identical to [`conv2d_forward`] with the plan's weight: the two
 /// differ only in where the filter panels come from.
@@ -854,7 +865,7 @@ pub fn conv2d_forward(
 /// # Errors
 ///
 /// Returns shape errors if `input`/`bias` are inconsistent with the plan.
-pub fn conv2d_forward_planned(input: &Tensor, plan: &mut ConvPlan, bias: Option<&Tensor>) -> Result<Tensor> {
+pub fn conv2d_forward_prepacked(input: &Tensor, plan: &ConvPlan, bias: Option<&Tensor>) -> Result<Tensor> {
     let (_, c, h, w) = check_nchw(input, "conv2d_forward")?;
     let o = plan.out_channels();
     if c != plan.in_channels() {

@@ -380,8 +380,7 @@ impl GemmPlan {
     }
 }
 
-/// The im2col geometry shared by a conv plan's forward and backward
-/// passes — computed once per input size, never re-derived independently.
+/// The im2col geometry of a conv plan's forward pass for one input size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeometry {
     /// Input height this geometry was derived for.
@@ -401,8 +400,10 @@ pub struct ConvGeometry {
 /// A cached execution plan for a conv layer's `OIHW` filter.
 ///
 /// Owns the `[O, C*KH*KW]` filter matrix prepacked as microkernel
-/// A-panels for the forward GEMM, the lazily-built transposed panels for
-/// the backward `dcols = Wᵀ·G` GEMM, and the cached [`ConvGeometry`].
+/// A-panels for the forward GEMM and the lazily-built transposed panels
+/// for the backward `dcols = Wᵀ·G` GEMM. The forward reads the plan
+/// through a shared reference, so several threads may run one plan at
+/// once.
 #[derive(Debug)]
 pub struct ConvPlan {
     spec: Conv2dSpec,
@@ -415,9 +416,6 @@ pub struct ConvPlan {
     /// Backward A-panels of `wmatᵀ` (strides `(1, rows)`); built on
     /// first backward.
     bwd: Option<AlignedVec>,
-    /// Geometry for the most recent input size (conv inputs are
-    /// uniformly sized in practice; a size change just recomputes).
-    geo: Option<ConvGeometry>,
     generation: u64,
 }
 
@@ -456,7 +454,6 @@ impl ConvPlan {
             rows,
             fwd,
             bwd: None,
-            geo: None,
             generation,
         })
     }
@@ -508,29 +505,21 @@ impl ConvPlan {
         self.in_channels
     }
 
-    /// The im2col geometry for an `h×w` input, cached so forward and
-    /// backward share one derivation.
+    /// The im2col geometry for an `h×w` input.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::Numerical`] if the window does not fit.
-    pub fn geometry(&mut self, h: usize, w: usize) -> Result<ConvGeometry> {
-        if let Some(g) = self.geo {
-            if g.h == h && g.w == w {
-                return Ok(g);
-            }
-        }
+    pub fn geometry(&self, h: usize, w: usize) -> Result<ConvGeometry> {
         let (oh, ow) = self.spec.output_hw(h, w)?;
-        let g = ConvGeometry {
+        Ok(ConvGeometry {
             h,
             w,
             oh,
             ow,
             rows: self.rows,
             ncols: oh * ow,
-        };
-        self.geo = Some(g);
-        Ok(g)
+        })
     }
 
     /// The prepacked forward A-panels (filter matrix).
@@ -627,11 +616,11 @@ mod tests {
     }
 
     #[test]
-    fn conv_geometry_is_cached() {
+    fn conv_geometry_follows_the_input_size() {
         let _g = PACK_LOCK.lock().unwrap();
         let spec = Conv2dSpec::square(3, 1, 1);
         let w = Tensor::ones([2, 3, 3, 3]);
-        let mut plan = ConvPlan::pack(&w, spec, 0).unwrap();
+        let plan = ConvPlan::pack(&w, spec, 0).unwrap();
         let g1 = plan.geometry(8, 8).unwrap();
         assert_eq!((g1.oh, g1.ow), (8, 8));
         assert_eq!(g1.rows, 3 * 9);
