@@ -44,17 +44,10 @@ impl Sequential {
     }
 
     /// The mode of the most recent [`forward`](Layer::forward) call
-    /// ([`Mode::Train`] before any forward has run). Inference entry
-    /// points use this to restore the prior mode after a temporary
-    /// eval-mode forward.
+    /// ([`Mode::Train`] before any forward has run). The shared
+    /// inference entry, [`infer`](Layer::infer), records none.
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// Overrides the recorded mode (used to restore the pre-inference
-    /// mode after an eval-mode forward).
-    pub fn set_mode(&mut self, mode: Mode) {
-        self.mode = mode;
     }
 
     /// Appends a layer. Returns `&mut self` for chaining.
@@ -294,7 +287,7 @@ mod tests {
         assert_eq!(m.mode(), Mode::Eval);
         m.forward(&Tensor::ones([1, 4]), Mode::Train).unwrap();
         assert_eq!(m.mode(), Mode::Train);
-        m.set_mode(Mode::Eval);
+        m.forward(&Tensor::ones([1, 4]), Mode::Eval).unwrap();
         assert_eq!(m.mode(), Mode::Eval);
         // split_off inherits the recorded mode.
         let tail = m.split_off(1);

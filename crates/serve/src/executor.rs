@@ -14,9 +14,11 @@
 //! A batch handed out is a [`Due`]: it starts at `flush_t`, once the
 //! executor is free and the flush rule fired, and occupies the executor
 //! until `done_s` = `flush_t + batch_setup_s + per_item_s·n`
-//! ([`busy_until`]). [`forward_batch`] then runs it: entries whose
-//! deadline precedes `done_s` are answered without inference, the rest
-//! take one `concat0` → `infer` → `slice0` pass per group.
+//! ([`busy_until`]). [`infer_batch`] computes it: entries whose deadline
+//! precedes `done_s` get no inference, the rest take one `concat0` →
+//! `infer` → `slice0` pass per group. [`forward_batch`] hands each
+//! answer of one batch to a callback; [`infer_batches`] computes many
+//! batches side by side on the kernel pool.
 
 use medsplit_core::Result;
 use medsplit_simnet::{NetStats, NodeId};

@@ -21,15 +21,17 @@
 //! - [`executor`]: what one server *is* under the simulated clock — the
 //!   batcher plus a busy clock, asked three questions by a replay loop
 //!   (what is due by `t`, what becomes of this arrival, what is left at
-//!   the end), and the one batch forward (expired split, one
-//!   `concat0`/`infer`/`slice0` per group). This crate's server and
-//!   every `medsplit-fleet` replica are this type; `request_id` and the
+//!   the end), and the one batch compute (expired split, one
+//!   `concat0`/`infer`/`slice0` per group), for one batch or for many
+//!   side by side on the kernel pool. This crate's server and every
+//!   `medsplit-fleet` replica are this type; `request_id` and the
 //!   clock-to-`t` helper live next to it.
-//! - [`runtime`]: the serving session on the caller's thread — clients
-//!   submit open-loop, the server collects, sorts by simulated arrival
-//!   and drives the executor, clients receive — with explicit
-//!   rejection/timeout responses, and the [`ClientRecord`] latency rule
-//!   both drivers use.
+//! - [`runtime`]: the serving session, driven from the caller's thread —
+//!   clients submit open-loop, the server collects, sorts by simulated
+//!   arrival, replays the executor to a schedule and answers in its
+//!   order, clients receive — with the `L1` and `L2..Lk` inferences on
+//!   the kernel pool, explicit rejection/timeout responses, and the
+//!   [`ClientRecord`] latency rule both drivers use.
 //! - [`metrics`]: p50/p95/p99 latency summaries, per-request byte
 //!   accounting, and the one [`ServeReport`] fold from client records.
 

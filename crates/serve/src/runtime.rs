@@ -229,8 +229,7 @@ pub fn serve_threaded<T: Transport>(
     for (mut platform, qs) in platforms.into_iter().zip(queries) {
         let (pid, node, sent) = (platform.id(), platform.node(), qs.len());
         platform.update_plans()?;
-        let shared = &platform;
-        let activations = side_by_side(&qs, L1_QUERIES_PER_TASK, |q| shared.infer_l1_shared(q));
+        let activations = side_by_side(&qs, L1_QUERIES_PER_TASK, |q| platform.infer_l1_shared(q));
         drop(qs);
         for (seq, acts) in activations.into_iter().enumerate() {
             // Open-loop arrivals: request `seq` is submitted at a fixed
@@ -264,13 +263,12 @@ pub fn serve_threaded<T: Transport>(
         Scheduled::Batch(due) => Some(due),
         Scheduled::Refused(..) => None,
     });
-    let shared = &server;
     let answers = infer_batches(
         batches,
         "serve.batch_size",
         |_| (),
         |p| &p.req.activations,
-        |(), batch| shared.infer_shared(batch),
+        |(), batch| server.infer_shared(batch),
     )?;
     answer(schedule, answers, cfg, transport)?;
 

@@ -39,12 +39,11 @@
 //!   logical size is honoured even when more workers were spawned
 //!   earlier; a worker that gets no slot keeps its idle count and parks.
 //! - **Busy pool ⇒ inline.** The slot is owned through `try_lock`: a
-//!   second thread dispatching at the same time (the serving runtime's
-//!   node threads, parallel tests) runs its range inline rather than
-//!   queueing behind another thread's kernel. A task that itself calls
-//!   [`parallel_for`] runs the inner range inline too, which avoids
-//!   deadlock and oversubscription while still parallelising whichever
-//!   level is outermost.
+//!   second thread dispatching at the same time (parallel tests) runs
+//!   its range inline rather than queueing behind another thread's
+//!   kernel. A task that itself calls [`parallel_for`] runs the inner
+//!   range inline too, which avoids deadlock and oversubscription while
+//!   still parallelising whichever level is outermost.
 //! - **Shape gating.** Kernels pass a work estimate computed from shapes
 //!   alone (multiply-accumulates for GEMM/conv, elements for packing,
 //!   pooling and elementwise ops). Below [`MIN_PAR_WORK`] the range runs
