@@ -180,8 +180,12 @@ enum Scheduled {
     Refused(Pending, f64),
 }
 
-/// Queries in one kernel-pool task of a platform's `L1` pass. A constant
-/// of the code, never derived from the thread count.
+/// Queries whose `L1` runs in one kernel-pool job, in tasks of
+/// [`L1_QUERIES_PER_TASK`]. Their requests go out before the next window
+/// starts, so a platform holds one window of activations at a time, as
+/// its queries turn into requests. Both are constants of the code, never
+/// derived from the thread count.
+const L1_WINDOW: usize = 256;
 const L1_QUERIES_PER_TASK: usize = 16;
 
 /// Runs a full serving session: every platform submits its queries
@@ -222,30 +226,35 @@ pub fn serve_threaded<T: Transport>(
     }
     let offered: usize = queries.iter().map(Vec::len).sum();
 
-    // Phase 1 — submit, one platform after another: `L1` over the
-    // platform's queries side by side on the kernel pool, then the noise
-    // draws and every request in submission order, then the done marker.
+    // Phase 1 — submit, one platform after another, one window of
+    // queries at a time: `L1` over the window side by side on the kernel
+    // pool, then the noise draws and the window's requests in submission
+    // order; the done marker last.
     let mut clients = Vec::with_capacity(platforms.len());
     for (mut platform, qs) in platforms.into_iter().zip(queries) {
         let (pid, node, sent) = (platform.id(), platform.node(), qs.len());
         platform.update_plans()?;
-        let activations = side_by_side(&qs, L1_QUERIES_PER_TASK, |q| platform.infer_l1_shared(q));
-        drop(qs);
-        for (seq, acts) in activations.into_iter().enumerate() {
-            // Open-loop arrivals: request `seq` is submitted at a fixed
-            // rate regardless of how earlier requests fared.
-            let submit_s = seq as f64 / cfg.offered_rps;
-            sync_clock(transport.stats(), node, submit_s);
-            let acts = platform.noise_inference(acts?);
-            let env = encode_request(
-                node,
-                request_id(pid, seq),
-                submit_s,
-                submit_s + cfg.deadline_s,
-                &acts,
-                cfg.codec,
-            );
-            transport.send(env).map_err(SplitError::from)?;
+        let mut qs = qs.into_iter();
+        for first in (0..sent).step_by(L1_WINDOW) {
+            let window: Vec<Tensor> = qs.by_ref().take(L1_WINDOW).collect();
+            let activations = side_by_side(&window, L1_QUERIES_PER_TASK, |q| platform.infer_l1_shared(q));
+            drop(window);
+            for (seq, acts) in (first..).zip(activations) {
+                // Open-loop arrivals: request `seq` is submitted at a
+                // fixed rate regardless of how earlier requests fared.
+                let submit_s = seq as f64 / cfg.offered_rps;
+                sync_clock(transport.stats(), node, submit_s);
+                let acts = platform.noise_inference(acts?);
+                let env = encode_request(
+                    node,
+                    request_id(pid, seq),
+                    submit_s,
+                    submit_s + cfg.deadline_s,
+                    &acts,
+                    cfg.codec,
+                );
+                transport.send(env).map_err(SplitError::from)?;
+            }
         }
         transport
             .send(Envelope::control(node, NodeId::Server, sent as u64))
