@@ -240,8 +240,12 @@ cargo test -q --release --offline --test fleet_chaos
 echo "==> serving golden digests under --release"
 # Every serve_threaded / run_fleet outcome is pinned bit for bit in debug
 # by the workspace run above; the optimised build must agree with it.
-# The serving suite runs here too: its end-to-end logits check and the
-# refusal of a lost response must hold on the optimised build.
+# serve_threaded runs its L1 and L2..Lk inferences as kernel-pool tasks,
+# so the cases that pin the inference noise order (two noised platforms)
+# and the pool-size invariance (one session at one and two threads) are
+# seen in both builds. The serving suite runs here too: its end-to-end
+# logits check and the refusal of a lost response must hold on the
+# optimised build.
 cargo test -q --release --offline --test serving_golden --test serving
 
 echo "==> baseline trainer golden digests under --release"

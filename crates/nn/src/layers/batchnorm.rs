@@ -234,9 +234,7 @@ impl BatchNorm {
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
     }
-}
 
-impl BatchNorm {
     /// The per-feature constants of `γ·(x − mean)·inv_std + β`, with
     /// `inv_std = 1 / sqrt(var + eps)`.
     fn affine<'a>(&'a self, mean: &'a [f32], inv_std: &'a [f32]) -> Affine<'a> {
@@ -248,6 +246,7 @@ impl BatchNorm {
         }
     }
 
+    /// `1 / sqrt(var + eps)` per feature.
     fn inv_std(&self, var: &[f32]) -> Vec<f32> {
         var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect()
     }

@@ -89,9 +89,7 @@ impl Conv2d {
     pub fn spec(&self) -> Conv2dSpec {
         self.spec
     }
-}
 
-impl Conv2d {
     /// The cached plan, if it packed the current weight.
     fn current_plan(&self) -> Option<&ConvPlan> {
         self.plan

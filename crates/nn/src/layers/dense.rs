@@ -78,9 +78,7 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
-}
 
-impl Dense {
     /// The cached plan, if it packed the current weight.
     fn current_plan(&self) -> Option<&GemmPlan> {
         self.plan
