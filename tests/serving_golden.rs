@@ -545,20 +545,48 @@ fn fleet_quiet_three_replicas() {
     assert_eq!(got, want);
 }
 
-#[test]
-fn fleet_crash_and_recover() {
+/// Replica 1 of four crashes at 0.1 s and recovers at 0.25 s.
+fn crash_and_recover() -> (FleetConfig, FaultPlan) {
     let cfg = fleet_cfg(4);
     let plan = FaultPlan::new(FLEET_SEED)
         .crash_replica(1, (0.1 / cfg.chaos_tick_s) as u64)
         .recover_replica(1, (0.25 / cfg.chaos_tick_s) as u64);
+    (cfg, plan)
+}
+
+const CRASH_AND_RECOVER_GOLDEN: Golden = Golden {
+    records: 0x78a3_af94_afe7_ba85,
+    report: 0xa085_ec03_3077_924a,
+    stats: 0x5962_9ce8_7481_83f5,
+    fleet: 0x3103_0625_b827_0555,
+};
+
+#[test]
+fn fleet_crash_and_recover() {
+    let (cfg, plan) = crash_and_recover();
     let (got, out) = fleet_case(&cfg, &plan, &[]);
     assert!(out.redispatched > 0, "the crash must orphan in-flight work");
     assert_eq!(out.per_replica[1].final_phase, ReplicaPhase::Active);
+    assert_eq!(got, CRASH_AND_RECOVER_GOLDEN);
+}
+
+/// Replica 1 of two flushes a batch of six on its age timer in the same
+/// step as the chaos tick that crashes it, before the tick applies. The
+/// batch's answers leave before the crash: none is sent from a dead node
+/// and none is lost.
+#[test]
+fn fleet_crash_just_after_a_flush() {
+    let plan = FaultPlan::new(FLEET_SEED).crash_replica(1, 3);
+    let (got, out) = fleet_case(&fleet_cfg(2), &plan, &[]);
+    assert_eq!(out.per_replica[1].final_phase, ReplicaPhase::Down);
+    assert!(out.per_replica[1].served > 0, "the victim served before it died");
+    assert_eq!(out.chaos.peer_down_sends, 0, "an answer left after the crash");
+    assert_eq!(out.report.completed, 3 * PER_TENANT);
     let want = Golden {
-        records: 0x78a3_af94_afe7_ba85,
-        report: 0xa085_ec03_3077_924a,
-        stats: 0x5962_9ce8_7481_83f5,
-        fleet: 0x3103_0625_b827_0555,
+        records: 0x7d44_3ecc_6d2f_c07c,
+        report: 0xa946_9ab0_f156_283c,
+        stats: 0xc719_a550_cbb9_2b73,
+        fleet: 0x6f2a_cde8_c92c_4b2e,
     };
     assert_eq!(got, want);
 }
@@ -615,8 +643,7 @@ fn fleet_quota_throttles() {
 /// Ten percent loss on every uplink and every router-to-replica link:
 /// a request lost on the uplink becomes a client-side record, one lost on
 /// dispatch goes to the ring successor.
-#[test]
-fn fleet_request_path_drop() {
+fn request_path_drop() -> (FleetConfig, FaultPlan) {
     let lossy = LinkFaults {
         drop_p: 0.1,
         ..LinkFaults::default()
@@ -629,7 +656,20 @@ fn fleet_request_path_drop() {
             lossy,
         );
     }
-    let (got, out) = fleet_case(&fleet_cfg(3), &plan, &[]);
+    (fleet_cfg(3), plan)
+}
+
+const REQUEST_PATH_DROP_GOLDEN: Golden = Golden {
+    records: 0xd58b_88b2_de8f_e0c8,
+    report: 0x60cc_b5a2_803e_1d02,
+    stats: 0x54f1_0798_3168_abc8,
+    fleet: 0x8f92_efa6_326c_6f40,
+};
+
+#[test]
+fn fleet_request_path_drop() {
+    let (cfg, plan) = request_path_drop();
+    let (got, out) = fleet_case(&cfg, &plan, &[]);
     assert!(out.chaos.dropped > 0);
     assert!(
         out.records
@@ -637,13 +677,33 @@ fn fleet_request_path_drop() {
             .any(|r| r.status == InferStatus::Throttled && r.latency_s == 0.0),
         "an uplink loss must leave a client-side record"
     );
-    let want = Golden {
-        records: 0xd58b_88b2_de8f_e0c8,
-        report: 0x60cc_b5a2_803e_1d02,
-        stats: 0x54f1_0798_3168_abc8,
-        fleet: 0x8f92_efa6_326c_6f40,
-    };
-    assert_eq!(got, want);
+    assert_eq!(got, REQUEST_PATH_DROP_GOLDEN);
+}
+
+/// The crash-and-recover and request-path-drop fleets at one and at two
+/// pool threads: who computes a batch must not show in any digest, under
+/// redispatch or under random loss.
+#[test]
+fn fleet_pool_sizes_agree() {
+    let _guard = POOL_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let prior = pool::num_threads();
+    for ((cfg, plan), want) in [
+        (crash_and_recover(), CRASH_AND_RECOVER_GOLDEN),
+        (request_path_drop(), REQUEST_PATH_DROP_GOLDEN),
+    ] {
+        let got: Vec<Golden> = [1, 2]
+            .iter()
+            .map(|&threads| {
+                pool::set_num_threads(threads);
+                fleet_golden(&run_fleet(&cfg, PER_TENANT, FLEET_SEED, plan.clone(), &[]).unwrap())
+            })
+            .collect();
+        pool::set_num_threads(prior);
+        assert_eq!(got[0], got[1], "one and two pool threads disagree");
+        assert_eq!(got[0], want);
+    }
 }
 
 /// Five percent loss on every link reaches the responses too, and a lost
