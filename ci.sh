@@ -21,7 +21,7 @@ if [ -n "$knob_drift" ]; then
     exit 1
 fi
 
-echo "==> one of each: one FNV-1a, one JSON string escaper, one round loop"
+echo "==> one of each: one FNV-1a, one JSON string escaper, one round loop, one serving loop"
 # Every digest and every JSON document goes through one implementation:
 # medsplit_tensor::fnv1a and medsplit_telemetry::json. A second FNV
 # offset basis (in any underscore spelling) or a second function that
@@ -46,6 +46,18 @@ record_hits="$(find crates/*/src -name '*.rs' ! -path crates/core/src/round.rs -
 if [ -n "$record_hits" ]; then
     echo "ci.sh: RoundRecord built outside crates/core/src/round.rs:" >&2
     echo "$record_hits" >&2
+    exit 1
+fi
+# Every server is driven by the one serving loop (crates/serve/src/sim.rs,
+# where a single server is a fleet of one): a call to one of the
+# executor's three questions — `.due_by(`, `.arrive(`, `.drain_next(` —
+# anywhere else under crates/*/src is a second loop. Test modules may
+# drive an executor by hand.
+loop_hits="$(find crates/*/src -name '*.rs' ! -path crates/serve/src/sim.rs -exec awk \
+    '/#\[cfg\(test\)\]/ { exit } /\.(due_by|arrive|drain_next)\(/ { print FILENAME ":" FNR ": " $0 }' {} \;)"
+if [ -n "$loop_hits" ]; then
+    echo "ci.sh: the executor is asked its questions outside crates/serve/src/sim.rs:" >&2
+    echo "$loop_hits" >&2
     exit 1
 fi
 

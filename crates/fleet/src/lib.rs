@@ -1,40 +1,16 @@
-//! medsplit-fleet: sharded multi-tenant split-inference serving.
+//! medsplit-fleet: the fleet half of `medsplit-serve`, re-exported.
 //!
-//! The single-server serving runtime (`medsplit-serve`) batches one
-//! node's worth of `L2..Lk` traffic. This crate scales that out: `N`
-//! server replicas each own a shard of sessions, fronted by a router
-//! that maps `(tenant, session)` onto a replica via a consistent-hash
-//! ring with virtual nodes. The router enforces per-tenant admission
-//! quotas and pins each session to a weight version from a shared
-//! [`ModelBank`](bank::ModelBank); each replica is the serving
-//! [`Executor`](medsplit_serve::Executor) of the single-server runtime
-//! (dynamic batcher + busy clock, the shared batch forward) plus a
-//! lifecycle phase, a session shard and per-version models, with
-//! continuous batching across tenants.
-//!
-//! Replicas support graceful drain (stop accepting, flush in-flight
-//! work, hand session state to ring successors) and rejoin; crashes are
-//! exercised under the simnet chaos transport, with the router's
-//! in-flight table redispatching orphaned requests so that no admitted
-//! request is ever dropped. See [`sim::run_fleet`] for the
-//! discrete-event driver and `DESIGN.md` §10.3 for the protocol.
+//! Sharded multi-tenant serving — `N` replicas behind a router with a
+//! consistent-hash ring, per-tenant quotas, weight-version pins,
+//! drain/rejoin and crash re-dispatch — runs on the one serving loop of
+//! `medsplit-serve`, where a single server is a fleet of one. Its modules
+//! live in that crate now; this crate keeps their old paths until the
+//! callers move (ROADMAP item 5(f)).
 
-#![warn(missing_docs)]
-
-pub mod bank;
-pub mod config;
-pub mod replica;
-pub mod ring;
-pub mod router;
-pub mod session;
-pub mod sim;
-
-pub use bank::{ModelBank, ModelFactory};
-pub use config::FleetConfig;
-pub use replica::{FleetPending, Replica, ReplicaPhase, Served};
-pub use ring::{key_hash, HashRing};
-pub use router::{InFlight, Router};
-pub use session::{decode_sessions, encode_sessions, SessionKey, SessionState};
-pub use sim::{
-    run_fleet, FleetAction, FleetEvent, FleetOutcome, ReplicaReport, TenantReport, CLASSES, FEATURES,
-};
+pub use medsplit_serve::bank::ModelBank;
+pub use medsplit_serve::config::FleetConfig;
+pub use medsplit_serve::replica::{FleetPending, Replica, ReplicaPhase};
+pub use medsplit_serve::ring::{key_hash, HashRing};
+pub use medsplit_serve::router::{InFlight, Router};
+pub use medsplit_serve::session::{decode_sessions, encode_sessions, SessionKey, SessionState};
+pub use medsplit_serve::sim::{run_fleet, FleetAction, FleetEvent, FleetOutcome, CLASSES, FEATURES};

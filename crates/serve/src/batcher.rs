@@ -37,6 +37,14 @@ pub struct BatchEntry<T> {
     pub deadline_s: f64,
 }
 
+impl<T> BatchEntry<T> {
+    /// Whether the entry is still worth inferring in a batch done at
+    /// `done_s`: its deadline does not precede it.
+    pub(crate) fn live_at(&self, done_s: f64) -> bool {
+        self.deadline_s >= done_s
+    }
+}
+
 /// Bounded FIFO queue with flush-on-size-or-age batching.
 #[derive(Debug)]
 pub struct DynamicBatcher<T> {

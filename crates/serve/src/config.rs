@@ -1,7 +1,7 @@
 //! Fleet configuration and validation.
 
+use crate::runtime::ServeConfig;
 use medsplit_core::SplitError;
-use medsplit_serve::ServeConfig;
 
 /// Parameters of a sharded serving fleet run.
 #[derive(Debug, Clone)]
@@ -15,7 +15,7 @@ pub struct FleetConfig {
     /// Distinct sessions per tenant; requests round-robin over them.
     pub sessions_per_tenant: usize,
     /// Maximum in-flight admitted requests per tenant; beyond it the
-    /// router answers [`Throttled`](medsplit_serve::InferStatus::Throttled)
+    /// router answers [`Throttled`](crate::InferStatus::Throttled)
     /// without dispatching.
     pub tenant_quota: usize,
     /// Number of model weight versions in the bank; each session is

@@ -1,8 +1,9 @@
 //! The serving executor: a [`DynamicBatcher`] plus a busy clock.
 //!
-//! Both serving drivers replay their traffic in simulated-arrival order
-//! against a single executor per server — `serve_threaded` has one, a
-//! fleet has one per replica — and ask it the same three questions:
+//! The serving loop ([`sim`](crate::sim)) replays its traffic in
+//! simulated-arrival order against one executor per replica — a single
+//! server is a fleet of one — and asks it three questions, from nowhere
+//! else:
 //!
 //! 1. [`Executor::due_by`] — which batch did the age rule flush by `t`,
 //!    and when does it start?
@@ -14,11 +15,10 @@
 //! A batch handed out is a [`Due`]: it starts at `flush_t`, once the
 //! executor is free and the flush rule fired, and occupies the executor
 //! until `done_s` = `flush_t + batch_setup_s + per_item_s·n`
-//! ([`busy_until`]). [`infer_batch`] computes it: entries whose deadline
+//! ([`busy_until`]). `infer_batch` computes it: entries whose deadline
 //! precedes `done_s` get no inference, the rest take one `concat0` →
-//! `infer` → `slice0` pass per group. [`forward_batch`] hands each
-//! answer of one batch to a callback; [`infer_batches`] computes many
-//! batches side by side on the kernel pool.
+//! `infer` → `slice0` pass per group; the loop runs many batches side by
+//! side on the kernel pool (`side_by_side`).
 
 use medsplit_core::Result;
 use medsplit_simnet::{NetStats, NodeId};
@@ -167,17 +167,12 @@ impl<P> Executor<P> {
     }
 }
 
-/// A batch's answers in the order [`forward_batch`] reports them: each
+/// A batch's answers in the order [`infer_batch`] reports them: each
 /// entry's position in the batch with its logits, `None` for an entry
 /// whose deadline preceded the batch's `done_s`.
-pub type Answers = Vec<(usize, Option<Tensor>)>;
+pub(crate) type Answers = Vec<(usize, Option<Tensor>)>;
 
-/// Batches in one kernel-pool task of [`infer_batches`]. A constant of
-/// the code, never derived from the thread count.
-const BATCHES_PER_TASK: usize = 8;
-
-/// The compute of one batch that is done at `done_s`, in the order
-/// [`forward_batch`] reports it: first the entries whose deadline
+/// The compute of one batch that is done at `done_s`: first the entries whose deadline
 /// precedes `done_s` (no logits: a timeout, never inferred), then the
 /// live ones by ascending `group_of` key and arrival order within a
 /// group, each with its slice of the group's logits. A group takes one
@@ -188,7 +183,7 @@ const BATCHES_PER_TASK: usize = 8;
 /// # Errors
 ///
 /// Propagates tensor and model errors.
-pub fn infer_batch<P, K: Ord>(
+pub(crate) fn infer_batch<P, K: Ord>(
     entries: &[BatchEntry<P>],
     done_s: f64,
     group_of: impl Fn(&P) -> K,
@@ -196,7 +191,7 @@ pub fn infer_batch<P, K: Ord>(
     mut infer: impl FnMut(K, &Tensor) -> Result<Tensor>,
 ) -> Result<Answers> {
     let (mut live, expired): (Vec<usize>, Vec<usize>) =
-        (0..entries.len()).partition(|&i| entries[i].deadline_s >= done_s);
+        (0..entries.len()).partition(|&i| entries[i].live_at(done_s));
     let mut answers: Answers = expired.into_iter().map(|i| (i, None)).collect();
     // Stable, so arrival order survives within a group.
     let key = |i: &usize| group_of(&entries[*i].item);
@@ -217,62 +212,6 @@ pub fn infer_batch<P, K: Ord>(
         }
     }
     Ok(answers)
-}
-
-/// Observes a batch of `n` entries in `histogram`.
-fn observe_batch(histogram: &str, n: usize) {
-    medsplit_telemetry::histogram_observe(histogram, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], n as f64);
-}
-
-/// Runs one batch that is done at `done_s` ([`infer_batch`]) and reports
-/// every entry exactly once through `emit`, in [`infer_batch`]'s order.
-///
-/// # Errors
-///
-/// Propagates tensor, model and `emit` errors.
-pub fn forward_batch<P, K: Ord>(
-    entries: Vec<BatchEntry<P>>,
-    done_s: f64,
-    histogram: &str,
-    group_of: impl Fn(&P) -> K,
-    activations: impl Fn(&P) -> &Tensor,
-    infer: impl FnMut(K, &Tensor) -> Result<Tensor>,
-    mut emit: impl FnMut(&P, Option<Tensor>) -> Result<()>,
-) -> Result<()> {
-    observe_batch(histogram, entries.len());
-    for (i, logits) in infer_batch(&entries, done_s, group_of, activations, infer)? {
-        emit(&entries[i].item, logits)?;
-    }
-    Ok(())
-}
-
-/// [`infer_batch`] for every batch of `dues`, side by side on the kernel
-/// pool, [`BATCHES_PER_TASK`] batches per task; the answers come back in
-/// the order of `dues`. Kernels inside a task run inline on the task's
-/// thread (the pool's nesting rule), and a batch touches nothing but its
-/// own entries and a shared model, so the answers do not depend on the
-/// thread count. Every batch is observed in `histogram` first, in order.
-///
-/// # Errors
-///
-/// Returns the first error in the order of `dues`; every batch runs
-/// before errors are looked at.
-pub fn infer_batches<'a, P: Sync + 'a, K: Ord>(
-    dues: impl IntoIterator<Item = &'a Due<P>>,
-    histogram: &str,
-    group_of: impl Fn(&P) -> K + Sync,
-    activations: impl Fn(&P) -> &Tensor + Sync,
-    infer: impl Fn(K, &Tensor) -> Result<Tensor> + Sync,
-) -> Result<Vec<Answers>> {
-    let dues: Vec<&Due<P>> = dues.into_iter().collect();
-    for due in &dues {
-        observe_batch(histogram, due.entries.len());
-    }
-    side_by_side(&dues, BATCHES_PER_TASK, |due| {
-        infer_batch(&due.entries, due.done_s, &group_of, &activations, &infer)
-    })
-    .into_iter()
-    .collect()
 }
 
 /// `f` over every item, `per_task` consecutive items per kernel-pool
@@ -405,23 +344,24 @@ mod tests {
         }
         let due = ex.drain_next().unwrap();
         let mut passes = Vec::new();
-        let mut seen = Vec::new();
-        forward_batch(
-            due.entries,
+        let answers = infer_batch(
+            &due.entries,
             due.done_s,
-            "test.batch_size",
             |p| p.0,
             |p| &p.1,
             |group, batch| {
                 passes.push((group, batch.dims()[0]));
                 Ok(batch.map(|v| v + 100.0 * group as f32))
             },
-            |p, logits| {
-                seen.push((p.1.as_slice()[0], logits.map(|t| t.as_slice().to_vec())));
-                Ok(())
-            },
         )
         .unwrap();
+        let seen: Vec<_> = answers
+            .into_iter()
+            .map(|(i, logits)| {
+                let p = &due.entries[i].item;
+                (p.1.as_slice()[0], logits.map(|t| t.as_slice().to_vec()))
+            })
+            .collect();
         assert_eq!(passes, [(0, 2), (1, 1)], "one pass per live group");
         assert_eq!(
             seen,

@@ -4,15 +4,16 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use medsplit_core::{Result, SplitServer};
-use medsplit_serve::{
-    busy_until, forward_batch, Admission, BatchEntry, Executor, RoutedRequest, ServeConfig,
-};
+use medsplit_core::{Result, SplitError, SplitServer};
 use medsplit_tensor::Tensor;
 
 use crate::bank::ModelBank;
+use crate::batcher::{Admission, BatchEntry};
+use crate::executor::{busy_until, infer_batch, Answers, Executor};
 use crate::ring::HashRing;
+use crate::runtime::ServeConfig;
 use crate::session::{SessionKey, SessionState};
+use crate::wire::RoutedRequest;
 
 /// Replica lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +59,12 @@ pub struct Replica {
     /// `replica-{id}`, the label of this replica's counters.
     label: String,
     phase: ReplicaPhase,
-    /// Batcher and busy clock; the event loop asks it the three replay
+    /// Batcher and busy clock; the serving loop asks it the three replay
     /// questions directly.
     pub(crate) executor: Executor<FleetPending>,
-    /// Per-version model instances, pulled from the bank on first use.
-    servers: HashMap<u32, SplitServer>,
+    /// Per-version model instances, pulled from the bank on first use
+    /// (or, for a single server, handed over by the loop's caller).
+    pub(crate) servers: HashMap<u32, SplitServer>,
     /// Session state for the shard this replica currently owns.
     sessions: HashMap<SessionKey, SessionState>,
     /// Total requests served with logits.
@@ -133,12 +135,79 @@ impl Replica {
         self.sessions.clear();
     }
 
-    /// Runs a batch that starts at `flush_t` through the entries' pinned
-    /// weight versions and returns `(serve_done, outcomes)`. Entries are
-    /// grouped by version — continuous batching across tenants within a
-    /// version — and each group takes one forward pass. Expired entries
-    /// (deadline before `serve_done`) come first, with `ok = false`, and
-    /// are never inferred.
+    /// Books a batch that is done at `done_s` before any logit exists:
+    /// each live entry's pinned version gets a model instance (from
+    /// `bank`, on first use) and its session one more served request.
+    /// Entries whose deadline precedes `done_s` are never inferred.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model and bank errors; a version the replica holds no
+    /// model for and no bank can supply is a config error.
+    pub(crate) fn book(
+        &mut self,
+        entries: &[BatchEntry<FleetPending>],
+        done_s: f64,
+        bank: Option<&ModelBank>,
+    ) -> Result<()> {
+        let mut ok = 0;
+        for p in entries.iter().filter(|e| e.live_at(done_s)).map(|e| &e.item) {
+            let version = p.req.version;
+            if let Entry::Vacant(slot) = self.servers.entry(version) {
+                let bank =
+                    bank.ok_or_else(|| SplitError::Config(format!("no model for weight version {version}")))?;
+                // The cached instance (rather than one rebuilt per
+                // request) keeps its layers' prepacked plan panels warm:
+                // after the first request against a version, serving
+                // never repacks.
+                let mut server = bank.instantiate(version)?;
+                server.update_plans()?;
+                slot.insert(server);
+            }
+            let key = SessionKey {
+                tenant: p.req.tenant,
+                session: p.req.session,
+            };
+            let state = self
+                .sessions
+                .entry(key)
+                .or_insert_with(|| SessionState::new(key, version));
+            state.served += 1;
+            state.last_served_s = done_s;
+            ok += 1;
+        }
+        self.served += ok;
+        medsplit_telemetry::counter_add_labeled("fleet.served", &self.label, ok);
+        Ok(())
+    }
+
+    /// Computes a booked batch through the entries' pinned weight
+    /// versions ([`infer_batch`]): continuous batching across tenants
+    /// within a version, one forward pass per version. Reads the models
+    /// through `&self`, so several batches may run at once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model errors.
+    pub(crate) fn infer(&self, entries: &[BatchEntry<FleetPending>], done_s: f64) -> Result<Answers> {
+        infer_batch(
+            entries,
+            done_s,
+            |p| p.req.version,
+            |p| &p.req.activations,
+            |version, rows| {
+                self.servers
+                    .get(&version)
+                    .ok_or_else(|| SplitError::Config(format!("unbooked weight version {version}")))?
+                    .infer_shared(rows)
+            },
+        )
+    }
+
+    /// Runs a batch that starts at `flush_t` — booked, then inferred, as
+    /// the serving loop does — and returns `(serve_done, outcomes)` in
+    /// response order: expired entries first, with `ok = false`, then the
+    /// live ones grouped by version.
     ///
     /// # Errors
     ///
@@ -154,47 +223,21 @@ impl Replica {
             return Ok((flush_t, Vec::new()));
         }
         let serve_done = busy_until(serve, flush_t, entries.len());
-        let mut outcomes = Vec::with_capacity(entries.len());
-        let mut ok = 0;
-        let (servers, sessions) = (&mut self.servers, &mut self.sessions);
-        forward_batch(
-            entries,
-            serve_done,
-            "fleet.batch_size",
-            |p| p.req.version,
-            |p| &p.req.activations,
-            // The cached instance (rather than one rebuilt per request)
-            // also keeps its layers' prepacked plan panels warm: after
-            // the first request against a version, serving never repacks.
-            |version, batch| match servers.entry(version) {
-                Entry::Occupied(slot) => slot.into_mut().infer(batch),
-                Entry::Vacant(slot) => slot.insert(bank.instantiate(version)?).infer(batch),
-            },
-            |p, logits| {
-                if logits.is_some() {
-                    let key = SessionKey {
-                        tenant: p.req.tenant,
-                        session: p.req.session,
-                    };
-                    let state = sessions
-                        .entry(key)
-                        .or_insert_with(|| SessionState::new(key, p.req.version));
-                    state.served += 1;
-                    state.last_served_s = serve_done;
-                    ok += 1;
-                }
-                outcomes.push(Served {
+        self.book(&entries, serve_done, Some(bank))?;
+        let outcomes = self
+            .infer(&entries, serve_done)?
+            .into_iter()
+            .map(|(i, logits)| {
+                let p = &entries[i].item;
+                Served {
                     id: p.req.id,
                     platform: p.platform,
                     submit_s: p.req.submit_s,
                     ok: logits.is_some(),
                     logits,
-                });
-                Ok(())
-            },
-        )?;
-        self.served += ok;
-        medsplit_telemetry::counter_add_labeled("fleet.served", &self.label, ok);
+                }
+            })
+            .collect();
         Ok((serve_done, outcomes))
     }
 

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use medsplit_serve::RoutedRequest;
+use crate::wire::RoutedRequest;
 
 use crate::ring::{key_hash, HashRing};
 use crate::session::SessionKey;

@@ -1,46 +1,55 @@
-//! The fleet's discrete-event serving simulation.
+//! The one serving loop, for one server and for a fleet of them.
 //!
-//! One process plays every role — platforms, router, replicas — over a
-//! [`ChaosTransport`]-wrapped [`MemoryTransport`] on a [`FleetTopology`],
-//! replaying all traffic in simulated-time order. What a server does with
-//! an arrival is not written here: each replica holds the same
-//! [`Executor`](medsplit_serve::Executor) the single-server runtime
-//! drives, this loop asks it the same three questions (what is due by
-//! `t`, what becomes of this arrival, what is left at the end), and the
-//! batch forward, the client-record latency rule, the report fold and the
-//! clock helper are `medsplit_serve`'s. What is written here is what only
-//! a fleet has: the router and ring in front of the executors, chaos
-//! ticks, crash re-dispatch, drain/rejoin and session handoff. Each
-//! replica's executor keeps its own busy clock, so capacity genuinely
-//! scales with fleet size; every frame (routed requests, responses,
-//! session handoffs) travels through the transport, so wire bytes and
-//! chaos faults are accounted for real.
+//! One process plays every role — platforms, router, replicas — over the
+//! caller's [`Transport`], replaying all traffic in simulated-time order.
+//! [`serve_threaded`](crate::serve_threaded) runs it with one replica on
+//! the router's own node, [`run_fleet`] with `N` replicas behind the
+//! router on a [`FleetTopology`]. Each replica holds an
+//! [`Executor`](crate::executor::Executor), and this module is the one
+//! place that asks one its three questions (what is due by `t`, what
+//! becomes of this arrival, what is left at the end).
 //!
-//! Determinism: the event loop is single-threaded with a total order on
-//! events `(time, insertion seq)`, request activations and version pins
-//! depend only on the seed and tenant layout — never on replica count —
-//! and per-row GEMM results are batch-composition-independent, so the
-//! logits digest of a run is bit-identical across fleet sizes.
+//! A run submits every request first: each platform runs `L1` over one
+//! window of queries at a time side by side on the kernel pool and draws
+//! its noise in sequence order, and the window's requests go out in
+//! submission order. Router arrivals, replica arrivals and operator
+//! events are then handled in `(time, insertion seq)` order, and last
+//! every platform collects one answer per query.
 //!
-//! The simulated clock maps onto chaos ticks via
-//! `tick = floor(time / chaos_tick_s)`; the driver applies
-//! [`FaultPlan`](medsplit_simnet::FaultPlan) events at tick boundaries
-//! and reacts: a crashed replica loses its queue and session state, its
-//! in-flight requests are re-dispatched to ring successors, and no
-//! admitted request is ever silently dropped (deadline timeouts are
-//! answered and counted).
+//! **Co-located router.** A topology without [`NodeId::Replica`] nodes
+//! has its one replica on the router's node: requests stay plain
+//! `InferRequest` frames, an admitted request goes straight to the
+//! executor (no hop frame, no clock sync, no chaos ticks), and the router
+//! keeps no in-flight copy of it. A fleet sends a `RoutedRequest` frame
+//! over each hop and keeps the copy, so a crash can re-dispatch it.
+//!
+//! **Lazy answers.** A batch the executor hands out is booked at once —
+//! router completion, session counts, served totals, model instances —
+//! and its answers are queued behind every earlier refusal. The queue is
+//! emptied just before the loop next sends, receives or begins a chaos
+//! tick, and at the end: the queued batches are computed side by side on
+//! the kernel pool, then the answers go out in queue order. The transport
+//! thus sees a one-batch-at-a-time run's calls in its order: a single
+//! server computes all its batches side by side at the end, a fleet one
+//! batch per dispatch, and no crash tick overtakes an answer due before
+//! it.
+//!
+//! The fleet maps the simulated clock onto chaos ticks,
+//! `tick = floor(time / chaos_tick_s)`, and applies [`FaultPlan`] events
+//! at tick boundaries: a crashed replica loses its queue and sessions,
+//! its in-flight requests go to ring successors, and no admitted request
+//! is ever silently dropped. Activations and version pins depend only on
+//! the seed and tenant layout, and per-row GEMM results do not depend on
+//! batch composition, so a run's logits are bit-identical across fleet
+//! and pool sizes.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use bytes::Bytes;
-use medsplit_core::{build_split, Platform, Result, SplitError, SplitPoint, WireCodec};
+use medsplit_core::{build_split, Platform, Result, SplitError, SplitPoint, SplitServer, WireCodec};
 use medsplit_data::SyntheticTabular;
 use medsplit_nn::{Architecture, MlpConfig};
-use medsplit_serve::{
-    decode_routed_request, encode_response_from, encode_routed_request, request_id, sync_clock, Arrived,
-    ClientRecord, Due, InferStatus, RoutedRequest, ServeReport,
-};
 use medsplit_simnet::{
     ChaosEvent, ChaosSnapshot, ChaosTransport, Envelope, FaultPlan, FleetTopology, MemoryTransport,
     MessageKind, NodeId, StatsSnapshot, Topology, Transport,
@@ -49,14 +58,31 @@ use medsplit_tensor::{fnv1a, init::rng_from_seed, Tensor, FNV_OFFSET, FNV_PRIME}
 
 use crate::bank::ModelBank;
 use crate::config::FleetConfig;
+use crate::executor::{request_id, side_by_side, sync_clock, Arrived, Due};
+use crate::metrics::ServeReport;
 use crate::replica::{FleetPending, Replica, ReplicaPhase};
 use crate::router::{InFlight, Router};
+use crate::runtime::ClientRecord;
 use crate::session::{decode_sessions, encode_sessions, SessionKey, SessionState};
+use crate::wire::{
+    decode_request, decode_routed_request, encode_request, encode_response_from, encode_routed_request,
+    InferStatus, RoutedRequest,
+};
 
 /// Feature width of the simulated workload's inputs.
 pub const FEATURES: usize = 16;
 /// Class count of the simulated workload's outputs.
 pub const CLASSES: usize = 4;
+
+/// Queries whose `L1` runs in one kernel-pool job, in tasks of
+/// [`L1_QUERIES_PER_TASK`]. A window's requests go out before the next
+/// window starts, so a platform holds one window of activations at a
+/// time. Both are constants of the code, never derived from the thread
+/// count, like [`BATCHES_PER_TASK`].
+const L1_WINDOW: usize = 256;
+const L1_QUERIES_PER_TASK: usize = 16;
+/// Queued batches computed in one kernel-pool task.
+const BATCHES_PER_TASK: usize = 8;
 
 /// An operator action on one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +126,8 @@ pub struct TenantReport {
     pub offered: usize,
     /// Requests served with logits.
     pub completed: usize,
-    /// Requests refused by the router (quota / no active replica).
+    /// Requests refused by the router (quota / no active replica), or
+    /// lost on their uplink.
     pub throttled: usize,
 }
 
@@ -129,10 +156,18 @@ pub struct FleetOutcome {
     pub logits_digest: u64,
 }
 
+/// Where a run's server models come from.
+pub(crate) enum Models<'a> {
+    /// One server, serving weight version 0.
+    One(SplitServer),
+    /// Every version of a bank, instantiated by each replica on first use.
+    Bank(&'a ModelBank),
+}
+
 enum EvKind {
-    /// A routed request reaching the router.
+    /// A request reaching the router.
     RouterArrival(FleetPending),
-    /// A dispatched request reaching its replica.
+    /// A dispatched request reaching its replica node.
     ReplicaArrival {
         replica: usize,
         attempt: usize,
@@ -166,21 +201,41 @@ impl Ord for Ev {
     }
 }
 
-type FleetNet = ChaosTransport<MemoryTransport<FleetTopology>>;
+/// An answer decided but not yet sent.
+enum Answer {
+    /// A booked batch of `replica`: every entry is answered at `done_s`,
+    /// in [`infer_batch`](crate::executor::infer_batch) order.
+    Batch { replica: usize, due: Due<FleetPending> },
+    /// A request answered without logits from `src` at `at`.
+    Refusal {
+        src: NodeId,
+        pending: FleetPending,
+        at: f64,
+        status: InferStatus,
+    },
+}
 
-struct Driver<'a> {
+struct Driver<'a, T, Topo> {
     cfg: &'a FleetConfig,
-    topology: FleetTopology,
-    net: FleetNet,
-    bank: ModelBank,
+    topology: &'a Topo,
+    net: &'a T,
+    bank: Option<&'a ModelBank>,
+    /// Whether the router fronts replica nodes; without them the one
+    /// replica is the router's node.
+    hops: bool,
+    /// `serve.batch_size` for a single server, `fleet.batch_size` for a
+    /// fleet.
+    histogram: &'static str,
     router: Router,
     replicas: Vec<Replica>,
     heap: BinaryHeap<Ev>,
     seq: u64,
     tick: Option<u64>,
+    answers: Vec<Answer>,
     handoffs: usize,
     redispatched: usize,
-    lost: Vec<ClientRecord>,
+    /// Client-side records of requests their uplink lost, per platform.
+    lost: Vec<Vec<ClientRecord>>,
 }
 
 /// Runs a sharded serving session: `cfg.tenants` platforms each submit
@@ -222,39 +277,95 @@ pub fn run_fleet(
         }),
         cfg.weight_versions,
     )?;
+    // Each tenant's own query stream, drawn as the loop asks for it.
+    let queries = (0..tenants)
+        .map(|tenant| {
+            let mut rng = rng_from_seed(0x5eed ^ (tenant as u64).wrapping_mul(0x9e37_79b9));
+            (0..requests_per_tenant).map(move |_| Tensor::rand_uniform([1, FEATURES], -1.0, 1.0, &mut rng))
+        })
+        .collect();
 
     let topology = FleetTopology::new(tenants, cfg.replicas);
     let net = ChaosTransport::new(MemoryTransport::new(topology.clone()), plan);
+    let mut outcome = serve(
+        cfg,
+        platforms,
+        queries,
+        Models::Bank(&bank),
+        events,
+        &topology,
+        &net,
+    )?;
+    outcome.chaos = net.chaos_stats();
+    Ok(outcome)
+}
+
+/// The one serving loop: platform `p` submits `queries[p]` from node
+/// `Platform(p)` open-loop at `cfg.serve.offered_rps`, `cfg.replicas`
+/// replicas serve them with `models`, `events` drain and rejoin replicas,
+/// and every platform collects one answer per query. `cfg` must be valid
+/// and `platforms.len() == queries.len()`.
+pub(crate) fn serve<T, Topo, Q>(
+    cfg: &FleetConfig,
+    platforms: Vec<Platform>,
+    queries: Vec<Q>,
+    models: Models<'_>,
+    events: &[FleetEvent],
+    topology: &Topo,
+    net: &T,
+) -> Result<FleetOutcome>
+where
+    T: Transport,
+    Topo: Topology,
+    Q: ExactSizeIterator<Item = Tensor>,
+{
+    let hops = topology.nodes().iter().any(|n| matches!(n, NodeId::Replica(_)));
+    let mut replicas: Vec<Replica> = (0..cfg.replicas).map(|r| Replica::new(r, &cfg.serve)).collect();
+    let bank = match models {
+        Models::One(mut server) => {
+            server.update_plans()?;
+            replicas[0].servers.insert(0, server);
+            None
+        }
+        Models::Bank(bank) => Some(bank),
+    };
+    let sent: Vec<usize> = queries.iter().map(ExactSizeIterator::len).collect();
     let mut driver = Driver {
         cfg,
         topology,
         net,
         bank,
+        hops,
+        histogram: if hops {
+            "fleet.batch_size"
+        } else {
+            "serve.batch_size"
+        },
         router: Router::new(
             cfg.replicas,
             cfg.vnodes,
             cfg.tenant_quota,
             cfg.weight_versions as u32,
         ),
-        replicas: (0..cfg.replicas).map(|r| Replica::new(r, &cfg.serve)).collect(),
+        replicas,
         heap: BinaryHeap::new(),
         seq: 0,
         tick: None,
+        answers: Vec::new(),
         handoffs: 0,
         redispatched: 0,
-        lost: Vec::new(),
+        lost: sent.iter().map(|_| Vec::new()).collect(),
     };
-
     for event in events {
         driver.push(event.at_s, EvKind::Operator(*event));
     }
-    driver.submit_all(&mut platforms, requests_per_tenant)?;
+    driver.submit_all(platforms, queries)?;
     driver.run_events()?;
     driver.final_drain()?;
-    driver.collect(requests_per_tenant)
+    driver.collect(&sent)
 }
 
-impl Driver<'_> {
+impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
     fn push(&mut self, t: f64, kind: EvKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -265,102 +376,158 @@ impl Driver<'_> {
         self.cfg.serve.codec
     }
 
-    /// Submits every tenant's stream through the transport in global
-    /// submission order and schedules the router arrivals.
-    fn submit_all(&mut self, platforms: &mut [Platform], per_tenant: usize) -> Result<()> {
-        // Precompute activations per tenant (depends on seed only).
-        let mut requests: Vec<(f64, FleetPending)> = Vec::with_capacity(platforms.len() * per_tenant);
-        for (tenant, platform) in platforms.iter_mut().enumerate() {
-            let mut rng = rng_from_seed(0x5eed ^ (tenant as u64).wrapping_mul(0x9e37_79b9));
-            for seq in 0..per_tenant {
-                let submit_s = seq as f64 / self.cfg.serve.offered_rps;
-                let query = Tensor::rand_uniform([1, FEATURES], -1.0, 1.0, &mut rng);
-                let acts = platform.infer_l1(&query)?;
-                let req = RoutedRequest {
-                    id: request_id(tenant, seq),
-                    submit_s,
-                    deadline_s: submit_s + self.cfg.serve.deadline_s,
-                    tenant: tenant as u64,
-                    session: (seq % self.cfg.sessions_per_tenant) as u64,
-                    // Stamped by the router at admission.
-                    version: u32::MAX,
-                    activations: acts,
-                };
-                requests.push((
-                    submit_s,
-                    FleetPending {
-                        platform: tenant,
-                        req,
-                    },
-                ));
-            }
+    /// The node replica `r` answers from.
+    fn node(&self, r: usize) -> NodeId {
+        if self.hops {
+            NodeId::Replica(r)
+        } else {
+            NodeId::Server
         }
-        requests.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.req.id.cmp(&b.1.req.id)));
-        for (submit_s, pending) in requests {
-            let node = NodeId::Platform(pending.platform);
-            sync_clock(self.net.stats(), node, submit_s);
-            let env = encode_routed_request(node, NodeId::Server, &pending.req, self.codec());
-            self.net.send(env).map_err(SplitError::from)?;
-            match self.net.try_recv(NodeId::Server) {
-                Some(env) => {
-                    let uplink = self.topology.link(node, NodeId::Server);
-                    let arrival = submit_s + uplink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
-                    let req = decode_routed_request(&env)?;
-                    let platform = pending.platform;
-                    self.push(arrival, EvKind::RouterArrival(FleetPending { platform, req }));
-                }
-                None => {
-                    // The uplink ate the frame (probabilistic chaos).
-                    // The router never saw it, so the only honest record
-                    // is a client-side loss marked as throttled-at-zero.
-                    self.lost.push(ClientRecord {
-                        platform: pending.platform,
-                        id: pending.req.id,
+    }
+
+    /// Turns every query into a request and submits it, before any event
+    /// is handled: one window of [`L1_WINDOW`] sequence numbers at a
+    /// time, each platform's `L1` over its part side by side on the
+    /// kernel pool and its noise drawn in sequence order, then the
+    /// window's requests in submission order `(submit_s, id)`.
+    fn submit_all<Q: ExactSizeIterator<Item = Tensor>>(
+        &mut self,
+        mut platforms: Vec<Platform>,
+        mut queries: Vec<Q>,
+    ) -> Result<()> {
+        let (rps, deadline_s) = (self.cfg.serve.offered_rps, self.cfg.serve.deadline_s);
+        let sessions = self.cfg.sessions_per_tenant;
+        let longest = queries.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+        for platform in &mut platforms {
+            platform.update_plans()?;
+        }
+        let mut window: Vec<(f64, FleetPending)> = Vec::new();
+        for first in (0..longest).step_by(L1_WINDOW) {
+            for (tenant, (platform, qs)) in platforms.iter_mut().zip(&mut queries).enumerate() {
+                let inputs: Vec<Tensor> = qs.by_ref().take(L1_WINDOW).collect();
+                let shared = &*platform;
+                let activations = side_by_side(&inputs, L1_QUERIES_PER_TASK, |q| shared.infer_l1_shared(q));
+                drop(inputs);
+                for (seq, acts) in (first..).zip(activations) {
+                    // Open-loop arrivals: request `seq` is submitted at a
+                    // fixed rate regardless of how earlier requests fared.
+                    let submit_s = seq as f64 / rps;
+                    let req = RoutedRequest {
+                        id: request_id(tenant, seq),
                         submit_s,
-                        status: InferStatus::Throttled,
-                        latency_s: 0.0,
-                        logits: None,
-                    });
+                        deadline_s: submit_s + deadline_s,
+                        tenant: tenant as u64,
+                        session: (seq % sessions) as u64,
+                        // Stamped by the router at admission.
+                        version: u32::MAX,
+                        activations: platform.noise_inference(acts?),
+                    };
+                    window.push((
+                        submit_s,
+                        FleetPending {
+                            platform: tenant,
+                            req,
+                        },
+                    ));
                 }
+            }
+            window.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.req.id.cmp(&b.1.req.id)));
+            for (submit_s, pending) in window.drain(..) {
+                self.submit(submit_s, pending)?;
             }
         }
         Ok(())
     }
 
-    /// Applies chaos ticks and age-rule batch flushes up to time `t`.
-    fn advance(&mut self, t: f64) -> Result<()> {
-        let target = (t / self.cfg.chaos_tick_s).floor() as u64;
-        let mut next = self.tick.map_or(0, |c| c + 1);
-        while next <= target {
-            let tick_time = next as f64 * self.cfg.chaos_tick_s;
-            self.flush_due(tick_time)?;
-            let applied = self.net.begin_round(next);
-            self.tick = Some(next);
-            for event in applied {
-                match event {
-                    ChaosEvent::Crash {
-                        node: NodeId::Replica(r),
-                        ..
-                    } => {
-                        self.handle_crash(r, tick_time)?;
-                    }
-                    ChaosEvent::Recover {
-                        node: NodeId::Replica(r),
-                        ..
-                    } => {
-                        self.handle_rejoin(r, tick_time)?;
-                    }
-                    // Link flaps need no state change here: dispatch
-                    // consults the transport's health oracle directly.
-                    _ => {}
-                }
+    /// Sends one request over its uplink and schedules its arrival at the
+    /// router, or records it lost.
+    fn submit(&mut self, submit_s: f64, pending: FleetPending) -> Result<()> {
+        let node = NodeId::Platform(pending.platform);
+        let req = &pending.req;
+        sync_clock(self.net.stats(), node, submit_s);
+        let env = if self.hops {
+            encode_routed_request(node, NodeId::Server, req, self.codec())
+        } else {
+            encode_request(
+                node,
+                req.id,
+                req.submit_s,
+                req.deadline_s,
+                &req.activations,
+                self.codec(),
+            )
+        };
+        self.net.send(env).map_err(SplitError::from)?;
+        let Some(env) = self.net.try_recv(NodeId::Server) else {
+            // The uplink ate the frame. The router never saw it, so the
+            // only honest record is a client-side loss, throttled at zero.
+            self.lost[pending.platform].push(ClientRecord {
+                platform: pending.platform,
+                id: req.id,
+                submit_s,
+                status: InferStatus::Throttled,
+                latency_s: 0.0,
+                logits: None,
+            });
+            return Ok(());
+        };
+        let uplink = self.topology.link(node, NodeId::Server);
+        let arrival = submit_s + uplink.map_or(0.0, |l| l.transfer_time(env.wire_size()));
+        let req = if self.hops {
+            decode_routed_request(&env)?
+        } else {
+            let plain = decode_request(&env)?;
+            RoutedRequest {
+                id: plain.id,
+                submit_s: plain.submit_s,
+                deadline_s: plain.deadline_s,
+                activations: plain.activations,
+                ..pending.req
             }
-            next += 1;
+        };
+        let platform = pending.platform;
+        self.push(arrival, EvKind::RouterArrival(FleetPending { platform, req }));
+        Ok(())
+    }
+
+    /// Applies a fleet's chaos ticks and age-rule batch flushes up to
+    /// time `t`.
+    fn advance(&mut self, t: f64) -> Result<()> {
+        if self.hops {
+            let target = (t / self.cfg.chaos_tick_s).floor() as u64;
+            let mut next = self.tick.map_or(0, |c| c + 1);
+            while next <= target {
+                let tick_time = next as f64 * self.cfg.chaos_tick_s;
+                self.flush_due(tick_time)?;
+                self.send_answers()?;
+                let applied = self.net.begin_round(next);
+                self.tick = Some(next);
+                for event in applied {
+                    match event {
+                        ChaosEvent::Crash {
+                            node: NodeId::Replica(r),
+                            ..
+                        } => {
+                            self.handle_crash(r, tick_time)?;
+                        }
+                        ChaosEvent::Recover {
+                            node: NodeId::Replica(r),
+                            ..
+                        } => {
+                            self.handle_rejoin(r, tick_time)?;
+                        }
+                        // Link flaps need no state change here: dispatch
+                        // consults the transport's health oracle directly.
+                        _ => {}
+                    }
+                }
+                next += 1;
+            }
         }
         self.flush_due(t)
     }
 
-    /// Serves every batch whose age rule expired at or before `t`,
+    /// Books every batch whose age rule expired at or before `t`,
     /// earliest-ready first across replicas (ties by replica id).
     fn flush_due(&mut self, t: f64) -> Result<()> {
         loop {
@@ -375,67 +542,124 @@ impl Driver<'_> {
             let Some(due) = self.replicas[idx].executor.due_by(t) else {
                 return Ok(());
             };
-            self.serve_and_respond(idx, due)?;
+            self.schedule(idx, due)?;
         }
     }
 
-    /// Runs a batch the replica's executor handed out and answers every
-    /// entry at the batch's completion time.
-    fn serve_and_respond(&mut self, idx: usize, due: Due<FleetPending>) -> Result<()> {
-        let (done, outcomes) =
-            self.replicas[idx].serve(&self.bank, due.entries, due.flush_t, &self.cfg.serve)?;
-        let src = NodeId::Replica(idx);
-        sync_clock(self.net.stats(), src, done);
-        for s in outcomes {
-            let status = if s.ok {
-                InferStatus::Ok
-            } else {
-                InferStatus::TimedOut
-            };
-            self.answer(src, s.platform, s.id, s.submit_s, done, status, s.logits.as_ref())?;
-            self.router.complete(s.id);
+    /// Books a batch replica `r`'s executor handed out and queues its
+    /// answers.
+    fn schedule(&mut self, r: usize, due: Due<FleetPending>) -> Result<()> {
+        medsplit_telemetry::histogram_observe(
+            self.histogram,
+            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+            due.entries.len() as f64,
+        );
+        self.replicas[r].book(&due.entries, due.done_s, self.bank)?;
+        for entry in &due.entries {
+            self.settle(&entry.item);
         }
+        self.answers.push(Answer::Batch { replica: r, due });
         Ok(())
     }
 
-    /// Sends one terminal response from `src`, stamped `at`, and lets the
-    /// transport account it.
-    #[allow(clippy::too_many_arguments)]
-    fn answer(
-        &mut self,
-        src: NodeId,
-        platform: usize,
-        id: u64,
-        submit_s: f64,
-        at: f64,
-        status: InferStatus,
-        logits: Option<&Tensor>,
-    ) -> Result<()> {
-        let dst = NodeId::Platform(platform);
-        let env = encode_response_from(src, dst, id, submit_s, at, status, logits, self.codec());
-        self.net.send(env).map_err(SplitError::from)
+    /// Marks an admitted request answered: out of the in-flight table,
+    /// and its tenant's quota slot free again.
+    fn settle(&mut self, pending: &FleetPending) {
+        if self.hops {
+            self.router.complete(pending.req.id);
+        } else {
+            self.router.release(pending.req.tenant);
+        }
     }
 
-    /// Answers `pending` from `src` at `at` without logits: a refusal.
-    fn refuse(&mut self, src: NodeId, pending: &FleetPending, at: f64, status: InferStatus) -> Result<()> {
-        sync_clock(self.net.stats(), src, at);
-        let req = &pending.req;
-        self.answer(src, pending.platform, req.id, req.submit_s, at, status, None)
+    /// Queues an answer to `pending` from `src` at `at` without logits.
+    fn refuse(&mut self, src: NodeId, pending: FleetPending, at: f64, status: InferStatus) {
+        self.answers.push(Answer::Refusal {
+            src,
+            pending,
+            at,
+            status,
+        });
     }
 
     /// Answers a request at the router itself (quota or routing failure).
-    fn throttle(&mut self, pending: &FleetPending, t: f64) -> Result<()> {
+    fn throttle(&mut self, pending: FleetPending, t: f64) {
         medsplit_telemetry::counter_add_labeled(
             "fleet.throttled",
             &format!("tenant-{}", pending.req.tenant),
             1,
         );
-        self.refuse(NodeId::Server, pending, t, InferStatus::Throttled)
+        self.refuse(NodeId::Server, pending, t, InferStatus::Throttled);
     }
 
-    /// Dispatches a routed request to the ring: primary owner first, then
-    /// successors, consulting the transport's health oracle and bounded
-    /// by `dispatch_retries`; a request no replica can take is throttled.
+    /// Empties the answer queue: computes every queued batch side by side
+    /// on the kernel pool ([`BATCHES_PER_TASK`] a task), then sends every
+    /// answer in queue order, each batch's stamped with its `done_s`
+    /// after syncing its replica's clock to it.
+    fn send_answers(&mut self) -> Result<()> {
+        if self.answers.is_empty() {
+            return Ok(());
+        }
+        let answers = std::mem::take(&mut self.answers);
+        let batches: Vec<(&Replica, &Due<FleetPending>)> = answers
+            .iter()
+            .filter_map(|answer| match answer {
+                Answer::Batch { replica, due } => Some((&self.replicas[*replica], due)),
+                Answer::Refusal { .. } => None,
+            })
+            .collect();
+        let computed = side_by_side(&batches, BATCHES_PER_TASK, |(replica, due)| {
+            replica.infer(&due.entries, due.done_s)
+        });
+        drop(batches);
+        let mut computed = computed.into_iter();
+        for answer in answers {
+            match answer {
+                Answer::Batch { replica, due } => {
+                    let src = self.node(replica);
+                    sync_clock(self.net.stats(), src, due.done_s);
+                    for (i, logits) in computed.next().expect("one result per queued batch")? {
+                        let status = if logits.is_some() {
+                            InferStatus::Ok
+                        } else {
+                            InferStatus::TimedOut
+                        };
+                        self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
+                    }
+                }
+                Answer::Refusal {
+                    src,
+                    pending,
+                    at,
+                    status,
+                } => {
+                    sync_clock(self.net.stats(), src, at);
+                    self.send_answer(src, &pending, at, status, None)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends one terminal response from `src`, stamped `at`.
+    fn send_answer(
+        &self,
+        src: NodeId,
+        to: &FleetPending,
+        at: f64,
+        status: InferStatus,
+        logits: Option<&Tensor>,
+    ) -> Result<()> {
+        let req = &to.req;
+        let dst = NodeId::Platform(to.platform);
+        let env = encode_response_from(src, dst, req.id, req.submit_s, at, status, logits, self.codec());
+        self.net.send(env).map_err(SplitError::from)
+    }
+
+    /// Dispatches an admitted request. A co-located replica takes it at
+    /// once. A fleet walks the ring — primary owner first, then
+    /// successors — consulting the transport's health oracle, bounded by
+    /// `dispatch_retries`; a request no replica can take is throttled.
     fn dispatch(
         &mut self,
         pending: FleetPending,
@@ -443,6 +667,10 @@ impl Driver<'_> {
         attempt: usize,
         mut skip: Option<usize>,
     ) -> Result<()> {
+        if !self.hops {
+            return self.arrive(0, pending, t);
+        }
+        self.send_answers()?;
         let tenant = pending.req.tenant;
         let session = pending.req.session;
         let mut tried = 0usize;
@@ -453,7 +681,8 @@ impl Driver<'_> {
             };
             let Some(r) = candidate else {
                 self.router.release(tenant);
-                return self.throttle(&pending, t);
+                self.throttle(pending, t);
+                return Ok(());
             };
             let replica_node = NodeId::Replica(r);
             let usable = !self.net.is_down(replica_node)
@@ -490,7 +719,25 @@ impl Driver<'_> {
             skip = Some(r);
             if tried > self.cfg.dispatch_retries {
                 self.router.release(tenant);
-                return self.throttle(&pending, t);
+                self.throttle(pending, t);
+                return Ok(());
+            }
+        }
+    }
+
+    /// A request reaches replica `r`'s executor at `t`: it is queued,
+    /// completes a batch, or is refused at the executor's busy clock.
+    fn arrive(&mut self, r: usize, pending: FleetPending, t: f64) -> Result<()> {
+        let deadline = pending.req.deadline_s;
+        match self.replicas[r].executor.arrive(pending, t, deadline) {
+            Arrived::Queued => Ok(()),
+            Arrived::Full(due) => self.schedule(r, due),
+            Arrived::Rejected(refused) => {
+                medsplit_telemetry::counter_add("serve.rejections", 1);
+                self.settle(&refused);
+                let at = self.replicas[r].executor.clock();
+                self.refuse(self.node(r), refused, at, InferStatus::Rejected);
+                Ok(())
             }
         }
     }
@@ -506,7 +753,8 @@ impl Driver<'_> {
         };
         if attempt > self.cfg.dispatch_retries {
             self.router.release(pending.req.tenant);
-            return self.throttle(&pending, t);
+            self.throttle(pending, t);
+            return Ok(());
         }
         self.dispatch(pending, t, attempt, Some(entry.replica))
     }
@@ -564,7 +812,7 @@ impl Driver<'_> {
         // Flush everything still queued in one sweep — the drain batch
         // may exceed max_batch, and pays compute for every entry.
         if let Some(due) = self.replicas[r].executor.drain_all(t) {
-            self.serve_and_respond(r, due)?;
+            self.schedule(r, due)?;
         }
         // Hand the session shard to each session's ring successor.
         let sessions = self.replicas[r].export_all_sessions();
@@ -594,6 +842,7 @@ impl Driver<'_> {
         sessions: Vec<SessionState>,
         t: f64,
     ) -> Result<()> {
+        self.send_answers()?;
         let count = sessions.len();
         let blob: Bytes = encode_sessions(&sessions);
         sync_clock(self.net.stats(), NodeId::Replica(from), t);
@@ -622,7 +871,7 @@ impl Driver<'_> {
             match ev.kind {
                 EvKind::RouterArrival(mut pending) => {
                     if !self.router.try_admit(pending.req.tenant) {
-                        self.throttle(&pending, ev.t)?;
+                        self.throttle(pending, ev.t);
                         continue;
                     }
                     let key = SessionKey {
@@ -653,16 +902,7 @@ impl Driver<'_> {
                         }
                         continue;
                     }
-                    let deadline = pending.req.deadline_s;
-                    match self.replicas[replica].executor.arrive(pending, ev.t, deadline) {
-                        Arrived::Queued => {}
-                        Arrived::Full(due) => self.serve_and_respond(replica, due)?,
-                        Arrived::Rejected(refused) => {
-                            medsplit_telemetry::counter_add("fleet.rejections", 1);
-                            self.refuse(NodeId::Replica(replica), &refused, ev.t, InferStatus::Rejected)?;
-                            self.router.complete(refused.req.id);
-                        }
-                    }
+                    self.arrive(replica, pending, ev.t)?;
                 }
                 EvKind::Operator(op) => match op.action {
                     FleetAction::Drain => self.handle_drain(op.replica, ev.t)?,
@@ -673,51 +913,53 @@ impl Driver<'_> {
         Ok(())
     }
 
-    /// Serves whatever is still queued after the last event.
+    /// Books whatever is still queued after the last event.
     fn final_drain(&mut self) -> Result<()> {
         for idx in 0..self.replicas.len() {
             while let Some(due) = self.replicas[idx].executor.drain_next() {
-                self.serve_and_respond(idx, due)?;
+                self.schedule(idx, due)?;
             }
         }
         Ok(())
     }
 
-    /// Drains the platform inboxes into client records and folds the
-    /// outcome.
-    fn collect(mut self, per_tenant: usize) -> Result<FleetOutcome> {
-        let tenants = self.cfg.tenants;
-        let offered = tenants * per_tenant;
-        let mut records: Vec<ClientRecord> = std::mem::take(&mut self.lost);
-        for p in 0..tenants {
+    /// Sends what is still queued, drains every platform inbox into
+    /// client records — `sent[p]` of them per platform, or the run
+    /// refuses to report — and folds the outcome.
+    fn collect(mut self, sent: &[usize]) -> Result<FleetOutcome> {
+        self.send_answers()?;
+        let offered = sent.iter().sum();
+        let mut records: Vec<ClientRecord> = Vec::with_capacity(offered);
+        for (p, &sent) in sent.iter().enumerate() {
             let node = NodeId::Platform(p);
+            let mut of_node = std::mem::take(&mut self.lost[p]);
             while let Some(env) = self.net.try_recv(node) {
                 let downlink = self.topology.link(env.src, node);
-                records.push(ClientRecord::from_response(p, &env, downlink)?);
+                of_node.push(ClientRecord::from_response(p, &env, downlink)?);
             }
-        }
-        records.sort_by_key(|r| r.id);
-        if records.len() != offered {
-            return Err(SplitError::Protocol(format!(
-                "no-drop invariant violated: {offered} requests offered, {} terminal records",
-                records.len()
-            )));
+            if of_node.len() != sent {
+                return Err(SplitError::Protocol(format!(
+                    "platform {p} received {} of {sent} responses",
+                    of_node.len()
+                )));
+            }
+            of_node.sort_by_key(|rec| rec.id);
+            records.extend(of_node);
         }
 
         let stats = self.net.stats().snapshot();
         let report = ServeReport::fold(offered, &records, &stats);
-        let mut per_tenant_reports = vec![TenantReport::default(); tenants];
+        let mut per_tenant = vec![TenantReport::default(); sent.len()];
         let mut digest = FNV_OFFSET;
         for rec in &records {
-            let tr = &mut per_tenant_reports[rec.platform];
+            let tr = &mut per_tenant[rec.platform];
             tr.offered += 1;
             match rec.status {
                 InferStatus::Ok => tr.completed += 1,
                 InferStatus::Throttled => tr.throttled += 1,
                 _ => {}
             }
-            if rec.status == InferStatus::Ok {
-                let logits = rec.logits.as_ref().expect("ok records carry logits");
+            if let Some(logits) = &rec.logits {
                 let record = logits
                     .as_slice()
                     .iter()
@@ -744,9 +986,9 @@ impl Driver<'_> {
             report,
             records,
             stats,
-            chaos: self.net.chaos_stats(),
+            chaos: ChaosSnapshot::default(),
             per_replica,
-            per_tenant: per_tenant_reports,
+            per_tenant,
             handoffs: self.handoffs,
             redispatched: self.redispatched,
             logits_digest: digest,

@@ -74,11 +74,12 @@ pub enum InferStatus {
     Rejected,
     /// Admitted but its deadline expired before the batch was served.
     TimedOut,
-    /// Refused by the fleet router before dispatch: the tenant's
-    /// admission quota was exhausted, or no active replica could take the
-    /// session. Distinct from [`InferStatus::Rejected`] so router-level
-    /// backpressure and replica-level queue overflow stay separable in
-    /// reports.
+    /// Refused by the router before dispatch — the tenant's admission
+    /// quota was exhausted, or no active replica could take the session —
+    /// or lost on its uplink before the router saw it, which its platform
+    /// records client-side at zero latency. Distinct from
+    /// [`InferStatus::Rejected`] so router-level backpressure and
+    /// replica-level queue overflow stay separable in reports.
     Throttled,
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end serving over the simulated network: request → local `L1`
 //! → server `L2..Lk` → logits, plus the deadline-timeout and queue-full
-//! rejection paths and the refusal of a lost response.
+//! rejection paths, and what becomes of a lost request or response.
 
 use medsplit::core::{build_split, Platform, SplitPoint, SplitServer, WireCodec};
 use medsplit::data::SyntheticTabular;
@@ -227,45 +227,52 @@ fn f16_codec_shrinks_serving_traffic() {
     );
 }
 
-/// Every frame on one of platform 1's links is lost: its responses on
-/// the downlink, or its requests and done marker on the uplink. The
-/// session refuses to report at once, naming the platform and the
-/// counts, and the refusal is the same on every run: nothing waits for
-/// a message that will never come.
+/// Every frame on one of platform 1's links is lost. On the downlink its
+/// responses never arrive, and the session refuses to report at once,
+/// naming the platform and the counts, the same on every run: nothing
+/// waits for a message that will never come. On the uplink the server
+/// never sees its requests, so each becomes a client-side `Throttled`
+/// record at zero latency, as in a fleet, and platform 0 is served.
 #[test]
 fn lost_messages_fail_fast_and_deterministically() {
     let per_platform = 6;
-    let cases = [
-        (
-            (NodeId::Server, NodeId::Platform(1)),
-            format!("platform 1 received 0 of {per_platform} responses"),
-        ),
-        (
-            (NodeId::Platform(1), NodeId::Server),
-            "server holds 0 done markers from platform 1, want 1".to_string(),
-        ),
-    ];
-    for ((src, dst), want) in cases {
-        let run = || {
-            let (platforms, server) = actors(2, 13);
-            let topology = StarTopology::new(2);
-            let lost = LinkFaults {
-                drop_p: 1.0,
-                ..LinkFaults::default()
-            };
-            let plan = FaultPlan::new(3).link(src, dst, lost);
-            let transport = ChaosTransport::new(MemoryTransport::new(topology.clone()), plan);
-            let qs = (0..2).map(|p| queries(per_platform, p)).collect();
-            let cfg = ServeConfig::default();
-            let started = std::time::Instant::now();
-            let err = serve_threaded(platforms, server, qs, &topology, &cfg, &transport)
-                .unwrap_err()
-                .to_string();
-            (err, started.elapsed())
+    let run = |src: NodeId, dst: NodeId| {
+        let (platforms, server) = actors(2, 13);
+        let topology = StarTopology::new(2);
+        let lost = LinkFaults {
+            drop_p: 1.0,
+            ..LinkFaults::default()
         };
-        let (first, took) = run();
-        assert_eq!(first, format!("protocol violation: {want}"));
-        assert!(took.as_secs_f64() < 1.0, "the refusal took {took:?}");
-        assert_eq!(first, run().0, "two runs of one scenario disagree");
+        let plan = FaultPlan::new(3).link(src, dst, lost);
+        let transport = ChaosTransport::new(MemoryTransport::new(topology.clone()), plan);
+        let qs = (0..2).map(|p| queries(per_platform, p)).collect();
+        let cfg = ServeConfig::default();
+        serve_threaded(platforms, server, qs, &topology, &cfg, &transport)
+    };
+
+    let downlink = || {
+        let started = std::time::Instant::now();
+        let err = run(NodeId::Server, NodeId::Platform(1)).unwrap_err().to_string();
+        (err, started.elapsed())
+    };
+    let (first, took) = downlink();
+    assert_eq!(
+        first,
+        format!("protocol violation: platform 1 received 0 of {per_platform} responses")
+    );
+    assert!(took.as_secs_f64() < 1.0, "the refusal took {took:?}");
+    assert_eq!(first, downlink().0, "two runs of one scenario disagree");
+
+    let uplink = run(NodeId::Platform(1), NodeId::Server).unwrap();
+    assert_eq!(uplink.records.len(), 2 * per_platform);
+    for rec in &uplink.records {
+        if rec.platform == 1 {
+            assert_eq!(rec.status, InferStatus::Throttled);
+            assert_eq!(rec.latency_s, 0.0);
+        } else {
+            assert_eq!(rec.status, InferStatus::Ok);
+        }
     }
+    assert_eq!(uplink.report.throttled, per_platform);
+    assert_eq!(uplink.report.completed, per_platform);
 }

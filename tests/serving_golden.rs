@@ -11,6 +11,15 @@
 //! to batch composition, flush times, the busy clock, admission, response
 //! order, wire bytes or a node clock moves at least one of them.
 //!
+//! Three kinds of literal were re-recorded when `serve_threaded` became a
+//! fleet of one on the one serving loop, and nothing else moved: the
+//! `stats` digest of every `serve_*` case (the per-platform 64-byte done
+//! marker is gone; makespans are unchanged), the records of
+//! `fleet_replica_queue_rejects` (a replica refusal is answered at the
+//! executor's busy clock, the single server's rule, not at arrival), and
+//! the refusal message of `fleet_random_drop_everywhere_is_refused`
+//! (the no-drop check is now per platform).
+//!
 //! Every scenario runs twice and must agree with itself before it is
 //! compared with the literal, so a thread-order leak shows up as that and
 //! not as a stale pin. Each scenario also asserts that the branch it is
@@ -262,7 +271,7 @@ fn serve_default_age_flushes() {
     let want = Golden {
         records: 0x6ab4_4bf9_403a_1f15,
         report: 0x0f1b_8dac_990c_f2ca,
-        stats: 0xb212_a32a_1326_57cd,
+        stats: 0x736c_d47b_a409_35c9,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -287,7 +296,7 @@ fn serve_overload_rejects() {
     let want = Golden {
         records: 0xe165_cdce_b16e_2a09,
         report: 0x3294_6a5c_a8fa_a8fc,
-        stats: 0x9f79_3c4f_c5d7_f96d,
+        stats: 0xd861_ba8b_e17c_0492,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -308,7 +317,7 @@ fn size_flush_cfg() -> ServeConfig {
 const SIZE_FLUSH_GOLDEN: Golden = Golden {
     records: 0xdb2f_9cec_e65d_d051,
     report: 0x2587_5c9a_3818_e681,
-    stats: 0xb536_b6a2_9fb3_ab77,
+    stats: 0xceee_3706_4461_d5e8,
     fleet: 0,
 };
 
@@ -370,7 +379,7 @@ fn serve_noised_activations() {
     let want = Golden {
         records: 0x7657_0665_5665_3bfb,
         report: 0xaca7_e618_c652_4781,
-        stats: 0x9bfd_f653_7956_25e9,
+        stats: 0x1aca_acde_98f9_142c,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -388,7 +397,7 @@ fn serve_deadline_all_time_out() {
     let want = Golden {
         records: 0x76c5_ab93_57e4_e559,
         report: 0x9fe5_8165_7a93_7aa9,
-        stats: 0xdef1_814e_831c_500a,
+        stats: 0x876b_0d1a_ee44_1c39,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -412,7 +421,7 @@ fn serve_deadline_splits_batches() {
     let want = Golden {
         records: 0x2e4b_2f00_2251_651a,
         report: 0x61bf_c185_ec09_c828,
-        stats: 0x85cf_e917_82e4_ecdb,
+        stats: 0x5be7_bfb7_30fd_45be,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -431,7 +440,7 @@ fn serve_infinite_wait_final_drain() {
     let want = Golden {
         records: 0x8886_f0dd_700d_c823,
         report: 0xf0b9_e115_e2f4_1742,
-        stats: 0xec4d_4bab_98b8_2d41,
+        stats: 0x21c6_7891_a89b_13c1,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -448,7 +457,7 @@ fn serve_int8_codec() {
     let want = Golden {
         records: 0xaa03_0b67_9aeb_257a,
         report: 0x20b6_fd6f_2144_83c7,
-        stats: 0x3577_6797_a50e_e78c,
+        stats: 0xccce_ad96_d847_2188,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -476,7 +485,7 @@ fn serve_slow_uplink_interleaves_arrivals() {
     let want = Golden {
         records: 0x6a3c_a2d8_f6cb_9af5,
         report: 0x1a13_7541_fa42_5d15,
-        stats: 0x1d48_e3ad_e252_c8af,
+        stats: 0xb7c4_d9ca_a83b_9ceb,
         fleet: 0,
     };
     assert_eq!(got, want);
@@ -707,8 +716,9 @@ fn fleet_pool_sizes_agree() {
 }
 
 /// Five percent loss on every link reaches the responses too, and a lost
-/// response is a lost request: the run refuses to report. The counts in
-/// the message pin the chaos draw order.
+/// response is a lost request: the run refuses to report, naming the
+/// first platform short of answers. The counts in the message pin the
+/// chaos draw order.
 #[test]
 fn fleet_random_drop_everywhere_is_refused() {
     let plan = FaultPlan::new(FLEET_SEED).with_drop(0.05);
@@ -721,7 +731,7 @@ fn fleet_random_drop_everywhere_is_refused() {
     assert_eq!(first, run(), "two runs of one scenario disagree");
     assert_eq!(
         first,
-        "protocol violation: no-drop invariant violated: 120 requests offered, 111 terminal records"
+        "protocol violation: platform 0 received 34 of 40 responses"
     );
 }
 
@@ -746,7 +756,8 @@ fn fleet_deadline_expires() {
 }
 
 /// A replica queue smaller than the flush size under load: only the age
-/// rule empties it, so replicas refuse what the router admitted.
+/// rule empties it, so replicas refuse what the router admitted, each
+/// refusal stamped with the executor's busy clock.
 #[test]
 fn fleet_replica_queue_rejects() {
     let mut cfg = fleet_cfg(2);
@@ -760,7 +771,7 @@ fn fleet_replica_queue_rejects() {
         out.report
     );
     let want = Golden {
-        records: 0xcea4_72d4_dbd4_0c93,
+        records: 0x8721_385c_7987_2a55,
         report: 0xa45b_499d_4942_d77b,
         stats: 0xaffd_9b7e_f144_b7b4,
         fleet: 0xf838_869a_0e2e_0446,
