@@ -99,7 +99,7 @@ impl<P> Executor<P> {
     }
 
     /// The queue itself, for harnesses that drive the batcher without the
-    /// clock and for dropping what is pending. The replay loops go
+    /// clock and for dropping what is pending. The serving loop goes
     /// through the three questions instead.
     pub fn batcher_mut(&mut self) -> &mut DynamicBatcher<P> {
         &mut self.batcher

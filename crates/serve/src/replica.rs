@@ -1,6 +1,7 @@
-//! One server replica: the serving [`Executor`] (batcher and busy clock)
-//! plus what only a fleet member has — a lifecycle phase, a shard of
-//! sessions, and lazily instantiated per-version models.
+//! One server replica — a single server is one too: the serving
+//! [`Executor`] (batcher and busy clock) plus a lifecycle phase, a shard
+//! of sessions, and per-version models, instantiated from the bank on
+//! first use or handed over by a single server's caller.
 
 use std::collections::hash_map::{Entry, HashMap};
 

@@ -3,10 +3,9 @@
 
 use std::collections::HashMap;
 
-use crate::wire::RoutedRequest;
-
 use crate::ring::{key_hash, HashRing};
 use crate::session::SessionKey;
+use crate::wire::RoutedRequest;
 
 /// One dispatched-but-unanswered request, kept at the router so a replica
 /// crash can re-route it instead of losing it.

@@ -25,10 +25,10 @@
 //!
 //! **Lazy answers.** A batch the executor hands out is booked at once —
 //! router completion, session counts, served totals, model instances —
-//! and its answers are queued behind every earlier refusal. The queue is
-//! emptied just before the loop next sends, receives or begins a chaos
-//! tick, and at the end: the queued batches are computed side by side on
-//! the kernel pool, then the answers go out in queue order. The transport
+//! and its answers are queued. The queue is emptied just before the loop
+//! next sends (a refusal included), receives or begins a chaos tick, and
+//! at the end: the queued batches are computed side by side on the
+//! kernel pool, then their answers go out in queue order. The transport
 //! thus sees a one-batch-at-a-time run's calls in its order: a single
 //! server computes all its batches side by side at the end, a fleet one
 //! batch per dispatch, and no crash tick overtakes an answer due before
@@ -201,20 +201,6 @@ impl Ord for Ev {
     }
 }
 
-/// An answer decided but not yet sent.
-enum Answer {
-    /// A booked batch of `replica`: every entry is answered at `done_s`,
-    /// in [`infer_batch`](crate::executor::infer_batch) order.
-    Batch { replica: usize, due: Due<FleetPending> },
-    /// A request answered without logits from `src` at `at`.
-    Refusal {
-        src: NodeId,
-        pending: FleetPending,
-        at: f64,
-        status: InferStatus,
-    },
-}
-
 struct Driver<'a, T, Topo> {
     cfg: &'a FleetConfig,
     topology: &'a Topo,
@@ -231,7 +217,8 @@ struct Driver<'a, T, Topo> {
     heap: BinaryHeap<Ev>,
     seq: u64,
     tick: Option<u64>,
-    answers: Vec<Answer>,
+    /// Booked batches whose answers are not sent yet, by replica.
+    answers: Vec<(usize, Due<FleetPending>)>,
     handoffs: usize,
     redispatched: usize,
     /// Client-side records of requests their uplink lost, per platform.
@@ -558,7 +545,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
         for entry in &due.entries {
             self.settle(&entry.item);
         }
-        self.answers.push(Answer::Batch { replica: r, due });
+        self.answers.push((r, due));
         Ok(())
     }
 
@@ -572,70 +559,47 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
         }
     }
 
-    /// Queues an answer to `pending` from `src` at `at` without logits.
-    fn refuse(&mut self, src: NodeId, pending: FleetPending, at: f64, status: InferStatus) {
-        self.answers.push(Answer::Refusal {
-            src,
-            pending,
-            at,
-            status,
-        });
+    /// Answers `pending` from `src` at `at` without logits, after every
+    /// queued answer.
+    fn refuse(&mut self, src: NodeId, pending: &FleetPending, at: f64, status: InferStatus) -> Result<()> {
+        self.send_answers()?;
+        sync_clock(self.net.stats(), src, at);
+        self.send_answer(src, pending, at, status, None)
     }
 
     /// Answers a request at the router itself (quota or routing failure).
-    fn throttle(&mut self, pending: FleetPending, t: f64) {
+    fn throttle(&mut self, pending: &FleetPending, t: f64) -> Result<()> {
         medsplit_telemetry::counter_add_labeled(
             "fleet.throttled",
             &format!("tenant-{}", pending.req.tenant),
             1,
         );
-        self.refuse(NodeId::Server, pending, t, InferStatus::Throttled);
+        self.refuse(NodeId::Server, pending, t, InferStatus::Throttled)
     }
 
     /// Empties the answer queue: computes every queued batch side by side
-    /// on the kernel pool ([`BATCHES_PER_TASK`] a task), then sends every
-    /// answer in queue order, each batch's stamped with its `done_s`
-    /// after syncing its replica's clock to it.
+    /// on the kernel pool ([`BATCHES_PER_TASK`] a task), then sends the
+    /// answers batch by batch in queue order, each batch's stamped with
+    /// its `done_s` after syncing its replica's clock to it.
     fn send_answers(&mut self) -> Result<()> {
         if self.answers.is_empty() {
             return Ok(());
         }
         let answers = std::mem::take(&mut self.answers);
-        let batches: Vec<(&Replica, &Due<FleetPending>)> = answers
-            .iter()
-            .filter_map(|answer| match answer {
-                Answer::Batch { replica, due } => Some((&self.replicas[*replica], due)),
-                Answer::Refusal { .. } => None,
-            })
-            .collect();
-        let computed = side_by_side(&batches, BATCHES_PER_TASK, |(replica, due)| {
-            replica.infer(&due.entries, due.done_s)
+        let replicas = &self.replicas;
+        let computed = side_by_side(&answers, BATCHES_PER_TASK, |(r, due)| {
+            replicas[*r].infer(&due.entries, due.done_s)
         });
-        drop(batches);
-        let mut computed = computed.into_iter();
-        for answer in answers {
-            match answer {
-                Answer::Batch { replica, due } => {
-                    let src = self.node(replica);
-                    sync_clock(self.net.stats(), src, due.done_s);
-                    for (i, logits) in computed.next().expect("one result per queued batch")? {
-                        let status = if logits.is_some() {
-                            InferStatus::Ok
-                        } else {
-                            InferStatus::TimedOut
-                        };
-                        self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
-                    }
-                }
-                Answer::Refusal {
-                    src,
-                    pending,
-                    at,
-                    status,
-                } => {
-                    sync_clock(self.net.stats(), src, at);
-                    self.send_answer(src, &pending, at, status, None)?;
-                }
+        for ((r, due), logits) in answers.into_iter().zip(computed) {
+            let src = self.node(r);
+            sync_clock(self.net.stats(), src, due.done_s);
+            for (i, logits) in logits? {
+                let status = if logits.is_some() {
+                    InferStatus::Ok
+                } else {
+                    InferStatus::TimedOut
+                };
+                self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
             }
         }
         Ok(())
@@ -681,8 +645,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             };
             let Some(r) = candidate else {
                 self.router.release(tenant);
-                self.throttle(pending, t);
-                return Ok(());
+                return self.throttle(&pending, t);
             };
             let replica_node = NodeId::Replica(r);
             let usable = !self.net.is_down(replica_node)
@@ -719,8 +682,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             skip = Some(r);
             if tried > self.cfg.dispatch_retries {
                 self.router.release(tenant);
-                self.throttle(pending, t);
-                return Ok(());
+                return self.throttle(&pending, t);
             }
         }
     }
@@ -736,8 +698,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
                 medsplit_telemetry::counter_add("serve.rejections", 1);
                 self.settle(&refused);
                 let at = self.replicas[r].executor.clock();
-                self.refuse(self.node(r), refused, at, InferStatus::Rejected);
-                Ok(())
+                self.refuse(self.node(r), &refused, at, InferStatus::Rejected)
             }
         }
     }
@@ -753,8 +714,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
         };
         if attempt > self.cfg.dispatch_retries {
             self.router.release(pending.req.tenant);
-            self.throttle(pending, t);
-            return Ok(());
+            return self.throttle(&pending, t);
         }
         self.dispatch(pending, t, attempt, Some(entry.replica))
     }
@@ -871,7 +831,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             match ev.kind {
                 EvKind::RouterArrival(mut pending) => {
                     if !self.router.try_admit(pending.req.tenant) {
-                        self.throttle(pending, ev.t);
+                        self.throttle(&pending, ev.t)?;
                         continue;
                     }
                     let key = SessionKey {
