@@ -21,11 +21,14 @@
 use std::sync::Mutex;
 
 use medsplit::core::{
-    ComputeModel, HierPolicy, HierReport, HierResilientTrainer, Platform, SplitConfig, SplitPoint,
-    SplitTrainer, TrainingHistory, WireCodec,
+    build_split, ComputeModel, HierPolicy, HierReport, HierResilientTrainer, Platform, SplitConfig,
+    SplitPoint, SplitServer, SplitTrainer, TrainingHistory, WireCodec,
 };
-use medsplit::data::{partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticTabular};
-use medsplit::nn::{Architecture, LrSchedule, MlpConfig};
+use medsplit::data::{
+    partition, InMemoryDataset, MinibatchPolicy, Partition, SyntheticImages, SyntheticTabular,
+};
+use medsplit::nn::{Architecture, LrSchedule, MlpConfig, VggConfig};
+use medsplit::serve::{serve_threaded, ServeConfig};
 use medsplit::simnet::{ChaosTransport, FaultPlan, HierTopology, MemoryTransport, NodeId, StarTopology};
 use medsplit_tensor::ops::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
 use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, Encoding, Tensor};
@@ -467,6 +470,57 @@ fn hier_engine_bit_identical_across_thread_counts() {
         assert_eq!(report, &run.1, "HierReport diverged at {threads} threads");
         assert_eq!(l1, &run.2, "hierarchy L1 weights diverged at {threads} threads");
     }
+}
+
+/// A serving session whose `L1` windows and batches are heavy enough for
+/// the kernel pool's work gate — VGG-lite, two platforms of 200 image
+/// queries each — at one and two pool threads: which thread computes a
+/// query or a batch must not show in any record, logit or byte count.
+#[test]
+fn vgg_serving_bit_identical_across_thread_counts() {
+    let runs = with_thread_counts(&[1, 2], |_| {
+        let model = build_split(&Architecture::Vgg(VggConfig::lite(10)), SplitPoint::Default, 5, 2).unwrap();
+        let images = SyntheticImages::lite(10, 5).generate(400).unwrap();
+        let platforms: Vec<Platform> = model
+            .clients
+            .into_iter()
+            .enumerate()
+            .map(|(id, client)| Platform::new(id, client, images.clone(), 4, 0.0, 5))
+            .collect();
+        let queries: Vec<Vec<Tensor>> = (0..2)
+            .map(|p| {
+                (0..200)
+                    .map(|i| images.batch(&[p * 200 + i]).unwrap().0)
+                    .collect()
+            })
+            .collect();
+        let topology = StarTopology::new(2);
+        let transport = MemoryTransport::new(topology.clone());
+        let out = serve_threaded(
+            platforms,
+            SplitServer::new(model.server, 0.0),
+            queries,
+            &topology,
+            &ServeConfig::default(),
+            &transport,
+        )
+        .unwrap();
+        let records: Vec<(u64, u64, Vec<u32>)> = out
+            .records
+            .iter()
+            .map(|r| {
+                let logits = r.logits.as_ref().expect("every query is served");
+                (
+                    r.id,
+                    r.latency_s.to_bits(),
+                    logits.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect();
+        (records, out.stats.total_bytes, out.stats.makespan_s.to_bits())
+    });
+    assert_eq!(runs[0].0.len(), 400);
+    assert_eq!(runs[0], runs[1], "serving diverged at 2 threads");
 }
 
 /// The bench-harness failure mode behind the nonzero
