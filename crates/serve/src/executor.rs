@@ -215,28 +215,24 @@ pub(crate) fn infer_batch<P, K: Ord>(
 }
 
 /// `f` over every item, `per_task` consecutive items per kernel-pool
-/// task ([`pool::parallel_chunks_mut_sized`]), results in item order.
-/// `work` is the elements the items' tensors hold: like a kernel's, a
-/// job below the pool's work gate (a small model's queries) runs inline,
-/// where waking a worker would cost more than it saves. Inline, or at
-/// one pool thread, this is the plain loop. Spans entered on a pool
-/// worker keep the caller's current span as their parent.
+/// task ([`pool::parallel_chunks_mut`]), results in item order. At one
+/// pool thread this is the plain loop. Spans entered on a pool worker
+/// keep the caller's current span as their parent.
 pub(crate) fn side_by_side<T: Sync, R: Send>(
     items: &[T],
     per_task: usize,
-    work: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
     let parent = medsplit_telemetry::SpanParent::capture();
-    pool::parallel_chunks_mut_sized(&mut out, per_task, work, |task, slots| {
+    pool::parallel_chunks_mut(&mut out, per_task, |task, slots| {
         let _parent = parent.adopt();
         for (slot, item) in slots.iter_mut().zip(&items[task * per_task..]) {
             *slot = Some(f(item));
         }
     });
     out.into_iter()
-        .map(|r| r.expect("parallel_chunks_mut_sized returned before a task ran"))
+        .map(|r| r.expect("parallel_chunks_mut returned before a task ran"))
         .collect()
 }
 

@@ -393,9 +393,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             for (tenant, (platform, qs)) in platforms.iter_mut().zip(&mut queries).enumerate() {
                 let inputs: Vec<Tensor> = qs.by_ref().take(L1_WINDOW).collect();
                 let shared = &*platform;
-                let work = inputs.iter().map(Tensor::numel).sum();
-                let activations =
-                    side_by_side(&inputs, L1_QUERIES_PER_TASK, work, |q| shared.infer_l1_shared(q));
+                let activations = side_by_side(&inputs, L1_QUERIES_PER_TASK, |q| shared.infer_l1_shared(q));
                 drop(inputs);
                 for (seq, acts) in (first..).zip(activations) {
                     // Open-loop arrivals: request `seq` is submitted at a
@@ -589,12 +587,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
         }
         let answers = std::mem::take(&mut self.answers);
         let replicas = &self.replicas;
-        let work = answers
-            .iter()
-            .flat_map(|(_, due)| &due.entries)
-            .map(|e| e.item.req.activations.numel())
-            .sum();
-        let computed = side_by_side(&answers, BATCHES_PER_TASK, work, |(r, due)| {
+        let computed = side_by_side(&answers, BATCHES_PER_TASK, |(r, due)| {
             replicas[*r].infer(&due.entries, due.done_s)
         });
         for ((r, due), logits) in answers.into_iter().zip(computed) {

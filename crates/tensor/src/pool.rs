@@ -476,10 +476,9 @@ pub fn parallel_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(data: &mut [T
     parallel_chunks_mut_sized(data, chunk, usize::MAX, body);
 }
 
-/// [`parallel_chunks_mut`] with a shape-derived work estimate
-/// (multiply-accumulates, or elements touched): below the pool's work
-/// gate the chunks run inline on the caller, as every kernel's do.
-pub fn parallel_chunks_mut_sized<T: Send, F: Fn(usize, &mut [T]) + Sync>(
+/// [`parallel_chunks_mut`] with a shape-derived work estimate, gated as
+/// in [`parallel_for_sized`].
+pub(crate) fn parallel_chunks_mut_sized<T: Send, F: Fn(usize, &mut [T]) + Sync>(
     data: &mut [T],
     chunk: usize,
     work: usize,
