@@ -50,8 +50,9 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
     /// The head cut comes from `config.split`; `tail_layers` is the
     /// number of final layers kept on the platform (≥ 1 for a meaningful
     /// U; 0 degenerates to the standard split with relabelled messages).
-    /// Both sides train with SGD, activations are not noised, and the
-    /// compute model does not apply.
+    /// Both sides train with SGD, each platform noises its activations
+    /// with `config.activation_noise` as the standard split does, and
+    /// the compute model does not apply.
     ///
     /// # Errors
     ///
@@ -96,6 +97,9 @@ impl<'t, T: Transport> UShapeTrainer<'t, T> {
                 let (head, _, tail) = parts();
                 let mut p = Platform::new(id, head, data, batch, config.momentum, config.seed);
                 p.set_codec(config.codec);
+                if config.activation_noise > 0.0 {
+                    p.set_activation_noise(config.activation_noise);
+                }
                 p.set_tail(tail, OptimizerKind::Sgd.build(config.momentum));
                 p
             })
@@ -260,6 +264,30 @@ mod tests {
             UShapeTrainer::new(&arch(), config(1), 1, shards, test, &transport),
             Err(SplitError::Config(_))
         ));
+    }
+
+    #[test]
+    fn activation_noise_changes_the_run_and_replays() {
+        let run = |sigma: f32| {
+            let (shards, test) = data();
+            let transport = MemoryTransport::new(StarTopology::new(2));
+            let cfg = SplitConfig {
+                activation_noise: sigma,
+                ..config(10)
+            };
+            let mut trainer = UShapeTrainer::new(&arch(), cfg, 1, shards, test, &transport).unwrap();
+            let history = trainer.run().unwrap();
+            (
+                replay_key(&history),
+                history.final_accuracy.to_bits(),
+                history.stats,
+            )
+        };
+        let quiet = run(0.0);
+        let noised = run(0.5);
+        assert_ne!(noised.0, quiet.0, "noise must change the losses");
+        assert_eq!(noised.2, quiet.2, "noise does not change the traffic");
+        assert_eq!(run(0.5), noised, "a noised run replays bit for bit");
     }
 
     #[test]
