@@ -61,6 +61,27 @@ if [ -n "$loop_hits" ]; then
     exit 1
 fi
 
+echo "==> every pub fn has a caller outside its own file"
+# Library surface nothing runs is deleted, not kept: a `pub fn` (also
+# `pub const fn` / `pub unsafe fn`) under crates/*/src whose name no
+# other .rs file under crates/, src/, examples/, tests/ or benchmark/src
+# names as a whole word has no caller but its own file. Delete it with
+# its tests, or drop the `pub` if its own module calls it.
+orphans="$(grep -rnoE --include='*.rs' '\bpub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src |
+    while IFS=: read -r file line decl; do
+        name="${decl##* }"
+        users="$(grep -rlw --include='*.rs' -- "$name" crates src examples tests benchmark/src |
+            grep -cvxF "$file" || true)"
+        if [ "$users" -eq 0 ]; then
+            echo "$file:$line: $name"
+        fi
+    done)"
+if [ -n "$orphans" ]; then
+    echo "ci.sh: pub fn named in no other file (delete it, or make it private):" >&2
+    echo "$orphans" >&2
+    exit 1
+fi
+
 echo "==> unsafe, file by file: the code == the DESIGN §11 table"
 # The "now" column of the table between the unsafe-table markers in
 # DESIGN.md must equal the per-file count of lines matching the word
@@ -76,6 +97,12 @@ fi
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> rustdoc (deny warnings)"
+# A doc link to a deleted or private item is a rustdoc warning
+# (broken_intra_doc_links, private_intra_doc_links); the docs build
+# clean or CI fails.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
 cargo test -q --workspace --offline

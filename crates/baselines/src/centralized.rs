@@ -27,7 +27,7 @@ struct Centralized<'a, T: Transport> {
 /// Trains one model on the pooled data, after shipping every shard's raw
 /// features (and labels) to the server over the transport.
 ///
-/// Reads `rounds`, `eval_every`, `lr`, `momentum`, `optimizer`, `seed`,
+/// Reads `rounds`, `eval_every`, `lr`, `momentum`, `seed`,
 /// `minibatch` (the pooled batch is the sum of the per-platform batches)
 /// and `compute` from `config`, which must validate; the split-specific
 /// fields are not read.

@@ -1,6 +1,6 @@
 //! What the baselines share: one model learning from one shard.
 
-use medsplit_core::{batch_sizes, evaluate_batched, Result, SplitConfig};
+use medsplit_core::{batch_sizes, evaluate_batched, OptimizerKind, Result, SplitConfig};
 use medsplit_data::{BatchSampler, InMemoryDataset};
 use medsplit_nn::{softmax_cross_entropy, Architecture, Layer, Mode, Optimizer, Sequential};
 
@@ -27,7 +27,7 @@ impl Learner {
             model,
             sampler: BatchSampler::new(data.len(), batch, sampler_seed),
             data,
-            optimizer: config.optimizer.build(config.momentum),
+            optimizer: OptimizerKind::Sgd.build(config.momentum),
         }
     }
 

@@ -50,7 +50,7 @@ struct FedAvg<'a, T: Transport> {
 
 /// Runs FedAvg and returns the training history.
 ///
-/// Reads `rounds`, `eval_every`, `lr`, `momentum`, `optimizer`, `seed`,
+/// Reads `rounds`, `eval_every`, `lr`, `momentum`, `seed`,
 /// `minibatch` and `compute` from `config`, which must validate; the
 /// split-specific fields are not read.
 ///

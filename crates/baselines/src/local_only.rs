@@ -26,7 +26,7 @@ struct LocalOnly<'a> {
 ///
 /// One "round" is one local step on every platform, so the x-axis is
 /// comparable with the federated methods. Reads `rounds`, `eval_every`,
-/// `lr`, `momentum`, `optimizer`, `seed` and `minibatch` from `config`,
+/// `lr`, `momentum`, `seed` and `minibatch` from `config`,
 /// which must validate; with no network there is no clock to charge, so
 /// `compute` is not read, nor are the split-specific fields.
 ///

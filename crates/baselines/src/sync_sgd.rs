@@ -49,7 +49,7 @@ struct SyncSgd<'a, T: Transport> {
 ///
 /// Reads `rounds` (steps), `eval_every`, `lr`, `seed`, `minibatch` and
 /// `compute` from `config`, which must validate. The server applies plain
-/// SGD, so `momentum` and `optimizer` are not read; nor are the
+/// SGD, so `momentum` is not read; nor are the
 /// split-specific fields.
 ///
 /// Works over any transport. Crashes take effect only as far as the

@@ -142,7 +142,7 @@ pub const BENCH_JSON_SCHEMA_VERSION: u32 = 2;
 
 /// The lab run id this process is executing under, or `"standalone"`
 /// when invoked directly rather than through `lab run`.
-pub fn lab_run_id() -> String {
+fn lab_run_id() -> String {
     std::env::var("MEDSPLIT_LAB_RUN_ID").unwrap_or_else(|_| "standalone".to_string())
 }
 
@@ -178,7 +178,7 @@ pub fn bench_json_path(filename: &str, smoke: bool) -> PathBuf {
 }
 
 /// The directory experiment outputs are written to.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     std::env::var_os("MEDSPLIT_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("bench_results"))

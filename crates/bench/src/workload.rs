@@ -35,7 +35,7 @@ pub enum ModelKind {
 
 impl ModelKind {
     /// The CPU-trainable (lite) architecture for this family.
-    pub fn lite_arch(&self, classes: usize) -> Architecture {
+    fn lite_arch(&self, classes: usize) -> Architecture {
         match self {
             ModelKind::Vgg => Architecture::Vgg(VggConfig::lite(classes)),
             ModelKind::ResNet => Architecture::ResNet(ResNetConfig::lite(classes)),

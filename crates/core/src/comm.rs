@@ -11,7 +11,7 @@ use medsplit_simnet::HEADER_BYTES;
 use medsplit_tensor::{serialized_len, Shape};
 
 /// Wire bytes for one message carrying a tensor of `shape`.
-pub fn message_bytes(shape: &Shape) -> u64 {
+fn message_bytes(shape: &Shape) -> u64 {
     (serialized_len(shape) + HEADER_BYTES) as u64
 }
 
@@ -50,12 +50,6 @@ pub fn fedavg_round_bytes(platforms: usize, param_count: usize) -> u64 {
 /// platform downloads the model and uploads a full gradient vector.
 pub fn sync_sgd_round_bytes(platforms: usize, param_count: usize) -> u64 {
     platforms as u64 * 2 * flat_message_bytes(param_count)
-}
-
-/// Bytes of one `L1Sync` exchange (up + down per platform), used by the
-/// periodic-averaging extension.
-pub fn l1_sync_bytes(platforms: usize, l1_param_count: usize) -> u64 {
-    platforms as u64 * 2 * flat_message_bytes(l1_param_count)
 }
 
 #[cfg(test)]
@@ -114,11 +108,5 @@ mod tests {
             "sync-SGD must be costlier per step: {sgd} vs {split}"
         );
         assert!(sgd as f64 / split as f64 > 3.0);
-    }
-
-    #[test]
-    fn l1_sync_cost() {
-        let b = l1_sync_bytes(3, 500);
-        assert_eq!(b, 3 * 2 * flat_message_bytes(500));
     }
 }

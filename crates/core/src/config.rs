@@ -34,14 +34,12 @@ pub enum L1Sync {
     },
 }
 
-/// Which optimiser the platforms and the server use for their halves.
+/// The optimiser the platforms and the server use for their halves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptimizerKind {
     /// SGD; the `momentum` field of [`SplitConfig`] applies.
     #[default]
     Sgd,
-    /// Adam with standard defaults (β₁ = 0.9, β₂ = 0.999).
-    Adam,
 }
 
 impl OptimizerKind {
@@ -49,7 +47,6 @@ impl OptimizerKind {
     pub fn build(&self, momentum: f32) -> Box<dyn medsplit_nn::Optimizer> {
         match self {
             OptimizerKind::Sgd => Box::new(medsplit_nn::Sgd::new(0.01).with_momentum(momentum)),
-            OptimizerKind::Adam => Box::new(medsplit_nn::Adam::new(0.001)),
         }
     }
 }
@@ -228,9 +225,6 @@ pub struct SplitConfig {
     pub compute: ComputeModel,
     /// Wire encoding for the protocol tensors.
     pub codec: WireCodec,
-    /// Optimiser family used by both sides. Sync SGD's server update
-    /// ignores it.
-    pub optimizer: OptimizerKind,
     /// Standard deviation of Gaussian noise each platform adds to its
     /// transmitted activations (0 disables). A lightweight
     /// privacy-enhancement knob: the server — and any eavesdropper — only
@@ -256,7 +250,6 @@ impl Default for SplitConfig {
             seed: 42,
             compute: ComputeModel::off(),
             codec: WireCodec::F32,
-            optimizer: OptimizerKind::Sgd,
             activation_noise: 0.0,
             round_policy: RoundPolicy::default(),
         }
@@ -346,8 +339,6 @@ mod tests {
         let mut sgd = OptimizerKind::Sgd.build(0.9);
         sgd.set_learning_rate(0.1);
         assert_eq!(sgd.learning_rate(), 0.1);
-        let adam = OptimizerKind::Adam.build(0.0);
-        assert!(adam.learning_rate() > 0.0);
         assert_eq!(OptimizerKind::default(), OptimizerKind::Sgd);
     }
 

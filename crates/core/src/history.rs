@@ -48,25 +48,6 @@ pub struct TrainingHistory {
 }
 
 impl TrainingHistory {
-    /// The best accuracy achieved at or under a communication budget, i.e.
-    /// one point of the paper's Fig. 4 ("X GB transmitted @ Y% accuracy").
-    pub fn accuracy_at_bytes(&self, budget: u64) -> Option<f32> {
-        self.records
-            .iter()
-            .filter(|r| r.cumulative_bytes <= budget)
-            .filter_map(|r| r.accuracy)
-            .fold(None, |best, a| Some(best.map_or(a, |b: f32| b.max(a))))
-    }
-
-    /// The cumulative bytes at which accuracy first reached `target`
-    /// (communication-to-accuracy), if it ever did.
-    pub fn bytes_to_accuracy(&self, target: f32) -> Option<u64> {
-        self.records
-            .iter()
-            .find(|r| r.accuracy.is_some_and(|a| a >= target))
-            .map(|r| r.cumulative_bytes)
-    }
-
     /// The `(bytes, accuracy)` series of evaluation rounds — the curve of
     /// Fig. 4.
     pub fn curve(&self) -> Vec<(u64, f32)> {
@@ -155,23 +136,6 @@ mod tests {
                 makespan_s: 3.0,
             },
         }
-    }
-
-    #[test]
-    fn accuracy_at_bytes_takes_best_within_budget() {
-        let h = history();
-        assert_eq!(h.accuracy_at_bytes(50), None);
-        assert_eq!(h.accuracy_at_bytes(100), Some(0.2));
-        assert_eq!(h.accuracy_at_bytes(350), Some(0.5));
-        assert_eq!(h.accuracy_at_bytes(1000), Some(0.5));
-    }
-
-    #[test]
-    fn bytes_to_accuracy_finds_first_crossing() {
-        let h = history();
-        assert_eq!(h.bytes_to_accuracy(0.2), Some(100));
-        assert_eq!(h.bytes_to_accuracy(0.5), Some(300));
-        assert_eq!(h.bytes_to_accuracy(0.9), None);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub struct Platform {
     /// draws, and so the trained model, unchanged.
     infer_noise_rng: StdRng,
     pending_labels: Option<Vec<usize>>,
-    samples_seen: u64,
     tail: Option<Tail>,
 }
 
@@ -89,7 +88,6 @@ impl Platform {
             noise_rng: rng_from_seed(seed.rotate_left(17) ^ id as u64),
             infer_noise_rng: rng_from_seed(seed.rotate_left(41) ^ id as u64),
             pending_labels: None,
-            samples_seen: 0,
             tail: None,
         }
     }
@@ -133,11 +131,6 @@ impl Platform {
         self.codec = codec;
     }
 
-    /// Replaces the local optimiser (resets any momentum/Adam state).
-    pub fn set_optimizer(&mut self, optimizer: Box<dyn Optimizer>) {
-        self.optimizer = optimizer;
-    }
-
     /// This platform's node id.
     pub fn node(&self) -> NodeId {
         NodeId::Platform(self.id)
@@ -156,11 +149,6 @@ impl Platform {
     /// This platform's minibatch size (`s_k`).
     pub fn batch_size(&self) -> usize {
         self.batch_size
-    }
-
-    /// Total samples consumed so far.
-    pub fn samples_seen(&self) -> u64 {
-        self.samples_seen
     }
 
     /// Sets the learning rate for the local optimisers.
@@ -187,7 +175,6 @@ impl Platform {
     pub fn start_round(&mut self, round: u64) -> Result<Envelope> {
         let _span = medsplit_telemetry::span_round("l1_forward", round);
         let (features, labels) = self.sampler.next_from(&self.data);
-        self.samples_seen += labels.len() as u64;
         let acts = self.model.forward(&features, Mode::Train)?;
         let acts = Self::noised(self.noise_std, acts, &mut self.noise_rng);
         self.pending_labels = Some(labels);
@@ -405,7 +392,6 @@ mod tests {
         assert_eq!(env.src, NodeId::Platform(0));
         let acts = decode_tensor(&env, MessageKind::Activations).unwrap();
         assert_eq!(acts.dims(), &[5, 6]);
-        assert_eq!(p.samples_seen(), 5);
     }
 
     #[test]
@@ -515,13 +501,12 @@ mod tests {
         assert!(p.handle_cut_grads(&cut_env).is_ok());
     }
 
-    /// An `L1` with every mode-sensitive layer the library has.
-    fn stochastic_l1(seed: u64) -> Sequential {
+    /// An `L1` with batch normalisation, the one mode-sensitive layer.
+    fn bn_l1(seed: u64) -> Sequential {
         let mut rng = rng_from_seed(seed);
         let mut s = Sequential::new("l1");
         s.push(Dense::new(4, 6, &mut rng));
         s.push(medsplit_nn::BatchNorm::new(6));
-        s.push(medsplit_nn::Dropout::new(0.5, seed));
         s.push(Activation::relu());
         s
     }
@@ -529,7 +514,7 @@ mod tests {
     #[test]
     fn inference_is_deterministic_and_restores_mode() {
         let data = SyntheticTabular::new(3, 4, 9).generate(20).unwrap();
-        let mut p = Platform::new(0, stochastic_l1(9), data, 5, 0.0, 9);
+        let mut p = Platform::new(0, bn_l1(9), data, 5, 0.0, 9);
         // Put the model firmly into training state first.
         let _ = p.start_round(0).unwrap();
         assert_eq!(p.model_mut().mode(), Mode::Train);
@@ -540,7 +525,7 @@ mod tests {
         let a = p.infer_l1(&x).unwrap();
         let b = p.infer_l1(&x).unwrap();
         let c = p.infer_l1(&x).unwrap();
-        // Eval mode: dropout off, running stats used — bit-identical runs.
+        // Eval mode: running stats used — bit-identical runs.
         assert_eq!(a.as_slice(), b.as_slice());
         assert_eq!(b.as_slice(), c.as_slice());
 

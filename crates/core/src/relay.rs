@@ -22,7 +22,7 @@ use crate::error::{Result, SplitError};
 /// Serialises `inner` envelopes into one opaque batch payload by
 /// concatenating their canonical wire frames, each written once into a
 /// buffer sized for all of them.
-pub fn encode_batch(inner: &[Envelope]) -> Bytes {
+fn encode_batch(inner: &[Envelope]) -> Bytes {
     let mut out = Vec::with_capacity(inner.iter().map(|e| FRAME_HEADER_LEN + e.payload.len()).sum());
     for env in inner {
         env.encode_into(&mut out);

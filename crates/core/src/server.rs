@@ -63,11 +63,6 @@ impl SplitServer {
         self.codec = codec;
     }
 
-    /// Replaces the server-side optimiser (resets its state).
-    pub fn set_optimizer(&mut self, optimizer: Box<dyn Optimizer>) {
-        self.optimizer = optimizer;
-    }
-
     /// Mutable access to the server model (evaluation, checkpointing).
     pub fn model_mut(&mut self) -> &mut Sequential {
         &mut self.model
@@ -83,8 +78,8 @@ impl SplitServer {
     /// plans are brought up to date, then
     /// [`infer_shared`](Self::infer_shared) runs.
     ///
-    /// Inference interleaved with training leaves no trace: no dropout,
-    /// no running-statistics updates, no cached backward state, and the
+    /// Inference interleaved with training leaves no trace: no
+    /// running-statistics updates, no cached backward state, and the
     /// mode bookkeeping a caller may rely on is unchanged.
     ///
     /// # Errors
@@ -406,7 +401,6 @@ mod tests {
         let mut m = Sequential::new("server");
         m.push(Dense::new(6, 8, &mut rng));
         m.push(medsplit_nn::BatchNorm::new(8));
-        m.push(medsplit_nn::Dropout::new(0.3, 5));
         m.push(Dense::new(8, 3, &mut rng));
         let mut s = SplitServer::new(m, 0.0);
 

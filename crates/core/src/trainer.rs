@@ -69,17 +69,11 @@ pub(crate) fn build_actors(
             if config.activation_noise > 0.0 {
                 p.set_activation_noise(config.activation_noise);
             }
-            if config.optimizer != crate::config::OptimizerKind::Sgd {
-                p.set_optimizer(config.optimizer.build(config.momentum));
-            }
             p
         })
         .collect();
     let mut server = SplitServer::new(split.server, config.momentum);
     server.set_codec(config.codec);
-    if config.optimizer != crate::config::OptimizerKind::Sgd {
-        server.set_optimizer(config.optimizer.build(config.momentum));
-    }
     Ok((platforms, server, split.client_params, split.server_params))
 }
 
@@ -364,23 +358,6 @@ mod tests {
             SplitTrainer::new(&arch(), config(1), shards, test, &transport),
             Err(SplitError::Config(_))
         ));
-    }
-
-    #[test]
-    fn adam_optimizer_also_learns() {
-        use crate::config::OptimizerKind;
-        let (shards, test) = setup(2);
-        let transport = MemoryTransport::new(StarTopology::new(2));
-        let mut cfg = config(50);
-        cfg.optimizer = OptimizerKind::Adam;
-        cfg.lr = medsplit_nn::LrSchedule::Constant(0.01);
-        let mut trainer = SplitTrainer::new(&arch(), cfg, shards, test, &transport).unwrap();
-        let history = trainer.run().unwrap();
-        assert!(
-            history.final_accuracy > 0.6,
-            "Adam accuracy {}",
-            history.final_accuracy
-        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod augment;
 mod dataset;
 mod partition;
 mod sampler;

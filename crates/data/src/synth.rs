@@ -34,30 +34,6 @@ pub struct SyntheticImages {
 }
 
 impl SyntheticImages {
-    /// A CIFAR-10-like generator: 10 classes of 3×32×32 images.
-    pub fn cifar10_like(seed: u64) -> Self {
-        SyntheticImages {
-            num_classes: 10,
-            channels: 3,
-            hw: 32,
-            noise: 1.0,
-            max_shift: 6,
-            seed,
-        }
-    }
-
-    /// A CIFAR-100-like generator: 100 classes of 3×32×32 images.
-    pub fn cifar100_like(seed: u64) -> Self {
-        SyntheticImages {
-            num_classes: 100,
-            channels: 3,
-            hw: 32,
-            noise: 1.0,
-            max_shift: 6,
-            seed,
-        }
-    }
-
     /// A scaled-down variant matching the `lite` model input (3×16×16),
     /// used by the trained (as opposed to analytic) experiments. The noise
     /// level is chosen so a lite model needs a few hundred minibatch
@@ -222,7 +198,11 @@ mod tests {
 
     #[test]
     fn shapes_match_cifar() {
-        let ds = SyntheticImages::cifar10_like(0).generate(20).unwrap();
+        let gen = SyntheticImages {
+            hw: 32,
+            ..SyntheticImages::lite(10, 0)
+        };
+        let ds = gen.generate(20).unwrap();
         assert_eq!(ds.len(), 20);
         assert_eq!(ds.sample_dims(), &[3, 32, 32]);
         assert_eq!(ds.num_classes(), 10);
@@ -282,7 +262,7 @@ mod tests {
 
     #[test]
     fn cifar100_like_has_100_classes() {
-        let gen = SyntheticImages::cifar100_like(0);
+        let gen = SyntheticImages::lite(100, 0);
         assert_eq!(gen.num_classes, 100);
         let ds = gen.generate(200).unwrap();
         assert_eq!(ds.class_histogram(), vec![2; 100]);

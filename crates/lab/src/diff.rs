@@ -302,7 +302,7 @@ pub fn check_invariants(
 }
 
 /// Serialises a metric map as a baseline document.
-pub fn baseline_to_string(name: &str, metrics: &BTreeMap<String, MetricValue>) -> String {
+fn baseline_to_string(name: &str, metrics: &BTreeMap<String, MetricValue>) -> String {
     v1_document([
         ("name", Json::Str(name.to_string())),
         ("metrics", metrics_json(metrics)),

@@ -86,7 +86,7 @@ pub fn utc_now() -> String {
 
 /// Converts Unix seconds to an ISO-8601 UTC timestamp. Uses the classic
 /// days-from-civil inverse (Howard Hinnant's algorithm).
-pub fn utc_from_unix(secs: u64) -> String {
+fn utc_from_unix(secs: u64) -> String {
     let days = (secs / 86_400) as i64;
     let rem = secs % 86_400;
     let (hh, mm, ss) = (rem / 3600, (rem % 3600) / 60, rem % 60);

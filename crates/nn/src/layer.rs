@@ -6,12 +6,12 @@ use crate::param::Param;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Training mode enables dropout masks, uses batch statistics in batch
-/// normalisation (and updates the running statistics), and caches the
-/// intermediate values the backward pass needs.
+/// Training mode uses batch statistics in batch normalisation (and
+/// updates the running statistics) and caches the intermediate values the
+/// backward pass needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: stochastic regularisers active, activations cached.
+    /// Training: batch statistics used, activations cached.
     Train,
     /// Inference: deterministic, running statistics used.
     Eval,

@@ -8,7 +8,7 @@
 //! Every per-feature statistic is a serial `f32` chain over that
 //! feature's planes, groups ascending and elements ascending within a
 //! plane, and the chains of different features never meet. The
-//! reductions therefore walk a block of [`L`] features side by side, one
+//! reductions therefore walk a block of `L` features side by side, one
 //! accumulator per feature, so the adds of eight independent chains
 //! overlap instead of each waiting on its predecessor; every chain still
 //! sees exactly its own operands in exactly the order of the one-feature
@@ -218,11 +218,6 @@ impl BatchNorm {
             cached_xhat: None,
             cached_inv_std: None,
         }
-    }
-
-    /// Number of normalised features/channels.
-    pub fn num_features(&self) -> usize {
-        self.num_features
     }
 
     /// Current running mean (used in eval mode).

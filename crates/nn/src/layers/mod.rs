@@ -4,6 +4,5 @@ pub mod activation;
 pub mod batchnorm;
 pub mod conv2d;
 pub mod dense;
-pub mod dropout;
 pub mod pool;
 pub mod residual;

@@ -1,8 +1,7 @@
 //! Pooling layers.
 
 use medsplit_tensor::ops::pool::{
-    avgpool2d_backward, avgpool2d_forward, global_avgpool, global_avgpool_backward, maxpool2d_backward,
-    maxpool2d_forward,
+    global_avgpool, global_avgpool_backward, maxpool2d_backward, maxpool2d_forward,
 };
 use medsplit_tensor::{Conv2dSpec, Result, Shape, Tensor};
 
@@ -22,15 +21,6 @@ impl MaxPool2d {
     pub fn new(kernel: usize) -> Self {
         MaxPool2d {
             spec: Conv2dSpec::square(kernel, kernel, 0),
-            argmax: None,
-            input_shape: None,
-        }
-    }
-
-    /// Creates a max-pool layer with an explicit spec.
-    pub fn with_spec(spec: Conv2dSpec) -> Self {
-        MaxPool2d {
-            spec,
             argmax: None,
             input_shape: None,
         }
@@ -66,54 +56,6 @@ impl Layer for MaxPool2d {
     fn describe(&self) -> String {
         format!(
             "maxpool({}x{}/s{})",
-            self.spec.kernel_h, self.spec.kernel_w, self.spec.stride
-        )
-    }
-}
-
-/// 2-D average pooling.
-#[derive(Debug)]
-pub struct AvgPool2d {
-    spec: Conv2dSpec,
-    input_shape: Option<Shape>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer; `AvgPool2d::new(2)` is 2×2/2.
-    pub fn new(kernel: usize) -> Self {
-        AvgPool2d {
-            spec: Conv2dSpec::square(kernel, kernel, 0),
-            input_shape: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = self.infer(input)?;
-        if mode == Mode::Train {
-            self.input_shape = Some(input.shape().clone());
-        }
-        Ok(out)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        avgpool2d_forward(input, self.spec)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let shape = self
-            .input_shape
-            .as_ref()
-            .ok_or_else(|| missing_cache("AvgPool2d"))?;
-        avgpool2d_backward(grad_out, shape, self.spec)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn describe(&self) -> String {
-        format!(
-            "avgpool({}x{}/s{})",
             self.spec.kernel_h, self.spec.kernel_w, self.spec.stride
         )
     }
@@ -218,11 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_gradcheck() {
-        crate::gradcheck::check_layer(|| AvgPool2d::new(2), &[1, 2, 4, 4], 1e-2, 1e-2).unwrap();
-    }
-
-    #[test]
     fn global_avgpool_gradcheck() {
         crate::gradcheck::check_layer(GlobalAvgPool::new, &[2, 3, 3, 3], 1e-2, 1e-2).unwrap();
     }
@@ -241,7 +178,6 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         assert!(MaxPool2d::new(2).backward(&Tensor::ones([1])).is_err());
-        assert!(AvgPool2d::new(2).backward(&Tensor::ones([1])).is_err());
         assert!(GlobalAvgPool::new().backward(&Tensor::ones([1])).is_err());
         assert!(Flatten::new().backward(&Tensor::ones([1])).is_err());
     }
@@ -249,7 +185,6 @@ mod tests {
     #[test]
     fn describe_all() {
         assert!(MaxPool2d::new(2).describe().contains("maxpool"));
-        assert!(AvgPool2d::new(2).describe().contains("avgpool"));
         assert_eq!(GlobalAvgPool::new().describe(), "global_avgpool");
         assert_eq!(Flatten::new().describe(), "flatten");
     }

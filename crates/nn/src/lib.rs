@@ -8,16 +8,16 @@
 //! as the paper's flowchart describes.
 //!
 //! Provided here:
-//! - layers: [`Dense`], [`Conv2d`], [`BatchNorm`], [`Activation`],
-//!   [`MaxPool2d`], [`AvgPool2d`], [`GlobalAvgPool`], [`Flatten`],
-//!   [`Dropout`], [`Residual`],
+//! - layers: [`Dense`], [`Conv2d`], [`BatchNorm`], [`Activation`] (ReLU),
+//!   [`MaxPool2d`], [`GlobalAvgPool`], [`Flatten`], [`Residual`],
 //! - the [`Sequential`] container with [`Sequential::split_off`] — the
 //!   protocol's cut point,
 //! - losses returning `(loss, grad)` pairs ([`loss`]),
-//! - optimisers ([`Sgd`], [`Adam`]) and LR schedules ([`LrSchedule`]),
+//! - the optimiser ([`Sgd`], with optional momentum) and LR schedules
+//!   ([`LrSchedule`]),
 //! - parameter-vector utilities ([`vectorize`]) used by the federated
 //!   baselines,
-//! - the model zoo ([`models`]): VGG-16/11 + ResNet-18 at paper scale and
+//! - the model zoo ([`models`]): VGG-16 + ResNet-18 at paper scale and
 //!   `lite` variants for CPU training,
 //! - numerical gradient checking ([`gradcheck`]) used throughout the
 //!   tests.
@@ -51,17 +51,16 @@ mod sequential;
 pub mod vectorize;
 
 pub use layer::{Layer, Mode};
-pub use layers::activation::{Activation, ActivationKind};
+pub use layers::activation::Activation;
 pub use layers::batchnorm::BatchNorm;
 pub use layers::conv2d::Conv2d;
 pub use layers::dense::Dense;
-pub use layers::dropout::Dropout;
-pub use layers::pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d};
+pub use layers::pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use layers::residual::Residual;
 pub use loss::{mse, softmax_cross_entropy, LossOutput};
-pub use metrics::{accuracy, top_k_accuracy, ConfusionMatrix, RunningMean};
+pub use metrics::accuracy;
 pub use models::{Architecture, MlpConfig, ResNetConfig, VggConfig};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Optimizer, Sgd};
 pub use param::Param;
 pub use schedule::LrSchedule;
 pub use sequential::Sequential;

@@ -22,164 +22,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
     Ok(correct as f32 / labels.len() as f32)
 }
 
-/// Fraction of rows whose label is among the `k` highest logits.
-///
-/// # Errors
-///
-/// Returns shape errors as for [`accuracy`].
-pub fn top_k_accuracy(logits: &Tensor, labels: &[usize], k: usize) -> Result<f32> {
-    if logits.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: logits.rank(),
-            op: "top_k_accuracy",
-        });
-    }
-    let (n, c) = (logits.dims()[0], logits.dims()[1]);
-    if labels.len() != n {
-        return Err(TensorError::LengthMismatch {
-            expected: n,
-            actual: labels.len(),
-        });
-    }
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let data = logits.as_slice();
-    let mut correct = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &data[i * c..(i + 1) * c];
-        if label >= c {
-            return Err(TensorError::IndexOutOfBounds { index: label, dim: c });
-        }
-        let target = row[label];
-        let better = row.iter().filter(|&&v| v > target).count();
-        if better < k {
-            correct += 1;
-        }
-    }
-    Ok(correct as f32 / n as f32)
-}
-
-/// A running confusion matrix for a `k`-class problem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// An empty matrix for `classes` classes.
-    pub fn new(classes: usize) -> Self {
-        ConfusionMatrix {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one (true label, prediction) pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn record(&mut self, truth: usize, pred: usize) {
-        assert!(truth < self.classes && pred < self.classes, "label out of range");
-        self.counts[truth * self.classes + pred] += 1;
-    }
-
-    /// Records a whole batch from logits.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors as for [`accuracy`].
-    pub fn record_batch(&mut self, logits: &Tensor, labels: &[usize]) -> Result<()> {
-        let preds = logits.argmax_rows()?;
-        if preds.len() != labels.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: preds.len(),
-                actual: labels.len(),
-            });
-        }
-        for (&t, &p) in labels.iter().zip(&preds) {
-            self.record(t, p);
-        }
-        Ok(())
-    }
-
-    /// Count for a (truth, prediction) cell.
-    pub fn count(&self, truth: usize, pred: usize) -> u64 {
-        self.counts[truth * self.classes + pred]
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (0 if empty).
-    pub fn accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f32 / total as f32
-    }
-
-    /// Per-class recall; classes with no samples report 0.
-    pub fn recalls(&self) -> Vec<f32> {
-        (0..self.classes)
-            .map(|i| {
-                let row: u64 = (0..self.classes).map(|j| self.count(i, j)).sum();
-                if row == 0 {
-                    0.0
-                } else {
-                    self.count(i, i) as f32 / row as f32
-                }
-            })
-            .collect()
-    }
-}
-
-/// A simple running average.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// An empty average.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f32) {
-        self.sum += value as f64;
-        self.count += 1;
-    }
-
-    /// The current mean (0 if empty).
-    pub fn mean(&self) -> f32 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sum / self.count as f64) as f32
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,58 +36,8 @@ mod tests {
     }
 
     #[test]
-    fn top_k() {
-        let logits = Tensor::from_vec(vec![3.0, 2.0, 1.0], [1, 3]).unwrap();
-        assert_eq!(top_k_accuracy(&logits, &[2], 1).unwrap(), 0.0);
-        assert_eq!(top_k_accuracy(&logits, &[2], 3).unwrap(), 1.0);
-        assert_eq!(top_k_accuracy(&logits, &[1], 2).unwrap(), 1.0);
-        assert!(top_k_accuracy(&logits, &[5], 1).is_err());
-    }
-
-    #[test]
-    fn confusion_matrix() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        cm.record(2, 2);
-        assert_eq!(cm.total(), 4);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.accuracy(), 0.75);
-        let recalls = cm.recalls();
-        assert_eq!(recalls, vec![0.5, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn confusion_matrix_batch() {
-        let mut cm = ConfusionMatrix::new(2);
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]).unwrap();
-        cm.record_batch(&logits, &[0, 0]).unwrap();
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(0, 1), 1);
-        assert!(cm.record_batch(&logits, &[0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "label out of range")]
-    fn confusion_matrix_range_check() {
-        ConfusionMatrix::new(2).record(2, 0);
-    }
-
-    #[test]
-    fn running_mean() {
-        let mut rm = RunningMean::new();
-        assert_eq!(rm.mean(), 0.0);
-        rm.push(1.0);
-        rm.push(3.0);
-        assert_eq!(rm.mean(), 2.0);
-        assert_eq!(rm.count(), 2);
-    }
-
-    #[test]
     fn empty_accuracy_is_zero() {
         let logits = Tensor::zeros([0, 3]);
         assert_eq!(accuracy(&logits, &[]).unwrap(), 0.0);
-        assert_eq!(top_k_accuracy(&logits, &[], 1).unwrap(), 0.0);
     }
 }

@@ -50,24 +50,6 @@ impl VggConfig {
         }
     }
 
-    /// Full VGG-11 (configuration "A") for 32×32 inputs.
-    pub fn vgg11(num_classes: usize) -> Self {
-        VggConfig {
-            stages: vec![
-                vec![64],
-                vec![128],
-                vec![256, 256],
-                vec![512, 512],
-                vec![512, 512],
-            ],
-            classifier: vec![512],
-            num_classes,
-            input_channels: 3,
-            input_hw: 32,
-            batchnorm: true,
-        }
-    }
-
     /// A width-scaled VGG trainable on CPU in seconds, keeping the family
     /// shape (three stages of 3×3 convolutions + pooling, dense head).
     ///
@@ -214,11 +196,6 @@ mod tests {
         let x = Tensor::zeros([1, 3, 16, 16]);
         let acts = model.forward(&x, Mode::Eval).unwrap();
         assert_eq!(acts.numel(), cfg.cut_activation_numel());
-    }
-
-    #[test]
-    fn vgg11_has_fewer_params_than_vgg16() {
-        assert!(VggConfig::vgg11(10).param_count() < VggConfig::vgg16(10).param_count());
     }
 
     #[test]

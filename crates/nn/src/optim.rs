@@ -1,4 +1,4 @@
-//! Optimisers: SGD (with momentum/Nesterov/weight decay) and Adam.
+//! The optimiser: SGD with optional momentum.
 
 use medsplit_tensor::Tensor;
 
@@ -7,7 +7,7 @@ use crate::layer::Layer;
 /// An optimiser updates a model's parameters from their accumulated
 /// gradients.
 ///
-/// Per-parameter state (momentum buffers, Adam moments) is keyed by the
+/// Per-parameter state (momentum buffers) is keyed by the
 /// parameter's position in the model's stable visitation order, allocated
 /// lazily on the first step.
 pub trait Optimizer: Send + Sync {
@@ -28,14 +28,11 @@ pub trait Optimizer: Send + Sync {
     }
 }
 
-/// Stochastic gradient descent with optional momentum, Nesterov lookahead
-/// and decoupled L2 weight decay.
+/// Stochastic gradient descent with optional momentum.
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    nesterov: bool,
-    weight_decay: f32,
     velocities: Vec<Tensor>,
 }
 
@@ -45,8 +42,6 @@ impl Sgd {
         Sgd {
             lr,
             momentum: 0.0,
-            nesterov: false,
-            weight_decay: 0.0,
             velocities: Vec::new(),
         }
     }
@@ -56,18 +51,6 @@ impl Sgd {
         self.momentum = momentum;
         self
     }
-
-    /// Enables Nesterov lookahead (requires momentum > 0 to matter).
-    pub fn with_nesterov(mut self) -> Self {
-        self.nesterov = true;
-        self
-    }
-
-    /// Adds L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
 }
 
 impl Optimizer for Sgd {
@@ -75,8 +58,6 @@ impl Optimizer for Sgd {
         let mut idx = 0;
         let lr = self.lr;
         let momentum = self.momentum;
-        let nesterov = self.nesterov;
-        let wd = self.weight_decay;
         let velocities = &mut self.velocities;
         model.visit_params(&mut |p| {
             if velocities.len() <= idx {
@@ -90,97 +71,15 @@ impl Optimizer for Sgd {
             // One loop per update rule, each over zipped slices, so the
             // compiler vectorises it; every element sees the same
             // operations in the same order, with no fused multiply-add.
-            let updates = value.iter_mut().zip(grad).zip(vel.iter_mut());
-            if momentum > 0.0 && nesterov {
-                for ((x, &g), v) in updates {
-                    let g = g + wd * *x;
-                    *v = momentum * *v + g;
-                    *x -= lr * (g + momentum * *v);
-                }
-            } else if momentum > 0.0 {
-                for ((x, &g), v) in updates {
-                    let g = g + wd * *x;
+            if momentum > 0.0 {
+                for ((x, &g), v) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
                     *v = momentum * *v + g;
                     *x -= lr * *v;
                 }
             } else {
                 for (x, &g) in value.iter_mut().zip(grad) {
-                    let g = g + wd * *x;
                     *x -= lr * g;
                 }
-            }
-            p.bump_version();
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the standard defaults (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Overrides the exponential-decay coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        let mut idx = 0;
-        model.visit_params(&mut |p| {
-            if ms.len() <= idx {
-                ms.push(Tensor::zeros(p.value.shape().clone()));
-                vs.push(Tensor::zeros(p.value.shape().clone()));
-            }
-            let value = p.value.as_mut_slice();
-            let grad = p.grad.as_slice();
-            let m = ms[idx].as_mut_slice();
-            let v = vs[idx].as_mut_slice();
-            // Zipped slices, so the compiler vectorises the loop.
-            for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                *x -= lr * mhat / (vhat.sqrt() + eps);
             }
             p.bump_version();
             idx += 1;
@@ -250,44 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn sgd_nesterov_minimises_quadratic() {
-        let w = converges(Sgd::new(0.05).with_momentum(0.9).with_nesterov(), 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn adam_minimises_quadratic() {
-        let w = converges(Adam::new(0.3), 300);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        use crate::layer::Layer;
-        let mut layer = quadratic_layer(10.0);
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // No data gradient: only decay acts.
-        for _ in 0..50 {
-            opt.step_and_zero(&mut layer);
-        }
-        let mut w = 10.0;
-        layer.visit_params(&mut |p| {
-            if p.name.ends_with("weight") {
-                w = p.value.as_slice()[0];
-            }
-        });
-        assert!(w.abs() < 1.0, "decay failed, w = {w}");
-    }
-
-    #[test]
     fn lr_getter_setter() {
         let mut s = Sgd::new(0.1);
         assert_eq!(s.learning_rate(), 0.1);
         s.set_learning_rate(0.01);
         assert_eq!(s.learning_rate(), 0.01);
-        let mut a = Adam::new(0.001);
-        a.set_learning_rate(0.1);
-        assert_eq!(a.learning_rate(), 0.1);
     }
 
     /// End-to-end sanity: a small MLP fits a toy classification task.

@@ -14,22 +14,6 @@ pub enum LrSchedule {
         /// Multiplicative decay factor.
         gamma: f32,
     },
-    /// Cosine annealing from `base` to `min` over `total_steps`.
-    Cosine {
-        /// Initial learning rate.
-        base: f32,
-        /// Final learning rate.
-        min: f32,
-        /// Steps over which to anneal; later steps stay at `min`.
-        total_steps: usize,
-    },
-    /// Linear warmup to `base` over `warmup` steps, constant afterwards.
-    Warmup {
-        /// Peak learning rate after warmup.
-        base: f32,
-        /// Number of warmup steps.
-        warmup: usize,
-    },
 }
 
 impl LrSchedule {
@@ -42,25 +26,6 @@ impl LrSchedule {
                 step_size,
                 gamma,
             } => base * gamma.powi((step / step_size.max(1)) as i32),
-            LrSchedule::Cosine {
-                base,
-                min,
-                total_steps,
-            } => {
-                if total_steps == 0 || step >= total_steps {
-                    min
-                } else {
-                    let progress = step as f32 / total_steps as f32;
-                    min + 0.5 * (base - min) * (1.0 + (std::f32::consts::PI * progress).cos())
-                }
-            }
-            LrSchedule::Warmup { base, warmup } => {
-                if warmup == 0 || step >= warmup {
-                    base
-                } else {
-                    base * (step + 1) as f32 / warmup as f32
-                }
-            }
         }
     }
 }
@@ -90,34 +55,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_endpoints_and_monotonicity() {
-        let s = LrSchedule::Cosine {
-            base: 1.0,
-            min: 0.1,
-            total_steps: 100,
-        };
-        assert!((s.lr_at(0) - 1.0).abs() < 1e-6);
-        assert!((s.lr_at(100) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(10_000) - 0.1).abs() < 1e-6);
-        let mut prev = s.lr_at(0);
-        for step in 1..=100 {
-            let cur = s.lr_at(step);
-            assert!(cur <= prev + 1e-6, "not monotone at {step}");
-            prev = cur;
-        }
-    }
-
-    #[test]
-    fn warmup_ramps_linearly() {
-        let s = LrSchedule::Warmup { base: 0.8, warmup: 4 };
-        assert!((s.lr_at(0) - 0.2).abs() < 1e-6);
-        assert!((s.lr_at(1) - 0.4).abs() < 1e-6);
-        assert!((s.lr_at(3) - 0.8).abs() < 1e-6);
-        assert_eq!(s.lr_at(4), 0.8);
-        assert_eq!(LrSchedule::Warmup { base: 0.8, warmup: 0 }.lr_at(0), 0.8);
-    }
-
-    #[test]
     fn degenerate_params_do_not_panic() {
         assert_eq!(
             LrSchedule::StepDecay {
@@ -127,15 +64,6 @@ mod tests {
             }
             .lr_at(5),
             1.0 * 0.5f32.powi(5)
-        );
-        assert_eq!(
-            LrSchedule::Cosine {
-                base: 1.0,
-                min: 0.0,
-                total_steps: 0
-            }
-            .lr_at(0),
-            0.0
         );
     }
 }

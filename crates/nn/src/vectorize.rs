@@ -55,7 +55,7 @@ pub fn set_parameter_vector(layer: &mut dyn Layer, vector: &Tensor) -> Result<()
 }
 
 /// Number of non-trainable state scalars (batch-norm running statistics).
-pub fn state_count(layer: &mut dyn Layer) -> usize {
+fn state_count(layer: &mut dyn Layer) -> usize {
     let mut n = 0;
     layer.visit_state(&mut |t| n += t.numel());
     n

@@ -1,9 +1,7 @@
 //! Property-based tests for the neural-network layer library.
 
 use medsplit_nn::vectorize::{parameter_vector, set_parameter_vector};
-use medsplit_nn::{
-    softmax_cross_entropy, Activation, ActivationKind, Dense, Layer, LrSchedule, MlpConfig, Mode,
-};
+use medsplit_nn::{softmax_cross_entropy, Activation, Dense, Layer, LrSchedule, MlpConfig, Mode};
 use medsplit_tensor::{init::rng_from_seed, Tensor};
 use proptest::prelude::*;
 
@@ -18,15 +16,11 @@ proptest! {
         medsplit_nn::gradcheck::check_layer(make, &[batch, inputs], 1e-2, 3e-2).unwrap();
     }
 
-    /// Every activation kind passes the gradient check (away from kinks).
+    /// The activation (ReLU) passes the gradient check (away from its
+    /// kink).
     #[test]
-    fn activation_gradcheck(kind_sel in 0usize..3, batch in 1usize..4, width in 1usize..6) {
-        let kind = match kind_sel {
-            0 => ActivationKind::Tanh,
-            1 => ActivationKind::Sigmoid,
-            _ => ActivationKind::LeakyRelu(0.2),
-        };
-        medsplit_nn::gradcheck::check_layer(move || Activation::new(kind), &[batch, width], 1e-3, 2e-2).unwrap();
+    fn activation_gradcheck(batch in 1usize..4, width in 1usize..6) {
+        medsplit_nn::gradcheck::check_layer(Activation::relu, &[batch, width], 1e-3, 2e-2).unwrap();
     }
 
     /// Cross-entropy loss is non-negative, and its gradient rows sum to ~0.
@@ -83,8 +77,6 @@ proptest! {
         for schedule in [
             LrSchedule::Constant(base),
             LrSchedule::StepDecay { base, step_size: 100, gamma: 0.5 },
-            LrSchedule::Cosine { base, min: base * 0.01, total_steps: 1000 },
-            LrSchedule::Warmup { base, warmup: 50 },
         ] {
             let lr = schedule.lr_at(step);
             prop_assert!(lr >= 0.0, "{schedule:?} gave {lr}");

@@ -121,7 +121,7 @@ impl<T> DynamicBatcher<T> {
     }
 
     /// Whether a batch is due at `now_s` under either flush rule.
-    pub fn is_due(&self, now_s: f64) -> bool {
+    fn is_due(&self, now_s: f64) -> bool {
         self.pending.len() >= self.max_batch || self.ready_at().is_some_and(|t| now_s >= t)
     }
 

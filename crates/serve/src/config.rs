@@ -28,9 +28,6 @@ pub struct FleetConfig {
     /// discrete-event clock onto `FaultPlan` rounds via
     /// `tick = floor(sim_time / chaos_tick_s)`.
     pub chaos_tick_s: f64,
-    /// How many times the router re-dispatches a request whose replica
-    /// fails mid-flight before giving up with a throttle response.
-    pub dispatch_retries: usize,
 }
 
 impl Default for FleetConfig {
@@ -44,7 +41,6 @@ impl Default for FleetConfig {
             weight_versions: 2,
             serve: ServeConfig::default(),
             chaos_tick_s: 0.050,
-            dispatch_retries: 2,
         }
     }
 }

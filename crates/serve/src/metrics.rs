@@ -25,7 +25,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarises a sample set; `None` when it is empty.
-    pub fn from_samples(samples: &[f64]) -> Option<LatencySummary> {
+    fn from_samples(samples: &[f64]) -> Option<LatencySummary> {
         if samples.is_empty() {
             return None;
         }
@@ -121,7 +121,7 @@ impl ServeReport {
     }
 
     /// Counts one terminal status (used while folding client records).
-    pub fn tally(&mut self, status: InferStatus) {
+    fn tally(&mut self, status: InferStatus) {
         match status {
             InferStatus::Ok => self.completed += 1,
             InferStatus::Rejected => self.rejected += 1,

@@ -109,11 +109,6 @@ impl HashRing {
         }
     }
 
-    /// Whether a replica is a member and currently active.
-    pub fn is_active(&self, replica: usize) -> bool {
-        self.members.contains(&replica) && !self.inactive.contains(&replica)
-    }
-
     /// Routes a key to its owning active replica: the first active point
     /// clockwise from the key's hash. `None` when no replica is active.
     pub fn route(&self, tenant: u64, session: u64) -> Option<usize> {
@@ -177,7 +172,7 @@ mod tests {
             .find(|&(t, s)| ring.route(t, s) == Some(1))
             .expect("some key routes to replica 1");
         ring.set_active(1, false);
-        assert!(!ring.is_active(1));
+        assert!(ring.inactive.contains(&1));
         let fallback = ring.route(t, s).unwrap();
         assert_ne!(fallback, 1);
         assert_eq!(ring.successor(t, s, 1), Some(fallback));

@@ -83,11 +83,6 @@ impl Router {
         true
     }
 
-    /// Current in-flight count for a tenant.
-    pub fn tenant_inflight(&self, tenant: u64) -> usize {
-        self.tenant_inflight.get(&tenant).copied().unwrap_or(0)
-    }
-
     /// Records a dispatched request in the in-flight table.
     pub fn record_dispatch(&mut self, entry: InFlight) {
         self.inflight.insert(entry.req.id, entry);
@@ -141,11 +136,6 @@ impl Router {
         out.sort_by_key(|e| e.req.id);
         out
     }
-
-    /// Number of requests currently in flight across all replicas.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +169,7 @@ mod tests {
             req: req(7, 0, 0),
         });
         r.complete(7);
-        assert_eq!(r.tenant_inflight(0), 1);
+        assert_eq!(r.tenant_inflight[&0], 1);
         assert!(r.try_admit(0), "completion frees a slot");
     }
 
@@ -211,8 +201,8 @@ mod tests {
         }
         let taken = r.take_inflight_for(0);
         assert_eq!(taken.iter().map(|e| e.req.id).collect::<Vec<_>>(), [0, 2]);
-        assert_eq!(r.inflight_len(), 2);
+        assert_eq!(r.inflight.len(), 2);
         // Quota slots stay held until the redispatched attempts finish.
-        assert_eq!(r.tenant_inflight(0), 4);
+        assert_eq!(r.tenant_inflight[&0], 4);
     }
 }

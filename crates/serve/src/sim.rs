@@ -69,6 +69,10 @@ use crate::wire::{
     InferStatus, RoutedRequest,
 };
 
+/// How many times the router re-dispatches a request whose replica
+/// fails mid-flight before giving up with a throttle response.
+const DISPATCH_RETRIES: usize = 2;
+
 /// Feature width of the simulated workload's inputs.
 pub const FEATURES: usize = 16;
 /// Class count of the simulated workload's outputs.
@@ -623,7 +627,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
     /// Dispatches an admitted request. A co-located replica takes it at
     /// once. A fleet walks the ring — primary owner first, then
     /// successors — consulting the transport's health oracle, bounded by
-    /// `dispatch_retries`; a request no replica can take is throttled.
+    /// [`DISPATCH_RETRIES`]; a request no replica can take is throttled.
     fn dispatch(
         &mut self,
         pending: FleetPending,
@@ -680,7 +684,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             }
             tried += 1;
             skip = Some(r);
-            if tried > self.cfg.dispatch_retries {
+            if tried > DISPATCH_RETRIES {
                 self.router.release(tenant);
                 return self.throttle(&pending, t);
             }
@@ -712,7 +716,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             platform: entry.platform,
             req: entry.req,
         };
-        if attempt > self.cfg.dispatch_retries {
+        if attempt > DISPATCH_RETRIES {
             self.router.release(pending.req.tenant);
             return self.throttle(&pending, t);
         }

@@ -44,7 +44,7 @@ impl ChaosRng {
     }
 
     /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -292,7 +292,7 @@ impl FaultPlan {
     }
 
     /// The faults configured for the directed link `src → dst`.
-    pub fn link_faults(&self, src: NodeId, dst: NodeId) -> LinkFaults {
+    fn link_faults(&self, src: NodeId, dst: NodeId) -> LinkFaults {
         self.links
             .iter()
             .find(|((s, d), _)| *s == src && *d == dst)

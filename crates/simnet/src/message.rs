@@ -121,7 +121,7 @@ impl MessageKind {
     }
 
     /// Inverse of [`MessageKind::wire_code`].
-    pub fn from_wire_code(code: u8) -> Option<MessageKind> {
+    fn from_wire_code(code: u8) -> Option<MessageKind> {
         MessageKind::all().iter().copied().find(|k| k.wire_code() == code)
     }
 
@@ -285,7 +285,7 @@ fn frame_payload(buf: &[u8]) -> Option<std::ops::Range<usize>> {
 /// length. The ratio `wire / logical` per message kind is therefore
 /// exactly the codec's compression ratio on tensor traffic. (A relay
 /// batch is not a tensor; [`Envelope::logical_size`] walks its frames.)
-pub fn logical_payload_len(payload: &[u8]) -> usize {
+fn logical_payload_len(payload: &[u8]) -> usize {
     let word =
         |at: usize| -> Option<u32> { Some(u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?)) };
     let (Some(magic), Some(rank)) = (word(0), word(4)) else {
@@ -395,7 +395,7 @@ impl Envelope {
     }
 
     /// Bytes this message *would* occupy with uncompressed f32 tensor
-    /// payloads (payload + framing) — see [`logical_payload_len`]; a
+    /// payloads (payload + framing) — see `logical_payload_len`; a
     /// relay batch counts its inner frames the same way. Equal to
     /// [`wire_size`](Self::wire_size) for everything except compressed
     /// tensor payloads; the gap between the two is exactly what a wire

@@ -22,41 +22,10 @@ pub enum NodeId {
 }
 
 impl NodeId {
-    /// Whether this node is a platform.
-    pub fn is_platform(&self) -> bool {
-        matches!(self, NodeId::Platform(_))
-    }
-
-    /// Whether this node is a fleet replica.
-    pub fn is_replica(&self) -> bool {
-        matches!(self, NodeId::Replica(_))
-    }
-
     /// The platform index, if any.
     pub fn platform_index(&self) -> Option<usize> {
         match self {
             NodeId::Platform(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The replica index, if any.
-    pub fn replica_index(&self) -> Option<usize> {
-        match self {
-            NodeId::Replica(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Whether this node is a regional relay.
-    pub fn is_relay(&self) -> bool {
-        matches!(self, NodeId::Relay(_))
-    }
-
-    /// The relay index, if any.
-    pub fn relay_index(&self) -> Option<usize> {
-        match self {
-            NodeId::Relay(i) => Some(*i),
             _ => None,
         }
     }
@@ -82,20 +51,10 @@ mod tests {
         assert_eq!(NodeId::Server.to_string(), "server");
         assert_eq!(NodeId::Platform(3).to_string(), "platform-3");
         assert_eq!(NodeId::Replica(2).to_string(), "replica-2");
-        assert!(NodeId::Platform(0).is_platform());
-        assert!(!NodeId::Server.is_platform());
-        assert!(NodeId::Replica(0).is_replica());
-        assert!(!NodeId::Platform(0).is_replica());
         assert_eq!(NodeId::Platform(2).platform_index(), Some(2));
         assert_eq!(NodeId::Server.platform_index(), None);
         assert_eq!(NodeId::Replica(1).platform_index(), None);
-        assert_eq!(NodeId::Replica(4).replica_index(), Some(4));
-        assert_eq!(NodeId::Server.replica_index(), None);
         assert_eq!(NodeId::Relay(1).to_string(), "relay-1");
-        assert!(NodeId::Relay(0).is_relay());
-        assert!(!NodeId::Platform(0).is_relay());
-        assert_eq!(NodeId::Relay(2).relay_index(), Some(2));
-        assert_eq!(NodeId::Platform(2).relay_index(), None);
         assert_eq!(NodeId::Relay(2).platform_index(), None);
     }
 

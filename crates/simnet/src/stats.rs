@@ -76,11 +76,6 @@ impl StatsSnapshot {
             .map(|(_, n)| *n)
             .unwrap_or(0)
     }
-
-    /// Total bytes in gigabytes (10⁹).
-    pub fn total_gb(&self) -> f64 {
-        self.total_bytes as f64 / 1e9
-    }
 }
 
 impl NetStats {
@@ -300,19 +295,6 @@ mod tests {
         stats.advance_clock(NodeId::Platform(1), 3.0);
         stats.advance_clock(NodeId::Server, 2.0);
         assert_eq!(stats.snapshot().makespan_s, 3.0);
-    }
-
-    #[test]
-    fn gb_conversion() {
-        let stats = NetStats::new();
-        let e = env(
-            NodeId::Platform(0),
-            NodeId::Server,
-            MessageKind::GradPush,
-            1_000_000_000 - 64,
-        );
-        stats.on_send(&e, None);
-        assert!((stats.snapshot().total_gb() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -107,7 +107,6 @@ pub struct FleetTopology {
     replicas: usize,
     uplink: LinkSpec,
     downlink: LinkSpec,
-    lan: LinkSpec,
 }
 
 impl FleetTopology {
@@ -118,7 +117,6 @@ impl FleetTopology {
             replicas,
             uplink: LinkSpec::wan(),
             downlink: LinkSpec::wan(),
-            lan: LinkSpec::lan(),
         }
     }
 
@@ -131,13 +129,6 @@ impl FleetTopology {
     /// Overrides the replica → platform link.
     pub fn with_downlink(mut self, link: LinkSpec) -> Self {
         self.downlink = link;
-        self
-    }
-
-    /// Overrides the intra-datacenter link (router ↔ replica and
-    /// replica ↔ replica).
-    pub fn with_lan(mut self, link: LinkSpec) -> Self {
-        self.lan = link;
         self
     }
 
@@ -164,16 +155,16 @@ impl Topology for FleetTopology {
         match (src, dst) {
             // Request path: platform → router → replica.
             (NodeId::Platform(i), NodeId::Server) if i < self.platforms => Some(self.uplink),
-            (NodeId::Server, NodeId::Replica(r)) if r < self.replicas => Some(self.lan),
+            (NodeId::Server, NodeId::Replica(r)) if r < self.replicas => Some(LinkSpec::lan()),
             // Response path: replica → platform, skipping the router.
             (NodeId::Replica(r), NodeId::Platform(i)) if r < self.replicas && i < self.platforms => {
                 Some(self.downlink)
             }
             // Rebalancing paths: replica ↔ replica and replica → router.
             (NodeId::Replica(a), NodeId::Replica(b)) if a < self.replicas && b < self.replicas && a != b => {
-                Some(self.lan)
+                Some(LinkSpec::lan())
             }
-            (NodeId::Replica(r), NodeId::Server) if r < self.replicas => Some(self.lan),
+            (NodeId::Replica(r), NodeId::Server) if r < self.replicas => Some(LinkSpec::lan()),
             // The router also answers platforms directly (rejections).
             (NodeId::Server, NodeId::Platform(i)) if i < self.platforms => Some(self.downlink),
             _ => None,
@@ -195,10 +186,6 @@ impl Topology for FleetTopology {
 pub struct HierTopology {
     regions: usize,
     per_region: usize,
-    regional: LinkSpec,
-    cross: LinkSpec,
-    backbone: LinkSpec,
-    direct: LinkSpec,
 }
 
 impl HierTopology {
@@ -206,38 +193,7 @@ impl HierTopology {
     /// regional links, a WAN relay backbone, and broadband fallbacks
     /// (cross-region and direct-to-server).
     pub fn new(regions: usize, per_region: usize) -> Self {
-        HierTopology {
-            regions,
-            per_region,
-            regional: LinkSpec::metro(),
-            cross: LinkSpec::broadband(),
-            backbone: LinkSpec::wan(),
-            direct: LinkSpec::broadband(),
-        }
-    }
-
-    /// Overrides the platform ↔ home-relay link.
-    pub fn with_regional(mut self, link: LinkSpec) -> Self {
-        self.regional = link;
-        self
-    }
-
-    /// Overrides the platform ↔ foreign-relay failover link.
-    pub fn with_cross(mut self, link: LinkSpec) -> Self {
-        self.cross = link;
-        self
-    }
-
-    /// Overrides the relay ↔ server backbone link.
-    pub fn with_backbone(mut self, link: LinkSpec) -> Self {
-        self.backbone = link;
-        self
-    }
-
-    /// Overrides the platform ↔ server direct-fallback link.
-    pub fn with_direct(mut self, link: LinkSpec) -> Self {
-        self.direct = link;
-        self
+        HierTopology { regions, per_region }
     }
 
     /// Number of regions (= number of relays).
@@ -283,18 +239,18 @@ impl Topology for HierTopology {
                 if i < n && r < self.regions =>
             {
                 Some(if self.home_relay(i) == r {
-                    self.regional
+                    LinkSpec::metro()
                 } else {
-                    self.cross
+                    LinkSpec::broadband()
                 })
             }
             // Relay ↔ server backbone.
             (NodeId::Relay(r), NodeId::Server) | (NodeId::Server, NodeId::Relay(r)) if r < self.regions => {
-                Some(self.backbone)
+                Some(LinkSpec::wan())
             }
             // Direct platform ↔ server fallback.
             (NodeId::Platform(i), NodeId::Server) | (NodeId::Server, NodeId::Platform(i)) if i < n => {
-                Some(self.direct)
+                Some(LinkSpec::broadband())
             }
             _ => None,
         }
@@ -372,9 +328,10 @@ mod tests {
             latency_s: 1e-5,
         };
         let t = FleetTopology::new(1, 2)
-            .with_lan(fast)
-            .with_uplink(LinkSpec::broadband());
-        assert_eq!(t.link(NodeId::Server, NodeId::Replica(0)), Some(fast));
+            .with_uplink(LinkSpec::broadband())
+            .with_downlink(fast);
+        assert_eq!(t.link(NodeId::Replica(0), NodeId::Platform(0)), Some(fast));
+        assert_eq!(t.link(NodeId::Server, NodeId::Replica(0)), Some(LinkSpec::lan()));
         assert_eq!(
             t.link(NodeId::Platform(0), NodeId::Server),
             Some(LinkSpec::broadband())

@@ -80,7 +80,7 @@ impl Gauge {
 
     /// Raises the gauge to `v` if `v` exceeds the current value.
     #[inline]
-    pub fn set_max(&self, v: f64) {
+    fn set_max(&self, v: f64) {
         if !enabled() {
             return;
         }
@@ -159,7 +159,7 @@ impl Histogram {
     }
 
     /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    fn bucket_counts(&self) -> Vec<u64> {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 

@@ -189,11 +189,6 @@ impl SpanGuard {
             a.sim_s = Some(sim_s);
         }
     }
-
-    /// Whether this guard is actually recording.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 impl Drop for SpanGuard {

@@ -55,7 +55,7 @@ impl Tensor {
 /// For matrices `[out, in]` this is `(in, out)`; for `OIHW` convolution
 /// filters the kernel area multiplies both fans, matching the PyTorch
 /// convention.
-pub fn fan_in_out(shape: &Shape) -> (usize, usize) {
+fn fan_in_out(shape: &Shape) -> (usize, usize) {
     let d = shape.dims();
     match d.len() {
         0 => (1, 1),
@@ -66,15 +66,6 @@ pub fn fan_in_out(shape: &Shape) -> (usize, usize) {
             (d[1] * receptive, d[0] * receptive)
         }
     }
-}
-
-/// Xavier/Glorot uniform initialisation: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(shape: impl Into<Shape>, rng: &mut impl Rng) -> Tensor {
-    let shape = shape.into();
-    let (fan_in, fan_out) = fan_in_out(&shape);
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::rand_uniform(shape, -a, a, rng)
 }
 
 /// Kaiming/He normal initialisation for ReLU networks:
@@ -124,14 +115,6 @@ mod tests {
         assert_eq!(fan_in_out(&Shape::from([8, 3, 3, 3])), (27, 72));
         assert_eq!(fan_in_out(&Shape::from([4])), (4, 4));
         assert_eq!(fan_in_out(&Shape::scalar()), (1, 1));
-    }
-
-    #[test]
-    fn xavier_bound_respected() {
-        let mut rng = rng_from_seed(3);
-        let t = xavier_uniform([10, 5], &mut rng);
-        let a = (6.0f32 / 15.0).sqrt();
-        assert!(t.as_slice().iter().all(|&v| v.abs() <= a));
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! use medsplit_tensor::{init, Tensor};
 //!
 //! let mut rng = init::rng_from_seed(42);
-//! let w = init::xavier_uniform([8, 4], &mut rng);
-//! let x = Tensor::rand_normal([4], 0.0, 1.0, &mut rng);
-//! let y = w.matvec(&x)?;
-//! assert_eq!(y.dims(), &[8]);
+//! let w = init::kaiming_normal([8, 4], &mut rng);
+//! let x = Tensor::rand_normal([2, 4], 0.0, 1.0, &mut rng);
+//! let y = x.matmul_nt(&w)?;
+//! assert_eq!(y.dims(), &[2, 8]);
 //! # Ok::<(), medsplit_tensor::TensorError>(())
 //! ```
 
@@ -46,7 +46,7 @@ mod tensor;
 pub use error::{Result, TensorError};
 pub use ops::conv::Conv2dSpec;
 pub use ops::plan::{ConvGeometry, ConvPlan, GemmPlan, PlanStats};
-pub use serialize::{encoded_len, serialized_len, serialized_len_f16, serialized_len_i8, Encoding};
+pub use serialize::{encoded_len, serialized_len, serialized_len_i8, Encoding};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -14,7 +14,7 @@ use crate::tensor::Tensor;
 ///
 /// Returns [`TensorError::RankMismatch`] for non-square inputs and
 /// [`TensorError::Numerical`] if the matrix is not positive definite.
-pub fn cholesky(a: &Tensor) -> Result<Tensor> {
+fn cholesky(a: &Tensor) -> Result<Tensor> {
     if a.rank() != 2 || a.dims()[0] != a.dims()[1] {
         return Err(TensorError::RankMismatch {
             expected: 2,

@@ -1,11 +1,11 @@
 //! Elementwise arithmetic with NumPy-style broadcasting.
 //!
 //! Same-shape binary ops, the in-place accumulators (`add_assign`,
-//! `axpy`, `scale_inplace`), the ReLU-family activations, and the
-//! `par_map`/`par_zip_map` combinators run across the worker pool for
-//! large tensors, in fixed-size chunks so results do not depend on the
-//! thread count. Small tensors stay on the calling thread: the element
-//! count is the work estimate the pool gates on ([`crate::pool`]).
+//! `axpy`, `scale_inplace`) and the ReLU-family activations run across
+//! the worker pool for large tensors, in fixed-size chunks so results do
+//! not depend on the thread count. Small tensors stay on the calling
+//! thread: the element count is the work estimate the pool gates on
+//! ([`crate::pool`]).
 //!
 //! The same-shape binary ops, accumulators, and activations bottom out
 //! in the ISA-dispatched kernels of [`crate::simd`]: vectorised on
@@ -217,11 +217,6 @@ impl Tensor {
         binary(self, other, simd::BinOp::Div)
     }
 
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
-    }
-
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
@@ -346,44 +341,6 @@ impl Tensor {
                 &g[off..off + chunk.len()],
                 chunk,
             );
-        });
-        Tensor::from_vec(data, self.shape().clone())
-    }
-
-    /// Like [`map`](Self::map), but fans large tensors out across the
-    /// worker pool. Requires a `Sync` closure; results are identical to
-    /// the sequential `map` for any thread count.
-    pub fn par_map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let src = self.as_slice();
-        let mut data = vec![0.0f32; src.len()];
-        par_chunks(&mut data, |off, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = f(src[off + i]);
-            }
-        });
-        Tensor::from_vec(data, self.shape().clone()).expect("par_map preserves length")
-    }
-
-    /// Like [`zip_map`](Self::zip_map), but fans large tensors out across
-    /// the worker pool. Requires a `Sync` closure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn par_zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().clone(),
-                rhs: other.shape().clone(),
-                op: "par_zip_map",
-            });
-        }
-        let (da, db) = (self.as_slice(), other.as_slice());
-        let mut data = vec![0.0f32; da.len()];
-        par_chunks(&mut data, |off, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = f(da[off + i], db[off + i]);
-            }
         });
         Tensor::from_vec(data, self.shape().clone())
     }
@@ -628,7 +585,6 @@ mod tests {
     fn neg_and_scalar_helpers() {
         let a = Tensor::arange(3);
         assert_eq!((-&a).as_slice(), &[0.0, -1.0, -2.0]);
-        assert_eq!(a.add_scalar(1.0).as_slice(), &[1.0, 2.0, 3.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[0.0, 2.0, 4.0]);
     }
 

@@ -4,29 +4,29 @@
 //! strided driver:
 //!
 //! 1. **Whole-B pack** — B is packed once per call into microkernel
-//!    order ([`microkernel::NR`]-wide column tiles, depth-major within a
+//!    order (`microkernel::NR`-wide column tiles, depth-major within a
 //!    tile) in a 64-byte-aligned scratch buffer, in parallel over tiles.
 //!    Every row panel then reuses the same packed B, so packing cost is
 //!    amortised over all of `m` (the old per-strip scheme repacked B for
 //!    every panel, which sank small-`m`/large-`n` shapes).
-//! 2. **Row panels** — the output is split into fixed [`BLOCK`]-row
+//! 2. **Row panels** — the output is split into fixed `BLOCK`-row
 //!    panels distributed over the worker pool ([`crate::pool`]). The
 //!    panel size never depends on the thread count and each panel writes
 //!    a disjoint output region, so results are **bit-identical for every
 //!    `MEDSPLIT_THREADS` value**.
-//! 3. **Microkernel** — within a panel, [`microkernel::MR`]-row blocks
+//! 3. **Microkernel** — within a panel, `microkernel::MR`-row blocks
 //!    of A are packed and streamed through the register-blocked tile
 //!    kernel selected by [`crate::simd::active_isa`] (AVX2+FMA, NEON, or
 //!    the portable reference). The inner (`k`) dimension is blocked by
-//!    [`kc_block`] — sized from the shape, not a constant, so no shape
+//!    `kc_block` — sized from the shape, not a constant, so no shape
 //!    pays for a mis-fitted panel. Edge tiles stage through an on-stack
 //!    `MR×NR` buffer so every path runs the identical kernel.
 //! 4. **Orientation** — a skinny output (few columns, many rows) runs
 //!    as `Cᵀ = opB(B)ᵀ·opA(A)ᵀ` on the same kernel and packed B, so its
-//!    rows fill whole NR tiles ([`swapped`]); the shape alone decides.
+//!    rows fill whole NR tiles (`swapped`); the shape alone decides.
 //!
 //! Per output element the math is a fused multiply-add per depth step in
-//! ascending `k` order on every ISA (see [`microkernel`]), so outputs
+//! ascending `k` order on every ISA (see `microkernel`), so outputs
 //! are also bit-identical across `MEDSPLIT_ISA` settings. Splitting `k`
 //! into blocks does not change that order: the partial sum parked in `C`
 //! between blocks is the same `f32` the register held.
@@ -524,61 +524,6 @@ impl Tensor {
         );
         Ok(out)
     }
-
-    /// Matrix–vector product of a rank-2 tensor and a rank-1 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns rank/shape errors for invalid inputs.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        let (m, k) = check_matrix(self, "matvec")?;
-        if v.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: v.rank(),
-                op: "matvec",
-            });
-        }
-        if v.numel() != k {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().clone(),
-                rhs: v.shape().clone(),
-                op: "matvec",
-            });
-        }
-        let a = self.as_slice();
-        let x = v.as_slice();
-        let mut out = Tensor::zeros([m]);
-        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
-            let row = &a[i * k..(i + 1) * k];
-            *o = row.iter().zip(x).map(|(&av, &xv)| av * xv).sum();
-        }
-        Ok(out)
-    }
-
-    /// Outer product of two rank-1 tensors: `out[i, j] = a[i] * b[j]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-vector inputs.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rank() != 1 || other.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: self.rank().max(other.rank()),
-                op: "outer",
-            });
-        }
-        let (m, n) = (self.numel(), other.numel());
-        let mut out = Tensor::zeros([m, n]);
-        let c = out.as_mut_slice();
-        for (i, &av) in self.as_slice().iter().enumerate() {
-            for (j, &bv) in other.as_slice().iter().enumerate() {
-                c[i * n + j] = av * bv;
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -625,21 +570,6 @@ mod tests {
         let direct = a.matmul(&b.transpose().unwrap()).unwrap();
         let fused = a.matmul_nt(&b).unwrap();
         assert!(direct.allclose(&fused, 1e-5));
-    }
-
-    #[test]
-    fn matvec_and_outer() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).unwrap();
-        let x = Tensor::from_vec(vec![1.0, 1.0], [2]).unwrap();
-        assert_eq!(a.matvec(&x).unwrap().as_slice(), &[3.0, 7.0]);
-        assert!(a.matvec(&Tensor::ones([3])).is_err());
-
-        let u = Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap();
-        let v = Tensor::from_vec(vec![3.0, 4.0, 5.0], [3]).unwrap();
-        let o = u.outer(&v).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-        assert!(a.outer(&v).is_err());
     }
 
     #[test]

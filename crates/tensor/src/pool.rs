@@ -22,7 +22,7 @@
 //!   `next` (first unclaimed task), `total`, and the number of helper
 //!   slots left. The dispatcher fills the slot, bumps an epoch counter
 //!   and claims tasks itself. Idle workers poll the epoch for a bounded
-//!   spin ([`SPIN_ROUNDS`], yielding every [`YIELD_EVERY`] rounds) and
+//!   spin (`SPIN_ROUNDS`, yielding every `YIELD_EVERY` rounds) and
 //!   then park on a condvar, so back-to-back kernels inside one
 //!   forward/backward pass find a hot worker while an idle process stops
 //!   using CPU. The dispatcher pays a condvar wake only when fewer
@@ -46,7 +46,7 @@
 //!   still parallelising whichever level is outermost.
 //! - **Shape gating.** Kernels pass a work estimate computed from shapes
 //!   alone (multiply-accumulates for GEMM/conv, elements for packing,
-//!   pooling and elementwise ops). Below [`MIN_PAR_WORK`] the range runs
+//!   pooling and elementwise ops). Below `MIN_PAR_WORK` the range runs
 //!   inline: a hot hand-off costs a few cache-line transfers (about 1 µs
 //!   on the 2-vCPU reference host, 11–14 µs when a parked worker must be
 //!   woken — `kernel_bench`'s `dispatch` rows). With the gate off, two

@@ -85,11 +85,6 @@ pub fn serialized_len(shape: &Shape) -> usize {
     encoded_len(shape, Encoding::F32)
 }
 
-/// [`encoded_len`] of the f16 frame ([`Tensor::to_bytes_f16`]).
-pub fn serialized_len_f16(shape: &Shape) -> usize {
-    encoded_len(shape, Encoding::F16)
-}
-
 /// [`encoded_len`] of the int8 frame ([`Tensor::to_bytes_i8`]): the
 /// header grows by the 4-byte scale, each element shrinks to one byte.
 pub fn serialized_len_i8(shape: &Shape) -> usize {
@@ -430,7 +425,7 @@ mod tests {
         let t = Tensor::zeros([100]);
         assert_eq!(t.to_bytes().len(), 8 + 8 + 400);
         assert_eq!(t.to_bytes_f16().len(), 8 + 8 + 200);
-        assert_eq!(t.to_bytes_f16().len(), serialized_len_f16(t.shape()));
+        assert_eq!(t.to_bytes_f16().len(), encoded_len(t.shape(), Encoding::F16));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `#[target_feature(enable = "avx2")]` (or `"avx2,fma"`) function, which
 //! the compiler vectorises, behind one dispatching call. That holds
 //! for the binary ops, the ReLU family and `scale` below and for the
-//! GEMM tile in [`crate::ops::microkernel`]. Hand-written AVX2 bodies
+//! GEMM tile in `crate::ops::microkernel`. Hand-written AVX2 bodies
 //! stay where the recompiled twin measured slower (`axpy`,
 //! `add_assign`, `absmax`, the direct conv tiles and the 2×2 max-pool),
 //! where the vector form computes differently (the int8 quantiser) and

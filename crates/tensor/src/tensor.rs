@@ -187,23 +187,6 @@ impl Tensor {
         })
     }
 
-    /// In-place variant of [`reshape`](Self::reshape) that avoids a copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape_into(mut self, shape: impl Into<Shape>) -> Result<Tensor> {
-        let shape = shape.into();
-        if shape.numel() != self.numel() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.numel(),
-                actual: self.numel(),
-            });
-        }
-        self.shape = shape;
-        Ok(self)
-    }
-
     /// Flattens to rank 1.
     pub fn flatten(&self) -> Tensor {
         Tensor {
