@@ -179,6 +179,17 @@ echo "==> frozen benchmark still builds against the workspace"
 # API change that breaks it must fail here, not in the pipeline.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "==> the six README examples, each run to completion under --release"
+# The workspace tests compile the examples but never run them; each is
+# a facade entry point the README tells a reader to run, so each must
+# still finish with status 0. The wall time of each run is printed.
+cargo build -q --release --offline --examples
+for example in quickstart serving hospital_network bandwidth_comparison privacy_audit resilience; do
+    TIMEFORMAT="    $example: %R s"
+    time cargo run -q --release --offline --example "$example" >/dev/null
+done
+unset TIMEFORMAT
+
 echo "==> lab ci --smoke (manifest-declared experiment gates)"
 # The lab replaces the old hand-written smoke stanzas: every
 # experiments/*.lab.toml with `ci = true` runs here.

@@ -304,7 +304,8 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
     let shards =
         partition(&train, platforms, &Partition::Iid, point.seed).map_err(|e| format!("shards: {e}"))?;
 
-    let mut config = SplitConfig {
+    // The default quorum of one tolerates the injected faults.
+    let config = SplitConfig {
         rounds,
         eval_every: rounds,
         lr: LrSchedule::Constant(0.1),
@@ -313,8 +314,6 @@ fn run_split_train(point: &RunPoint, manifest: &Manifest) -> Result<PointOutcome
         codec: parse_codec(&point.codec)?,
         ..SplitConfig::default()
     };
-    // Tolerate the injected faults: any quorum completes the round.
-    config.round_policy.min_platforms = 1;
 
     // (retries, checksum_rejections, quorum_failures) plus the
     // hierarchy-only counters, zero on the star path.
@@ -498,11 +497,7 @@ fn parse_method_point(point: &RunPoint) -> Result<(Workload, usize, WireCodec), 
 
 /// A fresh star of `platforms` over WAN links.
 fn wan_star(platforms: usize) -> MemoryTransport {
-    MemoryTransport::new(
-        StarTopology::new(platforms)
-            .with_uplink(LinkSpec::wan())
-            .with_downlink(LinkSpec::wan()),
-    )
+    MemoryTransport::new(StarTopology::new(platforms))
 }
 
 /// Trains `method` (one of [`METHODS`]) over a fresh WAN star.

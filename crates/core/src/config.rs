@@ -92,37 +92,8 @@ impl ComputeModel {
     }
 }
 
-/// Exponential backoff schedule for within-round retries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    /// Delay before the first retry, in simulated seconds.
-    pub base_s: f64,
-    /// Multiplier applied per attempt.
-    pub factor: f64,
-    /// Ceiling on the delay of any single retry.
-    pub max_s: f64,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff {
-            base_s: 0.5,
-            factor: 2.0,
-            max_s: 8.0,
-        }
-    }
-}
-
-impl Backoff {
-    /// Delay of the 0-based `attempt`-th retry, before jitter.
-    pub fn delay_s(&self, attempt: u32) -> f64 {
-        (self.base_s * self.factor.powi(attempt as i32)).min(self.max_s)
-    }
-}
-
-/// Fault-tolerance policy for one training round: how long to wait, how
-/// many platforms are enough, and how hard to retry before giving up on
-/// a platform for the round.
+/// Fault-tolerance policy for one training round: how long to wait and
+/// how many platforms are enough.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundPolicy {
     /// Per-round deadline on the simulated clock: a platform whose clock
@@ -133,10 +104,6 @@ pub struct RoundPolicy {
     /// to be applied. Below quorum the round is recorded as degraded and
     /// no update happens.
     pub min_platforms: usize,
-    /// Retries per platform per protocol step before skipping it.
-    pub max_retries: u32,
-    /// Backoff between retries.
-    pub backoff: Backoff,
 }
 
 impl Default for RoundPolicy {
@@ -144,8 +111,6 @@ impl Default for RoundPolicy {
         RoundPolicy {
             deadline_s: 60.0,
             min_platforms: 1,
-            max_retries: 3,
-            backoff: Backoff::default(),
         }
     }
 }
@@ -271,6 +236,13 @@ impl SplitConfig {
         if !(self.momentum >= 0.0 && self.momentum < 1.0) {
             return Err(format!("momentum must be in [0, 1), got {}", self.momentum));
         }
+        let rates = match self.lr {
+            LrSchedule::Constant(lr) => vec![("lr", lr)],
+            LrSchedule::StepDecay { base, gamma, .. } => vec![("lr.base", base), ("lr.gamma", gamma)],
+        };
+        if let Some((name, rate)) = rates.into_iter().find(|&(_, r)| !(r >= 0.0 && r.is_finite())) {
+            return Err(format!("{name} must be finite and non-negative, got {rate}"));
+        }
         if !(self.activation_noise >= 0.0 && self.activation_noise.is_finite()) {
             return Err(format!(
                 "activation_noise must be finite and non-negative, got {}",
@@ -286,14 +258,6 @@ impl SplitConfig {
         }
         if p.min_platforms == 0 {
             return Err("round_policy.min_platforms must be at least 1".into());
-        }
-        let b = &p.backoff;
-        if !(b.base_s > 0.0 && b.factor >= 1.0 && b.max_s >= b.base_s) {
-            return Err(format!(
-                "round_policy.backoff must satisfy base_s > 0, factor >= 1, max_s >= base_s, \
-                 got base_s={}, factor={}, max_s={}",
-                b.base_s, b.factor, b.max_s
-            ));
         }
         Ok(())
     }
@@ -343,15 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_and_caps() {
-        let b = Backoff::default();
-        assert_eq!(b.delay_s(0), 0.5);
-        assert_eq!(b.delay_s(1), 1.0);
-        assert_eq!(b.delay_s(2), 2.0);
-        assert_eq!(b.delay_s(10), 8.0, "capped at max_s");
-    }
-
-    #[test]
     fn validate_catches_bad_fields() {
         assert!(SplitConfig::default().validate().is_ok());
         let c = SplitConfig {
@@ -364,15 +319,34 @@ mod tests {
             ..SplitConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("momentum"));
+        for lr in [f32::NAN, f32::INFINITY, -0.1] {
+            let c = SplitConfig {
+                lr: LrSchedule::Constant(lr),
+                ..SplitConfig::default()
+            };
+            assert!(c.validate().unwrap_err().contains("lr must be"), "lr {lr}");
+        }
+        let decay = |base, gamma| SplitConfig {
+            lr: LrSchedule::StepDecay {
+                base,
+                step_size: 10,
+                gamma,
+            },
+            ..SplitConfig::default()
+        };
+        assert!(decay(0.1, 0.5).validate().is_ok());
+        assert!(decay(-1.0, 0.5).validate().unwrap_err().contains("lr.base"));
+        assert!(decay(0.1, f32::NAN).validate().unwrap_err().contains("lr.gamma"));
+        assert!(decay(0.1, f32::NEG_INFINITY)
+            .validate()
+            .unwrap_err()
+            .contains("lr.gamma"));
         let mut c = SplitConfig::default();
         c.round_policy.min_platforms = 0;
         assert!(c.validate().unwrap_err().contains("min_platforms"));
         let mut c = SplitConfig::default();
         c.round_policy.deadline_s = 0.0;
         assert!(c.validate().unwrap_err().contains("deadline_s"));
-        let mut c = SplitConfig::default();
-        c.round_policy.backoff.factor = 0.5;
-        assert!(c.validate().unwrap_err().contains("backoff"));
     }
 
     #[test]

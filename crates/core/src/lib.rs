@@ -82,7 +82,7 @@ mod trainer;
 mod ushape;
 
 pub use config::{
-    Backoff, ComputeModel, HierPolicy, L1Sync, OptimizerKind, RoundPolicy, SplitConfig, SplitPoint, WireCodec,
+    ComputeModel, HierPolicy, L1Sync, OptimizerKind, RoundPolicy, SplitConfig, SplitPoint, WireCodec,
 };
 pub use error::{Result, SplitError};
 pub use hier::{HierReport, HierResilientTrainer};

@@ -61,6 +61,15 @@ use crate::trainer::fresh_actors;
 /// reported as a protocol error rather than a torn round.
 const MAX_DELIVERY_ATTEMPTS: u32 = 64;
 
+/// Resends per platform of its activations before it sits the round out.
+const MAX_RETRIES: u32 = 3;
+
+/// Simulated seconds before the 0-based `attempt`-th resend, before
+/// jitter: 0.5 s, doubling per attempt, never more than 8 s.
+fn retry_delay_s(attempt: u32) -> f64 {
+    (0.5 * 2.0f64.powi(attempt as i32)).min(8.0)
+}
+
 /// Counters describing how much fault handling a run actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceReport {
@@ -275,7 +284,7 @@ impl<'t, T: Transport> Engine<'t, T> {
         round: u64,
         routes: &BTreeMap<usize, Route>,
     ) -> Result<BTreeMap<usize, Envelope>> {
-        let policy = self.actors.config.round_policy;
+        let deadline_s = self.actors.config.round_policy.deadline_s;
         let stats = self.transport.stats();
         let start_clocks: BTreeMap<usize, f64> = routes
             .keys()
@@ -296,7 +305,7 @@ impl<'t, T: Transport> Engine<'t, T> {
 
         let mut received: BTreeMap<usize, Envelope> = BTreeMap::new();
         let mut expired: Vec<usize> = Vec::new();
-        for attempt in 0..=policy.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             self.drain(round, MessageKind::Activations, routes, &mut received);
             pending.retain(|pid, _| !received.contains_key(pid));
             // Deadline check on the simulated clock: a platform that has
@@ -305,7 +314,7 @@ impl<'t, T: Transport> Engine<'t, T> {
             // cannot have waited for it.
             for &pid in routes.keys() {
                 if !expired.contains(&pid)
-                    && stats.clock(NodeId::Platform(pid)) > start_clocks[&pid] + policy.deadline_s
+                    && stats.clock(NodeId::Platform(pid)) > start_clocks[&pid] + deadline_s
                 {
                     expired.push(pid);
                 }
@@ -314,13 +323,13 @@ impl<'t, T: Transport> Engine<'t, T> {
                 pending.remove(pid);
                 received.remove(pid);
             }
-            if pending.is_empty() || attempt == policy.max_retries {
+            if pending.is_empty() || attempt == MAX_RETRIES {
                 break;
             }
             // Retry the missing platforms after backing off: the wait and
             // the re-send both advance the sender's simulated clock.
             for (&pid, env) in &pending {
-                let delay = policy.backoff.delay_s(attempt) * self.transport.backoff_jitter();
+                let delay = retry_delay_s(attempt) * self.transport.backoff_jitter();
                 stats.advance_clock(NodeId::Platform(pid), delay);
                 self.report.base.retries += 1;
                 self.count("retries", 1);
@@ -612,6 +621,15 @@ mod tests {
         let mut trainer = ResilientTrainer::new(&arch(), config(rounds), shards, test, &chaos).unwrap();
         let history = trainer.run().unwrap();
         (history, trainer.report())
+    }
+
+    #[test]
+    fn backoff_grows_and_caps() {
+        assert_eq!(retry_delay_s(0), 0.5);
+        assert_eq!(retry_delay_s(1), 1.0);
+        assert_eq!(retry_delay_s(2), 2.0);
+        assert_eq!(retry_delay_s(MAX_RETRIES - 1), 2.0, "the last resend waits 2 s");
+        assert_eq!(retry_delay_s(10), 8.0, "capped at 8 s");
     }
 
     #[test]

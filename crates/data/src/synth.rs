@@ -1,17 +1,30 @@
 //! Synthetic dataset generators.
 //!
 //! CIFAR-10/100 binaries are not available offline, so the evaluation runs
-//! on seeded synthetic substitutes with **identical tensor shapes** (so all
-//! byte accounting is exact) and a controllable class structure: each class
-//! has a smooth random prototype image, and each sample is its class
-//! prototype plus low-frequency instance deformation and pixel noise. The
-//! task is learnable but not trivial, harder with 100 classes than with 10
-//! — which is all the *shape* of the paper's Fig. 4 depends on.
+//! on seeded synthetic substitutes: RGB images at the `lite` models' input
+//! size (3×16×16) with a controllable class structure. Each class has a
+//! smooth random prototype image, and each sample is its class prototype
+//! plus low-frequency instance deformation and pixel noise. The task is
+//! learnable but not trivial, harder with 100 classes than with 10 — which
+//! is all the *shape* of the paper's Fig. 4 depends on.
 
 use medsplit_tensor::{init::rng_from_seed, Result, Tensor};
 use rand::Rng;
 
 use crate::dataset::InMemoryDataset;
+
+/// Image channels (RGB).
+const CHANNELS: usize = 3;
+/// Image height and width: the `lite` models' input.
+const HW: usize = 16;
+/// Amplitude of the uniform per-pixel noise added to each sample, chosen
+/// so a lite model needs a few hundred minibatch updates to converge —
+/// enough rounds for the accuracy-vs-bytes curves of Fig. 4 to separate.
+const NOISE: f32 = 1.0;
+/// Largest per-sample circular translation (pixels) of the class
+/// prototype. Shift jitter forces models to learn translation-tolerant
+/// features, giving realistic (slow) convergence.
+const MAX_SHIFT: usize = 4;
 
 /// Generator for CIFAR-like synthetic image classification data.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,41 +32,21 @@ pub struct SyntheticImages {
     /// Number of classes (10 for the CIFAR-10 stand-in, 100 for
     /// CIFAR-100).
     pub num_classes: usize,
-    /// Image channels.
-    pub channels: usize,
-    /// Image height and width.
-    pub hw: usize,
-    /// Standard deviation of the per-pixel noise added to each sample.
-    pub noise: f32,
-    /// Maximum per-sample circular translation (pixels) applied to the
-    /// class prototype. Shift jitter forces models to learn
-    /// translation-tolerant features, giving realistic (slow) convergence.
-    pub max_shift: usize,
     /// RNG seed; the same seed always produces the same dataset.
     pub seed: u64,
 }
 
 impl SyntheticImages {
-    /// A scaled-down variant matching the `lite` model input (3×16×16),
-    /// used by the trained (as opposed to analytic) experiments. The noise
-    /// level is chosen so a lite model needs a few hundred minibatch
-    /// updates to converge — enough rounds for the accuracy-vs-bytes
-    /// curves of Fig. 4 to separate.
+    /// 3×16×16 images matching the `lite` model input, used by the
+    /// trained (as opposed to analytic) experiments.
     pub fn lite(num_classes: usize, seed: u64) -> Self {
-        SyntheticImages {
-            num_classes,
-            channels: 3,
-            hw: 16,
-            noise: 1.0,
-            max_shift: 4,
-            seed,
-        }
+        SyntheticImages { num_classes, seed }
     }
 
     /// Smooth random field: sum of a few random 2-D cosine waves, giving
     /// CIFAR-like low-frequency structure.
-    fn prototype(&self, rng: &mut impl Rng) -> Vec<f32> {
-        let (c, hw) = (self.channels, self.hw);
+    fn prototype(rng: &mut impl Rng) -> Vec<f32> {
+        let (c, hw) = (CHANNELS, HW);
         let mut img = vec![0.0f32; c * hw * hw];
         for ch in 0..c {
             for _ in 0..4 {
@@ -82,11 +75,11 @@ impl SyntheticImages {
     /// configurations).
     pub fn generate(&self, n: usize) -> Result<InMemoryDataset> {
         let mut rng = rng_from_seed(self.seed);
-        let protos: Vec<Vec<f32>> = (0..self.num_classes).map(|_| self.prototype(&mut rng)).collect();
-        let sample_len = self.channels * self.hw * self.hw;
+        let protos: Vec<Vec<f32>> = (0..self.num_classes).map(|_| Self::prototype(&mut rng)).collect();
+        let (c, hw) = (CHANNELS, HW);
+        let sample_len = c * hw * hw;
         let mut data = Vec::with_capacity(n * sample_len);
         let mut labels = Vec::with_capacity(n);
-        let (c, hw) = (self.channels, self.hw);
         for i in 0..n {
             let class = i % self.num_classes;
             labels.push(class);
@@ -94,14 +87,7 @@ impl SyntheticImages {
             // Instance-level jitter: global intensity, circular spatial
             // shift, and pixel noise.
             let gain: f32 = 1.0 + 0.15 * (rng.gen::<f32>() - 0.5);
-            let (dy, dx) = if self.max_shift == 0 {
-                (0, 0)
-            } else {
-                (
-                    rng.gen_range(0..=2 * self.max_shift),
-                    rng.gen_range(0..=2 * self.max_shift),
-                )
-            };
+            let (dy, dx) = (rng.gen_range(0..=2 * MAX_SHIFT), rng.gen_range(0..=2 * MAX_SHIFT));
             for ch in 0..c {
                 for y in 0..hw {
                     let sy = (y + dy) % hw;
@@ -109,12 +95,12 @@ impl SyntheticImages {
                         let sx = (x + dx) % hw;
                         let p = proto[ch * hw * hw + sy * hw + sx];
                         let eps: f32 = rng.gen::<f32>() * 2.0 - 1.0;
-                        data.push(gain * p + self.noise * eps);
+                        data.push(gain * p + NOISE * eps);
                     }
                 }
             }
         }
-        let features = Tensor::from_vec(data, [n, self.channels, self.hw, self.hw])?;
+        let features = Tensor::from_vec(data, [n, c, hw, hw])?;
         InMemoryDataset::new(features, labels, self.num_classes)
     }
 
@@ -197,17 +183,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shapes_match_cifar() {
-        let gen = SyntheticImages {
-            hw: 32,
-            ..SyntheticImages::lite(10, 0)
-        };
-        let ds = gen.generate(20).unwrap();
+    fn shapes_match_the_lite_models() {
+        let ds = SyntheticImages::lite(10, 0).generate(20).unwrap();
         assert_eq!(ds.len(), 20);
-        assert_eq!(ds.sample_dims(), &[3, 32, 32]);
+        assert_eq!(ds.sample_dims(), &[3, 16, 16]);
         assert_eq!(ds.num_classes(), 10);
-        // Per-sample byte size matches real CIFAR f32 tensors exactly.
-        assert_eq!(ds.features().numel() / ds.len(), 3 * 32 * 32);
+        assert_eq!(ds.features().numel() / ds.len(), 3 * 16 * 16);
     }
 
     #[test]

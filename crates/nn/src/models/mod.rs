@@ -12,6 +12,9 @@ pub use vgg::VggConfig;
 
 use crate::sequential::Sequential;
 
+/// Input channels of the image models (RGB, as CIFAR).
+const IMAGE_CHANNELS: usize = 3;
+
 /// A uniform handle over every architecture family, used by trainers and
 /// the benchmark harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +50,8 @@ impl Architecture {
     pub fn input_dims(&self) -> Vec<usize> {
         match self {
             Architecture::Mlp(c) => vec![c.input_dim],
-            Architecture::Vgg(c) => vec![c.input_channels, c.input_hw, c.input_hw],
-            Architecture::ResNet(c) => vec![c.input_channels, c.input_hw, c.input_hw],
+            Architecture::Vgg(c) => vec![IMAGE_CHANNELS, c.input_hw, c.input_hw],
+            Architecture::ResNet(c) => vec![IMAGE_CHANNELS, c.input_hw, c.input_hw],
         }
     }
 

@@ -11,6 +11,7 @@ use crate::layers::conv2d::Conv2d;
 use crate::layers::dense::Dense;
 use crate::layers::pool::GlobalAvgPool;
 use crate::layers::residual::Residual;
+use crate::models::IMAGE_CHANNELS;
 use crate::sequential::Sequential;
 
 /// Configuration of a ResNet: a stem convolution, stages of basic residual
@@ -24,9 +25,7 @@ pub struct ResNetConfig {
     pub blocks: Vec<usize>,
     /// Number of output classes.
     pub num_classes: usize,
-    /// Input channels.
-    pub input_channels: usize,
-    /// Input spatial size.
+    /// Input spatial size (the input is RGB).
     pub input_hw: usize,
 }
 
@@ -38,7 +37,6 @@ impl ResNetConfig {
             base_width: 64,
             blocks: vec![2, 2, 2, 2],
             num_classes,
-            input_channels: 3,
             input_hw: 32,
         }
     }
@@ -53,7 +51,6 @@ impl ResNetConfig {
             base_width: 8,
             blocks: vec![1, 1, 2],
             num_classes,
-            input_channels: 3,
             input_hw: 16,
         }
     }
@@ -84,7 +81,7 @@ impl ResNetConfig {
         let mut rng = rng_from_seed(seed);
         let mut model = Sequential::new("resnet");
         model.push(Conv2d::new(
-            self.input_channels,
+            IMAGE_CHANNELS,
             self.base_width,
             Conv2dSpec::square(3, 1, 1),
             &mut rng,
@@ -117,7 +114,7 @@ impl ResNetConfig {
 
     /// Total number of trainable parameters, computed analytically.
     pub fn param_count(&self) -> usize {
-        let mut total = self.base_width * self.input_channels * 9 + self.base_width + 2 * self.base_width;
+        let mut total = self.base_width * IMAGE_CHANNELS * 9 + self.base_width + 2 * self.base_width;
         let mut channels = self.base_width;
         for (stage, &count) in self.blocks.iter().enumerate() {
             let width = self.base_width << stage;
@@ -183,7 +180,6 @@ mod tests {
             base_width: 4,
             blocks: vec![1, 1],
             num_classes: 3,
-            input_channels: 3,
             input_hw: 8,
         };
         let mut model = cfg.build(3);

@@ -9,11 +9,12 @@ use crate::layers::batchnorm::BatchNorm;
 use crate::layers::conv2d::Conv2d;
 use crate::layers::dense::Dense;
 use crate::layers::pool::{Flatten, MaxPool2d};
+use crate::models::IMAGE_CHANNELS;
 use crate::sequential::Sequential;
 
 /// Configuration of a VGG-style network: stages of same-resolution 3×3
-/// convolutions separated by 2×2 max-pooling, then dense classifier
-/// layers.
+/// convolutions, each followed by batch normalisation and a ReLU,
+/// separated by 2×2 max-pooling, then dense classifier layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VggConfig {
     /// Convolution widths per stage; a 2×2 max-pool follows each stage.
@@ -22,12 +23,8 @@ pub struct VggConfig {
     pub classifier: Vec<usize>,
     /// Number of output classes.
     pub num_classes: usize,
-    /// Input channels (3 for CIFAR-like RGB).
-    pub input_channels: usize,
-    /// Input spatial size (32 for CIFAR-like inputs).
+    /// Input spatial size (32 for CIFAR-like inputs; the input is RGB).
     pub input_hw: usize,
-    /// Whether to insert batch normalisation after each convolution.
-    pub batchnorm: bool,
 }
 
 impl VggConfig {
@@ -44,9 +41,7 @@ impl VggConfig {
             ],
             classifier: vec![512, 512],
             num_classes,
-            input_channels: 3,
             input_hw: 32,
-            batchnorm: true,
         }
     }
 
@@ -63,9 +58,7 @@ impl VggConfig {
             stages: vec![vec![8], vec![16], vec![32]],
             classifier: vec![256, 128],
             num_classes,
-            input_channels: 3,
             input_hw: 16,
-            batchnorm: true,
         }
     }
 
@@ -73,7 +66,7 @@ impl VggConfig {
     pub fn build(&self, seed: u64) -> Sequential {
         let mut rng = rng_from_seed(seed);
         let mut model = Sequential::new("vgg");
-        let mut channels = self.input_channels;
+        let mut channels = IMAGE_CHANNELS;
         for stage in &self.stages {
             for &width in stage {
                 model.push(Conv2d::new(
@@ -82,9 +75,7 @@ impl VggConfig {
                     Conv2dSpec::square(3, 1, 1),
                     &mut rng,
                 ));
-                if self.batchnorm {
-                    model.push(BatchNorm::new(width));
-                }
+                model.push(BatchNorm::new(width));
                 model.push(Activation::relu());
                 channels = width;
             }
@@ -102,28 +93,21 @@ impl VggConfig {
         model
     }
 
-    /// Layer index of the paper's cut: after the first
-    /// conv(+bn)+relu group, so the platform holds exactly the first
-    /// hidden layer.
+    /// Layer index of the paper's cut: after the first conv+bn+relu
+    /// group, so the platform holds exactly the first hidden layer.
     pub fn default_split(&self) -> usize {
-        if self.batchnorm {
-            3
-        } else {
-            2
-        }
+        3
     }
 
     /// Total number of trainable parameters (convolutions + batchnorm +
     /// classifier), computed analytically.
     pub fn param_count(&self) -> usize {
         let mut total = 0usize;
-        let mut channels = self.input_channels;
+        let mut channels = IMAGE_CHANNELS;
         for stage in &self.stages {
             for &width in stage {
                 total += width * channels * 9 + width; // conv weight + bias
-                if self.batchnorm {
-                    total += 2 * width; // gamma + beta
-                }
+                total += 2 * width; // gamma + beta
                 channels = width;
             }
         }
@@ -196,17 +180,6 @@ mod tests {
         let x = Tensor::zeros([1, 3, 16, 16]);
         let acts = model.forward(&x, Mode::Eval).unwrap();
         assert_eq!(acts.numel(), cfg.cut_activation_numel());
-    }
-
-    #[test]
-    fn no_batchnorm_variant() {
-        let mut cfg = VggConfig::lite(10);
-        cfg.batchnorm = false;
-        assert_eq!(cfg.default_split(), 2);
-        let mut model = cfg.build(4);
-        assert_eq!(model.param_count(), cfg.param_count());
-        let y = model.forward(&Tensor::zeros([1, 3, 16, 16]), Mode::Eval).unwrap();
-        assert_eq!(y.dims(), &[1, 10]);
     }
 
     #[test]

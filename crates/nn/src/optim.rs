@@ -9,7 +9,7 @@ use crate::layer::Layer;
 ///
 /// Per-parameter state (momentum buffers) is keyed by the
 /// parameter's position in the model's stable visitation order, allocated
-/// lazily on the first step.
+/// lazily on the first step, and only when the rule reads it.
 pub trait Optimizer: Send + Sync {
     /// Applies one update and leaves the gradients untouched (call
     /// [`Layer::zero_grads`] afterwards, or use [`step_and_zero`](Optimizer::step_and_zero)).
@@ -60,24 +60,22 @@ impl Optimizer for Sgd {
         let momentum = self.momentum;
         let velocities = &mut self.velocities;
         model.visit_params(&mut |p| {
-            if velocities.len() <= idx {
-                velocities.push(Tensor::zeros(p.value.shape().clone()));
-            }
-            let v = &mut velocities[idx];
-            debug_assert_eq!(v.shape(), p.value.shape(), "optimizer state shape drift");
-            let value = p.value.as_mut_slice();
-            let grad = p.grad.as_slice();
-            let vel = v.as_mut_slice();
             // One loop per update rule, each over zipped slices, so the
             // compiler vectorises it; every element sees the same
             // operations in the same order, with no fused multiply-add.
             if momentum > 0.0 {
-                for ((x, &g), v) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
+                if velocities.len() <= idx {
+                    velocities.push(Tensor::zeros(p.value.shape().clone()));
+                }
+                let v = &mut velocities[idx];
+                debug_assert_eq!(v.shape(), p.value.shape(), "optimizer state shape drift");
+                let grad = p.grad.as_slice();
+                for ((x, &g), v) in p.value.as_mut_slice().iter_mut().zip(grad).zip(v.as_mut_slice()) {
                     *v = momentum * *v + g;
                     *x -= lr * *v;
                 }
             } else {
-                for (x, &g) in value.iter_mut().zip(grad) {
+                for (x, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
                     *x -= lr * g;
                 }
             }
@@ -146,6 +144,24 @@ mod tests {
     fn sgd_momentum_minimises_quadratic() {
         let w = converges(Sgd::new(0.05).with_momentum(0.9), 200);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
+    }
+
+    #[test]
+    fn momentum_free_sgd_holds_no_state() {
+        use crate::layer::Layer;
+        let mut layer = quadratic_layer(1.0);
+        layer.visit_params(&mut |p| p.grad.as_mut_slice().fill(0.5));
+        let mut plain = Sgd::new(0.1);
+        plain.step(&mut layer);
+        assert!(plain.velocities.is_empty(), "momentum 0 allocated velocities");
+        layer.visit_params(&mut |p| {
+            if p.name.ends_with("weight") {
+                assert_eq!(p.value.as_slice(), [1.0 - 0.1 * 0.5]);
+            }
+        });
+        let mut heavy = Sgd::new(0.1).with_momentum(0.5);
+        heavy.step(&mut layer);
+        assert_eq!(heavy.velocities.len(), 2, "one velocity per parameter");
     }
 
     #[test]

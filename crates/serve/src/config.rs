@@ -21,8 +21,8 @@ pub struct FleetConfig {
     /// Number of model weight versions in the bank; each session is
     /// pinned to one at admission and stays on it for its lifetime.
     pub weight_versions: usize,
-    /// Per-replica batching/timing parameters (the single-server serving
-    /// knobs, applied to every replica). `offered_rps` is per tenant.
+    /// Per-replica batching parameters (the single-server serving knobs,
+    /// applied to every replica). `offered_rps` is per tenant.
     pub serve: ServeConfig,
     /// Simulated seconds per chaos tick: the fleet driver maps the
     /// discrete-event clock onto `FaultPlan` rounds via
@@ -168,16 +168,8 @@ mod tests {
         let mut cfg = FleetConfig::default();
         cfg.serve.deadline_s = f64::NAN;
         assert!(cfg.validate().unwrap_err().contains("deadline_s"));
-        let mut cfg = FleetConfig::default();
-        cfg.serve.per_item_s = -0.5;
-        assert!(cfg.validate().unwrap_err().contains("compute costs"));
         // The serve-side checks apply whole: what `serve_threaded` would
         // refuse, a fleet of it refuses too.
-        for cost in [f64::INFINITY, f64::NAN] {
-            let mut cfg = FleetConfig::default();
-            cfg.serve.batch_setup_s = cost;
-            assert!(cfg.validate().unwrap_err().contains("compute costs"));
-        }
         let mut cfg = FleetConfig::default();
         cfg.serve.offered_rps = f64::INFINITY;
         assert!(cfg.validate().unwrap_err().contains("offered_rps"));

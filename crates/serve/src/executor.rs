@@ -14,8 +14,7 @@
 //!
 //! A batch handed out is a [`Due`]: it starts at `flush_t`, once the
 //! executor is free and the flush rule fired, and occupies the executor
-//! until `done_s` = `flush_t + batch_setup_s + per_item_s·n`
-//! ([`busy_until`]). `infer_batch` computes it: entries whose deadline
+//! until `done_s` = `flush_t + 2 ms + 1 ms·n` ([`busy_until`]). `infer_batch` computes it: entries whose deadline
 //! precedes `done_s` get no inference, the rest take one `concat0` →
 //! `infer` → `slice0` pass per group; the loop runs many batches side by
 //! side on the kernel pool (`side_by_side`).
@@ -42,9 +41,15 @@ pub fn sync_clock(stats: &NetStats, node: NodeId, t: f64) {
     }
 }
 
+/// Simulated server cost of a batch, whatever its size (kernel launch and
+/// scheduling overhead).
+const BATCH_SETUP_S: f64 = 0.002;
+/// Simulated server cost of each request in a batch.
+const PER_ITEM_S: f64 = 0.001;
+
 /// When a batch of `n` requests started at `flush_t` leaves the executor.
-pub fn busy_until(cfg: &ServeConfig, flush_t: f64, n: usize) -> f64 {
-    flush_t + cfg.batch_setup_s + cfg.per_item_s * n as f64
+pub fn busy_until(flush_t: f64, n: usize) -> f64 {
+    flush_t + BATCH_SETUP_S + PER_ITEM_S * n as f64
 }
 
 /// A batch the executor handed out. Never empty.
@@ -74,16 +79,14 @@ pub enum Arrived<P> {
 #[derive(Debug)]
 pub struct Executor<P> {
     batcher: DynamicBatcher<P>,
-    cfg: ServeConfig,
     clock: f64,
 }
 
 impl<P> Executor<P> {
-    /// An idle executor with `cfg`'s batching parameters and costs.
+    /// An idle executor with `cfg`'s batching parameters.
     pub fn new(cfg: &ServeConfig) -> Self {
         Executor {
             batcher: DynamicBatcher::new(cfg.max_batch, cfg.max_wait_s, cfg.queue_capacity),
-            cfg: cfg.clone(),
             clock: 0.0,
         }
     }
@@ -106,7 +109,7 @@ impl<P> Executor<P> {
     }
 
     fn hand_out(&mut self, flush_t: f64, entries: Vec<BatchEntry<P>>) -> Due<P> {
-        let done_s = busy_until(&self.cfg, flush_t, entries.len());
+        let done_s = busy_until(flush_t, entries.len());
         self.clock = done_s;
         Due {
             entries,
@@ -245,8 +248,6 @@ mod tests {
             max_batch,
             max_wait_s,
             queue_capacity,
-            batch_setup_s: 0.5,
-            per_item_s: 0.25,
             ..ServeConfig::default()
         }
     }
@@ -265,14 +266,14 @@ mod tests {
         // Idle executor: the batch starts the moment the timer fires.
         let due = ex.due_by(7.0).unwrap();
         assert_eq!(items(&due), [1, 2]);
-        assert_eq!((due.flush_t, due.done_s), (3.0, 3.0 + 0.5 + 2.0 * 0.25));
-        assert_eq!(ex.clock(), 4.0);
+        assert_eq!((due.flush_t, due.done_s), (3.0, 3.0 + 0.002 + 2.0 * 0.001));
+        assert_eq!(ex.clock(), due.done_s);
         assert!(ex.due_by(7.0).is_none());
         // Busy executor: an entry ready at 4.5 waits for the clock.
         ex.arrive(3, 3.5, f64::INFINITY);
         ex.clock = 6.0;
         let due = ex.due_by(7.0).unwrap();
-        assert_eq!((due.flush_t, due.done_s), (6.0, 6.75));
+        assert_eq!((due.flush_t, due.done_s), (6.0, busy_until(6.0, 1)));
     }
 
     #[test]
@@ -285,10 +286,10 @@ mod tests {
         };
         assert_eq!(items(&due), [1, 2]);
         assert_eq!(due.entries[0].deadline_s, 9.0);
-        assert_eq!((due.flush_t, due.done_s), (1.5, 2.5));
+        assert_eq!((due.flush_t, due.done_s), (1.5, busy_until(1.5, 2)));
         // An arrival during the busy period does not move the clock back.
-        assert!(matches!(ex.arrive(3, 2.0, f64::INFINITY), Arrived::Queued));
-        assert_eq!(ex.clock(), 2.5);
+        assert!(matches!(ex.arrive(3, 1.503, f64::INFINITY), Arrived::Queued));
+        assert_eq!(ex.clock(), due.done_s);
 
         // A queue smaller than the batch never flushes on size: it fills
         // and then hands arrivals back.
@@ -307,7 +308,7 @@ mod tests {
         ex.batcher_mut().offer(3, 5.0, f64::INFINITY);
         let first = ex.drain_next().unwrap();
         assert_eq!(items(&first), [1, 2]);
-        assert_eq!((first.flush_t, first.done_s), (1.0, 2.0));
+        assert_eq!((first.flush_t, first.done_s), (1.0, busy_until(1.0, 2)));
         let second = ex.drain_next().unwrap();
         assert_eq!(items(&second), [3]);
         assert_eq!(second.flush_t, 6.0, "waits for its own timer, past the clock");
@@ -317,7 +318,7 @@ mod tests {
         let mut ex: Executor<u32> = Executor::new(&cfg(2, f64::INFINITY, 8));
         ex.arrive(1, 4.0, f64::INFINITY);
         let due = ex.drain_next().unwrap();
-        assert_eq!((due.flush_t, due.done_s), (4.0, 4.75));
+        assert_eq!((due.flush_t, due.done_s), (4.0, busy_until(4.0, 1)));
         assert!(ex.drain_next().is_none());
     }
 
@@ -331,14 +332,14 @@ mod tests {
         }
         let due = ex.drain_all(1.0).unwrap();
         assert_eq!(items(&due), [0, 1, 2]);
-        assert_eq!((due.flush_t, due.done_s), (1.0, 1.0 + 0.5 + 3.0 * 0.25));
+        assert_eq!((due.flush_t, due.done_s), (1.0, 1.0 + 0.002 + 3.0 * 0.001));
     }
 
     #[test]
     fn forward_reports_expired_first_then_groups_in_key_order() {
         // Items are (group, activations); the "model" adds 100·group.
         let mut ex: Executor<(u32, Tensor)> = Executor::new(&cfg(8, f64::INFINITY, 8));
-        for (i, &(group, deadline)) in [(1, 9.0), (0, 9.0), (1, 0.5), (0, 9.0)].iter().enumerate() {
+        for (i, &(group, deadline)) in [(1, 9.0), (0, 9.0), (1, 0.005), (0, 9.0)].iter().enumerate() {
             ex.batcher_mut()
                 .offer((group, Tensor::full([1, 2], i as f32)), 0.0, deadline);
         }

@@ -208,7 +208,9 @@ impl Replica {
     /// Runs a batch that starts at `flush_t` — booked, then inferred, as
     /// the serving loop does — and returns `(serve_done, outcomes)` in
     /// response order: expired entries first, with `ok = false`, then the
-    /// live ones grouped by version.
+    /// live ones grouped by version. The batch costs the executor's
+    /// constant busy time, so `_serve` is not read; the parameter stays
+    /// because `benchmark/src/traced.rs` calls this signature.
     ///
     /// # Errors
     ///
@@ -218,12 +220,12 @@ impl Replica {
         bank: &ModelBank,
         entries: Vec<BatchEntry<FleetPending>>,
         flush_t: f64,
-        serve: &ServeConfig,
+        _serve: &ServeConfig,
     ) -> Result<(f64, Vec<Served>)> {
         if entries.is_empty() {
             return Ok((flush_t, Vec::new()));
         }
-        let serve_done = busy_until(serve, flush_t, entries.len());
+        let serve_done = busy_until(flush_t, entries.len());
         self.book(&entries, serve_done, Some(bank))?;
         let outcomes = self
             .infer(&entries, serve_done)?

@@ -41,10 +41,6 @@ pub struct ServeConfig {
     /// Open-loop request rate *per platform* (requests per simulated
     /// second).
     pub offered_rps: f64,
-    /// Fixed server cost per batch (kernel launch / scheduling overhead).
-    pub batch_setup_s: f64,
-    /// Server cost per queued request in a batch.
-    pub per_item_s: f64,
     /// Wire codec for activations and logits.
     pub codec: WireCodec,
 }
@@ -57,8 +53,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             deadline_s: f64::INFINITY,
             offered_rps: 100.0,
-            batch_setup_s: 0.002,
-            per_item_s: 0.001,
             codec: WireCodec::F32,
         }
     }
@@ -66,14 +60,12 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Checks the knobs a driver cannot run with: a zero batch or queue,
-    /// a rate, cost or timer that is negative or NaN, an infinite rate or
-    /// cost.
+    /// a rate or timer that is negative or NaN, an infinite rate.
     ///
     /// # Errors
     ///
     /// Returns [`SplitError::Config`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
-        let cost = |c: f64| c.is_finite() && c >= 0.0;
         // A NaN fails every comparison; `INFINITY` stays legal for the age
         // timer (flush on size only) and the deadline (none).
         let checks = [
@@ -87,10 +79,6 @@ impl ServeConfig {
             ),
             (self.max_wait_s >= 0.0, "max_wait_s must be non-negative"),
             (self.deadline_s >= 0.0, "deadline_s must be non-negative"),
-            (
-                cost(self.batch_setup_s) && cost(self.per_item_s),
-                "compute costs must be non-negative and finite",
-            ),
         ];
         match checks.iter().find(|(ok, _)| !ok) {
             Some((_, why)) => Err(SplitError::Config((*why).into())),

@@ -18,14 +18,12 @@ pub trait Topology: Send + Sync {
     fn link(&self, src: NodeId, dst: NodeId) -> Option<LinkSpec>;
 }
 
-/// A star topology: every platform connects to the central server, as in
-/// the paper's Fig. 1. Per-direction defaults can be overridden per
-/// platform (e.g. one rural hospital on a slow uplink).
+/// A star topology: every platform connects to the central server over
+/// WAN links, as in the paper's Fig. 1. Single edges can be overridden
+/// (e.g. one rural hospital on a slow uplink).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarTopology {
     platforms: usize,
-    uplink: LinkSpec,
-    downlink: LinkSpec,
     overrides: HashMap<(NodeId, NodeId), LinkSpec>,
 }
 
@@ -34,22 +32,8 @@ impl StarTopology {
     pub fn new(platforms: usize) -> Self {
         StarTopology {
             platforms,
-            uplink: LinkSpec::wan(),
-            downlink: LinkSpec::wan(),
             overrides: HashMap::new(),
         }
-    }
-
-    /// Overrides the default platform → server link.
-    pub fn with_uplink(mut self, link: LinkSpec) -> Self {
-        self.uplink = link;
-        self
-    }
-
-    /// Overrides the default server → platform link.
-    pub fn with_downlink(mut self, link: LinkSpec) -> Self {
-        self.downlink = link;
-        self
     }
 
     /// Overrides one directed edge.
@@ -79,8 +63,11 @@ impl StarTopology {
             return Some(*l);
         }
         match (src, dst) {
-            (NodeId::Platform(i), NodeId::Server) if i < self.platforms => Some(self.uplink),
-            (NodeId::Server, NodeId::Platform(i)) if i < self.platforms => Some(self.downlink),
+            (NodeId::Platform(i), NodeId::Server) | (NodeId::Server, NodeId::Platform(i))
+                if i < self.platforms =>
+            {
+                Some(LinkSpec::wan())
+            }
             _ => None,
         }
     }
@@ -105,31 +92,12 @@ impl Topology for StarTopology {
 pub struct FleetTopology {
     platforms: usize,
     replicas: usize,
-    uplink: LinkSpec,
-    downlink: LinkSpec,
 }
 
 impl FleetTopology {
     /// A fleet with WAN platform links and LAN replica links.
     pub fn new(platforms: usize, replicas: usize) -> Self {
-        FleetTopology {
-            platforms,
-            replicas,
-            uplink: LinkSpec::wan(),
-            downlink: LinkSpec::wan(),
-        }
-    }
-
-    /// Overrides the platform → router link.
-    pub fn with_uplink(mut self, link: LinkSpec) -> Self {
-        self.uplink = link;
-        self
-    }
-
-    /// Overrides the replica → platform link.
-    pub fn with_downlink(mut self, link: LinkSpec) -> Self {
-        self.downlink = link;
-        self
+        FleetTopology { platforms, replicas }
     }
 
     /// Number of platforms.
@@ -154,11 +122,11 @@ impl Topology for FleetTopology {
     fn link(&self, src: NodeId, dst: NodeId) -> Option<LinkSpec> {
         match (src, dst) {
             // Request path: platform → router → replica.
-            (NodeId::Platform(i), NodeId::Server) if i < self.platforms => Some(self.uplink),
+            (NodeId::Platform(i), NodeId::Server) if i < self.platforms => Some(LinkSpec::wan()),
             (NodeId::Server, NodeId::Replica(r)) if r < self.replicas => Some(LinkSpec::lan()),
             // Response path: replica → platform, skipping the router.
             (NodeId::Replica(r), NodeId::Platform(i)) if r < self.replicas && i < self.platforms => {
-                Some(self.downlink)
+                Some(LinkSpec::wan())
             }
             // Rebalancing paths: replica ↔ replica and replica → router.
             (NodeId::Replica(a), NodeId::Replica(b)) if a < self.replicas && b < self.replicas && a != b => {
@@ -166,7 +134,7 @@ impl Topology for FleetTopology {
             }
             (NodeId::Replica(r), NodeId::Server) if r < self.replicas => Some(LinkSpec::lan()),
             // The router also answers platforms directly (rejections).
-            (NodeId::Server, NodeId::Platform(i)) if i < self.platforms => Some(self.downlink),
+            (NodeId::Server, NodeId::Platform(i)) if i < self.platforms => Some(LinkSpec::wan()),
             _ => None,
         }
     }
@@ -275,21 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_defaults() {
-        let t = StarTopology::new(2)
-            .with_uplink(LinkSpec::broadband())
-            .with_downlink(LinkSpec::lan());
-        assert_eq!(
-            t.link(NodeId::Platform(0), NodeId::Server).unwrap(),
-            LinkSpec::broadband()
-        );
-        assert_eq!(
-            t.link(NodeId::Server, NodeId::Platform(0)).unwrap(),
-            LinkSpec::lan()
-        );
-    }
-
-    #[test]
     fn fleet_edges() {
         let t = FleetTopology::new(2, 3);
         assert_eq!(t.platforms(), 2);
@@ -319,23 +272,6 @@ mod tests {
         assert!(t.link(NodeId::Server, NodeId::Replica(3)).is_none());
         // Platforms never talk to replicas directly on the way in.
         assert!(t.link(NodeId::Platform(0), NodeId::Replica(0)).is_none());
-    }
-
-    #[test]
-    fn fleet_link_overrides() {
-        let fast = LinkSpec {
-            bandwidth_bps: 1e10,
-            latency_s: 1e-5,
-        };
-        let t = FleetTopology::new(1, 2)
-            .with_uplink(LinkSpec::broadband())
-            .with_downlink(fast);
-        assert_eq!(t.link(NodeId::Replica(0), NodeId::Platform(0)), Some(fast));
-        assert_eq!(t.link(NodeId::Server, NodeId::Replica(0)), Some(LinkSpec::lan()));
-        assert_eq!(
-            t.link(NodeId::Platform(0), NodeId::Server),
-            Some(LinkSpec::broadband())
-        );
     }
 
     #[test]

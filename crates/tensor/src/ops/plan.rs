@@ -32,8 +32,6 @@
 //! same fused kernel, so planned and unplanned execution are
 //! **bit-identical** across ISAs and thread counts.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, TensorError};
@@ -41,10 +39,8 @@ use crate::ops::conv::Conv2dSpec;
 use crate::ops::matmul::{self, PanelsA};
 use crate::ops::microkernel::{self, MR, NR};
 use crate::pool;
+use crate::scratch::AlignedBuf;
 use crate::tensor::Tensor;
-
-/// Alignment of plan panel stores, matching the scratch arena.
-const ALIGN: usize = 64;
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -109,89 +105,37 @@ pub fn stats() -> PlanStats {
     }
 }
 
-/// A 64-byte-aligned, fixed-size `f32` store for packed panels.
-///
-/// Written once during packing, then shared read-only across pool
-/// threads (the alignment puts each 16-float B-panel row the GEMM tile
-/// loads on one cache line).
-struct AlignedVec {
-    ptr: NonNull<f32>,
-    len: usize,
-}
+/// A plan's packed panels: one [`AlignedBuf`], written once during
+/// packing and then shared read-only across pool threads (the alignment
+/// puts each 16-float B-panel row the GEMM tile loads on one cache line).
+/// Its bytes count in the `plan.pack_bytes` gauge while it lives.
+#[derive(Debug)]
+struct Panels(AlignedBuf);
 
-// SAFETY: the buffer is uniquely owned during the pack (`as_mut_slice`
-// requires `&mut self`) and only shared immutably afterwards; `f32` has
-// no thread affinity.
-unsafe impl Send for AlignedVec {}
-// SAFETY: `&AlignedVec` only exposes `&[f32]`.
-unsafe impl Sync for AlignedVec {}
-
-impl AlignedVec {
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f32>(), ALIGN).expect("plan panel layout")
-    }
-
-    /// Allocates a zeroed, aligned buffer and accounts it as a pack.
-    fn new(len: usize) -> Self {
-        if len == 0 {
-            note_pack(0);
-            return AlignedVec {
-                ptr: NonNull::dangling(),
-                len: 0,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: `len > 0` so the layout has non-zero size.
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
-            handle_alloc_error(layout)
-        };
-        note_pack((len * std::mem::size_of::<f32>()) as u64);
-        AlignedVec { ptr, len }
-    }
-
-    fn as_slice(&self) -> &[f32] {
-        if self.len == 0 {
-            return &[];
-        }
-        // SAFETY: allocated with exactly `len` elements, alive until drop.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [f32] {
-        if self.len == 0 {
-            return &mut [];
-        }
-        // SAFETY: as above; `&mut self` guarantees uniqueness.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+impl Panels {
+    /// A zeroed store of `len` floats, accounted as a pack.
+    fn zeroed(len: usize) -> Self {
+        let buf = AlignedBuf::zeroed(len);
+        note_pack(std::mem::size_of_val(&buf[..]) as u64);
+        Panels(buf)
     }
 }
 
-impl Drop for AlignedVec {
+impl Drop for Panels {
     fn drop(&mut self) {
-        note_release((self.len * std::mem::size_of::<f32>()) as u64);
-        if self.len > 0 {
-            // SAFETY: allocated by `new` with this exact layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) };
-        }
-    }
-}
-
-impl std::fmt::Debug for AlignedVec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AlignedVec({} x f32)", self.len)
+        note_release(std::mem::size_of_val(&self.0[..]) as u64);
     }
 }
 
 /// Packs the NR-wide column tiles of a strided logical B into a fresh
 /// aligned store: `n.div_ceil(NR)` tiles of `k*NR`, byte-identical to the
 /// per-call scratch pack in [`matmul`].
-fn pack_b_panels(src: &[f32], rs: usize, cs: usize, k: usize, n: usize) -> AlignedVec {
+fn pack_b_panels(src: &[f32], rs: usize, cs: usize, k: usize, n: usize) -> Panels {
     let nt = n.div_ceil(NR);
     let len = if k == 0 { 0 } else { nt * k * NR };
-    let mut buf = AlignedVec::new(len);
+    let mut buf = Panels::zeroed(len);
     if k > 0 {
-        pool::parallel_chunks_mut_sized(buf.as_mut_slice(), k * NR, len, |jt, tile| {
+        pool::parallel_chunks_mut_sized(&mut buf.0, k * NR, len, |jt, tile| {
             let j0 = jt * NR;
             microkernel::pack_b_tile(src, rs, cs, j0, NR.min(n - j0), k, tile);
         });
@@ -202,12 +146,12 @@ fn pack_b_panels(src: &[f32], rs: usize, cs: usize, k: usize, n: usize) -> Align
 /// Packs the MR-row panels of a strided logical A into a fresh aligned
 /// store: `m.div_ceil(MR)` panels of `k*MR`, byte-identical to the
 /// per-block scratch pack in [`matmul`].
-fn pack_a_panels(src: &[f32], rs: usize, cs: usize, m: usize, k: usize) -> AlignedVec {
+fn pack_a_panels(src: &[f32], rs: usize, cs: usize, m: usize, k: usize) -> Panels {
     let nb = m.div_ceil(MR);
     let len = if k == 0 { 0 } else { nb * k * MR };
-    let mut buf = AlignedVec::new(len);
+    let mut buf = Panels::zeroed(len);
     if k > 0 {
-        pool::parallel_chunks_mut_sized(buf.as_mut_slice(), k * MR, len, |ib, panel| {
+        pool::parallel_chunks_mut_sized(&mut buf.0, k * MR, len, |ib, panel| {
             let i0 = ib * MR;
             microkernel::pack_a_panel(src, rs, cs, i0, MR.min(m - i0), k, panel);
         });
@@ -218,7 +162,7 @@ fn pack_a_panels(src: &[f32], rs: usize, cs: usize, m: usize, k: usize) -> Align
 /// `x · B` (`[m, k]` × prepacked `k×n` B tiles) into a fresh tensor — the
 /// compute half both products of a [`GemmPlan`] share. The tensor starts
 /// zeroed, so the driver accumulates onto it rather than zeroing again.
-fn gemm_planned(x: &Tensor, bpack: &AlignedVec, m: usize, k: usize, n: usize) -> Tensor {
+fn gemm_planned(x: &Tensor, bpack: &Panels, m: usize, k: usize, n: usize) -> Tensor {
     let _span = medsplit_telemetry::span("gemm");
     let mut out = Tensor::zeros([m, n]);
     let a = PanelsA::Strided {
@@ -228,7 +172,7 @@ fn gemm_planned(x: &Tensor, bpack: &AlignedVec, m: usize, k: usize, n: usize) ->
     };
     matmul::gemm_compute_packed_b(
         a,
-        bpack.as_slice(),
+        &bpack.0,
         out.as_mut_slice(),
         m,
         k,
@@ -256,10 +200,10 @@ pub struct GemmPlan {
     out_features: usize,
     in_features: usize,
     /// Packed B tiles for `x·Wᵀ` (logical B strides `(1, in)`).
-    fwd: AlignedVec,
+    fwd: Panels,
     /// Packed B tiles for `g·W` (logical B strides `(in, 1)`); built on
     /// first backward so eval-only plans never pay for it.
-    bwd: Option<AlignedVec>,
+    bwd: Option<Panels>,
     generation: u64,
 }
 
@@ -412,10 +356,10 @@ pub struct ConvPlan {
     /// Filter-matrix depth `in_channels * kernel_h * kernel_w`.
     rows: usize,
     /// Forward A-panels of `wmat` (`[o, rows]`, strides `(rows, 1)`).
-    fwd: AlignedVec,
+    fwd: Panels,
     /// Backward A-panels of `wmatᵀ` (strides `(1, rows)`); built on
     /// first backward.
-    bwd: Option<AlignedVec>,
+    bwd: Option<Panels>,
     generation: u64,
 }
 
@@ -524,7 +468,7 @@ impl ConvPlan {
 
     /// The prepacked forward A-panels (filter matrix).
     pub(crate) fn fwd_panels(&self) -> PanelsA<'_> {
-        PanelsA::Packed(self.fwd.as_slice())
+        PanelsA::Packed(&self.fwd.0)
     }
 
     /// The prepacked backward A-panels (transposed filter matrix),
@@ -536,7 +480,7 @@ impl ConvPlan {
         let bwd = self
             .bwd
             .get_or_insert_with(|| pack_a_panels(wmat, 1, rows, rows, o));
-        PanelsA::Packed(bwd.as_slice())
+        PanelsA::Packed(&bwd.0)
     }
 }
 

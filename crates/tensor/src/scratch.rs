@@ -43,80 +43,98 @@ static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
 /// happens to meet, long after the dispatching thread's has settled.
 static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
 
-/// A 64-byte-aligned, grow-only `f32` allocation. Contents beyond what a
-/// caller last wrote are arbitrary (zero on first allocation).
-struct AlignedBuf {
+/// A 64-byte-aligned, zero-initialised `f32` allocation of fixed length,
+/// viewed as a slice: the arena's buffers (replaced by a longer one to
+/// grow) and the packed panels of [`crate::ops::plan`] (written once,
+/// then shared read-only across pool threads).
+pub(crate) struct AlignedBuf {
     ptr: NonNull<f32>,
-    /// Capacity in `f32` elements (0 for the empty sentinel).
-    cap: usize,
+    len: usize,
 }
 
+// SAFETY: the buffer owns its allocation outright; writing needs
+// `&mut self` and `&self` only exposes `&[f32]`, and `f32` has no thread
+// affinity.
+unsafe impl Send for AlignedBuf {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for AlignedBuf {}
+
 impl AlignedBuf {
-    const fn empty() -> Self {
-        AlignedBuf {
-            ptr: NonNull::dangling(),
-            cap: 0,
+    /// A zeroed buffer of `len` elements; `len == 0` allocates nothing.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        if len == 0 {
+            return AlignedBuf {
+                ptr: NonNull::dangling(),
+                len: 0,
+            };
         }
-    }
-
-    fn layout(cap: usize) -> Layout {
-        Layout::from_size_align(cap * std::mem::size_of::<f32>(), ALIGN).expect("scratch buffer layout")
-    }
-
-    /// Grows the buffer to at least `len` elements. Contents are not
-    /// preserved (the arena contract hands out arbitrary contents), so
-    /// growth is a fresh zeroed allocation plus a free — zeroing keeps
-    /// the handed-out memory initialised without a per-acquisition cost.
-    fn ensure(&mut self, len: usize) {
-        if self.cap >= len {
-            return;
-        }
-        let len = HIGH_WATER.fetch_max(len, Ordering::Relaxed).max(len);
         let layout = Self::layout(len);
-        // SAFETY: `len > 0` here (cap >= 0 and cap < len), so the layout
-        // has non-zero size as `alloc_zeroed` requires.
+        // SAFETY: `len > 0`, so the layout has the non-zero size
+        // `alloc_zeroed` requires.
         let raw = unsafe { alloc_zeroed(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
             handle_alloc_error(layout)
         };
-        if self.cap > 0 {
-            // SAFETY: `self.ptr` came from `alloc_zeroed` with the layout
-            // of the old capacity and has not been freed.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.cap)) };
-        }
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(
-            ((len - self.cap) * std::mem::size_of::<f32>()) as u64,
-            Ordering::Relaxed,
-        );
-        self.ptr = ptr;
-        self.cap = len;
-        medsplit_telemetry::gauge_set(
-            "scratch.allocated_bytes",
-            ALLOCATED_BYTES.load(Ordering::Relaxed) as f64,
-        );
+        AlignedBuf { ptr, len }
     }
 
-    /// Views the first `len` elements mutably.
-    ///
-    /// # Safety
-    ///
-    /// `len <= self.cap`, and the caller must be the unique owner of the
-    /// buffer for the borrow's duration (guaranteed by popping it off the
-    /// thread-local free list).
-    unsafe fn slice_mut(&mut self, len: usize) -> &mut [f32] {
-        debug_assert!(len <= self.cap);
-        std::slice::from_raw_parts_mut(self.ptr.as_ptr(), len)
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len * std::mem::size_of::<f32>(), ALIGN).expect("aligned buffer layout")
+    }
+}
+
+impl std::ops::Deref for AlignedBuf {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        // SAFETY: `ptr` holds `len` zero-initialised or written elements
+        // until drop (or is dangling, aligned and non-null for `len == 0`).
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl std::ops::DerefMut for AlignedBuf {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        // SAFETY: as for `deref`; `&mut self` makes the borrow unique.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
-        if self.cap > 0 {
-            // SAFETY: allocated by `ensure` with this exact layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.cap)) };
+        if self.len > 0 {
+            // SAFETY: allocated by `zeroed` with this exact layout.
+            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) };
         }
     }
+}
+
+impl std::fmt::Debug for AlignedBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "AlignedBuf({} x f32)", self.len)
+    }
+}
+
+/// Grows `buf` to at least `len` elements. Contents are not preserved
+/// (the arena contract hands out arbitrary contents), so growth is a
+/// fresh zeroed allocation plus a free — zeroing keeps the handed-out
+/// memory initialised without a per-acquisition cost.
+fn ensure(buf: &mut AlignedBuf, len: usize) {
+    let cap = buf.len();
+    if cap >= len {
+        return;
+    }
+    let len = HIGH_WATER.fetch_max(len, Ordering::Relaxed).max(len);
+    *buf = AlignedBuf::zeroed(len);
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(
+        ((len - cap) * std::mem::size_of::<f32>()) as u64,
+        Ordering::Relaxed,
+    );
+    medsplit_telemetry::gauge_set(
+        "scratch.allocated_bytes",
+        ALLOCATED_BYTES.load(Ordering::Relaxed) as f64,
+    );
 }
 
 thread_local! {
@@ -159,11 +177,10 @@ pub fn with_f32<R>(len: usize, body: impl FnOnce(&mut [f32]) -> R) -> R {
     ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
     let mut buf = FREE
         .with(|free| free.borrow_mut().pop())
-        .unwrap_or_else(AlignedBuf::empty);
-    buf.ensure(len);
-    // SAFETY: `ensure` made `cap >= len`, and the buffer is off the free
-    // list so this borrow is unique.
-    let result = body(unsafe { buf.slice_mut(len) });
+        .unwrap_or_else(|| AlignedBuf::zeroed(0));
+    ensure(&mut buf, len);
+    // The buffer is off the free list, so this borrow is its only one.
+    let result = body(&mut buf[..len]);
     FREE.with(|free| free.borrow_mut().push(buf));
     result
 }
@@ -173,8 +190,13 @@ mod tests {
     use super::*;
 
     /// This thread's free list: where each buffer lives and how big it is.
-    fn arena() -> Vec<(NonNull<f32>, usize)> {
-        FREE.with(|free| free.borrow().iter().map(|buf| (buf.ptr, buf.cap)).collect())
+    fn arena() -> Vec<(*const f32, usize)> {
+        FREE.with(|free| {
+            free.borrow()
+                .iter()
+                .map(|buf| (buf.as_ptr(), buf.len()))
+                .collect()
+        })
     }
 
     #[test]
@@ -206,10 +228,10 @@ mod tests {
             // size the process has seen, so the large one that follows
             // finds the buffer already big enough.
             with_f32(10, |b| b[0] = 1.0);
-            let grown = FREE.with(|free| free.borrow().last().map_or(0, |buf| buf.cap));
+            let grown = FREE.with(|free| free.borrow().last().map_or(0, |buf| buf.len()));
             assert!(grown >= 50_000, "first growth stopped at {grown}");
             with_f32(50_000, |b| b[0] = 1.0);
-            let after = FREE.with(|free| free.borrow().last().map_or(0, |buf| buf.cap));
+            let after = FREE.with(|free| free.borrow().last().map_or(0, |buf| buf.len()));
             assert_eq!(after, grown, "the arena grew a second time");
         })
         .join()

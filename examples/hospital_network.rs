@@ -31,11 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  hospital {i}: {n:>4} images  -> minibatch s_{i} = {b}");
     }
 
-    // Star topology: hospital 4 is a rural clinic on a slow uplink.
-    let topology = StarTopology::new(HOSPITALS)
-        .with_uplink(LinkSpec::wan())
-        .with_downlink(LinkSpec::wan())
-        .with_override(NodeId::Platform(4), NodeId::Server, LinkSpec::broadband());
+    // Star topology over WAN links: hospital 4 is a rural clinic on a
+    // slow uplink.
+    let topology = StarTopology::new(HOSPITALS).with_override(
+        NodeId::Platform(4),
+        NodeId::Server,
+        LinkSpec::broadband(),
+    );
     let transport = MemoryTransport::new(topology);
 
     let arch = Architecture::Vgg(VggConfig::lite(10));

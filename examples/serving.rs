@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         deadline_s: 0.250,     // answer within 250 ms or report a timeout
         offered_rps: 150.0,    // per-hospital offered load
         codec: WireCodec::F16, // halve the serving traffic
-        ..ServeConfig::default()
     };
 
     println!(

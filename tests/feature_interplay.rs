@@ -75,14 +75,19 @@ fn l1_sync_composes_with_noise_and_codec() {
     assert_eq!(p0, p1, "periodic averaging must leave identical L1s");
 }
 
+/// A star of two with `up` on both uplinks and `down` on both downlinks.
+fn star(up: LinkSpec, down: LinkSpec) -> StarTopology {
+    (0..2).fold(StarTopology::new(2), |t, i| {
+        t.with_override(NodeId::Platform(i), NodeId::Server, up)
+            .with_override(NodeId::Server, NodeId::Platform(i), down)
+    })
+}
+
 #[test]
 fn asymmetric_links_shape_the_simulated_clock() {
     let (shards, test) = data();
     let run = |uplink: LinkSpec| {
-        let topology = StarTopology::new(2)
-            .with_uplink(uplink)
-            .with_downlink(LinkSpec::lan());
-        let transport = MemoryTransport::new(topology);
+        let transport = MemoryTransport::new(star(uplink, LinkSpec::lan()));
         let mut cfg = config(10);
         cfg.compute = medsplit::core::ComputeModel::off();
         let mut trainer = SplitTrainer::new(&arch(), cfg, shards.clone(), test.clone(), &transport).unwrap();
@@ -103,10 +108,8 @@ fn per_platform_override_slows_only_that_spoke() {
         bandwidth_bps: 1e6,
         latency_s: 0.2,
     };
-    let topology = StarTopology::new(2)
-        .with_uplink(LinkSpec::lan())
-        .with_downlink(LinkSpec::lan())
-        .with_override(NodeId::Platform(1), NodeId::Server, slow_link);
+    let topology =
+        star(LinkSpec::lan(), LinkSpec::lan()).with_override(NodeId::Platform(1), NodeId::Server, slow_link);
     let transport = MemoryTransport::new(topology);
     let mut cfg = config(5);
     cfg.compute = medsplit::core::ComputeModel::off();
