@@ -95,6 +95,22 @@ if [ -z "$unsafe_table" ] || [ "$unsafe_table" != "$unsafe_code" ]; then
     exit 1
 fi
 
+echo "==> intrinsics, file by file: the code == the DESIGN §11 table"
+# Every hand-written intrinsic body has a row in the table between the
+# intrinsics-table markers in DESIGN.md that cites the benchmark ledger
+# keeping it; the "now" column must equal the per-file count of lines
+# under crates/ that name an x86 intrinsic (rows reading 0 record a
+# file whose bodies went), so a new hand-written body cannot land
+# without its row.
+intrinsics_table="$(sed -n '/^<!-- intrinsics-table -->$/,/^<!-- \/intrinsics-table -->$/p' DESIGN.md \
+    | awk -F'|' '$2 ~ /`crates\// { gsub(/[ `]/, "", $2); gsub(/ /, "", $4); if ($4 != "0") print $2 ":" $4 }' | sort)"
+intrinsics_code="$(grep -rcE --include='*.rs' '_mm(256)?_[a-z0-9_]+' crates | grep -v ':0$' | sort)"
+if [ "$intrinsics_table" != "$intrinsics_code" ]; then
+    echo "ci.sh: DESIGN §11 intrinsics table (left) differs from the code (right):" >&2
+    diff <(echo "$intrinsics_table") <(echo "$intrinsics_code") >&2 || true
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -1049,10 +1049,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
         ]);
     }
     println!("{table}");
-    println!(
-        "isa: {} (set MEDSPLIT_ISA=scalar|avx2|neon to override)",
-        isa.name()
-    );
+    println!("isa: {} (set MEDSPLIT_ISA=scalar|avx2 to override)", isa.name());
     println!("host available_parallelism: {host_threads}");
     println!("wrote {} and {}", csv_path.display(), json_path.display());
     if smoke {

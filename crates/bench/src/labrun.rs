@@ -89,7 +89,6 @@ fn parse_isa(name: &str) -> Result<simd::Isa, String> {
         "auto" => Ok(simd::detect()),
         "scalar" => Ok(simd::Isa::Scalar),
         "avx2" => Ok(simd::Isa::Avx2),
-        "neon" => Ok(simd::Isa::Neon),
         other => Err(format!("unknown isa axis value {other:?}")),
     }
 }

@@ -116,8 +116,9 @@ impl SyntheticImages {
         n_test: usize,
     ) -> Result<(InMemoryDataset, InMemoryDataset)> {
         let all = self.generate(n_train + n_test)?;
-        // Interleave so both splits see all classes: even positions train,
-        // odd positions test, padded from the tail.
+        // The first `n_train` rows train and the next `n_test` test. Labels
+        // cycle `i % num_classes`, so both splits see every class
+        // (`split_shares_prototypes` checks it).
         let train_idx: Vec<usize> = (0..n_train).collect();
         let test_idx: Vec<usize> = (n_train..n_train + n_test).collect();
         Ok((all.subset(&train_idx)?, all.subset(&test_idx)?))

@@ -10,7 +10,7 @@ use medsplit_telemetry::json::{self, Json};
 /// The host facts a run manifest records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostFingerprint {
-    /// Dispatched kernel ISA (`scalar` / `avx2` / `neon`).
+    /// Dispatched kernel ISA (`scalar` / `avx2`).
     pub isa: String,
     /// `std::thread::available_parallelism`.
     pub cores: usize,

@@ -232,7 +232,7 @@ pub struct Axes {
     pub fault: Vec<String>,
     /// Wire codec (`f32` / `f16`).
     pub codec: Vec<String>,
-    /// Kernel ISA (`auto`, `scalar`, `avx2`, `neon`).
+    /// Kernel ISA (`auto`, `scalar`, `avx2`).
     pub isa: Vec<String>,
     /// Worker-pool sizes.
     pub threads: Vec<usize>,

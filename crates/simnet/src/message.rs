@@ -1,6 +1,7 @@
 //! Wire messages.
 
 use bytes::Bytes;
+use medsplit_tensor::f32_equivalent_len;
 
 use crate::node::NodeId;
 
@@ -255,14 +256,6 @@ fn checksum_portable(bytes: &[u8]) -> u32 {
     mix(mix(hash, u32::from_le_bytes(tail)), bytes.len() as u32)
 }
 
-/// Tensor wire-format magics, mirrored from `medsplit_tensor::serialize`
-/// (simnet deliberately does not depend on the tensor crate). Used only
-/// to *recognise* compressed tensor payloads for logical-byte accounting;
-/// (de)serialisation stays in the tensor crate.
-const TENSOR_MAGIC_F32: u32 = 0x4D54_534E;
-const TENSOR_MAGIC_F16: u32 = 0x4D54_5348;
-const TENSOR_MAGIC_I8: u32 = 0x4D54_5351;
-
 /// Bytes [`Envelope::encode`] writes before the payload; the last eight
 /// are the payload length.
 pub const FRAME_HEADER_LEN: usize = 45;
@@ -274,48 +267,6 @@ fn frame_payload(buf: &[u8]) -> Option<std::ops::Range<usize>> {
     let len = usize::try_from(u64::from_le_bytes(len.try_into().ok()?)).ok()?;
     let end = FRAME_HEADER_LEN.checked_add(len)?;
     (end <= buf.len()).then_some(FRAME_HEADER_LEN..end)
-}
-
-/// The number of bytes this payload would occupy under the exact f32
-/// tensor encoding — the *logical* payload size.
-///
-/// Compressed tensor payloads (f16 / int8 magic) are mapped back to
-/// their f32-equivalent length from the header alone; f32 tensors,
-/// control payloads and anything unrecognised report their actual
-/// length. The ratio `wire / logical` per message kind is therefore
-/// exactly the codec's compression ratio on tensor traffic. (A relay
-/// batch is not a tensor; [`Envelope::logical_size`] walks its frames.)
-fn logical_payload_len(payload: &[u8]) -> usize {
-    let word =
-        |at: usize| -> Option<u32> { Some(u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?)) };
-    let (Some(magic), Some(rank)) = (word(0), word(4)) else {
-        return payload.len();
-    };
-    let rank = rank as usize;
-    if rank > 16 {
-        return payload.len();
-    }
-    match magic {
-        TENSOR_MAGIC_F32 => payload.len(),
-        TENSOR_MAGIC_F16 => {
-            // header 8 + 8·rank, then numel × u16 → numel × f32.
-            let header = 8 + 8 * rank;
-            match payload.len().checked_sub(header) {
-                Some(data) => header + data / 2 * 4,
-                None => payload.len(),
-            }
-        }
-        TENSOR_MAGIC_I8 => {
-            // header 8 + 8·rank + 4-byte scale, then numel × i8 → numel
-            // × f32 (and the scale disappears from the f32 frame).
-            let header = 8 + 8 * rank + 4;
-            match payload.len().checked_sub(header) {
-                Some(data) => header - 4 + data * 4,
-                None => payload.len(),
-            }
-        }
-        _ => payload.len(),
-    }
 }
 
 /// Logical size of a [`MessageKind::RelayBatch`] payload: each inner
@@ -330,7 +281,7 @@ fn logical_batch_len(payload: &[u8]) -> usize {
         let Some(inner) = frame_payload(rest) else {
             return logical + rest.len();
         };
-        logical += FRAME_HEADER_LEN + logical_payload_len(&rest[inner.clone()]);
+        logical += FRAME_HEADER_LEN + f32_equivalent_len(&rest[inner.clone()]);
         rest = &rest[inner.end..];
     }
     logical
@@ -395,15 +346,16 @@ impl Envelope {
     }
 
     /// Bytes this message *would* occupy with uncompressed f32 tensor
-    /// payloads (payload + framing) — see `logical_payload_len`; a
-    /// relay batch counts its inner frames the same way. Equal to
+    /// payloads (payload + framing) — see
+    /// [`f32_equivalent_len`]; a relay batch counts its inner frames the
+    /// same way. Equal to
     /// [`wire_size`](Self::wire_size) for everything except compressed
     /// tensor payloads; the gap between the two is exactly what a wire
     /// codec saved.
     pub fn logical_size(&self) -> usize {
         let payload = match self.kind {
             MessageKind::RelayBatch => logical_batch_len(&self.payload),
-            _ => logical_payload_len(&self.payload),
+            _ => f32_equivalent_len(&self.payload),
         };
         payload + HEADER_BYTES
     }
@@ -548,8 +500,13 @@ mod tests {
         );
     }
 
+    /// The tensor crate's frame magics, as test data.
+    const TENSOR_MAGIC_F32: u32 = 0x4D54_534E;
+    const TENSOR_MAGIC_F16: u32 = 0x4D54_5348;
+    const TENSOR_MAGIC_I8: u32 = 0x4D54_5351;
+
     /// Hand-builds a tensor payload header (`magic · rank · dims`) plus
-    /// `data_len` payload bytes, mirroring the tensor crate's format.
+    /// `data_len` payload bytes, in the tensor crate's format.
     fn tensor_payload(magic: u32, dims: &[u64], scale: bool, data_len: usize) -> Vec<u8> {
         let mut p = Vec::new();
         p.extend_from_slice(&magic.to_le_bytes());
@@ -569,35 +526,35 @@ mod tests {
         // A [3, 4] tensor: f32 frame = 8 + 16 + 48 bytes.
         let f32_len = 8 + 16 + 48;
         let f32_payload = tensor_payload(TENSOR_MAGIC_F32, &[3, 4], false, 48);
-        assert_eq!(logical_payload_len(&f32_payload), f32_len);
+        assert_eq!(f32_equivalent_len(&f32_payload), f32_len);
         // f16 stores 2 bytes per element, logical is the f32 frame.
         let f16_payload = tensor_payload(TENSOR_MAGIC_F16, &[3, 4], false, 24);
         assert_eq!(f16_payload.len(), 8 + 16 + 24);
-        assert_eq!(logical_payload_len(&f16_payload), f32_len);
+        assert_eq!(f32_equivalent_len(&f16_payload), f32_len);
         // int8 stores 1 byte per element plus a 4-byte scale.
         let i8_payload = tensor_payload(TENSOR_MAGIC_I8, &[3, 4], true, 12);
         assert_eq!(i8_payload.len(), 8 + 16 + 4 + 12);
-        assert_eq!(logical_payload_len(&i8_payload), f32_len);
+        assert_eq!(f32_equivalent_len(&i8_payload), f32_len);
     }
 
     #[test]
     fn logical_len_passes_through_non_tensor_payloads() {
-        assert_eq!(logical_payload_len(&[]), 0);
-        assert_eq!(logical_payload_len(&[1, 2, 3]), 3);
+        assert_eq!(f32_equivalent_len(&[]), 0);
+        assert_eq!(f32_equivalent_len(&[1, 2, 3]), 3);
         let opaque = vec![0xABu8; 100];
-        assert_eq!(logical_payload_len(&opaque), 100);
+        assert_eq!(f32_equivalent_len(&opaque), 100);
         // A truncated f16 header (rank says 16 dims, none present) must
         // not underflow — it falls back to the actual length.
         let mut short = Vec::new();
         short.extend_from_slice(&TENSOR_MAGIC_F16.to_le_bytes());
         short.extend_from_slice(&16u32.to_le_bytes());
-        assert_eq!(logical_payload_len(&short), 8);
+        assert_eq!(f32_equivalent_len(&short), 8);
         // Implausible rank: treated as opaque.
         let mut weird = Vec::new();
         weird.extend_from_slice(&TENSOR_MAGIC_I8.to_le_bytes());
         weird.extend_from_slice(&99u32.to_le_bytes());
         weird.extend_from_slice(&[0u8; 64]);
-        assert_eq!(logical_payload_len(&weird), 72);
+        assert_eq!(f32_equivalent_len(&weird), 72);
     }
 
     #[test]

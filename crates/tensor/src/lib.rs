@@ -46,7 +46,7 @@ mod tensor;
 pub use error::{Result, TensorError};
 pub use ops::conv::Conv2dSpec;
 pub use ops::plan::{ConvGeometry, ConvPlan, GemmPlan, PlanStats};
-pub use serialize::{encoded_len, serialized_len, serialized_len_i8, Encoding};
+pub use serialize::{encoded_len, f32_equivalent_len, serialized_len, serialized_len_i8, Encoding};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -43,10 +43,10 @@
 //!   buffer by row-segment adds (`col2im_single`) and the interior
 //!   copied out; the border soaks up what the old loop skipped.
 //!
-//! Each direct kernel has an AVX2 body and a portable `mul_add` body;
-//! the shape alone picks the direct path, the active ISA only the body,
-//! and each call checks the furthest read once before the unchecked
-//! ones.
+//! Each direct kernel is one portable `mul_add` body, compiled again
+//! for AVX2+FMA; the shape alone picks the direct path, the active ISA
+//! only the compilation, and each call checks the furthest read once
+//! with a message of its own.
 //!
 //! # Why the bits do not move
 //!
@@ -94,8 +94,7 @@ use crate::ops::microkernel::{self, MR, NR};
 use crate::ops::plan::ConvPlan;
 use crate::pool;
 use crate::scratch;
-#[cfg(target_arch = "x86_64")]
-use crate::simd::{self, Isa};
+use crate::simd;
 use crate::tensor::Tensor;
 
 /// Images per backward-pass work chunk. Fixed so that the partial-sum
@@ -462,100 +461,52 @@ fn tile_runs<const L: usize>(lo: &Lowering, j0: usize) -> [usize; 4] {
     runs
 }
 
-/// Whether the direct kernels take their AVX2 bodies.
-fn direct_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if simd::active_isa() == Isa::Avx2 {
-        return true;
-    }
-    false
-}
-
-/// One direct-forward tile, portable body: the `MR×NR` product of the
-/// prepacked filter panel `panel` (`rows × MR`, MR-major) and the tile's
-/// im2col columns read in place, lane `jr` of im2col row `p` being
-/// `padded[base(p) + runs[jr / L] + jr % L]`. Each element is the fused
-/// chain `acc = a·b + acc` from `+0.0` in ascending `p`, the operands in
-/// the packed GEMM's order, so it equals that GEMM's output bit for bit.
-fn forward_tile_portable<const L: usize>(
-    panel: &[f32],
-    padded: &[f32],
-    lo: &Lowering,
-    runs: &[usize; 4],
-    tile: &mut [f32; MR * NR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    lo.for_rows(|p, base| {
-        let a = &panel[p * MR..][..MR];
-        for (jr, lane) in (0..NR).map(|jr| (jr, base + runs[jr / L] + jr % L)) {
-            let b = padded[lane];
-            for (row, &av) in acc.iter_mut().zip(a) {
-                row[jr] = av.mul_add(b, row[jr]);
-            }
-        }
-    });
-    for (dst, row) in tile.chunks_exact_mut(NR).zip(&acc) {
-        dst.copy_from_slice(row);
-    }
-}
-
-/// AVX2 body of [`forward_tile_portable`]: the GEMM tile kernel with
-/// its B rows loaded from the padded image — a 16-pixel run as two
-/// loads, two 8-pixel rows as one load each, four 4-pixel rows as four
-/// 128-bit halves.
-///
-/// # Safety
-///
-/// AVX2 and FMA must be available; `panel` must hold `rows * MR` floats
-/// and every `padded[base(p) + runs[r] + i]`, `r < NR / L`, `i < L`, must
-/// be in bounds ([`forward_direct`] asserts it once per image).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn forward_tile_avx2<const L: usize>(
-    panel: &[f32],
-    padded: &[f32],
-    lo: &Lowering,
-    runs: &[usize; 4],
-    tile: &mut [f32; MR * NR],
-) {
-    use std::arch::x86_64::*;
-    // SAFETY throughout: reads stay inside the extents the caller
-    // guarantees; the stores fill `tile`, `MR * NR` floats.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        let mut a = panel.as_ptr();
+simd::kernel! {
+    #[target_feature("avx2,fma")]
+    /// One direct-forward tile: the `MR×NR` product of the prepacked
+    /// filter panel `panel` (`rows × MR`, MR-major) and the tile's im2col
+    /// columns read in place, lane `jr` of im2col row `p` being
+    /// `padded[base(p) + runs[jr / L] + jr % L]`. Each element is the fused
+    /// chain `acc = a·b + acc` from `+0.0` in ascending `p`, the operands in
+    /// the packed GEMM's order, so it equals that GEMM's output bit for bit.
+    ///
+    /// Written so that the tile stays in registers: one slice per run,
+    /// all of one length, so that each tap's reads share one bounds
+    /// check, and per tap the NR lanes assembled from `NR / L`
+    /// fixed-width copies — two 256-bit loads, or four 128-bit halves,
+    /// once compiled for AVX2.
+    fn forward_tile<const L: usize>(
+        panel: &[f32],
+        padded: &[f32],
+        lo: &Lowering,
+        runs: &[usize; 4],
+        tile: &mut [f32; MR * NR]
+    ) {
+        let taps = lo.spec.kernel_w;
+        let reach = lo.row_base(lo.rows() - 1) + L;
+        let run: [&[f32]; 4] =
+            std::array::from_fn(|r| if r < NR / L { &padded[runs[r]..][..reach] } else { &[] });
+        let mut acc = [[0.0f32; NR]; MR];
+        let mut a = panel.chunks_exact(MR);
         for ch in 0..lo.c {
             for kh in 0..lo.spec.kernel_h {
-                let row = padded.as_ptr().add(ch * lo.plane + kh * lo.pw);
-                for kw in 0..lo.spec.kernel_w {
-                    let at = row.add(kw);
-                    let halves = |lo4: usize, hi4: usize| {
-                        _mm256_insertf128_ps::<1>(
-                            _mm256_castps128_ps256(_mm_loadu_ps(at.add(lo4))),
-                            _mm_loadu_ps(at.add(hi4)),
-                        )
-                    };
-                    let (b0, b1) = match L {
-                        4 => (halves(runs[0], runs[1]), halves(runs[2], runs[3])),
-                        8 => (_mm256_loadu_ps(at.add(runs[0])), _mm256_loadu_ps(at.add(runs[1]))),
-                        _ => (
-                            _mm256_loadu_ps(at.add(runs[0])),
-                            _mm256_loadu_ps(at.add(runs[0] + 8)),
-                        ),
-                    };
-                    for (ir, row) in acc.iter_mut().enumerate() {
-                        let av = _mm256_broadcast_ss(&*a.add(ir));
-                        row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-                        row[1] = _mm256_fmadd_ps(av, b1, row[1]);
+                let row = ch * lo.plane + kh * lo.pw;
+                for at in row..row + taps {
+                    let mut b = [0.0f32; NR];
+                    for (lanes, run) in b.chunks_exact_mut(L).zip(&run) {
+                        lanes.copy_from_slice(&run[at..at + L]);
                     }
-                    a = a.add(MR);
+                    let a = a.next().expect("one panel row per im2col row");
+                    for (row, &av) in acc.iter_mut().zip(a) {
+                        for (v, &bv) in row.iter_mut().zip(&b) {
+                            *v = av.mul_add(bv, *v);
+                        }
+                    }
                 }
             }
         }
-        let out = tile.as_mut_ptr();
-        for (ir, row) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(ir * NR), row[0]);
-            _mm256_storeu_ps(out.add(ir * NR + 8), row[1]);
+        for (dst, row) in tile.chunks_exact_mut(NR).zip(&acc) {
+            dst.copy_from_slice(row);
         }
     }
 }
@@ -565,29 +516,18 @@ unsafe fn forward_tile_avx2<const L: usize>(
 /// `panels`, written into the image's `[o, OH*OW]` output `dst`.
 fn forward_direct<const L: usize>(padded: &[f32], lo: &Lowering, panels: &[f32], o: usize, dst: &mut [f32]) {
     let (rows, ncols) = (lo.rows(), lo.ncols());
-    // One extent check for the unchecked reads: the last tap of the last
-    // pixel, and whole panels.
+    // One extent check: the last tap of the last pixel, and whole panels.
     let last = lo.row_base(rows - 1) + lo.pixel_offset(lo.oh - 1, lo.ow - 1);
     assert!(
         last < padded.len() && panels.len() >= o.div_ceil(MR) * rows * MR && dst.len() == o * ncols,
         "direct conv forward: padded image of {} read to {last}",
         padded.len()
     );
-    let avx2 = direct_avx2();
     for j0 in (0..ncols).step_by(NR) {
         let runs = tile_runs::<L>(lo, j0);
         for (pi, panel) in panels.chunks_exact(rows * MR).take(o.div_ceil(MR)).enumerate() {
             let mut tile = [0.0f32; MR * NR];
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: AVX2+FMA are available (the active ISA is only
-                // ever a supported one); `panel` is `rows * MR` floats
-                // and the furthest read was bounds-checked above.
-                unsafe { forward_tile_avx2::<L>(panel, padded, lo, &runs, &mut tile) };
-            }
-            if !avx2 {
-                forward_tile_portable::<L>(panel, padded, lo, &runs, &mut tile);
-            }
+            forward_tile::<L>(panel, padded, lo, &runs, &mut tile);
             let oc0 = pi * MR;
             for (oc, row) in (oc0..o).zip(tile.chunks_exact(NR)) {
                 dst[oc * ncols + j0..][..NR].copy_from_slice(row);
@@ -596,94 +536,51 @@ fn forward_direct<const L: usize>(padded: &[f32], lo: &Lowering, panels: &[f32],
     }
 }
 
-/// One weight-gradient tile, portable body: rows `bases` (six im2col
-/// rows, as padded-image offsets) × the NR output channels of a packed
-/// `Gᵀ` tile, accumulated over the `count` images of a backward chunk.
-/// Image `i`'s padded copy starts at `padded[i * padded_len()]` and its `Gᵀ`
-/// tile (`OH*OW × NR`, pixel-major) at `gt[i * gstride]`. Each element
-/// is the fused chain over (image, pixel) in ascending order from
-/// `+0.0` — the packed GEMM's `dW += G·colsᵀ` chain with its two
-/// multiplicands swapped, which fused multiply-add does not see.
-fn weight_tile_portable(
-    padded: &[f32],
-    gt: &[f32],
-    gstride: usize,
-    count: usize,
-    lo: &Lowering,
-    bases: &[usize; MR],
-    tile: &mut [f32; MR * NR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for i in 0..count {
-        let x = &padded[i * lo.padded_len()..];
-        let mut g = gt[i * gstride..][..lo.ncols() * NR].chunks_exact(NR);
-        for oy in 0..lo.oh {
-            for ox in 0..lo.ow {
-                let (off, b) = (lo.pixel_offset(oy, ox), g.next().expect("one Gᵀ row per pixel"));
-                for (row, &base) in acc.iter_mut().zip(bases) {
-                    let av = x[base + off];
-                    for (v, &bv) in row.iter_mut().zip(b) {
-                        *v = av.mul_add(bv, *v);
-                    }
-                }
-            }
-        }
-    }
-    for (dst, row) in tile.chunks_exact_mut(NR).zip(&acc) {
-        dst.copy_from_slice(row);
-    }
-}
-
-/// AVX2 body of [`weight_tile_portable`]: twelve accumulators held
-/// across the whole chunk, each pixel one `Gᵀ` row (two loads) against
-/// six broadcasts from the six row pointers.
-///
-/// # Safety
-///
-/// AVX2 and FMA must be available; for every `i < count`,
-/// `padded[i * padded_len() + bases[r] + pixel_offset(oy, ox)]` and the `OH*OW*NR`
-/// floats at `gt[i * gstride]` must be in bounds ([`weight_grad_direct`]
-/// asserts both once per chunk).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn weight_tile_avx2(
-    padded: &[f32],
-    gt: &[f32],
-    gstride: usize,
-    count: usize,
-    lo: &Lowering,
-    bases: &[usize; MR],
-    tile: &mut [f32; MR * NR],
-) {
-    use std::arch::x86_64::*;
-    let (pw, s, plen) = (lo.pw, lo.spec.stride, lo.padded_len());
-    // SAFETY throughout: reads stay inside the extents the caller
-    // guarantees; the stores fill `tile`, `MR * NR` floats.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+simd::kernel! {
+    #[target_feature("avx2,fma")]
+    /// One weight-gradient tile: rows `bases` (six im2col rows, as
+    /// padded-image offsets) × the NR output channels of a packed `Gᵀ`
+    /// tile, accumulated over the `count` images of a backward chunk.
+    /// Image `i`'s padded copy starts at `padded[i * padded_len()]` and
+    /// its `Gᵀ` tile (`OH*OW × NR`, pixel-major) at `gt[i * gstride]`. Each
+    /// element is the fused chain over (image, pixel) in ascending order
+    /// from `+0.0` — the packed GEMM's `dW += G·colsᵀ` chain with its two
+    /// multiplicands swapped, which fused multiply-add does not see.
+    ///
+    /// Written so that the tile stays in registers across the chunk: per
+    /// image one slice of each of the six rows, all of one length, so
+    /// that each pixel's six reads share one bounds check, and per pixel
+    /// one `Gᵀ` row against six broadcasts.
+    fn weight_tile(
+        padded: &[f32],
+        gt: &[f32],
+        gstride: usize,
+        count: usize,
+        lo: &Lowering,
+        bases: &[usize; MR],
+        tile: &mut [f32; MR * NR]
+    ) {
+        let (s, ow) = (lo.spec.stride, lo.ow);
+        let reach = lo.pixel_offset(lo.oh - 1, ow - 1) + 1;
+        let mut acc = [[0.0f32; NR]; MR];
         for i in 0..count {
-            let x = padded.as_ptr().add(i * plen);
-            let rows = bases.map(|b| x.add(b));
-            let mut g = gt.as_ptr().add(i * gstride);
-            for oy in 0..lo.oh {
-                let mut off = oy * pw * s;
-                for _ in 0..lo.ow {
-                    let b0 = _mm256_loadu_ps(g);
-                    let b1 = _mm256_loadu_ps(g.add(8));
+            let x = &padded[i * lo.padded_len()..];
+            let rows: [&[f32]; MR] = std::array::from_fn(|r| &x[bases[r]..][..reach]);
+            let (g, _) = gt[i * gstride..][..lo.ncols() * NR].as_chunks::<NR>();
+            for (oy, g) in g.chunks_exact(ow).enumerate() {
+                let at = lo.pixel_offset(oy, 0);
+                for (ox, b) in g.iter().enumerate() {
                     for (acc, row) in acc.iter_mut().zip(&rows) {
-                        let av = _mm256_broadcast_ss(&*row.add(off));
-                        acc[0] = _mm256_fmadd_ps(av, b0, acc[0]);
-                        acc[1] = _mm256_fmadd_ps(av, b1, acc[1]);
+                        let av = row[at + ox * s];
+                        for (v, &bv) in acc.iter_mut().zip(b) {
+                            *v = av.mul_add(bv, *v);
+                        }
                     }
-                    g = g.add(NR);
-                    off += s;
                 }
             }
         }
-        let out = tile.as_mut_ptr();
-        for (ir, row) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(ir * NR), row[0]);
-            _mm256_storeu_ps(out.add(ir * NR + 8), row[1]);
+        for (dst, row) in tile.chunks_exact_mut(NR).zip(&acc) {
+            dst.copy_from_slice(row);
         }
     }
 }
@@ -703,29 +600,20 @@ fn weight_grad_direct(padded: &[f32], lo: &Lowering, gt: &[f32], count: usize, o
     if rows == 0 || o == 0 || count == 0 {
         return;
     }
-    // One extent check for the unchecked reads of every image.
+    // One extent check for the reads of every image.
     let last = (count - 1) * plen + lo.row_base(rows - 1) + lo.pixel_offset(lo.oh - 1, lo.ow - 1);
     assert!(
         last < padded.len() && gt.len() >= count * gstride && dw.len() == o * rows,
         "direct conv weight gradient: {count} padded images of {} read to {last}",
         padded.len()
     );
-    let avx2 = direct_avx2();
     for r0 in (0..rows).step_by(MR) {
         // Rows past the last one re-read it; their lanes are dropped.
         let bases: [usize; MR] = std::array::from_fn(|ir| lo.row_base((r0 + ir).min(rows - 1)));
         for t in 0..tiles {
             let gt = &gt[t * ncols * NR..];
             let mut tile = [0.0f32; MR * NR];
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: AVX2+FMA are available; every image's furthest
-                // read and its `Gᵀ` tiles were bounds-checked above.
-                unsafe { weight_tile_avx2(padded, gt, gstride, count, lo, &bases, &mut tile) };
-            }
-            if !avx2 {
-                weight_tile_portable(padded, gt, gstride, count, lo, &bases, &mut tile);
-            }
+            weight_tile(padded, gt, gstride, count, lo, &bases, &mut tile);
             let oc0 = t * NR;
             for (r, row) in (r0..rows).zip(tile.chunks_exact(NR)) {
                 for (oc, &v) in (oc0..o).zip(row) {
@@ -1285,10 +1173,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A kernel body under test: `(panel or Gᵀ tiles, runs or row bases,
-    /// output tile)`.
-    type Body<'a, R> = Box<dyn Fn(&[f32], &R, &mut [f32; MR * NR]) + 'a>;
-
     #[test]
     fn direct_forward_runs_follow_the_shape() {
         let run = |c, h, w, k, s, p| {
@@ -1309,8 +1193,8 @@ mod tests {
         assert_eq!(run(2, 8, 8, 1, 1, 0), Some(8));
     }
 
-    /// Both direct-forward bodies, called directly per tile, against the
-    /// packed path (patch tiles gathered into GEMM order, then the GEMM
+    /// Both compilations of the direct-forward tile, called directly per
+    /// tile, against the packed path (patch tiles gathered into GEMM order, then the GEMM
     /// over the same prepacked filter panels), bit for bit.
     #[test]
     fn direct_forward_bodies_match_the_packed_path() {
@@ -1342,30 +1226,7 @@ mod tests {
                     matmul::gemm_compute_packed_b(a, bpack, &mut out, o, rows, ncols, true, MR);
                     out
                 });
-                let mut bodies: Vec<(&str, Body<'_, [usize; 4]>)> = vec![(
-                    "portable",
-                    Box::new(|panel, runs, tile| match run {
-                        4 => forward_tile_portable::<4>(panel, padded, &lo, runs, tile),
-                        8 => forward_tile_portable::<8>(panel, padded, &lo, runs, tile),
-                        _ => forward_tile_portable::<NR>(panel, padded, &lo, runs, tile),
-                    }),
-                )];
-                #[cfg(target_arch = "x86_64")]
-                if simd::supported(Isa::Avx2) {
-                    bodies.push((
-                        "avx2",
-                        // SAFETY: AVX2+FMA are present; `panel` is a whole
-                        // panel and the tile's reads lie inside `padded`.
-                        Box::new(|panel, runs, tile| unsafe {
-                            match run {
-                                4 => forward_tile_avx2::<4>(panel, padded, &lo, runs, tile),
-                                8 => forward_tile_avx2::<8>(panel, padded, &lo, runs, tile),
-                                _ => forward_tile_avx2::<NR>(panel, padded, &lo, runs, tile),
-                            }
-                        }),
-                    ));
-                }
-                for (name, body) in bodies {
+                simd::for_each_isa(|isa| {
                     let mut got = vec![0.0f32; o * ncols];
                     for j0 in (0..ncols).step_by(NR) {
                         let runs = match run {
@@ -1375,19 +1236,24 @@ mod tests {
                         };
                         for (pi, panel) in panels.chunks_exact(rows * MR).enumerate() {
                             let mut tile = [f32::NAN; MR * NR];
-                            body(panel, &runs, &mut tile);
+                            match run {
+                                4 => forward_tile::<4>(panel, padded, &lo, &runs, &mut tile),
+                                8 => forward_tile::<8>(panel, padded, &lo, &runs, &mut tile),
+                                _ => forward_tile::<NR>(panel, padded, &lo, &runs, &mut tile),
+                            }
                             for (oc, row) in (pi * MR..o).zip(tile.chunks_exact(NR)) {
                                 got[oc * ncols + j0..][..NR].copy_from_slice(row);
                             }
                         }
                     }
-                    assert_eq!(bits(&got), bits(&want), "{name} c{c} {h}x{w} o{o} k{k}");
-                }
+                    assert_eq!(bits(&got), bits(&want), "{} c{c} {h}x{w} o{o} k{k}", isa.name());
+                });
             });
         }
     }
 
-    /// Both weight-gradient bodies, called directly per tile over chunks
+    /// Both compilations of the weight-gradient tile, called directly per
+    /// tile over chunks
     /// of one to four images, against the packed path (`G·colsᵀ` as a
     /// GEMM per image onto the running sum), bit for bit — strides 1 and
     /// 2, with and without padding, and output channels that leave the
@@ -1421,31 +1287,21 @@ mod tests {
                 matmul::gemm_nt_into(gmat, &cols, &mut want, o, rows, ncols, true);
             }
             lo.with_padded(&imgs, count, |padded| {
-                let mut bodies: Vec<(&str, Body<'_, [usize; MR]>)> = vec![(
-                    "portable",
-                    Box::new(|gt, bases, tile| {
-                        weight_tile_portable(padded, gt, gstride, count, &lo, bases, tile)
-                    }),
-                )];
-                #[cfg(target_arch = "x86_64")]
-                if simd::supported(Isa::Avx2) {
-                    bodies.push((
-                        "avx2",
-                        // SAFETY: AVX2+FMA are present; every row base is
-                        // a real im2col row and `gt` holds every image's
-                        // tiles.
-                        Box::new(|gt, bases, tile| unsafe {
-                            weight_tile_avx2(padded, gt, gstride, count, &lo, bases, tile)
-                        }),
-                    ));
-                }
-                for (name, body) in bodies {
+                simd::for_each_isa(|isa| {
                     let mut got = vec![0.0f32; o * rows];
                     for r0 in (0..rows).step_by(MR) {
                         let bases = std::array::from_fn(|ir| lo.row_base((r0 + ir).min(rows - 1)));
                         for t in 0..tiles {
                             let mut tile = [f32::NAN; MR * NR];
-                            body(&gt[t * ncols * NR..], &bases, &mut tile);
+                            weight_tile(
+                                padded,
+                                &gt[t * ncols * NR..],
+                                gstride,
+                                count,
+                                &lo,
+                                &bases,
+                                &mut tile,
+                            );
                             for (r, row) in (r0..rows).zip(tile.chunks_exact(NR)) {
                                 for (oc, &v) in (t * NR..o).zip(row) {
                                     got[oc * rows + r] = v;
@@ -1456,15 +1312,16 @@ mod tests {
                     assert_eq!(
                         bits(&got),
                         bits(&want),
-                        "{name} {count}x{c}x{h}x{w} o{o} k{k} s{s} p{p}"
+                        "{} {count}x{c}x{h}x{w} o{o} k{k} s{s} p{p}",
+                        isa.name()
                     );
-                }
+                });
             });
         }
     }
 
-    /// A padded image shorter than the lowering says is refused before
-    /// any unchecked read.
+    /// A padded image shorter than the lowering says is refused up
+    /// front.
     #[test]
     #[should_panic(expected = "direct conv forward")]
     fn direct_forward_checks_the_source_extent() {

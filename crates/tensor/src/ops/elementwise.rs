@@ -9,7 +9,7 @@
 //!
 //! The same-shape binary ops, accumulators, and activations bottom out
 //! in the ISA-dispatched kernels of [`crate::simd`]: vectorised on
-//! AVX2/NEON hosts, with a portable path that is bit-identical by
+//! AVX2 hosts, with a portable path that is bit-identical by
 //! construction (see that module's docs).
 
 use std::ops::{Add, Div, Mul, Neg, Sub};

@@ -16,8 +16,8 @@
 //!    `MEDSPLIT_THREADS` value**.
 //! 3. **Microkernel** — within a panel, `microkernel::MR`-row blocks
 //!    of A are packed and streamed through the register-blocked tile
-//!    kernel selected by [`crate::simd::active_isa`] (AVX2+FMA, NEON, or
-//!    the portable reference). The inner (`k`) dimension is blocked by
+//!    kernel compiled for [`crate::simd::active_isa`] (AVX2+FMA, or the
+//!    portable reference). The inner (`k`) dimension is blocked by
 //!    `kc_block` — sized from the shape, not a constant, so no shape
 //!    pays for a mis-fitted panel. Edge tiles stage through an on-stack
 //!    `MR×NR` buffer so every path runs the identical kernel.

@@ -2,14 +2,12 @@
 //!
 //! The packed GEMM in [`super::matmul`] bottoms out here: a fixed
 //! [`MR`]×[`NR`] tile of the output is held in registers while a whole
-//! `k`-panel of packed A and B streams through it. Two bodies share one
-//! contract ([`TileKernel`]) and one packed-data layout, and
-//! [`tile_kernel`] picks a compilation from [`crate::simd::active_isa`]:
-//!
-//! - **portable** — a 6×16 array of accumulators and [`f32::mul_add`]
-//!   per element, run as written under `Isa::Scalar` and compiled again
-//!   for AVX2+FMA (12 `ymm` accumulators, `vfmadd` per element);
-//! - **NEON** — 24 `q` accumulators (6 rows × 4 × 4 lanes), `fmla`.
+//! `k`-panel of packed A and B streams through it. One portable body —
+//! a 6×16 array of accumulators and [`f32::mul_add`] per element — runs
+//! as written under `Isa::Scalar` and compiled again for AVX2+FMA (12
+//! `ymm` accumulators, `vfmadd` per element); [`tile_kernel`] picks the
+//! compilation from [`crate::simd::active_isa`] behind one contract
+//! ([`TileKernel`]) and one packed-data layout.
 //!
 //! # Layout
 //!
@@ -26,7 +24,7 @@
 //!
 //! # Bit-identity
 //!
-//! Every kernel computes, for every output element independently,
+//! Both compilations compute, for every output element independently,
 //! `c += a*b` fused (single rounding) at each depth step, in ascending
 //! `p`. An FMA vector lane and [`f32::mul_add`] are both IEEE 754
 //! `fusedMultiplyAdd`, so the results are **bit-identical** across ISAs —
@@ -63,15 +61,12 @@ pub(crate) fn tile_kernel() -> TileKernel {
     match simd::active_isa() {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => tile_avx2_entry,
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => tile_neon_entry,
         _ => tile_portable,
     }
 }
 
 /// Portable reference kernel, fused via [`f32::mul_add`]: the body of the
-/// AVX2 kernel too, and identical per-element operation order to the
-/// NEON one.
+/// AVX2 kernel too.
 ///
 /// # Safety
 ///
@@ -131,59 +126,6 @@ unsafe fn tile_avx2_entry(k: usize, a: *const f32, lda: usize, b: *const f32, c:
 unsafe fn tile_avx2(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
     // SAFETY: forwarded contract.
     unsafe { tile_portable(k, a, lda, b, c, ldc) }
-}
-
-/// Plain-ABI entry for the NEON kernel (see [`tile_avx2_entry`]).
-///
-/// # Safety
-///
-/// See [`TileKernel`].
-#[cfg(target_arch = "aarch64")]
-unsafe fn tile_neon_entry(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
-    // SAFETY: forwarded contract; NEON is baseline on aarch64.
-    unsafe { tile_neon(k, a, lda, b, c, ldc) }
-}
-
-/// The NEON tile kernel: 6×16 output tile in 24 `q` accumulators.
-///
-/// # Safety
-///
-/// See [`TileKernel`].
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn tile_neon(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
-    use std::arch::aarch64::*;
-    // SAFETY throughout: pointer arithmetic stays inside the bounds the
-    // `TileKernel` contract guarantees.
-    unsafe {
-        let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
-        for (ir, row) in acc.iter_mut().enumerate() {
-            for (v, lane) in row.iter_mut().enumerate() {
-                *lane = vld1q_f32(c.add(ir * ldc + v * 4));
-            }
-        }
-        for p in 0..k {
-            let bp = b.add(p * NR);
-            let bv = [
-                vld1q_f32(bp),
-                vld1q_f32(bp.add(4)),
-                vld1q_f32(bp.add(8)),
-                vld1q_f32(bp.add(12)),
-            ];
-            let ap = a.add(p * lda);
-            for (ir, row) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f32(*ap.add(ir));
-                for (v, lane) in row.iter_mut().enumerate() {
-                    *lane = vfmaq_f32(*lane, av, bv[v]);
-                }
-            }
-        }
-        for (ir, row) in acc.iter().enumerate() {
-            for (v, lane) in row.iter().enumerate() {
-                vst1q_f32(c.add(ir * ldc + v * 4), *lane);
-            }
-        }
-    }
 }
 
 /// Packs one MR-wide row panel of A into microkernel order:
@@ -493,20 +435,29 @@ mod tests {
         })
     }
 
+    /// The portable tile, and the dispatched tile at every ISA, against
+    /// the fused reference, on a C tile with row stride `ldc > NR` whose
+    /// gap columns the tile must leave alone.
     #[test]
     fn portable_kernel_matches_fused_reference() {
-        for k in [1usize, 2, 7, 33] {
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for k in [1usize, 2, 7, 33, 64, 321] {
             let a = mk(k as u32, k * MR);
             let b = mk(100 + k as u32, k * NR);
             let ldc = NR + 3;
-            let mut c = mk(200 + k as u32, MR * ldc);
-            let mut expect = c.clone();
+            let c0 = mk(200 + k as u32, MR * ldc);
+            let mut expect = c0.clone();
             reference_tile(k, &a, &b, &mut expect, ldc);
+            let mut c = c0.clone();
             unsafe { tile_portable(k, a.as_ptr(), MR, b.as_ptr(), c.as_mut_ptr(), ldc) };
-            assert_eq!(
-                c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            assert_eq!(bits(&c), bits(&expect), "portable k={k}");
+            simd::for_each_isa(|isa| {
+                let mut c = c0.clone();
+                // SAFETY: `a` holds `k*MR` floats, `b` `k*NR`, and `c` a
+                // whole `MR×NR` tile at row stride `ldc`.
+                unsafe { tile_kernel()(k, a.as_ptr(), MR, b.as_ptr(), c.as_mut_ptr(), ldc) };
+                assert_eq!(bits(&c), bits(&expect), "{} k={k}", isa.name());
+            });
         }
     }
 
@@ -537,25 +488,6 @@ mod tests {
                 c_avx2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 c_portable.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "AVX2 and portable kernels diverged at k={k}"
-            );
-        }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[test]
-    fn neon_kernel_bit_matches_portable() {
-        for k in [1usize, 3, 8, 57] {
-            let a = mk(7 + k as u32, k * MR);
-            let b = mk(11 + k as u32, k * NR);
-            let ldc = NR;
-            let seed_c = mk(13 + k as u32, MR * ldc);
-            let mut c_portable = seed_c.clone();
-            unsafe { tile_portable(k, a.as_ptr(), MR, b.as_ptr(), c_portable.as_mut_ptr(), ldc) };
-            let mut c_neon = seed_c.clone();
-            unsafe { tile_neon_entry(k, a.as_ptr(), MR, b.as_ptr(), c_neon.as_mut_ptr(), ldc) };
-            assert_eq!(
-                c_neon.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c_portable.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
         }
     }
@@ -688,29 +620,52 @@ mod tests {
     }
 
     /// Both bodies of the transposing pack, called directly rather than
-    /// through dispatch, against the formula at both panel widths.
+    /// through dispatch, against the formula at both panel widths: every
+    /// depth from 0 through 33 (a whole 8-deep block plus every tail) and
+    /// the depths either side of one `kc` block, sources starting 0–3
+    /// floats past a 64-byte boundary, and ±0, subnormals, ±inf and
+    /// quiet and signalling NaNs among the arbitrary bit patterns.
     #[test]
     fn transpose_bodies_match_the_defining_formula() {
+        const SPECIALS: [u32; 8] = [
+            0,
+            0x8000_0000,
+            1,
+            0x8000_0400,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7FC0_1234,
+            0xFFA0_0001,
+        ];
         fn check<const W: usize>() {
-            for k in PACK_DEPTHS {
+            for k in (0..=33).chain(PACK_DEPTHS) {
                 for lanes in 1..=W {
                     let (l0, ls) = (2, k + 3);
-                    let buf = raw_bits((k * 17 + lanes) as u32, (l0 + lanes) * ls + 1);
-                    let src = &buf[1..];
-                    let want = pack_oracle::<W>(src, ls, 1, l0, lanes, k);
-                    let mut dst = vec![f32::NAN; k * W];
-                    transpose_pack_portable::<W>(src, ls, l0, lanes, k, &mut dst);
-                    let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "portable W={W} k={k} lanes={lanes}");
-                    #[cfg(target_arch = "x86_64")]
-                    if crate::simd::supported(Isa::Avx2) {
-                        let mut dst = vec![f32::NAN; k * W];
-                        // SAFETY: AVX2 is present; the source holds every
-                        // lane's run and `dst` is `k*W` long.
-                        unsafe { transpose_pack_avx2::<W>(src, ls, l0, lanes, k, &mut dst) };
-                        let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(got, want, "avx2 W={W} k={k} lanes={lanes}");
+                    let mut bits = raw_bits((k * 17 + lanes) as u32, (l0 + lanes) * ls + 3);
+                    for (i, v) in bits.iter_mut().enumerate().step_by(5) {
+                        *v = f32::from_bits(SPECIALS[i / 5 % SPECIALS.len()]);
                     }
+                    crate::scratch::with_f32(bits.len(), |buf| {
+                        buf.copy_from_slice(&bits);
+                        for start in 0..4 {
+                            let src = &buf[start..];
+                            let want = pack_oracle::<W>(src, ls, 1, l0, lanes, k);
+                            let at = format!("W={W} k={k} lanes={lanes} start={start}");
+                            let mut dst = vec![f32::NAN; k * W];
+                            transpose_pack_portable::<W>(src, ls, l0, lanes, k, &mut dst);
+                            let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(got, want, "portable {at}");
+                            #[cfg(target_arch = "x86_64")]
+                            if crate::simd::supported(Isa::Avx2) {
+                                let mut dst = vec![f32::NAN; k * W];
+                                // SAFETY: AVX2 is present; the source holds
+                                // every lane's run and `dst` is `k*W` long.
+                                unsafe { transpose_pack_avx2::<W>(src, ls, l0, lanes, k, &mut dst) };
+                                let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
+                                assert_eq!(got, want, "avx2 {at}");
+                            }
+                        }
+                    });
                 }
             }
         }
@@ -718,8 +673,7 @@ mod tests {
         check::<NR>();
     }
 
-    /// A source too short for the last lane's run is refused before any
-    /// unchecked read.
+    /// A source too short for the last lane's run is refused up front.
     #[test]
     #[should_panic(expected = "transpose pack reads")]
     fn transpose_pack_checks_the_source_extent() {

@@ -129,6 +129,33 @@ fn write_frame(out: &mut Vec<u8>, enc: Encoding, dims: impl Iterator<Item = usiz
     }
 }
 
+/// The length `payload` would have as the exact f32 frame of the same
+/// tensor, read from its header alone: an f16 or int8 frame maps to
+/// `header + numel × 4` (the int8 scale disappears); an f32 frame, a
+/// payload that is not a tensor frame, a rank above 16 and a header
+/// shorter than its rank needs report their actual length. This is
+/// the *logical* size the network simulator counts beside the bytes on
+/// the wire.
+pub fn f32_equivalent_len(payload: &[u8]) -> usize {
+    let word = |at: usize| Some(u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?));
+    let (Some(magic), Some(rank)) = (word(0), word(4)) else {
+        return payload.len();
+    };
+    let enc = match magic {
+        MAGIC_F16 => Encoding::F16,
+        MAGIC_I8 => Encoding::Int8,
+        _ => return payload.len(),
+    };
+    let rank = rank as usize;
+    if rank > 16 {
+        return payload.len();
+    }
+    match payload.len().checked_sub(enc.header_bytes(rank)) {
+        Some(data) => Encoding::F32.header_bytes(rank) + data / enc.elem_bytes() * 4,
+        None => payload.len(),
+    }
+}
+
 /// A tensor frame whose header has been read and checked against the
 /// bytes that follow; the data is still encoded in `body`.
 struct Frame<B> {

@@ -1,47 +1,44 @@
 //! Runtime ISA detection and dispatch for the SIMD compute kernels.
 //!
-//! A hot kernel has up to three bodies: a portable one, which defines
-//! its bits, an AVX2 one (`x86_64`) and a NEON one (`aarch64`). Where the
-//! portable body compiled for AVX2 is as fast as a hand-written one, it
-//! *is* the AVX2 body: the same safe code compiled a second time inside a
-//! `#[target_feature(enable = "avx2")]` (or `"avx2,fma"`) function, which
-//! the compiler vectorises, behind one dispatching call. That holds
-//! for the binary ops, the ReLU family and `scale` below and for the
-//! GEMM tile in `crate::ops::microkernel`. Hand-written AVX2 bodies
-//! stay where the recompiled twin measured slower (`axpy`,
-//! `add_assign`, `absmax`, the direct conv tiles and the 2×2 max-pool),
-//! where the vector form computes differently (the int8 quantiser) and
-//! where the portable form is a different algorithm (the transposing
-//! pack); the NEON tile stays too.
+//! A hot kernel has one body: portable safe code, which defines its
+//! bits. On `x86_64` with AVX2 the same body runs compiled a second time
+//! inside a `#[target_feature(enable = "avx2")]` (or `"avx2,fma"`)
+//! function, which the compiler vectorises, behind one dispatching
+//! `unsafe` call (`kernel!` writes the three for a kernel). That holds
+//! for the binary ops, `axpy`, `add_assign`, `scale`, the ReLU family and
+//! the int8 codec's `absmax` here, and for the GEMM tile, the direct conv
+//! tiles and the 2×2 max-pool under `crate::ops`. A hand-written
+//! intrinsic body stays only where a benchmark workload that runs it
+//! resolves a loss without it: the int8 quantiser's here and the
+//! transposing pack's in `crate::ops::microkernel` (DESIGN §11 lists
+//! both with the runs that keep them).
 //! The active ISA is picked **once** per process from CPU feature
-//! detection, overridable with `MEDSPLIT_ISA=scalar|avx2|neon` for A/B
+//! detection, overridable with `MEDSPLIT_ISA=scalar|avx2|auto` for A/B
 //! testing, and switchable at runtime via [`set_isa`] (benchmarks and
 //! tests use this; it is process-global like
-//! [`crate::pool::set_num_threads`]).
+//! [`crate::pool::set_num_threads`]). Other targets run the portable
+//! bodies as compiled for their baseline (on `aarch64` that includes
+//! NEON and FMA).
 //!
 //! # Bit-identical results across ISAs
 //!
-//! Every implementation of a kernel performs the *same* floating-point
+//! Both compilations of a body perform the *same* floating-point
 //! operations on each output element in the *same* order; vector width
 //! only changes how many independent elements advance per instruction,
 //! never the per-element rounding sequence. Concretely:
 //!
 //! - the GEMM and conv tiles accumulate each output element over `k` in
-//!   ascending order with a **fused** multiply-add per step —
-//!   `vfmadd`/`fmla` lanes, or [`f32::mul_add`] (exactly rounded by IEEE
-//!   754 definition, and compiled to `vfmadd` lanes where FMA is
+//!   ascending order with one [`f32::mul_add`] per step (exactly rounded
+//!   by IEEE 754 definition, and compiled to `vfmadd` lanes where FMA is
 //!   enabled);
 //! - the elementwise kernels use one unfused expression per element
 //!   (`a + b`, `y += alpha * x`, compare-and-select ReLU) on every ISA;
-//!   Rust never contracts the portable one into a fused operation;
+//!   Rust never contracts it into a fused operation;
 //! - the int8 wire codec's `absmax` is an integer max, exact in any
-//!   order; its quantiser is the one exception to "same operations": the
-//!   AVX2 body replaces the reference's f64 division with an f32
+//!   order; its quantiser is the one exception to "same operations":
+//!   the AVX2 body replaces the reference's f64 division with an f32
 //!   reciprocal plus two exact fused sign tests, and is equal to the
 //!   reference by the argument on `avx2::quantize_i8` (and by test).
-//!
-//! The elementwise and int8 kernels have no NEON bodies; `aarch64` runs
-//! their portable code.
 //!
 //! `MEDSPLIT_ISA=scalar` therefore reproduces the SIMD results **to the
 //! bit** (pinned by the `tests/*_golden.rs` files at scalar and auto
@@ -49,7 +46,8 @@
 //! a NaN result with two NaN inputs (two NaN operands, or a NaN factor
 //! times a NaN element): which payload survives is the compilation's
 //! choice of operand order, and the scalar one differs for `+`, `*`,
-//! `scale` and `axpy`. The price: the
+//! `scale`, `axpy`, `add_assign` and the fused chains of the GEMM and
+//! conv tiles. The price: the
 //! portable tiles' `mul_add` compiles to a libm call on targets without
 //! a compile-time FMA guarantee, so the scalar path is a slow
 //! *reference* implementation, not a fast fallback — dispatch exists
@@ -60,31 +58,28 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// The instruction sets the kernels can dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// Portable reference kernels (fused via [`f32::mul_add`]).
+    /// Portable kernels as compiled for the target's baseline (fused via
+    /// [`f32::mul_add`]).
     Scalar,
     /// AVX2 + FMA (`x86_64`), 8-lane `f32` vectors.
     Avx2,
-    /// NEON (`aarch64`), 4-lane `f32` vectors.
-    Neon,
 }
 
 impl Isa {
-    /// Stable lowercase name (`scalar` / `avx2` / `neon`) — the values
-    /// `MEDSPLIT_ISA` accepts.
+    /// Stable lowercase name (`scalar` / `avx2`) — the values
+    /// `MEDSPLIT_ISA` accepts besides `auto`.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
-            Isa::Neon => "neon",
         }
     }
 
     /// Numeric level reported to telemetry (`kernel.isa_level` gauge):
-    /// 0 = scalar, 1 = neon, 2 = avx2.
+    /// 0 = scalar, 2 = avx2.
     pub fn level(self) -> u8 {
         match self {
             Isa::Scalar => 0,
-            Isa::Neon => 1,
             Isa::Avx2 => 2,
         }
     }
@@ -92,7 +87,6 @@ impl Isa {
     fn from_code(code: u8) -> Isa {
         match code {
             2 => Isa::Avx2,
-            3 => Isa::Neon,
             _ => Isa::Scalar,
         }
     }
@@ -101,7 +95,6 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 2,
-            Isa::Neon => 3,
         }
     }
 }
@@ -117,12 +110,6 @@ pub fn detect() -> Isa {
             return Isa::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is a baseline feature of aarch64.
-        return Isa::Neon;
-    }
-    #[allow(unreachable_code)]
     Isa::Scalar
 }
 
@@ -131,10 +118,9 @@ fn resolve() -> Isa {
         Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Isa::Scalar),
             "avx2" => Some(Isa::Avx2),
-            "neon" => Some(Isa::Neon),
             "" | "auto" => None,
             other => {
-                eprintln!("MEDSPLIT_ISA={other:?} not recognised (scalar|avx2|neon|auto); auto-detecting");
+                eprintln!("MEDSPLIT_ISA={other:?} not recognised (scalar|avx2|auto); auto-detecting");
                 None
             }
         },
@@ -158,7 +144,7 @@ fn resolve() -> Isa {
 pub fn supported(isa: Isa) -> bool {
     match isa {
         Isa::Scalar => true,
-        Isa::Avx2 | Isa::Neon => detect() == isa,
+        Isa::Avx2 => detect() == isa,
     }
 }
 
@@ -225,37 +211,45 @@ impl BinOp {
 
 /// Defines a dispatched kernel from its one portable body. The body runs
 /// as written under `Isa::Scalar`; on AVX2 the same body runs compiled a
-/// second time with AVX2 enabled, where the compiler vectorises it eight
-/// lanes wide. Vectorising changes how many elements advance per
-/// instruction, never the operations on one element, so both give the
-/// same bits.
+/// second time with the listed target features (`"avx2"`, or
+/// `"avx2,fma"` where a `mul_add` must become a `vfmadd`), where the
+/// compiler vectorises it eight lanes wide. Vectorising changes how many
+/// elements advance per instruction, never the operations on one
+/// element, so both give the same bits.
 macro_rules! kernel {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {
+    (
+        #[target_feature($features:literal)]
+        $(#[$doc:meta])*
+        $vis:vis fn $name:ident $(<$(const $g:ident: $gt:ty),*>)?
+        ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+    ) => {
         $(#[$doc])*
-        pub(crate) fn $name($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name $(<$(const $g: $gt),*>)? ($($arg: $ty),*) $(-> $ret)? {
             #[inline(always)]
-            fn portable($($arg: $ty),*) $(-> $ret)? $body
+            fn portable $(<$(const $g: $gt),*>)? ($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            fn avx2($($arg: $ty),*) $(-> $ret)? {
-                portable($($arg),*)
+            #[target_feature(enable = $features)]
+            fn avx2 $(<$(const $g: $gt),*>)? ($($arg: $ty),*) $(-> $ret)? {
+                portable $(::<$($g),*>)? ($($arg),*)
             }
 
             #[cfg(target_arch = "x86_64")]
-            if active_isa() == Isa::Avx2 {
+            if $crate::simd::active_isa() == $crate::simd::Isa::Avx2 {
                 // SAFETY: the active ISA is only ever one this host
-                // supports, so AVX2 is available.
-                return unsafe { avx2($($arg),*) };
+                // supports, and AVX2 comes with FMA (`detect`).
+                return unsafe { avx2 $(::<$($g),*>)? ($($arg),*) };
             }
-            portable($($arg),*)
+            portable $(::<$($g),*>)? ($($arg),*)
         }
     };
 }
+pub(crate) use kernel;
 
 kernel! {
+    #[target_feature("avx2")]
     /// `out[i] = a[i] op b[i]`. All slices must have equal length.
-    fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+    pub(crate) fn binary(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
         debug_assert_eq!(a.len(), b.len());
         debug_assert_eq!(a.len(), out.len());
         match op {
@@ -283,39 +277,34 @@ kernel! {
     }
 }
 
-/// `dst[i] += alpha * src[i]` — deliberately *unfused* (separate multiply
-/// and add roundings) on every ISA, matching the historical accumulator
-/// semantics the optimisers were tuned against.
-pub(crate) fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::axpy(alpha, dst, src) };
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += alpha * s;
-    }
-}
-
-/// `dst[i] += src[i]`.
-pub(crate) fn add_assign(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        unsafe { avx2::add_assign(dst, src) };
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
+kernel! {
+    #[target_feature("avx2")]
+    /// `dst[i] += alpha * src[i]` — deliberately *unfused* (separate
+    /// multiply and add roundings) on every ISA, matching the historical
+    /// accumulator semantics the optimisers were tuned against.
+    pub(crate) fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
+        debug_assert_eq!(dst.len(), src.len());
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += alpha * s;
+        }
     }
 }
 
 kernel! {
+    #[target_feature("avx2")]
+    /// `dst[i] += src[i]`.
+    pub(crate) fn add_assign(dst: &mut [f32], src: &[f32]) {
+        debug_assert_eq!(dst.len(), src.len());
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += s;
+        }
+    }
+}
+
+kernel! {
+    #[target_feature("avx2")]
     /// `dst[i] *= s`.
-    fn scale(dst: &mut [f32], s: f32) {
+    pub(crate) fn scale(dst: &mut [f32], s: f32) {
         for d in dst.iter_mut() {
             *d *= s;
         }
@@ -323,12 +312,13 @@ kernel! {
 }
 
 kernel! {
+    #[target_feature("avx2")]
     /// `out[i] = if src[i] > 0 { src[i] } else { 0.0 }`.
     ///
     /// Select-by-comparison rather than `max`: it maps `-0.0` and NaN
     /// inputs to `+0.0` identically on every ISA (vector `max` NaN/zero
     /// semantics differ between instruction sets).
-    fn relu(src: &[f32], out: &mut [f32]) {
+    pub(crate) fn relu(src: &[f32], out: &mut [f32]) {
         debug_assert_eq!(src.len(), out.len());
         for (o, &x) in out.iter_mut().zip(src) {
             *o = if x > 0.0 { x } else { 0.0 };
@@ -337,9 +327,10 @@ kernel! {
 }
 
 kernel! {
+    #[target_feature("avx2")]
     /// ReLU backward: `out[i] = if y[i] > 0 { g[i] } else { 0.0 }`, where
     /// `y` is the cached forward *output*.
-    fn relu_grad(y: &[f32], g: &[f32], out: &mut [f32]) {
+    pub(crate) fn relu_grad(y: &[f32], g: &[f32], out: &mut [f32]) {
         debug_assert_eq!(y.len(), g.len());
         debug_assert_eq!(y.len(), out.len());
         for ((o, &yv), &gv) in out.iter_mut().zip(y).zip(g) {
@@ -349,8 +340,9 @@ kernel! {
 }
 
 kernel! {
+    #[target_feature("avx2")]
     /// Leaky ReLU: `out[i] = if src[i] > 0 { src[i] } else { alpha * src[i] }`.
-    fn leaky_relu(alpha: f32, src: &[f32], out: &mut [f32]) {
+    pub(crate) fn leaky_relu(alpha: f32, src: &[f32], out: &mut [f32]) {
         debug_assert_eq!(src.len(), out.len());
         for (o, &x) in out.iter_mut().zip(src) {
             *o = if x > 0.0 { x } else { alpha * x };
@@ -359,9 +351,10 @@ kernel! {
 }
 
 kernel! {
+    #[target_feature("avx2")]
     /// Leaky ReLU backward against the cached forward *input* `x`:
     /// `out[i] = if x[i] > 0 { g[i] } else { alpha * g[i] }`.
-    fn leaky_relu_grad(alpha: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
+    pub(crate) fn leaky_relu_grad(alpha: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), g.len());
         debug_assert_eq!(x.len(), out.len());
         for ((o, &xv), &gv) in out.iter_mut().zip(x).zip(g) {
@@ -373,25 +366,36 @@ kernel! {
 /// Bit pattern of `+inf`: sign-cleared patterns above it are NaNs.
 const INF_BITS: u32 = 0x7F80_0000;
 
-/// Largest finite-or-infinite `|v|` of the slice, NaNs ignored (a stray
-/// NaN cannot poison the scale of a whole int8 frame); `+0.0` for an
-/// empty or all-NaN slice. Non-negative floats order like their bit
-/// patterns, so this is an integer max — exact, hence equal on every ISA.
-pub(crate) fn absmax(src: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detection guarantees AVX2 is available.
-        return f32::from_bits(unsafe { avx2::absmax_bits(src) });
+kernel! {
+    #[target_feature("avx2")]
+    /// Largest finite-or-infinite `|v|` of the slice, NaNs ignored (a
+    /// stray NaN cannot poison the scale of a whole int8 frame); `+0.0`
+    /// for an empty or all-NaN slice. Non-negative floats order like
+    /// their bit patterns, so this is an integer max — exact in any
+    /// order, hence equal on every ISA. Written as 32 running maxima of
+    /// the sign-cleared patterns (NaN lanes zeroed), which the compiler
+    /// keeps in four 8-lane registers; an iterator fold would stay one
+    /// lane wide.
+    pub(crate) fn absmax(src: &[f32]) -> f32 {
+        const LANES: usize = 32;
+        let magnitude = |v: &f32| {
+            let b = v.to_bits() & 0x7FFF_FFFF;
+            if b > INF_BITS {
+                0
+            } else {
+                b
+            }
+        };
+        let mut acc = [0u32; LANES];
+        let mut chunks = src.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (m, v) in acc.iter_mut().zip(chunk) {
+                *m = (*m).max(magnitude(v));
+            }
+        }
+        let tail = chunks.remainder().iter().map(magnitude).fold(0, u32::max);
+        f32::from_bits(acc.into_iter().fold(tail, u32::max))
     }
-    f32::from_bits(absmax_bits_portable(src))
-}
-
-fn absmax_bits_portable(src: &[f32]) -> u32 {
-    src.iter()
-        .map(|v| v.to_bits() & 0x7FFF_FFFF)
-        .map(|b| if b > INF_BITS { 0 } else { b })
-        .max()
-        .unwrap_or(0)
 }
 
 /// Scales the vector quantiser accepts: both `scale` and `1/scale` are
@@ -439,78 +443,15 @@ fn quantize_one(v: f32, scale: f32) -> i8 {
     (if q < 0.0 { -rounded } else { rounded }) as i8
 }
 
-/// The hand-written AVX2 bodies. The two accumulators and `absmax`
-/// mirror their portable counterparts lane for lane — identical
-/// operations, identical rounding, so results are bit-identical — and stay
-/// because the portable bodies compiled for AVX2 measured slower. The
-/// int8 quantiser uses different operations, proved to give the same
-/// bytes (see `quantize_i8`).
+/// The hand-written AVX2 body of the int8 quantiser, which uses
+/// different operations from its reference, proved to give the same bytes
+/// (see `quantize_i8`), and stays because `train_hier_int8` resolves a
+/// loss without it (DESIGN §11).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
-        let n = dst.len();
-        let va = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            // mul then add (not fmadd): matches the scalar `d + alpha*s`.
-            let r = _mm256_add_ps(d, _mm256_mul_ps(va, s));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), r);
-            i += LANES;
-        }
-        for (d, &s) in dst[i..].iter_mut().zip(&src[i..]) {
-            *d += alpha * s;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-            i += LANES;
-        }
-        for (d, &s) in dst[i..].iter_mut().zip(&src[i..]) {
-            *d += s;
-        }
-    }
-
-    /// The bits of `super::absmax`: four 8-lane running maxima of the
-    /// sign-cleared patterns (NaN lanes zeroed), reduced at the end.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn absmax_bits(src: &[f32]) -> u32 {
-        const STEP: usize = 4 * LANES;
-        let n = src.len();
-        let magnitude = _mm256_set1_epi32(0x7FFF_FFFF);
-        let inf = _mm256_set1_epi32(super::INF_BITS as i32);
-        let lane = |i: usize| {
-            let b = _mm256_and_si256(_mm256_loadu_si256(src.as_ptr().add(i).cast()), magnitude);
-            // Patterns are non-negative here, so a signed compare orders them.
-            _mm256_andnot_si256(_mm256_cmpgt_epi32(b, inf), b)
-        };
-        let mut acc = [_mm256_setzero_si256(); 4];
-        let mut i = 0;
-        while i + STEP <= n {
-            for (k, m) in acc.iter_mut().enumerate() {
-                *m = _mm256_max_epi32(*m, lane(i + k * LANES));
-            }
-            i += STEP;
-        }
-        let m = _mm256_max_epi32(_mm256_max_epi32(acc[0], acc[1]), _mm256_max_epi32(acc[2], acc[3]));
-        let m = _mm_max_epi32(_mm256_castsi256_si128(m), _mm256_extracti128_si256::<1>(m));
-        let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b01_00_11_10>(m));
-        let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b10_11_00_01>(m));
-        (_mm_cvtsi128_si32(m) as u32).max(super::absmax_bits_portable(&src[i..]))
-    }
 
     /// The int8 quantiser, 32 values per step, bit for bit what
     /// `super::quantize_one` gives for a scale in `super::VECTOR_SCALES`.
@@ -571,12 +512,24 @@ mod avx2 {
     }
 }
 
+/// Serialises the crate's tests that flip the process-global active ISA.
+#[cfg(test)]
+static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs `f` under the scalar ISA and then the detected one, holding the
+/// crate's ISA lock, and leaves the detected ISA active.
+#[cfg(test)]
+pub(crate) fn for_each_isa(mut f: impl FnMut(Isa)) {
+    let _g = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for isa in [Isa::Scalar, detect()] {
+        assert!(set_isa(isa));
+        f(isa);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialises tests that flip the process-global active ISA.
-    static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn mk(seed: u32, len: usize) -> Vec<f32> {
         (0..len)
@@ -605,7 +558,6 @@ mod tests {
     fn isa_names_and_levels_are_stable() {
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Avx2.name(), "avx2");
-        assert_eq!(Isa::Neon.name(), "neon");
         assert_eq!(Isa::Scalar.level(), 0);
         assert!(supported(Isa::Scalar));
         assert!(supported(detect()));
@@ -615,9 +567,6 @@ mod tests {
     fn set_isa_rejects_unsupported() {
         let _g = ISA_LOCK.lock().unwrap();
         let host = detect();
-        if host != Isa::Neon {
-            assert!(!set_isa(Isa::Neon));
-        }
         if host != Isa::Avx2 {
             assert!(!set_isa(Isa::Avx2));
         }
@@ -709,6 +658,50 @@ mod tests {
                     let mut got = vec![0xA5; x.len()];
                     quantize_i8(&x, scale, &mut got);
                     assert_eq!(got, want, "{} at scale {m}·2^{e}", isa.name());
+                }
+            }
+        }
+        // Every length from empty through one 32-value step plus one,
+        // starting 0–3 floats past a 32-byte boundary, over ±0, subnormal,
+        // ±inf and NaN values mixed into ordinary ones; at a normal scale
+        // (the vector body) and at a subnormal one (the reference on
+        // every ISA).
+        #[repr(align(32))]
+        struct Aligned([f32; 40]);
+        let mut buf = Aligned([0.0; 40]);
+        let specials = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for (i, v) in buf.0.iter_mut().enumerate() {
+            *v = if i % 3 == 0 {
+                specials[i / 3 % specials.len()]
+            } else {
+                (i as f32 - 20.0) * 0.37
+            };
+        }
+        for scale in [0.05, 1e-40] {
+            let want: Vec<u8> = buf.0.iter().map(|&v| quantize_one(v, scale) as u8).collect();
+            let _g = ISA_LOCK.lock().unwrap();
+            for isa in [Isa::Scalar, detect()] {
+                assert!(set_isa(isa));
+                for start in 0..4 {
+                    for len in 0..=33 {
+                        let mut got = vec![0xA5; len];
+                        quantize_i8(&buf.0[start..start + len], scale, &mut got);
+                        assert_eq!(
+                            got,
+                            want[start..start + len],
+                            "{} at scale {scale}, [{start}..+{len}]",
+                            isa.name()
+                        );
+                    }
                 }
             }
         }
