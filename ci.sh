@@ -110,6 +110,25 @@ if [ "$intrinsics_table" != "$intrinsics_code" ]; then
     diff <(echo "$intrinsics_table") <(echo "$intrinsics_code") >&2 || true
     exit 1
 fi
+# Kernels reach the vector units one way, `simd::kernel!`: outside
+# crates/tensor/src/simd.rs (the macro and `detect`), a
+# `#[target_feature(enable = ...)]` may only sit on a hand-written twin
+# whose function the table's row for its file names, and
+# `is_x86_feature_detected!` may not appear at all.
+intrinsics_rows="$(sed -n '/^<!-- intrinsics-table -->$/,/^<!-- \/intrinsics-table -->$/p' DESIGN.md)"
+hand_rolled="$(grep -rnE --include='*.rs' 'target_feature\(enable|is_x86_feature_detected!' crates src tests examples \
+    | { grep -v '^crates/tensor/src/simd.rs:' || true; } \
+    | while IFS=: read -r file line rest; do
+        twin="$(sed -n "$((line + 1))p" "$file" | grep -oE '\bfn [A-Za-z0-9_]+' | cut -c4-)"
+        if [ -z "$twin" ] || ! echo "$intrinsics_rows" | grep -F "\`$file\`" | grep -qF "\`$twin\`"; then
+            echo "$file:$line:$rest"
+        fi
+    done)"
+if [ -n "$hand_rolled" ]; then
+    echo "ci.sh: dispatch outside simd::kernel! and the DESIGN §11 twins (write the body under simd::kernel!):" >&2
+    echo "$hand_rolled" >&2
+    exit 1
+fi
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -165,11 +184,10 @@ cargo test -q --release --offline --test gemm_golden
 cargo test -q --release --offline --test parallel_kernels -- matmul_family packed_gemm
 
 echo "==> elementwise, int8 encoder and planned serving forward again under --release"
-# The in-place elementwise kernels, absmax and the int8 quantiser have
-# hand-written AVX2 bodies with scalar tails, the other elementwise
-# kernels are portable bodies the compiler vectorises, and the planned
-# forward reads cached weight panels: a tail or panel index one off is
-# a slice panic in debug and a wrong value in release. The golden digests (committed before the cross-ISA
+# The elementwise kernels, absmax and the int8 quantiser are portable
+# bodies the compiler vectorises, with tails past their vector steps,
+# and the planned forward reads cached weight panels: a tail or panel
+# index one off is a slice panic in debug and a wrong value in release. The golden digests (committed before the cross-ISA
 # kernel and plan digests they replaced were deleted) run in both.
 cargo test -q --release --offline --test kernel_golden
 
@@ -178,9 +196,7 @@ echo "==> miri (unsafe microkernel, simd, scratch, conv and pool modules)"
 # unit tests. Both need rustup components this offline image may lack,
 # so the job is availability-gated rather than required. What it would
 # cover: the `unsafe` lines the DESIGN §11 table counts per file (the
-# step above keeps it current), all in crates/tensor but the AVX2
-# checksum dispatch in crates/simnet/src/message.rs, which this job does
-# not run.
+# step above keeps it current), all in crates/tensor.
 if cargo miri --version >/dev/null 2>&1; then
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p medsplit-tensor --offline \
         --lib -- microkernel:: simd:: scratch:: ops::conv:: ops::pool::

@@ -58,8 +58,10 @@ pub enum TomlVal {
     Float(f64),
     /// `true` / `false`.
     Bool(bool),
-    /// A homogeneous-ish list of scalars.
-    List(Vec<TomlVal>),
+    /// A list of scalars, kept as the text between its brackets until the
+    /// validation reads it as strings or integers, which parses the items
+    /// and stores them once, at their count.
+    List(String),
 }
 
 impl TomlVal {
@@ -137,30 +139,21 @@ fn parse_value(line_no: usize, s: &str) -> Result<TomlVal, ManifestError> {
         let Some(body) = body.strip_suffix(']') else {
             return err(line_no, format!("unterminated list {s:?}"));
         };
-        let body = body.trim();
-        let mut items = Vec::new();
-        if !body.is_empty() {
-            // Split on commas outside quotes (strings in manifests never
-            // contain commas-in-quotes per the axis-value grammar, but be
-            // correct anyway).
-            let mut depth_quote = false;
-            let mut start = 0usize;
-            let bytes = body.as_bytes();
-            for (i, &b) in bytes.iter().enumerate() {
-                match b {
-                    b'"' => depth_quote = !depth_quote,
-                    b',' if !depth_quote => {
-                        items.push(parse_scalar(line_no, &body[start..i])?);
-                        start = i + 1;
-                    }
-                    _ => {}
-                }
-            }
-            items.push(parse_scalar(line_no, &body[start..])?);
-        }
-        return Ok(TomlVal::List(items));
+        return Ok(TomlVal::List(body.trim().to_string()));
     }
     parse_scalar(line_no, s)
+}
+
+/// The items of a list's body: split on commas outside quotes (strings
+/// in manifests never contain commas-in-quotes per the axis-value
+/// grammar, but be correct anyway); none for an empty body.
+fn list_items(body: &str) -> impl Iterator<Item = &str> {
+    let mut quoted = false;
+    let items = body.split(move |c| {
+        quoted ^= c == '"';
+        c == ',' && !quoted
+    });
+    (!body.is_empty()).then_some(items).into_iter().flatten()
 }
 
 /// Parses the TOML subset into sections. The implicit top-level section
@@ -349,30 +342,35 @@ fn take_usize(
     }
 }
 
-fn take_str_list(
+/// The axis `key` as a non-empty list of `what`: each item parsed as a
+/// scalar and kept if `pick` accepts it. The items are counted before the
+/// output is allocated, so a long list costs its elements' size once.
+fn take_list<T>(
     table: &mut BTreeMap<String, (usize, TomlVal)>,
     key: &str,
-) -> Result<Option<Vec<String>>, ManifestError> {
+    what: &str,
+    pick: fn(TomlVal) -> Result<T, TomlVal>,
+) -> Result<Option<Vec<T>>, ManifestError> {
     match table.remove(key) {
         None => Ok(None),
-        Some((line, TomlVal::List(items))) => {
-            if items.is_empty() {
+        Some((line, TomlVal::List(body))) => {
+            let mut out = Vec::with_capacity(list_items(&body).count());
+            for item in list_items(&body) {
+                match pick(parse_scalar(line, item)?) {
+                    Ok(v) => out.push(v),
+                    Err(other) => {
+                        return err(
+                            line,
+                            format!("axis `{key}` must list {what}, got {}", other.type_name()),
+                        )
+                    }
+                }
+            }
+            if out.is_empty() {
                 return err(
                     line,
                     format!("axis `{key}` is an empty list — the matrix would be empty"),
                 );
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    TomlVal::Str(s) => out.push(s),
-                    other => {
-                        return err(
-                            line,
-                            format!("axis `{key}` must list strings, got {}", other.type_name()),
-                        )
-                    }
-                }
             }
             Ok(Some(out))
         }
@@ -383,38 +381,24 @@ fn take_str_list(
     }
 }
 
+fn take_str_list(
+    table: &mut BTreeMap<String, (usize, TomlVal)>,
+    key: &str,
+) -> Result<Option<Vec<String>>, ManifestError> {
+    take_list(table, key, "strings", |v| match v {
+        TomlVal::Str(s) => Ok(s),
+        other => Err(other),
+    })
+}
+
 fn take_int_list(
     table: &mut BTreeMap<String, (usize, TomlVal)>,
     key: &str,
 ) -> Result<Option<Vec<i64>>, ManifestError> {
-    match table.remove(key) {
-        None => Ok(None),
-        Some((line, TomlVal::List(items))) => {
-            if items.is_empty() {
-                return err(
-                    line,
-                    format!("axis `{key}` is an empty list — the matrix would be empty"),
-                );
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    TomlVal::Int(i) => out.push(i),
-                    other => {
-                        return err(
-                            line,
-                            format!("axis `{key}` must list integers, got {}", other.type_name()),
-                        )
-                    }
-                }
-            }
-            Ok(Some(out))
-        }
-        Some((line, v)) => err(
-            line,
-            format!("axis `{key}` must be a list, got {}", v.type_name()),
-        ),
-    }
+    take_list(table, key, "integers", |v| match v {
+        TomlVal::Int(i) => Ok(i),
+        other => Err(other),
+    })
 }
 
 fn reject_unknown(section: &str, table: &BTreeMap<String, (usize, TomlVal)>) -> Result<(), ManifestError> {

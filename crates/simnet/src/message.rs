@@ -168,92 +168,79 @@ const CHECKSUM_LANES: usize = 8;
 /// latency. Under AVX2 code generation each chain is one vector register.
 const CHECKSUM_WIDE_LANES: usize = 64;
 
-/// The payload checksum carried by every [`Envelope`]: a word-wise
-/// multiplicative hash. The payload is read as little-endian `u32` words,
-/// and every word goes through one step `h = (h ^ w) * P`:
-/// 1. If the payload holds at least one whole 256-byte block, 64 lanes
-///    start at the basis, word `i` of each whole 256-byte block goes
-///    through lane `i`, and the lanes then fold into eight: lane `j`
-///    absorbs lane `j + 32` as its word, then lane `j + 16`, then lane
-///    `j + 8`. Otherwise eight lanes start at the basis.
-/// 2. Word `i` of each whole 32-byte block of what remains goes through
-///    lane `i` of the eight.
-/// 3. The eight lanes, the up to seven words after the last whole block,
-///    the zero-padded byte tail and the length are folded through the
-///    same step.
-///
-/// Below 256 bytes step 1 does nothing, so short payloads keep the value
-/// of the eight-lane definition. On x86-64 with AVX2, a payload of 256
-/// bytes or more runs the same safe body compiled for AVX2; the value is
-/// the same on every CPU.
-///
-/// Not cryptographic: it exists so that *injected* bit corruption (see
-/// `ChaosTransport`) is detected at the receiver instead of being
-/// silently trained on. Every change confined to one aligned word — so
-/// every single-bit and single-byte flip — is detected with certainty:
-/// the step is injective in `w`, so the state right after the changed
-/// word differs, and every later step is a bijection of the state it
-/// updates; in the fold a changed lane enters one step, as the state or
-/// as the word, so the difference survives to the end.
-pub fn payload_checksum(bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= 4 * CHECKSUM_WIDE_LANES && is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked just above.
-        return unsafe { checksum_avx2(bytes) };
-    }
-    checksum_portable(bytes)
-}
-
-/// [`checksum_portable`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn checksum_avx2(bytes: &[u8]) -> u32 {
-    checksum_portable(bytes)
-}
-
-/// The body of [`payload_checksum`], in safe portable code.
-#[inline(always)]
-fn checksum_portable(bytes: &[u8]) -> u32 {
-    let mix = |h: u32, w: u32| (h ^ w).wrapping_mul(CHECKSUM_PRIME);
-    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    let mut lanes = [CHECKSUM_BASIS; CHECKSUM_LANES];
-    let mut wide_blocks = bytes.chunks_exact(4 * CHECKSUM_WIDE_LANES);
-    if wide_blocks.len() > 0 {
-        // Lane `i` of the 64 is lane `i % 8` of vector `i / 8`.
-        let mut wide = [[CHECKSUM_BASIS; CHECKSUM_LANES]; CHECKSUM_WIDE_LANES / CHECKSUM_LANES];
-        for block in &mut wide_blocks {
-            for (vector, words) in wide.iter_mut().zip(block.chunks_exact(4 * CHECKSUM_LANES)) {
-                for (lane, w) in vector.iter_mut().zip(words.chunks_exact(4)) {
-                    *lane = mix(*lane, word(w));
+medsplit_tensor::kernel! {
+    #[target_feature("avx2")]
+    /// The payload checksum carried by every [`Envelope`]: a word-wise
+    /// multiplicative hash. The payload is read as little-endian `u32` words,
+    /// and every word goes through one step `h = (h ^ w) * P`:
+    /// 1. If the payload holds at least one whole 256-byte block, 64 lanes
+    ///    start at the basis, word `i` of each whole 256-byte block goes
+    ///    through lane `i`, and the lanes then fold into eight: lane `j`
+    ///    absorbs lane `j + 32` as its word, then lane `j + 16`, then lane
+    ///    `j + 8`. Otherwise eight lanes start at the basis.
+    /// 2. Word `i` of each whole 32-byte block of what remains goes through
+    ///    lane `i` of the eight.
+    /// 3. The eight lanes, the up to seven words after the last whole block,
+    ///    the zero-padded byte tail and the length are folded through the
+    ///    same step.
+    ///
+    /// Below 256 bytes step 1 does nothing, so short payloads keep the value
+    /// of the eight-lane definition. The body is one safe portable function
+    /// behind the tensor kernels' dispatch (`medsplit_tensor::kernel!`): on
+    /// x86-64 with AVX2 active it runs compiled for AVX2, under
+    /// `MEDSPLIT_ISA=scalar` as written; integer steps only, so the value is
+    /// the same on every CPU and ISA.
+    ///
+    /// Not cryptographic: it exists so that *injected* bit corruption (see
+    /// `ChaosTransport`) is detected at the receiver instead of being
+    /// silently trained on. Every change confined to one aligned word — so
+    /// every single-bit and single-byte flip — is detected with certainty:
+    /// the step is injective in `w`, so the state right after the changed
+    /// word differs, and every later step is a bijection of the state it
+    /// updates; in the fold a changed lane enters one step, as the state or
+    /// as the word, so the difference survives to the end.
+    pub fn payload_checksum(bytes: &[u8]) -> u32 {
+        let mix = |h: u32, w: u32| (h ^ w).wrapping_mul(CHECKSUM_PRIME);
+        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let mut lanes = [CHECKSUM_BASIS; CHECKSUM_LANES];
+        let mut wide_blocks = bytes.chunks_exact(4 * CHECKSUM_WIDE_LANES);
+        if wide_blocks.len() > 0 {
+            // Lane `i` of the 64 is lane `i % 8` of vector `i / 8`.
+            let mut wide = [[CHECKSUM_BASIS; CHECKSUM_LANES]; CHECKSUM_WIDE_LANES / CHECKSUM_LANES];
+            for block in &mut wide_blocks {
+                for (vector, words) in wide.iter_mut().zip(block.chunks_exact(4 * CHECKSUM_LANES)) {
+                    for (lane, w) in vector.iter_mut().zip(words.chunks_exact(4)) {
+                        *lane = mix(*lane, word(w));
+                    }
                 }
             }
-        }
-        // Vector `v` absorbs vector `v + half`: lane `j` absorbs lane
-        // `j + 32`, then `j + 16`, then `j + 8`.
-        for half in [4, 2, 1] {
-            let (low, high) = wide.split_at_mut(half);
-            for (vector, absorbed) in low.iter_mut().zip(&*high) {
-                for (lane, &w) in vector.iter_mut().zip(absorbed) {
-                    *lane = mix(*lane, w);
+            // Vector `v` absorbs vector `v + half`: lane `j` absorbs lane
+            // `j + 32`, then `j + 16`, then `j + 8`.
+            for half in [4, 2, 1] {
+                let (low, high) = wide.split_at_mut(half);
+                for (vector, absorbed) in low.iter_mut().zip(&*high) {
+                    for (lane, &w) in vector.iter_mut().zip(absorbed) {
+                        *lane = mix(*lane, w);
+                    }
                 }
             }
+            lanes = wide[0];
         }
-        lanes = wide[0];
-    }
-    let mut blocks = wide_blocks.remainder().chunks_exact(4 * CHECKSUM_LANES);
-    for block in &mut blocks {
-        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
-            *lane = mix(*lane, word(w));
+        let mut blocks = wide_blocks.remainder().chunks_exact(4 * CHECKSUM_LANES);
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+                *lane = mix(*lane, word(w));
+            }
         }
+        let mut hash = lanes.into_iter().fold(CHECKSUM_BASIS, mix);
+        let mut words = blocks.remainder().chunks_exact(4);
+        for w in &mut words {
+            hash = mix(hash, word(w));
+        }
+        let mut tail = [0u8; 4];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        mix(mix(hash, u32::from_le_bytes(tail)), bytes.len() as u32)
     }
-    let mut hash = lanes.into_iter().fold(CHECKSUM_BASIS, mix);
-    let mut words = blocks.remainder().chunks_exact(4);
-    for w in &mut words {
-        hash = mix(hash, word(w));
-    }
-    let mut tail = [0u8; 4];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    mix(mix(hash, u32::from_le_bytes(tail)), bytes.len() as u32)
 }
 
 /// Bytes [`Envelope::encode`] writes before the payload; the last eight
@@ -849,19 +836,29 @@ mod tests {
         assert_eq!(miss, Some(4 * CHECKSUM_WIDE_LANES));
     }
 
-    /// The dispatched checksum (compiled for AVX2 where the CPU has it)
-    /// equals the portable body at every length across four wide blocks,
-    /// on varied, all-zero and all-ones bytes.
+    /// The dispatched checksum equals its definition at every length
+    /// across four wide blocks, on varied, all-zero and all-ones bytes,
+    /// under the scalar ISA and the detected one (AVX2 where the CPU has
+    /// it). The ISA is process-global; every test here computes the same
+    /// value under either, so the switch cannot disturb them.
     #[test]
     fn dispatched_checksum_equals_portable_body() {
+        use medsplit_tensor::simd;
         let varied: Vec<u8> = (0..1100u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
             .collect();
-        for bytes in [varied, vec![0; 1100], vec![0xFF; 1100]] {
-            for len in 0..=bytes.len() {
-                let b = &bytes[..len];
-                assert_eq!(payload_checksum(b), checksum_portable(b), "length {len}");
-                assert_eq!(payload_checksum(b), checksum_by_definition(b), "length {len}");
+        for isa in [simd::Isa::Scalar, simd::detect()] {
+            assert!(simd::set_isa(isa));
+            for bytes in [&varied, &vec![0; 1100], &vec![0xFF; 1100]] {
+                for len in 0..=bytes.len() {
+                    let b = &bytes[..len];
+                    assert_eq!(
+                        payload_checksum(b),
+                        checksum_by_definition(b),
+                        "{} length {len}",
+                        isa.name()
+                    );
+                }
             }
         }
     }

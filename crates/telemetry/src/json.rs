@@ -224,6 +224,38 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
+/// The number of elements of the array whose body starts `body`, counted
+/// before any is parsed so that the array is allocated once, at its
+/// size: the non-blank runs between top-level commas up to the closing
+/// bracket (or the end of the text), strings and nested brackets
+/// skipped. Exact for a well-formed array, and never more than one
+/// element per two bytes of body otherwise.
+fn count_elements(body: &[u8]) -> usize {
+    let (mut depth, mut count, mut filled) = (0usize, 0, false);
+    let (mut in_str, mut escaped) = (false, false);
+    for &b in body {
+        if in_str {
+            (in_str, escaped) = (escaped || b != b'"', !escaped && b == b'\\');
+            continue;
+        }
+        match b {
+            b']' | b'}' if depth == 0 => break,
+            b']' | b'}' => depth -= 1,
+            b',' if depth == 0 => {
+                count += usize::from(filled);
+                filled = false;
+            }
+            b if b.is_ascii_whitespace() => {}
+            _ => {
+                depth += usize::from(matches!(b, b'[' | b'{'));
+                in_str = b == b'"';
+                filled = true;
+            }
+        }
+    }
+    count + usize::from(filled)
+}
+
 fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
@@ -267,7 +299,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Resul
         }
         b'[' => {
             *pos += 1;
-            let mut items = Vec::new();
+            let mut items = Vec::with_capacity(count_elements(&bytes[*pos..]));
             skip_ws(bytes, pos);
             if bytes.get(*pos) == Some(&b']') {
                 *pos += 1;
@@ -389,6 +421,28 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), doc);
         // Canonical: serialising the parse is byte-identical.
         assert_eq!(to_string(&parse(&text).unwrap()), text);
+    }
+
+    /// Arrays are counted before they are allocated: exactly on
+    /// well-formed bodies (strings with brackets, commas and escaped
+    /// quotes, nested arrays and objects), and only non-blank runs on
+    /// malformed ones.
+    #[test]
+    fn array_elements_are_counted_before_allocation() {
+        for (body, count) in [
+            (&b" ]"[..], 0),
+            (b"1]", 1),
+            (b"1, [2, 3], \"a,]\\\",\", {\"k\": [4, 5]}, null] , 9", 5),
+            (b"0,0,0", 3),
+            (b",, ,]", 0),
+        ] {
+            assert_eq!(count_elements(body), count, "{}", String::from_utf8_lossy(body));
+        }
+        let doc = format!("[{}0]", "0,".repeat(999));
+        match parse(&doc).unwrap() {
+            Json::Arr(items) => assert_eq!((items.len(), items.capacity()), (1000, 1000)),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

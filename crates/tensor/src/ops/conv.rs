@@ -923,49 +923,60 @@ fn backward_with(
     let pstride = o * rows + o;
     let nchunks = n.div_ceil(BWD_CHUNK);
     let mut partials = vec![0.0f32; nchunks * pstride];
-    let dx = dx.map(|(grad_input, wt_g)| (pool::RawSliceMut::new(grad_input.as_mut_slice()), wt_g));
     // One GEMM (dW) of `o·rows·ncols` multiply-accumulates per image, and
     // a second (dX) when the input gradient is wanted.
     let macs = (1 + usize::from(dx.is_some())) * n * o * rows * ncols;
     let image = c * h * w;
     let (gtiles, gstride) = (o.div_ceil(NR), o.div_ceil(NR) * ncols * NR);
-    pool::parallel_chunks_mut_sized(&mut partials, pstride, macs, |chunk_idx, partial| {
-        let (gw_part, gb_part) = partial.split_at_mut(o * rows);
-        let lo_img = chunk_idx * BWD_CHUNK;
-        let hi_img = (lo_img + BWD_CHUNK).min(n);
-        let count = hi_img - lo_img;
-        // dW += G·colsᵀ over the whole chunk: each image's `Gᵀ` packed
-        // once, its im2col rows read in place from the padded copies.
-        lo.with_padded(&src[lo_img * image..hi_img * image], count, |padded| {
-            scratch::with_f32(count * gstride, |gt| {
-                for (i, gt_img) in (lo_img..hi_img).zip(gt.chunks_exact_mut(gstride.max(1))) {
-                    let gmat = &g[i * o * ncols..(i + 1) * o * ncols];
-                    for (t, tile) in gt_img.chunks_exact_mut(ncols * NR).enumerate().take(gtiles) {
-                        microkernel::pack_b_tile(gmat, 1, ncols, t * NR, NR.min(o - t * NR), ncols, tile);
+    // Without an input gradient the second slice is empty and every
+    // chunk of it too.
+    let (grad_input, wt_g) = match dx {
+        Some((grad_input, wt_g)) => (grad_input.as_mut_slice(), Some(wt_g)),
+        None => (&mut [][..], None),
+    };
+    let gi_chunk = BWD_CHUNK * image;
+    pool::parallel_chunks2_mut_sized(
+        &mut partials,
+        pstride,
+        grad_input,
+        gi_chunk.max(1),
+        macs,
+        |chunk_idx, partial, gi| {
+            let (gw_part, gb_part) = partial.split_at_mut(o * rows);
+            let lo_img = chunk_idx * BWD_CHUNK;
+            let hi_img = (lo_img + BWD_CHUNK).min(n);
+            let count = hi_img - lo_img;
+            // dW += G·colsᵀ over the whole chunk: each image's `Gᵀ` packed
+            // once, its im2col rows read in place from the padded copies.
+            lo.with_padded(&src[lo_img * image..hi_img * image], count, |padded| {
+                scratch::with_f32(count * gstride, |gt| {
+                    for (i, gt_img) in (lo_img..hi_img).zip(gt.chunks_exact_mut(gstride.max(1))) {
+                        let gmat = &g[i * o * ncols..(i + 1) * o * ncols];
+                        for (t, tile) in gt_img.chunks_exact_mut(ncols * NR).enumerate().take(gtiles) {
+                            microkernel::pack_b_tile(gmat, 1, ncols, t * NR, NR.min(o - t * NR), ncols, tile);
+                        }
                     }
-                }
-                weight_grad_direct(padded, &lo, gt, count, o, gw_part);
-            });
-        });
-        for i in lo_img..hi_img {
-            let gmat = &g[i * o * ncols..(i + 1) * o * ncols];
-            if let Some((gi, wt_g)) = &dx {
-                // dcols = Wᵀ · G, then scatter back to image space.
-                scratch::with_f32(rows * ncols, |dcols| {
-                    dcols.fill(0.0);
-                    wt_g(gmat, dcols);
-                    // SAFETY: image `i` belongs to exactly one chunk, so
-                    // the reborrowed region is exclusive to this task.
-                    let img = unsafe { gi.slice(i * image, (i + 1) * image) };
-                    lo.through_padded(img, |padded| col2im_single(dcols, &lo, padded));
+                    weight_grad_direct(padded, &lo, gt, count, o, gw_part);
                 });
+            });
+            for i in lo_img..hi_img {
+                let gmat = &g[i * o * ncols..(i + 1) * o * ncols];
+                if let Some(wt_g) = &wt_g {
+                    // dcols = Wᵀ · G, then scatter back to image space.
+                    scratch::with_f32(rows * ncols, |dcols| {
+                        dcols.fill(0.0);
+                        wt_g(gmat, dcols);
+                        let img = &mut gi[(i - lo_img) * image..][..image];
+                        lo.through_padded(img, |padded| col2im_single(dcols, &lo, padded));
+                    });
+                }
+                // db += row sums of G
+                for (oc, gb) in gb_part.iter_mut().enumerate() {
+                    *gb += gmat[oc * ncols..(oc + 1) * ncols].iter().sum::<f32>();
+                }
             }
-            // db += row sums of G
-            for (oc, gb) in gb_part.iter_mut().enumerate() {
-                *gb += gmat[oc * ncols..(oc + 1) * ncols].iter().sum::<f32>();
-            }
-        }
-    });
+        },
+    );
     for chunk in partials.chunks_exact(pstride) {
         let (gw_part, gb_part) = chunk.split_at(o * rows);
         for (dst, &v) in grad_weight.as_mut_slice().iter_mut().zip(gw_part) {

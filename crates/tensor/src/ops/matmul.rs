@@ -35,6 +35,7 @@ use crate::error::{Result, TensorError};
 use crate::ops::microkernel::{self, MR, NR};
 use crate::pool;
 use crate::scratch;
+use crate::simd;
 use crate::tensor::Tensor;
 
 /// Output row-panel height: the unit of parallel work distribution.
@@ -110,58 +111,39 @@ pub(crate) enum PanelsA<'a> {
     Packed(&'a [f32]),
 }
 
-/// The kb/jt tile loops over one MR-row block: streams the packed A
-/// panel (`ap_all`, `k*MR` floats) and the whole packed B (`bpack`,
-/// `nt*k*NR`) through the register kernel. Shared verbatim by the
-/// per-call path and the plan-cached paths, so both produce identical
-/// per-element operation sequences — the bit-identity contract.
-#[allow(clippy::too_many_arguments)]
-fn compute_row_block(
-    kernel: microkernel::TileKernel,
-    ap_all: &[f32],
-    bpack: &[f32],
-    panel: &mut [f32],
-    ib: usize,
-    mr: usize,
-    k: usize,
-    n: usize,
-    nt: usize,
-    kc: usize,
-) {
-    for kb in (0..k).step_by(kc) {
-        let kcur = (k - kb).min(kc);
-        let ap = ap_all[kb * MR..].as_ptr();
-        for jt in 0..nt {
-            let j0 = jt * NR;
-            let cols = NR.min(n - j0);
-            let bp = bpack[jt * k * NR + kb * NR..].as_ptr();
-            if mr == MR && cols == NR {
-                // SAFETY: the full MR×NR tile at `panel[ib*n + j0]` with
-                // row stride `n` is in bounds; packs are sized `k*MR` /
-                // `k*NR` past the `kb` offsets; `bp` is 64-byte aligned
-                // (pack buffers come from the aligned scratch arena or a
-                // plan's aligned panel store, and `NR` floats are a whole
-                // cache line); `kernel` came from `tile_kernel()` so the
-                // ISA is available.
-                unsafe { kernel(kcur, ap, MR, bp, panel.as_mut_ptr().add(ib * n + j0), n) };
-            } else {
-                // Edge tile: stage through a full MR×NR buffer (valid C
-                // in the live region, zeros elsewhere; the packs are
-                // zero-padded so dead lanes accumulate 0) and run the
-                // identical kernel — same per-element op order as
-                // interior tiles.
-                let mut stage = [0.0f32; MR * NR];
-                for (r, srow) in stage.chunks_exact_mut(NR).enumerate().take(mr) {
-                    let co = (ib + r) * n + j0;
-                    srow[..cols].copy_from_slice(&panel[co..co + cols]);
-                }
-                // SAFETY: `stage` is a full MR×NR tile with ldc = NR;
-                // pack bounds as above. (The AVX2 kernel loads B aligned;
-                // the stage buffer is only ever C.)
-                unsafe { kernel(kcur, ap, MR, bp, stage.as_mut_ptr(), NR) };
-                for (r, srow) in stage.chunks_exact(NR).enumerate().take(mr) {
-                    let co = (ib + r) * n + j0;
-                    panel[co..co + cols].copy_from_slice(&srow[..cols]);
+simd::kernel! {
+    #[target_feature("avx2,fma")]
+    /// The kb/jt tile loops over one MR-row block `c` (`mr ≤ MR` whole
+    /// rows of C, row stride `n`): streams the packed A panel (`ap_all`,
+    /// `k*MR` floats) and the whole packed B (`bpack`, `nt*k*NR`) through
+    /// the register tile, blocked by `kc` in depth. Shared verbatim by the
+    /// per-call path and the plan-cached paths, so both produce identical
+    /// per-element operation sequences — the bit-identity contract. The
+    /// one ISA dispatch per row block: every tile inlines into it.
+    fn compute_row_block(ap_all: &[f32], bpack: &[f32], c: &mut [f32], k: usize, n: usize, kc: usize) {
+        let mr = c.len() / n;
+        for kb in (0..k).step_by(kc) {
+            let kcur = (k - kb).min(kc);
+            let ap = &ap_all[kb * MR..][..kcur * MR];
+            for (jt, j0) in (0..n).step_by(NR).enumerate() {
+                let cols = NR.min(n - j0);
+                let bp = &bpack[jt * k * NR + kb * NR..][..kcur * NR];
+                if mr == MR && cols == NR {
+                    microkernel::tile::<MR>(ap, bp, &mut c[j0..], n);
+                } else {
+                    // Edge tile: stage through a full MR×NR buffer (valid
+                    // C in the live region, zeros elsewhere; the packs are
+                    // zero-padded so dead lanes accumulate 0) and run the
+                    // identical tile — same per-element op order as
+                    // interior tiles.
+                    let mut stage = [0.0f32; MR * NR];
+                    for (srow, crow) in stage.chunks_exact_mut(NR).zip(c.chunks_exact(n)) {
+                        srow[..cols].copy_from_slice(&crow[j0..j0 + cols]);
+                    }
+                    microkernel::tile::<MR>(ap, bp, &mut stage, NR);
+                    for (srow, crow) in stage.chunks_exact(NR).zip(c.chunks_exact_mut(n)) {
+                        crow[j0..j0 + cols].copy_from_slice(&srow[..cols]);
+                    }
                 }
             }
         }
@@ -208,10 +190,8 @@ pub(crate) fn gemm_compute_packed_b(
             return;
         }
     }
-    let kernel = microkernel::tile_kernel();
-    let nt = n.div_ceil(NR);
     let kc = kc_block(k);
-    debug_assert_eq!(bpack.len(), nt * k * NR);
+    debug_assert_eq!(bpack.len(), n.div_ceil(NR) * k * NR);
     pool::parallel_chunks_mut_sized(c, row_block * n, m * k * n, |pi, panel| {
         let i0 = pi * row_block;
         let rows = panel.len() / n;
@@ -220,17 +200,15 @@ pub(crate) fn gemm_compute_packed_b(
         }
         match a {
             PanelsA::Strided { src, rs, cs } => scratch::with_f32(k * MR, |apack| {
-                for ib in (0..rows).step_by(MR) {
-                    let mr = (rows - ib).min(MR);
-                    microkernel::pack_a_panel(src, rs, cs, i0 + ib, mr, k, apack);
-                    compute_row_block(kernel, apack, bpack, panel, ib, mr, k, n, nt, kc);
+                for (ib, block) in (0..rows).step_by(MR).zip(panel.chunks_mut(MR * n)) {
+                    microkernel::pack_a_panel(src, rs, cs, i0 + ib, block.len() / n, k, apack);
+                    compute_row_block(apack, bpack, block, k, n, kc);
                 }
             }),
             PanelsA::Packed(panels) => {
-                for ib in (0..rows).step_by(MR) {
-                    let mr = (rows - ib).min(MR);
+                for (ib, block) in (0..rows).step_by(MR).zip(panel.chunks_mut(MR * n)) {
                     let panel_a = &panels[((i0 + ib) / MR) * k * MR..][..k * MR];
-                    compute_row_block(kernel, panel_a, bpack, panel, ib, mr, k, n, nt, kc);
+                    compute_row_block(panel_a, bpack, block, k, n, kc);
                 }
             }
         }
@@ -267,56 +245,51 @@ fn gemm_compute_swapped(
     n: usize,
     accumulate: bool,
 ) {
-    // The kernel reads the tile unchecked: hold its extent once per call.
     assert!(
         btile.len() >= k * NR && n.div_ceil(MR) * MR <= NR,
         "swapped GEMM: tile of {} for k={k}, n={n}",
         btile.len()
     );
-    let kernel = microkernel::tile_kernel();
     let task_rows = swapped_rows(m);
     pool::parallel_chunks_mut_sized(c, task_rows * n, m * k * n, |ti, chunk| {
         let i0 = ti * task_rows;
-        let rows = chunk.len() / n;
         scratch::with_f32(k * NR, |apack| {
-            for j0 in (0..rows).step_by(NR) {
-                let cols = NR.min(rows - j0);
-                microkernel::pack_b_tile(src, cs, rs, i0 + j0, cols, k, apack);
-                for ib in (0..n).step_by(MR) {
-                    let mr = MR.min(n - ib);
-                    let mut stage = [0.0f32; MR * NR];
-                    if accumulate {
-                        for (r, srow) in stage.chunks_exact_mut(NR).enumerate().take(mr) {
-                            for (jr, v) in srow[..cols].iter_mut().enumerate() {
-                                *v = chunk[(j0 + jr) * n + ib + r];
-                            }
-                        }
-                    }
-                    // SAFETY: the A reads `btile[ib + p*NR + ir]` end
-                    // before `ib + MR + (k-1)*NR <= k*NR` because
-                    // `ib + MR <= n.div_ceil(MR)*MR <= NR`; `apack` is a
-                    // 64-byte-aligned `k*NR` tile from the scratch arena;
-                    // `stage` is a full MR×NR tile with ldc = NR; `kernel`
-                    // came from `tile_kernel()`.
-                    unsafe {
-                        kernel(
-                            k,
-                            btile[ib..].as_ptr(),
-                            NR,
-                            apack.as_ptr(),
-                            stage.as_mut_ptr(),
-                            NR,
-                        )
-                    };
-                    for (r, srow) in stage.chunks_exact(NR).enumerate().take(mr) {
-                        for (jr, &v) in srow[..cols].iter().enumerate() {
-                            chunk[(j0 + jr) * n + ib + r] = v;
-                        }
-                    }
-                }
+            for (j0, block) in (0..).step_by(NR).zip(chunk.chunks_mut(NR * n)) {
+                microkernel::pack_b_tile(src, cs, rs, i0 + j0, block.len() / n, k, apack);
+                swapped_block(&btile[..k * NR], apack, block, n, accumulate);
             }
         });
     });
+}
+
+simd::kernel! {
+    #[target_feature("avx2,fma")]
+    /// One NR-row block `c` of the swapped orientation (`cols ≤ NR` whole
+    /// rows of C, row stride `n`), its A rows packed as the B tile
+    /// `apack`: every MR panel of `btile` read as A (depth stride NR)
+    /// through the register tile in an on-stack stage, seeded from C when
+    /// `accumulate` and landing in C transposed. The one ISA dispatch per
+    /// block: every tile inlines into it.
+    fn swapped_block(btile: &[f32], apack: &[f32], c: &mut [f32], n: usize, accumulate: bool) {
+        let cols = c.len() / n;
+        for ib in (0..n).step_by(MR) {
+            let mr = MR.min(n - ib);
+            let mut stage = [0.0f32; MR * NR];
+            if accumulate {
+                for (r, srow) in stage.chunks_exact_mut(NR).enumerate().take(mr) {
+                    for (v, crow) in srow[..cols].iter_mut().zip(c.chunks_exact(n)) {
+                        *v = crow[ib + r];
+                    }
+                }
+            }
+            microkernel::tile::<NR>(&btile[ib..], apack, &mut stage, NR);
+            for (r, srow) in stage.chunks_exact(NR).enumerate().take(mr) {
+                for (&v, crow) in srow[..cols].iter().zip(c.chunks_exact_mut(n)) {
+                    crow[ib + r] = v;
+                }
+            }
+        }
+    }
 }
 
 /// Packs B (read through strides) into microkernel tile order inside a
@@ -384,8 +357,8 @@ fn gemm_strided(
         // Pack all of B once, in parallel over NR-wide column tiles.
         // Tile `jt` occupies `bpack[jt*k*NR ..][.. k*NR]`, depth-major,
         // zero-padded past column `n`; every `kb*NR` offset is 64-byte
-        // aligned (NR floats = one cache line), which the AVX2 kernel's
-        // aligned B loads rely on.
+        // aligned (NR floats = one cache line), so each depth step of a
+        // tile reads B from one cache line.
         pool::parallel_chunks_mut_sized(bpack, k * NR, k * n, |jt, tile| {
             let j0 = jt * NR;
             microkernel::pack_b_tile(b, brs, bcs, j0, NR.min(n - j0), k, tile);

@@ -2,23 +2,25 @@
 //!
 //! The packed GEMM in [`super::matmul`] bottoms out here: a fixed
 //! [`MR`]×[`NR`] tile of the output is held in registers while a whole
-//! `k`-panel of packed A and B streams through it. One portable body —
-//! a 6×16 array of accumulators and [`f32::mul_add`] per element — runs
-//! as written under `Isa::Scalar` and compiled again for AVX2+FMA (12
-//! `ymm` accumulators, `vfmadd` per element); [`tile_kernel`] picks the
-//! compilation from [`crate::simd::active_isa`] behind one contract
-//! ([`TileKernel`]) and one packed-data layout.
+//! `k`-panel of packed A and B streams through it. The tile ([`tile`])
+//! is one portable body over slices — a 6×16 array of accumulators and
+//! [`f32::mul_add`] per element — marked `#[inline(always)]`, so it takes
+//! the compilation of whatever calls it. The callers in
+//! [`super::matmul`] are `simd::kernel!` bodies, one per row block of C:
+//! under `Isa::Scalar` the tile runs as written, under AVX2 compiled for
+//! AVX2+FMA (12 `ymm` accumulators, `vfmadd` per element). The ISA is
+//! read once per row block, never per tile.
 //!
 //! # Layout
 //!
 //! For a tile update `C[MR×NR] += A_panel · B_panel` over depth `k`:
 //!
-//! - `a` points at an A panel with depth stride `lda ≥ MR`:
-//!   `a[p*lda + ir]` is row `ir` of A at depth `p` (zero-padded when the
+//! - `a` is an A panel with depth stride `LDA ≥ MR` (a const generic):
+//!   `a[p*LDA + ir]` is row `ir` of A at depth `p` (zero-padded when the
 //!   caller's row block is narrower than MR). Packed A panels are
-//!   **MR-major** (`lda = MR`); the swapped GEMM orientation reads a
-//!   packed B tile as A with `lda = NR` (see [`super::matmul`]);
-//! - `b` points at `k×NR` floats, **NR-major**: `b[p*NR + jr]` is column
+//!   **MR-major** (`LDA = MR`); the swapped GEMM orientation reads a
+//!   packed B tile as A with `LDA = NR` (see [`super::matmul`]);
+//! - `b` holds `k×NR` floats, **NR-major**: `b[p*NR + jr]` is column
 //!   `jr` of B at depth `p` (zero-padded past the matrix edge);
 //! - `c` is row-major with leading dimension `ldc ≥ NR`.
 //!
@@ -40,92 +42,44 @@ pub(crate) const MR: usize = 6;
 /// Microkernel tile width (output columns held in registers).
 pub(crate) const NR: usize = 16;
 
-/// A register-blocked tile update: `C[MR×NR] += A_panel(k×MR) · B_panel(k×NR)`,
-/// row `ir` of A at depth `p` read from `a[p*lda + ir]`.
+/// The register-blocked tile update `C[MR×NR] += A_panel · B_panel` over
+/// depth `k = b.len() / NR`: row `ir` of A at depth `p` is
+/// `a[p*LDA + ir]`, column `jr` of B is `b[p*NR + jr]`, and `c` holds
+/// the tile row-major at row stride `ldc`. Accumulates in a local 6×16
+/// array (the register tile): load C once, stream the panels, store C
+/// once, with one [`f32::mul_add`] per element per depth step.
 ///
-/// # Safety
+/// Not dispatched itself: it inlines into the callers' dispatched
+/// bodies (`simd::kernel!` in [`super::matmul`]), which pick the
+/// compilation once per row block, so each tile runs as the caller was
+/// compiled.
 ///
-/// - `a` must be valid for reads of `a[p*lda + ir]` for every `p < k`,
-///   `ir < MR`; `b` for `k * NR` reads;
-/// - `c` must be valid for reads and writes of an `MR×NR` tile with row
-///   stride `ldc` (i.e. `(MR-1)*ldc + NR` elements) and must not alias
-///   `a` or `b`;
-/// - the corresponding instruction set must be available (guaranteed by
-///   obtaining the pointer through [`tile_kernel`]).
-pub(crate) type TileKernel =
-    unsafe fn(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize);
-
-/// Selects the tile kernel for the active ISA. Resolve once per GEMM
-/// call, not per tile.
-pub(crate) fn tile_kernel() -> TileKernel {
-    match simd::active_isa() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => tile_avx2_entry,
-        _ => tile_portable,
-    }
-}
-
-/// Portable reference kernel, fused via [`f32::mul_add`]: the body of the
-/// AVX2 kernel too.
+/// # Panics
 ///
-/// # Safety
-///
-/// See [`TileKernel`].
+/// If `a` is shorter than the `k` depth steps it must hold or `c` than
+/// a whole tile at row stride `ldc`.
 #[inline(always)]
-unsafe fn tile_portable(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
-    // Accumulate in locals (the register tile), exactly like the vector
-    // kernels: load C once, stream the panels, store C once.
+pub(crate) fn tile<const LDA: usize>(a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+    let k = b.len() / NR;
+    assert!(
+        k == 0 || a.len() >= (k - 1) * LDA + MR,
+        "tile: A of {} for k={k}",
+        a.len()
+    );
     let mut acc = [[0.0f32; NR]; MR];
     for (ir, row) in acc.iter_mut().enumerate() {
-        for (jr, v) in row.iter_mut().enumerate() {
-            // SAFETY: caller guarantees the C tile bounds.
-            *v = unsafe { *c.add(ir * ldc + jr) };
-        }
+        row.copy_from_slice(&c[ir * ldc..][..NR]);
     }
-    for p in 0..k {
-        for (ir, row) in acc.iter_mut().enumerate() {
-            // SAFETY: caller guarantees `a[p*lda + ir]` is readable.
-            let av = unsafe { *a.add(p * lda + ir) };
-            for (jr, v) in row.iter_mut().enumerate() {
-                // SAFETY: caller guarantees `k * NR` readable floats at `b`.
-                let bv = unsafe { *b.add(p * NR + jr) };
+    for (ap, bp) in a.chunks(LDA).zip(b.as_chunks::<NR>().0) {
+        for (row, &av) in acc.iter_mut().zip(&ap[..MR]) {
+            for (v, &bv) in row.iter_mut().zip(bp) {
                 *v = av.mul_add(bv, *v);
             }
         }
     }
     for (ir, row) in acc.iter().enumerate() {
-        for (jr, v) in row.iter().enumerate() {
-            // SAFETY: caller guarantees the C tile bounds.
-            unsafe { *c.add(ir * ldc + jr) = *v };
-        }
+        c[ir * ldc..][..NR].copy_from_slice(row);
     }
-}
-
-/// Plain-ABI entry for the AVX2 kernel so it can live in the
-/// [`TileKernel`] dispatch table (`#[target_feature]` functions do not
-/// coerce to `fn` pointers).
-///
-/// # Safety
-///
-/// See [`TileKernel`]; AVX2 and FMA must be available.
-#[cfg(target_arch = "x86_64")]
-unsafe fn tile_avx2_entry(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
-    // SAFETY: forwarded contract; `tile_kernel` only returns this entry
-    // when feature detection reported AVX2+FMA.
-    unsafe { tile_avx2(k, a, lda, b, c, ldc) }
-}
-
-/// [`tile_portable`] compiled for AVX2+FMA, where the 6×16 register
-/// tile becomes 12 `ymm` accumulators and each `mul_add` a `vfmadd`.
-///
-/// # Safety
-///
-/// See [`TileKernel`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tile_avx2(k: usize, a: *const f32, lda: usize, b: *const f32, c: *mut f32, ldc: usize) {
-    // SAFETY: forwarded contract.
-    unsafe { tile_portable(k, a, lda, b, c, ldc) }
 }
 
 /// Packs one MR-wide row panel of A into microkernel order:
@@ -435,6 +389,14 @@ mod tests {
         })
     }
 
+    simd::kernel! {
+        #[target_feature("avx2,fma")]
+        /// The tile behind one dispatch, as the GEMM drivers run it.
+        fn dispatched_tile<const LDA: usize>(a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+            tile::<LDA>(a, b, c, ldc)
+        }
+    }
+
     /// The portable tile, and the dispatched tile at every ISA, against
     /// the fused reference, on a C tile with row stride `ldc > NR` whose
     /// gap columns the tile must leave alone.
@@ -449,13 +411,11 @@ mod tests {
             let mut expect = c0.clone();
             reference_tile(k, &a, &b, &mut expect, ldc);
             let mut c = c0.clone();
-            unsafe { tile_portable(k, a.as_ptr(), MR, b.as_ptr(), c.as_mut_ptr(), ldc) };
+            tile::<MR>(&a, &b, &mut c, ldc);
             assert_eq!(bits(&c), bits(&expect), "portable k={k}");
             simd::for_each_isa(|isa| {
                 let mut c = c0.clone();
-                // SAFETY: `a` holds `k*MR` floats, `b` `k*NR`, and `c` a
-                // whole `MR×NR` tile at row stride `ldc`.
-                unsafe { tile_kernel()(k, a.as_ptr(), MR, b.as_ptr(), c.as_mut_ptr(), ldc) };
+                dispatched_tile::<MR>(&a, &b, &mut c, ldc);
                 assert_eq!(bits(&c), bits(&expect), "{} k={k}", isa.name());
             });
         }
@@ -475,13 +435,18 @@ mod tests {
             let seed_c = mk(13 + k as u32, MR * ldc);
 
             let mut c_portable = seed_c.clone();
-            unsafe { tile_portable(k, a.as_ptr(), MR, b.as_ptr(), c_portable.as_mut_ptr(), ldc) };
+            tile::<MR>(&a, &b, &mut c_portable, ldc);
 
-            // Run the AVX2 kernel with B in a genuinely aligned buffer.
+            // Run the AVX2 compilation with B in an aligned buffer, as
+            // the GEMM drivers do.
             let c_avx2 = crate::scratch::with_f32(k * NR, |bbuf| {
                 bbuf.copy_from_slice(&b);
                 let mut c = seed_c.clone();
-                unsafe { tile_avx2_entry(k, a.as_ptr(), MR, bbuf.as_ptr(), c.as_mut_ptr(), ldc) };
+                simd::for_each_isa(|isa| {
+                    if isa == Isa::Avx2 {
+                        dispatched_tile::<MR>(&a, bbuf, &mut c, ldc);
+                    }
+                });
                 c
             });
             assert_eq!(
@@ -490,6 +455,14 @@ mod tests {
                 "AVX2 and portable kernels diverged at k={k}"
             );
         }
+    }
+
+    /// A depth stride too short for the depth B implies is refused.
+    #[test]
+    #[should_panic(expected = "tile: A of")]
+    fn tile_checks_the_a_extent() {
+        let (a, b) = (vec![0.0f32; 2 * MR - 1], vec![0.0f32; 2 * NR]);
+        tile::<MR>(&a, &b, &mut [0.0; MR * NR], NR);
     }
 
     #[test]
@@ -697,9 +670,7 @@ mod tests {
             crate::scratch::with_f32(k * NR, |bbuf| {
                 bbuf.copy_from_slice(&b);
                 let mut c = seed_c.clone();
-                // SAFETY: `wide` holds `k*NR` floats, so every
-                // `p*NR + ir` read is in bounds; `bbuf` is aligned.
-                unsafe { tile_kernel()(k, wide.as_ptr(), NR, bbuf.as_ptr(), c.as_mut_ptr(), NR) };
+                dispatched_tile::<NR>(&wide, bbuf, &mut c, NR);
                 assert_eq!(
                     c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

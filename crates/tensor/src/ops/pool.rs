@@ -113,38 +113,40 @@ pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutp
         return Ok(MaxPoolOutput { output, argmax });
     }
     let whole_x = whole_windows(spec, ow, kw, w);
-    let dst = pool::RawSliceMut::new(output.as_mut_slice());
-    let arg = pool::RawSliceMut::new(&mut argmax);
-    pool::parallel_for_sized(n * c, input.numel(), |p| {
-        let base = p * h * w;
-        // SAFETY: plane `p` owns exactly `[p * plane, (p + 1) * plane)`
-        // of both outputs.
-        let dst = unsafe { dst.slice(p * plane, (p + 1) * plane) };
-        let arg = unsafe { arg.slice(p * plane, (p + 1) * plane) };
-        for oy in 0..oh {
-            let ys = window(spec, oy, kh, h);
-            let row_at = base + ys.start * w;
-            let (dst, arg) = (&mut dst[oy * ow..(oy + 1) * ow], &mut arg[oy * ow..(oy + 1) * ow]);
-            // Whole windows: no clamping, and the common square sizes
-            // get their own unrolled copy of the scan.
-            let whole = if ys.len() == kh { whole_x.clone() } else { 0..0 };
-            let mut whole_row = |kh: usize, kw: usize| {
-                for ox in whole.clone() {
-                    (dst[ox], arg[ox]) = scan_window(src, row_at + ox * stride - padding, kh, kw, w, base);
+    pool::parallel_chunks2_mut_sized(
+        output.as_mut_slice(),
+        plane,
+        &mut argmax,
+        plane,
+        input.numel(),
+        |p, dst, arg| {
+            let base = p * h * w;
+            for oy in 0..oh {
+                let ys = window(spec, oy, kh, h);
+                let row_at = base + ys.start * w;
+                let (dst, arg) = (&mut dst[oy * ow..(oy + 1) * ow], &mut arg[oy * ow..(oy + 1) * ow]);
+                // Whole windows: no clamping, and the common square sizes
+                // get their own unrolled copy of the scan.
+                let whole = if ys.len() == kh { whole_x.clone() } else { 0..0 };
+                let mut whole_row = |kh: usize, kw: usize| {
+                    for ox in whole.clone() {
+                        (dst[ox], arg[ox]) =
+                            scan_window(src, row_at + ox * stride - padding, kh, kw, w, base);
+                    }
+                };
+                match (kh, kw) {
+                    (2, 2) => whole_row(2, 2),
+                    (3, 3) => whole_row(3, 3),
+                    _ => whole_row(kh, kw),
                 }
-            };
-            match (kh, kw) {
-                (2, 2) => whole_row(2, 2),
-                (3, 3) => whole_row(3, 3),
-                _ => whole_row(kh, kw),
+                // Windows the image edge cuts short.
+                for ox in (0..whole.start).chain(whole.end..ow) {
+                    let xs = window(spec, ox, kw, w);
+                    (dst[ox], arg[ox]) = scan_window(src, row_at + xs.start, ys.len(), xs.len(), w, base);
+                }
             }
-            // Windows the image edge cuts short.
-            for ox in (0..whole.start).chain(whole.end..ow) {
-                let xs = window(spec, ox, kw, w);
-                (dst[ox], arg[ox]) = scan_window(src, row_at + xs.start, ys.len(), xs.len(), w, base);
-            }
-        }
-    });
+        },
+    );
     Ok(MaxPoolOutput { output, argmax })
 }
 
@@ -155,11 +157,7 @@ pub fn maxpool2d_forward(input: &Tensor, spec: Conv2dSpec) -> Result<MaxPoolOutp
 fn maxpool2x2(src: &[f32], planes: usize, h: usize, w: usize, dst: &mut [f32], arg: &mut [usize]) {
     let outs = (h / 2) * (w / 2);
     let block = 64usize.div_ceil(outs) * outs;
-    let arg = pool::RawSliceMut::new(arg);
-    pool::parallel_chunks_mut_sized(dst, block, planes * h * w, |t, dst| {
-        // SAFETY: block `t` owns exactly the outputs of `dst`, so the
-        // matching argmax region is exclusive to this task.
-        let arg = unsafe { arg.slice(t * block, t * block + dst.len()) };
+    pool::parallel_chunks2_mut_sized(dst, block, arg, block, planes * h * w, |t, dst, arg| {
         maxpool2x2_planes(src, t * block / outs, h, w, dst, arg);
     });
 }

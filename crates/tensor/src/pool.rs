@@ -484,48 +484,75 @@ pub(crate) fn parallel_chunks_mut_sized<T: Send, F: Fn(usize, &mut [T]) + Sync>(
     work: usize,
     body: F,
 ) {
-    assert!(chunk > 0, "parallel_chunks_mut: zero chunk size");
-    let len = data.len();
-    let tasks = len.div_ceil(chunk);
-    let raw = RawSliceMut::new(data);
+    parallel_chunks2_mut_sized(data, chunk, &mut [(); 0], 1, work, |t, part, _| body(t, part));
+}
+
+/// Two slices cut into chunks in step: task `t` gets chunk `t` of `a`
+/// (`a_chunk` elements) and chunk `t` of `b` (`b_chunk` elements) and
+/// runs `body(t, a_part, b_part)`, gated as in [`parallel_for_sized`].
+/// There are as many tasks as the longer cut needs; past the end of the
+/// shorter slice a task gets an empty chunk of it, and either slice's
+/// last chunk may be ragged. Every element of both slices is handed to
+/// exactly one task, so kernels that write two outputs per region (a
+/// max-pool's values and argmax, a conv chunk's weight partials and
+/// input gradients) get both from the pool.
+///
+/// # Panics
+///
+/// Panics if a chunk size is zero, or propagates task panics as
+/// [`parallel_for`] does.
+pub(crate) fn parallel_chunks2_mut_sized<A: Send, B: Send, F: Fn(usize, &mut [A], &mut [B]) + Sync>(
+    a: &mut [A],
+    a_chunk: usize,
+    b: &mut [B],
+    b_chunk: usize,
+    work: usize,
+    body: F,
+) {
+    assert!(a_chunk > 0 && b_chunk > 0, "parallel_chunks_mut: zero chunk size");
+    let tasks = a.len().div_ceil(a_chunk).max(b.len().div_ceil(b_chunk));
+    let (a, b) = (RawSliceMut::new(a), RawSliceMut::new(b));
     parallel_for_sized(tasks, work, |t| {
-        let start = t * chunk;
-        let end = (start + chunk).min(len);
-        // SAFETY: tasks index disjoint `[start, end)` ranges.
-        body(t, unsafe { raw.slice(start, end) });
+        // SAFETY: task `t` reborrows chunk `t` of each slice, disjoint
+        // from every other task's chunks; each task index runs once.
+        let (a_part, b_part) = unsafe { (a.chunk(t, a_chunk), b.chunk(t, b_chunk)) };
+        body(t, a_part, b_part);
     });
 }
 
-/// A `Send + Sync` wrapper around a mutable slice for kernels whose tasks
-/// write provably disjoint index ranges (e.g. one output plane per task).
-///
-/// Obtaining overlapping sub-slices from concurrent tasks is undefined
-/// behaviour; every use in this crate derives the ranges from the task
-/// index alone.
-pub(crate) struct RawSliceMut<T> {
+/// A `Send + Sync` handle on a mutable slice whose chunks the tasks of
+/// one job reborrow, each task its own.
+struct RawSliceMut<T> {
     ptr: *mut T,
     len: usize,
 }
 
+// SAFETY: `ptr` and `len` describe a slice mutably borrowed for the
+// whole job, and every thread that holds the handle only reborrows
+// chunks of it (`chunk`), each chunk by one task; moving or sharing the
+// handle moves `&mut [T]` chunks between threads, which `T: Send` allows.
 unsafe impl<T: Send> Send for RawSliceMut<T> {}
 unsafe impl<T: Send> Sync for RawSliceMut<T> {}
 
 impl<T> RawSliceMut<T> {
-    pub(crate) fn new(slice: &mut [T]) -> Self {
+    fn new(slice: &mut [T]) -> Self {
         RawSliceMut {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
         }
     }
 
-    /// Reborrows `[start, end)` mutably.
+    /// Reborrows chunk `t` of `size` elements mutably, clipped to the
+    /// slice (empty past its end).
     ///
     /// # Safety
     ///
-    /// No two live reborrows may overlap, and `start <= end <= len`.
+    /// No two live reborrows may overlap: each `(t, size)` pair is
+    /// reborrowed by one task at a time, with one `size` per handle.
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice(&self, start: usize, end: usize) -> &mut [T] {
-        debug_assert!(start <= end && end <= self.len);
+    unsafe fn chunk(&self, t: usize, size: usize) -> &mut [T] {
+        let start = t.saturating_mul(size).min(self.len);
+        let end = start.saturating_add(size).min(self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(start), end - start)
     }
 }
@@ -572,6 +599,36 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, 1 + (i / 64) as u32, "at {i}");
         }
+        // The two-slice form: ragged last chunks, a second slice that
+        // runs out first or is empty (the conv backward without an input
+        // gradient), and one that needs more tasks than the first. Every
+        // element of both is written exactly once, by the task whose
+        // index matches its chunk.
+        for threads in [1, 2, 3] {
+            set_num_threads(threads);
+            for (a_len, a_chunk, b_len, b_chunk) in [
+                (1000, 64, 1000, 64),
+                (1000, 64, 250, 16),
+                (1000, 64, 0, 5),
+                (10, 3, 40, 7),
+                (0, 4, 9, 2),
+            ] {
+                let (mut a, mut b) = (vec![0u32; a_len], vec![0u32; b_len]);
+                parallel_chunks2_mut_sized(&mut a, a_chunk, &mut b, b_chunk, usize::MAX, |t, x, y| {
+                    for v in x.iter_mut().chain(y.iter_mut()) {
+                        *v += 1 + t as u32;
+                    }
+                });
+                let at = format!("{threads} threads, ({a_len}/{a_chunk}, {b_len}/{b_chunk})");
+                for (i, v) in a.iter().enumerate() {
+                    assert_eq!(*v, 1 + (i / a_chunk) as u32, "a[{i}], {at}");
+                }
+                for (i, v) in b.iter().enumerate() {
+                    assert_eq!(*v, 1 + (i / b_chunk) as u32, "b[{i}], {at}");
+                }
+            }
+        }
+        set_num_threads(1);
     }
 
     #[test]

@@ -4,14 +4,17 @@
 //! bits. On `x86_64` with AVX2 the same body runs compiled a second time
 //! inside a `#[target_feature(enable = "avx2")]` (or `"avx2,fma"`)
 //! function, which the compiler vectorises, behind one dispatching
-//! `unsafe` call (`kernel!` writes the three for a kernel). That holds
-//! for the binary ops, `axpy`, `add_assign`, `scale`, the ReLU family and
-//! the int8 codec's `absmax` here, and for the GEMM tile, the direct conv
-//! tiles and the 2×2 max-pool under `crate::ops`. A hand-written
-//! intrinsic body stays only where a benchmark workload that runs it
-//! resolves a loss without it: the int8 quantiser's here and the
-//! transposing pack's in `crate::ops::microkernel` (DESIGN §11 lists
-//! both with the runs that keep them).
+//! `unsafe` call: `kernel!` writes the three, and it is the one way a
+//! kernel reaches the CPU's vector units. That holds for the binary ops,
+//! `axpy`, `add_assign`, `scale`, the ReLU family and the int8 codec's
+//! `absmax` and quantiser here, for the GEMM row blocks (the tile
+//! inlines into them), the direct conv tiles and the 2×2 max-pool under
+//! `crate::ops`, and for the envelope checksum in `medsplit-simnet`. A
+//! hand-written intrinsic body stays only where a benchmark workload
+//! that runs it resolves a loss without it: the transposing pack's in
+//! `crate::ops::microkernel` (DESIGN §11 lists it with the runs that
+//! keep it).
+//!
 //! The active ISA is picked **once** per process from CPU feature
 //! detection, overridable with `MEDSPLIT_ISA=scalar|avx2|auto` for A/B
 //! testing, and switchable at runtime via [`set_isa`] (benchmarks and
@@ -35,10 +38,10 @@
 //!   (`a + b`, `y += alpha * x`, compare-and-select ReLU) on every ISA;
 //!   Rust never contracts it into a fused operation;
 //! - the int8 wire codec's `absmax` is an integer max, exact in any
-//!   order; its quantiser is the one exception to "same operations":
-//!   the AVX2 body replaces the reference's f64 division with an f32
-//!   reciprocal plus two exact fused sign tests, and is equal to the
-//!   reference by the argument on `avx2::quantize_i8` (and by test).
+//!   order; its quantiser's one body, on every ISA, replaces the f64
+//!   division of the reference (`quantize_one`) with an f32 reciprocal
+//!   plus two exact fused sign tests, and is equal to the reference by
+//!   the argument on `quantize_i8_fused` (and by test).
 //!
 //! `MEDSPLIT_ISA=scalar` therefore reproduces the SIMD results **to the
 //! bit** (pinned by the `tests/*_golden.rs` files at scalar and auto
@@ -216,6 +219,11 @@ impl BinOp {
 /// compiler vectorises it eight lanes wide. Vectorising changes how many
 /// elements advance per instruction, never the operations on one
 /// element, so both give the same bits.
+///
+/// Exported (hidden) for the workspace's other crates, so that a kernel
+/// there dispatches on the same active ISA as the tensor kernels.
+#[doc(hidden)]
+#[macro_export]
 macro_rules! kernel {
     (
         #[target_feature($features:literal)]
@@ -244,7 +252,7 @@ macro_rules! kernel {
         }
     };
 }
-pub(crate) use kernel;
+pub(crate) use crate::kernel;
 
 kernel! {
     #[target_feature("avx2")]
@@ -398,10 +406,10 @@ kernel! {
     }
 }
 
-/// Scales the vector quantiser accepts: both `scale` and `1/scale` are
+/// Scales the fused quantiser accepts: both `scale` and `1/scale` are
 /// normal floats with two binades to spare, so the reciprocal keeps full
 /// precision and the correction residues cannot underflow to zero (see
-/// `avx2::quantize_i8`). Outside it — and for NaN or infinite scales —
+/// [`quantize_i8_fused`]). Outside it — and for NaN or infinite scales —
 /// every ISA runs the per-element reference.
 const VECTOR_SCALES: std::ops::RangeInclusive<f32> =
     f32::MIN_POSITIVE * 4.0..=1.0 / (f32::MIN_POSITIVE * 4.0);
@@ -410,18 +418,12 @@ const VECTOR_SCALES: std::ops::RangeInclusive<f32> =
 /// codec's quantiser against a positive per-tensor scale.
 pub(crate) fn quantize_i8(src: &[f32], scale: f32, dst: &mut [u8]) {
     debug_assert_eq!(src.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_isa() == Isa::Avx2 && VECTOR_SCALES.contains(&scale) {
-        // SAFETY: detection guarantees AVX2 and FMA are available.
-        unsafe { avx2::quantize_i8(src, scale, dst) };
-        return;
-    }
-    quantize_i8_portable(src, scale, dst);
-}
-
-fn quantize_i8_portable(src: &[f32], scale: f32, dst: &mut [u8]) {
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d = quantize_one(v, scale) as u8;
+    if VECTOR_SCALES.contains(&scale) {
+        quantize_i8_fused(src, scale, dst);
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = quantize_one(v, scale) as u8;
+        }
     }
 }
 
@@ -429,10 +431,11 @@ fn quantize_i8_portable(src: &[f32], scale: f32, dst: &mut [u8]) {
 /// zero, saturating to the symmetric range ±127; NaN gives 0.
 ///
 /// The ratio is formed in f64 so the rounding decision depends only on
-/// the IEEE-exact quotient, never on an intermediate f32 rounding —
-/// quantisation is therefore bit-deterministic across ISAs and hosts.
+/// the IEEE-exact quotient, never on an intermediate f32 rounding.
 /// Rounding is truncation plus a comparison of the exactly representable
-/// remainder with one half, so there is no branch and no libm call.
+/// remainder with one half, so there is no branch and no libm call. This
+/// is the definition [`quantize_i8_fused`] is proved and tested against,
+/// and what runs for a scale outside [`VECTOR_SCALES`].
 fn quantize_one(v: f32, scale: f32) -> i8 {
     let q = f64::from(v) / f64::from(scale);
     let mag = q.abs();
@@ -443,72 +446,64 @@ fn quantize_one(v: f32, scale: f32) -> i8 {
     (if q < 0.0 { -rounded } else { rounded }) as i8
 }
 
-/// The hand-written AVX2 body of the int8 quantiser, which uses
-/// different operations from its reference, proved to give the same bytes
-/// (see `quantize_i8`), and stays because `train_hier_int8` resolves a
-/// loss without it (DESIGN §11).
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
+/// `2^23`: adding it to an f32 in `[0, 2^22]` rounds that value to the
+/// nearest integer and leaves the integer in the low mantissa bits.
+const ROUND_MAGIC: f32 = 8_388_608.0;
 
-    const LANES: usize = 8;
-
-    /// The int8 quantiser, 32 values per step, bit for bit what
-    /// `super::quantize_one` gives for a scale in `super::VECTOR_SCALES`.
+kernel! {
+    #[target_feature("avx2,fma")]
+    /// The int8 quantiser without a division, 32 values per step, bit
+    /// for bit what [`quantize_one`] gives for a scale in
+    /// [`VECTOR_SCALES`] (the only scales it is called with).
     ///
-    /// Per lane, with `a = |v|` (NaN → 0) and `x = a / scale` the exact
+    /// Per value, with `a = |v|` (NaN → 0) and `x = a / scale` the exact
     /// real quotient:
-    /// 1. candidate `c = trunc(min(fma(a, 1/scale, ½), 128))`. The
-    ///    reciprocal and the fma each round once, so `c` is within one of
-    ///    `floor(x + ½)` whenever that is below 128;
+    /// 1. candidate `c`: `a · (1/scale)` capped at 128 and rounded to the
+    ///    nearest integer by adding `2^23`. The reciprocal and the product
+    ///    round once each, so `c` is within one of round-half-away(`x`);
     /// 2. correction: `c += 1` if `fma(c + ½, scale, −a) ≤ 0`, `c −= 1` if
     ///    `fma(c − ½, scale, −a) > 0`. Each residue is a multiple of
     ///    2^-149 because `scale ≥ 2^-124`, so round-to-nearest keeps the
     ///    sign of a nonzero residue and never yields a false zero: the
     ///    tests decide `x ≥ c + ½` and `x < c − ½` exactly, and `c` lands
     ///    on round-half-away of `x`;
-    /// 3. clamp at 127, reapply the sign of `v`, narrow to bytes.
+    /// 3. clamp at 127 and reapply the sign of `v` as `(q ^ s) − s`.
     ///
     /// The f64 reference decides the same: a quotient of two f32s that
     /// is not a half-integer lies at least 2^-26 from one, further than
     /// the f64 division's rounding error at magnitudes ≤ 128.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn quantize_i8(src: &[f32], scale: f32, dst: &mut [u8]) {
-        const STEP: usize = 4 * LANES;
-        // Both bounds: the stores below must stay inside `dst`.
-        let n = src.len().min(dst.len());
-        let s = _mm256_set1_ps(scale);
-        let r = _mm256_set1_ps(1.0 / scale);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
-        let cap = _mm256_set1_ps(128.0);
-        let top = _mm256_set1_ps(127.0);
-        let zero = _mm256_setzero_ps();
-        let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-        let lane = |i: usize| {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            let a = _mm256_and_ps(_mm256_and_ps(v, magnitude), _mm256_cmp_ps::<_CMP_ORD_Q>(v, v));
-            let c = _mm256_min_ps(_mm256_fmadd_ps(a, r, half), cap);
-            let c = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(c);
-            let up = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_fmsub_ps(_mm256_add_ps(c, half), s, a), zero);
-            let down = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_fmsub_ps(_mm256_sub_ps(c, half), s, a), zero);
-            let c = _mm256_sub_ps(_mm256_add_ps(c, _mm256_and_ps(up, one)), _mm256_and_ps(down, one));
-            let q = _mm256_cvttps_epi32(_mm256_min_ps(c, top));
-            // Negates lanes whose sign bit is set (NaN lanes are 0 already).
-            _mm256_sign_epi32(q, _mm256_castps_si256(v))
+    ///
+    /// Written so that the AVX2 compilation vectorises: the integer is
+    /// read from the bits of `c + 2^23` (an `as i32` conversion saturates,
+    /// which kept the loop scalar), and NaN is caught by a compare
+    /// (`is_nan`, i.e. `a != a`).
+    fn quantize_i8_fused(src: &[f32], scale: f32, dst: &mut [u8]) {
+        const STEP: usize = 32;
+        let r = 1.0 / scale;
+        let one = |v: f32| {
+            let a = v.abs();
+            let a = if a.is_nan() { 0.0 } else { a };
+            let c = a * r;
+            let c = if c < 128.0 { c } else { 128.0 };
+            let c = c + ROUND_MAGIC;
+            let k = c - ROUND_MAGIC;
+            let up = i32::from((k + 0.5).mul_add(scale, -a) <= 0.0);
+            let down = i32::from((k - 0.5).mul_add(scale, -a) > 0.0);
+            let q = (c.to_bits() - ROUND_MAGIC.to_bits()) as i32 + up - down;
+            let q = if q < 127 { q } else { 127 };
+            let s = v.to_bits() as i32 >> 31;
+            ((q ^ s) - s) as u8
         };
-        // packs interleaves 128-bit halves; this puts the 32 bytes back in
-        // source order.
-        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        let mut i = 0;
-        while i + STEP <= n {
-            let lo = _mm256_packs_epi32(lane(i), lane(i + LANES));
-            let hi = _mm256_packs_epi32(lane(i + 2 * LANES), lane(i + 3 * LANES));
-            let bytes = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), bytes);
-            i += STEP;
+        let mut dst_steps = dst.chunks_exact_mut(STEP);
+        let mut src_steps = src.chunks_exact(STEP);
+        for (d, s) in (&mut dst_steps).zip(&mut src_steps) {
+            for (d, &v) in d.iter_mut().zip(s) {
+                *d = one(v);
+            }
         }
-        super::quantize_i8_portable(&src[i..], scale, &mut dst[i..]);
+        for (d, &v) in dst_steps.into_remainder().iter_mut().zip(src_steps.remainder()) {
+            *d = one(v);
+        }
     }
 }
 
@@ -704,6 +699,45 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Arbitrary bit patterns and ordinary values, against scales drawn
+    /// from their absmax (what the encoder uses) and from random bit
+    /// patterns inside `VECTOR_SCALES`, at every ISA.
+    #[test]
+    fn quantiser_matches_the_reference_on_random_bits() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        };
+        for trial in 0..64 {
+            let x: Vec<f32> = (0..1000)
+                .map(|i| {
+                    let bits = next();
+                    if i % 2 == 0 {
+                        f32::from_bits(bits)
+                    } else {
+                        (bits % 20_001) as f32 / 100.0 - 100.0
+                    }
+                })
+                .collect();
+            let scale = if trial % 2 == 0 {
+                let finite: Vec<f32> = x.iter().copied().filter(|v| v.is_finite()).collect();
+                absmax(&finite) / 127.0
+            } else {
+                f32::from_bits((next() % 240 + 8) << 23 | next() & 0x7F_FFFF)
+            };
+            assert!(VECTOR_SCALES.contains(&scale), "{scale:e}");
+            let want: Vec<u8> = x.iter().map(|&v| quantize_one(v, scale) as u8).collect();
+            for_each_isa(|isa| {
+                let mut got = vec![0xA5; x.len()];
+                quantize_i8(&x, scale, &mut got);
+                assert_eq!(got, want, "{} at scale {scale:e}", isa.name());
+            });
         }
     }
 

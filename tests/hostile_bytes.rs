@@ -322,6 +322,31 @@ fn known_hostile_headers_are_refused_cheaply() {
     }
 }
 
+/// Long crafted lists: a 10,000-value `seed` axis stays inside the bound
+/// (the manifest reader keeps a list as text until it is read as
+/// integers, eight bytes per value of at least two bytes of text), and a
+/// 20 KB `[0,0,…]` asks the JSON reader for its 10,000 nodes once, at
+/// their count. A node is larger than eight times its two bytes of text,
+/// so that one is held to its exact size rather than to the bound.
+#[test]
+fn crafted_long_lists_are_allocated_at_their_count() {
+    let seeds: Vec<String> = (0..10_000).map(|s| s.to_string()).collect();
+    let manifest = format!(
+        "[lab]\nname = \"x\"\n[matrix]\nbench = [\"a\"]\nseed = [{}]\n",
+        seeds.join(", ")
+    );
+    let (got, _) = largest_allocation(|| Manifest::parse(&manifest));
+    assert_eq!(got.map(|m| m.axes.seed.len()), Ok(10_000));
+    read_text(manifest.as_bytes()).unwrap();
+
+    let zeros = format!("[{}0]", "0,".repeat(9_999));
+    assert_eq!(zeros.len(), 20_001);
+    let (got, largest) = largest_allocation(|| json::parse(&zeros));
+    assert!(matches!(got, Ok(json::Json::Arr(items)) if items.len() == 10_000));
+    let nodes = 10_000 * std::mem::size_of::<json::Json>();
+    assert!(largest <= nodes, "{largest} bytes for {nodes} of nodes");
+}
+
 /// A megabyte of open brackets is a typed error from both text readers,
 /// read on a thread whose stack a recursion per level would overflow.
 #[test]
