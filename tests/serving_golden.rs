@@ -20,6 +20,15 @@
 //! the refusal message of `fleet_random_drop_everywhere_is_refused`
 //! (the no-drop check is now per platform).
 //!
+//! Each case also pins its answers alone: the logits of every answered
+//! request, keyed by request id (`logits_by_id_digest`). That digest
+//! reads no latency, status of an unanswered request, batch or response
+//! order, so a change to the schedule that moves no answer leaves it
+//! alone, and a change to how batches are computed that moves a row
+//! shows there even when the schedule digests are re-recorded. It was
+//! recorded against the code that computed each batch in a pass of its
+//! own.
+//!
 //! Every scenario runs twice and must agree with itself before it is
 //! compared with the literal, so a thread-order leak shows up as that and
 //! not as a stale pin. Each scenario also asserts that the branch it is
@@ -67,14 +76,15 @@ struct Golden {
     report: u64,
     stats: u64,
     fleet: u64,
+    logits: u64,
 }
 
 impl std::fmt::Debug for Golden {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Golden {{ records: {:#018x}, report: {:#018x}, stats: {:#018x}, fleet: {:#018x} }}",
-            self.records, self.report, self.stats, self.fleet
+            "Golden {{ records: {:#018x}, report: {:#018x}, stats: {:#018x}, fleet: {:#018x}, logits: {:#018x} }}",
+            self.records, self.report, self.stats, self.fleet, self.logits
         )
     }
 }
@@ -108,6 +118,33 @@ fn records_digest(records: &[ClientRecord]) -> u64 {
                 }
             }
             None => d.u64(0),
+        }
+    }
+    d.0
+}
+
+/// The answered requests' logits keyed by request id: records sorted by
+/// `(id, platform)`, each with logits folded as its id, platform, shape
+/// and bits. Nothing here depends on batch composition, latency or the
+/// order responses arrived in, so a change of schedule that moves no
+/// answer leaves it alone.
+fn logits_by_id_digest(records: &[ClientRecord]) -> u64 {
+    let mut answered: Vec<(u64, usize, &Tensor)> = records
+        .iter()
+        .filter_map(|r| Some((r.id, r.platform, r.logits.as_ref()?)))
+        .collect();
+    answered.sort_by_key(|&(id, platform, _)| (id, platform));
+    let mut d = Fnv::new();
+    d.u64(answered.len() as u64);
+    for (id, platform, t) in answered {
+        d.u64(id);
+        d.u64(platform as u64);
+        d.u64(t.dims().len() as u64);
+        for &dim in t.dims() {
+            d.u64(dim as u64);
+        }
+        for v in t.as_slice() {
+            d.u64(u64::from(v.to_bits()));
         }
     }
     d.0
@@ -196,6 +233,7 @@ fn serve_golden(o: &ServeOutcome) -> Golden {
         report: report_digest(&o.report),
         stats: stats_digest(&o.stats),
         fleet: 0,
+        logits: logits_by_id_digest(&o.records),
     }
 }
 
@@ -205,6 +243,7 @@ fn fleet_golden(o: &FleetOutcome) -> Golden {
         report: report_digest(&o.report),
         stats: stats_digest(&o.stats),
         fleet: fleet_digest(o),
+        logits: logits_by_id_digest(&o.records),
     }
 }
 
@@ -273,6 +312,7 @@ fn serve_default_age_flushes() {
         report: 0x0f1b_8dac_990c_f2ca,
         stats: 0x736c_d47b_a409_35c9,
         fleet: 0,
+        logits: 0x9dfa_1af8_2151_d664,
     };
     assert_eq!(got, want);
 }
@@ -298,6 +338,7 @@ fn serve_overload_rejects() {
         report: 0x3294_6a5c_a8fa_a8fc,
         stats: 0xd861_ba8b_e17c_0492,
         fleet: 0,
+        logits: 0xa854_a5e6_fdaf_0746,
     };
     assert_eq!(got, want);
 }
@@ -319,6 +360,7 @@ const SIZE_FLUSH_GOLDEN: Golden = Golden {
     report: 0x2587_5c9a_3818_e681,
     stats: 0xceee_3706_4461_d5e8,
     fleet: 0,
+    logits: 0x1f58_a5c7_ef36_19cf,
 };
 
 #[test]
@@ -381,6 +423,7 @@ fn serve_noised_activations() {
         report: 0xaca7_e618_c652_4781,
         stats: 0x1aca_acde_98f9_142c,
         fleet: 0,
+        logits: 0xe611_6593_c357_b35f,
     };
     assert_eq!(got, want);
 }
@@ -399,6 +442,7 @@ fn serve_deadline_all_time_out() {
         report: 0x9fe5_8165_7a93_7aa9,
         stats: 0x876b_0d1a_ee44_1c39,
         fleet: 0,
+        logits: 0xa8c7_f832_281a_39c5,
     };
     assert_eq!(got, want);
 }
@@ -423,6 +467,7 @@ fn serve_deadline_splits_batches() {
         report: 0x61bf_c185_ec09_c828,
         stats: 0x5be7_bfb7_30fd_45be,
         fleet: 0,
+        logits: 0xc0aa_75e9_0014_2691,
     };
     assert_eq!(got, want);
 }
@@ -442,6 +487,7 @@ fn serve_infinite_wait_final_drain() {
         report: 0xf0b9_e115_e2f4_1742,
         stats: 0x21c6_7891_a89b_13c1,
         fleet: 0,
+        logits: 0xd28b_a8d8_c854_7a87,
     };
     assert_eq!(got, want);
 }
@@ -459,6 +505,7 @@ fn serve_int8_codec() {
         report: 0x20b6_fd6f_2144_83c7,
         stats: 0xccce_ad96_d847_2188,
         fleet: 0,
+        logits: 0xcc88_56fd_fdf0_a61b,
     };
     assert_eq!(got, want);
 }
@@ -487,6 +534,7 @@ fn serve_slow_uplink_interleaves_arrivals() {
         report: 0x1a13_7541_fa42_5d15,
         stats: 0xb7c4_d9ca_a83b_9ceb,
         fleet: 0,
+        logits: 0x9dfa_1af8_2151_d664,
     };
     assert_eq!(got, want);
 }
@@ -524,6 +572,7 @@ fn fleet_quiet_one_replica() {
         report: 0xa946_9ab0_f156_283c,
         stats: 0xc719_a550_cbb9_2b73,
         fleet: 0xdce5_093b_f5e9_ff26,
+        logits: 0xcf29_b800_8ec7_4b5b,
     };
     assert_eq!(got, want);
 }
@@ -537,6 +586,7 @@ fn fleet_quiet_two_replicas() {
         report: 0xa946_9ab0_f156_283c,
         stats: 0xc719_a550_cbb9_2b73,
         fleet: 0x8757_36da_708c_8b68,
+        logits: 0xcf29_b800_8ec7_4b5b,
     };
     assert_eq!(got, want);
 }
@@ -550,6 +600,7 @@ fn fleet_quiet_three_replicas() {
         report: 0xf910_1667_ece0_905a,
         stats: 0x7908_0548_1dea_31f1,
         fleet: 0x6251_9383_932c_209f,
+        logits: 0xcf29_b800_8ec7_4b5b,
     };
     assert_eq!(got, want);
 }
@@ -568,6 +619,7 @@ const CRASH_AND_RECOVER_GOLDEN: Golden = Golden {
     report: 0xa085_ec03_3077_924a,
     stats: 0x5962_9ce8_7481_83f5,
     fleet: 0x3103_0625_b827_0555,
+    logits: 0xcf29_b800_8ec7_4b5b,
 };
 
 #[test]
@@ -596,6 +648,7 @@ fn fleet_crash_just_after_a_flush() {
         report: 0xa946_9ab0_f156_283c,
         stats: 0xc719_a550_cbb9_2b73,
         fleet: 0x6f2a_cde8_c92c_4b2e,
+        logits: 0xcf29_b800_8ec7_4b5b,
     };
     assert_eq!(got, want);
 }
@@ -622,6 +675,7 @@ fn fleet_drain_and_rejoin() {
         report: 0x3af3_d842_437e_c8ac,
         stats: 0xc0ef_1e1c_15e5_4c23,
         fleet: 0xc9df_10c6_e54a_6a15,
+        logits: 0xcf29_b800_8ec7_4b5b,
     };
     assert_eq!(got, want);
 }
@@ -645,6 +699,7 @@ fn fleet_quota_throttles() {
         report: 0x40ea_901e_5112_d191,
         stats: 0xf8c5_1550_0a02_425e,
         fleet: 0xa81b_29b3_6fa9_c4a7,
+        logits: 0x291d_3bb6_6bde_9c1c,
     };
     assert_eq!(got, want);
 }
@@ -673,6 +728,7 @@ const REQUEST_PATH_DROP_GOLDEN: Golden = Golden {
     report: 0x60cc_b5a2_803e_1d02,
     stats: 0x54f1_0798_3168_abc8,
     fleet: 0x8f92_efa6_326c_6f40,
+    logits: 0x41ab_9705_5d24_bd46,
 };
 
 #[test]
@@ -751,6 +807,7 @@ fn fleet_deadline_expires() {
         report: 0x9e72_4f91_1af6_b7ea,
         stats: 0xf62d_273f_f4f8_a177,
         fleet: 0xbb30_808a_99aa_9111,
+        logits: 0xbdb8_e334_fd1d_7c5a,
     };
     assert_eq!(got, want);
 }
@@ -775,6 +832,7 @@ fn fleet_replica_queue_rejects() {
         report: 0xa45b_499d_4942_d77b,
         stats: 0xaffd_9b7e_f144_b7b4,
         fleet: 0xf838_869a_0e2e_0446,
+        logits: 0xe537_82e2_3d9e_4d3c,
     };
     assert_eq!(got, want);
 }
