@@ -327,8 +327,10 @@ echo "==> serving golden digests under --release"
 # and the pool-size invariance (one session at one and two threads) are
 # seen in both builds. The serving suite runs here too: its end-to-end
 # logits check and the refusal of a lost response must hold on the
-# optimised build.
-cargo test -q --release --offline --test serving_golden --test serving
+# optimised build. So does batch invariance: a kernel-pool task computes
+# its queued batches as one server pass of up to 64 rows, and every row
+# must come out as it would alone.
+cargo test -q --release --offline --test serving_golden --test serving --test batch_invariance
 
 echo "==> baseline trainer golden digests under --release"
 # The four comparator methods are pinned the same way, bit for bit, in

@@ -56,6 +56,14 @@
 //! the unplanned baseline, and that the training path repacks at most
 //! once per orientation per optimizer step.
 //!
+//! The `serve_pass` rows time VGG-lite's whole server half (`L2..Lk`,
+//! planned, through the `&self` entry `SplitServer::infer_shared` the
+//! serving loop calls) on the same 16 cut activations in passes of 1, 2,
+//! 4, 8 and 16 rows at one thread, in `us_per_row`: the per-row cost of
+//! a server pass against its size, which is what the serving loop's
+//! one pass per queued run of batches rests on. The harness asserts that
+//! the 16-row pass answers every row bit for bit as the 1-row passes do.
+//!
 //! The thread sweep defaults to `1..=available_parallelism`. A
 //! `--threads` value above the host's cores is still run, but its
 //! `speedup_vs_1t` reads `oversubscribed` instead of a number: more
@@ -87,7 +95,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::report::{arg_present, arg_value, bench_json, bench_json_path, ReportWriter, TextTable};
-use medsplit_nn::{BatchNorm, Conv2d, Dense, Layer, Mode, Optimizer, Sgd};
+use medsplit_core::{build_split, SplitPoint, SplitServer};
+use medsplit_nn::{Architecture, BatchNorm, Conv2d, Dense, Layer, Mode, Optimizer, Sgd, VggConfig};
 use medsplit_tensor::ops::conv::{
     conv2d_backward_params, conv2d_backward_planned, conv2d_forward, conv2d_forward_planned, Conv2dSpec,
 };
@@ -97,7 +106,7 @@ use medsplit_tensor::{init::rng_from_seed, pool, scratch, simd, ConvPlan, Encodi
 
 const CSV_HEADER: &str = "kernel,shape,threads,reps,best_ms,gflops,speedup_vs_1t,\
                           speedup_t2_vs_t1,speedup_vs_seed,gflops_vs_scalar,\
-                          scratch_allocs_per_step,repacks_per_step,dispatch_us,ns_per_elem,ns_per_byte";
+                          scratch_allocs_per_step,repacks_per_step,dispatch_us,ns_per_elem,ns_per_byte,us_per_row";
 
 /// What a `kernel_bench` invocation measured, for the lab runner.
 #[derive(Debug, Clone, Copy)]
@@ -155,6 +164,7 @@ struct Row {
     dispatch_us: f64,
     ns_per_elem: f64,
     ns_per_byte: f64,
+    us_per_row: f64,
 }
 
 impl Row {
@@ -176,6 +186,7 @@ impl Row {
             dispatch_us: f64::NAN,
             ns_per_elem: f64::NAN,
             ns_per_byte: f64::NAN,
+            us_per_row: f64::NAN,
         }
     }
 }
@@ -712,6 +723,62 @@ fn bench_serving(reps: usize, rows: &mut Vec<Row>) {
     }
 }
 
+/// The `serve_pass` rows: VGG-lite's server half over 16 cut
+/// activations in passes of `BATCHES` rows each, at one thread, in
+/// microseconds per row. Asserts that the 16-row pass answers every row
+/// bit for bit as the 1-row passes do.
+fn bench_serve_pass(reps: usize, rows: &mut Vec<Row>) {
+    const ROWS: usize = 16;
+    const BATCHES: [usize; 5] = [1, 2, 4, 8, 16];
+    pool::set_num_threads(1);
+    let arch = Architecture::Vgg(VggConfig::lite(10));
+    let model = build_split(&arch, SplitPoint::Default, 61, 1).expect("VGG-lite split");
+    let mut server = SplitServer::new(model.server, 0.0);
+    server.update_plans().expect("server plans");
+    // The platform's `L1` output: 8 channels of the 16×16 image.
+    let x = Tensor::rand_uniform([ROWS, 8, 16, 16], -1.0, 1.0, &mut rng_from_seed(67));
+    let bits = |outs: &[Tensor]| -> Vec<u32> {
+        outs.iter()
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    let mut by_one = None;
+    for batch in BATCHES {
+        let passes: Vec<Tensor> = (0..ROWS)
+            .step_by(batch)
+            .map(|start| x.slice0(start, batch).expect("pass rows"))
+            .collect();
+        let run = || -> Vec<Tensor> {
+            passes
+                .iter()
+                .map(|p| server.infer_shared(p).expect("server pass"))
+                .collect()
+        };
+        let outs = bits(&run());
+        match &by_one {
+            None => by_one = Some(outs),
+            Some(want) => assert!(
+                *want == outs,
+                "a server pass of {batch} rows answered a row unlike a pass of one"
+            ),
+        }
+        let (best_s, allocs, repacks) = time_best(reps, || {
+            std::hint::black_box(run());
+        });
+        assert_eq!(
+            repacks, 0.0,
+            "server pass repacked panels after warmup at b{batch}"
+        );
+        rows.push(Row {
+            best_ms: best_s * 1e3,
+            scratch_allocs_per_step: allocs,
+            repacks_per_step: repacks,
+            us_per_row: best_s * 1e6 / ROWS as f64,
+            ..Row::blank("serve_pass", format!("vgg_lite_server/b{batch}"), 1, reps)
+        });
+    }
+}
+
 /// One `conv_serve` row: the planned forward of `layer` (3×3/s1/p1,
 /// weight `w`, bias `b`) in `Mode::Eval` on `x`, against the unplanned
 /// `conv2d_forward`. Asserts bit-identical logits and zero warm-path
@@ -848,7 +915,7 @@ fn to_report(rows: &[Row]) -> ReportWriter {
     for r in rows {
         let m = |v, digits| opt_metric(v, true, digits);
         report.line(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.kernel,
             r.shape,
             r.threads,
@@ -863,7 +930,8 @@ fn to_report(rows: &[Row]) -> ReportWriter {
             m(r.repacks_per_step, 2),
             m(r.dispatch_us, 2),
             m(r.ns_per_elem, 3),
-            m(r.ns_per_byte, 3)
+            m(r.ns_per_byte, 3),
+            m(r.us_per_row, 3)
         ));
     }
     report
@@ -880,7 +948,7 @@ fn to_json(rows: &[Row], isa: &str) -> String {
              \"gflops\": {}, \"speedup_vs_1t\": {}, \"speedup_t2_vs_t1\": {}, \
              \"speedup_vs_seed\": {}, \"gflops_vs_scalar\": {}, \
              \"scratch_allocs_per_step\": {}, \"repacks_per_step\": {}, \"dispatch_us\": {}, \
-             \"ns_per_elem\": {}, \"ns_per_byte\": {}}}{}",
+             \"ns_per_elem\": {}, \"ns_per_byte\": {}, \"us_per_row\": {}}}{}",
             r.kernel,
             r.shape,
             r.threads,
@@ -895,6 +963,7 @@ fn to_json(rows: &[Row], isa: &str) -> String {
             m(r.dispatch_us, 2),
             m(r.ns_per_elem, 3),
             m(r.ns_per_byte, 3),
+            m(r.us_per_row, 3),
             comma
         );
     }
@@ -988,6 +1057,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     // warm-path repacks and bit-identical logits), plus the training
     // repack bound.
     bench_serving(reps, &mut rows);
+    bench_serve_pass(reps, &mut rows);
     assert_training_repack_bound();
 
     let report = to_report(&rows);
@@ -1017,6 +1087,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             "dispatch us",
             "ns/elem",
             "ns/B",
+            "us/row",
         ],
     );
     for r in &rows {
@@ -1046,6 +1117,7 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
             cell(r.dispatch_us, 2, ""),
             cell(r.ns_per_elem, 3, ""),
             cell(r.ns_per_byte, 3, ""),
+            cell(r.us_per_row, 3, ""),
         ]);
     }
     println!("{table}");
@@ -1054,7 +1126,8 @@ pub fn run(args: &[String]) -> KernelBenchOutcome {
     println!("wrote {} and {}", csv_path.display(), json_path.display());
     if smoke {
         println!(
-            "smoke OK: {} rows, schema verified, serve repacks 0.0, planned logits match unplanned",
+            "smoke OK: {} rows, schema verified, serve repacks 0.0, planned logits match unplanned, \
+             server passes row-invariant",
             rows.len()
         );
     }

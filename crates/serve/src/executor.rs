@@ -14,10 +14,12 @@
 //!
 //! A batch handed out is a [`Due`]: it starts at `flush_t`, once the
 //! executor is free and the flush rule fired, and occupies the executor
-//! until `done_s` = `flush_t + 2 ms + 1 ms·n` ([`busy_until`]). `infer_batch` computes it: entries whose deadline
-//! precedes `done_s` get no inference, the rest take one `concat0` →
-//! `infer` → `slice0` pass per group; the loop runs many batches side by
-//! side on the kernel pool (`side_by_side`).
+//! until `done_s` = `flush_t + 2 ms + 1 ms·n` ([`busy_until`]).
+//! `infer_batches` computes a run of such batches: entries whose
+//! deadline precedes their batch's `done_s` get no inference, and the
+//! live rows of the whole run take one `concat0` → `infer` → `slice0`
+//! pass per (replica, version). The loop computes its queued runs side
+//! by side on the kernel pool (`side_by_side`), one run per task.
 
 use medsplit_core::Result;
 use medsplit_simnet::{NetStats, NodeId};
@@ -170,48 +172,61 @@ impl<P> Executor<P> {
     }
 }
 
-/// A batch's answers in the order [`infer_batch`] reports them: each
+/// A batch's answers in the order [`infer_batches`] reports them: each
 /// entry's position in the batch with its logits, `None` for an entry
 /// whose deadline preceded the batch's `done_s`.
 pub(crate) type Answers = Vec<(usize, Option<Tensor>)>;
 
-/// The compute of one batch that is done at `done_s`: first the entries whose deadline
-/// precedes `done_s` (no logits: a timeout, never inferred), then the
-/// live ones by ascending `group_of` key and arrival order within a
-/// group, each with its slice of the group's logits. A group takes one
-/// forward pass over its concatenated activations — the same aggregate
-/// pattern as training. The single server has one group; a fleet replica
-/// groups by pinned weight version.
+/// The compute of a run of booked batches, each `(replica, due)`: one
+/// [`Answers`] per batch, in run order. A batch reports first the
+/// entries whose deadline precedes its `done_s` (no logits: a timeout,
+/// never inferred), then its live ones by ascending `version_of` key and
+/// arrival order within a version, each with its rows of the logits.
+///
+/// The live rows of the whole run take one forward pass per
+/// `(replica, version)`: `infer` sees their activations concatenated in
+/// run order, batch after batch — the server's aggregate pass of
+/// training. A single batch is a run of one. Every row's logits are
+/// those of a pass of its own, because the server's layers compute each
+/// row independently of its batch mates (`tests/batch_invariance.rs`),
+/// so how the queue is cut into runs moves no answer.
 ///
 /// # Errors
 ///
 /// Propagates tensor and model errors.
-pub(crate) fn infer_batch<P, K: Ord>(
-    entries: &[BatchEntry<P>],
-    done_s: f64,
-    group_of: impl Fn(&P) -> K,
+pub(crate) fn infer_batches<P, K: Ord>(
+    run: &[(usize, Due<P>)],
+    version_of: impl Fn(&P) -> K,
     activations: impl Fn(&P) -> &Tensor,
-    mut infer: impl FnMut(K, &Tensor) -> Result<Tensor>,
-) -> Result<Answers> {
-    let (mut live, expired): (Vec<usize>, Vec<usize>) =
-        (0..entries.len()).partition(|&i| entries[i].live_at(done_s));
-    let mut answers: Answers = expired.into_iter().map(|i| (i, None)).collect();
-    // Stable, so arrival order survives within a group.
-    let key = |i: &usize| group_of(&entries[*i].item);
+    mut infer: impl FnMut(usize, K, &Tensor) -> Result<Tensor>,
+) -> Result<Vec<Answers>> {
+    let mut answers: Vec<Answers> = Vec::with_capacity(run.len());
+    // Every live entry of the run as (batch, position), in run order.
+    let mut live: Vec<(usize, usize)> = Vec::new();
+    for (b, (_, due)) in run.iter().enumerate() {
+        let (alive, expired): (Vec<usize>, Vec<usize>) =
+            (0..due.entries.len()).partition(|&i| due.entries[i].live_at(due.done_s));
+        answers.push(expired.into_iter().map(|i| (i, None)).collect());
+        live.extend(alive.into_iter().map(|i| (b, i)));
+    }
+    let item = |&(b, i): &(usize, usize)| &run[b].1.entries[i].item;
+    let key = |e: &(usize, usize)| (run[e.0].0, version_of(item(e)));
+    // Stable, so run order survives within a pass.
     live.sort_by_key(key);
-    for group in live.chunk_by(|a, b| key(a) == key(b)) {
+    for pass in live.chunk_by(|a, b| key(a) == key(b)) {
         let assemble = medsplit_telemetry::span("batch_assemble");
-        let tensors: Vec<&Tensor> = group.iter().map(|&i| activations(&entries[i].item)).collect();
-        let batch = Tensor::concat0(&tensors)?;
+        let tensors: Vec<&Tensor> = pass.iter().map(|e| activations(item(e))).collect();
+        let rows = Tensor::concat0(&tensors)?;
         drop(assemble);
         let infer_span = medsplit_telemetry::span("batch_infer");
-        let logits = infer(key(&group[0]), &batch)?;
+        let (replica, version) = key(&pass[0]);
+        let logits = infer(replica, version, &rows)?;
         drop(infer_span);
         let mut offset = 0;
-        for (&i, acts) in group.iter().zip(&tensors) {
-            let rows = acts.dims()[0];
-            answers.push((i, Some(logits.slice0(offset, rows)?)));
-            offset += rows;
+        for (&(b, i), acts) in pass.iter().zip(&tensors) {
+            let n = acts.dims()[0];
+            answers[b].push((i, Some(logits.slice0(offset, n)?)));
+            offset += n;
         }
     }
     Ok(answers)
@@ -343,27 +358,26 @@ mod tests {
             ex.batcher_mut()
                 .offer((group, Tensor::full([1, 2], i as f32)), 0.0, deadline);
         }
-        let due = ex.drain_next().unwrap();
+        let run = [(0, ex.drain_next().unwrap())];
         let mut passes = Vec::new();
-        let answers = infer_batch(
-            &due.entries,
-            due.done_s,
+        let answers = infer_batches(
+            &run,
             |p| p.0,
             |p| &p.1,
-            |group, batch| {
-                passes.push((group, batch.dims()[0]));
+            |replica, group, batch| {
+                passes.push((replica, group, batch.dims()[0]));
                 Ok(batch.map(|v| v + 100.0 * group as f32))
             },
         )
         .unwrap();
-        let seen: Vec<_> = answers
-            .into_iter()
+        let seen: Vec<_> = answers[0]
+            .iter()
             .map(|(i, logits)| {
-                let p = &due.entries[i].item;
-                (p.1.as_slice()[0], logits.map(|t| t.as_slice().to_vec()))
+                let p = &run[0].1.entries[*i].item;
+                (p.1.as_slice()[0], logits.as_ref().map(|t| t.as_slice().to_vec()))
             })
             .collect();
-        assert_eq!(passes, [(0, 2), (1, 1)], "one pass per live group");
+        assert_eq!(passes, [(0, 0, 2), (0, 1, 1)], "one pass per live group");
         assert_eq!(
             seen,
             [
@@ -371,6 +385,61 @@ mod tests {
                 (1.0, Some(vec![1.0, 1.0])),
                 (3.0, Some(vec![3.0, 3.0])),
                 (0.0, Some(vec![100.0, 100.0])),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_run_takes_one_pass_per_replica_and_group() {
+        // Three batches: replica 1, replica 0, replica 1 again. The
+        // "model" adds 100·group + 1000·replica, so a row that took
+        // another pass's weights would show.
+        let batch = |items: &[(u32, f32)], done_s: f64| {
+            let mut ex: Executor<(u32, Tensor)> = Executor::new(&cfg(8, f64::INFINITY, 8));
+            for &(group, v) in items {
+                let deadline = if v < 0.0 { 0.0 } else { 9.0 };
+                ex.batcher_mut()
+                    .offer((group, Tensor::full([1, 1], v)), 0.0, deadline);
+            }
+            let mut due = ex.drain_next().unwrap();
+            due.done_s = done_s;
+            due
+        };
+        let run = [
+            (1, batch(&[(1, 1.0), (0, 2.0), (0, -1.0)], 1.0)),
+            (0, batch(&[(0, 3.0)], 1.0)),
+            (1, batch(&[(0, 4.0), (1, 5.0)], 1.0)),
+        ];
+        let mut passes = Vec::new();
+        let answers = infer_batches(
+            &run,
+            |p| p.0,
+            |p| &p.1,
+            |replica, group, rows| {
+                passes.push((replica, group, rows.as_slice().to_vec()));
+                Ok(rows.map(|v| v + 100.0 * group as f32 + 1000.0 * replica as f32))
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            passes,
+            [(0, 0, vec![3.0]), (1, 0, vec![2.0, 4.0]), (1, 1, vec![1.0, 5.0]),],
+            "rows of a pass in run order"
+        );
+        let flat: Vec<Vec<(usize, Option<f32>)>> = answers
+            .iter()
+            .map(|a| {
+                a.iter()
+                    .map(|(i, l)| (*i, l.as_ref().map(|t| t.as_slice()[0])))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            flat,
+            [
+                vec![(2, None), (1, Some(1002.0)), (0, Some(1101.0))],
+                vec![(0, Some(3.0))],
+                vec![(0, Some(1004.0)), (1, Some(1105.0))],
             ]
         );
     }

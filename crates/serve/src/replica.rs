@@ -2,6 +2,11 @@
 //! [`Executor`] (batcher and busy clock) plus a lifecycle phase, a shard
 //! of sessions, and per-version models, instantiated from the bank on
 //! first use or handed over by a single server's caller.
+//!
+//! A batch is booked (`Replica::book`) before any logit exists, and
+//! computed later with others as a run (`infer_run`): one forward pass
+//! per (replica, version) over the live rows of every batch in the run.
+//! [`Replica::serve`] books and computes one batch, as a run of one.
 
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -10,7 +15,7 @@ use medsplit_tensor::Tensor;
 
 use crate::bank::ModelBank;
 use crate::batcher::{Admission, BatchEntry};
-use crate::executor::{busy_until, infer_batch, Answers, Executor};
+use crate::executor::{busy_until, infer_batches, Answers, Due, Executor};
 use crate::ring::HashRing;
 use crate::runtime::ServeConfig;
 use crate::session::{SessionKey, SessionState};
@@ -182,35 +187,13 @@ impl Replica {
         Ok(())
     }
 
-    /// Computes a booked batch through the entries' pinned weight
-    /// versions ([`infer_batch`]): continuous batching across tenants
-    /// within a version, one forward pass per version. Reads the models
-    /// through `&self`, so several batches may run at once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub(crate) fn infer(&self, entries: &[BatchEntry<FleetPending>], done_s: f64) -> Result<Answers> {
-        infer_batch(
-            entries,
-            done_s,
-            |p| p.req.version,
-            |p| &p.req.activations,
-            |version, rows| {
-                self.servers
-                    .get(&version)
-                    .ok_or_else(|| SplitError::Config(format!("unbooked weight version {version}")))?
-                    .infer_shared(rows)
-            },
-        )
-    }
-
-    /// Runs a batch that starts at `flush_t` — booked, then inferred, as
-    /// the serving loop does — and returns `(serve_done, outcomes)` in
-    /// response order: expired entries first, with `ok = false`, then the
-    /// live ones grouped by version. The batch costs the executor's
-    /// constant busy time, so `_serve` is not read; the parameter stays
-    /// because `benchmark/src/traced.rs` calls this signature.
+    /// Runs a batch that starts at `flush_t` — booked, then inferred as a
+    /// run of one (`infer_run`), as the serving loop does — and returns
+    /// `(serve_done, outcomes)` in response order: expired entries first,
+    /// with `ok = false`, then the live ones grouped by version. The batch
+    /// costs the executor's constant busy time, so `_serve` is not read;
+    /// the parameter stays because `benchmark/src/traced.rs` calls this
+    /// signature.
     ///
     /// # Errors
     ///
@@ -225,11 +208,21 @@ impl Replica {
         if entries.is_empty() {
             return Ok((flush_t, Vec::new()));
         }
-        let serve_done = busy_until(flush_t, entries.len());
-        self.book(&entries, serve_done, Some(bank))?;
-        let outcomes = self
-            .infer(&entries, serve_done)?
+        let done_s = busy_until(flush_t, entries.len());
+        self.book(&entries, done_s, Some(bank))?;
+        let run = [(
+            0,
+            Due {
+                entries,
+                flush_t,
+                done_s,
+            },
+        )];
+        let answers = infer_run(std::slice::from_ref(self), &run)?;
+        let entries = &run[0].1.entries;
+        let outcomes = answers
             .into_iter()
+            .flatten()
             .map(|(i, logits)| {
                 let p = &entries[i].item;
                 Served {
@@ -241,7 +234,7 @@ impl Replica {
                 }
             })
             .collect();
-        Ok((serve_done, outcomes))
+        Ok((done_s, outcomes))
     }
 
     /// Exports and removes every session, for a full drain handoff.
@@ -300,12 +293,39 @@ impl std::fmt::Debug for Replica {
     }
 }
 
+/// Computes a run of booked batches, each `(index into replicas, due)`,
+/// through the entries' pinned weight versions ([`infer_batches`]):
+/// continuous batching across tenants and across the run's batches, one
+/// forward pass per (replica, version). Reads the models through
+/// `&Replica`, so several runs may go at once.
+///
+/// # Errors
+///
+/// Propagates model errors; a version a batch's replica did not book is
+/// a config error.
+pub(crate) fn infer_run(replicas: &[Replica], run: &[(usize, Due<FleetPending>)]) -> Result<Vec<Answers>> {
+    infer_batches(
+        run,
+        |p| p.req.version,
+        |p| &p.req.activations,
+        |r, version, rows| {
+            replicas[r]
+                .servers
+                .get(&version)
+                .ok_or_else(|| SplitError::Config(format!("unbooked weight version {version}")))?
+                .infer_shared(rows)
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bank::{ModelBank, ModelFactory};
-    use medsplit_nn::{Dense, Sequential};
+    use medsplit_nn::{Activation, Dense, Sequential};
     use medsplit_tensor::init::rng_from_seed;
+    use medsplit_tensor::pool;
+    use std::sync::Mutex;
 
     fn factory() -> ModelFactory {
         Box::new(|| {
@@ -358,6 +378,123 @@ mod tests {
         assert_ne!(by_id(0).as_slice(), by_id(1).as_slice());
         assert_eq!(r.served, 3);
         assert_eq!(r.sessions().len(), 3);
+    }
+
+    /// Serialises the tests that change the process-global pool size.
+    static POOL_LOCK: Mutex<()> = Mutex::new(());
+
+    /// A run of booked batches on two replicas of a 12→24→3 model at two
+    /// weight versions: batches that mix versions, one with an expired
+    /// entry, one that is all expired, one of a single row, and enough
+    /// rows of one version on replica 0 (9 batches, 40 rows) for a pass
+    /// far past any batch of the serving configuration.
+    fn booked_run(bank: &ModelBank) -> (Vec<Replica>, Vec<(usize, Due<FleetPending>)>) {
+        let cfg = ServeConfig::default();
+        let mut replicas = vec![Replica::new(0, &cfg), Replica::new(1, &cfg)];
+        let mut rng = rng_from_seed(17);
+        // (replica, [(version, deadline)]) per batch; every batch is done
+        // at 1.0, so a deadline of 0.5 expires its entry.
+        let shapes: [(usize, &[(u32, f64)]); 9] = [
+            (0, &[(0, 9.0), (1, 9.0), (0, 0.5), (0, 9.0), (1, 9.0)]),
+            (1, &[(1, 9.0), (0, 9.0), (1, 9.0)]),
+            (0, &[(0, 0.5), (1, 0.5)]),
+            (0, &[(0, 9.0)]),
+            (1, &[(0, 9.0), (0, 0.5), (1, 9.0), (0, 9.0)]),
+            (0, &[(0, 9.0); 8]),
+            (0, &[(0, 9.0); 8]),
+            (
+                0,
+                &[
+                    (1, 9.0),
+                    (0, 9.0),
+                    (0, 9.0),
+                    (1, 9.0),
+                    (0, 9.0),
+                    (0, 9.0),
+                    (0, 9.0),
+                    (0, 9.0),
+                ],
+            ),
+            (0, &[(0, 9.0); 8]),
+        ];
+        let mut id = 0;
+        let run = shapes
+            .iter()
+            .map(|&(r, entries)| {
+                let entries: Vec<BatchEntry<FleetPending>> = entries
+                    .iter()
+                    .map(|&(version, deadline_s)| {
+                        id += 1;
+                        let mut p = pending(id, id % 3, id % 2, version);
+                        p.req.activations = Tensor::rand_uniform([1, 12], -1.0, 1.0, &mut rng);
+                        BatchEntry {
+                            item: p,
+                            enqueued_s: 0.0,
+                            deadline_s,
+                        }
+                    })
+                    .collect();
+                replicas[r].book(&entries, 1.0, Some(bank)).unwrap();
+                (
+                    r,
+                    Due {
+                        entries,
+                        flush_t: 0.9,
+                        done_s: 1.0,
+                    },
+                )
+            })
+            .collect();
+        (replicas, run)
+    }
+
+    /// Every batch of a run answers exactly as the same batch computed as
+    /// a run of its own: same order, same expiries, same logits bits.
+    #[test]
+    fn a_run_answers_each_batch_as_a_run_of_one() {
+        let _guard = POOL_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let bank = ModelBank::new(
+            Box::new(|| {
+                let mut rng = rng_from_seed(5);
+                let mut s = Sequential::new("server");
+                s.push(Dense::new(12, 24, &mut rng));
+                s.push(Activation::relu());
+                s.push(Dense::new(24, 3, &mut rng));
+                s
+            }),
+            2,
+        )
+        .unwrap();
+        let bits = |answers: &Answers| -> Vec<(usize, Option<Vec<u32>>)> {
+            answers
+                .iter()
+                .map(|(i, l)| {
+                    (
+                        *i,
+                        l.as_ref()
+                            .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect()),
+                    )
+                })
+                .collect()
+        };
+        let prior = pool::num_threads();
+        for threads in [1, 2] {
+            pool::set_num_threads(threads);
+            let (replicas, run) = booked_run(&bank);
+            let together = infer_run(&replicas, &run).unwrap();
+            assert_eq!(together.len(), run.len());
+            for (b, (answers, batch)) in together.iter().zip(&run).enumerate() {
+                let (_, alone) = booked_run(&bank);
+                let alone = infer_run(&replicas, &alone[b..=b]).unwrap();
+                assert_eq!(bits(answers), bits(&alone[0]), "batch {b} at {threads} threads");
+                assert_eq!(answers.len(), batch.1.entries.len());
+            }
+            let expired = together.iter().flatten().filter(|(_, l)| l.is_none()).count();
+            assert_eq!(expired, 4, "the run holds four expired entries");
+        }
+        pool::set_num_threads(prior);
     }
 
     #[test]

@@ -28,20 +28,23 @@
 //! and its answers are queued. The queue is emptied just before the loop
 //! next sends (a refusal included), receives or begins a chaos tick, and
 //! at the end: the queued batches are computed side by side on the
-//! kernel pool, then their answers go out in queue order. The transport
-//! thus sees a one-batch-at-a-time run's calls in its order: a single
-//! server computes all its batches side by side at the end, a fleet one
-//! batch per dispatch, and no crash tick overtakes an answer due before
-//! it.
+//! kernel pool, each task taking a run of `BATCHES_PER_TASK`
+//! consecutive batches as one forward pass per (replica, version) over
+//! their live rows, then their answers go out in queue order. The
+//! transport thus sees a one-batch-at-a-time run's calls in its order: a
+//! single server computes all its batches at the end, in passes of up to
+//! `BATCHES_PER_TASK × max_batch` rows, a fleet one batch per dispatch,
+//! and no crash tick overtakes an answer due before it.
 //!
 //! The fleet maps the simulated clock onto chaos ticks,
 //! `tick = floor(time / chaos_tick_s)`, and applies [`FaultPlan`] events
 //! at tick boundaries: a crashed replica loses its queue and sessions,
 //! its in-flight requests go to ring successors, and no admitted request
 //! is ever silently dropped. Activations and version pins depend only on
-//! the seed and tenant layout, and per-row GEMM results do not depend on
-//! batch composition, so a run's logits are bit-identical across fleet
-//! and pool sizes.
+//! the seed and tenant layout, and a server layer's output row does not
+//! depend on the rows that share its pass (`tests/batch_invariance.rs`),
+//! so a run's logits are bit-identical across fleet and pool sizes and
+//! however the queue is cut into passes.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -60,7 +63,7 @@ use crate::bank::ModelBank;
 use crate::config::FleetConfig;
 use crate::executor::{request_id, side_by_side, sync_clock, Arrived, Due};
 use crate::metrics::ServeReport;
-use crate::replica::{FleetPending, Replica, ReplicaPhase};
+use crate::replica::{infer_run, FleetPending, Replica, ReplicaPhase};
 use crate::router::{InFlight, Router};
 use crate::runtime::ClientRecord;
 use crate::session::{decode_sessions, encode_sessions, SessionKey, SessionState};
@@ -85,7 +88,8 @@ pub const CLASSES: usize = 4;
 /// count, like [`BATCHES_PER_TASK`].
 const L1_WINDOW: usize = 256;
 const L1_QUERIES_PER_TASK: usize = 16;
-/// Queued batches computed in one kernel-pool task.
+/// Queued batches computed in one kernel-pool task, as one forward pass
+/// per (replica, version) over their live rows.
 const BATCHES_PER_TASK: usize = 8;
 
 /// An operator action on one replica.
@@ -581,29 +585,32 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
         self.refuse(NodeId::Server, pending, t, InferStatus::Throttled)
     }
 
-    /// Empties the answer queue: computes every queued batch side by side
-    /// on the kernel pool ([`BATCHES_PER_TASK`] a task), then sends the
-    /// answers batch by batch in queue order, each batch's stamped with
-    /// its `done_s` after syncing its replica's clock to it.
+    /// Empties the answer queue: computes the queued batches side by side
+    /// on the kernel pool, [`BATCHES_PER_TASK`] consecutive batches a task
+    /// and one forward pass per (replica, version) over each task's live
+    /// rows ([`infer_run`]), then sends the answers batch by batch in queue
+    /// order, each batch's stamped with its `done_s` after syncing its
+    /// replica's clock to it.
     fn send_answers(&mut self) -> Result<()> {
         if self.answers.is_empty() {
             return Ok(());
         }
         let answers = std::mem::take(&mut self.answers);
+        let runs: Vec<&[(usize, Due<FleetPending>)]> = answers.chunks(BATCHES_PER_TASK).collect();
         let replicas = &self.replicas;
-        let computed = side_by_side(&answers, BATCHES_PER_TASK, |(r, due)| {
-            replicas[*r].infer(&due.entries, due.done_s)
-        });
-        for ((r, due), logits) in answers.into_iter().zip(computed) {
-            let src = self.node(r);
-            sync_clock(self.net.stats(), src, due.done_s);
-            for (i, logits) in logits? {
-                let status = if logits.is_some() {
-                    InferStatus::Ok
-                } else {
-                    InferStatus::TimedOut
-                };
-                self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
+        let computed = side_by_side(&runs, 1, |run| infer_run(replicas, run));
+        for (run, computed) in runs.iter().zip(computed) {
+            for ((r, due), logits) in run.iter().zip(computed?) {
+                let src = self.node(*r);
+                sync_clock(self.net.stats(), src, due.done_s);
+                for (i, logits) in logits {
+                    let status = if logits.is_some() {
+                        InferStatus::Ok
+                    } else {
+                        InferStatus::TimedOut
+                    };
+                    self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
+                }
             }
         }
         Ok(())

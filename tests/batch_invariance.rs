@@ -6,8 +6,12 @@
 //! For every architecture the lab and serving build — the MLPs, VGG-lite
 //! and ResNet-lite — whole and as the two halves of their default cut,
 //! this test runs a 64-row batch through `forward(_, Mode::Eval)` and
-//! then the same rows in batches of 1..=17 through `infer`, and holds
-//! every output row equal bit for bit. The inputs are full-mantissa
+//! then the same rows in batches of 1..=17, 32 and 64 through `infer`,
+//! and holds every output row equal bit for bit. The serving loop relies
+//! on it: a kernel-pool task computes up to eight booked batches of up to
+//! eight rows as one pass per weight version, so a server pass takes
+//! anywhere from 1 to 64 rows, and a row's answer must not depend on
+//! which batches shared its pass. The inputs are full-mantissa
 //! values with `±0` and subnormals sprinkled in, and batch
 //! normalisation's running statistics are set to such values too, so a
 //! kernel that sums a row in a different order at some batch size shows
@@ -88,11 +92,11 @@ fn set_state(model: &mut Sequential, rng: &mut Lcg) {
 }
 
 /// Holds every row of `part`'s output on the 64-row batch `x` equal to
-/// the same row run in batches of 1..=17.
+/// the same row run through `infer` in batches of 1..=17, 32 and 64.
 fn check_rows(label: &str, part: &mut Sequential, x: &Tensor) {
     let whole = part.forward(x, Mode::Eval).unwrap();
     let width = whole.numel() / ROWS;
-    for batch in 1..=17 {
+    for batch in (1..=17).chain([32, ROWS]) {
         let mut start = 0;
         while start < ROWS {
             let count = batch.min(ROWS - start);
