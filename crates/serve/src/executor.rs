@@ -177,11 +177,12 @@ impl<P> Executor<P> {
 /// whose deadline preceded the batch's `done_s`.
 pub(crate) type Answers = Vec<(usize, Option<Tensor>)>;
 
-/// The compute of a run of booked batches, each `(replica, due)`: one
-/// [`Answers`] per batch, in run order. A batch reports first the
-/// entries whose deadline precedes its `done_s` (no logits: a timeout,
-/// never inferred), then its live ones by ascending `version_of` key and
-/// arrival order within a version, each with its rows of the logits.
+/// The compute of a run of booked batches, each `(replica, due)`: pushes
+/// one [`Answers`] per batch onto `out`, in run order. A batch reports
+/// first the entries whose deadline precedes its `done_s` (no logits: a
+/// timeout, never inferred), then its live ones by ascending `version_of`
+/// key and arrival order within a version, each with its rows of the
+/// logits.
 ///
 /// The live rows of the whole run take one forward pass per
 /// `(replica, version)`: `infer` sees their activations concatenated in
@@ -196,17 +197,18 @@ pub(crate) type Answers = Vec<(usize, Option<Tensor>)>;
 /// Propagates tensor and model errors.
 pub(crate) fn infer_batches<P, K: Ord>(
     run: &[(usize, Due<P>)],
+    out: &mut Vec<Answers>,
     version_of: impl Fn(&P) -> K,
     activations: impl Fn(&P) -> &Tensor,
     mut infer: impl FnMut(usize, K, &Tensor) -> Result<Tensor>,
-) -> Result<Vec<Answers>> {
-    let mut answers: Vec<Answers> = Vec::with_capacity(run.len());
+) -> Result<()> {
+    let first = out.len();
     // Every live entry of the run as (batch, position), in run order.
     let mut live: Vec<(usize, usize)> = Vec::new();
     for (b, (_, due)) in run.iter().enumerate() {
         let (alive, expired): (Vec<usize>, Vec<usize>) =
             (0..due.entries.len()).partition(|&i| due.entries[i].live_at(due.done_s));
-        answers.push(expired.into_iter().map(|i| (i, None)).collect());
+        out.push(expired.into_iter().map(|i| (i, None)).collect());
         live.extend(alive.into_iter().map(|i| (b, i)));
     }
     let item = |&(b, i): &(usize, usize)| &run[b].1.entries[i].item;
@@ -225,33 +227,47 @@ pub(crate) fn infer_batches<P, K: Ord>(
         let mut offset = 0;
         for (&(b, i), acts) in pass.iter().zip(&tensors) {
             let n = acts.dims()[0];
-            answers[b].push((i, Some(logits.slice0(offset, n)?)));
+            out[first + b].push((i, Some(logits.slice0(offset, n)?)));
             offset += n;
         }
     }
-    Ok(answers)
+    Ok(())
 }
 
-/// `f` over every item, `per_task` consecutive items per kernel-pool
-/// task ([`pool::parallel_chunks_mut`]), results in item order. At one
-/// pool thread this is the plain loop. Spans entered on a pool worker
-/// keep the caller's current span as their parent.
+/// `f` over the items in runs of `per_task` consecutive items (the last
+/// may be shorter), one kernel-pool task per run
+/// ([`pool::parallel_chunks_mut`]); `f` pushes one result per item of its
+/// run, and the results come back in item order, or the first error in
+/// run order. Each run's output vector is allocated here, on the
+/// caller's thread, with room for the run, so the containers the caller
+/// frees are its own: a block a worker allocated and the caller freed
+/// would wait in the caller's allocator cache for the caller's next
+/// allocation of its size, which would then live in the worker's heap
+/// arena (DESIGN §10.2). At one pool thread this is the plain loop.
+/// Spans entered on a pool worker keep the caller's current span as their
+/// parent.
 pub(crate) fn side_by_side<T: Sync, R: Send>(
     items: &[T],
     per_task: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    f: impl Fn(&[T], &mut Vec<R>) -> Result<()> + Sync,
+) -> Result<Vec<R>> {
+    let mut runs: Vec<(Vec<R>, Result<()>)> = items
+        .chunks(per_task)
+        .map(|run| (Vec::with_capacity(run.len()), Ok(())))
+        .collect();
     let parent = medsplit_telemetry::SpanParent::capture();
-    pool::parallel_chunks_mut(&mut out, per_task, |task, slots| {
+    pool::parallel_chunks_mut(&mut runs, 1, |task, slot| {
         let _parent = parent.adopt();
-        for (slot, item) in slots.iter_mut().zip(&items[task * per_task..]) {
-            *slot = Some(f(item));
-        }
+        let start = task * per_task;
+        let (out, done) = &mut slot[0];
+        *done = f(&items[start..items.len().min(start + per_task)], out);
     });
-    out.into_iter()
-        .map(|r| r.expect("parallel_chunks_mut returned before a task ran"))
-        .collect()
+    let mut results = Vec::with_capacity(items.len());
+    for (out, done) in runs {
+        done?;
+        results.extend(out);
+    }
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -360,8 +376,10 @@ mod tests {
         }
         let run = [(0, ex.drain_next().unwrap())];
         let mut passes = Vec::new();
-        let answers = infer_batches(
+        let mut answers = Vec::new();
+        infer_batches(
             &run,
+            &mut answers,
             |p| p.0,
             |p| &p.1,
             |replica, group, batch| {
@@ -411,8 +429,11 @@ mod tests {
             (1, batch(&[(0, 4.0), (1, 5.0)], 1.0)),
         ];
         let mut passes = Vec::new();
-        let answers = infer_batches(
+        // A batch answered earlier sits in front; the run appends after it.
+        let mut answers = vec![vec![(7, None)]];
+        infer_batches(
             &run,
+            &mut answers,
             |p| p.0,
             |p| &p.1,
             |replica, group, rows| {
@@ -437,6 +458,7 @@ mod tests {
         assert_eq!(
             flat,
             [
+                vec![(7, None)],
                 vec![(2, None), (1, Some(1002.0)), (0, Some(1101.0))],
                 vec![(0, Some(3.0))],
                 vec![(0, Some(1004.0)), (1, Some(1105.0))],

@@ -218,7 +218,8 @@ impl Replica {
                 done_s,
             },
         )];
-        let answers = infer_run(std::slice::from_ref(self), &run)?;
+        let mut answers = Vec::with_capacity(1);
+        infer_run(std::slice::from_ref(self), &run, &mut answers)?;
         let entries = &run[0].1.entries;
         let outcomes = answers
             .into_iter()
@@ -294,18 +295,24 @@ impl std::fmt::Debug for Replica {
 }
 
 /// Computes a run of booked batches, each `(index into replicas, due)`,
-/// through the entries' pinned weight versions ([`infer_batches`]):
-/// continuous batching across tenants and across the run's batches, one
-/// forward pass per (replica, version). Reads the models through
-/// `&Replica`, so several runs may go at once.
+/// through the entries' pinned weight versions ([`infer_batches`]),
+/// pushing one [`Answers`] per batch onto `out`: continuous batching
+/// across tenants and across the run's batches, one forward pass per
+/// (replica, version). Reads the models through `&Replica`, so several
+/// runs may go at once.
 ///
 /// # Errors
 ///
 /// Propagates model errors; a version a batch's replica did not book is
 /// a config error.
-pub(crate) fn infer_run(replicas: &[Replica], run: &[(usize, Due<FleetPending>)]) -> Result<Vec<Answers>> {
+pub(crate) fn infer_run(
+    replicas: &[Replica],
+    run: &[(usize, Due<FleetPending>)],
+    out: &mut Vec<Answers>,
+) -> Result<()> {
     infer_batches(
         run,
+        out,
         |p| p.req.version,
         |p| &p.req.activations,
         |r, version, rows| {
@@ -483,12 +490,14 @@ mod tests {
         for threads in [1, 2] {
             pool::set_num_threads(threads);
             let (replicas, run) = booked_run(&bank);
-            let together = infer_run(&replicas, &run).unwrap();
+            let mut together = Vec::new();
+            infer_run(&replicas, &run, &mut together).unwrap();
             assert_eq!(together.len(), run.len());
             for (b, (answers, batch)) in together.iter().zip(&run).enumerate() {
                 let (_, alone) = booked_run(&bank);
-                let alone = infer_run(&replicas, &alone[b..=b]).unwrap();
-                assert_eq!(bits(answers), bits(&alone[0]), "batch {b} at {threads} threads");
+                let mut one = Vec::new();
+                infer_run(&replicas, &alone[b..=b], &mut one).unwrap();
+                assert_eq!(bits(answers), bits(&one[0]), "batch {b} at {threads} threads");
                 assert_eq!(answers.len(), batch.1.entries.len());
             }
             let expired = together.iter().flatten().filter(|(_, l)| l.is_none()).count();

@@ -401,7 +401,12 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             for (tenant, (platform, qs)) in platforms.iter_mut().zip(&mut queries).enumerate() {
                 let inputs: Vec<Tensor> = qs.by_ref().take(L1_WINDOW).collect();
                 let shared = &*platform;
-                let activations = side_by_side(&inputs, L1_QUERIES_PER_TASK, |q| shared.infer_l1_shared(q));
+                let activations = side_by_side(&inputs, L1_QUERIES_PER_TASK, |queries, out| {
+                    for q in queries {
+                        out.push(shared.infer_l1_shared(q)?);
+                    }
+                    Ok(())
+                })?;
                 drop(inputs);
                 for (seq, acts) in (first..).zip(activations) {
                     // Open-loop arrivals: request `seq` is submitted at a
@@ -415,7 +420,7 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
                         session: (seq % sessions) as u64,
                         // Stamped by the router at admission.
                         version: u32::MAX,
-                        activations: platform.noise_inference(acts?),
+                        activations: platform.noise_inference(acts),
                     };
                     window.push((
                         submit_s,
@@ -596,21 +601,20 @@ impl<T: Transport, Topo: Topology> Driver<'_, T, Topo> {
             return Ok(());
         }
         let answers = std::mem::take(&mut self.answers);
-        let runs: Vec<&[(usize, Due<FleetPending>)]> = answers.chunks(BATCHES_PER_TASK).collect();
         let replicas = &self.replicas;
-        let computed = side_by_side(&runs, 1, |run| infer_run(replicas, run));
-        for (run, computed) in runs.iter().zip(computed) {
-            for ((r, due), logits) in run.iter().zip(computed?) {
-                let src = self.node(*r);
-                sync_clock(self.net.stats(), src, due.done_s);
-                for (i, logits) in logits {
-                    let status = if logits.is_some() {
-                        InferStatus::Ok
-                    } else {
-                        InferStatus::TimedOut
-                    };
-                    self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
-                }
+        let computed = side_by_side(&answers, BATCHES_PER_TASK, |run, out| {
+            infer_run(replicas, run, out)
+        })?;
+        for ((r, due), logits) in answers.into_iter().zip(computed) {
+            let src = self.node(r);
+            sync_clock(self.net.stats(), src, due.done_s);
+            for (i, logits) in logits {
+                let status = if logits.is_some() {
+                    InferStatus::Ok
+                } else {
+                    InferStatus::TimedOut
+                };
+                self.send_answer(src, &due.entries[i].item, due.done_s, status, logits.as_ref())?;
             }
         }
         Ok(())
